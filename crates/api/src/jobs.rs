@@ -401,17 +401,7 @@ impl JobRunner {
     ) -> Result<u64, JobRejected> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.store.insert_keyed(id, key, self.per_key_cap)?;
-        self.queue_depth.add(1.0);
-        let request_id = caladrius_obs::current_request_id();
-        let task: Task = Box::new(move || {
-            let _scope = request_id.map(RequestScope::enter);
-            let mut span = caladrius_obs::global_span("api.job");
-            span.field("job", id);
-            task()
-        });
-        self.tx
-            .send((id, task))
-            .expect("workers outlive the runner");
+        self.enqueue(id, task);
         Ok(id)
     }
 
@@ -421,6 +411,13 @@ impl JobRunner {
     pub fn submit(&self, task: impl FnOnce() -> Result<Value, String> + Send + 'static) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.store.insert(id, JobState::Pending);
+        self.enqueue(id, task);
+        id
+    }
+
+    /// Hands job `id` (already in the store) to the workers, wrapped in
+    /// the submitter's request scope and an `api.job` span.
+    fn enqueue(&self, id: u64, task: impl FnOnce() -> Result<Value, String> + Send + 'static) {
         self.queue_depth.add(1.0);
         let request_id = caladrius_obs::current_request_id();
         let task: Task = Box::new(move || {
@@ -432,7 +429,6 @@ impl JobRunner {
         self.tx
             .send((id, task))
             .expect("workers outlive the runner");
-        id
     }
 
     /// Polls a job's state.

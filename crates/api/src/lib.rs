@@ -36,6 +36,7 @@ pub use http::{HttpClient, HttpServer, Request, Response};
 pub use jobs::{JobRejected, JobRunner};
 pub use json::Value;
 pub use routes::{
-    flight_response, parse_plan_body, record_route_slo, slo_status_response, trace_recent_response,
+    flight_response, job_status_response, parse_plan_body, record_route_slo, route_p99,
+    service_metrics_response, slo_status_response, too_many_requests, trace_recent_response,
     ApiService,
 };

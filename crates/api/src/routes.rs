@@ -368,6 +368,76 @@ pub fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo
         .record(status < 500 && elapsed_secs <= latency_slo);
 }
 
+/// Observed **recent** p99 latency of a route, read from the same
+/// per-route windowed histogram both front doors' `handle` records
+/// into. `None` until the route has served a request inside the
+/// sliding window, so shedding reacts to the last couple of minutes
+/// — a long-past burst can no longer pin admission shut.
+pub fn route_p99(route: &str) -> Option<f64> {
+    let histogram = caladrius_obs::global_registry().windowed_histogram(
+        "caladrius_http_request_duration_seconds",
+        &[("route", route)],
+    );
+    let snapshot = histogram.windowed_snapshot();
+    (snapshot.count > 0).then(|| snapshot.quantile(0.99))
+}
+
+/// `429 Too Many Requests` with a `Retry-After` hint — both load
+/// shedding and per-topology fairness caps surface this shape.
+pub fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
+    Response::json_status(
+        429,
+        Value::object([("error", Value::from(error))]).to_json(),
+    )
+    .with_header("Retry-After", retry_after_seconds.to_string())
+}
+
+/// Shared `GET /metrics/service` implementation: every registered
+/// metric in Prometheus text exposition format. SLO burn-rate gauges
+/// are re-evaluated first so the scrape never reports stale burn rates.
+pub fn service_metrics_response() -> Response {
+    caladrius_obs::evaluate_slos();
+    Response {
+        status: 200,
+        content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
+        body: caladrius_obs::render_prometheus(caladrius_obs::global_registry()).into_bytes(),
+        headers: Vec::new(),
+    }
+}
+
+/// Shared job-poll implementation (`GET /jobs/{id}`,
+/// `GET /fleet/jobs/{id}`): the job's state, its result or error once
+/// finished, and its timing milestones.
+pub fn job_status_response(jobs: &JobRunner, id: &str) -> Response {
+    let Ok(id) = id.parse::<u64>() else {
+        return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
+    };
+    let (status, mut fields) = match jobs.state(id) {
+        None => return Response::json_status(404, "{\"error\":\"no such job\"}"),
+        Some(JobState::Pending) => (202, vec![("state", Value::from("pending"))]),
+        Some(JobState::Done(result)) => (
+            200,
+            vec![("state", Value::from("done")), ("result", result)],
+        ),
+        Some(JobState::Failed(message)) => (
+            200,
+            vec![
+                ("state", Value::from("failed")),
+                ("error", Value::from(message)),
+            ],
+        ),
+    };
+    if let Some(timing) = jobs.timing(id) {
+        let opt = |v: Option<i64>| v.map(|ms| Value::from(ms as f64)).unwrap_or(Value::Null);
+        fields.push(("queued_ms", Value::from(timing.queued_unix_ms as f64)));
+        fields.push(("started_ms", opt(timing.started_unix_ms)));
+        fields.push(("finished_ms", opt(timing.finished_unix_ms)));
+        fields.push(("queue_wait_ms", opt(timing.queue_wait_ms())));
+        fields.push(("duration_ms", opt(timing.duration_ms())));
+    }
+    Response::json_status(status, Value::object(fields).to_json())
+}
+
 /// Shared `GET /trace/recent?limit=N&request_id=...` implementation:
 /// newest spans first, `limit` clamped to the ring capacity, optionally
 /// filtered to one request id. Mounted by both front doors.
@@ -707,7 +777,7 @@ impl ApiService {
                 "/model/packing/heron/{topology}",
                 self.packing(topology, request),
             ),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", Self::service_metrics()),
+            ("GET", ["metrics", "service"]) => ("/metrics/service", service_metrics_response()),
             ("GET", ["metrics", "heron", topology]) => {
                 ("/metrics/heron/{topology}", self.metrics(topology, request))
             }
@@ -717,7 +787,7 @@ impl ApiService {
             ("POST", ["topology", topology, "plan"]) => {
                 ("/topology/{topology}/plan", self.plan(topology, request))
             }
-            ("GET", ["jobs", id]) => ("/jobs/{id}", self.job_status(id)),
+            ("GET", ["jobs", id]) => ("/jobs/{id}", job_status_response(&self.jobs, id)),
             (_, ["model", ..])
             | (_, ["jobs", ..])
             | (_, ["topology", _, "plan"])
@@ -734,19 +804,6 @@ impl ApiService {
                 "unmatched",
                 Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
             ),
-        }
-    }
-
-    /// `GET /metrics/service` — every registered metric in Prometheus
-    /// text exposition format. SLO burn-rate gauges are re-evaluated
-    /// first so the scrape never reports stale burn rates.
-    fn service_metrics() -> Response {
-        caladrius_obs::evaluate_slos();
-        Response {
-            status: 200,
-            content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
-            body: caladrius_obs::render_prometheus(caladrius_obs::global_registry()).into_bytes(),
-            headers: Vec::new(),
         }
     }
 
@@ -1020,30 +1077,6 @@ impl ApiService {
         }
     }
 
-    /// Observed **recent** p99 latency of a route, read from the same
-    /// per-route windowed histogram [`ApiService::handle`] records
-    /// into. `None` until the route has served a request inside the
-    /// sliding window, so shedding reacts to the last couple of minutes
-    /// — a long-past burst can no longer pin admission shut.
-    fn route_p99(route: &str) -> Option<f64> {
-        let histogram = caladrius_obs::global_registry().windowed_histogram(
-            "caladrius_http_request_duration_seconds",
-            &[("route", route)],
-        );
-        let snapshot = histogram.windowed_snapshot();
-        (snapshot.count > 0).then(|| snapshot.quantile(0.99))
-    }
-
-    /// `429 Too Many Requests` with a `Retry-After` hint — both load
-    /// shedding and per-topology fairness caps surface this shape.
-    fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
-        Response::json_status(
-            429,
-            Value::object([("error", Value::from(error))]).to_json(),
-        )
-        .with_header("Retry-After", retry_after_seconds.to_string())
-    }
-
     /// `POST /topology/{t}/plan` — horizon capacity planning. Plan
     /// searches forecast and probe the models across the whole horizon,
     /// so the work always runs asynchronously through the job store:
@@ -1064,13 +1097,11 @@ impl ApiService {
         );
         if let AdmissionDecision::Shed {
             retry_after_seconds,
-        } = self.admission.decide(
-            ROUTE,
-            priority,
-            Self::route_p99(ROUTE),
-            self.jobs.queue_depth(),
-        ) {
-            return Self::too_many_requests("shed by admission control", retry_after_seconds);
+        } = self
+            .admission
+            .decide(ROUTE, priority, route_p99(ROUTE), self.jobs.queue_depth())
+        {
+            return too_many_requests("shed by admission control", retry_after_seconds);
         }
         let body = match request.body_str() {
             Some(b) => b,
@@ -1110,7 +1141,7 @@ impl ApiService {
         let id = match submitted {
             Ok(id) => id,
             Err(rejected) => {
-                return Self::too_many_requests(
+                return too_many_requests(
                     &rejected.to_string(),
                     self.admission.config().retry_after_seconds,
                 )
@@ -1124,44 +1155,6 @@ impl ApiService {
             ])
             .to_json(),
         )
-    }
-
-    fn job_status(&self, id: &str) -> Response {
-        let Ok(id) = id.parse::<u64>() else {
-            return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
-        };
-        let timing_fields = |fields: &mut Vec<(&'static str, Value)>| {
-            let Some(timing) = self.jobs.timing(id) else {
-                return;
-            };
-            let opt = |v: Option<i64>| v.map(|ms| Value::from(ms as f64)).unwrap_or(Value::Null);
-            fields.push(("queued_ms", Value::from(timing.queued_unix_ms as f64)));
-            fields.push(("started_ms", opt(timing.started_unix_ms)));
-            fields.push(("finished_ms", opt(timing.finished_unix_ms)));
-            fields.push(("queue_wait_ms", opt(timing.queue_wait_ms())));
-            fields.push(("duration_ms", opt(timing.duration_ms())));
-        };
-        match self.jobs.state(id) {
-            None => Response::json_status(404, "{\"error\":\"no such job\"}"),
-            Some(JobState::Pending) => {
-                let mut fields = vec![("state", Value::from("pending"))];
-                timing_fields(&mut fields);
-                Response::json_status(202, Value::object(fields).to_json())
-            }
-            Some(JobState::Done(result)) => {
-                let mut fields = vec![("state", Value::from("done")), ("result", result)];
-                timing_fields(&mut fields);
-                Value::object(fields).to_json().pipe(Response::json)
-            }
-            Some(JobState::Failed(message)) => {
-                let mut fields = vec![
-                    ("state", Value::from("failed")),
-                    ("error", Value::from(message)),
-                ];
-                timing_fields(&mut fields);
-                Value::object(fields).to_json().pipe(Response::json)
-            }
-        }
     }
 }
 

@@ -18,14 +18,15 @@
 //!   `planner::replay` pattern, and the only mode the seed kernel has);
 //! * `soa` — one pooled simulation + one store, truncated between
 //!   windows (`planner::replay`'s pattern after the rewrite), with
-//!   macro-stepping off: every tick executes exactly and every emitted
+//!   event mode off: every tick executes exactly and every emitted
 //!   sample is bit-identical to the seed kernel's (enforced by
 //!   `tests/sim_kernel_equivalence.rs`);
-//! * `soa+macro` — the same with `SimConfig::macro_step` on, reported as
-//!   simulated (executed + skipped) ticks per second.
+//! * `soa+event` — the same with `SimConfig::event_mode` on (what
+//!   `planner::replay` runs), reported as simulated (executed +
+//!   closed-form) ticks per second.
 //!
-//! Acceptance floor for the rewrite: the exact (macro off) SoA kernel
-//! sustains at least 2x the seed kernel's ticks/sec.
+//! Acceptance floor for the rewrite: the exact (event mode off) SoA
+//! kernel sustains at least 2x the seed kernel's ticks/sec.
 
 use caladrius_bench::{columns, fast_mode, header, repeats, row};
 use caladrius_workload::diamond::{diamond_topology, DiamondParallelism};
@@ -64,7 +65,7 @@ fn best_secs(n: usize, mut f: impl FnMut()) -> f64 {
 struct Measurement {
     /// Wall-clock ticks/sec actually executed.
     executed_per_sec: f64,
-    /// Simulated ticks/sec covered (executed + macro-skipped).
+    /// Simulated ticks/sec covered (executed + closed-form).
     simulated_per_sec: f64,
 }
 
@@ -100,10 +101,10 @@ fn measure_soa(
     rates: &[f64],
     minutes: u64,
     reps: usize,
-    macro_step: bool,
+    event_mode: bool,
 ) -> Measurement {
     let config = SimConfig {
-        macro_step,
+        event_mode,
         ..SimConfig::default()
     };
     let mut executed = 0u64;
@@ -211,7 +212,7 @@ fn main() {
         );
         let fast = measure_soa(build.as_ref(), &rates, minutes, reps, true);
         row(
-            "soa+macro",
+            "soa+event",
             &[
                 fast.executed_per_sec / 1e3,
                 fast.simulated_per_sec / 1e3,
@@ -221,16 +222,15 @@ fn main() {
         println!();
     }
 
-    println!("  worst-case SoA speedup vs seed kernel (macro off): {min_speedup:.2}x");
+    println!("  worst-case SoA speedup vs seed kernel (event mode off): {min_speedup:.2}x");
     assert!(
         min_speedup >= 2.0,
         "SoA kernel must sustain at least 2x the seed kernel (got {min_speedup:.2}x)"
     );
 
     // Diurnal workload on a wide deployment: the rate never settles, so
-    // steady-state macro-stepping cannot engage (~1x) — only the event
-    // scheduler's closed-form advancement between breakpoint events
-    // pays off, and it pays most where exact ticks are expensive (tick
+    // the speedup is all closed-form advancement between breakpoint
+    // events, and it pays most where exact ticks are expensive (tick
     // cost grows with routing pairs, closed form with instances).
     let wide = WordCountParallelism {
         spout: 256,
@@ -255,10 +255,6 @@ fn main() {
     println!("[wordcount x32, diurnal spout]");
     columns("kernel", &["exec kticks/s", "sim kticks/s", "vs exact"]);
     let exact_cfg = SimConfig::default();
-    let macro_cfg = SimConfig {
-        macro_step: true,
-        ..SimConfig::default()
-    };
     let event_cfg = SimConfig {
         event_mode: true,
         ..SimConfig::default()
@@ -270,15 +266,6 @@ fn main() {
             exact.executed_per_sec / 1e3,
             exact.simulated_per_sec / 1e3,
             1.0,
-        ],
-    );
-    let stepped = measure_diurnal(&base, &profiles, minutes, reps, &macro_cfg);
-    row(
-        "soa+macro",
-        &[
-            stepped.executed_per_sec / 1e3,
-            stepped.simulated_per_sec / 1e3,
-            stepped.simulated_per_sec / exact.simulated_per_sec,
         ],
     );
     let event = measure_diurnal(&base, &profiles, minutes, reps, &event_cfg);

@@ -451,18 +451,13 @@ pub struct PlanValidation {
     pub windows: Vec<WindowReplay>,
     /// True when every window stayed under the backpressure tolerance.
     pub all_low_risk: bool,
-    /// Simulator ticks not executed exactly (macro-stepped or advanced
-    /// in closed form), summed over all windows — the
-    /// replay-acceleration telemetry mirrored by the
-    /// `caladrius_sim_ticks_skipped_total` counter.
-    pub ticks_skipped: u64,
     /// Scheduler events processed by the event-driven core, summed over
     /// all windows (mirrors `caladrius_sim_events_total`).
     pub sim_events: u64,
-    /// Ticks advanced in closed form between scheduler events, summed
-    /// over all windows — the event-mode share of
-    /// [`PlanValidation::ticks_skipped`] (mirrors
-    /// `caladrius_sim_ticks_closed_form_total`).
+    /// Ticks advanced in closed form between scheduler events instead
+    /// of being executed exactly, summed over all windows — the
+    /// replay-acceleration telemetry mirrored by
+    /// `caladrius_sim_ticks_closed_form_total`.
     pub closed_form_ticks: u64,
 }
 
@@ -473,7 +468,7 @@ pub struct PlanValidation {
 /// the same `heron-sim` substrate the models were fitted against decides
 /// whether the proposed parallelisms actually hold the forecast load
 /// without backpressure. Replays run with the planner's pooled,
-/// macro-stepping simulations (see
+/// event-driven simulations (see
 /// [`caladrius_planner::replay_timeline`]).
 pub fn validate_plan(
     base: &Topology,
@@ -482,13 +477,11 @@ pub fn validate_plan(
 ) -> Result<PlanValidation, CoreError> {
     let windows = replay_timeline(base, timeline, config)?;
     let all_low_risk = windows.iter().all(|w| w.low_risk);
-    let ticks_skipped = windows.iter().map(|w| w.ticks_skipped).sum();
     let sim_events = windows.iter().map(|w| w.sim_events).sum();
     let closed_form_ticks = windows.iter().map(|w| w.closed_form_ticks).sum();
     Ok(PlanValidation {
         windows,
         all_low_risk,
-        ticks_skipped,
         sim_events,
         closed_form_ticks,
     })
@@ -654,12 +647,12 @@ mod tests {
         assert!(!v.windows[1].low_risk, "starved window: {:?}", v.windows[1]);
         assert!(!v.all_low_risk);
         assert!(
-            v.ticks_skipped > 0,
-            "the steady healthy window must macro-step"
+            v.closed_form_ticks > 0,
+            "the steady healthy window must advance in closed form"
         );
         assert_eq!(
-            v.ticks_skipped,
-            v.windows.iter().map(|w| w.ticks_skipped).sum::<u64>()
+            v.closed_form_ticks,
+            v.windows.iter().map(|w| w.closed_form_ticks).sum::<u64>()
         );
     }
 

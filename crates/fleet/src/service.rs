@@ -23,7 +23,6 @@
 use crate::fleet::{Fleet, FleetPlan, TopologyPlanOutcome};
 use caladrius_api::admission::PRIORITY_HEADER;
 use caladrius_api::http::{Handler, Request, Response};
-use caladrius_api::jobs::JobState;
 use caladrius_api::json::Value;
 use caladrius_api::{AdmissionConfig, AdmissionController, AdmissionDecision, JobRunner, Priority};
 use caladrius_core::capacity::CapacityPlanRequest;
@@ -125,9 +124,15 @@ impl FleetService {
         let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         match (request.method.as_str(), segments.as_slice()) {
             ("POST", ["fleet", "plan"]) => (PLAN_ROUTE, self.plan(request)),
-            ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", self.job_status(id)),
+            ("GET", ["fleet", "jobs", id]) => (
+                "/fleet/jobs/{id}",
+                caladrius_api::job_status_response(&self.jobs, id),
+            ),
             ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", Self::service_metrics()),
+            ("GET", ["metrics", "service"]) => (
+                "/metrics/service",
+                caladrius_api::service_metrics_response(),
+            ),
             ("GET", ["trace", "recent"]) => (
                 "/trace/recent",
                 caladrius_api::trace_recent_response(request),
@@ -149,26 +154,6 @@ impl FleetService {
         }
     }
 
-    /// The observed **recent** p99 of a route, from the same windowed
-    /// histogram [`FleetService::handle`] records into — shedding reacts
-    /// to the sliding window, not lifetime history.
-    fn route_p99(route: &str) -> Option<f64> {
-        let histogram = caladrius_obs::global_registry().windowed_histogram(
-            "caladrius_http_request_duration_seconds",
-            &[("route", route)],
-        );
-        let snapshot = histogram.windowed_snapshot();
-        (snapshot.count > 0).then(|| snapshot.quantile(0.99))
-    }
-
-    fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
-        Response::json_status(
-            429,
-            Value::object([("error", Value::from(error))]).to_json(),
-        )
-        .with_header("Retry-After", retry_after_seconds.to_string())
-    }
-
     /// `POST /fleet/plan` — cluster planning across every registered
     /// topology, async through the job store.
     fn plan(&self, request: &Request) -> Response {
@@ -179,10 +164,13 @@ impl FleetService {
         } = self.admission.decide(
             PLAN_ROUTE,
             priority,
-            Self::route_p99(PLAN_ROUTE),
+            caladrius_api::route_p99(PLAN_ROUTE),
             self.jobs.queue_depth(),
         ) {
-            return Self::too_many_requests("shed by admission control", retry_after_seconds);
+            return caladrius_api::too_many_requests(
+                "shed by admission control",
+                retry_after_seconds,
+            );
         }
         let body = match request.body_str() {
             Some(b) => b,
@@ -223,29 +211,6 @@ impl FleetService {
             ])
             .to_json(),
         )
-    }
-
-    fn job_status(&self, id: &str) -> Response {
-        let Ok(id) = id.parse::<u64>() else {
-            return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
-        };
-        match self.jobs.state(id) {
-            None => Response::json_status(404, "{\"error\":\"no such job\"}"),
-            Some(JobState::Pending) => Response::json_status(
-                202,
-                Value::object([("state", Value::from("pending"))]).to_json(),
-            ),
-            Some(JobState::Done(result)) => Response::json(
-                Value::object([("state", Value::from("done")), ("result", result)]).to_json(),
-            ),
-            Some(JobState::Failed(message)) => Response::json(
-                Value::object([
-                    ("state", Value::from("failed")),
-                    ("error", Value::from(message)),
-                ])
-                .to_json(),
-            ),
-        }
     }
 
     /// `GET /fleet/health` — per-shard snapshot.
@@ -296,15 +261,6 @@ impl FleetService {
             ])
             .to_json(),
         )
-    }
-
-    fn service_metrics() -> Response {
-        Response {
-            status: 200,
-            content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
-            body: caladrius_obs::render_prometheus(caladrius_obs::global_registry()).into_bytes(),
-            headers: Vec::new(),
-        }
     }
 }
 
@@ -453,6 +409,14 @@ mod tests {
         );
         let metrics = service.handle(request("GET", "/metrics/service", "", &[]));
         assert_eq!(metrics.status, 200);
+        // The scrape re-evaluates SLOs first, so the health request's
+        // objective already has burn-rate gauges.
+        let body = String::from_utf8(metrics.body).unwrap();
+        assert!(
+            body.lines().any(|l| l
+                .starts_with("caladrius_slo_burn_rate{objective=\"route:/fleet/health\"")),
+            "no burn-rate gauge in fleet scrape"
+        );
     }
 
     #[test]
@@ -466,10 +430,15 @@ mod tests {
             .get("job_id")
             .and_then(Value::as_f64)
             .expect("job id") as u64;
-        let done = service.jobs().wait(id).expect("job exists");
-        let JobState::Done(result) = done else {
-            panic!("empty-fleet plan should succeed: {done:?}");
-        };
+        service.jobs().wait(id).expect("job exists");
+        // Poll through the front door: the shared job renderer reports
+        // the result and the same timing fields as the API tier's
+        // `/jobs/{id}`.
+        let polled = service.handle(request("GET", &format!("/fleet/jobs/{id}"), "", &[]));
+        assert_eq!(polled.status, 200);
+        let polled = caladrius_api::json::parse(&String::from_utf8(polled.body).unwrap()).unwrap();
+        assert_eq!(polled.get("state").and_then(Value::as_str), Some("done"));
+        let result = polled.get("result").expect("job result");
         assert_eq!(result.get("errors").and_then(Value::as_f64), Some(0.0));
         assert_eq!(
             result
@@ -478,6 +447,16 @@ mod tests {
                 .map(<[Value]>::len),
             Some(0)
         );
+        for field in [
+            "queued_ms",
+            "started_ms",
+            "finished_ms",
+            "queue_wait_ms",
+            "duration_ms",
+        ] {
+            let value = polled.get(field).and_then(Value::as_f64);
+            assert!(value.is_some_and(|ms| ms >= 0.0), "{field}: {value:?}");
+        }
     }
 
     #[test]

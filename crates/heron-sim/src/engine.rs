@@ -28,51 +28,34 @@
 //! the retained seed kernel in [`crate::reference`]; the workspace
 //! equivalence suite enforces this with `to_bits()` comparisons.
 //!
-//! # Steady-state macro-stepping
-//!
-//! With [`SimConfig::macro_step`] enabled the engine may advance the rest
-//! of a minute in closed form. The step is taken only when all of the
-//! following hold:
-//!
-//! 1. every spout profile is provably constant over the remaining ticks
-//!    ([`crate::profiles::RateProfile::constant_over`]),
-//! 2. backpressure is inactive before a probe tick and still inactive
-//!    after it, and
-//! 3. the probe tick is a **bitwise fixed point** of the live state:
-//!    queues, backlogs and stream-manager buffers are unchanged to the
-//!    last bit.
-//!
-//! At a bitwise fixed point every subsequent tick would add the exact
-//! same deltas to the minute accumulators, so the engine multiplies the
-//! probe deltas by the skipped tick count instead of iterating. Macro
-//! results are *not* bit-identical to exact runs (a×k vs k additions of
-//! a); the flag therefore defaults to **off** and is opted into by
-//! `planner::replay`, whose tolerance tests bound the divergence.
-//!
 //! # Event-driven advancement
 //!
-//! [`SimConfig::event_mode`] generalises macro-stepping from *constant*
-//! spout rates to any **piecewise-linear** rate profile. Each minute
-//! runs on a binary-heap event scheduler ([`crate::scheduler`]): the
-//! agenda holds the minute boundary, every rate-profile breakpoint
-//! (shifted by each pipeline delay so per-instance flows stay linear
-//! between events), and analytically computed saturation-onset /
-//! watermark-crossing ticks. Between consecutive events the fluid model
-//! ([`crate::fluid`]) advances queue depths, throughput accumulators and
-//! clamped CPU in closed form — arithmetic series over the profile
-//! segments, the exact sums the tick loop would accumulate. Spans are
-//! guarded twice: an entry probe requires the live state to match the
-//! model within `1e-6` relative, and the span plan truncates at the
-//! first analytic capacity or watermark crossing so the crossing tick
-//! itself always executes exactly and the [`BackpressureTracker`]
-//! observes it. Congested regimes therefore run on the exact kernel
-//! tick-for-tick, keeping backpressure verdicts identical to exact
-//! runs, while relaxed stretches of ramping or diurnal traffic — where
-//! `macro_step` coverage is zero — advance whole inter-event spans at a
-//! time. Like macro-stepping the flag defaults to **off** (closed-form
-//! results are not bit-identical); `planner::replay` enables it by
-//! default behind the workspace equivalence suite's 0.1 % sink-rate
-//! tolerance contract.
+//! [`SimConfig::event_mode`] is the engine's one fast path and its only
+//! mode switch: off, a minute is `60 · ticks_per_second` exact ticks; on,
+//! each minute runs on a binary-heap event scheduler
+//! ([`crate::scheduler`]) for any **piecewise-linear** spout profile
+//! (constant, stepped, ramping, diurnal). The agenda holds the minute
+//! boundary, every rate-profile breakpoint (shifted by each pipeline
+//! delay so per-instance flows stay linear between events), and
+//! analytically computed saturation-onset / watermark-crossing ticks.
+//! Between consecutive events the fluid model ([`crate::fluid`])
+//! advances queue depths, throughput accumulators and clamped CPU in
+//! closed form — arithmetic series over the profile segments, the exact
+//! sums the tick loop would accumulate. Spans are guarded twice: an
+//! entry probe requires the live state to match the model within `1e-6`
+//! relative, and the span plan truncates at the first analytic capacity
+//! or watermark crossing so the crossing tick itself always executes
+//! exactly and the [`BackpressureTracker`] observes it. Congested
+//! regimes therefore run on the exact kernel tick-for-tick, keeping
+//! backpressure verdicts identical to exact runs, while relaxed
+//! stretches advance whole inter-event spans at a time. Inputs the fluid
+//! model cannot represent (see [`SimConfig::event_mode`]) run the whole
+//! minute on exact ticks, bit-identical to `event_mode: false`.
+//! Closed-form results are *not* bit-identical to exact runs, so the
+//! flag defaults to **off** — the bit-identity suite and the figure
+//! benches need the exact kernel as the reference — and
+//! `planner::replay` always turns it on, behind the workspace
+//! equivalence suite's 0.1 % sink-rate tolerance contract.
 
 use crate::backpressure::{BackpressureTracker, WatermarkConfig};
 use crate::error::{Result, SimError};
@@ -86,11 +69,6 @@ use caladrius_obs::{Counter, Histogram};
 use caladrius_tsdb::{MetricsDb, Sample, SeriesHandle};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// After a failed macro-step probe (state still converging), wait this
-/// many exact ticks before probing again so the snapshot cost cannot
-/// approach the cost of the ticks it tries to elide.
-const MACRO_RETRY_TICKS: u64 = 8;
 
 /// After a failed event-mode entry probe (live state does not yet match
 /// the fluid model — pipeline refilling after cold start or a
@@ -113,37 +91,25 @@ fn sim_minute_histogram() -> &'static Histogram {
     })
 }
 
-/// Process-wide counters of simulated ticks: executed exactly vs skipped
-/// by the steady-state macro-step. Their ratio on `/metrics/service`
-/// shows how often macro-stepping engages in replay.
-fn sim_tick_counters() -> &'static (Counter, Counter) {
-    static HANDLE: OnceLock<(Counter, Counter)> = OnceLock::new();
+/// Process-wide simulator counters: ticks executed exactly, scheduler
+/// events processed by the event-driven core, and ticks advanced in
+/// closed form between events. `caladrius_sim_ticks_closed_form_total`
+/// over `caladrius_sim_ticks_total + closed_form` is the event-mode
+/// coverage ratio on `/metrics/service`.
+struct SimCounters {
+    ticks: Counter,
+    events: Counter,
+    ticks_closed_form: Counter,
+}
+
+fn sim_counters() -> &'static SimCounters {
+    static HANDLE: OnceLock<SimCounters> = OnceLock::new();
     HANDLE.get_or_init(|| {
         let registry = caladrius_obs::global_registry();
         registry.describe(
             "caladrius_sim_ticks_total",
             "Simulation ticks executed exactly",
         );
-        registry.describe(
-            "caladrius_sim_ticks_skipped_total",
-            "Simulation ticks skipped by the steady-state macro-step",
-        );
-        (
-            registry.counter("caladrius_sim_ticks_total", &[]),
-            registry.counter("caladrius_sim_ticks_skipped_total", &[]),
-        )
-    })
-}
-
-/// Process-wide counters for the event-driven core: scheduler events
-/// processed, and simulated ticks advanced in closed form between
-/// events. `caladrius_sim_ticks_closed_form_total` over
-/// `caladrius_sim_ticks_total + closed_form` is the event-mode coverage
-/// ratio on `/metrics/service`.
-fn sim_event_counters() -> &'static (Counter, Counter) {
-    static HANDLE: OnceLock<(Counter, Counter)> = OnceLock::new();
-    HANDLE.get_or_init(|| {
-        let registry = caladrius_obs::global_registry();
         registry.describe(
             "caladrius_sim_events_total",
             "Scheduler events processed by the event-driven simulation core",
@@ -152,10 +118,11 @@ fn sim_event_counters() -> &'static (Counter, Counter) {
             "caladrius_sim_ticks_closed_form_total",
             "Simulated ticks advanced in closed form between scheduler events",
         );
-        (
-            registry.counter("caladrius_sim_events_total", &[]),
-            registry.counter("caladrius_sim_ticks_closed_form_total", &[]),
-        )
+        SimCounters {
+            ticks: registry.counter("caladrius_sim_ticks_total", &[]),
+            events: registry.counter("caladrius_sim_events_total", &[]),
+            ticks_closed_form: registry.counter("caladrius_sim_ticks_closed_form_total", &[]),
+        }
     })
 }
 
@@ -202,26 +169,19 @@ pub struct SimConfig {
     /// instances per container. Set a finite capacity to study when that
     /// assumption breaks (the `stmgr_ablation` bench).
     pub stmgr_capacity: Option<f64>,
-    /// Opt-in steady-state macro-stepping (default `false`). When the
-    /// spout rate is provably constant for the rest of a minute, no
-    /// backpressure is active, and a probe tick leaves the live state
-    /// bitwise unchanged, the remaining ticks of the minute are applied
-    /// in closed form. Leave off wherever the bit-identical determinism
-    /// contract applies; `planner::replay` enables it behind a
-    /// tolerance-validated flag.
-    pub macro_step: bool,
-    /// Opt-in event-driven advancement (default `false`). Minutes run on
-    /// a binary-heap event scheduler ([`crate::scheduler`]): rate-profile
-    /// breakpoints, analytically computed saturation onsets and watermark
-    /// crossings, and the minute boundary are events, and between events
-    /// the fluid state advances in closed form ([`crate::fluid`]) for any
-    /// piecewise-linear spout profile — including the ramping and diurnal
-    /// regimes `macro_step` cannot touch. Falls back to exact ticking
-    /// (per tick) whenever closed form is not provably valid, so
-    /// backpressure verdicts match exact runs; sink rates agree within
-    /// the equivalence suite's 0.1 % tolerance rather than bitwise.
-    /// Requires `ticks_per_second == 1` and transparent stream managers;
-    /// otherwise the engine silently runs exact.
+    /// Opt-in event-driven advancement (default `false`) — the engine's
+    /// only mode switch. Minutes run on a binary-heap event scheduler
+    /// ([`crate::scheduler`]): rate-profile breakpoints, analytically
+    /// computed saturation onsets and watermark crossings, and the minute
+    /// boundary are events, and between events the fluid state advances
+    /// in closed form ([`crate::fluid`]) for any piecewise-linear spout
+    /// profile. Falls back to exact ticking (per tick) whenever closed
+    /// form is not provably valid, so backpressure verdicts match exact
+    /// runs; sink rates agree within the equivalence suite's 0.1 %
+    /// tolerance rather than bitwise. Requires `ticks_per_second == 1`,
+    /// transparent stream managers, piecewise-linear spout profiles and
+    /// at most `fluid::MAX_TERMS` flow terms per instance; otherwise the
+    /// engine silently runs exact, bit-identical to `event_mode: false`.
     pub event_mode: bool,
 }
 
@@ -235,7 +195,6 @@ impl Default for SimConfig {
             base_cpu_overhead: 0.05,
             ticks_per_second: 1,
             stmgr_capacity: None,
-            macro_step: false,
             event_mode: false,
         }
     }
@@ -309,10 +268,8 @@ struct EdgeTable {
 }
 
 /// Mutable queue state, struct-of-arrays. Split from [`MinuteAccum`] so
-/// the minute flush reads accumulators in place (no per-instance clone)
-/// and the macro-step fixed-point check compares only what a tick may
-/// change.
-#[derive(Debug, Clone)]
+/// the minute flush reads accumulators in place (no per-instance clone).
+#[derive(Debug)]
 struct LiveState {
     queue_tuples: Vec<f64>,
     queue_bytes: Vec<f64>,
@@ -347,7 +304,7 @@ impl LiveState {
 }
 
 /// Per-minute metric accumulators, struct-of-arrays.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MinuteAccum {
     executed: Vec<f64>,
     emitted: Vec<f64>,
@@ -413,37 +370,6 @@ impl StmgrState {
         self.total_tuples = 0.0;
         self.total_bytes = 0.0;
     }
-
-    fn copy_from(&mut self, other: &StmgrState) {
-        self.pending_tuples.copy_from_slice(&other.pending_tuples);
-        self.pending_bytes.copy_from_slice(&other.pending_bytes);
-        self.total_tuples = other.total_tuples;
-        self.total_bytes = other.total_bytes;
-    }
-
-    fn bits_eq(&self, other: &StmgrState) -> bool {
-        self.total_tuples.to_bits() == other.total_tuples.to_bits()
-            && self.total_bytes.to_bits() == other.total_bytes.to_bits()
-            && bits_eq(&self.pending_tuples, &other.pending_tuples)
-            && bits_eq(&self.pending_bytes, &other.pending_bytes)
-    }
-}
-
-/// Pre-sized snapshot buffers for the macro-step fixed-point probe. All
-/// copies go through `copy_from_slice`: taking a snapshot allocates
-/// nothing.
-#[derive(Debug)]
-struct MacroScratch {
-    live: LiveState,
-    accum: MinuteAccum,
-    stmgr_tuples: Vec<f64>,
-    stmgrs: Vec<StmgrState>,
-}
-
-/// Bitwise slice equality (`to_bits` per element).
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// A runnable simulation of one topology.
@@ -472,18 +398,13 @@ pub struct Simulation {
     emit_scratch: Vec<f64>,
     /// Reused buffer for backpressure attribution (no per-tick alloc).
     bp_scratch: Vec<usize>,
-    /// Snapshot buffers for the macro-step probe.
-    macro_scratch: MacroScratch,
     /// Cumulative ticks executed exactly over this simulation's lifetime
     /// (survives [`Simulation::reset_with`]).
     ticks_executed: u64,
-    /// Cumulative ticks *not* executed exactly — macro-stepped or
-    /// advanced in closed form by the event-driven core (ditto).
-    ticks_skipped: u64,
     /// Cumulative scheduler events processed in event mode (ditto).
     sim_events: u64,
-    /// Cumulative ticks advanced in closed form by the event-driven core
-    /// — the event-mode subset of `ticks_skipped` (ditto).
+    /// Cumulative ticks *not* executed exactly: advanced in closed form
+    /// by the event-driven core (ditto).
     ticks_closed_form: u64,
     /// Lazily built fluid model for event mode.
     fluid: FluidState,
@@ -669,12 +590,6 @@ impl Simulation {
             spout_offered: vec![0.0; n_comps],
             emit_scratch: vec![0.0; n],
             bp_scratch: Vec::with_capacity(n),
-            macro_scratch: MacroScratch {
-                live: LiveState::zeroed(n),
-                accum: MinuteAccum::zeroed(n),
-                stmgr_tuples: vec![0.0; 64.max(n)],
-                stmgrs: stmgrs.clone(),
-            },
             stmgrs,
             inst,
             comps,
@@ -682,7 +597,6 @@ impl Simulation {
             topology,
             config,
             ticks_executed: 0,
-            ticks_skipped: 0,
             sim_events: 0,
             ticks_closed_form: 0,
             fluid: FluidState::Unbuilt,
@@ -713,12 +627,13 @@ impl Simulation {
         self.ticks_executed
     }
 
-    /// Cumulative ticks not executed exactly — skipped by the
-    /// steady-state macro-step or advanced in closed form by the
-    /// event-driven core (lifetime, surviving
-    /// [`Simulation::reset_with`]).
+    /// Cumulative ticks not executed exactly. Closed form is the only
+    /// way the engine skips a tick, so this is
+    /// [`Simulation::ticks_closed_form`] under the name that pairs with
+    /// [`Simulation::ticks_executed`] (their sum is the simulated tick
+    /// count).
     pub fn ticks_skipped(&self) -> u64 {
-        self.ticks_skipped
+        self.ticks_closed_form
     }
 
     /// Cumulative scheduler events processed in event mode (lifetime,
@@ -728,7 +643,6 @@ impl Simulation {
     }
 
     /// Cumulative ticks advanced in closed form by the event-driven core
-    /// — the event-mode subset of [`Simulation::ticks_skipped`]
     /// (lifetime, surviving [`Simulation::reset_with`]).
     pub fn ticks_closed_form(&self) -> u64 {
         self.ticks_closed_form
@@ -779,11 +693,10 @@ impl Simulation {
         if parallelism_changed {
             // Packing and routing change shape: rebuild the tables, but
             // keep the lifetime tick counters.
-            let (executed, skipped) = (self.ticks_executed, self.ticks_skipped);
-            let (events, closed_form) = (self.sim_events, self.ticks_closed_form);
+            let (executed, events, closed_form) =
+                (self.ticks_executed, self.sim_events, self.ticks_closed_form);
             *self = Simulation::new(topo, self.config.clone())?;
             self.ticks_executed = executed;
-            self.ticks_skipped = skipped;
             self.sim_events = events;
             self.ticks_closed_form = closed_form;
             return Ok(());
@@ -1103,88 +1016,6 @@ impl Simulation {
         self.ticks_executed += 1;
     }
 
-    /// True when every spout profile is provably constant over the next
-    /// `remaining_ticks` ticks (inclusive of the current tick).
-    fn rates_constant_for(&self, remaining_ticks: u64) -> bool {
-        let tps = u64::from(self.config.ticks_per_second);
-        let from = self.now_ticks / tps;
-        let to = (self.now_ticks + remaining_ticks - 1) / tps;
-        self.comps
-            .spout_comps
-            .iter()
-            .all(|&c| match &self.topology.components[c].kind {
-                ComponentKind::Spout { profile, .. } => profile.constant_over(from, to),
-                ComponentKind::Bolt { .. } => true,
-            })
-    }
-
-    /// Snapshots all state a tick may change into the macro scratch.
-    fn macro_snapshot(&mut self) {
-        let scratch = &mut self.macro_scratch;
-        scratch
-            .live
-            .queue_tuples
-            .copy_from_slice(&self.live.queue_tuples);
-        scratch
-            .live
-            .queue_bytes
-            .copy_from_slice(&self.live.queue_bytes);
-        scratch.live.backlog.copy_from_slice(&self.live.backlog);
-        scratch.accum.executed.copy_from_slice(&self.accum.executed);
-        scratch.accum.emitted.copy_from_slice(&self.accum.emitted);
-        scratch.accum.offered.copy_from_slice(&self.accum.offered);
-        scratch.accum.failed.copy_from_slice(&self.accum.failed);
-        scratch.accum.bp_ms.copy_from_slice(&self.accum.bp_ms);
-        scratch
-            .accum
-            .cpu_core_seconds
-            .copy_from_slice(&self.accum.cpu_core_seconds);
-        scratch.stmgr_tuples.copy_from_slice(&self.stmgr_tuples);
-        for (snap, live) in scratch.stmgrs.iter_mut().zip(&self.stmgrs) {
-            snap.copy_from(live);
-        }
-    }
-
-    /// True when the live state is bitwise unchanged since
-    /// [`Simulation::macro_snapshot`] — the probe tick was a fixed point.
-    /// (`incoming_*` are always zero between ticks and need no check.)
-    fn at_fixed_point(&self) -> bool {
-        let snap = &self.macro_scratch;
-        bits_eq(&self.live.queue_tuples, &snap.live.queue_tuples)
-            && bits_eq(&self.live.queue_bytes, &snap.live.queue_bytes)
-            && bits_eq(&self.live.backlog, &snap.live.backlog)
-            && self
-                .stmgrs
-                .iter()
-                .zip(&snap.stmgrs)
-                .all(|(live, s)| live.bits_eq(s))
-    }
-
-    /// Applies `skip` ticks in closed form: at a bitwise fixed point every
-    /// tick adds the same accumulator deltas, so add the probe deltas
-    /// times `skip`. Live state is unchanged by construction; backpressure
-    /// time is zero (the tracker was inactive on both sides of the probe).
-    fn apply_macro_step(&mut self, skip: u64) {
-        let k = skip as f64;
-        let snap = &self.macro_scratch;
-        let scale = |now: &mut [f64], before: &[f64]| {
-            for (a, s) in now.iter_mut().zip(before) {
-                *a += (*a - *s) * k;
-            }
-        };
-        scale(&mut self.accum.executed, &snap.accum.executed);
-        scale(&mut self.accum.emitted, &snap.accum.emitted);
-        scale(&mut self.accum.offered, &snap.accum.offered);
-        scale(&mut self.accum.failed, &snap.accum.failed);
-        scale(
-            &mut self.accum.cpu_core_seconds,
-            &snap.accum.cpu_core_seconds,
-        );
-        scale(&mut self.stmgr_tuples, &snap.stmgr_tuples);
-        self.now_ticks += skip;
-        self.ticks_skipped += skip;
-    }
-
     /// Ensures the event-mode fluid model is built and its spout-profile
     /// segment decompositions are current. `false` when event mode
     /// cannot engage for this simulation: sub-second resolution, finite
@@ -1267,7 +1098,6 @@ impl Simulation {
                         },
                     );
                     self.now_ticks = stop;
-                    self.ticks_skipped += stop - t0;
                     self.ticks_closed_form += stop - t0;
                     if let Some(kind) = stop_kind {
                         queue.push(stop, kind);
@@ -1289,8 +1119,9 @@ impl Simulation {
         self.sim_events += queue.fire_until(minute_end);
     }
 
-    /// Advances one simulated minute, macro-stepping through the steady
-    /// state when enabled and safe (see module docs for the conditions).
+    /// Advances one simulated minute: on the event scheduler when
+    /// [`SimConfig::event_mode`] is on and the fluid model applies,
+    /// otherwise `60 · ticks_per_second` exact ticks.
     fn advance_minute(&mut self) {
         if self.config.event_mode && self.ensure_fluid() {
             let FluidState::Ready(engine) = std::mem::take(&mut self.fluid) else {
@@ -1300,28 +1131,8 @@ impl Simulation {
             self.fluid = FluidState::Ready(engine);
             return;
         }
-        let mut remaining = 60 * u64::from(self.config.ticks_per_second);
-        let mut retry_in = 0u64;
-        while remaining > 0 {
-            if self.config.macro_step
-                && remaining >= 2
-                && retry_in == 0
-                && !self.tracker.active()
-                && self.rates_constant_for(remaining)
-            {
-                self.macro_snapshot();
-                self.tick();
-                remaining -= 1;
-                if !self.tracker.active() && self.at_fixed_point() {
-                    self.apply_macro_step(remaining);
-                    return;
-                }
-                retry_in = MACRO_RETRY_TICKS;
-                continue;
-            }
+        for _ in 0..60 * u64::from(self.config.ticks_per_second) {
             self.tick();
-            remaining -= 1;
-            retry_in = retry_in.saturating_sub(1);
         }
     }
 
@@ -1450,8 +1261,8 @@ impl Simulation {
         span.field("topology", &self.topology.name)
             .field("minutes", minutes);
         let minute_hist = sim_minute_histogram();
-        let (exec_before, skip_before) = (self.ticks_executed, self.ticks_skipped);
-        let (events_before, cf_before) = (self.sim_events, self.ticks_closed_form);
+        let (exec_before, events_before, cf_before) =
+            (self.ticks_executed, self.sim_events, self.ticks_closed_form);
         let db = metrics.db();
         let mut sink = match self.sink_cache.take() {
             Some(cache) if Arc::ptr_eq(&cache.db, &db) && cache.topology == metrics.topology() => {
@@ -1471,16 +1282,12 @@ impl Simulation {
             topology: metrics.topology().to_string(),
             sink,
         });
-        let skipped = self.ticks_skipped - skip_before;
-        let (ticks_total, ticks_skipped) = sim_tick_counters();
-        ticks_total.add(self.ticks_executed - exec_before);
-        ticks_skipped.add(skipped);
-        span.field("ticks_skipped", skipped);
         let events = self.sim_events - events_before;
         let closed_form = self.ticks_closed_form - cf_before;
-        let (events_total, cf_total) = sim_event_counters();
-        events_total.add(events);
-        cf_total.add(closed_form);
+        let counters = sim_counters();
+        counters.ticks.add(self.ticks_executed - exec_before);
+        counters.events.add(events);
+        counters.ticks_closed_form.add(closed_form);
         span.field("sim_events", events)
             .field("ticks_closed_form", closed_form);
     }
@@ -1972,57 +1779,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_step_skips_ticks_and_stays_within_tolerance() {
-        let run = |macro_step: bool| {
-            let cfg = SimConfig {
-                metric_noise: 0.0,
-                macro_step,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(wordcount(1000.0, 1, 5000.0), cfg).unwrap();
-            sim.warmup_minutes(3);
-            let m = sim.run_minutes(5);
-            let sink =
-                mean_of(&m.component_sum(metric::EXECUTE_COUNT, Some("counter"), 0, i64::MAX));
-            (sink, sim.ticks_skipped(), sim.backpressure_active())
-        };
-        let (exact_sink, exact_skipped, exact_bp) = run(false);
-        let (macro_sink, macro_skipped, macro_bp) = run(true);
-        assert_eq!(exact_skipped, 0, "macro-stepping off must not skip");
-        assert!(
-            macro_skipped > 200,
-            "constant-rate steady state must macro-step most ticks, skipped {macro_skipped}"
-        );
-        assert!(
-            (macro_sink - exact_sink).abs() / exact_sink < 0.001,
-            "sink rate tolerance: exact {exact_sink} vs macro {macro_sink}"
-        );
-        assert_eq!(exact_bp, macro_bp);
-    }
-
-    #[test]
-    fn macro_step_never_engages_under_backpressure() {
-        let cfg = SimConfig {
-            metric_noise: 0.0,
-            macro_step: true,
-            watermarks: WatermarkConfig {
-                high_bytes: 600_000.0,
-                low_bytes: 300_000.0,
-            },
-            ..SimConfig::default()
-        };
-        // Saturated: the throttle/drain oscillation never reaches a
-        // no-backpressure fixed point.
-        let mut sim = Simulation::new(wordcount(8000.0, 1, 5000.0), cfg).unwrap();
-        sim.warmup_minutes(10);
-        assert_eq!(
-            sim.ticks_skipped(),
-            0,
-            "oscillating runs must never macro-step"
-        );
-    }
-
-    #[test]
     fn reset_with_matches_fresh_simulation() {
         let base = wordcount(1000.0, 2, 5000.0);
         let cfg = SimConfig {
@@ -2169,8 +1925,8 @@ mod tests {
 
     #[test]
     fn event_mode_matches_exact_on_ramp() {
-        // 500 → 4000 sentences/s over 20 minutes: macro-stepping cannot
-        // engage anywhere on the ramp, the event core must.
+        // 500 → 4000 sentences/s over 20 minutes: no two ticks offer the
+        // same rate, and the event core must still engage.
         let profile = RateProfile::Ramp {
             from: 500.0,
             to: 4000.0,
@@ -2260,41 +2016,88 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_falls_back_bitwise_on_seasonal_profiles() {
-        // Seasonal profiles have no piecewise-linear decomposition: the
-        // event core must decline entirely, leaving runs bit-identical
-        // to exact mode.
-        let profile = RateProfile::Seasonal {
+    fn event_mode_falls_back_bitwise_wherever_the_fluid_model_declines() {
+        // Every reason `ensure_fluid` declines: the whole run must stay on
+        // exact ticks, bit-identical to `event_mode: false`.
+        let seasonal = RateProfile::Seasonal {
             base: 1000.0,
             daily_amplitude: 0.4,
             weekend_delta: -0.3,
             noise: 0.0,
             seed: 7,
         };
-        let run = |event_mode: bool| {
-            let cfg = SimConfig {
-                metric_noise: 0.0,
-                event_mode,
-                ..SimConfig::default()
-            };
-            let mut sim =
-                Simulation::new(wordcount_profiled(profile.clone(), 5000.0), cfg).unwrap();
-            let m = sim.run_minutes(5);
-            (
-                m.component_sum(metric::EXECUTE_COUNT, None, 0, i64::MAX),
-                sim.ticks_closed_form(),
-            )
+        // `spouts` spout components into one bolt: that many (spout,
+        // delay) flow terms on the bolt instance; `fluid::MAX_TERMS` is 64.
+        let fan_in = |spouts: u32| {
+            let mut wide =
+                TopologyBuilder::new("wide").bolt("sink", 1, WorkProfile::new(1.0e9, 1.0, 16));
+            for k in 0..spouts {
+                let spout = format!("spout{k}");
+                wide = wide
+                    .spout(&spout, 1, RateProfile::constant(10.0 + f64::from(k)), 60)
+                    .edge(&spout, "sink", Grouping::shuffle());
+            }
+            wide.build().unwrap()
         };
-        let (exact, _) = run(false);
-        let (event, closed_form) = run(true);
-        assert_eq!(
-            closed_form, 0,
-            "seasonal profiles must not engage closed form"
-        );
-        assert_eq!(exact.len(), event.len());
-        for (a, b) in exact.iter().zip(&event) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
+        let steady = || wordcount(1000.0, 2, 5000.0);
+        let cases: [(&str, Topology, SimConfig); 4] = [
+            (
+                "seasonal profile",
+                wordcount_profiled(seasonal, 5000.0),
+                quiet(),
+            ),
+            (
+                "finite stream managers",
+                steady(),
+                SimConfig {
+                    stmgr_capacity: Some(150_000.0),
+                    ..quiet()
+                },
+            ),
+            (
+                "sub-second ticks",
+                steady(),
+                SimConfig {
+                    ticks_per_second: 10,
+                    ..quiet()
+                },
+            ),
+            ("over the term budget", fan_in(65), quiet()),
+        ];
+        for (reason, topo, cfg) in cases {
+            let run = |event_mode: bool| {
+                let cfg = SimConfig {
+                    event_mode,
+                    ..cfg.clone()
+                };
+                let mut sim = Simulation::new(topo.clone(), cfg).unwrap();
+                let m = sim.run_minutes(5);
+                (
+                    m.component_sum(metric::EXECUTE_COUNT, None, 0, i64::MAX),
+                    m.component_sum(metric::CPU_LOAD, None, 0, i64::MAX),
+                    sim.ticks_closed_form(),
+                )
+            };
+            let (exact_exec, exact_cpu, _) = run(false);
+            let (event_exec, event_cpu, closed_form) = run(true);
+            assert_eq!(closed_form, 0, "{reason}: closed form must not engage");
+            assert_eq!(exact_exec.len(), 5, "{reason}");
+            for (exact, event) in [(&exact_exec, &event_exec), (&exact_cpu, &event_cpu)] {
+                assert_eq!(exact.len(), event.len(), "{reason}");
+                for (a, b) in exact.iter().zip(event) {
+                    assert_eq!(a.value.to_bits(), b.value.to_bits(), "{reason}");
+                }
+            }
         }
+        // One spout fewer fits the term budget and engages, so the last
+        // case declined on the budget and not on the topology's shape.
+        let cfg = SimConfig {
+            event_mode: true,
+            ..quiet()
+        };
+        let mut sim = Simulation::new(fan_in(64), cfg).unwrap();
+        sim.run_minutes(5);
+        assert!(sim.ticks_closed_form() > 0);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl RateSegment {
         self.rate + self.slope * (t_secs - self.start_secs) as f64
     }
 
-    /// True when `t_secs` falls inside `[start_secs, end_secs)`.
-    pub fn contains(&self, t_secs: u64) -> bool {
-        t_secs >= self.start_secs && self.end_secs.is_none_or(|end| t_secs < end)
-    }
-
     /// Σ of `rate_at(s)` over the integer seconds `s ∈ [a, b)` in closed
     /// form (arithmetic series) — the exact mass a per-second sampling
     /// tick loop would offer over the range. Both bounds must lie inside
@@ -175,26 +170,6 @@ impl RateProfile {
     /// A constant profile in tuples/second.
     pub fn constant(rate: f64) -> Self {
         RateProfile::Constant { rate }
-    }
-
-    /// True when the offered rate is provably constant over every whole
-    /// second in `[from_secs, to_secs]` — the rate-stability precondition
-    /// for the engine's steady-state macro-step. Answered from the
-    /// [`segments`](Self::segments) decomposition: the window is constant
-    /// iff the segment in effect at `from_secs` is flat and still covers
-    /// `to_secs` (a step at exactly `from_secs` is already in effect, so
-    /// only a change point strictly inside the window breaks constancy).
-    /// Conservative: `Seasonal` has no decomposition and always reports
-    /// `false` (its per-minute noise and continuous daily cycle change
-    /// every evaluation).
-    pub fn constant_over(&self, from_secs: u64, to_secs: u64) -> bool {
-        match self.segments() {
-            Some(segments) => {
-                let seg = segments.at(from_secs);
-                seg.slope == 0.0 && seg.contains(to_secs)
-            }
-            None => false,
-        }
     }
 
     /// The piecewise-linear decomposition of this profile, or `None` for
@@ -475,36 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_over_is_exact_per_variant() {
-        assert!(RateProfile::constant(5.0).constant_over(0, u64::MAX));
-        let steps = RateProfile::Steps {
-            initial: 1.0,
-            steps: vec![(100, 2.0)],
-        };
-        assert!(steps.constant_over(0, 99));
-        assert!(!steps.constant_over(0, 100));
-        assert!(!steps.constant_over(99, 150));
-        // The step at 100 is already in effect at from=100.
-        assert!(steps.constant_over(100, 10_000));
-        let ramp = RateProfile::Ramp {
-            from: 0.0,
-            to: 10.0,
-            duration_secs: 60,
-        };
-        assert!(!ramp.constant_over(0, 30));
-        assert!(!ramp.constant_over(59, 61));
-        assert!(ramp.constant_over(60, 10_000));
-        let seasonal = RateProfile::Seasonal {
-            base: 1.0,
-            daily_amplitude: 0.0,
-            weekend_delta: 0.0,
-            noise: 0.0,
-            seed: 1,
-        };
-        assert!(!seasonal.constant_over(0, 1), "seasonal is never constant");
-    }
-
-    #[test]
     fn piecewise_linear_interpolates_and_extends_flat() {
         let p = RateProfile::PiecewiseLinear {
             points: vec![(60, 100.0), (120, 400.0), (180, 100.0)],
@@ -646,7 +591,6 @@ mod tests {
         // Σ_{s=12..15} 2 + 3(s-10) = 8 + 11 + 14 = 33.
         assert_eq!(seg.sum_over(12, 15), 33.0);
         assert_eq!(seg.sum_over(12, 12), 0.0);
-        assert!(seg.contains(10) && seg.contains(19) && !seg.contains(20));
     }
 
     #[test]
@@ -658,17 +602,6 @@ mod tests {
         let segs = p.segments().unwrap();
         let inside: Vec<u64> = segs.breakpoints_in(100, 300).collect();
         assert_eq!(inside, vec![200], "bounds are exclusive on both sides");
-    }
-
-    #[test]
-    fn constant_over_piecewise_linear() {
-        let p = RateProfile::PiecewiseLinear {
-            points: vec![(60, 100.0), (120, 400.0)],
-        };
-        assert!(p.constant_over(0, 59));
-        assert!(!p.constant_over(0, 60));
-        assert!(!p.constant_over(60, 61));
-        assert!(p.constant_over(120, u64::MAX));
     }
 
     #[test]

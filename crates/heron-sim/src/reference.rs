@@ -6,14 +6,14 @@
 //! [`crate::engine`]. It is kept for two reasons:
 //!
 //! 1. **Equivalence testing** — the workspace suite
-//!    `tests/sim_kernel_equivalence.rs` proves that with macro-stepping
+//!    `tests/sim_kernel_equivalence.rs` proves that with event mode
 //!    off the SoA kernel emits *byte-identical* metric samples (compared
 //!    with `f64::to_bits`) to this reference across topologies, rates,
 //!    seeds, noise levels and stream-manager modes.
 //! 2. **Benchmark baseline** — the `sim_hot_loop` bench reports the SoA
 //!    kernel's ticks/sec against this kernel on the same workloads.
 //!
-//! It is *not* part of the supported API: no macro-stepping, no
+//! It is *not* part of the supported API: no event mode, no
 //! instance reuse, no observability instrumentation. Use
 //! [`crate::engine::Simulation`] for everything else.
 
@@ -125,7 +125,7 @@ pub struct ReferenceSimulation {
 impl ReferenceSimulation {
     /// Builds a reference simulation, packing the topology per the config.
     ///
-    /// `config.macro_step` is ignored: the reference kernel always runs
+    /// `config.event_mode` is ignored: the reference kernel always runs
     /// every tick exactly.
     pub fn new(topology: Topology, config: SimConfig) -> Result<Self> {
         config

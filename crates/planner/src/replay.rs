@@ -3,6 +3,14 @@
 //! simulator at the window's peak forecast rate, and the observed
 //! throughput and backpressure are reported next to the model's
 //! prediction.
+//!
+//! Replay simulations always run event-driven
+//! (`SimConfig { event_mode: true, .. }`): relaxed stretches of a window
+//! advance in closed form, congested ones fall back to exact ticks, so
+//! backpressure verdicts match an exact-tick run and sink rates agree
+//! within the equivalence suite's 0.1 % tolerance. Per-window coverage
+//! is reported in [`WindowReplay::sim_events`] /
+//! [`WindowReplay::closed_form_ticks`].
 
 use crate::plan::{PlanError, PlanTimeline, WindowPlan};
 use caladrius_exec::ExecPool;
@@ -12,14 +20,6 @@ use heron_sim::metrics::{metric, SimMetrics};
 use heron_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-
-fn default_macro_step() -> bool {
-    true
-}
-
-fn default_event_mode() -> bool {
-    true
-}
 
 /// Replay knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,25 +35,6 @@ pub struct ReplayConfig {
     /// Mean per-minute backpressure (ms) above which a window is
     /// flagged as risky.
     pub backpressure_tolerance_ms: f64,
-    /// Steady-state macro-stepping in the per-window simulations
-    /// (default `true`). Replays run at a constant per-window rate, the
-    /// regime macro-stepping is built for; results stay deterministic
-    /// for any pool width but are not bit-identical to an exact-tick
-    /// run — the replay suite bounds the divergence (sink rate within
-    /// 0.1 %, identical backpressure verdicts). Disable for strict
-    /// tick-for-tick replays.
-    #[serde(default = "default_macro_step")]
-    pub macro_step: bool,
-    /// Event-driven advancement in the per-window simulations (default
-    /// `true`). The window minutes run on the simulator's event
-    /// scheduler, advancing relaxed stretches in closed form even where
-    /// macro-stepping cannot engage; congested windows fall back to
-    /// exact ticks, so backpressure verdicts are unchanged. Per-window
-    /// coverage is reported in [`WindowReplay::sim_events`] /
-    /// [`WindowReplay::closed_form_ticks`]. Disable for strict
-    /// tick-for-tick replays.
-    #[serde(default = "default_event_mode")]
-    pub event_mode: bool,
 }
 
 impl Default for ReplayConfig {
@@ -64,8 +45,6 @@ impl Default for ReplayConfig {
             seed: 0xCA1AD,
             metric_noise: 0.0,
             backpressure_tolerance_ms: 1.0,
-            macro_step: default_macro_step(),
-            event_mode: default_event_mode(),
         }
     }
 }
@@ -85,18 +64,12 @@ pub struct WindowReplay {
     pub backpressure_ms: f64,
     /// Whether the window stayed under the backpressure tolerance.
     pub low_risk: bool,
-    /// Simulator ticks this window's replay did not execute exactly —
-    /// macro-stepped or advanced in closed form (0 when both
-    /// [`ReplayConfig::macro_step`] and [`ReplayConfig::event_mode`] are
-    /// off, or the window never settled).
-    #[serde(default)]
-    pub ticks_skipped: u64,
-    /// Scheduler events this window's replay processed in event mode.
+    /// Scheduler events this window's replay processed.
     #[serde(default)]
     pub sim_events: u64,
     /// Ticks this window's replay advanced in closed form between
-    /// scheduler events — the event-mode coverage of
-    /// [`WindowReplay::ticks_skipped`].
+    /// scheduler events instead of executing exactly (0 when the window
+    /// never settled into the relaxed regime).
     #[serde(default)]
     pub closed_form_ticks: u64,
 }
@@ -167,8 +140,7 @@ fn replay_window(
                 base.clone(),
                 SimConfig {
                     metric_noise: config.metric_noise,
-                    macro_step: config.macro_step,
-                    event_mode: config.event_mode,
+                    event_mode: true,
                     ..SimConfig::default()
                 },
             )
@@ -187,11 +159,9 @@ fn replay_window(
     sim.set_seed(config.seed ^ plan.window as u64);
     sim.reset_with(&updates, plan.peak_rate)
         .map_err(|e| PlanError::Oracle(format!("replay deploy failed: {e}")))?;
-    let skipped_before = sim.ticks_skipped();
     let events_before = sim.sim_events();
     let closed_form_before = sim.ticks_closed_form();
     sim.run_minutes_into(config.warmup_minutes + config.measure_minutes, &metrics);
-    let ticks_skipped = sim.ticks_skipped() - skipped_before;
     let sim_events = sim.sim_events() - events_before;
     let closed_form_ticks = sim.ticks_closed_form() - closed_form_before;
     let observe_from = (config.warmup_minutes * 60_000) as i64;
@@ -218,7 +188,6 @@ fn replay_window(
         sink_rate,
         backpressure_ms,
         low_risk: backpressure_ms <= config.backpressure_tolerance_ms,
-        ticks_skipped,
         sim_events,
         closed_form_ticks,
     })

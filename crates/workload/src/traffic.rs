@@ -340,7 +340,8 @@ mod tests {
         let segs = profile.segments().expect("piecewise-linear decomposition");
         assert!(segs.as_slice().len() >= 2);
         // Flat after the horizon.
-        assert!(profile.constant_over(3600, 1_000_000));
+        let tail = segs.at(3600);
+        assert!(tail.slope == 0.0 && tail.end_secs.is_none());
     }
 
     #[test]

@@ -23,6 +23,14 @@ cargo bench --no-run
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
+# Tests in this binary start their own services, which share the
+# process-global registry: an assertion that reads a sibling's row only
+# fails under some interleavings, so one green run proves little.
+echo "==> cargo test -q --test observability x10 (default parallelism)"
+for _ in $(seq 10); do
+    cargo test -q --test observability
+done
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -31,7 +39,7 @@ cargo test --workspace -q
 # (and any accidental nondeterminism) shows up as a diff here. The
 # equivalence suite carries the event-scheduler contract (closed-form
 # advancement within 0.1% of exact across profile regimes), and
-# exec_determinism covers event-mode replay (replay defaults to
+# exec_determinism covers event-mode replay (replay always runs
 # event_mode=true), so wide-vs-1-thread replay stays byte-identical.
 echo "==> CALADRIUS_THREADS=1 determinism variant (incl. event-mode equivalence)"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-exec
@@ -64,5 +72,10 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib
 
 echo "==> observability smoke (scrape /metrics/service)"
 cargo run --release --example obs_smoke
+
+# benchmarks/ is a standalone package outside the workspace: no cargo
+# command above compiles it, yet it consumes the crates' public API.
+echo "==> benchmark smoke (compiles benchmarks/, all output checks on)"
+bash benchmarks/run.sh --smoke
 
 echo "CI gate passed."

@@ -38,14 +38,28 @@ fn start_service() -> (HttpServer, HttpClient) {
     (server, client)
 }
 
+/// Values of every sample line whose name+labels prefix contains every
+/// given fragment, in exposition order.
+fn scrape_rows<'a>(text: &'a str, fragments: &'a [&str]) -> impl Iterator<Item = f64> + 'a {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter(move |l| fragments.iter().all(|f| l.contains(f)))
+        .filter_map(|l| l.rsplit(' ').next()?.parse().ok())
+}
+
 /// Extracts the value of the first sample line whose name+labels prefix
 /// contains every given fragment.
 fn scrape(text: &str, fragments: &[&str]) -> Option<f64> {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find(|l| fragments.iter().all(|f| l.contains(f)))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
+    scrape_rows(text, fragments).next()
+}
+
+/// Sums every matching sample line (`None` when nothing matches). Series
+/// labelled per instance (`runner=`, `service=`, `db=`) carry one row
+/// per `JobRunner`/`Caladrius`/`MetricsDb` in the process, and sibling
+/// tests in this binary start their own, so the first row may be a
+/// sibling's.
+fn scrape_sum(text: &str, fragments: &[&str]) -> Option<f64> {
+    scrape_rows(text, fragments).reduce(|a, b| a + b)
 }
 
 #[test]
@@ -129,20 +143,20 @@ fn metrics_service_covers_every_instrumented_layer() {
     );
 
     // Job tier: the async evaluation ran through the worker pool.
-    assert!(scrape(&text, &["caladrius_job_duration_seconds_count"]).unwrap() >= 1.0);
+    assert!(scrape_sum(&text, &["caladrius_job_duration_seconds_count"]).unwrap() >= 1.0);
 
     // Service tier: model fits and cache traffic from the evaluations.
-    assert!(scrape(&text, &["caladrius_model_fits_total"]).unwrap() >= 1.0);
+    assert!(scrape_sum(&text, &["caladrius_model_fits_total"]).unwrap() >= 1.0);
     // Single-watermark evaluations fit cold, so every fit is a full fit.
-    assert!(scrape(&text, &["caladrius_model_fits_full_total"]).unwrap() >= 1.0);
-    assert!(scrape(&text, &["caladrius_model_fits_incremental_total"]).is_some());
-    assert!(scrape(&text, &["caladrius_evaluate_duration_seconds_count"]).unwrap() >= 2.0);
+    assert!(scrape_sum(&text, &["caladrius_model_fits_full_total"]).unwrap() >= 1.0);
+    assert!(scrape_sum(&text, &["caladrius_model_fits_incremental_total"]).is_some());
+    assert!(scrape_sum(&text, &["caladrius_evaluate_duration_seconds_count"]).unwrap() >= 2.0);
 
     // Data tier: the simulator legs were ingested through the tsdb, and
     // the decoded-tail cache counters are exposed (cold fits read full
     // windows, so only presence — not traffic — is guaranteed here).
-    assert!(scrape(&text, &["caladrius_tsdb_ingest_samples_total"]).unwrap() > 0.0);
-    assert!(scrape(&text, &["caladrius_tsdb_ingest_batch_size_count"]).unwrap() > 0.0);
+    assert!(scrape_sum(&text, &["caladrius_tsdb_ingest_samples_total"]).unwrap() > 0.0);
+    assert!(scrape_sum(&text, &["caladrius_tsdb_ingest_batch_size_count"]).unwrap() > 0.0);
     assert!(scrape(&text, &["caladrius_tsdb_tail_cache_hits_total"]).is_some());
     assert!(scrape(&text, &["caladrius_tsdb_tail_cache_misses_total"]).is_some());
 

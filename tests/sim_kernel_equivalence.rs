@@ -8,15 +8,13 @@
 //! (`f64::to_bits`), across topologies, rates, observation noise, stream
 //! manager modes and backpressure regimes.
 //!
-//! Macro-stepping (`SimConfig::macro_step`) intentionally trades that
-//! guarantee for speed, so it is checked against a tolerance instead:
-//! sink throughput within 0.1 % of the exact run and the same
-//! backpressure verdict. Event-driven advancement
-//! (`SimConfig::event_mode`) carries the same tolerance contract and is
-//! checked across constant, stepped, ramping, diurnal and flash-crowd
-//! rate profiles — including overloaded runs, where it must fall back
-//! to exact ticks and reproduce the exact kernel's backpressure
-//! verdict.
+//! Event-driven advancement (`SimConfig::event_mode`) intentionally
+//! trades that guarantee for speed, so it is checked against a tolerance
+//! instead: sink throughput within 0.1 % of the exact run and the same
+//! backpressure verdict, across constant, stepped, ramping, diurnal and
+//! flash-crowd rate profiles — including overloaded runs, where it must
+//! fall back to exact ticks and reproduce the exact kernel's
+//! backpressure verdict.
 
 use caladrius::sim::engine::{SimConfig, Simulation};
 use caladrius::sim::metrics::{metric, SimMetrics};
@@ -76,9 +74,9 @@ fn assert_bit_identical(topology: Topology, config: SimConfig, minutes: u64) -> 
         "kernels disagree on live backpressure state"
     );
     assert_eq!(
-        soa.ticks_skipped(),
+        soa.ticks_closed_form(),
         0,
-        "macro-stepping must stay off unless opted into"
+        "event mode must stay off unless opted into"
     );
     let (a, b) = (dump(&soa_metrics), dump(&ref_metrics));
     assert_eq!(a.len(), b.len(), "kernels emitted different sample counts");
@@ -177,65 +175,6 @@ fn sink_and_bp(metrics: &SimMetrics, topology: &Topology, from: i64) -> (f64, f6
         }
     }
     (sink_rate, bp_ms)
-}
-
-/// Runs the same topology exact and macro-stepped; asserts skipped ticks,
-/// matching backpressure verdicts and sink throughput within 0.1 %.
-fn assert_macro_within_tolerance(topology: Topology, expect_skips: bool) {
-    let exact_cfg = SimConfig {
-        metric_noise: 0.0,
-        ..SimConfig::default()
-    };
-    let macro_cfg = SimConfig {
-        macro_step: true,
-        ..exact_cfg.clone()
-    };
-    let minutes = 30;
-    let warmup_ms = 5 * 60_000;
-    let mut exact = Simulation::new(topology.clone(), exact_cfg).unwrap();
-    let mut fast = Simulation::new(topology, macro_cfg).unwrap();
-    let exact_metrics = exact.run_minutes(minutes);
-    let fast_metrics = fast.run_minutes(minutes);
-    assert_eq!(exact.ticks_skipped(), 0);
-    if expect_skips {
-        assert!(
-            fast.ticks_skipped() > 60,
-            "steady run should macro-step most ticks, skipped only {}",
-            fast.ticks_skipped()
-        );
-    }
-    let (exact_sink, exact_bp) = sink_and_bp(&exact_metrics, exact.topology(), warmup_ms);
-    let (fast_sink, fast_bp) = sink_and_bp(&fast_metrics, fast.topology(), warmup_ms);
-    assert!(
-        (fast_sink - exact_sink).abs() <= 1e-3 * exact_sink.max(1.0),
-        "sink rate diverged beyond 0.1%: exact {exact_sink} vs macro {fast_sink}"
-    );
-    let tolerance = 1.0;
-    assert_eq!(
-        exact_bp > tolerance,
-        fast_bp > tolerance,
-        "backpressure verdicts diverged: exact {exact_bp} ms vs macro {fast_bp} ms"
-    );
-}
-
-#[test]
-fn macro_step_matches_exact_on_steady_wordcount() {
-    let topology = wordcount_topology(WordCountParallelism::default(), 8.0e6);
-    assert_macro_within_tolerance(topology, true);
-}
-
-#[test]
-fn macro_step_matches_exact_on_steady_diamond() {
-    let topology = diamond_topology(DiamondParallelism::default(), 12.0e6);
-    assert_macro_within_tolerance(topology, true);
-}
-
-#[test]
-fn macro_step_matches_exact_under_backpressure() {
-    // Overloaded: backpressure keeps the fixed-point probe from ever
-    // engaging, so this exercises the "verdicts must agree" side.
-    let topology = wordcount_topology(WordCountParallelism::default(), 22.0e6);
-    assert_macro_within_tolerance(topology, false);
 }
 
 /// Runs the same topology exact and event-driven; asserts closed-form
