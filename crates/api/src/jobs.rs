@@ -18,6 +18,12 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// Default bound on tracked jobs per runner.
 pub const DEFAULT_JOB_CAPACITY: usize = 1024;
 
+/// Bound on the approximate bytes of finished results a store retains
+/// (see [`JobStore`]). A plan result holds about 12 KB, a fleet plan a
+/// few KB per tenant, so the count bound alone would let a long-running
+/// service pin tens of megabytes of results nobody polls any more.
+const RESULT_BYTES_BUDGET: usize = 4 << 20;
+
 /// Default bound on in-flight (pending or running) jobs per fairness
 /// key — one tenant topology cannot monopolize the worker pool.
 pub const DEFAULT_PER_KEY_IN_FLIGHT: u32 = 16;
@@ -93,29 +99,78 @@ fn unix_ms() -> i64 {
 
 type Task = Box<dyn FnOnce() -> Result<Value, String> + Send>;
 
+impl JobState {
+    fn is_finished(&self) -> bool {
+        !matches!(self, JobState::Pending)
+    }
+
+    /// Approximate heap bytes this state keeps alive.
+    fn approx_bytes(&self) -> usize {
+        match self {
+            JobState::Pending => 0,
+            JobState::Done(value) => value.approx_heap_bytes(),
+            JobState::Failed(message) => message.capacity(),
+        }
+    }
+}
+
 struct JobEntry {
     state: JobState,
     timing: JobTiming,
     /// Fairness key (topology id) the job counts against, if any.
     key: Option<String>,
+    /// `state.approx_bytes()`, measured when the job finished.
+    bytes: usize,
 }
 
 struct StoreInner {
     states: HashMap<u64, JobEntry>,
-    /// Insertion order of job ids, oldest first (drives eviction).
-    order: VecDeque<u64>,
+    /// Finished job ids, oldest-finished first (drives eviction; pending
+    /// jobs are never in here).
+    finished: VecDeque<u64>,
+    /// Sum of `bytes` over `finished`.
+    finished_bytes: usize,
     /// Unfinished jobs per fairness key (pending or running).
     in_flight: HashMap<String, u32>,
 }
 
-/// A capacity-bounded store of job states.
+impl StoreInner {
+    fn note_finished(&mut self, id: u64, bytes: usize, budget: usize) {
+        self.finished.push_back(id);
+        self.finished_bytes += bytes;
+        // The newest result always stays, however large: its client has
+        // not polled it yet.
+        while self.finished_bytes > budget && self.finished.len() > 1 {
+            self.evict_oldest_finished(1);
+        }
+    }
+
+    fn evict_oldest_finished(&mut self, max_evictions: usize) -> usize {
+        let mut evicted = 0;
+        while evicted < max_evictions {
+            let Some(id) = self.finished.pop_front() else {
+                break;
+            };
+            let entry = self.states.remove(&id).expect("finished jobs are tracked");
+            self.finished_bytes -= entry.bytes;
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+/// A store of job states, bounded by job count and by result bytes.
 ///
-/// Holds at most `capacity` jobs. When a new job arrives at capacity the
-/// oldest *finished* (done or failed) job is evicted; pending jobs are
-/// never dropped, so the store can temporarily exceed capacity while
-/// more than `capacity` jobs are in flight at once.
+/// Holds at most `capacity` jobs: when a new job arrives at capacity the
+/// oldest-finished (done or failed) job is evicted. Finished results are
+/// also measured (an approximate walk of the JSON tree) and the
+/// oldest-finished are evicted while together they exceed a fixed byte
+/// budget — except the newest, which stays even if it alone exceeds it.
+/// Pending jobs are never dropped, so the store can temporarily exceed
+/// capacity while more than `capacity` jobs are in flight at once.
 pub struct JobStore {
     capacity: usize,
+    result_bytes_budget: usize,
     inner: Mutex<StoreInner>,
 }
 
@@ -131,11 +186,17 @@ impl std::fmt::Debug for JobStore {
 impl JobStore {
     /// Creates a store bounded to `capacity` jobs (minimum 1).
     pub fn new(capacity: usize) -> Self {
+        Self::with_result_bytes_budget(capacity, RESULT_BYTES_BUDGET)
+    }
+
+    fn with_result_bytes_budget(capacity: usize, result_bytes_budget: usize) -> Self {
         Self {
             capacity: capacity.max(1),
+            result_bytes_budget,
             inner: Mutex::new(StoreInner {
                 states: HashMap::new(),
-                order: VecDeque::new(),
+                finished: VecDeque::new(),
+                finished_bytes: 0,
                 in_flight: HashMap::new(),
             }),
         }
@@ -150,7 +211,7 @@ impl JobStore {
     /// is at capacity. Stamps the queued timestamp.
     pub fn insert(&self, id: u64, state: JobState) {
         let mut inner = self.inner.lock();
-        Self::insert_entry(&mut inner, self.capacity, id, state, None);
+        self.insert_entry(&mut inner, id, state, None);
     }
 
     /// Tracks a new job counted against fairness key `key`, refusing the
@@ -168,26 +229,16 @@ impl JobStore {
             });
         }
         *inner.in_flight.entry(key.to_string()).or_insert(0) += 1;
-        Self::insert_entry(
-            &mut inner,
-            self.capacity,
-            id,
-            JobState::Pending,
-            Some(key.to_string()),
-        );
+        self.insert_entry(&mut inner, id, JobState::Pending, Some(key.to_string()));
         Ok(())
     }
 
-    fn insert_entry(
-        inner: &mut StoreInner,
-        capacity: usize,
-        id: u64,
-        state: JobState,
-        key: Option<String>,
-    ) {
-        if inner.states.len() >= capacity {
-            Self::evict_oldest_finished(inner, 1);
+    fn insert_entry(&self, inner: &mut StoreInner, id: u64, state: JobState, key: Option<String>) {
+        if inner.states.len() >= self.capacity {
+            inner.evict_oldest_finished(1);
         }
+        let bytes = state.approx_bytes();
+        let finished = state.is_finished();
         let entry = JobEntry {
             state,
             timing: JobTiming {
@@ -195,9 +246,16 @@ impl JobStore {
                 ..JobTiming::default()
             },
             key,
+            bytes,
         };
-        if inner.states.insert(id, entry).is_none() {
-            inner.order.push_back(id);
+        if let Some(replaced) = inner.states.insert(id, entry) {
+            if replaced.state.is_finished() {
+                inner.finished.retain(|f| *f != id);
+                inner.finished_bytes -= replaced.bytes;
+            }
+        }
+        if finished {
+            inner.note_finished(id, bytes, self.result_bytes_budget);
         }
     }
 
@@ -206,20 +264,32 @@ impl JobStore {
         self.inner.lock().in_flight.get(key).copied().unwrap_or(0)
     }
 
-    /// Records the outcome of a tracked job, stamping the finished
-    /// timestamp for terminal states (and releasing the job's fairness
-    /// slot, if keyed). Outcomes for jobs already evicted are dropped
-    /// (their slot was reclaimed while they ran).
+    /// Records the outcome (`Done` or `Failed`; `Pending` is ignored) of
+    /// a tracked job: stamps the finished timestamp, releases the job's
+    /// fairness slot if keyed, measures the result and evicts the
+    /// oldest-finished results while the byte budget is exceeded.
+    /// Outcomes for jobs already evicted are dropped (their slot was
+    /// reclaimed while they ran).
     pub fn update(&self, id: u64, state: JobState) {
-        let mut inner = self.inner.lock();
-        let mut release = None;
-        if let Some(slot) = inner.states.get_mut(&id) {
-            if !matches!(state, JobState::Pending) && slot.timing.finished_unix_ms.is_none() {
-                slot.timing.finished_unix_ms = Some(unix_ms());
-                release = slot.key.clone();
-            }
-            slot.state = state;
+        if !state.is_finished() {
+            return;
         }
+        let bytes = state.approx_bytes();
+        let mut inner = self.inner.lock();
+        let Some(slot) = inner.states.get_mut(&id) else {
+            return;
+        };
+        let replaced_bytes = slot.bytes;
+        let was_finished = slot.state.is_finished();
+        slot.state = state;
+        slot.bytes = bytes;
+        if was_finished {
+            inner.finished_bytes = inner.finished_bytes - replaced_bytes + bytes;
+            return;
+        }
+        slot.timing.finished_unix_ms = Some(unix_ms());
+        let release = slot.key.clone();
+        inner.note_finished(id, bytes, self.result_bytes_budget);
         if let Some(key) = release {
             if let Some(count) = inner.in_flight.get_mut(&key) {
                 *count = count.saturating_sub(1);
@@ -257,29 +327,7 @@ impl JobStore {
     pub fn evict_finished(&self, keep: usize) -> usize {
         let mut inner = self.inner.lock();
         let excess = inner.states.len().saturating_sub(keep);
-        Self::evict_oldest_finished(&mut inner, excess)
-    }
-
-    fn evict_oldest_finished(inner: &mut StoreInner, max_evictions: usize) -> usize {
-        let mut evicted = 0;
-        if max_evictions == 0 {
-            return evicted;
-        }
-        let mut kept = VecDeque::with_capacity(inner.order.len());
-        while let Some(id) = inner.order.pop_front() {
-            let finished = !matches!(
-                inner.states.get(&id).map(|e| &e.state),
-                Some(JobState::Pending)
-            );
-            if finished && evicted < max_evictions {
-                inner.states.remove(&id);
-                evicted += 1;
-            } else {
-                kept.push_back(id);
-            }
-        }
-        inner.order = kept;
-        evicted
+        inner.evict_oldest_finished(excess)
     }
 
     /// Number of tracked jobs.
@@ -540,6 +588,88 @@ mod tests {
         store.update(1, JobState::Failed("late".into()));
         assert_eq!(store.get(1), None);
         assert!(store.is_empty());
+    }
+
+    /// A result of about `bytes` bytes.
+    fn result_of(bytes: usize) -> JobState {
+        JobState::Done(Value::String("x".repeat(bytes)))
+    }
+
+    fn retained_bytes(store: &JobStore) -> usize {
+        store.inner.lock().finished_bytes
+    }
+
+    #[test]
+    fn results_over_the_byte_budget_evict_oldest_finished_first() {
+        let store = JobStore::with_result_bytes_budget(100, 1000);
+        for id in 1..=3 {
+            store.insert(id, JobState::Pending);
+        }
+        // Finish order 2, 1, 3 — eviction follows it, not submit order.
+        store.update(2, result_of(400));
+        store.update(1, result_of(400));
+        assert_eq!(store.len(), 3);
+        assert!(retained_bytes(&store) >= 800);
+        store.update(3, result_of(400));
+        assert_eq!(store.get(2), None, "oldest finished goes first");
+        assert!(store.get(1).is_some() && store.get(3).is_some());
+        assert!(retained_bytes(&store) <= 1000);
+        // A failure message counts against the budget like a result.
+        store.insert(4, JobState::Pending);
+        store.update(4, JobState::Failed("e".repeat(400)));
+        assert_eq!(store.get(1), None);
+        assert!(retained_bytes(&store) <= 1000);
+        // Evicted bytes are given back in full.
+        assert_eq!(store.evict_finished(0), 2);
+        assert_eq!(retained_bytes(&store), 0);
+    }
+
+    #[test]
+    fn the_byte_budget_never_evicts_pending_jobs_or_the_newest_result() {
+        let store = JobStore::with_result_bytes_budget(100, 1000);
+        store.insert(1, JobState::Pending);
+        store.insert(2, JobState::Pending);
+        // One result larger than the whole budget stays: it is the
+        // newest, and its client has yet to poll it.
+        store.update(2, result_of(5000));
+        assert!(matches!(store.get(2), Some(JobState::Done(_))));
+        assert!(retained_bytes(&store) > 1000);
+        // The next result displaces it; the older pending job survives.
+        store.insert(3, JobState::Pending);
+        store.update(3, result_of(10));
+        assert_eq!(store.get(2), None);
+        assert_eq!(store.get(1), Some(JobState::Pending));
+        assert!(matches!(store.get(3), Some(JobState::Done(_))));
+        assert!(retained_bytes(&store) <= 1000);
+    }
+
+    #[test]
+    fn rewritten_outcomes_keep_the_byte_count_exact() {
+        let store = JobStore::with_result_bytes_budget(100, 1000);
+        store.insert(1, result_of(300));
+        let one = retained_bytes(&store);
+        store.update(1, result_of(100));
+        assert_eq!(retained_bytes(&store), one - 200);
+        store.insert(1, JobState::Pending);
+        assert_eq!(retained_bytes(&store), 0);
+        store.update(1, JobState::Pending);
+        assert_eq!(store.get(1), Some(JobState::Pending));
+        assert_eq!(store.evict_finished(0), 0, "a pending job is not evictable");
+    }
+
+    #[test]
+    fn runner_results_stay_under_the_default_byte_budget() {
+        let runner = JobRunner::new(1);
+        let mut newest = 0;
+        // 12 × 1 MiB against the 4 MiB budget.
+        for _ in 0..12 {
+            newest = runner.submit(|| Ok(Value::String("x".repeat(1 << 20))));
+            runner.wait(newest);
+        }
+        assert!(retained_bytes(&runner.store) <= RESULT_BYTES_BUDGET);
+        assert!(runner.len() <= 4);
+        assert!(matches!(runner.state(newest), Some(JobState::Done(_))));
+        assert_eq!(runner.state(1), None);
     }
 
     #[test]

@@ -82,6 +82,30 @@ impl Value {
         self.as_object()?.get(key)
     }
 
+    /// Approximate heap bytes this value owns beyond its own inline
+    /// `size_of::<Value>()`: string and array buffers, plus B-tree leaf
+    /// nodes counted half full (a node has room for 11 entries however
+    /// few it holds, which is most of what a small object costs).
+    pub fn approx_heap_bytes(&self) -> usize {
+        const INLINE: usize = std::mem::size_of::<Value>();
+        const NODE: usize = 11 * (std::mem::size_of::<String>() + INLINE) + 16;
+        match self {
+            Value::Null | Value::Bool(_) | Value::Number(_) => 0,
+            Value::String(s) => s.capacity(),
+            Value::Array(items) => {
+                items.capacity() * INLINE
+                    + items.iter().map(Value::approx_heap_bytes).sum::<usize>()
+            }
+            Value::Object(map) => {
+                map.len().div_ceil(6) * NODE
+                    + map
+                        .iter()
+                        .map(|(k, v)| k.capacity() + v.approx_heap_bytes())
+                        .sum::<usize>()
+            }
+        }
+    }
+
     /// Serializes to a compact JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -452,6 +476,22 @@ mod tests {
         assert_eq!(Value::Number(1.5).to_json(), "1.5");
         assert_eq!(Value::from("hi").to_json(), "\"hi\"");
         assert_eq!(Value::Number(f64::NAN).to_json(), "null");
+    }
+
+    #[test]
+    fn approx_heap_bytes_counts_buffers_and_tree_nodes() {
+        assert_eq!(Value::Null.approx_heap_bytes(), 0);
+        assert_eq!(Value::Number(1.0).approx_heap_bytes(), 0);
+        assert!(Value::from("hello").approx_heap_bytes() >= 5);
+        let flat = parse(r#"{"a": 1, "b": "xy"}"#).unwrap();
+        let nested = parse(r#"{"a": 1, "b": "xy", "c": [{"d": 2}, {"d": 3}]}"#).unwrap();
+        // A tiny object still owns a whole B-tree node.
+        assert!(flat.approx_heap_bytes() >= 11 * std::mem::size_of::<Value>());
+        // Two more single-entry objects are two more nodes.
+        assert!(nested.approx_heap_bytes() >= 3 * flat.approx_heap_bytes());
+        // An object too wide for one node counts several.
+        let wide = Value::Object((0..30).map(|i| (i.to_string(), Value::Null)).collect());
+        assert!(wide.approx_heap_bytes() >= 3 * flat.approx_heap_bytes());
     }
 
     #[test]

@@ -28,10 +28,11 @@ pub mod accuracy;
 pub mod capacity;
 pub mod config;
 pub mod error;
+mod freshness;
 pub mod model;
 pub mod providers;
 pub mod service;
 pub mod traffic;
 
 pub use error::{CoreError, Result};
-pub use service::{Caladrius, ModelCacheStats, PlanCacheStats};
+pub use service::{Caladrius, ModelCacheStats, PlanCacheStats, SourceHistoryReads};

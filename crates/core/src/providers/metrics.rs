@@ -352,13 +352,17 @@ pub fn source_history(
 ) -> Result<Vec<DataPoint>> {
     let history = source_history_since(provider, topology, spouts, from - 1, to)?;
     if history.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("source history for {topology:?}"),
-            needed: 1,
-            got: 0,
-        });
+        return Err(no_source_history(topology));
     }
     Ok(history)
+}
+
+fn no_source_history(topology: &str) -> CoreError {
+    CoreError::NotEnoughObservations {
+        what: format!("source history for {topology:?}"),
+        needed: 1,
+        got: 0,
+    }
 }
 
 /// Delta variant of [`source_history`]: offered-load points in
@@ -383,6 +387,35 @@ pub fn source_history_since(
         .into_iter()
         .map(|(ts, y)| DataPoint::new(ts, y))
         .collect())
+}
+
+/// Slides a history that [`source_history`] read up to `read_to` forward
+/// to the window `[from, to]`: reads only `(read_to, to]`, appends it and
+/// drops the points older than `from`.
+///
+/// Every point is a per-minute sum that neither read splits, so the
+/// result is bit for bit what `source_history(.., from, to)` returns —
+/// provided nothing at or before `read_to` changed in the store since
+/// (no truncation, no late sample, same spouts); the caller's version
+/// stamp vouches for that.
+pub fn slide_source_history(
+    provider: &dyn MetricsProvider,
+    topology: &str,
+    spouts: &[String],
+    history: &mut Vec<DataPoint>,
+    read_to: i64,
+    from: i64,
+    to: i64,
+) -> Result<()> {
+    history.extend(source_history_since(
+        provider, topology, spouts, read_to, to,
+    )?);
+    let expired = history.partition_point(|p| p.ts < from);
+    history.drain(..expired);
+    if history.is_empty() {
+        return Err(no_source_history(topology));
+    }
+    Ok(())
 }
 
 /// Pools per-instance `(input rate, cpu load)` pairs of a component into

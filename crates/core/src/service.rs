@@ -7,6 +7,7 @@
 use crate::accuracy::{AccuracyMonitor, AccuracySummary, PendingPrediction, PredictionKind};
 use crate::config::CaladriusConfig;
 use crate::error::{CoreError, Result};
+use crate::freshness::{DataStamp, Freshness};
 use crate::model::component::{ComponentFitStats, GroupingKind};
 use crate::model::cpu::{CpuFitStats, CpuModel};
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
@@ -14,7 +15,7 @@ use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
 use crate::providers::graph::GraphService;
 use crate::providers::metrics::{
     component_observations, component_observations_since, cpu_observations, cpu_observations_since,
-    source_history, source_history_since, MetricsProvider,
+    slide_source_history, source_history, source_history_since, MetricsProvider,
 };
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
@@ -125,30 +126,33 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// One topology's fitted models plus the versions they were fitted
+/// How [`Caladrius::source_history`] reads were served, cumulatively.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SourceHistoryReads {
+    /// Served from the cached window: no store read.
+    pub hit: u64,
+    /// The cached window slid forward by reading only the new minutes.
+    pub tail: u64,
+    /// Read from the store over the whole training window.
+    pub full: u64,
+}
+
+/// One topology's fitted models plus the [`DataStamp`] they were fitted
 /// against and the streaming sufficient statistics they were solved
-/// from. An entry is served verbatim while both versions still match:
+/// from. An entry is served verbatim while the stamp still matches.
 ///
-/// * `watermark` — the metrics store's newest minute
-///   ([`MetricsProvider::latest_minute`]); any newly ingested minute
-///   moves it.
-/// * `plan_version` — [`TopologyTracker::last_updated`]; packing-plan or
-///   parallelism changes bump it, invalidating models fitted against the
-///   old physical plan.
-///
-/// A moved watermark alone no longer forces a from-scratch refit: the
+/// A moved watermark alone does not force a from-scratch refit: the
 /// retained [`ComponentFitStats`]/[`CpuFitStats`] absorb just the
 /// `(watermark_old, watermark_new]` delta and re-solve in O(1) per
 /// model (the *Stale* path). The entry goes fully cold — full refit —
-/// when the plan version moved, the store truncated data out from under
-/// the fitted window (`truncation_gen` changed), or the anchored window
-/// `[fitted_from, watermark]` grew past twice the configured training
-/// window (periodic re-anchoring keeps the expanding window from
-/// diverging unboundedly from the sliding batch window).
+/// when the plan version moved (models fitted against the old physical
+/// plan), the store truncated data out from under the fitted window, or
+/// the anchored window `[fitted_from, watermark]` grew past twice the
+/// configured training window (periodic re-anchoring keeps the
+/// expanding window from diverging unboundedly from the sliding batch
+/// window).
 struct CachedModels {
-    watermark: i64,
-    plan_version: u64,
-    truncation_gen: Option<u64>,
+    stamp: DataStamp,
     /// Start of the window the sufficient statistics cover (the `from`
     /// of the original full fit — deltas expand the window rightwards).
     fitted_from: i64,
@@ -156,6 +160,15 @@ struct CachedModels {
     cpu_stats: HashMap<String, CpuFitStats>,
     topology_model: Arc<TopologyModel>,
     cpu_models: Arc<HashMap<String, CpuModel>>,
+}
+
+/// One topology's source-rate history over the training window ending
+/// at `stamp.watermark`, decoded and summed over spouts. Unlike the
+/// fitted models' expanding window this one slides exactly
+/// ([`slide_source_history`]), so it never needs re-anchoring.
+struct CachedHistory {
+    stamp: DataStamp,
+    points: Arc<Vec<DataPoint>>,
 }
 
 /// A fitted traffic forecaster kept warm across watermark advances.
@@ -214,6 +227,7 @@ pub struct Caladrius {
     performance: ModelRegistry,
     graphs: GraphService,
     model_cache: Mutex<HashMap<String, CachedModels>>,
+    history_cache: Mutex<HashMap<String, CachedHistory>>,
     forecaster_cache: Mutex<HashMap<(String, String), CachedForecaster>>,
     plan_cache: Mutex<crate::capacity::PlanCache>,
     /// Cache/fit/plan counters live in the process-wide obs registry,
@@ -233,6 +247,9 @@ pub struct Caladrius {
     plan_cache_misses: Counter,
     plan_warm_starts: Counter,
     plan_cache_evictions: Counter,
+    history_hits: Counter,
+    history_tail_reads: Counter,
+    history_full_reads: Counter,
     evaluate_duration: Histogram,
     fit_duration: Histogram,
     plan_duration: Histogram,
@@ -329,6 +346,10 @@ impl Caladrius {
             "Plan-cache entries dropped by the LRU bound",
         );
         registry.describe(
+            "caladrius_source_history_reads_total",
+            "Source-history reads by path: cached window (hit), new minutes only (tail), whole window (full)",
+        );
+        registry.describe(
             "caladrius_evaluate_duration_seconds",
             "Wall-clock time of Caladrius::evaluate",
         );
@@ -341,6 +362,11 @@ impl Caladrius {
             "Wall-clock time of Caladrius::plan_capacity",
         );
         let plan_cache = crate::capacity::PlanCache::new(config.plan_cache_capacity);
+        let history_reads = |path| {
+            let mut labels = labels.clone();
+            labels.push(("path", path));
+            registry.counter("caladrius_source_history_reads_total", &labels)
+        };
         Self {
             config,
             metrics,
@@ -349,6 +375,7 @@ impl Caladrius {
             performance: ModelRegistry::with_defaults(),
             graphs: GraphService::new(),
             model_cache: Mutex::new(HashMap::new()),
+            history_cache: Mutex::new(HashMap::new()),
             forecaster_cache: Mutex::new(HashMap::new()),
             plan_cache: Mutex::new(plan_cache),
             cache_hits: registry.counter("caladrius_model_cache_hits_total", &labels),
@@ -364,6 +391,9 @@ impl Caladrius {
             plan_cache_misses: registry.counter("caladrius_plan_cache_misses_total", &labels),
             plan_warm_starts: registry.counter("caladrius_plan_warm_starts_total", &labels),
             plan_cache_evictions: registry.counter("caladrius_plan_cache_evictions_total", &labels),
+            history_hits: history_reads("hit"),
+            history_tail_reads: history_reads("tail"),
+            history_full_reads: history_reads("full"),
             evaluate_duration: registry.histogram("caladrius_evaluate_duration_seconds", &labels),
             fit_duration: registry.histogram("caladrius_model_fit_duration_seconds", &labels),
             plan_duration: registry.histogram("caladrius_plan_duration_seconds", &labels),
@@ -478,6 +508,11 @@ impl Caladrius {
         })
     }
 
+    /// First minute of the training window ending at minute `to`.
+    fn window_start(&self, to: i64) -> i64 {
+        to - i64::from(self.config.source_window_minutes - 1) * 60_000
+    }
+
     /// The training window `[from, to]` ending at the newest recorded
     /// minute.
     fn window(&self, topology: &str) -> Result<(i64, i64)> {
@@ -485,8 +520,7 @@ impl Caladrius {
             .metrics
             .latest_minute(topology)
             .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let from = to - i64::from(self.config.source_window_minutes - 1) * 60_000;
-        Ok((from, to))
+        Ok((self.window_start(to), to))
     }
 
     /// Spout component names of a topology.
@@ -501,16 +535,80 @@ impl Caladrius {
             .collect())
     }
 
+    /// The versions of `topology`'s data and plan right now.
+    fn data_stamp(&self, topology: &str) -> Result<DataStamp> {
+        Ok(DataStamp {
+            watermark: self
+                .metrics
+                .latest_minute(topology)
+                .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?,
+            plan_version: self.tracker.last_updated(topology)?,
+            truncation_gen: self.metrics.truncation_generation(),
+        })
+    }
+
     /// The topology's offered-load history over the training window.
     pub fn source_history(&self, topology: &str) -> Result<Vec<DataPoint>> {
-        let (from, to) = self.window(topology)?;
-        source_history(
-            self.metrics.as_ref(),
-            topology,
-            &self.spouts(topology)?,
-            from,
-            to,
-        )
+        Ok(self.source_window(topology)?.to_vec())
+    }
+
+    /// [`Caladrius::source_history`] as a maintained tail: the decoded,
+    /// spout-summed window is kept per topology and, like the fitted
+    /// models, only brought up to date when the watermark moves.
+    ///
+    /// * **Hit** — stamp unchanged: the cached window, no store read.
+    /// * **Stale** — only the watermark advanced: read `(cached_to, to]`,
+    ///   append, drop what slid out of the window.
+    /// * **Cold** — anything else: read the whole window.
+    ///
+    /// All three return bit for bit what a from-scratch read returns,
+    /// with the model cache's caveat: a sample written at or below the
+    /// watermark after it was read stays invisible until the entry goes
+    /// cold.
+    fn source_window(&self, topology: &str) -> Result<Arc<Vec<DataPoint>>> {
+        let now = self.data_stamp(topology)?;
+        let stale = {
+            let mut cache = self.lock_histories();
+            match cache.get(topology).map(|e| (e.stamp.freshness(&now), e)) {
+                Some((Freshness::Hit, entry)) => {
+                    self.history_hits.inc();
+                    return Ok(Arc::clone(&entry.points));
+                }
+                Some((Freshness::Stale, _)) => cache.remove(topology),
+                _ => None,
+            }
+        };
+        let (from, to) = (self.window_start(now.watermark), now.watermark);
+        let spouts = self.spouts(topology)?;
+        let metrics = self.metrics.as_ref();
+        let points = match stale {
+            Some(mut entry) => {
+                self.history_tail_reads.inc();
+                let read_to = entry.stamp.watermark;
+                let history = Arc::make_mut(&mut entry.points);
+                slide_source_history(metrics, topology, &spouts, history, read_to, from, to)?;
+                entry.points
+            }
+            None => {
+                self.history_full_reads.inc();
+                Arc::new(source_history(metrics, topology, &spouts, from, to)?)
+            }
+        };
+        let entry = CachedHistory {
+            stamp: now,
+            points: Arc::clone(&points),
+        };
+        self.lock_histories().insert(topology.to_string(), entry);
+        Ok(points)
+    }
+
+    /// How source-history reads were served so far.
+    pub fn source_history_reads(&self) -> SourceHistoryReads {
+        SourceHistoryReads {
+            hit: self.history_hits.get(),
+            tail: self.history_tail_reads.get(),
+            full: self.history_full_reads.get(),
+        }
     }
 
     /// Forecasts future source throughput with the named models (or the
@@ -534,7 +632,7 @@ impl Caladrius {
                 .map(|name| self.forecast_traffic_per_spout(topology, name))
                 .collect();
         }
-        let history = self.source_history(topology)?;
+        let history = self.source_window(topology)?;
         let horizon = self.horizon_after(&history);
         names
             .iter()
@@ -791,20 +889,12 @@ impl Caladrius {
 
     /// Builds a cold cache entry: full fits over the sliding training
     /// window ending at `watermark`.
-    fn full_fit_entry(
-        &self,
-        topology: &str,
-        watermark: i64,
-        plan_version: u64,
-        truncation_gen: Option<u64>,
-    ) -> Result<CachedModels> {
-        let from = watermark - i64::from(self.config.source_window_minutes - 1) * 60_000;
+    fn full_fit_entry(&self, topology: &str, stamp: DataStamp) -> Result<CachedModels> {
+        let (from, watermark) = (self.window_start(stamp.watermark), stamp.watermark);
         let (topology_model, fit_stats) = self.fit_topology_stats(topology, from, watermark)?;
         let (cpu_models, cpu_stats) = self.fit_cpu_stats(topology, from, watermark)?;
         Ok(CachedModels {
-            watermark,
-            plan_version,
-            truncation_gen,
+            stamp,
             fitted_from: from,
             fit_stats,
             cpu_stats,
@@ -829,7 +919,7 @@ impl Caladrius {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
         let metrics = self.metrics.as_ref();
-        let since = entry.watermark;
+        let since = entry.stamp.watermark;
 
         let mut models = HashMap::new();
         for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
@@ -872,47 +962,38 @@ impl Caladrius {
             }
         }
         entry.cpu_models = Arc::new(cpu_models);
-        entry.watermark = watermark;
+        entry.stamp.watermark = watermark;
         Ok(entry)
     }
 
-    /// Fitted models for `topology`, served from the watermark-keyed
-    /// cache. Three states:
+    /// Fitted models for `topology`, served from the stamp-keyed cache.
+    /// Three states ([`DataStamp::freshness`]):
     ///
-    /// * **Hit** — data watermark and packing plan both unchanged: the
-    ///   cached models are returned as-is.
-    /// * **Stale** — only the watermark advanced (and nothing was
-    ///   truncated, and the anchored window hasn't outgrown its 2×
-    ///   re-anchor bound): the delta is absorbed into the retained
-    ///   sufficient statistics ([`Caladrius::absorb_delta`]). Counted as
-    ///   a cache miss plus `incremental_fits`.
+    /// * **Hit** — stamp unchanged: the cached models are returned
+    ///   as-is.
+    /// * **Stale** — only the watermark advanced (and the anchored window
+    ///   hasn't outgrown its 2× re-anchor bound): the delta is absorbed
+    ///   into the retained sufficient statistics
+    ///   ([`Caladrius::absorb_delta`]). Counted as a cache miss plus
+    ///   `incremental_fits`.
     /// * **Cold** — anything else: full refit over the sliding window,
     ///   counted as a cache miss plus `full_fits`.
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
-        let truncation_gen = self.metrics.truncation_generation();
+        let now = self.data_stamp(topology)?;
+        let watermark = now.watermark;
         let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
         let stale = {
             let mut cache = self.lock_cache();
-            match cache.get(topology) {
-                Some(entry)
-                    if entry.watermark == watermark && entry.plan_version == plan_version =>
-                {
+            match cache.get(topology).map(|e| (e.stamp.freshness(&now), e)) {
+                Some((Freshness::Hit, entry)) => {
                     self.cache_hits.inc();
                     return Ok((
                         Arc::clone(&entry.topology_model),
                         Arc::clone(&entry.cpu_models),
                     ));
                 }
-                Some(entry)
-                    if entry.plan_version == plan_version
-                        && entry.truncation_gen == truncation_gen
-                        && entry.watermark < watermark
-                        && watermark - entry.fitted_from < reanchor_span =>
+                Some((Freshness::Stale, entry))
+                    if watermark - entry.fitted_from < reanchor_span =>
                 {
                     cache.remove(topology)
                 }
@@ -934,12 +1015,12 @@ impl Caladrius {
                 // the cold path rather than serving a dubious model.
                 Err(_) => {
                     span.field("mode", "full");
-                    self.full_fit_entry(topology, watermark, plan_version, truncation_gen)?
+                    self.full_fit_entry(topology, now)?
                 }
             },
             None => {
                 span.field("mode", "full");
-                self.full_fit_entry(topology, watermark, plan_version, truncation_gen)?
+                self.full_fit_entry(topology, now)?
             }
         };
         self.fit_duration.record_duration(fit_started.elapsed());
@@ -953,6 +1034,12 @@ impl Caladrius {
 
     fn lock_cache(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedModels>> {
         self.model_cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn lock_histories(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedHistory>> {
+        self.history_cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -1041,15 +1128,18 @@ impl Caladrius {
     /// the service. Cached plan timelines for the same scope are dropped
     /// too: they were searched against the dropped models.
     pub fn invalidate_model_cache(&self, topology: Option<&str>) {
-        let mut cache = self.lock_cache();
-        match topology {
-            Some(name) => {
-                cache.remove(name);
+        fn forget<V>(cache: &mut HashMap<String, V>, topology: Option<&str>) {
+            match topology {
+                Some(name) => {
+                    cache.remove(name);
+                }
+                None => cache.clear(),
             }
-            None => cache.clear(),
         }
-        drop(cache);
-        // Cached fitted forecasters read the same provider: drop them too.
+        forget(&mut self.lock_cache(), topology);
+        // The cached source history and the forecasters fitted on it read
+        // the same provider: drop them too.
+        forget(&mut self.lock_histories(), topology);
         let mut forecasters = self.lock_forecasters();
         match topology {
             Some(name) => forecasters.retain(|(t, _), _| t != name),
@@ -1074,7 +1164,7 @@ impl Caladrius {
                 Ok((*rate, None))
             }
             SourceRateSpec::Current => {
-                let history = self.source_history(topology)?;
+                let history = self.source_window(topology)?;
                 let recent: Vec<f64> = history.iter().rev().take(5).map(|p| p.y).collect();
                 Ok((recent.iter().sum::<f64>() / recent.len() as f64, None))
             }
@@ -2181,6 +2271,30 @@ mod tests {
             after.full_fits > before.full_fits,
             "truncation must force a full refit"
         );
+    }
+
+    #[test]
+    fn truncation_at_an_unchanged_watermark_is_cold() {
+        let (caladrius, metrics) = service_with_metrics();
+        let source = SourceRateSpec::Fixed(30.0e6);
+        caladrius
+            .evaluate("wordcount", &HashMap::new(), &source)
+            .unwrap();
+        let before = caladrius.model_cache_stats();
+
+        // The newest minute stays, so the watermark does not move — but
+        // the models were fitted on legs that are gone now.
+        let watermark = metrics.db().watermark();
+        assert!(metrics.db().truncate_before(300 * 60_000).unwrap() > 0);
+        assert_eq!(metrics.db().watermark(), watermark);
+        caladrius
+            .evaluate("wordcount", &HashMap::new(), &source)
+            .unwrap();
+        let after = caladrius.model_cache_stats();
+        assert_eq!(after.hits, before.hits);
+        assert_eq!(after.misses, before.misses + 1);
+        assert!(after.full_fits > before.full_fits);
+        assert_eq!(after.incremental_fits, before.incremental_fits);
     }
 
     #[test]

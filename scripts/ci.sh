@@ -65,10 +65,16 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner
 # service suite carries the delta-aware model cache (bitwise component
 # equivalence, truncation/retention/re-anchor full-refit regressions).
 # Single-threaded so the fit fan-out cannot mask ordering dependencies
-# in the streaming accumulators.
+# in the streaming accumulators. The source history is maintained the
+# same way: its proptest holds the cached window bitwise equal to a
+# from-scratch read over random append/gap/truncate/rescale schedules
+# (core and fleet providers), and forecast_equivalence holds every
+# forecast served off it equal to a from-scratch service's.
 echo "==> CALADRIUS_THREADS=1 incremental-refit equivalence"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test incremental_equivalence
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib
+CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --test source_history_equivalence
+CALADRIUS_THREADS=1 cargo test -q --test forecast_equivalence
 
 echo "==> observability smoke (scrape /metrics/service)"
 cargo run --release --example obs_smoke
