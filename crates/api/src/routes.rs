@@ -872,15 +872,6 @@ impl ApiService {
                 ]),
             ));
         }
-        if let Some(tail) = self.caladrius.metrics_provider().tail_cache_stats() {
-            fields.push((
-                "tsdb",
-                Value::object([
-                    ("tail_cache_hits", Value::from(tail.hits as f64)),
-                    ("tail_cache_misses", Value::from(tail.misses as f64)),
-                ]),
-            ));
-        }
         Value::object(fields).to_json().pipe(Response::json)
     }
 
@@ -1684,8 +1675,7 @@ mod tests {
                 "model_cache",
                 "plan_cache",
                 "slo",
-                "status",
-                "tsdb"
+                "status"
             ]
         );
         let slo = v.get("slo").unwrap().as_object().unwrap();
@@ -1720,10 +1710,8 @@ mod tests {
         let mut ingest_keys: Vec<&str> = ingest.keys().map(String::as_str).collect();
         ingest_keys.sort_unstable();
         assert_eq!(ingest_keys, vec!["batches", "samples"]);
-        let tsdb = v.get("tsdb").unwrap().as_object().unwrap();
-        let mut tsdb_keys: Vec<&str> = tsdb.keys().map(String::as_str).collect();
-        tsdb_keys.sort_unstable();
-        assert_eq!(tsdb_keys, vec!["tail_cache_hits", "tail_cache_misses"]);
+        // The store's read path keeps no stats to mirror here.
+        assert!(v.get("tsdb").is_none());
     }
 
     #[test]

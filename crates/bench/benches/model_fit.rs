@@ -18,8 +18,8 @@
 //! 2. **Steady ingest** — alternate "ship one fresh minute" with a
 //!    refit on two services over the same store: one rides the
 //!    incremental (Stale) cache path, the other is invalidated every
-//!    round so it refits cold. Wall times, the ≥ 5× gate, and the
-//!    decoded-tail cache traffic are reported at the end.
+//!    round so it refits cold. Wall times and the ≥ 5× gate are
+//!    reported at the end.
 
 use caladrius_bench::{columns, fast_mode, header, row};
 use caladrius_core::config::CaladriusConfig;
@@ -98,7 +98,6 @@ fn main() {
     incremental.fitted_models("wordcount").expect("cold fit");
     let cold_secs = cold_started.elapsed().as_secs_f64();
     full.fitted_models("wordcount").expect("cold fit");
-    let tail_before = metrics.db().tail_cache_stats();
 
     // Phase 2: steady ingest — one fresh minute per round, then one
     // refit on each service.
@@ -145,11 +144,6 @@ fn main() {
         stats.full_fits + stats.incremental_fits,
         "every fit is either full or incremental"
     );
-    let tail = metrics.db().tail_cache_stats();
-    assert!(
-        tail.hits > tail_before.hits,
-        "incremental refits must ride the decoded-tail cache"
-    );
 
     let inc_mean_ms = inc_total / refit_rounds as f64 * 1e3;
     let full_mean_ms = full_total / refit_rounds as f64 * 1e3;
@@ -164,11 +158,6 @@ fn main() {
     println!(
         "  incremental fits {} / full fits {} (incremental service)",
         stats.incremental_fits, stats.full_fits
-    );
-    println!(
-        "  decoded-tail cache: +{} hits / +{} misses over the steady phase",
-        tail.hits - tail_before.hits,
-        tail.misses - tail_before.misses
     );
     println!("  speedup: {speedup:.1}x");
     assert!(

@@ -29,7 +29,12 @@ pub trait MetricsProvider: Send + Sync {
         to: i64,
     ) -> Result<Vec<Sample>>;
 
-    /// Per-minute series of `metric_name` per instance of `component`.
+    /// Per-minute series of `metric_name` per instance of `component` in
+    /// `[from, to]`.
+    ///
+    /// Contract: every instance's series is ascending in `ts` with at
+    /// most one sample per minute bucket (what `tsdb::query::combine`
+    /// returns) — [`component_observations`] binary-searches it.
     fn per_instance_series(
         &self,
         topology: &str,
@@ -38,46 +43,6 @@ pub trait MetricsProvider: Send + Sync {
         from: i64,
         to: i64,
     ) -> Result<Vec<(u32, Vec<Sample>)>>;
-
-    /// Delta variant of [`MetricsProvider::component_series`]: samples in
-    /// `(since, to]` only. The default delegates to the range read;
-    /// providers backed by a tsdb with a decoded-tail fast path override
-    /// it so incremental refits read only the new minutes.
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        self.component_series(
-            topology,
-            component,
-            metric_name,
-            since.saturating_add(1),
-            to,
-        )
-    }
-
-    /// Delta variant of [`MetricsProvider::per_instance_series`]: samples
-    /// in `(since, to]` only.
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        self.per_instance_series(
-            topology,
-            component,
-            metric_name,
-            since.saturating_add(1),
-            to,
-        )
-    }
 
     /// Timestamp (ms) of the newest recorded minute for the topology, if
     /// any data exists. Doubles as the data watermark keying the model
@@ -99,12 +64,6 @@ pub trait MetricsProvider: Send + Sync {
     /// Cumulative ingest counters of the backing store, if it exposes
     /// them (`None` for providers without ingest visibility).
     fn ingest_stats(&self) -> Option<IngestStats> {
-        None
-    }
-
-    /// Decoded-tail cache hit/miss counters of the backing store, if it
-    /// exposes them (`None` for providers without a tail cache).
-    fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
         None
     }
 
@@ -165,38 +124,6 @@ impl MetricsProvider for SimMetricsProvider {
         Ok(self.metrics.per_instance(metric_name, component, from, to))
     }
 
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self
-            .metrics
-            .component_sum_since(metric_name, Some(component), since, to))
-    }
-
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self
-            .metrics
-            .per_instance_since(metric_name, component, since, to))
-    }
-
     fn latest_minute(&self, topology: &str) -> Option<i64> {
         if topology != self.metrics.topology() {
             return None;
@@ -213,10 +140,6 @@ impl MetricsProvider for SimMetricsProvider {
 
     fn ingest_stats(&self) -> Option<IngestStats> {
         Some(self.metrics.db().ingest_stats())
-    }
-
-    fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
-        Some(self.metrics.db().tail_cache_stats())
     }
 
     fn select_series(
@@ -246,6 +169,10 @@ impl MetricsProvider for SimMetricsProvider {
 /// minute is the weighted sum of those upstream emit series — "the
 /// throughput that the external source provides whilst waiting to be
 /// processed by the entity" (paper §II-C), seen from inside the topology.
+///
+/// A window without observations is [`CoreError::NotEnoughObservations`]
+/// — here and in [`source_history`] and [`cpu_observations`]; delta
+/// readers turn that back into an empty delta with `or_empty`.
 pub fn component_observations(
     provider: &dyn MetricsProvider,
     topology: &str,
@@ -254,57 +181,16 @@ pub fn component_observations(
     from: i64,
     to: i64,
 ) -> Result<Vec<ComponentObservation>> {
-    // `(from - 1, to]` == `[from, to]`: one fetch path for both the full
-    // fit and the delta, so the two assemble identically.
-    let observations =
-        component_observations_since(provider, topology, component, upstream_emits, from - 1, to)?;
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("component observations for {component:?}"),
-            needed: 1,
-            got: 0,
-        });
-    }
-    Ok(observations)
-}
-
-/// Delta variant of [`component_observations`]: windows in `(since, to]`
-/// only, read through the provider's decoded-tail fast path. An empty
-/// result is *not* an error here — a component may simply have produced
-/// no new minutes yet.
-pub fn component_observations_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    upstream_emits: &[(String, f64)],
-    since: i64,
-    to: i64,
-) -> Result<Vec<ComponentObservation>> {
-    let input =
-        provider.component_series_since(topology, component, metric::EXECUTE_COUNT, since, to)?;
-    let output =
-        provider.component_series_since(topology, component, metric::EMIT_COUNT, since, to)?;
-    let bp = provider.component_series_since(
-        topology,
-        component,
-        metric::BACKPRESSURE_TIME,
-        since,
-        to,
-    )?;
-    let per_instance = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::EXECUTE_COUNT,
-        since,
-        to,
-    )?;
+    let input = provider.component_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
+    let output = provider.component_series(topology, component, metric::EMIT_COUNT, from, to)?;
+    let bp = provider.component_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
+    let per_instance =
+        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
 
     // Source = weighted sum of upstream emissions, minute-aligned.
     let mut source: BTreeMap<i64, f64> = BTreeMap::new();
     for (upstream, weight) in upstream_emits {
-        for s in
-            provider.component_series_since(topology, upstream, metric::EMIT_COUNT, since, to)?
-        {
+        for s in provider.component_series(topology, upstream, metric::EMIT_COUNT, from, to)? {
             *source.entry(s.ts).or_insert(0.0) += s.value * weight;
         }
     }
@@ -324,10 +210,8 @@ pub fn component_observations_since(
             .iter()
             .map(|(_, series)| {
                 series
-                    .iter()
-                    .find(|s| s.ts == *ts)
-                    .map(|s| s.value)
-                    .unwrap_or(0.0)
+                    .binary_search_by_key(ts, |s| s.ts)
+                    .map_or(0.0, |i| series[i].value)
             })
             .collect();
         observations.push(ComponentObservation {
@@ -336,6 +220,13 @@ pub fn component_observations_since(
             output_rate: *output_rate,
             per_instance_inputs,
             backpressured,
+        });
+    }
+    if observations.is_empty() {
+        return Err(CoreError::NotEnoughObservations {
+            what: format!("component observations for {component:?}"),
+            needed: 1,
+            got: 0,
         });
     }
     Ok(observations)
@@ -350,11 +241,19 @@ pub fn source_history(
     from: i64,
     to: i64,
 ) -> Result<Vec<DataPoint>> {
-    let history = source_history_since(provider, topology, spouts, from - 1, to)?;
-    if history.is_empty() {
+    let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+    for spout in spouts {
+        for s in provider.component_series(topology, spout, metric::SOURCE_OFFERED, from, to)? {
+            *by_ts.entry(s.ts).or_insert(0.0) += s.value;
+        }
+    }
+    if by_ts.is_empty() {
         return Err(no_source_history(topology));
     }
-    Ok(history)
+    Ok(by_ts
+        .into_iter()
+        .map(|(ts, y)| DataPoint::new(ts, y))
+        .collect())
 }
 
 fn no_source_history(topology: &str) -> CoreError {
@@ -365,33 +264,9 @@ fn no_source_history(topology: &str) -> CoreError {
     }
 }
 
-/// Delta variant of [`source_history`]: offered-load points in
-/// `(since, to]` only, via the decoded-tail fast path. Empty is not an
-/// error — no new minutes may have landed yet.
-pub fn source_history_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    spouts: &[String],
-    since: i64,
-    to: i64,
-) -> Result<Vec<DataPoint>> {
-    let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
-    for spout in spouts {
-        for s in
-            provider.component_series_since(topology, spout, metric::SOURCE_OFFERED, since, to)?
-        {
-            *by_ts.entry(s.ts).or_insert(0.0) += s.value;
-        }
-    }
-    Ok(by_ts
-        .into_iter()
-        .map(|(ts, y)| DataPoint::new(ts, y))
-        .collect())
-}
-
 /// Slides a history that [`source_history`] read up to `read_to` forward
-/// to the window `[from, to]`: reads only `(read_to, to]`, appends it and
-/// drops the points older than `from`.
+/// to the window `[from, to]`: reads only `[read_to + 1, to]`, appends it
+/// and drops the points older than `from`.
 ///
 /// Every point is a per-minute sum that neither read splits, so the
 /// result is bit for bit what `source_history(.., from, to)` returns —
@@ -407,9 +282,8 @@ pub fn slide_source_history(
     from: i64,
     to: i64,
 ) -> Result<()> {
-    history.extend(source_history_since(
-        provider, topology, spouts, read_to, to,
-    )?);
+    let delta = source_history(provider, topology, spouts, read_to.saturating_add(1), to);
+    history.extend(or_empty(delta)?);
     let expired = history.partition_point(|p| p.ts < from);
     history.drain(..expired);
     if history.is_empty() {
@@ -432,42 +306,11 @@ pub fn cpu_observations(
     from: i64,
     to: i64,
 ) -> Result<Vec<CpuObservation>> {
-    let observations = cpu_observations_since(provider, topology, component, from - 1, to)?;
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("cpu observations for {component:?}"),
-            needed: 2,
-            got: 0,
-        });
-    }
-    Ok(observations)
-}
-
-/// Delta variant of [`cpu_observations`]: windows in `(since, to]` only,
-/// via the decoded-tail fast path. Empty is not an error.
-pub fn cpu_observations_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    since: i64,
-    to: i64,
-) -> Result<Vec<CpuObservation>> {
-    let inputs = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::EXECUTE_COUNT,
-        since,
-        to,
-    )?;
-    let cpus =
-        provider.per_instance_series_since(topology, component, metric::CPU_LOAD, since, to)?;
-    let bps = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::BACKPRESSURE_TIME,
-        since,
-        to,
-    )?;
+    let inputs =
+        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
+    let cpus = provider.per_instance_series(topology, component, metric::CPU_LOAD, from, to)?;
+    let bps =
+        provider.per_instance_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
     let by_instance = |series: Vec<(u32, Vec<Sample>)>| -> BTreeMap<u32, BTreeMap<i64, f64>> {
         series
             .into_iter()
@@ -497,7 +340,25 @@ pub fn cpu_observations_since(
             }
         }
     }
+    if observations.is_empty() {
+        return Err(CoreError::NotEnoughObservations {
+            what: format!("cpu observations for {component:?}"),
+            needed: 2,
+            got: 0,
+        });
+    }
     Ok(observations)
+}
+
+/// For delta reads (`from = since + 1`) through the assemblers above: no
+/// new minute may have landed yet, so there an empty window is an empty
+/// delta, not [`CoreError::NotEnoughObservations`]. Providers must not
+/// return that variant themselves: it would be swallowed here too.
+pub(crate) fn or_empty<T>(window: Result<Vec<T>>) -> Result<Vec<T>> {
+    match window {
+        Err(CoreError::NotEnoughObservations { .. }) => Ok(Vec::new()),
+        other => other,
+    }
 }
 
 #[cfg(test)]
@@ -546,49 +407,91 @@ mod tests {
         assert!(provider.latest_minute("other").is_none());
     }
 
+    /// The windows every assembler test reads: the usual one, and the
+    /// widest there is (`from - 1` used to overflow on it).
+    const WINDOWS: [(i64, i64); 2] = [(0, i64::MAX), (i64::MIN, i64::MAX)];
+
     #[test]
     fn observations_align_minutes() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
-        let obs = component_observations(
-            &provider,
-            "t",
-            "bolt",
-            &[("spout".to_string(), 1.0)],
-            0,
-            i64::MAX,
-        )
-        .unwrap();
-        assert_eq!(obs.len(), 10);
-        for o in &obs {
-            assert!((o.source_rate - 30_000.0).abs() < 1.0);
-            assert!((o.input_rate - 30_000.0).abs() < 1.0);
-            // The bolt is a sink: its recorded output is its processing
-            // throughput (the way the paper counts the Counter's output),
-            // not input × selectivity.
-            assert!((o.output_rate - 30_000.0).abs() < 1.0);
-            assert_eq!(o.per_instance_inputs.len(), 2);
-            assert!(!o.backpressured);
+        for (from, to) in WINDOWS {
+            let upstream = [("spout".to_string(), 1.0)];
+            let obs = component_observations(&provider, "t", "bolt", &upstream, from, to).unwrap();
+            assert_eq!(obs.len(), 10);
+            for o in &obs {
+                assert!((o.source_rate - 30_000.0).abs() < 1.0);
+                assert!((o.input_rate - 30_000.0).abs() < 1.0);
+                // The bolt is a sink: its recorded output is its processing
+                // throughput (the way the paper counts the Counter's output),
+                // not input × selectivity.
+                assert!((o.output_rate - 30_000.0).abs() < 1.0);
+                assert_eq!(o.per_instance_inputs.len(), 2);
+                // Shuffle grouping: each instance sees half the input.
+                assert!(o
+                    .per_instance_inputs
+                    .iter()
+                    .all(|i| (i - 15_000.0).abs() < 1.0));
+                assert!(!o.backpressured);
+            }
         }
     }
 
     #[test]
     fn source_history_sums_spouts() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
-        let hist = source_history(&provider, "t", &["spout".to_string()], 0, i64::MAX).unwrap();
-        assert_eq!(hist.len(), 10);
-        assert!((hist[0].y - 30_000.0).abs() < 1.0);
-        assert!(hist.windows(2).all(|w| w[1].ts - w[0].ts == 60_000));
+        for (from, to) in WINDOWS {
+            let hist = source_history(&provider, "t", &["spout".to_string()], from, to).unwrap();
+            assert_eq!(hist.len(), 10);
+            assert!((hist[0].y - 30_000.0).abs() < 1.0);
+            assert!(hist.windows(2).all(|w| w[1].ts - w[0].ts == 60_000));
+        }
     }
 
     #[test]
     fn cpu_observations_pool_instances() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
-        let obs = cpu_observations(&provider, "t", "bolt", 0, i64::MAX).unwrap();
-        assert_eq!(obs.len(), 20); // 2 instances x 10 minutes
-        for o in &obs {
-            assert!(o.cpu_load > 0.0 && o.cpu_load <= 1.0);
-            assert!(o.input_rate > 0.0);
+        for (from, to) in WINDOWS {
+            let obs = cpu_observations(&provider, "t", "bolt", from, to).unwrap();
+            assert_eq!(obs.len(), 20); // 2 instances x 10 minutes
+            for o in &obs {
+                assert!(o.cpu_load > 0.0 && o.cpu_load <= 1.0);
+                assert!(o.input_rate > 0.0);
+            }
         }
+    }
+
+    #[test]
+    fn per_instance_series_are_ascending_with_one_sample_per_minute() {
+        // The contract `component_observations` binary-searches on, with
+        // a late duplicate in one minute bucket to make it bite.
+        let metrics = run_sim(500.0);
+        let late = metrics.db().watermark().unwrap() - 3 * 60_000 + 1_000;
+        metrics.record_instance(metric::EXECUTE_COUNT, "bolt", 1, 0, late, 1.0);
+        let provider = SimMetricsProvider::new(metrics);
+        let per_instance = provider
+            .per_instance_series("t", "bolt", metric::EXECUTE_COUNT, i64::MIN, i64::MAX)
+            .unwrap();
+        assert_eq!(per_instance.len(), 2);
+        for (_, series) in &per_instance {
+            assert_eq!(series.len(), 10);
+            assert!(series.iter().all(|s| s.ts % 60_000 == 0));
+            assert!(series.windows(2).all(|w| w[0].ts < w[1].ts));
+        }
+    }
+
+    #[test]
+    fn an_empty_delta_is_not_an_error() {
+        let provider = SimMetricsProvider::new(run_sim(500.0));
+        let newest = provider.latest_minute("t").unwrap();
+        let delta = cpu_observations(&provider, "t", "bolt", newest + 1, i64::MAX);
+        assert!(matches!(
+            delta,
+            Err(CoreError::NotEnoughObservations { .. })
+        ));
+        assert!(or_empty(delta).unwrap().is_empty());
+        // Any other error stays one.
+        let unknown = cpu_observations(&provider, "other", "bolt", newest + 1, i64::MAX);
+        assert!(matches!(or_empty(unknown), Err(CoreError::Unknown(_))));
     }
 
     #[test]

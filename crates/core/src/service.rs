@@ -14,8 +14,8 @@ use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
 use crate::providers::graph::GraphService;
 use crate::providers::metrics::{
-    component_observations, component_observations_since, cpu_observations, cpu_observations_since,
-    slide_source_history, source_history, source_history_since, MetricsProvider,
+    component_observations, cpu_observations, or_empty, slide_source_history, source_history,
+    MetricsProvider,
 };
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
@@ -857,14 +857,8 @@ impl Caladrius {
         let metrics = self.metrics.as_ref();
         let fitted = caladrius_exec::shared_pool("fit").parallel_try_map(&bolts, |_, name| {
             let mut stats = CpuFitStats::new();
-            match cpu_observations(metrics, topology, name, from, to) {
-                Ok(obs) => {
-                    for o in &obs {
-                        stats.push(o);
-                    }
-                }
-                Err(CoreError::NotEnoughObservations { .. }) => {}
-                Err(other) => return Err(other),
+            for o in &or_empty(cpu_observations(metrics, topology, name, from, to))? {
+                stats.push(o);
             }
             match stats.solve() {
                 Ok(model) => {
@@ -904,10 +898,10 @@ impl Caladrius {
     }
 
     /// The incremental (Stale) path: reads only the
-    /// `(entry.watermark, watermark]` delta through the providers'
-    /// since-reads (which ride the tsdb decoded-tail fast path), pushes
-    /// it into the retained sufficient statistics, and re-solves every
-    /// model in O(1) per model. Because batch fits stream through the
+    /// `(entry.watermark, watermark]` delta — the range read
+    /// `[entry.watermark + 1, watermark]` — pushes it into the retained
+    /// sufficient statistics, and re-solves every model in O(1) per
+    /// model. Because batch fits stream through the
     /// same accumulators in the same order, the result is exactly what a
     /// batch fit over `[fitted_from, watermark]` would produce.
     fn absorb_delta(
@@ -919,7 +913,7 @@ impl Caladrius {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
         let metrics = self.metrics.as_ref();
-        let since = entry.stamp.watermark;
+        let from = entry.stamp.watermark.saturating_add(1);
 
         let mut models = HashMap::new();
         for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
@@ -931,9 +925,9 @@ impl Caladrius {
                     "cached fit statistics for {name:?} cover a different parallelism"
                 )));
             }
-            let delta = component_observations_since(
-                metrics, topology, &name, &upstreams, since, watermark,
-            )?;
+            let delta = or_empty(component_observations(
+                metrics, topology, &name, &upstreams, from, watermark,
+            ))?;
             for o in &delta {
                 stats.push(o);
             }
@@ -947,7 +941,7 @@ impl Caladrius {
         let mut cpu_models = HashMap::new();
         for name in entry.fit_stats.keys().cloned().collect::<Vec<_>>() {
             let stats = entry.cpu_stats.entry(name.clone()).or_default();
-            let delta = cpu_observations_since(metrics, topology, &name, since, watermark)?;
+            let delta = or_empty(cpu_observations(metrics, topology, &name, from, watermark))?;
             for o in &delta {
                 stats.push(o);
             }
@@ -1501,11 +1495,8 @@ impl Caladrius {
     fn realize(&self, prediction: &PendingPrediction) -> Option<f64> {
         let topology = &prediction.topology;
         // Window ends are exclusive: the sample at `window_end` belongs
-        // to the next window. The reads go through the since-APIs
-        // (`(since, to]` with `since = window_start - 1`), which ride
-        // the tsdb decoded-tail fast path — scoring windows always sit
-        // at the recent end of the store.
-        let since = prediction.window_start - 1;
+        // to the next window.
+        let from = prediction.window_start;
         let to = prediction.window_end - 1;
         let peak = |series: Vec<DataPoint>| {
             series
@@ -1519,8 +1510,7 @@ impl Caladrius {
             PredictionKind::Traffic => {
                 let spouts = self.spouts(topology).ok()?;
                 let history =
-                    source_history_since(self.metrics.as_ref(), topology, &spouts, since, to)
-                        .ok()?;
+                    source_history(self.metrics.as_ref(), topology, &spouts, from, to).ok()?;
                 peak(history)
             }
             PredictionKind::Throughput => {
@@ -1528,11 +1518,11 @@ impl Caladrius {
                 for sink in self.sinks(topology).ok()? {
                     let series = self
                         .metrics
-                        .component_series_since(
+                        .component_series(
                             topology,
                             &sink,
                             heron_sim::metrics::metric::EMIT_COUNT,
-                            since,
+                            from,
                             to,
                         )
                         .ok()?;

@@ -10,6 +10,10 @@
 //! Cold, a tail read where only the watermark advanced, nothing
 //! otherwise.
 //!
+//! A tail read is the range read `[last watermark + 1, watermark]`, and
+//! the fitted models absorb their deltas through the same reads; the last
+//! test carries both across the store's chunk seals.
+//!
 //! Runs over the core `SimMetricsProvider` and over the fleet tier's
 //! `ShardMetricsProvider` (with a shard-mate whose truncations bump the
 //! shard-wide generation). Deterministic; CI runs it under
@@ -21,9 +25,14 @@ use caladrius_core::providers::tracker::TopologyTracker;
 use caladrius_core::{Caladrius, SourceHistoryReads};
 use caladrius_fleet::{FleetTracker, ShardMetricsProvider};
 use caladrius_tsdb::retention::RetentionPolicy;
-use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
+use caladrius_workload::wordcount::{
+    wordcount_topology, wordcount_topology_with, WordCountParallelism,
+};
+use heron_sim::engine::{SimConfig, Simulation};
 use heron_sim::metrics::{metric, SimMetrics};
+use heron_sim::profiles::RateProfile;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const TOPOLOGY: &str = "wordcount";
@@ -77,15 +86,16 @@ struct Harness {
     next_minute: i64,
 }
 
+fn parallelism(spouts: u32) -> WordCountParallelism {
+    WordCountParallelism {
+        spout: spouts,
+        splitter: 2,
+        counter: 3,
+    }
+}
+
 fn deployed(spouts: u32) -> heron_sim::topology::Topology {
-    wordcount_topology(
-        WordCountParallelism {
-            spout: spouts,
-            splitter: 2,
-            counter: 3,
-        },
-        1.0e6,
-    )
+    wordcount_topology(parallelism(spouts), 1.0e6)
 }
 
 impl Harness {
@@ -114,11 +124,15 @@ impl Harness {
     }
 
     fn service(&self) -> Caladrius {
+        self.service_over(WINDOW_MINUTES)
+    }
+
+    fn service_over(&self, window_minutes: u32) -> Caladrius {
         Caladrius::with_config(
             Arc::clone(&self.provider),
             Arc::clone(&self.tracker) as Arc<dyn TopologyTracker>,
             CaladriusConfig {
-                source_window_minutes: WINDOW_MINUTES,
+                source_window_minutes: window_minutes,
                 ..CaladriusConfig::default()
             },
         )
@@ -275,5 +289,147 @@ fn every_cold_event_costs_exactly_one_full_read() {
         assert_eq!(reads.full, 5 + u64::from(sharded), "{reads:?}");
         assert_eq!(reads.hit, 1 + u64::from(!sharded), "{reads:?}");
         assert_eq!(reads.tail, steps.len() as u64 + 1 - reads.full - reads.hit);
+    }
+}
+
+/// A long-lived service whose every read is checked against a
+/// from-scratch one.
+struct Reader {
+    service: Caladrius,
+    reads: u64,
+    /// `full_fits` after the first read: the models of the one cold fit.
+    cold_fits: u64,
+}
+
+impl Reader {
+    fn new(service: Caladrius) -> Self {
+        Reader {
+            service,
+            reads: 0,
+            cold_fits: 0,
+        }
+    }
+
+    /// Reads the history and the fitted models; only the first read may
+    /// have fitted or read in full. Given a fresh service, everything a
+    /// caller could tell two fits apart by must equal its: throughput
+    /// predictions bit for bit, the CPU lines (pooled instance-major per
+    /// delta, so their sums round differently) to 1e-9.
+    fn check(&mut self, fresh: Option<&Caladrius>, what: &str) {
+        let history = |c: &Caladrius| bits(&c.source_history(TOPOLOGY).expect("history"));
+        let served_history = history(&self.service);
+        let (model, cpu) = self.service.fitted_models(TOPOLOGY).expect("served fit");
+
+        self.reads += 1;
+        let models = self.service.model_cache_stats();
+        if self.reads == 1 {
+            self.cold_fits = models.full_fits;
+        }
+        assert_eq!((models.hits, models.misses), (0, self.reads), "{what}");
+        assert_eq!(models.full_fits, self.cold_fits, "{what}: refitted in full");
+        assert!(models.incremental_fits >= 2 * (self.reads - 1), "{what}");
+        assert_eq!(models.fits, models.full_fits + models.incremental_fits);
+        let history_reads = SourceHistoryReads {
+            hit: 0,
+            tail: self.reads - 1,
+            full: 1,
+        };
+        assert_eq!(self.service.source_history_reads(), history_reads, "{what}");
+
+        let Some(fresh) = fresh else {
+            return;
+        };
+        assert_eq!(served_history, history(fresh), "{what}: history");
+        let (fresh_model, fresh_cpu) = fresh.fitted_models(TOPOLOGY).expect("fresh fit");
+        for rate in [5.0e6, 15.0e6, 21.0e6, 30.0e6] {
+            let predict = |m: &caladrius_core::model::topology::TopologyModel| {
+                let p = m.predict(&HashMap::new(), rate).expect("prediction");
+                let per_component: Vec<_> = p
+                    .per_component
+                    .iter()
+                    .map(|c| (c.input_rate.to_bits(), c.output_rate.to_bits(), c.saturated))
+                    .collect();
+                (p.sink_output_rate.to_bits(), p.bottleneck, per_component)
+            };
+            assert_eq!(predict(&model), predict(&fresh_model), "{what}: {rate:e}");
+        }
+        let mut names: Vec<_> = cpu.keys().collect();
+        names.sort();
+        let mut fresh_names: Vec<_> = fresh_cpu.keys().collect();
+        fresh_names.sort();
+        assert_eq!(names, fresh_names, "{what}: cpu models");
+        for name in names {
+            let (served, fresh) = (&cpu[name], &fresh_cpu[name]);
+            for (a, b) in [(served.psi, fresh.psi), (served.base, fresh.base)] {
+                assert!(
+                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+                    "{what}: {a} vs {b}"
+                );
+            }
+        }
+    }
+}
+
+/// Delta reads across chunk seals. A series' head is sealed into a
+/// Gorilla chunk every 240 samples, so over 555 simulated minutes every
+/// series seals twice. One service reads every minute: its delta is the
+/// newest minute, first out of a head that has just been sealed away
+/// under it, then out of the fresh one. A second reads every 37th minute:
+/// its deltas start inside a sealed chunk (minutes 223..=259, 445..=481),
+/// at other times inside the head. The window spans the whole run, so a
+/// from-scratch service's sliding fit covers the same minutes as the
+/// long-lived services' anchored ones.
+///
+/// Every read checks the counters. The from-scratch comparison (a cold
+/// fit over the whole run) is made where a seal can show: at the lagging
+/// reader's minutes, within five minutes of each seal, and at the end.
+#[test]
+fn deltas_across_chunk_seals_equal_a_from_scratch_service() {
+    const MINUTES: u64 = 555;
+    const LAG: u64 = 37;
+    const WIDE: u32 = 600;
+    const CHUNK: u64 = caladrius_tsdb::series::DEFAULT_CHUNK_SIZE as u64;
+    // A triangle through the splitter's knee (2 × 11 M/min), so the
+    // models fit slopes, a saturation point and backpressured windows.
+    let per_sec = |per_min: f64| per_min / 60.0;
+    let profile = RateProfile::PiecewiseLinear {
+        points: vec![
+            (0, per_sec(4.0e6)),
+            (MINUTES * 30, per_sec(26.0e6)),
+            (MINUTES * 60, per_sec(4.0e6)),
+        ],
+    };
+    let config = SimConfig {
+        metric_noise: 0.0,
+        event_mode: true,
+        ..SimConfig::default()
+    };
+    for sharded in [false, true] {
+        let harness = Harness::new(sharded);
+        let topology = wordcount_topology_with(parallelism(2), profile.clone(), None);
+        let mut live = Simulation::new(topology, config.clone()).unwrap();
+        let mut warm = Reader::new(harness.service_over(WIDE));
+        let mut lagging = Reader::new(harness.service_over(WIDE));
+        let mut compared = 0u64;
+        for minute in 1..=MINUTES {
+            live.run_minutes_into(1, &harness.metrics);
+            // Ten minutes in, a fit has observations to stand on.
+            if minute < 10 {
+                continue;
+            }
+            let lagging_reads = minute % LAG == 0;
+            let near_seal = [CHUNK, 2 * CHUNK].iter().any(|s| s.abs_diff(minute) <= 5);
+            let fresh = (lagging_reads || near_seal || minute == MINUTES)
+                .then(|| harness.service_over(WIDE));
+            compared += u64::from(fresh.is_some());
+            warm.check(fresh.as_ref(), &format!("warm, minute {minute}"));
+            if lagging_reads {
+                lagging.check(fresh.as_ref(), &format!("lagging, minute {minute}"));
+            }
+        }
+        assert_eq!((warm.reads, lagging.reads), (MINUTES - 9, MINUTES / LAG));
+        // 15 lagging reads (the last minute among them) + 2 × 11 near a
+        // seal, of which minute 481 is both.
+        assert_eq!(compared, 36);
     }
 }

@@ -183,8 +183,6 @@ pub struct ShardHealth {
     pub plan_cache: PlanCacheStats,
     /// tsdb ingest totals across the shard's topologies.
     pub ingest: IngestStats,
-    /// Decoded-tail cache totals across the shard's topologies.
-    pub tail_cache: caladrius_tsdb::TailCacheStats,
     /// Batches the fleet tier routed to this shard.
     pub routed_batches: u64,
 }
@@ -526,7 +524,6 @@ impl Fleet {
                 model_cache: shard.service.model_cache_stats(),
                 plan_cache: shard.service.plan_cache_stats(),
                 ingest: shard.provider.ingest_stats().unwrap_or_default(),
-                tail_cache: shard.provider.tail_cache_stats().unwrap_or_default(),
                 routed_batches: shard.ingest_batches.get(),
             })
             .collect();

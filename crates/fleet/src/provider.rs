@@ -89,32 +89,6 @@ impl MetricsProvider for ShardMetricsProvider {
             .per_instance(metric_name, component, from, to))
     }
 
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        Ok(self
-            .lookup(topology)?
-            .component_sum_since(metric_name, Some(component), since, to))
-    }
-
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        Ok(self
-            .lookup(topology)?
-            .per_instance_since(metric_name, component, since, to))
-    }
-
     fn latest_minute(&self, topology: &str) -> Option<i64> {
         self.metrics(topology)?.db().watermark()
     }
@@ -140,18 +114,6 @@ impl MetricsProvider for ShardMetricsProvider {
             let stats = metrics.db().ingest_stats();
             total.batches += stats.batches;
             total.samples += stats.samples;
-        }
-        Some(total)
-    }
-
-    fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
-        // Shard-wide view: sum over every hosted topology's store.
-        let topologies = self.topologies.read();
-        let mut total = caladrius_tsdb::TailCacheStats::default();
-        for metrics in topologies.values() {
-            let stats = metrics.db().tail_cache_stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
         }
         Some(total)
     }

@@ -247,8 +247,6 @@ impl FleetService {
                     ),
                     ("ingest_batches", Value::from(s.ingest.batches as f64)),
                     ("ingest_samples", Value::from(s.ingest.samples as f64)),
-                    ("tail_cache_hits", Value::from(s.tail_cache.hits as f64)),
-                    ("tail_cache_misses", Value::from(s.tail_cache.misses as f64)),
                     ("routed_batches", Value::from(s.routed_batches as f64)),
                 ])
             })
@@ -386,7 +384,36 @@ mod tests {
         let health = service.handle(request("GET", "/fleet/health", "", &[]));
         assert_eq!(health.status, 200);
         let body = String::from_utf8(health.body).unwrap();
-        assert!(body.contains("\"shards\""), "{body}");
+        let body = caladrius_api::json::parse(&body).unwrap();
+        // The per-shard field names are a contract, like `/health`'s.
+        let shards = body.get("shards").and_then(Value::as_array).unwrap();
+        let mut keys: Vec<&str> = shards[0]
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            vec![
+                "cache_hits",
+                "cache_misses",
+                "ingest_batches",
+                "ingest_samples",
+                "model_fits",
+                "model_fits_full",
+                "model_fits_incremental",
+                "plan_cache_evictions",
+                "plan_cache_hits",
+                "plan_cache_misses",
+                "plan_warm_starts",
+                "plans",
+                "routed_batches",
+                "shard",
+                "topologies"
+            ]
+        );
 
         assert_eq!(
             service

@@ -210,10 +210,10 @@ impl SimMetrics {
             .unwrap_or_default()
     }
 
-    /// Decoded-tail variant of [`SimMetrics::component_sum`]: per-minute
-    /// sum over `(since, to]` only, reading each series through the
-    /// tsdb's cached-tail fast path. Incremental model refits use this so
-    /// absorbing one new minute decodes one chunk at most.
+    // Shim: a delta read is a range read. Kept only because
+    // `benchmarks/src/probes.rs` (the `tsdb.read_since` probe) compiles
+    // against it; it goes when that probe reads `component_sum`.
+    #[doc(hidden)]
     pub fn component_sum_since(
         &self,
         name: &str,
@@ -221,17 +221,7 @@ impl SimMetrics {
         since: i64,
         to: i64,
     ) -> Vec<Sample> {
-        self.db
-            .aggregate_since(
-                name,
-                &self.base_filters(component),
-                since,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap_or_default()
+        self.component_sum(name, component, since.saturating_add(1), to)
     }
 
     /// Per-minute mean of a metric across instances of a component.
@@ -283,32 +273,6 @@ impl SimMetrics {
                 &self.base_filters(Some(component)),
                 tag::INSTANCE,
                 from,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|(g, s)| g.parse::<u32>().ok().map(|i| (i, s)))
-            .collect()
-    }
-
-    /// Decoded-tail variant of [`SimMetrics::per_instance`]: per-instance
-    /// series over `(since, to]` only, via the cached-tail fast path.
-    pub fn per_instance_since(
-        &self,
-        name: &str,
-        component: &str,
-        since: i64,
-        to: i64,
-    ) -> Vec<(u32, Vec<Sample>)> {
-        self.db
-            .aggregate_by_since(
-                name,
-                &self.base_filters(Some(component)),
-                tag::INSTANCE,
-                since,
                 to,
                 60_000,
                 Aggregation::Sum,
@@ -412,17 +376,6 @@ mod tests {
         assert_eq!(tail.len(), suffix.len());
         for (a, b) in tail.iter().zip(&suffix) {
             assert_eq!((a.ts, a.value), (b.ts, b.value));
-        }
-        let groups = m.per_instance(metric::EXECUTE_COUNT, "splitter", 0, i64::MAX);
-        let tails = m.per_instance_since(metric::EXECUTE_COUNT, "splitter", since, i64::MAX);
-        assert_eq!(groups.len(), tails.len());
-        for ((gi, gs), (ti, ts)) in groups.iter().zip(&tails) {
-            assert_eq!(gi, ti);
-            let suffix: Vec<_> = gs.iter().filter(|s| s.ts > since).collect();
-            assert_eq!(ts.len(), suffix.len());
-            for (a, b) in ts.iter().zip(&suffix) {
-                assert_eq!((a.ts, a.value), (b.ts, b.value));
-            }
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::catalog::{Catalog, SeriesId};
 use crate::error::{Error, Result};
 use crate::query::{bucketed, combine, Aggregation, TagFilter};
-use crate::series::{Sample, Series, SeriesKey, TailReadStats};
+use crate::series::{Sample, Series, SeriesKey};
 use caladrius_obs::{Counter, Histogram};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -100,12 +100,11 @@ pub struct IngestStats {
     pub samples: u64,
 }
 
-/// Decoded-tail cache counters, as exposed on the API health endpoint.
+/// Return type of the [`MetricsDb::tail_cache_stats`] shim; always zero.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TailCacheStats {
-    /// Sealed-chunk decodes served from the decoded-tail cache.
     pub hits: u64,
-    /// Sealed chunks that had to be Gorilla-decoded on tail reads.
     pub misses: u64,
 }
 
@@ -134,9 +133,6 @@ pub struct MetricsDb {
     batches_ingested: Counter,
     samples_ingested: Counter,
     batch_size: Histogram,
-    /// Decoded-tail cache outcomes across all `*_since` reads.
-    tail_cache_hits: Counter,
-    tail_cache_misses: Counter,
     /// Bumped by every [`MetricsDb::truncate_before`] call that dropped
     /// data. Incremental consumers snapshot this to detect that history
     /// they already absorbed was rewritten (and a full re-read is due).
@@ -160,14 +156,6 @@ impl Default for MetricsDb {
             "caladrius_tsdb_ingest_batch_size",
             "Rows per ingested batch",
         );
-        registry.describe(
-            "caladrius_tsdb_tail_cache_hits_total",
-            "Sealed-chunk decodes served from the decoded-tail cache",
-        );
-        registry.describe(
-            "caladrius_tsdb_tail_cache_misses_total",
-            "Sealed chunks Gorilla-decoded on tail reads",
-        );
         Self {
             catalog: RwLock::new(Catalog::default()),
             series: RwLock::new(HashMap::new()),
@@ -175,8 +163,6 @@ impl Default for MetricsDb {
             batches_ingested: registry.counter("caladrius_tsdb_ingest_batches_total", &labels),
             samples_ingested: registry.counter("caladrius_tsdb_ingest_samples_total", &labels),
             batch_size: registry.histogram("caladrius_tsdb_ingest_batch_size", &labels),
-            tail_cache_hits: registry.counter("caladrius_tsdb_tail_cache_hits_total", &labels),
-            tail_cache_misses: registry.counter("caladrius_tsdb_tail_cache_misses_total", &labels),
             truncations: AtomicU64::new(0),
         }
     }
@@ -365,120 +351,12 @@ impl MetricsDb {
         Ok(out)
     }
 
-    /// Reads all samples newer than `since` (exclusive) through an
-    /// interned handle — the decoded-tail fast path for incremental fits.
-    ///
-    /// Only sealed chunks overlapping the tail are decoded, and the
-    /// newest one is served from the per-series decoded-chunk cache, so
-    /// a steady-state "what arrived since the last watermark?" read costs
-    /// O(new samples), not O(history).
-    pub fn query_since(&self, handle: &SeriesHandle, since: i64) -> Result<Vec<Sample>> {
-        let mut out = Vec::new();
-        self.query_since_into(handle, since, &mut out)?;
-        Ok(out)
-    }
-
-    /// Buffer-reusing variant of [`MetricsDb::query_since`]: clears and
-    /// fills `out`, so a fit loop can run many tail reads without
-    /// re-allocating.
-    pub fn query_since_into(
-        &self,
-        handle: &SeriesHandle,
-        since: i64,
-        out: &mut Vec<Sample>,
-    ) -> Result<()> {
-        let stats = handle.series.read().samples_since_into(since, out)?;
-        self.note_tail_read(stats);
-        Ok(())
-    }
-
-    /// Selects every series matching `name` + `filters` and returns
-    /// `(key, samples)` pairs covering `(since, to]`, reading each series
-    /// through the decoded-tail fast path.
-    pub fn select_since(
-        &self,
-        name: &str,
-        filters: &[TagFilter],
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(SeriesKey, Vec<Sample>)>> {
-        let ids = self.catalog.read().select(name, filters);
-        let mut out = Vec::with_capacity(ids.len());
-        let mut scratch: Vec<Sample> = Vec::new();
-        for id in ids {
-            let key = self
-                .catalog
-                .read()
-                .key(id)
-                .expect("id from this catalog")
-                .clone();
-            let handle = Arc::clone(
-                self.series
-                    .read()
-                    .get(&id)
-                    .expect("catalog and store in sync"),
-            );
-            let stats = handle.read().samples_since_into(since, &mut scratch)?;
-            self.note_tail_read(stats);
-            let end = scratch.partition_point(|s| s.ts <= to);
-            out.push((key, scratch[..end].to_vec()));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// [`MetricsDb::aggregate`] over `(since, to]`, reading through the
-    /// decoded-tail fast path — the delta read under incremental refits.
-    #[allow(clippy::too_many_arguments)] // a flat query surface is the point
-    pub fn aggregate_since(
-        &self,
-        name: &str,
-        filters: &[TagFilter],
-        since: i64,
-        to: i64,
-        bucket_ms: i64,
-        within: Aggregation,
-        across: Aggregation,
-    ) -> Result<Vec<Sample>> {
-        let selected = self.select_since(name, filters, since, to)?;
-        let series: Vec<Vec<Sample>> = selected.into_iter().map(|(_, s)| s).collect();
-        Ok(combine(&series, bucket_ms, within, across))
-    }
-
-    /// [`MetricsDb::aggregate_by`] over `(since, to]`, reading through the
-    /// decoded-tail fast path.
-    #[allow(clippy::too_many_arguments)] // a flat query surface is the point
-    pub fn aggregate_by_since(
-        &self,
-        name: &str,
-        filters: &[TagFilter],
-        group_tag: &str,
-        since: i64,
-        to: i64,
-        bucket_ms: i64,
-        within: Aggregation,
-        across: Aggregation,
-    ) -> Result<Vec<(String, Vec<Sample>)>> {
-        let selected = self.select_since(name, filters, since, to)?;
-        let mut groups: HashMap<String, Vec<Vec<Sample>>> = HashMap::new();
-        for (key, samples) in selected {
-            let group = key.tag(group_tag).unwrap_or("").to_string();
-            groups.entry(group).or_default().push(samples);
-        }
-        let mut out: Vec<(String, Vec<Sample>)> = groups
-            .into_iter()
-            .map(|(g, series)| (g, combine(&series, bucket_ms, within, across)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    /// Decoded-tail cache counters accumulated by the `*_since` reads.
+    // Shim: the decoded-tail cache is gone. Kept, reading zeros, only
+    // because `benchmarks/src/probes.rs` (`stale_loop`) compiles against
+    // it; it goes when that probe does.
+    #[doc(hidden)]
     pub fn tail_cache_stats(&self) -> TailCacheStats {
-        TailCacheStats {
-            hits: self.tail_cache_hits.get(),
-            misses: self.tail_cache_misses.get(),
-        }
+        TailCacheStats::default()
     }
 
     /// Number of retention truncations that actually dropped samples.
@@ -486,15 +364,6 @@ impl MetricsDb {
     /// already-absorbed history was rewritten and a full re-read is due.
     pub fn truncation_generation(&self) -> u64 {
         self.truncations.load(Ordering::Acquire)
-    }
-
-    fn note_tail_read(&self, stats: TailReadStats) {
-        if stats.cache_hits > 0 {
-            self.tail_cache_hits.add(stats.cache_hits);
-        }
-        if stats.cache_misses > 0 {
-            self.tail_cache_misses.add(stats.cache_misses);
-        }
     }
 
     /// Bucketed aggregation of one metric across all matching series: each
@@ -1046,114 +915,44 @@ mod tests {
     }
 
     #[test]
-    fn query_since_matches_range_read() {
+    fn range_reads_are_exact_at_every_delta_boundary() {
+        // A delta read `(since, to]` is the range read `[since + 1, to]`.
+        // 400 per-minute samples with the default chunk size: one sealed
+        // chunk (minutes 0..=239) plus a head, and one late sample whose
+        // timestamp lies inside the sealed chunk but which lives in the
+        // head.
+        const MIN: i64 = 60_000;
         let db = MetricsDb::new();
         let handle = db.register(&key("splitter", 0));
         for i in 0..400i64 {
-            db.append(&handle, i * 60_000, i as f64);
+            db.append(&handle, i * MIN, i as f64);
         }
-        for since in [-1i64, 0, 150 * 60_000, 398 * 60_000, 500 * 60_000] {
-            let tail = db.query_since(&handle, since).unwrap();
-            let expected: Vec<Sample> = db
-                .read(&key("splitter", 0), i64::MIN, i64::MAX)
-                .unwrap()
-                .into_iter()
-                .filter(|s| s.ts > since)
-                .collect();
-            assert_eq!(tail, expected, "since {since}");
-        }
-    }
-
-    #[test]
-    fn query_since_into_reuses_buffer_and_counts_cache() {
-        let db = MetricsDb::new();
-        let handle = db.register(&key("splitter", 0));
-        // 400 samples with default chunk size 240: one sealed chunk plus
-        // a head.
-        for i in 0..400i64 {
-            db.append(&handle, i * 60_000, i as f64);
-        }
-        let mut buf = Vec::new();
-        db.query_since_into(&handle, 200 * 60_000, &mut buf)
-            .unwrap();
-        assert_eq!(buf.len(), 199);
-        let first = db.tail_cache_stats();
-        assert_eq!(first.misses, 1);
-        assert_eq!(first.hits, 0);
-        // A second read inside the same sealed chunk hits the cache.
-        db.query_since_into(&handle, 210 * 60_000, &mut buf)
-            .unwrap();
-        assert_eq!(buf.len(), 189);
-        let second = db.tail_cache_stats();
-        assert_eq!(second.misses, 1);
-        assert_eq!(second.hits, 1);
-        // A pure head read touches no sealed chunk at all.
-        db.query_since_into(&handle, 398 * 60_000, &mut buf)
-            .unwrap();
-        assert_eq!(buf.len(), 1);
-        assert_eq!(db.tail_cache_stats(), second);
-    }
-
-    #[test]
-    fn aggregate_since_matches_aggregate() {
-        let db = MetricsDb::new();
-        for inst in 0..3u32 {
-            let handle = db.register(&key("splitter", inst));
-            for i in 0..300i64 {
-                db.append(&handle, i * 60_000, (i + inst as i64) as f64);
+        db.append(&handle, 100 * MIN + 30_000, -1.0);
+        let all = db.read(&key("splitter", 0), i64::MIN, i64::MAX).unwrap();
+        assert_eq!(all.len(), 401);
+        let chunk_end = 239 * MIN;
+        let sinces = [
+            -1,
+            0,
+            100 * MIN,          // inside the sealed chunk, before the late sample
+            100 * MIN + 30_000, // on the late sample
+            chunk_end - MIN,
+            chunk_end,
+            399 * MIN, // the last sample
+            500 * MIN, // beyond the data
+        ];
+        for since in sinces {
+            for to in [300 * MIN, i64::MAX] {
+                let rows = db.select("emit-count", &[], since + 1, to).unwrap();
+                assert_eq!(rows.len(), 1);
+                let expected: Vec<Sample> = all
+                    .iter()
+                    .copied()
+                    .filter(|s| s.ts > since && s.ts <= to)
+                    .collect();
+                assert_eq!(rows[0].1, expected, "since {since}, to {to}");
             }
         }
-        let filters = [TagFilter::eq("component", "splitter")];
-        let since = 250 * 60_000 - 1;
-        let to = 299 * 60_000;
-        let fast = db
-            .aggregate_since(
-                "emit-count",
-                &filters,
-                since,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap();
-        let slow = db
-            .aggregate(
-                "emit-count",
-                &filters,
-                250 * 60_000,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap();
-        assert_eq!(fast, slow);
-        let by_fast = db
-            .aggregate_by_since(
-                "emit-count",
-                &filters,
-                "instance",
-                since,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap();
-        let by_slow = db
-            .aggregate_by(
-                "emit-count",
-                &filters,
-                "instance",
-                250 * 60_000,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap();
-        assert_eq!(by_fast, by_slow);
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use catalog::{Catalog, SeriesId};
 pub use db::{IngestStats, MetricBatch, MetricsDb, SeriesHandle, TailCacheStats};
 pub use error::{Error, Result};
 pub use query::{Aggregation, TagFilter};
-pub use series::{Sample, Series, SeriesKey, TailReadStats};
+pub use series::{Sample, Series, SeriesKey};

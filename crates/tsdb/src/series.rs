@@ -2,7 +2,6 @@
 
 use crate::encoding::{self, CompressedBlock};
 use crate::error::Result;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -81,30 +80,6 @@ struct Chunk {
 /// Default number of samples buffered in the mutable head before sealing.
 pub const DEFAULT_CHUNK_SIZE: usize = 240;
 
-/// Hit/miss outcome of one decoded-tail read, for the caller's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TailReadStats {
-    /// Sealed-chunk decodes served from the decoded-tail cache.
-    pub cache_hits: u64,
-    /// Sealed chunks that had to be Gorilla-decoded.
-    pub cache_misses: u64,
-}
-
-/// Cache of the most recently decoded sealed chunk, keyed by the series
-/// truncation generation and the chunk's index.
-///
-/// Tail reads (`samples_since`) straddle at most a handful of sealed
-/// chunks, and between two consecutive incremental fits it is almost
-/// always the *same* last chunk — caching its decode turns the steady
-/// state into "copy a few samples out of a vec" instead of a Gorilla
-/// bitstream walk.
-#[derive(Debug, Default)]
-struct TailCache {
-    /// `(generation, chunk index)` the decode belongs to.
-    key: Option<(u64, usize)>,
-    samples: Vec<Sample>,
-}
-
 /// One time series: sealed compressed chunks plus a mutable, sorted head.
 ///
 /// Appends are O(1) amortised when timestamps arrive in order (the common
@@ -112,29 +87,11 @@ struct TailCache {
 /// insertion-sorted, and samples older than the newest sealed chunk are
 /// accepted into the head (queries merge, so results stay sorted overall per
 /// region; see [`Series::samples`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Series {
     chunks: Vec<Chunk>,
     head: Vec<Sample>,
     chunk_size: usize,
-    /// Bumped whenever sealed chunks are rewritten (truncation); cached
-    /// decodes from older generations are unusable.
-    generation: u64,
-    tail_cache: Mutex<TailCache>,
-}
-
-impl Clone for Series {
-    fn clone(&self) -> Self {
-        Self {
-            chunks: self.chunks.clone(),
-            head: self.head.clone(),
-            chunk_size: self.chunk_size,
-            generation: self.generation,
-            // The decoded-tail cache is an ephemeral accelerator; clones
-            // start cold.
-            tail_cache: Mutex::new(TailCache::default()),
-        }
-    }
 }
 
 impl Default for Series {
@@ -155,16 +112,7 @@ impl Series {
             chunks: Vec::new(),
             head: Vec::new(),
             chunk_size: chunk_size.max(2),
-            generation: 0,
-            tail_cache: Mutex::new(TailCache::default()),
         }
-    }
-
-    /// Truncation generation: incremented whenever sealed data is
-    /// rewritten, so callers holding incremental state can detect that
-    /// history they already consumed may have changed underneath them.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Total number of stored samples.
@@ -244,50 +192,6 @@ impl Series {
         self.samples(i64::MIN, i64::MAX)
     }
 
-    /// Appends all samples with `ts > since` (exclusive) to `out` in time
-    /// order — the decoded-tail fast path for incremental fits.
-    ///
-    /// Sealed chunks that end at or before `since` are skipped from their
-    /// index alone; the newest straddling chunk is decoded through the
-    /// per-series decoded-tail cache so consecutive tail reads do not
-    /// re-walk the Gorilla bitstream. `out` is cleared first, so callers
-    /// can reuse one buffer across many series.
-    pub fn samples_since_into(&self, since: i64, out: &mut Vec<Sample>) -> Result<TailReadStats> {
-        out.clear();
-        let mut stats = TailReadStats::default();
-        let last_idx = self.chunks.len().wrapping_sub(1);
-        for (idx, chunk) in self.chunks.iter().enumerate() {
-            if chunk.end <= since {
-                continue;
-            }
-            if idx == last_idx {
-                let mut cache = self.tail_cache.lock();
-                if cache.key != Some((self.generation, idx)) {
-                    cache.samples = encoding::decompress(&chunk.block)?;
-                    cache.key = Some((self.generation, idx));
-                    stats.cache_misses += 1;
-                } else {
-                    stats.cache_hits += 1;
-                }
-                out.extend(cache.samples.iter().copied().filter(|s| s.ts > since));
-            } else {
-                stats.cache_misses += 1;
-                let decoded = encoding::decompress(&chunk.block)?;
-                out.extend(decoded.into_iter().filter(|s| s.ts > since));
-            }
-        }
-        out.extend(self.head.iter().copied().filter(|s| s.ts > since));
-        out.sort_by_key(|s| s.ts);
-        Ok(stats)
-    }
-
-    /// Allocating convenience wrapper over [`Series::samples_since_into`].
-    pub fn samples_since(&self, since: i64) -> Result<(Vec<Sample>, TailReadStats)> {
-        let mut out = Vec::new();
-        let stats = self.samples_since_into(since, &mut out)?;
-        Ok((out, stats))
-    }
-
     /// Timestamp of the most recent sample, if any.
     pub fn latest_ts(&self) -> Option<i64> {
         let head = self.head.last().map(|s| s.ts);
@@ -322,9 +226,6 @@ impl Series {
         }
         self.chunks = kept;
         self.head.retain(|s| s.ts >= cutoff);
-        // Chunk indices shifted: cached decodes and any incremental
-        // consumer state are no longer trustworthy.
-        self.generation += 1;
         Ok(before - self.len())
     }
 }
@@ -434,71 +335,5 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.all().unwrap().is_empty());
         assert_eq!(s.samples(0, 100).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn samples_since_matches_range_query() {
-        let s = filled(100); // chunk size 16
-        for since in [-1i64, 0, 5 * 60_000, 95 * 60_000, 99 * 60_000, 200 * 60_000] {
-            let (tail, _) = s.samples_since(since).unwrap();
-            let expected: Vec<Sample> = s
-                .samples(i64::MIN, i64::MAX)
-                .unwrap()
-                .into_iter()
-                .filter(|x| x.ts > since)
-                .collect();
-            assert_eq!(tail, expected, "since {since}");
-        }
-    }
-
-    #[test]
-    fn repeated_tail_reads_hit_the_cache() {
-        // filled(100) with chunk size 16: sealed chunks cover samples
-        // 0..=95, head holds 96..=99. A read from inside the last sealed
-        // chunk decodes it once, then hits the cache.
-        let s = filled(100);
-        let (_, first) = s.samples_since(90 * 60_000).unwrap();
-        assert_eq!(first.cache_misses, 1);
-        assert_eq!(first.cache_hits, 0);
-        let (_, second) = s.samples_since(91 * 60_000).unwrap();
-        assert_eq!(second.cache_misses, 0);
-        assert_eq!(second.cache_hits, 1);
-    }
-
-    #[test]
-    fn head_only_tail_read_touches_no_chunks() {
-        let mut s = Series::with_chunk_size(16);
-        for i in 0..20i64 {
-            s.push(Sample::new(i * 60_000, i as f64));
-        }
-        // Samples 0..16 sealed, 16..20 in head. Reading past the sealed
-        // range should not decode anything.
-        let (tail, stats) = s.samples_since(17 * 60_000).unwrap();
-        assert_eq!(tail.len(), 2);
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
-    }
-
-    #[test]
-    fn truncation_bumps_generation_and_invalidates_cache() {
-        let mut s = filled(100);
-        let g0 = s.generation();
-        let (_, first) = s.samples_since(90 * 60_000).unwrap();
-        assert_eq!(first.cache_misses, 1);
-        s.truncate_before(50 * 60_000).unwrap();
-        assert_eq!(s.generation(), g0 + 1);
-        // Cache key carries the old generation: the next read re-decodes.
-        let (tail, after) = s.samples_since(90 * 60_000).unwrap();
-        assert_eq!(after.cache_hits, 0);
-        assert!(after.cache_misses >= 1);
-        assert_eq!(tail.len(), 9);
-    }
-
-    #[test]
-    fn clone_starts_with_cold_cache() {
-        let s = filled(100);
-        s.samples_since(90 * 60_000).unwrap();
-        let c = s.clone();
-        let (_, stats) = c.samples_since(90 * 60_000).unwrap();
-        assert_eq!(stats.cache_misses, 1);
     }
 }

@@ -11,6 +11,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+# A deleted item leaves its intra-doc links ([`MetricsDb::select`]-style)
+# dangling; rustdoc only warns about that unless told otherwise.
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 
@@ -83,5 +88,16 @@ cargo run --release --example obs_smoke
 # command above compiles it, yet it consumes the crates' public API.
 echo "==> benchmark smoke (compiles benchmarks/, all output checks on)"
 bash benchmarks/run.sh --smoke
+
+# The benchmark's files are the driver's to compare against: nothing
+# above may have rewritten them. The usual culprit is a crate gaining or
+# losing a non-dev dependency, which the smoke build writes through to
+# benchmarks/Cargo.lock.
+echo "==> benchmarks/ and BENCHMARK.json untouched"
+dirty="$(git status --porcelain benchmarks BENCHMARK.json)"
+if [ -n "$dirty" ]; then
+    echo "$dirty"
+    exit 1
+fi
 
 echo "CI gate passed."
