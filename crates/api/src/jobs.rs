@@ -7,7 +7,7 @@
 //! and poll for the result.
 
 use crate::json::Value;
-use caladrius_obs::{Gauge, RequestScope};
+use caladrius_obs::{Gauge, ParentSpanScope, RequestScope};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -454,8 +454,9 @@ impl JobRunner {
     }
 
     /// Submits a job; returns its id immediately. The submitter's request
-    /// id (if any) is re-installed around the job body so spans recorded
-    /// by the worker stay attributable to the originating HTTP request.
+    /// id and innermost span (if any) are re-installed around the job
+    /// body, so spans recorded by the worker hang under the originating
+    /// HTTP request: `http.request` → `api.job` → the job's own spans.
     pub fn submit(&self, task: impl FnOnce() -> Result<Value, String> + Send + 'static) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.store.insert(id, JobState::Pending);
@@ -464,12 +465,15 @@ impl JobRunner {
     }
 
     /// Hands job `id` (already in the store) to the workers, wrapped in
-    /// the submitter's request scope and an `api.job` span.
+    /// the submitter's request scope and an `api.job` span parented to
+    /// the submitter's span.
     fn enqueue(&self, id: u64, task: impl FnOnce() -> Result<Value, String> + Send + 'static) {
         self.queue_depth.add(1.0);
         let request_id = caladrius_obs::current_request_id();
+        let parent_span = caladrius_obs::current_span_id();
         let task: Task = Box::new(move || {
             let _scope = request_id.map(RequestScope::enter);
+            let _parent = parent_span.map(ParentSpanScope::enter);
             let mut span = caladrius_obs::global_span("api.job");
             span.field("job", id);
             task()

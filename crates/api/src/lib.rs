@@ -36,7 +36,6 @@ pub use http::{HttpClient, HttpServer, Request, Response};
 pub use jobs::{JobRejected, JobRunner};
 pub use json::Value;
 pub use routes::{
-    flight_response, job_status_response, parse_plan_body, record_route_slo, route_p99,
-    service_metrics_response, slo_status_response, too_many_requests, trace_recent_response,
-    ApiService,
+    handle_request, job_status_response, parse_plan_body, route_p99, shared_route,
+    too_many_requests, ApiService,
 };

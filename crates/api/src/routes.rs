@@ -26,7 +26,7 @@ use caladrius_core::error::CoreError;
 use caladrius_core::service::{EvaluationReport, SourceRateSpec};
 use caladrius_core::traffic::TrafficForecast;
 use caladrius_core::Caladrius;
-use caladrius_obs::{ParentSpanScope, RequestScope};
+use caladrius_obs::RequestScope;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -359,7 +359,7 @@ fn timeline_to_json(topology: &str, timeline: &caladrius_planner::PlanTimeline) 
 /// Feeds the per-route SLO objective: a request is good when it neither
 /// failed server-side nor blew the route's latency SLO. Shared by every
 /// front door (API and fleet) so `/slo/status` covers all routes.
-pub fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f64) {
+fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f64) {
     caladrius_obs::global_slos()
         .objective(
             &format!("route:{route}"),
@@ -392,10 +392,85 @@ pub fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
     .with_header("Retry-After", retry_after_seconds.to_string())
 }
 
+/// One request through a front door. Installs the request id (from
+/// `x-request-id`, minting one for hand-built requests) for the duration
+/// of `route`, so every span recorded below attributes to this request,
+/// and records the per-route counter, recent-window latency histogram,
+/// route SLO (against `latency_slo` seconds) and an `http.request` span.
+/// `route` returns the normalized route pattern (the metric label)
+/// alongside the response. Both front doors go through here, which is
+/// why admission's p99 signal and `/slo/status` cover their routes alike.
+pub fn handle_request(
+    request: Request,
+    latency_slo: f64,
+    route: impl FnOnce(&Request) -> (&'static str, Response),
+) -> Response {
+    let request_id = request
+        .request_id()
+        .unwrap_or_else(caladrius_obs::next_request_id);
+    let _request_scope = RequestScope::enter(request_id);
+    let started = Instant::now();
+    let mut span = caladrius_obs::global_span("http.request");
+    let (route, response) = route(&request);
+    span.field("route", route)
+        .field("method", &request.method)
+        .field("status", response.status);
+    let registry = caladrius_obs::global_registry();
+    let status = response.status.to_string();
+    registry
+        .counter(
+            "caladrius_http_requests_total",
+            &[
+                ("route", route),
+                ("method", &request.method),
+                ("status", &status),
+            ],
+        )
+        .inc();
+    registry
+        .windowed_histogram(
+            "caladrius_http_request_duration_seconds",
+            &[("route", route)],
+        )
+        .record_duration(started.elapsed());
+    record_route_slo(
+        route,
+        response.status,
+        started.elapsed().as_secs_f64(),
+        latency_slo,
+    );
+    caladrius_obs::global_flight().maybe_snapshot(registry);
+    response
+}
+
+/// The tail of both front doors' route tables, for a request none of
+/// their own routes matched: the observability endpoints they share
+/// (`/metrics/service`, `/trace/recent`, `/slo/status`, `/debug/flight`),
+/// `405` for another method on one of those, `404` otherwise.
+pub fn shared_route(request: &Request, segments: &[&str]) -> (&'static str, Response) {
+    match (request.method.as_str(), segments) {
+        ("GET", ["metrics", "service"]) => ("/metrics/service", service_metrics_response()),
+        ("GET", ["trace", "recent"]) => ("/trace/recent", trace_recent_response(request)),
+        ("GET", ["slo", "status"]) => ("/slo/status", slo_status_response()),
+        ("GET", ["debug", "flight"]) => ("/debug/flight", flight_response()),
+        (_, ["metrics", "service"])
+        | (_, ["trace", ..])
+        | (_, ["slo", ..])
+        | (_, ["debug", "flight"]) => (
+            "method_not_allowed",
+            Response::json_status(405, "{\"error\":\"method not allowed\"}"),
+        ),
+        _ => (
+            "unmatched",
+            Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
+        ),
+    }
+}
+
 /// Shared `GET /metrics/service` implementation: every registered
 /// metric in Prometheus text exposition format. SLO burn-rate gauges
 /// are re-evaluated first so the scrape never reports stale burn rates.
-pub fn service_metrics_response() -> Response {
+fn service_metrics_response() -> Response {
     caladrius_obs::evaluate_slos();
     Response {
         status: 200,
@@ -441,7 +516,7 @@ pub fn job_status_response(jobs: &JobRunner, id: &str) -> Response {
 /// Shared `GET /trace/recent?limit=N&request_id=...` implementation:
 /// newest spans first, `limit` clamped to the ring capacity, optionally
 /// filtered to one request id. Mounted by both front doors.
-pub fn trace_recent_response(request: &Request) -> Response {
+fn trace_recent_response(request: &Request) -> Response {
     let tracer = caladrius_obs::tracer();
     let limit = match request.query.get("limit") {
         None => 100,
@@ -531,7 +606,7 @@ fn slo_status_to_json(status: &caladrius_obs::SloStatus) -> Value {
 /// Shared `GET /slo/status` implementation: evaluates every registered
 /// objective (also refreshing the burn-rate gauges and flight-recorder
 /// transitions) and reports the multi-window verdicts.
-pub fn slo_status_response() -> Response {
+fn slo_status_response() -> Response {
     let statuses = caladrius_obs::evaluate_slos();
     let count_state = |state: caladrius_obs::SloState| {
         statuses.iter().filter(|s| s.state == state).count() as f64
@@ -567,7 +642,7 @@ fn labels_to_json(labels: &[(String, String)]) -> Value {
 /// recorder's retained snapshots, SLO transitions and shed decisions.
 /// Takes a snapshot first when due (or when none exists yet) so the
 /// dump is never empty.
-pub fn flight_response() -> Response {
+fn flight_response() -> Response {
     let flight = caladrius_obs::global_flight();
     let registry = caladrius_obs::global_registry();
     if !flight.maybe_snapshot(registry) && flight.snapshot_count() == 0 {
@@ -704,49 +779,11 @@ impl ApiService {
         Arc::new(move |request| service.handle(request))
     }
 
-    /// Routes one request (usable directly in tests, no sockets needed).
-    ///
-    /// Installs the request id (from `x-request-id`, minting one for
-    /// hand-built requests) for the duration of the handler so every span
-    /// recorded below attributes to this request, and records per-route
-    /// counters, latency histograms and an `http.request` span.
+    /// Routes one request through [`handle_request`] (usable directly in
+    /// tests, no sockets needed).
     pub fn handle(&self, request: Request) -> Response {
-        let request_id = request
-            .request_id()
-            .unwrap_or_else(caladrius_obs::next_request_id);
-        let _request_scope = RequestScope::enter(request_id);
-        let started = Instant::now();
-        let mut span = caladrius_obs::global_span("http.request");
-        let (route, response) = self.route(&request);
-        span.field("route", route)
-            .field("method", &request.method)
-            .field("status", response.status);
-        let registry = caladrius_obs::global_registry();
-        let status = response.status.to_string();
-        registry
-            .counter(
-                "caladrius_http_requests_total",
-                &[
-                    ("route", route),
-                    ("method", &request.method),
-                    ("status", &status),
-                ],
-            )
-            .inc();
-        registry
-            .windowed_histogram(
-                "caladrius_http_request_duration_seconds",
-                &[("route", route)],
-            )
-            .record_duration(started.elapsed());
-        record_route_slo(
-            route,
-            response.status,
-            started.elapsed().as_secs_f64(),
-            self.admission.config().slo_p99_seconds,
-        );
-        caladrius_obs::global_flight().maybe_snapshot(registry);
-        response
+        let latency_slo = self.admission.config().slo_p99_seconds;
+        handle_request(request, latency_slo, |request| self.route(request))
     }
 
     /// Dispatches to a route handler, returning the normalized route
@@ -777,13 +814,9 @@ impl ApiService {
                 "/model/packing/heron/{topology}",
                 self.packing(topology, request),
             ),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", service_metrics_response()),
             ("GET", ["metrics", "heron", topology]) => {
                 ("/metrics/heron/{topology}", self.metrics(topology, request))
             }
-            ("GET", ["trace", "recent"]) => ("/trace/recent", trace_recent_response(request)),
-            ("GET", ["slo", "status"]) => ("/slo/status", slo_status_response()),
-            ("GET", ["debug", "flight"]) => ("/debug/flight", flight_response()),
             ("POST", ["topology", topology, "plan"]) => {
                 ("/topology/{topology}/plan", self.plan(topology, request))
             }
@@ -791,19 +824,12 @@ impl ApiService {
             (_, ["model", ..])
             | (_, ["jobs", ..])
             | (_, ["topology", _, "plan"])
-            | (_, ["metrics", "service"])
-            | (_, ["trace", ..])
-            | (_, ["slo", ..])
-            | (_, ["debug", "flight"])
             | (_, ["health"])
             | (_, ["topologies"]) => (
                 "method_not_allowed",
                 Response::json_status(405, "{\"error\":\"method not allowed\"}"),
             ),
-            _ => (
-                "unmatched",
-                Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
-            ),
+            _ => shared_route(request, &segments),
         }
     }
 
@@ -1110,14 +1136,7 @@ impl ApiService {
         let caladrius = Arc::clone(&self.caladrius);
         let topology = topology.to_string();
         let task_topology = topology.clone();
-        // The job runs on a worker thread: carry the request id and the
-        // `http.request` span id over so the plan's spans stay attached
-        // to the originating request in `/trace/recent`.
-        let request_id = caladrius_obs::current_request_id();
-        let parent_span = caladrius_obs::current_span_id();
         let submitted = self.jobs.submit_keyed(&topology, move || {
-            let _request = request_id.map(RequestScope::enter);
-            let _parent = parent_span.map(ParentSpanScope::enter);
             let outcome = caladrius.plan_capacity(&task_topology, &plan_request);
             // Plan jobs carry their own SLO objective: a failed plan
             // burns error budget even though the HTTP 202 already

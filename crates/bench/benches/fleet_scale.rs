@@ -210,8 +210,8 @@ fn main() {
     assert_eq!(refit.get("errors").and_then(Value::as_f64), Some(0.0));
     assert_eq!(partition(&refit), (0.0, topologies as f64, 0.0));
 
-    // Steady traffic: every topology's plan cache holds a fingerprint-
-    // current timeline, so the replan is pure cache probes — no
+    // Steady traffic: every topology's plan cache holds a timeline under
+    // the current data stamp, so the replan is pure cache reads — no
     // forecasting, no search — and must come back identical, fast.
     let (warm, warm_wall) = run_replan("warm", "{}");
     assert_eq!(warm.get("errors").and_then(Value::as_f64), Some(0.0));

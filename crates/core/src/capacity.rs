@@ -224,10 +224,8 @@ impl<O: CapacityOracle> CapacityOracle for CachedOracle<O> {
     }
 }
 
-// --- Incremental replanning: forecast fingerprints + plan cache ------
-
 /// FNV-1a 64-bit. Local copy — core must not depend on the fleet crate's
-/// hashing module, and the fingerprint must stay stable across builds
+/// hashing module, and the request key must stay stable across builds
 /// (unlike `DefaultHasher`).
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -236,35 +234,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Quantizes a forecast rate for fingerprinting: the low 22 mantissa
-/// bits are cleared (~1e-9 relative precision on an f64's 52-bit
-/// mantissa), so numerically-insignificant jitter in a re-run forecast
-/// does not bust the fingerprint, while any real rate drift does.
-pub fn quantize_rate(rate: f64) -> u64 {
-    if !rate.is_finite() {
-        return u64::MAX;
-    }
-    rate.to_bits() & !((1u64 << 22) - 1)
-}
-
-/// Stable fingerprint of everything a capacity-plan search reads from
-/// the data plane: the metrics watermark and tracker plan version the
-/// models were fitted against, plus each planning window's quantized
-/// peak rate. Two runs with equal fingerprints (and an equal
-/// [`plan_request_key`]) produce byte-identical timelines, because the
-/// search is a pure function of (models, windows, planner config).
-pub fn forecast_fingerprint(watermark: i64, plan_version: u64, windows: &[WindowSpec]) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + windows.len() * 24);
-    bytes.extend_from_slice(&watermark.to_le_bytes());
-    bytes.extend_from_slice(&plan_version.to_le_bytes());
-    for w in windows {
-        bytes.extend_from_slice(&w.start_ts.to_le_bytes());
-        bytes.extend_from_slice(&w.end_ts.to_le_bytes());
-        bytes.extend_from_slice(&quantize_rate(w.peak_rate).to_le_bytes());
-    }
-    fnv1a64(&bytes)
 }
 
 /// Hash of the request-side plan inputs: resolved traffic-model name,
@@ -290,157 +259,6 @@ pub fn plan_request_key(model_name: &str, conservative: bool, planner: &PlannerC
     bytes.extend_from_slice(&l.max_parallelism.to_le_bytes());
     bytes.extend_from_slice(&l.max_containers.to_le_bytes());
     fnv1a64(&bytes)
-}
-
-/// How a plan-cache lookup resolved (see [`PlanCache::probe`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanCacheLookup {
-    /// Valid entry: the stored timeline is byte-identical to what a
-    /// fresh search would produce.
-    Hit(PlanTimeline),
-    /// Stale entry: the data plane moved, but the previous timeline is
-    /// returned as a warm-start seed for the new search.
-    Stale(PlanTimeline),
-    /// No entry under this (topology, request) at all.
-    Absent,
-}
-
-struct PlanCacheEntry {
-    watermark: i64,
-    plan_version: u64,
-    fingerprint: u64,
-    timeline: PlanTimeline,
-    stamp: u64,
-}
-
-/// Bounded cache of finished plan timelines, keyed by
-/// `(topology, request key)` with validity decided by the forecast
-/// fingerprint's inputs. Eviction is least-recently-used via an access
-/// stamp; the capacity bounds entries, not bytes.
-///
-/// Lookup is two-level. The *fast probe* ([`PlanCache::probe`]) checks
-/// the stored `(watermark, plan_version)` pair against the live ones
-/// *before* any forecasting: the forecast is a deterministic function
-/// of data at or below the watermark, so equal versions imply an equal
-/// [`forecast_fingerprint`] and the stored timeline can be served
-/// without running the traffic models at all — that skip is where the
-/// warm-replan speedup comes from. The full fingerprint (which also
-/// covers the quantized window rates) is stored with each entry and
-/// checked by [`PlanCache::confirm`] after a forecast has actually run,
-/// as the authoritative identity.
-pub struct PlanCache {
-    capacity: usize,
-    entries: HashMap<(String, u64), PlanCacheEntry>,
-    clock: u64,
-}
-
-impl PlanCache {
-    /// Creates an empty cache bounded to `capacity` entries. A zero
-    /// capacity disables caching (every probe misses, inserts no-op).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: HashMap::new(),
-            clock: 0,
-        }
-    }
-
-    /// Cached timelines currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no timelines are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Pre-forecast lookup: serves the stored timeline when the metrics
-    /// watermark and tracker plan version both still match, returns the
-    /// stale timeline as a warm-start seed when they don't.
-    pub fn probe(
-        &mut self,
-        topology: &str,
-        request_key: u64,
-        watermark: i64,
-        plan_version: u64,
-    ) -> PlanCacheLookup {
-        self.clock += 1;
-        let stamp = self.clock;
-        match self.entries.get_mut(&(topology.to_string(), request_key)) {
-            Some(entry) if entry.watermark == watermark && entry.plan_version == plan_version => {
-                entry.stamp = stamp;
-                PlanCacheLookup::Hit(entry.timeline.clone())
-            }
-            Some(entry) => PlanCacheLookup::Stale(entry.timeline.clone()),
-            None => PlanCacheLookup::Absent,
-        }
-    }
-
-    /// Post-forecast lookup: serves the stored timeline iff the full
-    /// fingerprint (watermark, plan version, quantized window rates)
-    /// matches. [`PlanCache::probe`] hitting implies this hits.
-    pub fn confirm(
-        &mut self,
-        topology: &str,
-        request_key: u64,
-        fingerprint: u64,
-    ) -> Option<PlanTimeline> {
-        self.clock += 1;
-        let stamp = self.clock;
-        let entry = self.entries.get_mut(&(topology.to_string(), request_key))?;
-        (entry.fingerprint == fingerprint).then(|| {
-            entry.stamp = stamp;
-            entry.timeline.clone()
-        })
-    }
-
-    /// Stores a finished timeline, evicting least-recently-used entries
-    /// past capacity. Returns how many entries were evicted.
-    pub fn insert(
-        &mut self,
-        topology: &str,
-        request_key: u64,
-        watermark: i64,
-        plan_version: u64,
-        fingerprint: u64,
-        timeline: PlanTimeline,
-    ) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.clock += 1;
-        self.entries.insert(
-            (topology.to_string(), request_key),
-            PlanCacheEntry {
-                watermark,
-                plan_version,
-                fingerprint,
-                timeline,
-                stamp: self.clock,
-            },
-        );
-        let mut evicted = 0;
-        while self.entries.len() > self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("over-capacity cache is non-empty");
-            self.entries.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Drops every entry for `topology`, or all entries with `None`.
-    pub fn invalidate(&mut self, topology: Option<&str>) {
-        match topology {
-            Some(name) => self.entries.retain(|(t, _), _| t != name),
-            None => self.entries.clear(),
-        }
-    }
 }
 
 /// Outcome of replaying a full plan timeline in the simulator (see
@@ -656,47 +474,6 @@ mod tests {
         );
     }
 
-    fn timeline(tag: u32) -> PlanTimeline {
-        use caladrius_planner::{PlanCost, PlannerConfig, WindowPlan};
-        let parallelisms = vec![("a".to_string(), tag)];
-        let cost = PlanCost::of(&parallelisms, &PlannerConfig::default().limits);
-        PlanTimeline {
-            windows: vec![WindowPlan {
-                window: 0,
-                start_ts: 0,
-                end_ts: 60_000,
-                peak_rate: 1.0,
-                planned_rate: 1.0,
-                parallelisms: parallelisms.clone(),
-                cost,
-                saturation_rate: f64::INFINITY,
-                actions: Vec::new(),
-            }],
-            peak_parallelisms: parallelisms,
-            peak_cost: cost,
-            oracle_evals: 7,
-        }
-    }
-
-    #[test]
-    fn fingerprint_tracks_data_and_ignores_jitter() {
-        let w = |rate: f64| WindowSpec {
-            start_ts: 0,
-            end_ts: 60_000,
-            peak_rate: rate,
-        };
-        let base = forecast_fingerprint(100, 5, &[w(1.0e6)]);
-        assert_eq!(base, forecast_fingerprint(100, 5, &[w(1.0e6)]));
-        // Sub-1e-9 relative jitter quantizes away; real drift does not.
-        assert_eq!(
-            base,
-            forecast_fingerprint(100, 5, &[w(1.0e6 * (1.0 + 1e-12))])
-        );
-        assert_ne!(base, forecast_fingerprint(100, 5, &[w(1.01e6)]));
-        assert_ne!(base, forecast_fingerprint(101, 5, &[w(1.0e6)]));
-        assert_ne!(base, forecast_fingerprint(100, 6, &[w(1.0e6)]));
-    }
-
     #[test]
     fn request_key_covers_limits_and_model() {
         use caladrius_planner::PlannerConfig;
@@ -708,50 +485,6 @@ mod tests {
         let mut constrained = cfg;
         constrained.limits.max_containers = 3;
         assert_ne!(base, plan_request_key("prophet", false, &constrained));
-    }
-
-    #[test]
-    fn plan_cache_probe_hit_stale_absent() {
-        let mut cache = PlanCache::new(8);
-        assert_eq!(cache.probe("t", 1, 100, 5), PlanCacheLookup::Absent);
-        cache.insert("t", 1, 100, 5, 0xfeed, timeline(3));
-        assert_eq!(
-            cache.probe("t", 1, 100, 5),
-            PlanCacheLookup::Hit(timeline(3))
-        );
-        // Data moved: the entry is a warm-start seed, not a hit.
-        assert_eq!(
-            cache.probe("t", 1, 160, 5),
-            PlanCacheLookup::Stale(timeline(3))
-        );
-        assert_eq!(
-            cache.probe("t", 1, 100, 6),
-            PlanCacheLookup::Stale(timeline(3))
-        );
-        // A different request key is a different entry entirely.
-        assert_eq!(cache.probe("t", 2, 100, 5), PlanCacheLookup::Absent);
-        assert_eq!(cache.confirm("t", 1, 0xfeed), Some(timeline(3)));
-        assert_eq!(cache.confirm("t", 1, 0xdead), None);
-        cache.invalidate(Some("t"));
-        assert_eq!(cache.probe("t", 1, 100, 5), PlanCacheLookup::Absent);
-    }
-
-    #[test]
-    fn plan_cache_evicts_least_recently_used() {
-        let mut cache = PlanCache::new(2);
-        assert_eq!(cache.insert("a", 0, 1, 1, 1, timeline(1)), 0);
-        assert_eq!(cache.insert("b", 0, 1, 1, 2, timeline(2)), 0);
-        // Touch `a` so `b` becomes the LRU entry.
-        assert!(matches!(cache.probe("a", 0, 1, 1), PlanCacheLookup::Hit(_)));
-        assert_eq!(cache.insert("c", 0, 1, 1, 3, timeline(3)), 1);
-        assert_eq!(cache.len(), 2);
-        assert!(matches!(cache.probe("a", 0, 1, 1), PlanCacheLookup::Hit(_)));
-        assert_eq!(cache.probe("b", 0, 1, 1), PlanCacheLookup::Absent);
-        assert!(matches!(cache.probe("c", 0, 1, 1), PlanCacheLookup::Hit(_)));
-        // Zero capacity disables caching entirely.
-        let mut off = PlanCache::new(0);
-        off.insert("a", 0, 1, 1, 1, timeline(1));
-        assert!(off.is_empty());
     }
 
     #[test]

@@ -199,8 +199,8 @@ pub struct CaladriusConfig {
     /// accurate — paper §IV-A) or the topology source as a whole.
     pub per_spout_models: bool,
     /// Bound on cached capacity-plan timelines
-    /// ([`crate::capacity::PlanCache`]); least-recently-used entries are
-    /// evicted past it.
+    /// ([`crate::service::Caladrius::plan_capacity`]); least-recently-used
+    /// entries are evicted past it, and 0 disables the cache.
     pub plan_cache_capacity: usize,
 }
 

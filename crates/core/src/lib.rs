@@ -35,4 +35,5 @@ pub mod service;
 pub mod traffic;
 
 pub use error::{CoreError, Result};
+pub use freshness::Freshness;
 pub use service::{Caladrius, ModelCacheStats, PlanCacheStats, SourceHistoryReads};

@@ -7,7 +7,7 @@
 use crate::accuracy::{AccuracyMonitor, AccuracySummary, PendingPrediction, PredictionKind};
 use crate::config::CaladriusConfig;
 use crate::error::{CoreError, Result};
-use crate::freshness::{DataStamp, Freshness};
+use crate::freshness::{DataStamp, Freshness, StampedCache};
 use crate::model::component::{ComponentFitStats, GroupingKind};
 use crate::model::cpu::{CpuFitStats, CpuModel};
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
@@ -23,7 +23,7 @@ use caladrius_forecast::{DataPoint, Forecaster, UpdateOutcome};
 use caladrius_obs::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the evaluation picks the source rate to model against.
@@ -113,7 +113,7 @@ pub struct ModelCacheStats {
     pub oracle_misses: u64,
 }
 
-/// Cumulative plan-cache counters (see [`crate::capacity::PlanCache`]).
+/// Cumulative plan-cache counters (see [`Caladrius::plan_capacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Plans served verbatim from the cache (no forecast, no search).
@@ -137,9 +137,10 @@ pub struct SourceHistoryReads {
     pub full: u64,
 }
 
-/// One topology's fitted models plus the [`DataStamp`] they were fitted
-/// against and the streaming sufficient statistics they were solved
-/// from. An entry is served verbatim while the stamp still matches.
+/// One topology's fitted models plus the streaming sufficient
+/// statistics they were solved from, cached under the [`DataStamp`] they
+/// were fitted against. An entry is served verbatim while the stamp
+/// still matches.
 ///
 /// A moved watermark alone does not force a from-scratch refit: the
 /// retained [`ComponentFitStats`]/[`CpuFitStats`] absorb just the
@@ -152,7 +153,6 @@ pub struct SourceHistoryReads {
 /// expanding window from diverging unboundedly from the sliding batch
 /// window).
 struct CachedModels {
-    stamp: DataStamp,
     /// Start of the window the sufficient statistics cover (the `from`
     /// of the original full fit — deltas expand the window rightwards).
     fitted_from: i64,
@@ -162,23 +162,14 @@ struct CachedModels {
     cpu_models: Arc<HashMap<String, CpuModel>>,
 }
 
-/// One topology's source-rate history over the training window ending
-/// at `stamp.watermark`, decoded and summed over spouts. Unlike the
-/// fitted models' expanding window this one slides exactly
-/// ([`slide_source_history`]), so it never needs re-anchoring.
-struct CachedHistory {
-    stamp: DataStamp,
-    points: Arc<Vec<DataPoint>>,
-}
-
-/// A fitted traffic forecaster kept warm across watermark advances.
-/// While the source history only grows, `Forecaster::update` absorbs the
-/// new tail instead of refitting over the whole window; `anchor` marks
-/// the first fitted timestamp so the expanding window is re-anchored
-/// (full refit) on the same 2× schedule as the performance models.
+/// A fitted traffic forecaster kept warm across watermark advances,
+/// cached under the stamp of the history it was fitted on. While the
+/// source history only grows, `Forecaster::update` absorbs the new tail
+/// instead of refitting over the whole window; `anchor` marks the first
+/// fitted timestamp so the expanding window is re-anchored (full refit)
+/// on the same 2× schedule as the performance models.
 struct CachedForecaster {
     model: Box<dyn Forecaster + Send>,
-    last_ts: i64,
     anchor: i64,
 }
 
@@ -226,10 +217,18 @@ pub struct Caladrius {
     traffic: TrafficModelRegistry,
     performance: ModelRegistry,
     graphs: GraphService,
-    model_cache: Mutex<HashMap<String, CachedModels>>,
-    history_cache: Mutex<HashMap<String, CachedHistory>>,
-    forecaster_cache: Mutex<HashMap<(String, String), CachedForecaster>>,
-    plan_cache: Mutex<crate::capacity::PlanCache>,
+    /// Per topology.
+    models: StampedCache<String, CachedModels>,
+    /// Per topology: the source-rate history over the training window
+    /// ending at the entry's watermark, decoded and summed over spouts.
+    /// Unlike the fitted models' expanding window this one slides exactly
+    /// ([`slide_source_history`]), so it never needs re-anchoring.
+    histories: StampedCache<String, Arc<Vec<DataPoint>>>,
+    /// Per `(topology, traffic model)`.
+    forecasters: StampedCache<(String, String), CachedForecaster>,
+    /// Finished plan timelines per `(topology, plan_request_key)`,
+    /// bounded by `plan_cache_capacity`.
+    plans: StampedCache<(String, u64), caladrius_planner::PlanTimeline>,
     /// Cache/fit/plan counters live in the process-wide obs registry,
     /// labelled `service="<instance id>"` so [`Caladrius::model_cache_stats`]
     /// stays exact per instance while `/metrics/service` sees every
@@ -361,7 +360,7 @@ impl Caladrius {
             "caladrius_plan_duration_seconds",
             "Wall-clock time of Caladrius::plan_capacity",
         );
-        let plan_cache = crate::capacity::PlanCache::new(config.plan_cache_capacity);
+        let plans = StampedCache::new(Some(config.plan_cache_capacity));
         let history_reads = |path| {
             let mut labels = labels.clone();
             labels.push(("path", path));
@@ -374,10 +373,10 @@ impl Caladrius {
             traffic: TrafficModelRegistry::with_defaults(),
             performance: ModelRegistry::with_defaults(),
             graphs: GraphService::new(),
-            model_cache: Mutex::new(HashMap::new()),
-            history_cache: Mutex::new(HashMap::new()),
-            forecaster_cache: Mutex::new(HashMap::new()),
-            plan_cache: Mutex::new(plan_cache),
+            models: StampedCache::new(None),
+            histories: StampedCache::new(None),
+            forecasters: StampedCache::new(None),
+            plans,
             cache_hits: registry.counter("caladrius_model_cache_hits_total", &labels),
             cache_misses: registry.counter("caladrius_model_cache_misses_total", &labels),
             model_fits: registry.counter("caladrius_model_fits_total", &labels),
@@ -549,7 +548,7 @@ impl Caladrius {
 
     /// The topology's offered-load history over the training window.
     pub fn source_history(&self, topology: &str) -> Result<Vec<DataPoint>> {
-        Ok(self.source_window(topology)?.to_vec())
+        Ok(self.source_window(topology)?.1.to_vec())
     }
 
     /// [`Caladrius::source_history`] as a maintained tail: the decoded,
@@ -565,41 +564,38 @@ impl Caladrius {
     /// with the model cache's caveat: a sample written at or below the
     /// watermark after it was read stays invisible until the entry goes
     /// cold.
-    fn source_window(&self, topology: &str) -> Result<Arc<Vec<DataPoint>>> {
+    ///
+    /// Returned with the stamp the window was read under, which is what
+    /// anything derived from it (a fitted forecaster) is stamped with.
+    fn source_window(&self, topology: &str) -> Result<(DataStamp, Arc<Vec<DataPoint>>)> {
         let now = self.data_stamp(topology)?;
-        let stale = {
-            let mut cache = self.lock_histories();
-            match cache.get(topology).map(|e| (e.stamp.freshness(&now), e)) {
-                Some((Freshness::Hit, entry)) => {
-                    self.history_hits.inc();
-                    return Ok(Arc::clone(&entry.points));
-                }
-                Some((Freshness::Stale, _)) => cache.remove(topology),
-                _ => None,
-            }
-        };
+        if let Some((Freshness::Hit, points)) = self.histories.read(topology, &now, Arc::clone) {
+            self.history_hits.inc();
+            return Ok((now, points));
+        }
+        let stale = self
+            .histories
+            .take(topology)
+            .filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale);
         let (from, to) = (self.window_start(now.watermark), now.watermark);
         let spouts = self.spouts(topology)?;
         let metrics = self.metrics.as_ref();
         let points = match stale {
-            Some(mut entry) => {
+            Some((stamp, mut points)) => {
                 self.history_tail_reads.inc();
-                let read_to = entry.stamp.watermark;
-                let history = Arc::make_mut(&mut entry.points);
+                let history = Arc::make_mut(&mut points);
+                let read_to = stamp.watermark;
                 slide_source_history(metrics, topology, &spouts, history, read_to, from, to)?;
-                entry.points
+                points
             }
             None => {
                 self.history_full_reads.inc();
                 Arc::new(source_history(metrics, topology, &spouts, from, to)?)
             }
         };
-        let entry = CachedHistory {
-            stamp: now,
-            points: Arc::clone(&points),
-        };
-        self.lock_histories().insert(topology.to_string(), entry);
-        Ok(points)
+        self.histories
+            .put(topology.to_string(), now, Arc::clone(&points));
+        Ok((now, points))
     }
 
     /// How source-history reads were served so far.
@@ -632,78 +628,72 @@ impl Caladrius {
                 .map(|name| self.forecast_traffic_per_spout(topology, name))
                 .collect();
         }
-        let history = self.source_window(topology)?;
+        let (stamp, history) = self.source_window(topology)?;
         let horizon = self.horizon_after(&history);
         names
             .iter()
-            .map(|name| self.forecast_cached(topology, name, &history, &horizon))
+            .map(|name| self.forecast_cached(topology, name, stamp, &history, &horizon))
             .collect()
     }
 
     /// Forecasts through the per-(topology, model) forecaster cache.
+    /// `history` was read under `now`, and so `now` is what the fitted
+    /// forecaster is stamped with: reading the store's stamp again here
+    /// could stamp a forecaster newer than its data.
     ///
-    /// While the source history only gains new minutes, the cached
-    /// fitted forecaster absorbs just the tail via
-    /// [`Forecaster::update`] (streaming sufficient statistics) instead
-    /// of refitting over the whole window. Models that can't update
-    /// incrementally (Prophet) report
-    /// [`UpdateOutcome::FullRefitNeeded`] and are refitted. Like the
-    /// performance-model cache, the fitted window expands rightwards
-    /// from its anchor and is re-anchored with a full refit once it
-    /// spans twice the configured training window. For a fixed
-    /// watermark the cached forecaster is left untouched, so repeated
-    /// forecasts stay deterministic — the invariant the plan cache's
-    /// watermark probe relies on.
+    /// * **Hit** — the history has not moved: the cached forecaster
+    ///   predicts, untouched, so repeated forecasts stay deterministic
+    ///   (which is what lets a plan-cache Hit skip forecasting).
+    /// * **Stale** — the history only gained new minutes: the forecaster
+    ///   absorbs just the tail via [`Forecaster::update`] (streaming
+    ///   sufficient statistics). Models that can't update incrementally
+    ///   (Prophet) report [`UpdateOutcome::FullRefitNeeded`] and are
+    ///   refitted. Like the performance-model cache, the fitted window
+    ///   expands rightwards from its anchor and is re-anchored with a
+    ///   full refit once it spans twice the configured training window.
+    /// * **Cold** — anything else: refit over `history`.
     fn forecast_cached(
         &self,
         topology: &str,
         name: &str,
+        now: DataStamp,
         history: &[DataPoint],
         horizon: &[i64],
     ) -> Result<TrafficForecast> {
-        let Some(last_ts) = history.last().map(|p| p.ts) else {
+        let Some(first) = history.first() else {
             return self.traffic.forecast(name, history, horizon);
         };
         let key = (topology.to_string(), name.to_string());
         let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
-        // Taken out as a statement so the lock guard drops before the
-        // update/predict work (and before the re-insert re-locks).
-        let cached = self.lock_forecasters().remove(&key);
-        if let Some(mut entry) = cached {
-            if entry.last_ts == last_ts {
+        // Taken out, so the update/predict work runs outside the lock.
+        if let Some((stamp, mut entry)) = self.forecasters.take(&key) {
+            let usable = match stamp.freshness(&now) {
+                Freshness::Hit => true,
+                Freshness::Stale if now.watermark - entry.anchor < reanchor_span => {
+                    let tail: Vec<DataPoint> = history
+                        .iter()
+                        .filter(|p| p.ts > stamp.watermark)
+                        .cloned()
+                        .collect();
+                    matches!(entry.model.update(&tail), Ok(UpdateOutcome::Incremental))
+                }
+                _ => false,
+            };
+            if usable {
                 if let Ok(points) = entry.model.predict(horizon) {
-                    self.lock_forecasters().insert(key, entry);
+                    self.forecasters.put(key, now, entry);
                     return TrafficForecast::from_points(name, points);
                 }
-            } else if entry.last_ts < last_ts && last_ts - entry.anchor < reanchor_span {
-                let tail: Vec<DataPoint> = history
-                    .iter()
-                    .filter(|p| p.ts > entry.last_ts)
-                    .cloned()
-                    .collect();
-                if let Ok(UpdateOutcome::Incremental) = entry.model.update(&tail) {
-                    entry.last_ts = last_ts;
-                    if let Ok(points) = entry.model.predict(horizon) {
-                        self.lock_forecasters().insert(key, entry);
-                        return TrafficForecast::from_points(name, points);
-                    }
-                }
             }
-            // Shrunk/reset history, re-anchor due, update refused, or a
-            // predict failure: fall through to a fresh fit.
+            // Cold, re-anchor due, update refused, or a predict failure:
+            // fall through to a fresh fit.
         }
         let mut model = self.traffic.create(name)?;
         model.fit(history)?;
         let points = model.predict(horizon)?;
-        let anchor = history.first().map_or(last_ts, |p| p.ts);
-        self.lock_forecasters().insert(
-            key,
-            CachedForecaster {
-                model,
-                last_ts,
-                anchor,
-            },
-        );
+        let anchor = first.ts;
+        self.forecasters
+            .put(key, now, CachedForecaster { model, anchor });
         TrafficForecast::from_points(name, points)
     }
 
@@ -883,12 +873,11 @@ impl Caladrius {
 
     /// Builds a cold cache entry: full fits over the sliding training
     /// window ending at `watermark`.
-    fn full_fit_entry(&self, topology: &str, stamp: DataStamp) -> Result<CachedModels> {
-        let (from, watermark) = (self.window_start(stamp.watermark), stamp.watermark);
+    fn full_fit_entry(&self, topology: &str, watermark: i64) -> Result<CachedModels> {
+        let from = self.window_start(watermark);
         let (topology_model, fit_stats) = self.fit_topology_stats(topology, from, watermark)?;
         let (cpu_models, cpu_stats) = self.fit_cpu_stats(topology, from, watermark)?;
         Ok(CachedModels {
-            stamp,
             fitted_from: from,
             fit_stats,
             cpu_stats,
@@ -898,8 +887,8 @@ impl Caladrius {
     }
 
     /// The incremental (Stale) path: reads only the
-    /// `(entry.watermark, watermark]` delta — the range read
-    /// `[entry.watermark + 1, watermark]` — pushes it into the retained
+    /// `(fitted_to, watermark]` delta — the range read
+    /// `[fitted_to + 1, watermark]` — pushes it into the retained
     /// sufficient statistics, and re-solves every model in O(1) per
     /// model. Because batch fits stream through the
     /// same accumulators in the same order, the result is exactly what a
@@ -908,12 +897,13 @@ impl Caladrius {
         &self,
         topology: &str,
         mut entry: CachedModels,
+        fitted_to: i64,
         watermark: i64,
     ) -> Result<CachedModels> {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
         let metrics = self.metrics.as_ref();
-        let from = entry.stamp.watermark.saturating_add(1);
+        let from = fitted_to.saturating_add(1);
 
         let mut models = HashMap::new();
         for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
@@ -956,7 +946,6 @@ impl Caladrius {
             }
         }
         entry.cpu_models = Arc::new(cpu_models);
-        entry.stamp.watermark = watermark;
         Ok(entry)
     }
 
@@ -976,80 +965,45 @@ impl Caladrius {
         let now = self.data_stamp(topology)?;
         let watermark = now.watermark;
         let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
-        let stale = {
-            let mut cache = self.lock_cache();
-            match cache.get(topology).map(|e| (e.stamp.freshness(&now), e)) {
-                Some((Freshness::Hit, entry)) => {
-                    self.cache_hits.inc();
-                    return Ok((
-                        Arc::clone(&entry.topology_model),
-                        Arc::clone(&entry.cpu_models),
-                    ));
-                }
-                Some((Freshness::Stale, entry))
-                    if watermark - entry.fitted_from < reanchor_span =>
-                {
-                    cache.remove(topology)
-                }
-                _ => None,
-            }
+        let fitted = |entry: &CachedModels| {
+            (
+                Arc::clone(&entry.topology_model),
+                Arc::clone(&entry.cpu_models),
+            )
         };
+        if let Some((Freshness::Hit, models)) = self.models.read(topology, &now, fitted) {
+            self.cache_hits.inc();
+            return Ok(models);
+        }
+        let stale = self.models.take(topology).filter(|(stamp, entry)| {
+            stamp.freshness(&now) == Freshness::Stale
+                && watermark - entry.fitted_from < reanchor_span
+        });
         self.cache_misses.inc();
         let mut span = caladrius_obs::global_span("core.fit");
         span.field("topology", topology);
         let fit_started = Instant::now();
-        let entry = match stale {
-            Some(entry) => match self.absorb_delta(topology, entry, watermark) {
-                Ok(updated) => {
-                    span.field("mode", "incremental");
-                    updated
-                }
-                // Anything unexpected in the delta (topology drift the
-                // versions didn't catch, provider errors) falls back to
-                // the cold path rather than serving a dubious model.
-                Err(_) => {
-                    span.field("mode", "full");
-                    self.full_fit_entry(topology, now)?
-                }
-            },
+        // Anything unexpected in the delta (topology drift the versions
+        // didn't catch, provider errors) falls back to the cold path
+        // rather than serving a dubious model.
+        let absorbed = stale.and_then(|(stamp, entry)| {
+            self.absorb_delta(topology, entry, stamp.watermark, watermark)
+                .ok()
+        });
+        let entry = match absorbed {
+            Some(updated) => {
+                span.field("mode", "incremental");
+                updated
+            }
             None => {
                 span.field("mode", "full");
-                self.full_fit_entry(topology, now)?
+                self.full_fit_entry(topology, watermark)?
             }
         };
         self.fit_duration.record_duration(fit_started.elapsed());
-        let result = (
-            Arc::clone(&entry.topology_model),
-            Arc::clone(&entry.cpu_models),
-        );
-        self.lock_cache().insert(topology.to_string(), entry);
-        Ok(result)
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedModels>> {
-        self.model_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_histories(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedHistory>> {
-        self.history_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_forecasters(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<(String, String), CachedForecaster>> {
-        self.forecaster_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_plan_cache(&self) -> std::sync::MutexGuard<'_, crate::capacity::PlanCache> {
-        self.plan_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let models = fitted(&entry);
+        self.models.put(topology.to_string(), now, entry);
+        Ok(models)
     }
 
     /// Resolves a requested traffic-model name against the configured
@@ -1086,34 +1040,37 @@ impl Caladrius {
         }
     }
 
-    /// Pre-forecast plan-cache lookup for `topology` under `request`,
-    /// without fitting models or forecasting. A
-    /// [`crate::capacity::PlanCacheLookup::Hit`] timeline is byte-identical to what
-    /// [`Caladrius::plan_capacity`] would return (and is counted as a
-    /// cache hit); `Stale` means a search would warm-start from the
-    /// previous plan; `Absent` means it would run cold. The fleet tier
-    /// uses this to partition topologies into unchanged / drifted / new
-    /// before deciding what to schedule on the plan pool.
+    /// Plan-cache lookup for `topology` under `request`, without fitting
+    /// models or forecasting: the cached timeline, if there is one, and
+    /// how it stands against the store. A [`Freshness::Hit`] timeline is
+    /// byte-identical to what [`Caladrius::plan_capacity`] would return
+    /// (and is counted as a cache hit); any other entry means a search
+    /// would warm-start from it; `None` means it would run cold. The
+    /// fleet tier uses this to partition topologies into unchanged /
+    /// drifted / new before deciding what to schedule on the plan pool.
     pub fn plan_cache_lookup(
         &self,
         topology: &str,
         request: &crate::capacity::CapacityPlanRequest,
-    ) -> Result<crate::capacity::PlanCacheLookup> {
+    ) -> Result<Option<(Freshness, caladrius_planner::PlanTimeline)>> {
         let model_name = self.resolve_traffic_model(request.traffic_model.as_deref())?;
         let request_key =
             crate::capacity::plan_request_key(&model_name, request.conservative, &request.planner);
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
-        let lookup = self
-            .lock_plan_cache()
-            .probe(topology, request_key, watermark, plan_version);
-        if matches!(lookup, crate::capacity::PlanCacheLookup::Hit(_)) {
+        let key = (topology.to_string(), request_key);
+        Ok(self.plan_cache_read(&key, &self.data_stamp(topology)?))
+    }
+
+    /// Reads the plan cache under `now`, counting a Hit.
+    fn plan_cache_read(
+        &self,
+        key: &(String, u64),
+        now: &DataStamp,
+    ) -> Option<(Freshness, caladrius_planner::PlanTimeline)> {
+        let found = self.plans.read(key, now, Clone::clone);
+        if matches!(found, Some((Freshness::Hit, _))) {
             self.plan_cache_hits.inc();
         }
-        Ok(lookup)
+        found
     }
 
     /// Drops cached fitted models (all topologies, or one). Invalidation
@@ -1122,25 +1079,12 @@ impl Caladrius {
     /// the service. Cached plan timelines for the same scope are dropped
     /// too: they were searched against the dropped models.
     pub fn invalidate_model_cache(&self, topology: Option<&str>) {
-        fn forget<V>(cache: &mut HashMap<String, V>, topology: Option<&str>) {
-            match topology {
-                Some(name) => {
-                    cache.remove(name);
-                }
-                None => cache.clear(),
-            }
-        }
-        forget(&mut self.lock_cache(), topology);
+        self.models.forget(topology, |name| name);
         // The cached source history and the forecasters fitted on it read
         // the same provider: drop them too.
-        forget(&mut self.lock_histories(), topology);
-        let mut forecasters = self.lock_forecasters();
-        match topology {
-            Some(name) => forecasters.retain(|(t, _), _| t != name),
-            None => forecasters.clear(),
-        }
-        drop(forecasters);
-        self.lock_plan_cache().invalidate(topology);
+        self.histories.forget(topology, |name| name);
+        self.forecasters.forget(topology, |(name, _)| name);
+        self.plans.forget(topology, |(name, _)| name);
     }
 
     fn resolve_source_rate(
@@ -1158,7 +1102,7 @@ impl Caladrius {
                 Ok((*rate, None))
             }
             SourceRateSpec::Current => {
-                let history = self.source_window(topology)?;
+                let (_, history) = self.source_window(topology)?;
                 let recent: Vec<f64> = history.iter().rev().take(5).map(|p| p.y).collect();
                 Ok((recent.iter().sum::<f64>() / recent.len() as f64, None))
             }
@@ -1166,12 +1110,7 @@ impl Caladrius {
                 model,
                 conservative,
             } => {
-                let name = model
-                    .clone()
-                    .or_else(|| self.config.traffic_models.first().cloned())
-                    .ok_or_else(|| {
-                        CoreError::InvalidRequest("no traffic model configured".into())
-                    })?;
+                let name = self.resolve_traffic_model(model.as_deref())?;
                 let forecast = self
                     .forecast_traffic(topology, Some(std::slice::from_ref(&name)))?
                     .pop()
@@ -1327,42 +1266,29 @@ impl Caladrius {
         topology: &str,
         request: &crate::capacity::CapacityPlanRequest,
     ) -> Result<caladrius_planner::PlanTimeline> {
-        use crate::capacity::{
-            forecast_fingerprint, forecast_windows, plan_request_key, CachedOracle, ModelOracle,
-            PlanCacheLookup,
-        };
+        use crate::capacity::{forecast_windows, plan_request_key, CachedOracle, ModelOracle};
         self.score_pending();
         let mut span = caladrius_obs::global_span("core.plan");
         span.field("topology", topology);
         let started = Instant::now();
         request.planner.validate().map_err(CoreError::from)?;
 
-        // Fast plan-cache probe before any model or forecast work: the
-        // forecast is a deterministic function of data at or below the
-        // metrics watermark, so matching (watermark, plan version)
-        // guarantees the cached timeline is what the search would
-        // reproduce.
+        // Plan-cache read before any model or forecast work: models,
+        // forecast and search are deterministic functions of the data the
+        // stamp versions, so an entry under an equal stamp is what the
+        // search would reproduce. Any other entry seeds the search.
         let model_name = self.resolve_traffic_model(request.traffic_model.as_deref())?;
         let request_key = plan_request_key(&model_name, request.conservative, &request.planner);
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
-        let warm =
-            match self
-                .lock_plan_cache()
-                .probe(topology, request_key, watermark, plan_version)
-            {
-                PlanCacheLookup::Hit(timeline) => {
-                    self.plan_cache_hits.inc();
-                    span.field("plan_cache", "hit");
-                    self.plan_duration.record_duration(started.elapsed());
-                    return Ok(timeline);
-                }
-                PlanCacheLookup::Stale(previous) => Some(previous),
-                PlanCacheLookup::Absent => None,
-            };
+        let key = (topology.to_string(), request_key);
+        let now = self.data_stamp(topology)?;
+        let warm = match self.plan_cache_read(&key, &now) {
+            Some((Freshness::Hit, timeline)) => {
+                span.field("plan_cache", "hit");
+                self.plan_duration.record_duration(started.elapsed());
+                return Ok(timeline);
+            }
+            seed => seed.map(|(_, previous)| previous),
+        };
 
         let (model, cpu_models) = self.fitted_models(topology)?;
         let forecast = self
@@ -1374,19 +1300,6 @@ impl Caladrius {
             request.planner.window_minutes,
             request.conservative,
         )?;
-        // Authoritative identity check after the forecast actually ran:
-        // covers the quantized window rates on top of the versions the
-        // fast probe already compared.
-        let fingerprint = forecast_fingerprint(watermark, plan_version, &windows);
-        if let Some(timeline) = self
-            .lock_plan_cache()
-            .confirm(topology, request_key, fingerprint)
-        {
-            self.plan_cache_hits.inc();
-            span.field("plan_cache", "fingerprint-hit");
-            self.plan_duration.record_duration(started.elapsed());
-            return Ok(timeline);
-        }
         self.plan_cache_misses.inc();
 
         // Plan the modelled bolts in declaration order; the current
@@ -1429,14 +1342,7 @@ impl Caladrius {
         self.plans_run.inc();
         self.plan_evals.add(timeline.oracle_evals);
         span.field("oracle_evals", timeline.oracle_evals);
-        let evicted = self.lock_plan_cache().insert(
-            topology,
-            request_key,
-            watermark,
-            plan_version,
-            fingerprint,
-            timeline.clone(),
-        );
+        let evicted = self.plans.put(key, now, timeline.clone());
         self.plan_cache_evictions.add(evicted);
         // Each planning window is a dated traffic claim; register them
         // all for future scoring.

@@ -21,11 +21,11 @@
 use crate::allocator::{allocate_greedy, risk, Allocation, TopologyDemand};
 use crate::hash::assign_shard;
 use crate::provider::{FleetTracker, ShardMetricsProvider};
-use caladrius_core::capacity::{CapacityPlanRequest, PlanCacheLookup};
+use caladrius_core::capacity::CapacityPlanRequest;
 use caladrius_core::config::CaladriusConfig;
 use caladrius_core::providers::metrics::MetricsProvider;
 use caladrius_core::providers::tracker::TopologyTracker;
-use caladrius_core::{Caladrius, CoreError, ModelCacheStats, PlanCacheStats, Result};
+use caladrius_core::{Caladrius, CoreError, Freshness, ModelCacheStats, PlanCacheStats, Result};
 use caladrius_obs::{Counter, ParentSpanScope, RequestScope};
 use caladrius_planner::{PlanTimeline, UNLIMITED_CONTAINERS};
 use caladrius_tsdb::{IngestStats, MetricBatch};
@@ -346,21 +346,20 @@ impl Fleet {
         let (mut unchanged, mut drifted, mut cold) = (0usize, 0usize, 0usize);
         let mut pending: Vec<usize> = Vec::new();
         for (i, name) in names.iter().enumerate() {
-            let lookup = self.shard_of(name).map(|s| {
-                self.shards[s]
-                    .service
-                    .plan_cache_lookup(name, &unconstrained)
+            let cached = self.shard_of(name).and_then(|s| {
+                let service = &self.shards[s].service;
+                service.plan_cache_lookup(name, &unconstrained).ok()?
             });
-            match lookup {
-                Some(Ok(PlanCacheLookup::Hit(timeline))) => {
+            match cached {
+                Some((Freshness::Hit, timeline)) => {
                     unchanged += 1;
                     first.push(Some(Ok(timeline)));
                     continue;
                 }
-                Some(Ok(PlanCacheLookup::Stale(_))) => drifted += 1,
-                // Absent, unregistered, or unprobeable (e.g. no metrics
+                Some(_) => drifted += 1,
+                // No entry, unregistered, or unprobeable (e.g. no metrics
                 // yet): plan cold and let the real error surface there.
-                _ => cold += 1,
+                None => cold += 1,
             }
             first.push(None);
             pending.push(i);
@@ -424,7 +423,7 @@ impl Fleet {
                     .service
                     .plan_cache_lookup(&names[i], &constrained)
                 {
-                    Ok(PlanCacheLookup::Hit(timeline)) => Some(timeline),
+                    Ok(Some((Freshness::Hit, timeline))) => Some(timeline),
                     _ => None,
                 }
             });

@@ -26,9 +26,7 @@ use caladrius_api::http::{Handler, Request, Response};
 use caladrius_api::json::Value;
 use caladrius_api::{AdmissionConfig, AdmissionController, AdmissionDecision, JobRunner, Priority};
 use caladrius_core::capacity::CapacityPlanRequest;
-use caladrius_obs::{ParentSpanScope, RequestScope};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The fleet tier's HTTP service: routes fleet requests to a shared
 /// [`Fleet`] behind admission control and the async job store.
@@ -78,46 +76,12 @@ impl FleetService {
         Arc::new(move |request| service.handle(request))
     }
 
-    /// Routes one request, recording the same per-route counters and
-    /// latency histograms as the API tier (so admission's p99 signal
-    /// works unchanged for fleet routes).
+    /// Routes one request through the API tier's
+    /// [`caladrius_api::handle_request`] (so admission's p99 signal works
+    /// unchanged for fleet routes).
     pub fn handle(&self, request: Request) -> Response {
-        let request_id = request
-            .request_id()
-            .unwrap_or_else(caladrius_obs::next_request_id);
-        let _request_scope = RequestScope::enter(request_id);
-        let started = Instant::now();
-        let mut span = caladrius_obs::global_span("http.request");
-        let (route, response) = self.route(&request);
-        span.field("route", route)
-            .field("method", &request.method)
-            .field("status", response.status);
-        let registry = caladrius_obs::global_registry();
-        let status = response.status.to_string();
-        registry
-            .counter(
-                "caladrius_http_requests_total",
-                &[
-                    ("route", route),
-                    ("method", &request.method),
-                    ("status", &status),
-                ],
-            )
-            .inc();
-        registry
-            .windowed_histogram(
-                "caladrius_http_request_duration_seconds",
-                &[("route", route)],
-            )
-            .record_duration(started.elapsed());
-        caladrius_api::record_route_slo(
-            route,
-            response.status,
-            started.elapsed().as_secs_f64(),
-            self.admission.config().slo_p99_seconds,
-        );
-        caladrius_obs::global_flight().maybe_snapshot(registry);
-        response
+        let latency_slo = self.admission.config().slo_p99_seconds;
+        caladrius_api::handle_request(request, latency_slo, |request| self.route(request))
     }
 
     fn route(&self, request: &Request) -> (&'static str, Response) {
@@ -129,28 +93,11 @@ impl FleetService {
                 caladrius_api::job_status_response(&self.jobs, id),
             ),
             ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
-            ("GET", ["metrics", "service"]) => (
-                "/metrics/service",
-                caladrius_api::service_metrics_response(),
-            ),
-            ("GET", ["trace", "recent"]) => (
-                "/trace/recent",
-                caladrius_api::trace_recent_response(request),
-            ),
-            ("GET", ["slo", "status"]) => ("/slo/status", caladrius_api::slo_status_response()),
-            ("GET", ["debug", "flight"]) => ("/debug/flight", caladrius_api::flight_response()),
-            (_, ["fleet", ..])
-            | (_, ["metrics", "service"])
-            | (_, ["trace", ..])
-            | (_, ["slo", ..])
-            | (_, ["debug", "flight"]) => (
+            (_, ["fleet", ..]) => (
                 "method_not_allowed",
                 Response::json_status(405, "{\"error\":\"method not allowed\"}"),
             ),
-            _ => (
-                "unmatched",
-                Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
-            ),
+            _ => caladrius_api::shared_route(request, &segments),
         }
     }
 
@@ -186,15 +133,7 @@ impl FleetService {
             }
         };
         let fleet = Arc::clone(&self.fleet);
-        // The plan runs on a job worker thread: carry the request id and
-        // the `http.request` span id over so the whole cross-shard fan-out
-        // (`fleet.plan` → `fleet.shard.plan` → `core.plan`) reconstructs
-        // under one request id in `/trace/recent`.
-        let request_id = caladrius_obs::current_request_id();
-        let parent_span = caladrius_obs::current_span_id();
         let id = self.jobs.submit(move || {
-            let _request = request_id.map(RequestScope::enter);
-            let _parent = parent_span.map(ParentSpanScope::enter);
             let plan = fleet.plan_fleet(&plan_request, budget);
             // Fleet plan jobs burn their own error budget: any topology
             // failing to plan counts as a bad event.

@@ -16,6 +16,13 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
 
+# core has one cache protocol (freshness::StampedCache); the plan cache's
+# own version compare and its fingerprint confirm step went in PR 20.
+echo "==> deleted mechanisms stay deleted"
+if grep -rnE 'forecast_fingerprint|quantize_rate|PlanCacheLookup|fn lock_(cache|histories|forecasters|plan_cache)' crates src tests examples; then
+    exit 1
+fi
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 
@@ -59,8 +66,9 @@ CALADRIUS_THREADS=1 cargo test -q --test fleet_scale
 
 # Incremental replanning: the plan-cache suite proves cache hits are
 # bit-identical with zero new searches and that every staleness edge
-# (watermark, plan version, ResourceLimits) invalidates; the planner
-# package carries the warm-start == cold-search equivalence proptests.
+# (watermark, plan version, truncation, ResourceLimits) invalidates;
+# the planner package carries the warm-start == cold-search equivalence
+# proptests.
 echo "==> CALADRIUS_THREADS=1 plan cache + warm-start equivalence"
 CALADRIUS_THREADS=1 cargo test -q --test plan_cache
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner

@@ -178,6 +178,57 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
     assert_eq!(history.len(), WINDOW_MINUTES as usize);
 }
 
+/// A truncation that leaves the watermark where it was still changes
+/// what every fit reads: forecasters, like the history they were fitted
+/// on, go cold, so what-ifs and plans answer what a service created
+/// after the cut answers — and carry on from there.
+#[test]
+fn a_truncation_at_an_unchanged_watermark_refits_every_forecaster() {
+    let metrics = swept_hour();
+    let warm = service(&metrics, WINDOW_MINUTES);
+    for model in MODELS {
+        forecast(&warm, model);
+    }
+    window_rates(&warm);
+
+    // 40 of the hour's minutes stay: less than the window, so a sliding
+    // and an anchored reference read the same minutes from here on.
+    let watermark = metrics.db().watermark().unwrap();
+    assert!(
+        metrics
+            .db()
+            .truncate_before(watermark - 39 * 60_000)
+            .unwrap()
+            > 0
+    );
+    assert_eq!(metrics.db().watermark(), Some(watermark));
+    let mut live = Simulation::new(wordcount_topology(PARALLELISM, 18.0e6), quiet()).unwrap();
+    live.skip_to_minute(90);
+
+    for minute in 0..=2 {
+        if minute > 0 {
+            live.run_minutes_into(1, &metrics);
+        }
+        let served: Vec<Vec<ForecastPoint>> = MODELS.iter().map(|m| forecast(&warm, m)).collect();
+        let served_rates = window_rates(&warm);
+
+        let fresh = service(&metrics, WINDOW_MINUTES);
+        for (model, served) in MODELS.iter().zip(&served) {
+            let what = format!("{model}, {minute} minutes after the cut");
+            match *model {
+                "hw6" => assert_close(served, &forecast(&fresh, model), &what),
+                _ => assert_bitwise(served, &forecast(&fresh, model), &what),
+            }
+        }
+        assert_eq!(
+            served_rates,
+            window_rates(&fresh),
+            "plan, {minute} minutes after the cut"
+        );
+    }
+    assert_eq!(warm.source_history(TOPOLOGY).unwrap().len(), 42);
+}
+
 /// The maintained history shares the model cache's contract on late
 /// data: a sample written at or below the watermark after the window was
 /// read does not move the version stamp, so it stays invisible — through

@@ -329,25 +329,11 @@ fn wait_for_job(client: &HttpClient, accepted_body: &str) {
     }
 }
 
-/// A cluster plan over real HTTP leaves one *connected* span tree in
-/// the trace ring: `http.request` → `fleet.plan` → one
-/// `fleet.shard.plan` per topology → `core.plan`, all attributed to
-/// the caller-supplied request id even though the work hopped from the
-/// HTTP worker to the job worker to the shared planning pool.
-#[test]
-fn fleet_plan_fans_out_one_connected_span_tree() {
-    let (_server, client) = start_fleet();
-    let supplied = "beefcafe";
+/// Every span `/trace/recent` holds for the caller-supplied request id.
+fn spans_of_request(client: &HttpClient, supplied: &str) -> Vec<Value> {
     let expected_id = caladrius::obs::RequestId::parse(supplied)
         .unwrap()
         .to_string();
-
-    let (status, _, body) = client
-        .post_full("/fleet/plan", "{}", &[("x-request-id", supplied)])
-        .unwrap();
-    assert_eq!(status, 202, "{body}");
-    wait_for_job(&client, &body);
-
     let (status, body) = client
         .get(&format!("/trace/recent?request_id={supplied}&limit=2048"))
         .unwrap();
@@ -362,44 +348,105 @@ fn fleet_plan_fans_out_one_connected_span_tree() {
             "foreign span in filtered trace: {event:?}"
         );
     }
+    events.to_vec()
+}
 
-    let spans_named = |name: &str| -> Vec<&Value> {
-        events
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
-            .collect()
-    };
-    let span_id = |e: &Value| e.get("span_id").and_then(Value::as_f64).unwrap() as u64;
-    let parent_id = |e: &Value| {
-        e.get("parent_span_id")
-            .and_then(Value::as_f64)
-            .map(|p| p as u64)
-    };
-
-    // Exactly one HTTP edge span and one cluster-plan span, linked.
-    let http = spans_named("http.request");
-    let accepted: Vec<&&Value> = http
+fn spans_named<'a>(events: &'a [Value], name: &str) -> Vec<&'a Value> {
+    events
         .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
+        .collect()
+}
+
+fn span_id(e: &Value) -> u64 {
+    e.get("span_id").and_then(Value::as_f64).unwrap() as u64
+}
+
+fn parent_id(e: &Value) -> Option<u64> {
+    e.get("parent_span_id")
+        .and_then(Value::as_f64)
+        .map(|p| p as u64)
+}
+
+/// Asserts that `events` holds exactly one `work` span and that it hangs
+/// under the `http.request` span that accepted `route` through exactly
+/// one `api.job` span: the job runner carries the submitter's span over
+/// to its worker.
+fn assert_hangs_under_request_through_job(events: &[Value], work: &str, route: &str) {
+    let accepted: Vec<&Value> = spans_named(events, "http.request")
+        .into_iter()
         .filter(|e| {
             e.get("fields")
                 .and_then(|f| f.get("route"))
                 .and_then(Value::as_str)
-                == Some("/fleet/plan")
+                == Some(route)
         })
         .collect();
-    assert_eq!(accepted.len(), 1, "{body}");
-    let plans = spans_named("fleet.plan");
-    assert_eq!(plans.len(), 1, "{body}");
+    assert_eq!(accepted.len(), 1, "{events:?}");
+    let jobs = spans_named(events, "api.job");
+    assert_eq!(jobs.len(), 1, "{events:?}");
+    let work_spans = spans_named(events, work);
+    assert_eq!(work_spans.len(), 1, "{events:?}");
     assert_eq!(
-        parent_id(plans[0]),
-        Some(span_id(accepted[0])),
-        "fleet.plan not parented to the accepting http.request"
+        parent_id(work_spans[0]),
+        Some(span_id(jobs[0])),
+        "{work} not parented to its api.job"
     );
+    assert_eq!(
+        parent_id(jobs[0]),
+        Some(span_id(accepted[0])),
+        "api.job not parented to the accepting http.request"
+    );
+}
+
+/// `?async=true` evaluation: `http.request` → `api.job` →
+/// `core.evaluate`, under the caller's request id.
+#[test]
+fn async_evaluate_hangs_under_its_request_through_the_job() {
+    let (_server, client) = start_service();
+    let supplied = "feedf00d";
+    let (status, _, body) = client
+        .post_full(
+            "/model/topology/heron/wordcount?async=true",
+            r#"{"source_rate": 10000000}"#,
+            &[("x-request-id", supplied)],
+        )
+        .unwrap();
+    assert_eq!(status, 202, "{body}");
+    wait_for_job(&client, &body);
+    assert_hangs_under_request_through_job(
+        &spans_of_request(&client, supplied),
+        "core.evaluate",
+        "/model/topology/heron/{topology}",
+    );
+}
+
+/// A cluster plan over real HTTP leaves one *connected* span tree in
+/// the trace ring: `http.request` → `api.job` → `fleet.plan` → one
+/// `fleet.shard.plan` per topology → `core.plan`, all attributed to
+/// the caller-supplied request id even though the work hopped from the
+/// HTTP worker to the job worker to the shared planning pool.
+#[test]
+fn fleet_plan_fans_out_one_connected_span_tree() {
+    let (_server, client) = start_fleet();
+    let supplied = "beefcafe";
+    let (status, _, body) = client
+        .post_full("/fleet/plan", "{}", &[("x-request-id", supplied)])
+        .unwrap();
+    assert_eq!(status, 202, "{body}");
+    wait_for_job(&client, &body);
+    let events = spans_of_request(&client, supplied);
+    let spans_named = |name: &str| spans_named(&events, name);
+
+    // Exactly one HTTP edge span, one job span and one cluster-plan
+    // span, linked.
+    assert_hangs_under_request_through_job(&events, "fleet.plan", "/fleet/plan");
+    let plans = spans_named("fleet.plan");
 
     // One shard-plan span per topology, each parented to the cluster
     // plan; every core.plan span sits under some shard-plan span.
     let shard_plans = spans_named("fleet.shard.plan");
-    assert_eq!(shard_plans.len(), 4, "{body}");
+    assert_eq!(shard_plans.len(), 4, "{events:?}");
     let plan_span = span_id(plans[0]);
     let shard_ids: Vec<u64> = shard_plans
         .iter()
@@ -409,12 +456,12 @@ fn fleet_plan_fans_out_one_connected_span_tree() {
         })
         .collect();
     let core_plans = spans_named("core.plan");
-    assert_eq!(core_plans.len(), 4, "{body}");
+    assert_eq!(core_plans.len(), 4, "{events:?}");
     for core in &core_plans {
         let parent = parent_id(core).expect("core.plan has a parent");
         assert!(
             shard_ids.contains(&parent),
-            "core.plan parent {parent} not a fleet.shard.plan: {body}"
+            "core.plan parent {parent} not a fleet.shard.plan: {events:?}"
         );
     }
 }

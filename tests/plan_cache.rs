@@ -1,7 +1,8 @@
 //! Plan-cache acceptance: unchanged data serves bit-identical cached
 //! timelines with zero new searches; new ingest past the watermark, a
-//! tracker plan bump, or changed `ResourceLimits` each invalidate; and
-//! the warm-started search matches the cold one on the fitted models.
+//! tracker plan bump, a truncation, or changed `ResourceLimits` each
+//! invalidate; and the warm-started search matches the cold one on the
+//! fitted models.
 //!
 //! Runs under `CALADRIUS_THREADS=1` in CI — every assertion here is
 //! deterministic.
@@ -161,6 +162,42 @@ fn tracker_plan_bump_invalidates() {
     let plan_cache = caladrius.plan_cache_stats();
     assert_eq!((plan_cache.hits, plan_cache.misses), (0, 2));
     assert_eq!(plan_cache.warm_starts, 1);
+}
+
+#[test]
+fn a_truncation_at_an_unchanged_watermark_invalidates_and_warm_starts() {
+    let (caladrius, metrics, cluster) = service();
+    let request = CapacityPlanRequest::default();
+
+    caladrius.plan_capacity("wordcount", &request).unwrap();
+    // The newest leg stays, so the watermark does not move — but the
+    // plan was searched on models and a forecast over legs that are gone.
+    let watermark = metrics.db().watermark().unwrap();
+    assert!(
+        metrics
+            .db()
+            .truncate_before(watermark - 39 * 60_000)
+            .unwrap()
+            > 0
+    );
+    assert_eq!(metrics.db().watermark(), Some(watermark));
+
+    let replanned = caladrius.plan_capacity("wordcount", &request).unwrap();
+    let stats = caladrius.model_cache_stats();
+    assert_eq!(stats.plans, 2, "a truncation must force a new search");
+    let plan_cache = caladrius.plan_cache_stats();
+    assert_eq!(
+        (plan_cache.hits, plan_cache.misses, plan_cache.warm_starts),
+        (0, 2, 1)
+    );
+
+    // What a service that never saw the truncated legs plans.
+    let fresh = Caladrius::new(
+        Arc::new(SimMetricsProvider::new(metrics.clone())),
+        Arc::new(ClusterTracker::new(cluster)),
+    );
+    let from_scratch = fresh.plan_capacity("wordcount", &request).unwrap();
+    assert_eq!(replanned.windows, from_scratch.windows);
 }
 
 #[test]
