@@ -374,14 +374,6 @@ impl HttpClient {
         self.request("POST", target, Some(body), headers)
     }
 
-    /// [`HttpClient::get`] returning response headers (keys lower-cased).
-    pub fn get_full(
-        &self,
-        target: &str,
-    ) -> std::io::Result<(u16, BTreeMap<String, String>, String)> {
-        self.request("GET", target, None, &[])
-    }
-
     fn request(
         &self,
         method: &str,

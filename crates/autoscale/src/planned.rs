@@ -14,7 +14,7 @@
 
 use crate::{Decision, RoundObservation, ScalingPolicy};
 use caladrius_core::CoreError;
-use caladrius_planner::{PlanTimeline, WindowPlan};
+use caladrius_planner::PlanTimeline;
 use heron_sim::topology::Topology;
 
 /// A [`ScalingPolicy`] that steers the deployment to a planner-computed
@@ -34,11 +34,6 @@ impl PlanFollower {
             target,
             max_parallelism: u32::MAX,
         }
-    }
-
-    /// Follows one window's plan.
-    pub fn for_window(plan: &WindowPlan) -> Self {
-        Self::new(plan.parallelisms.clone())
     }
 
     /// Follows the horizon-covering peak assignment of a timeline — the

@@ -5,8 +5,9 @@ use crate::error::{CoreError, Result};
 use crate::model::component::ComponentObservation;
 use crate::model::cpu::CpuObservation;
 use caladrius_forecast::DataPoint;
+use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample};
-use heron_sim::metrics::{metric, SimMetrics};
+use heron_sim::metrics::{metric, SeriesSet, SimMetrics};
 use std::collections::BTreeMap;
 
 /// Backpressure-time (ms per minute) above which a window counts as
@@ -18,31 +19,25 @@ pub const BACKPRESSURE_THRESHOLD_MS: f64 = 1_000.0;
 /// the paper's "Metrics Interface", implemented against Cuckoo and the
 /// HeronMetricsCache at Twitter, and against the simulator tsdb here.
 pub trait MetricsProvider: Send + Sync {
-    /// Per-minute sum of `metric_name` across all instances of
-    /// `component` in `[from, to]`.
-    fn component_series(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        from: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>>;
-
-    /// Per-minute series of `metric_name` per instance of `component` in
-    /// `[from, to]`.
+    /// Every series of `metric_name` that `component` owns in
+    /// `[from, to]`, read once and returned both ways round: summed per
+    /// minute over all of them, and per minute per instance. Callers
+    /// take the half they need.
     ///
-    /// Contract: every instance's series is ascending in `ts` with at
-    /// most one sample per minute bucket (what `tsdb::query::combine`
-    /// returns) — [`component_observations`] binary-searches it.
-    fn per_instance_series(
+    /// Contract ([`SeriesSet`]): `combined` adds the series in the
+    /// store's key order — not in the order `per_instance` lists the
+    /// instances, so it cannot be rebuilt from that half — and every
+    /// instance's series is ascending in `ts` with at most one sample
+    /// per minute bucket (what `tsdb::query::combine` returns); the
+    /// throughput assembler binary-searches it.
+    fn series_set(
         &self,
         topology: &str,
         component: &str,
         metric_name: &str,
         from: i64,
         to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>>;
+    ) -> Result<SeriesSet>;
 
     /// Timestamp (ms) of the newest recorded minute for the topology, if
     /// any data exists. Doubles as the data watermark keying the model
@@ -51,13 +46,13 @@ pub trait MetricsProvider: Send + Sync {
     fn latest_minute(&self, topology: &str) -> Option<i64>;
 
     /// Monotone counter of retention truncations that actually dropped
-    /// samples from the backing store, when the store exposes one.
-    /// Incremental fit consumers compare snapshots: a change means
-    /// already-absorbed history was rewritten, so accumulated sufficient
-    /// statistics are invalid and a full refit is due. `None` means the
-    /// provider cannot detect truncation (callers must then choose
-    /// between trusting the data or always refitting).
-    fn truncation_generation(&self) -> Option<u64> {
+    /// samples of `topology` from the backing store, when the store
+    /// exposes one. Incremental fit consumers compare snapshots: a change
+    /// means already-absorbed history was rewritten, so accumulated
+    /// sufficient statistics are invalid and a full refit is due. `None`
+    /// means the provider cannot detect truncation (callers must then
+    /// choose between trusting the data or always refitting).
+    fn truncation_generation(&self, _topology: &str) -> Option<u64> {
         None
     }
 
@@ -94,34 +89,18 @@ impl SimMetricsProvider {
 }
 
 impl MetricsProvider for SimMetricsProvider {
-    fn component_series(
+    fn series_set(
         &self,
         topology: &str,
         component: &str,
         metric_name: &str,
         from: i64,
         to: i64,
-    ) -> Result<Vec<Sample>> {
+    ) -> Result<SeriesSet> {
         if topology != self.metrics.topology() {
             return Err(CoreError::Unknown(format!("topology {topology:?}")));
         }
-        Ok(self
-            .metrics
-            .component_sum(metric_name, Some(component), from, to))
-    }
-
-    fn per_instance_series(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        from: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self.metrics.per_instance(metric_name, component, from, to))
+        Ok(self.metrics.series_set(metric_name, component, from, to))
     }
 
     fn latest_minute(&self, topology: &str) -> Option<i64> {
@@ -134,8 +113,8 @@ impl MetricsProvider for SimMetricsProvider {
         self.metrics.db().watermark()
     }
 
-    fn truncation_generation(&self) -> Option<u64> {
-        Some(self.metrics.db().truncation_generation())
+    fn truncation_generation(&self, topology: &str) -> Option<u64> {
+        (topology == self.metrics.topology()).then(|| self.metrics.db().truncation_generation())
     }
 
     fn ingest_stats(&self) -> Option<IngestStats> {
@@ -162,79 +141,171 @@ impl MetricsProvider for SimMetricsProvider {
     }
 }
 
-/// Assembles per-minute [`ComponentObservation`]s for one component.
+/// Everything one fit reads: each `(component, metric)` series set of
+/// `[from, to]` exactly once — per bolt execute-count, emit-count,
+/// backpressure-time and cpu-load, per spout that feeds a bolt
+/// emit-count — from which both the throughput and the CPU observations
+/// are assembled. A cold fit builds it over the training window, a refit
+/// over the new minutes only; it does not know which.
 ///
-/// `upstream_emits` lists `(upstream component, fraction of its emission
-/// that reaches this component)` pairs; the component's source rate per
-/// minute is the weighted sum of those upstream emit series — "the
-/// throughput that the external source provides whilst waiting to be
-/// processed by the entity" (paper §II-C), seen from inside the topology.
-///
-/// A window without observations is [`CoreError::NotEnoughObservations`]
-/// — here and in [`source_history`] and [`cpu_observations`]; delta
-/// readers turn that back into an empty delta with `or_empty`.
-pub fn component_observations(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    upstream_emits: &[(String, f64)],
-    from: i64,
-    to: i64,
-) -> Result<Vec<ComponentObservation>> {
-    let input = provider.component_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
-    let output = provider.component_series(topology, component, metric::EMIT_COUNT, from, to)?;
-    let bp = provider.component_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
-    let per_instance =
-        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
-
-    // Source = weighted sum of upstream emissions, minute-aligned.
-    let mut source: BTreeMap<i64, f64> = BTreeMap::new();
-    for (upstream, weight) in upstream_emits {
-        for s in provider.component_series(topology, upstream, metric::EMIT_COUNT, from, to)? {
-            *source.entry(s.ts).or_insert(0.0) += s.value * weight;
-        }
-    }
-
-    let input_by_ts: BTreeMap<i64, f64> = input.iter().map(|s| (s.ts, s.value)).collect();
-    let output_by_ts: BTreeMap<i64, f64> = output.iter().map(|s| (s.ts, s.value)).collect();
-    let bp_by_ts: BTreeMap<i64, f64> = bp.iter().map(|s| (s.ts, s.value)).collect();
-
-    let mut observations = Vec::new();
-    for (ts, input_rate) in &input_by_ts {
-        let Some(output_rate) = output_by_ts.get(ts) else {
-            continue;
-        };
-        let source_rate = source.get(ts).copied().unwrap_or(*input_rate);
-        let backpressured = bp_by_ts.get(ts).copied().unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
-        let per_instance_inputs: Vec<f64> = per_instance
-            .iter()
-            .map(|(_, series)| {
-                series
-                    .binary_search_by_key(ts, |s| s.ts)
-                    .map_or(0.0, |i| series[i].value)
-            })
-            .collect();
-        observations.push(ComponentObservation {
-            source_rate,
-            input_rate: *input_rate,
-            output_rate: *output_rate,
-            per_instance_inputs,
-            backpressured,
-        });
-    }
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("component observations for {component:?}"),
-            needed: 1,
-            got: 0,
-        });
-    }
-    Ok(observations)
+/// A window without samples assembles to no observations, which is what
+/// a refit sees when no new minute has landed; whether that is an error
+/// is for the model being solved to say.
+pub(crate) struct FitWindow<'a> {
+    /// `((component, metric), what was read)`: a handful, searched.
+    sets: Vec<((&'a str, &'static str), SeriesSet)>,
 }
 
-/// The topology's source-throughput history (offered load summed over all
-/// spouts, tuples/min) as forecaster training data.
-pub fn source_history(
+/// What a component that was not read assembles from.
+static NO_SERIES: SeriesSet = SeriesSet {
+    combined: Vec::new(),
+    per_instance: Vec::new(),
+};
+
+impl<'a> FitWindow<'a> {
+    /// Reads the window; the reads are independent and fan out on the
+    /// shared "fit" pool.
+    pub(crate) fn read(
+        provider: &dyn MetricsProvider,
+        topology: &str,
+        spec: &'a LogicalSpec,
+        from: i64,
+        to: i64,
+    ) -> Result<Self> {
+        let mut reads: Vec<(&'a str, &'static str)> = Vec::new();
+        for (name, _) in &spec.components {
+            if spec.edges.iter().any(|(_, to_c, _)| to_c == name) {
+                let bolt = [
+                    metric::EXECUTE_COUNT,
+                    metric::EMIT_COUNT,
+                    metric::BACKPRESSURE_TIME,
+                    metric::CPU_LOAD,
+                ];
+                reads.extend(bolt.map(|m| (name.as_str(), m)));
+            } else if spec.edges.iter().any(|(from_c, _, _)| from_c == name) {
+                reads.push((name.as_str(), metric::EMIT_COUNT));
+            }
+        }
+        let sets = caladrius_exec::shared_pool("fit").parallel_try_map(
+            &reads,
+            |_, (component, metric_name)| {
+                provider.series_set(topology, component, metric_name, from, to)
+            },
+        )?;
+        Ok(Self {
+            sets: reads.into_iter().zip(sets).collect(),
+        })
+    }
+
+    fn set(&self, component: &str, metric_name: &'static str) -> &SeriesSet {
+        let read = self
+            .sets
+            .iter()
+            .find(|(key, _)| *key == (component, metric_name));
+        read.map_or(&NO_SERIES, |(_, set)| set)
+    }
+
+    /// Assembles per-minute [`ComponentObservation`]s for one component.
+    ///
+    /// `upstream_emits` lists `(upstream component, fraction of its
+    /// emission that reaches this component)` pairs; the component's
+    /// source rate per minute is the weighted sum of those upstream emit
+    /// series — "the throughput that the external source provides whilst
+    /// waiting to be processed by the entity" (paper §II-C), seen from
+    /// inside the topology.
+    pub(crate) fn component_observations(
+        &self,
+        component: &str,
+        upstream_emits: &[(String, f64)],
+    ) -> Vec<ComponentObservation> {
+        let by_ts = |series: &[Sample]| -> BTreeMap<i64, f64> {
+            series.iter().map(|s| (s.ts, s.value)).collect()
+        };
+        let execute = self.set(component, metric::EXECUTE_COUNT);
+        let output_by_ts = by_ts(&self.set(component, metric::EMIT_COUNT).combined);
+        let bp_by_ts = by_ts(&self.set(component, metric::BACKPRESSURE_TIME).combined);
+
+        // Source = weighted sum of upstream emissions, minute-aligned.
+        let mut source: BTreeMap<i64, f64> = BTreeMap::new();
+        for (upstream, weight) in upstream_emits {
+            for s in &self.set(upstream, metric::EMIT_COUNT).combined {
+                *source.entry(s.ts).or_insert(0.0) += s.value * weight;
+            }
+        }
+
+        let mut observations = Vec::new();
+        for (ts, input_rate) in &by_ts(&execute.combined) {
+            let Some(output_rate) = output_by_ts.get(ts) else {
+                continue;
+            };
+            let source_rate = source.get(ts).copied().unwrap_or(*input_rate);
+            let backpressured =
+                bp_by_ts.get(ts).copied().unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
+            let per_instance_inputs: Vec<f64> = execute
+                .per_instance
+                .iter()
+                .map(|(_, series)| {
+                    series
+                        .binary_search_by_key(ts, |s| s.ts)
+                        .map_or(0.0, |i| series[i].value)
+                })
+                .collect();
+            observations.push(ComponentObservation {
+                source_rate,
+                input_rate: *input_rate,
+                output_rate: *output_rate,
+                per_instance_inputs,
+                backpressured,
+            });
+        }
+        observations
+    }
+
+    /// Pools per-instance `(input rate, cpu load)` pairs of a component
+    /// into CPU-model training data.
+    ///
+    /// Backpressured windows are excluded: at saturation the measured CPU
+    /// is clipped at the instance's allocation ("its CPU ... load is
+    /// supposed to be at the maximum possible level", paper §V-E), so
+    /// including those windows would bias the linear ratio ψ.
+    pub(crate) fn cpu_observations(&self, component: &str) -> Vec<CpuObservation> {
+        let by_instance = |metric_name| -> BTreeMap<u32, BTreeMap<i64, f64>> {
+            self.set(component, metric_name)
+                .per_instance
+                .iter()
+                .map(|(i, s)| (*i, s.iter().map(|x| (x.ts, x.value)).collect()))
+                .collect()
+        };
+        let cpu_by_instance = by_instance(metric::CPU_LOAD);
+        let bp_by_instance = by_instance(metric::BACKPRESSURE_TIME);
+        let mut observations = Vec::new();
+        for (instance, series) in &self.set(component, metric::EXECUTE_COUNT).per_instance {
+            let Some(cpu_series) = cpu_by_instance.get(instance) else {
+                continue;
+            };
+            let bp_series = bp_by_instance.get(instance);
+            for s in series {
+                let backpressured = bp_series
+                    .and_then(|b| b.get(&s.ts))
+                    .is_some_and(|ms| *ms > BACKPRESSURE_THRESHOLD_MS);
+                if backpressured {
+                    continue;
+                }
+                if let Some(cpu) = cpu_series.get(&s.ts) {
+                    observations.push(CpuObservation {
+                        input_rate: s.value,
+                        cpu_load: *cpu,
+                    });
+                }
+            }
+        }
+        observations
+    }
+}
+
+/// Spout-summed offered load per minute in `[from, to]`; empty when
+/// nothing was recorded there.
+fn read_source_history(
     provider: &dyn MetricsProvider,
     topology: &str,
     spouts: &[String],
@@ -243,12 +314,10 @@ pub fn source_history(
 ) -> Result<Vec<DataPoint>> {
     let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
     for spout in spouts {
-        for s in provider.component_series(topology, spout, metric::SOURCE_OFFERED, from, to)? {
+        let offered = provider.series_set(topology, spout, metric::SOURCE_OFFERED, from, to)?;
+        for s in offered.combined {
             *by_ts.entry(s.ts).or_insert(0.0) += s.value;
         }
-    }
-    if by_ts.is_empty() {
-        return Err(no_source_history(topology));
     }
     Ok(by_ts
         .into_iter()
@@ -264,9 +333,27 @@ fn no_source_history(topology: &str) -> CoreError {
     }
 }
 
+/// The topology's source-throughput history (offered load summed over all
+/// spouts, tuples/min) as forecaster training data. A window without
+/// observations is [`CoreError::NotEnoughObservations`].
+pub fn source_history(
+    provider: &dyn MetricsProvider,
+    topology: &str,
+    spouts: &[String],
+    from: i64,
+    to: i64,
+) -> Result<Vec<DataPoint>> {
+    let history = read_source_history(provider, topology, spouts, from, to)?;
+    if history.is_empty() {
+        return Err(no_source_history(topology));
+    }
+    Ok(history)
+}
+
 /// Slides a history that [`source_history`] read up to `read_to` forward
-/// to the window `[from, to]`: reads only `[read_to + 1, to]`, appends it
-/// and drops the points older than `from`.
+/// to the window `[from, to]`: reads only `[read_to + 1, to]` (no new
+/// minute may have landed yet: an empty delta), appends it and drops the
+/// points older than `from`.
 ///
 /// Every point is a per-minute sum that neither read splits, so the
 /// result is bit for bit what `source_history(.., from, to)` returns —
@@ -282,83 +369,14 @@ pub fn slide_source_history(
     from: i64,
     to: i64,
 ) -> Result<()> {
-    let delta = source_history(provider, topology, spouts, read_to.saturating_add(1), to);
-    history.extend(or_empty(delta)?);
+    let since = read_to.saturating_add(1);
+    history.extend(read_source_history(provider, topology, spouts, since, to)?);
     let expired = history.partition_point(|p| p.ts < from);
     history.drain(..expired);
     if history.is_empty() {
         return Err(no_source_history(topology));
     }
     Ok(())
-}
-
-/// Pools per-instance `(input rate, cpu load)` pairs of a component into
-/// CPU-model training data.
-///
-/// Backpressured windows are excluded: at saturation the measured CPU is
-/// clipped at the instance's allocation ("its CPU ... load is supposed to
-/// be at the maximum possible level", paper §V-E), so including those
-/// windows would bias the linear ratio ψ.
-pub fn cpu_observations(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    from: i64,
-    to: i64,
-) -> Result<Vec<CpuObservation>> {
-    let inputs =
-        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
-    let cpus = provider.per_instance_series(topology, component, metric::CPU_LOAD, from, to)?;
-    let bps =
-        provider.per_instance_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
-    let by_instance = |series: Vec<(u32, Vec<Sample>)>| -> BTreeMap<u32, BTreeMap<i64, f64>> {
-        series
-            .into_iter()
-            .map(|(i, s)| (i, s.into_iter().map(|x| (x.ts, x.value)).collect()))
-            .collect()
-    };
-    let cpu_by_instance = by_instance(cpus);
-    let bp_by_instance = by_instance(bps);
-    let mut observations = Vec::new();
-    for (instance, series) in inputs {
-        let Some(cpu_series) = cpu_by_instance.get(&instance) else {
-            continue;
-        };
-        let bp_series = bp_by_instance.get(&instance);
-        for s in series {
-            let backpressured = bp_series
-                .and_then(|b| b.get(&s.ts))
-                .is_some_and(|ms| *ms > BACKPRESSURE_THRESHOLD_MS);
-            if backpressured {
-                continue;
-            }
-            if let Some(cpu) = cpu_series.get(&s.ts) {
-                observations.push(CpuObservation {
-                    input_rate: s.value,
-                    cpu_load: *cpu,
-                });
-            }
-        }
-    }
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("cpu observations for {component:?}"),
-            needed: 2,
-            got: 0,
-        });
-    }
-    Ok(observations)
-}
-
-/// For delta reads (`from = since + 1`) through the assemblers above: no
-/// new minute may have landed yet, so there an empty window is an empty
-/// delta, not [`CoreError::NotEnoughObservations`]. Providers must not
-/// return that variant themselves: it would be swallowed here too.
-pub(crate) fn or_empty<T>(window: Result<Vec<T>>) -> Result<Vec<T>> {
-    match window {
-        Err(CoreError::NotEnoughObservations { .. }) => Ok(Vec::new()),
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -392,16 +410,28 @@ mod tests {
         sim.run_minutes(10)
     }
 
+    /// The logical spec of [`run_sim`]'s topology, plus a bolt nothing
+    /// was ever recorded for.
+    fn spec() -> LogicalSpec {
+        LogicalSpec::new("t")
+            .component("spout", 2)
+            .component("bolt", 2)
+            .component("ghost", 1)
+            .edge("spout", "bolt", "shuffle")
+            .edge("spout", "ghost", "shuffle")
+    }
+
     #[test]
     fn provider_reads_component_series() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         let series = provider
-            .component_series("t", "bolt", metric::EXECUTE_COUNT, 0, i64::MAX)
-            .unwrap();
+            .series_set("t", "bolt", metric::EXECUTE_COUNT, 0, i64::MAX)
+            .unwrap()
+            .combined;
         assert_eq!(series.len(), 10);
         assert!((series[5].value - 500.0 * 60.0).abs() < 1.0);
         assert!(provider
-            .component_series("other", "bolt", metric::EXECUTE_COUNT, 0, 1)
+            .series_set("other", "bolt", metric::EXECUTE_COUNT, 0, 1)
             .is_err());
         assert!(provider.latest_minute("t").is_some());
         assert!(provider.latest_minute("other").is_none());
@@ -416,7 +446,9 @@ mod tests {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         for (from, to) in WINDOWS {
             let upstream = [("spout".to_string(), 1.0)];
-            let obs = component_observations(&provider, "t", "bolt", &upstream, from, to).unwrap();
+            let spec = spec();
+            let window = FitWindow::read(&provider, "t", &spec, from, to).unwrap();
+            let obs = window.component_observations("bolt", &upstream);
             assert_eq!(obs.len(), 10);
             for o in &obs {
                 assert!((o.source_rate - 30_000.0).abs() < 1.0);
@@ -451,7 +483,9 @@ mod tests {
     fn cpu_observations_pool_instances() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         for (from, to) in WINDOWS {
-            let obs = cpu_observations(&provider, "t", "bolt", from, to).unwrap();
+            let spec = spec();
+            let window = FitWindow::read(&provider, "t", &spec, from, to).unwrap();
+            let obs = window.cpu_observations("bolt");
             assert_eq!(obs.len(), 20); // 2 instances x 10 minutes
             for o in &obs {
                 assert!(o.cpu_load > 0.0 && o.cpu_load <= 1.0);
@@ -461,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn per_instance_series_are_ascending_with_one_sample_per_minute() {
+    fn per_instance_views_are_ascending_with_one_sample_per_minute() {
         // The contract `component_observations` binary-searches on, with
         // a late duplicate in one minute bucket to make it bite.
         let metrics = run_sim(500.0);
@@ -469,8 +503,9 @@ mod tests {
         metrics.record_instance(metric::EXECUTE_COUNT, "bolt", 1, 0, late, 1.0);
         let provider = SimMetricsProvider::new(metrics);
         let per_instance = provider
-            .per_instance_series("t", "bolt", metric::EXECUTE_COUNT, i64::MIN, i64::MAX)
-            .unwrap();
+            .series_set("t", "bolt", metric::EXECUTE_COUNT, i64::MIN, i64::MAX)
+            .unwrap()
+            .per_instance;
         assert_eq!(per_instance.len(), 2);
         for (_, series) in &per_instance {
             assert_eq!(series.len(), 10);
@@ -480,31 +515,129 @@ mod tests {
     }
 
     #[test]
+    fn one_read_returns_both_views_in_the_stores_order() {
+        use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
+        let parallelism = WordCountParallelism {
+            spout: 8,
+            splitter: 5,
+            counter: 7,
+        };
+        let topo = wordcount_topology(parallelism, 20.0e6);
+        let mut sim = Simulation::new(topo, SimConfig::default()).unwrap();
+        sim.warmup_minutes(2);
+        let metrics = sim.run_minutes(60);
+        // A repack: from the last simulated minute on, every counter
+        // instance also reports from another container, so in any window
+        // across it an instance owns two series (and in that one minute
+        // two samples, which the per-instance view merges).
+        let metric_names = [
+            metric::EXECUTE_COUNT,
+            metric::EMIT_COUNT,
+            metric::BACKPRESSURE_TIME,
+            metric::CPU_LOAD,
+        ];
+        let newest = metrics.db().watermark().unwrap();
+        for minute in 0..6 {
+            for instance in 0..7u32 {
+                for (m, name) in metric_names.iter().enumerate() {
+                    let value = 0.1 + f64::from(instance * 31 + minute * 7 + m as u32) / 3.0;
+                    let ts = newest + i64::from(minute) * 60_000;
+                    metrics.record_instance(name, "counter", instance, 40 - instance, ts, value);
+                }
+            }
+        }
+
+        let bits = |s: &[Sample]| -> Vec<(i64, u64)> {
+            s.iter().map(|x| (x.ts, x.value.to_bits())).collect()
+        };
+        let provider = SimMetricsProvider::new(metrics.clone());
+        let mut interleaved = 0;
+        for (from, to) in [
+            (i64::MIN, i64::MAX),
+            (newest - 5 * 60_000, newest + 2 * 60_000),
+        ] {
+            for component in ["spout", "splitter", "counter"] {
+                for name in metric_names {
+                    let set = provider.series_set("t", component, name, from, to);
+                    assert!(matches!(set, Err(CoreError::Unknown(_))));
+                    let set = provider
+                        .series_set("wordcount", component, name, from, to)
+                        .unwrap();
+                    let sum = metrics.component_sum(name, Some(component), from, to);
+                    assert!(!sum.is_empty(), "{component} {name}");
+                    assert_eq!(bits(&set.combined), bits(&sum), "{component} {name}");
+                    let per_instance = metrics.per_instance(name, component, from, to);
+                    assert_eq!(set.per_instance.len(), per_instance.len());
+                    for ((i, s), (by_i, by_s)) in set.per_instance.iter().zip(&per_instance) {
+                        assert_eq!(i, by_i);
+                        assert_eq!(bits(s), bits(by_s), "{component} {name} instance {i}");
+                    }
+                    // The shortcut this read is not: per-instance rows
+                    // summed in the order they come back.
+                    let mut regrouped: BTreeMap<i64, f64> = BTreeMap::new();
+                    for s in set.per_instance.iter().flat_map(|(_, s)| s) {
+                        *regrouped.entry(s.ts).or_insert(0.0) += s.value;
+                    }
+                    interleaved += set
+                        .combined
+                        .iter()
+                        .filter(|s| regrouped[&s.ts].to_bits() != s.value.to_bits())
+                        .count();
+                }
+            }
+        }
+        assert!(interleaved > 0, "the store order never mattered here");
+    }
+
+    #[test]
     fn an_empty_delta_is_not_an_error() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         let newest = provider.latest_minute("t").unwrap();
-        let delta = cpu_observations(&provider, "t", "bolt", newest + 1, i64::MAX);
-        assert!(matches!(
-            delta,
-            Err(CoreError::NotEnoughObservations { .. })
-        ));
-        assert!(or_empty(delta).unwrap().is_empty());
+        let spec = spec();
+        let delta = FitWindow::read(&provider, "t", &spec, newest + 1, i64::MAX).unwrap();
+        assert!(delta.cpu_observations("bolt").is_empty());
+        let upstream = [("spout".to_string(), 1.0)];
+        assert!(delta.component_observations("bolt", &upstream).is_empty());
+        let mut history =
+            source_history(&provider, "t", &["spout".to_string()], 0, newest).unwrap();
+        let read = history.clone();
+        let spouts = ["spout".to_string()];
+        slide_source_history(&provider, "t", &spouts, &mut history, newest, 0, i64::MAX).unwrap();
+        assert_eq!(history, read);
         // Any other error stays one.
-        let unknown = cpu_observations(&provider, "other", "bolt", newest + 1, i64::MAX);
-        assert!(matches!(or_empty(unknown), Err(CoreError::Unknown(_))));
+        let unknown = FitWindow::read(&provider, "other", &spec, newest + 1, i64::MAX);
+        assert!(matches!(unknown, Err(CoreError::Unknown(_))));
+        let unknown = slide_source_history(
+            &provider,
+            "other",
+            &spouts,
+            &mut history,
+            newest,
+            0,
+            i64::MAX,
+        );
+        assert!(matches!(unknown, Err(CoreError::Unknown(_))));
     }
 
     #[test]
     fn missing_component_yields_not_enough_observations() {
+        // The assemblers hand a model nothing; the model says so.
+        use crate::model::component::{ComponentModel, GroupingKind};
+        use crate::model::cpu::CpuModel;
         let provider = SimMetricsProvider::new(run_sim(100.0));
-        assert!(matches!(
-            component_observations(&provider, "t", "ghost", &[], 0, i64::MAX),
-            Err(CoreError::NotEnoughObservations { .. })
-        ));
-        assert!(matches!(
-            cpu_observations(&provider, "t", "ghost", 0, i64::MAX),
-            Err(CoreError::NotEnoughObservations { .. })
-        ));
+        let spec = spec();
+        let window = FitWindow::read(&provider, "t", &spec, 0, i64::MAX).unwrap();
+        for ghost in ["ghost", "never-read"] {
+            let observations = window.component_observations(ghost, &[]);
+            assert!(matches!(
+                ComponentModel::fit(ghost, 1, GroupingKind::Shuffle, &observations),
+                Err(CoreError::NotEnoughObservations { .. })
+            ));
+            assert!(matches!(
+                CpuModel::fit(&window.cpu_observations(ghost)),
+                Err(CoreError::NotEnoughObservations { .. })
+            ));
+        }
         assert!(matches!(
             source_history(&provider, "t", &["ghost".to_string()], 0, i64::MAX),
             Err(CoreError::NotEnoughObservations { .. })

@@ -13,10 +13,7 @@ use crate::model::cpu::{CpuFitStats, CpuModel};
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
 use crate::providers::graph::GraphService;
-use crate::providers::metrics::{
-    component_observations, cpu_observations, or_empty, slide_source_history, source_history,
-    MetricsProvider,
-};
+use crate::providers::metrics::{slide_source_history, source_history, FitWindow, MetricsProvider};
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
 use caladrius_forecast::{DataPoint, Forecaster, UpdateOutcome};
@@ -143,23 +140,43 @@ pub struct SourceHistoryReads {
 /// still matches.
 ///
 /// A moved watermark alone does not force a from-scratch refit: the
-/// retained [`ComponentFitStats`]/[`CpuFitStats`] absorb just the
-/// `(watermark_old, watermark_new]` delta and re-solve in O(1) per
-/// model (the *Stale* path). The entry goes fully cold — full refit —
-/// when the plan version moved (models fitted against the old physical
-/// plan), the store truncated data out from under the fitted window, or
-/// the anchored window `[fitted_from, watermark]` grew past twice the
-/// configured training window (periodic re-anchoring keeps the
-/// expanding window from diverging unboundedly from the sliding batch
-/// window).
+/// retained [`FitStats`] absorb just the `(watermark_old, watermark_new]`
+/// delta and re-solve in O(1) per model (the *Stale* path). The entry
+/// goes fully cold — the same fit over empty statistics and the whole
+/// training window — when the plan version moved (models fitted against
+/// the old physical plan), the store truncated data out from under the
+/// fitted window, or the anchored window `[fitted_from, watermark]` grew
+/// past twice the configured training window (periodic re-anchoring
+/// keeps the expanding window from diverging unboundedly from the
+/// sliding batch window).
 struct CachedModels {
-    /// Start of the window the sufficient statistics cover (the `from`
-    /// of the original full fit — deltas expand the window rightwards).
-    fitted_from: i64,
-    fit_stats: HashMap<String, ComponentFitStats>,
-    cpu_stats: HashMap<String, CpuFitStats>,
+    stats: FitStats,
     topology_model: Arc<TopologyModel>,
     cpu_models: Arc<HashMap<String, CpuModel>>,
+}
+
+/// The sufficient statistics of one topology's models: everything
+/// observed in `[fitted_from, the entry's watermark]`, per bolt.
+struct FitStats {
+    /// Start of the window the statistics cover (the `from` of the fit
+    /// that started them — deltas expand the window rightwards).
+    fitted_from: i64,
+    component: HashMap<String, ComponentFitStats>,
+    /// Kept even for bolts whose CPU model cannot be solved yet — future
+    /// deltas may push them over the threshold.
+    cpu: HashMap<String, CpuFitStats>,
+}
+
+impl FitStats {
+    /// Nothing observed yet, from `fitted_from` on: what a cold fit
+    /// starts from.
+    fn empty(fitted_from: i64) -> Self {
+        Self {
+            fitted_from,
+            component: HashMap::new(),
+            cpu: HashMap::new(),
+        }
+    }
 }
 
 /// A fitted traffic forecaster kept warm across watermark advances,
@@ -542,7 +559,7 @@ impl Caladrius {
                 .latest_minute(topology)
                 .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?,
             plan_version: self.tracker.last_updated(topology)?,
-            truncation_gen: self.metrics.truncation_generation(),
+            truncation_gen: self.metrics.truncation_generation(topology),
         })
     }
 
@@ -719,14 +736,10 @@ impl Caladrius {
         let mut combined: BTreeMap<i64, ForecastPoint> = BTreeMap::new();
         let mut fitted_any = false;
         for spout in self.spouts(topology)? {
-            let per_instance = self.metrics.per_instance_series(
-                topology,
-                &spout,
-                metric::SOURCE_OFFERED,
-                from,
-                to,
-            )?;
-            for (_, series) in per_instance {
+            let offered =
+                self.metrics
+                    .series_set(topology, &spout, metric::SOURCE_OFFERED, from, to)?;
+            for (_, series) in offered.per_instance {
                 let history: Vec<DataPoint> = series
                     .iter()
                     .map(|s| DataPoint::new(s.ts, s.value))
@@ -772,50 +785,10 @@ impl Caladrius {
 
     /// Fits the full topology throughput model from the training window.
     pub fn fit_topology_model(&self, topology: &str) -> Result<TopologyModel> {
-        let (from, to) = self.window(topology)?;
-        Ok(self.fit_topology_stats(topology, from, to)?.0)
-    }
-
-    /// Full-window topology fit that also returns the streaming
-    /// sufficient statistics each component model was solved from, so
-    /// the model cache can absorb future watermark deltas without
-    /// re-reading the window. Bolts fit independently, so the cold path
-    /// fans out on the shared "fit" pool; job order is declaration
-    /// order, so a fit failure surfaces for the same component the
-    /// sequential loop would have stopped on.
-    fn fit_topology_stats(
-        &self,
-        topology: &str,
-        from: i64,
-        to: i64,
-    ) -> Result<(TopologyModel, HashMap<String, ComponentFitStats>)> {
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        let spec = logical.spec.clone();
-        let jobs = fit_jobs(&spec);
-        let metrics = self.metrics.as_ref();
-        let fitted = caladrius_exec::shared_pool("fit").parallel_try_map(
-            &jobs,
-            |_, (name, parallelism, upstreams, grouping)| {
-                let observations =
-                    component_observations(metrics, topology, name, upstreams, from, to)?;
-                let mut stats =
-                    ComponentFitStats::new(name.clone(), *parallelism, grouping.clone())?;
-                for o in &observations {
-                    stats.push(o);
-                }
-                let model = stats.solve()?;
-                self.model_fits.inc();
-                self.full_fits.inc();
-                Ok::<_, CoreError>((name.clone(), model, stats))
-            },
-        )?;
-        let mut models = HashMap::new();
-        let mut stats_by_name = HashMap::new();
-        for (name, model, stats) in fitted {
-            models.insert(name.clone(), model);
-            stats_by_name.insert(name, stats);
-        }
-        Ok((TopologyModel::new(spec, models)?, stats_by_name))
+        let (_, to) = self.window(topology)?;
+        Ok(Arc::unwrap_or_clone(
+            self.cold_fit(topology, to)?.topology_model,
+        ))
     }
 
     /// Fits a CPU model per bolt from the training window. Bolts whose
@@ -823,130 +796,93 @@ impl Caladrius {
     /// variance to regress on) are skipped rather than failing the whole
     /// report.
     pub fn fit_cpu_models(&self, topology: &str) -> Result<HashMap<String, CpuModel>> {
-        let (from, to) = self.window(topology)?;
-        Ok(self.fit_cpu_stats(topology, from, to)?.0)
+        let (_, to) = self.window(topology)?;
+        Ok(Arc::unwrap_or_clone(
+            self.cold_fit(topology, to)?.cpu_models,
+        ))
     }
 
-    /// Full-window CPU fit that also keeps each bolt's regression sums.
-    /// Statistics are retained even for bolts that couldn't support a
-    /// fit yet — future deltas may push them over the threshold.
-    fn fit_cpu_stats(
+    /// The fit from nothing, over the training window ending at `to`.
+    fn cold_fit(&self, topology: &str, to: i64) -> Result<CachedModels> {
+        let from = self.window_start(to);
+        self.absorb(topology, FitStats::empty(from), from, to)
+    }
+
+    /// The fit: absorbs the observations of `[from, to]` into `stats`
+    /// and re-solves every model from them, O(1) per model.
+    ///
+    /// Called with an entry's retained statistics and
+    /// `from = fitted_to + 1` this is the incremental (Stale) path; with
+    /// [`FitStats::empty`] and the whole training window it is the cold
+    /// fit. Both stream the same observations, in the same order,
+    /// through the same accumulators, so a model served off a chain of
+    /// deltas is the from-scratch model over `[fitted_from, to]` by
+    /// construction. One [`FitWindow`] feeds the throughput and the CPU
+    /// statistics, so every series set is read once.
+    ///
+    /// A throughput model with nothing to solve from fails the fit
+    /// ([`CoreError::NotEnoughObservations`]); a CPU model in that state
+    /// is skipped (no data, or no input-rate variance to regress on). A
+    /// failed fit counts nothing.
+    fn absorb(
         &self,
         topology: &str,
+        mut stats: FitStats,
         from: i64,
         to: i64,
-    ) -> Result<(HashMap<String, CpuModel>, HashMap<String, CpuFitStats>)> {
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        let bolts: Vec<String> = logical
-            .spec
-            .components
-            .iter()
-            .filter(|(name, _)| logical.spec.edges.iter().any(|(_, to_c, _)| to_c == name))
-            .map(|(name, _)| name.clone())
-            .collect();
-        let metrics = self.metrics.as_ref();
-        let fitted = caladrius_exec::shared_pool("fit").parallel_try_map(&bolts, |_, name| {
-            let mut stats = CpuFitStats::new();
-            for o in &or_empty(cpu_observations(metrics, topology, name, from, to))? {
-                stats.push(o);
-            }
-            match stats.solve() {
-                Ok(model) => {
-                    self.model_fits.inc();
-                    self.full_fits.inc();
-                    Ok((name.clone(), Some(model), stats))
-                }
-                Err(CoreError::NotEnoughObservations { .. }) => Ok((name.clone(), None, stats)),
-                Err(other) => Err(other),
-            }
-        })?;
-        let mut models = HashMap::new();
-        let mut stats_by_name = HashMap::new();
-        for (name, model, stats) in fitted {
-            if let Some(model) = model {
-                models.insert(name.clone(), model);
-            }
-            stats_by_name.insert(name, stats);
-        }
-        Ok((models, stats_by_name))
-    }
-
-    /// Builds a cold cache entry: full fits over the sliding training
-    /// window ending at `watermark`.
-    fn full_fit_entry(&self, topology: &str, watermark: i64) -> Result<CachedModels> {
-        let from = self.window_start(watermark);
-        let (topology_model, fit_stats) = self.fit_topology_stats(topology, from, watermark)?;
-        let (cpu_models, cpu_stats) = self.fit_cpu_stats(topology, from, watermark)?;
-        Ok(CachedModels {
-            fitted_from: from,
-            fit_stats,
-            cpu_stats,
-            topology_model: Arc::new(topology_model),
-            cpu_models: Arc::new(cpu_models),
-        })
-    }
-
-    /// The incremental (Stale) path: reads only the
-    /// `(fitted_to, watermark]` delta — the range read
-    /// `[fitted_to + 1, watermark]` — pushes it into the retained
-    /// sufficient statistics, and re-solves every model in O(1) per
-    /// model. Because batch fits stream through the
-    /// same accumulators in the same order, the result is exactly what a
-    /// batch fit over `[fitted_from, watermark]` would produce.
-    fn absorb_delta(
-        &self,
-        topology: &str,
-        mut entry: CachedModels,
-        fitted_to: i64,
-        watermark: i64,
     ) -> Result<CachedModels> {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
-        let metrics = self.metrics.as_ref();
-        let from = fitted_to.saturating_add(1);
+        let jobs = fit_jobs(&spec);
+        let fits_by_mode = if stats.component.is_empty() {
+            for (name, parallelism, _, grouping) in &jobs {
+                let zeroed = ComponentFitStats::new(name.clone(), *parallelism, grouping.clone())?;
+                stats.component.insert(name.clone(), zeroed);
+            }
+            &self.full_fits
+        } else {
+            &self.incremental_fits
+        };
+        let window = FitWindow::read(self.metrics.as_ref(), topology, &spec, from, to)?;
 
         let mut models = HashMap::new();
-        for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
-            let stats = entry.fit_stats.get_mut(&name).ok_or_else(|| {
+        let mut cpu_models = HashMap::new();
+        for (name, parallelism, upstreams, _) in jobs {
+            // Topology drift the versions didn't catch.
+            let component = stats.component.get_mut(&name).ok_or_else(|| {
                 CoreError::Unknown(format!("no cached fit statistics for {name:?}"))
             })?;
-            if stats.parallelism() != parallelism {
+            if component.parallelism() != parallelism {
                 return Err(CoreError::Unknown(format!(
                     "cached fit statistics for {name:?} cover a different parallelism"
                 )));
             }
-            let delta = or_empty(component_observations(
-                metrics, topology, &name, &upstreams, from, watermark,
-            ))?;
-            for o in &delta {
-                stats.push(o);
+            for o in &window.component_observations(&name, &upstreams) {
+                component.push(o);
             }
-            let model = stats.solve()?;
-            self.model_fits.inc();
-            self.incremental_fits.inc();
-            models.insert(name, model);
-        }
-        entry.topology_model = Arc::new(TopologyModel::new(spec, models)?);
-
-        let mut cpu_models = HashMap::new();
-        for name in entry.fit_stats.keys().cloned().collect::<Vec<_>>() {
-            let stats = entry.cpu_stats.entry(name.clone()).or_default();
-            let delta = or_empty(cpu_observations(metrics, topology, &name, from, watermark))?;
-            for o in &delta {
-                stats.push(o);
+            let model = component.solve()?;
+            let cpu = stats.cpu.entry(name.clone()).or_default();
+            for o in &window.cpu_observations(&name) {
+                cpu.push(o);
             }
-            match stats.solve() {
-                Ok(model) => {
-                    self.model_fits.inc();
-                    self.incremental_fits.inc();
-                    cpu_models.insert(name, model);
+            match cpu.solve() {
+                Ok(cpu_model) => {
+                    cpu_models.insert(name.clone(), cpu_model);
                 }
                 Err(CoreError::NotEnoughObservations { .. }) => {}
                 Err(other) => return Err(other),
             }
+            models.insert(name, model);
         }
-        entry.cpu_models = Arc::new(cpu_models);
-        Ok(entry)
+        let fits = (models.len() + cpu_models.len()) as u64;
+        let topology_model = Arc::new(TopologyModel::new(spec, models)?);
+        self.model_fits.add(fits);
+        fits_by_mode.add(fits);
+        Ok(CachedModels {
+            stats,
+            topology_model,
+            cpu_models: Arc::new(cpu_models),
+        })
     }
 
     /// Fitted models for `topology`, served from the stamp-keyed cache.
@@ -955,12 +891,13 @@ impl Caladrius {
     /// * **Hit** — stamp unchanged: the cached models are returned
     ///   as-is.
     /// * **Stale** — only the watermark advanced (and the anchored window
-    ///   hasn't outgrown its 2× re-anchor bound): the delta is absorbed
-    ///   into the retained sufficient statistics
-    ///   ([`Caladrius::absorb_delta`]). Counted as a cache miss plus
-    ///   `incremental_fits`.
-    /// * **Cold** — anything else: full refit over the sliding window,
-    ///   counted as a cache miss plus `full_fits`.
+    ///   hasn't outgrown its 2× re-anchor bound): the fit absorbs the
+    ///   delta `[fitted_to + 1, watermark]` into the retained sufficient
+    ///   statistics. Counted as a cache miss plus `incremental_fits`.
+    /// * **Cold** — anything else, a Stale fit that failed included (the
+    ///   `core.fit` span then says why, as `fallback`): the same fit over
+    ///   empty statistics and the sliding window, counted as a cache miss
+    ///   plus `full_fits`.
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
         let now = self.data_stamp(topology)?;
         let watermark = now.watermark;
@@ -977,17 +914,21 @@ impl Caladrius {
         }
         let stale = self.models.take(topology).filter(|(stamp, entry)| {
             stamp.freshness(&now) == Freshness::Stale
-                && watermark - entry.fitted_from < reanchor_span
+                && watermark - entry.stats.fitted_from < reanchor_span
         });
         self.cache_misses.inc();
         let mut span = caladrius_obs::global_span("core.fit");
         span.field("topology", topology);
         let fit_started = Instant::now();
         // Anything unexpected in the delta (topology drift the versions
-        // didn't catch, provider errors) falls back to the cold path
+        // didn't catch, provider errors) falls back to the cold fit
         // rather than serving a dubious model.
         let absorbed = stale.and_then(|(stamp, entry)| {
-            self.absorb_delta(topology, entry, stamp.watermark, watermark)
+            let from = stamp.watermark.saturating_add(1);
+            self.absorb(topology, entry.stats, from, watermark)
+                .inspect_err(|why| {
+                    span.field("fallback", why);
+                })
                 .ok()
         });
         let entry = match absorbed {
@@ -997,7 +938,7 @@ impl Caladrius {
             }
             None => {
                 span.field("mode", "full");
-                self.full_fit_entry(topology, watermark)?
+                self.cold_fit(topology, watermark)?
             }
         };
         self.fit_duration.record_duration(fit_started.elapsed());
@@ -1422,9 +1363,9 @@ impl Caladrius {
             PredictionKind::Throughput => {
                 let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
                 for sink in self.sinks(topology).ok()? {
-                    let series = self
+                    let emitted = self
                         .metrics
-                        .component_series(
+                        .series_set(
                             topology,
                             &sink,
                             heron_sim::metrics::metric::EMIT_COUNT,
@@ -1432,7 +1373,7 @@ impl Caladrius {
                             to,
                         )
                         .ok()?;
-                    for s in series {
+                    for s in emitted.combined {
                         *by_ts.entry(s.ts).or_insert(0.0) += s.value;
                     }
                 }
@@ -2139,6 +2080,173 @@ mod tests {
             );
             assert!((inc.base - full.base).abs() <= 1e-9 * full.base.abs().max(1.0));
         }
+    }
+
+    /// Counts every windowed read per `(component, metric)` and, once
+    /// armed, fails the next one.
+    struct ProbedProvider {
+        inner: SimMetricsProvider,
+        reads: parking_lot::Mutex<BTreeMap<(String, String), u32>>,
+        fail_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl ProbedProvider {
+        fn service() -> (
+            Caladrius,
+            Arc<ProbedProvider>,
+            heron_sim::metrics::SimMetrics,
+        ) {
+            let metrics = sweep_metrics();
+            let provider = Arc::new(ProbedProvider {
+                inner: SimMetricsProvider::new(metrics.clone()),
+                reads: Default::default(),
+                fail_next: Default::default(),
+            });
+            let tracker = StaticTracker::new().with(wordcount_topology(PARALLELISM, 20.0e6));
+            let caladrius = Caladrius::new(
+                Arc::clone(&provider) as Arc<dyn MetricsProvider>,
+                Arc::new(tracker),
+            );
+            (caladrius, provider, metrics)
+        }
+    }
+
+    impl MetricsProvider for ProbedProvider {
+        fn series_set(
+            &self,
+            topology: &str,
+            component: &str,
+            metric_name: &str,
+            from: i64,
+            to: i64,
+        ) -> Result<heron_sim::metrics::SeriesSet> {
+            let key = (component.to_string(), metric_name.to_string());
+            *self.reads.lock().entry(key).or_insert(0) += 1;
+            if self
+                .fail_next
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                return Err(CoreError::Unknown("injected read failure".into()));
+            }
+            self.inner
+                .series_set(topology, component, metric_name, from, to)
+        }
+
+        fn latest_minute(&self, topology: &str) -> Option<i64> {
+            self.inner.latest_minute(topology)
+        }
+
+        fn truncation_generation(&self, topology: &str) -> Option<u64> {
+            self.inner.truncation_generation(topology)
+        }
+
+        fn select_series(
+            &self,
+            topology: &str,
+            metric_name: &str,
+            filters: &[caladrius_tsdb::TagFilter],
+            from: i64,
+            to: i64,
+        ) -> Result<Vec<(caladrius_tsdb::SeriesKey, Vec<caladrius_tsdb::Sample>)>> {
+            self.inner
+                .select_series(topology, metric_name, filters, from, to)
+        }
+    }
+
+    #[test]
+    fn a_fit_reads_every_series_set_once() {
+        use heron_sim::metrics::metric::{BACKPRESSURE_TIME, CPU_LOAD, EMIT_COUNT, EXECUTE_COUNT};
+        let (caladrius, provider, metrics) = ProbedProvider::service();
+        let mut once = BTreeMap::from([(("spout".to_string(), EMIT_COUNT.to_string()), 1)]);
+        for bolt in ["splitter", "counter"] {
+            for metric_name in [EXECUTE_COUNT, EMIT_COUNT, BACKPRESSURE_TIME, CPU_LOAD] {
+                once.insert((bolt.to_string(), metric_name.to_string()), 1);
+            }
+        }
+        assert_eq!(once.len(), 9);
+
+        caladrius.fitted_models("wordcount").unwrap();
+        assert_eq!(*provider.reads.lock(), once, "cold fit");
+        let cold = caladrius.model_cache_stats();
+        assert!(cold.full_fits > 0 && cold.incremental_fits == 0);
+
+        run_leg(&metrics, 600, 24.0e6);
+        provider.reads.lock().clear();
+        caladrius.fitted_models("wordcount").unwrap();
+        assert_eq!(*provider.reads.lock(), once, "stale fit");
+        let stale = caladrius.model_cache_stats();
+        assert_eq!(stale.full_fits, cold.full_fits);
+        assert_eq!(stale.incremental_fits, cold.full_fits);
+    }
+
+    /// Every fitted parameter, bit for bit.
+    fn model_bits((model, cpu): &FittedModels) -> Vec<(String, Vec<u64>)> {
+        let mut bits = Vec::new();
+        for name in ["splitter", "counter"] {
+            let component = model.component_model(name).unwrap();
+            let mut row = vec![component.instance.alpha.to_bits()];
+            if let Some(saturation) = &component.instance.saturation {
+                row.extend([
+                    saturation.input_sp.to_bits(),
+                    saturation.output_st.to_bits(),
+                ]);
+            }
+            row.extend(component.shares.iter().map(|s| s.to_bits()));
+            if let Some(cpu) = cpu.get(name) {
+                row.extend([cpu.base.to_bits(), cpu.psi.to_bits()]);
+            }
+            bits.push((name.to_string(), row));
+        }
+        bits
+    }
+
+    #[test]
+    fn a_failed_stale_fit_falls_back_to_cold_and_says_why() {
+        let (caladrius, provider, metrics) = ProbedProvider::service();
+        caladrius.fitted_models("wordcount").unwrap();
+        let cold = caladrius.model_cache_stats();
+        run_leg(&metrics, 600, 24.0e6);
+
+        // The first read of the delta fails; the call must not.
+        provider
+            .fail_next
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let request = caladrius_obs::next_request_id();
+        let served = {
+            let _scope = caladrius_obs::RequestScope::enter(request);
+            caladrius.fitted_models("wordcount").unwrap()
+        };
+        let after = caladrius.model_cache_stats();
+        assert_eq!(after.misses, cold.misses + 1);
+        assert_eq!(after.incremental_fits, 0);
+        assert_eq!(after.fits, after.full_fits);
+
+        let spans = caladrius_obs::tracer().recent_filtered(usize::MAX, Some(request));
+        let fit = spans.iter().find(|s| s.name == "core.fit").unwrap();
+        let field = |key: &str| {
+            let found = fit.fields.iter().find(|(k, _)| k == key);
+            found.map(|(_, v)| v.as_str())
+        };
+        assert_eq!(field("mode"), Some("full"));
+        assert!(field("fallback").unwrap().contains("injected read failure"));
+
+        let fresh = batch_reference(&metrics, caladrius.config().source_window_minutes);
+        let from_scratch = fresh.fitted_models("wordcount").unwrap();
+        assert_eq!(model_bits(&served), model_bits(&from_scratch));
+        // One cold fit's worth of models over that window, no more.
+        let one_fit = fresh.model_cache_stats().full_fits;
+        assert_eq!(after.full_fits, cold.full_fits + one_fit);
+
+        // A fit that did not fall back carries no such field.
+        let cold_span = caladrius_obs::next_request_id();
+        {
+            let _scope = caladrius_obs::RequestScope::enter(cold_span);
+            fresh.invalidate_model_cache(None);
+            fresh.fitted_models("wordcount").unwrap();
+        }
+        let spans = caladrius_obs::tracer().recent_filtered(usize::MAX, Some(cold_span));
+        let fit = spans.iter().find(|s| s.name == "core.fit").unwrap();
+        assert!(fit.fields.iter().all(|(k, _)| k != "fallback"));
     }
 
     #[test]

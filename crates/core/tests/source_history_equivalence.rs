@@ -198,7 +198,7 @@ impl Harness {
         Some((
             self.provider.latest_minute(TOPOLOGY)?,
             self.tracker.last_updated(TOPOLOGY).unwrap(),
-            self.provider.truncation_generation(),
+            self.provider.truncation_generation(TOPOLOGY),
         ))
     }
 }
@@ -284,10 +284,11 @@ fn every_cold_event_costs_exactly_one_full_read() {
     ];
     for sharded in [false, true] {
         let reads = run(Harness::new(sharded), &steps);
-        // Cold: the first read, truncate, retain, rescale, invalidate —
-        // and, on a shard, the neighbour's truncation.
-        assert_eq!(reads.full, 5 + u64::from(sharded), "{reads:?}");
-        assert_eq!(reads.hit, 1 + u64::from(!sharded), "{reads:?}");
+        // Cold: the first read, truncate, retain, rescale, invalidate.
+        // A shard-mate's truncation is not this topology's: a Hit on
+        // either provider (the generation is per topology).
+        assert_eq!(reads.full, 5, "{reads:?}");
+        assert_eq!(reads.hit, 2, "{reads:?}");
         assert_eq!(reads.tail, steps.len() as u64 + 1 - reads.full - reads.hit);
     }
 }

@@ -682,6 +682,46 @@ mod tests {
     }
 
     #[test]
+    fn a_tenants_truncation_leaves_its_shard_mates_caches_warm() {
+        let fleet = fed_fleet(1, 2, UNLIMITED_CONTAINERS);
+        let service = fleet.shards()[0].service();
+        let request = CapacityPlanRequest::default();
+        for tenant in ["tenant-0", "tenant-1"] {
+            service.fitted_models(tenant).unwrap();
+            service.plan_capacity(tenant, &request).unwrap();
+        }
+        let before = (service.model_cache_stats(), service.plan_cache_stats());
+
+        // Retention drops the older half of tenant-0's history; no
+        // watermark moves.
+        let truncated = fleet.assignments.read()["tenant-0"].1.clone();
+        let watermark = truncated.db().watermark().unwrap();
+        let cutoff = staged().minute_ts(staged().minutes() / 2);
+        assert!(truncated.db().truncate_before(cutoff).unwrap() > 0);
+        assert_eq!(truncated.db().watermark(), Some(watermark));
+
+        // The shard-mate is untouched: Hit, Hit.
+        service.fitted_models("tenant-1").unwrap();
+        service.plan_capacity("tenant-1", &request).unwrap();
+        let mate = (service.model_cache_stats(), service.plan_cache_stats());
+        assert_eq!(mate.0.hits, before.0.hits + 1);
+        assert_eq!(mate.0.full_fits, before.0.full_fits);
+        assert_eq!(mate.0.plans, before.0.plans);
+        assert_eq!(mate.1.hits, before.1.hits + 1);
+        assert_eq!(mate.1.misses, before.1.misses);
+
+        // The truncated tenant goes Cold: a full refit and a new search.
+        service.fitted_models("tenant-0").unwrap();
+        service.plan_capacity("tenant-0", &request).unwrap();
+        let own = (service.model_cache_stats(), service.plan_cache_stats());
+        assert!(own.0.full_fits > mate.0.full_fits);
+        assert_eq!(own.0.incremental_fits, 0);
+        assert_eq!(own.0.plans, mate.0.plans + 1);
+        assert_eq!(own.1.hits, mate.1.hits);
+        assert_eq!(own.1.misses, mate.1.misses + 1);
+    }
+
+    #[test]
     fn fleet_plan_respects_the_cluster_budget() {
         let fleet = fed_fleet(2, 3, UNLIMITED_CONTAINERS);
         let request = CapacityPlanRequest::default();

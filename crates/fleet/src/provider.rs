@@ -16,7 +16,7 @@ use caladrius_core::providers::metrics::MetricsProvider;
 use caladrius_core::providers::tracker::{to_logical_spec, TopologyTracker};
 use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample, SeriesKey, TagFilter};
-use heron_sim::metrics::SimMetrics;
+use heron_sim::metrics::{SeriesSet, SimMetrics};
 use heron_sim::topology::Topology;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -63,47 +63,27 @@ impl ShardMetricsProvider {
 }
 
 impl MetricsProvider for ShardMetricsProvider {
-    fn component_series(
+    fn series_set(
         &self,
         topology: &str,
         component: &str,
         metric_name: &str,
         from: i64,
         to: i64,
-    ) -> Result<Vec<Sample>> {
+    ) -> Result<SeriesSet> {
         Ok(self
             .lookup(topology)?
-            .component_sum(metric_name, Some(component), from, to))
-    }
-
-    fn per_instance_series(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        from: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        Ok(self
-            .lookup(topology)?
-            .per_instance(metric_name, component, from, to))
+            .series_set(metric_name, component, from, to))
     }
 
     fn latest_minute(&self, topology: &str) -> Option<i64> {
         self.metrics(topology)?.db().watermark()
     }
 
-    fn truncation_generation(&self) -> Option<u64> {
-        // Sum over hosted stores: monotone, and any tenant's truncation
-        // bumps it. Coarser than per-topology tracking (one tenant's
-        // retention pass forces shard-mates to refit once), but safe.
-        let topologies = self.topologies.read();
-        Some(
-            topologies
-                .values()
-                .map(|m| m.db().truncation_generation())
-                .sum(),
-        )
+    fn truncation_generation(&self, topology: &str) -> Option<u64> {
+        // The hosted store's own counter: one tenant's retention pass is
+        // no reason for a shard-mate to refit.
+        Some(self.metrics(topology)?.db().truncation_generation())
     }
 
     fn ingest_stats(&self) -> Option<IngestStats> {

@@ -71,6 +71,27 @@ pub struct InstanceHandles {
     pub offered: Option<SeriesHandle>,
 }
 
+/// One component's series of one metric over a window, read once: both
+/// views come from the same `select`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SeriesSet {
+    /// Per-minute sum over every matching series, added in the store's
+    /// key order — what [`SimMetrics::component_sum`] returns.
+    pub combined: Vec<Sample>,
+    /// Per-minute sum per instance, instances in instance-string order —
+    /// what [`SimMetrics::per_instance`] returns. Each series is
+    /// ascending in `ts` with at most one sample per minute bucket.
+    pub per_instance: Vec<(u32, Vec<Sample>)>,
+}
+
+/// `aggregate_by(.., tag::INSTANCE, ..)` groups keyed by instance index.
+fn by_instance_index(groups: Vec<(String, Vec<Sample>)>) -> Vec<(u32, Vec<Sample>)> {
+    groups
+        .into_iter()
+        .filter_map(|(g, s)| g.parse::<u32>().ok().map(|i| (i, s)))
+        .collect()
+}
+
 /// Metrics sink + typed read helpers for one topology's simulation run.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -267,8 +288,33 @@ impl SimMetrics {
         from: i64,
         to: i64,
     ) -> Vec<(u32, Vec<Sample>)> {
-        self.db
-            .aggregate_by(
+        by_instance_index(
+            self.db
+                .aggregate_by(
+                    name,
+                    &self.base_filters(Some(component)),
+                    tag::INSTANCE,
+                    from,
+                    to,
+                    60_000,
+                    Aggregation::Sum,
+                    Aggregation::Sum,
+                )
+                .unwrap_or_default(),
+        )
+    }
+
+    /// [`SimMetrics::component_sum`] and [`SimMetrics::per_instance`] of
+    /// one component's metric from a single `select`, bit for bit.
+    ///
+    /// `combined` is not derivable from `per_instance`: series keys order
+    /// their tags alphabetically (`container` before `instance`), so the
+    /// store sums a component in *(container, instance)* order, and an
+    /// instance may own several series (one per container it ran in).
+    pub fn series_set(&self, name: &str, component: &str, from: i64, to: i64) -> SeriesSet {
+        let (combined, groups) = self
+            .db
+            .aggregate_with_groups(
                 name,
                 &self.base_filters(Some(component)),
                 tag::INSTANCE,
@@ -278,10 +324,11 @@ impl SimMetrics {
                 Aggregation::Sum,
                 Aggregation::Sum,
             )
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|(g, s)| g.parse::<u32>().ok().map(|i| (i, s)))
-            .collect()
+            .unwrap_or_default();
+        SeriesSet {
+            combined,
+            per_instance: by_instance_index(groups),
+        }
     }
 }
 

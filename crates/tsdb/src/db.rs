@@ -2,11 +2,11 @@
 
 use crate::catalog::{Catalog, SeriesId};
 use crate::error::{Error, Result};
-use crate::query::{bucketed, combine, Aggregation, TagFilter};
+use crate::query::{bucketed, merge_bucketed, Aggregation, TagFilter};
 use crate::series::{Sample, Series, SeriesKey};
 use caladrius_obs::{Counter, Histogram};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -107,6 +107,9 @@ pub struct TailCacheStats {
     pub hits: u64,
     pub misses: u64,
 }
+
+/// Aggregated series per value of a grouping tag, in tag-value order.
+pub type Grouped = Vec<(String, Vec<Sample>)>;
 
 /// A concurrent, tag-indexed, in-memory metrics store.
 ///
@@ -383,9 +386,8 @@ impl MetricsDb {
         within: Aggregation,
         across: Aggregation,
     ) -> Result<Vec<Sample>> {
-        let selected = self.select(name, filters, from, to)?;
-        let series: Vec<Vec<Sample>> = selected.into_iter().map(|(_, s)| s).collect();
-        Ok(combine(&series, bucket_ms, within, across))
+        let aligned = self.select_bucketed(name, filters, from, to, bucket_ms, within)?;
+        Ok(merge_all(&aligned, across))
     }
 
     /// Per-series bucketed aggregation grouped by the value of `group_tag`.
@@ -402,31 +404,56 @@ impl MetricsDb {
         bucket_ms: i64,
         within: Aggregation,
         across: Aggregation,
-    ) -> Result<Vec<(String, Vec<Sample>)>> {
-        let selected = self.select(name, filters, from, to)?;
-        let mut groups: HashMap<String, Vec<Vec<Sample>>> = HashMap::new();
-        for (key, samples) in selected {
-            let group = key.tag(group_tag).unwrap_or("").to_string();
-            groups.entry(group).or_default().push(samples);
-        }
-        let mut out: Vec<(String, Vec<Sample>)> = groups
-            .into_iter()
-            .map(|(g, series)| (g, combine(&series, bucket_ms, within, across)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+    ) -> Result<Grouped> {
+        let aligned = self.select_bucketed(name, filters, from, to, bucket_ms, within)?;
+        Ok(merge_groups(&aligned, group_tag, across))
     }
 
-    /// Down-samples one exact series.
-    pub fn read_bucketed(
+    /// What [`MetricsDb::aggregate`] and [`MetricsDb::aggregate_by`]
+    /// return for the same arguments, as `(combined, groups)` from one
+    /// `select` — each matching series is decoded and bucketed once, not
+    /// twice.
+    ///
+    /// The combined view cannot be had from the groups: it merges the
+    /// series in key order, which interleaves the groups whenever
+    /// `group_tag` is not the first tag the keys differ in, and float
+    /// sums depend on the order.
+    #[allow(clippy::too_many_arguments)] // a flat query surface is the point
+    pub fn aggregate_with_groups(
         &self,
-        key: &SeriesKey,
+        name: &str,
+        filters: &[TagFilter],
+        group_tag: &str,
         from: i64,
         to: i64,
         bucket_ms: i64,
-        agg: Aggregation,
-    ) -> Result<Vec<Sample>> {
-        Ok(bucketed(&self.read(key, from, to)?, bucket_ms, agg))
+        within: Aggregation,
+        across: Aggregation,
+    ) -> Result<(Vec<Sample>, Grouped)> {
+        let aligned = self.select_bucketed(name, filters, from, to, bucket_ms, within)?;
+        Ok((
+            merge_all(&aligned, across),
+            merge_groups(&aligned, group_tag, across),
+        ))
+    }
+
+    /// [`MetricsDb::select`] with every series down-sampled to
+    /// `bucket_ms` buckets — the half of an aggregation that is the same
+    /// whichever way the series are then merged.
+    fn select_bucketed(
+        &self,
+        name: &str,
+        filters: &[TagFilter],
+        from: i64,
+        to: i64,
+        bucket_ms: i64,
+        within: Aggregation,
+    ) -> Result<Vec<(SeriesKey, Vec<Sample>)>> {
+        let mut selected = self.select(name, filters, from, to)?;
+        for (_, samples) in &mut selected {
+            *samples = bucketed(samples, bucket_ms, within);
+        }
+        Ok(selected)
     }
 
     /// Pooled summary statistics of a metric's values across matching
@@ -501,6 +528,32 @@ impl MetricsDb {
         }
         Ok(dropped)
     }
+}
+
+/// Merges bucket-aligned series, in the (key) order they are given.
+fn merge_all(aligned: &[(SeriesKey, Vec<Sample>)], across: Aggregation) -> Vec<Sample> {
+    merge_bucketed(aligned.iter().map(|(_, s)| s.as_slice()), across)
+}
+
+/// Groups bucket-aligned series (in key order) by the value of
+/// `group_tag` — series missing the tag under the empty string — and
+/// merges each group; groups come back in tag-value order.
+fn merge_groups(
+    aligned: &[(SeriesKey, Vec<Sample>)],
+    group_tag: &str,
+    across: Aggregation,
+) -> Grouped {
+    let mut groups: BTreeMap<&str, Vec<&[Sample]>> = BTreeMap::new();
+    for (key, samples) in aligned {
+        groups
+            .entry(key.tag(group_tag).unwrap_or(""))
+            .or_default()
+            .push(samples);
+    }
+    groups
+        .into_iter()
+        .map(|(group, series)| (group.to_string(), merge_bucketed(series, across)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -621,6 +674,70 @@ mod tests {
         assert_eq!(groups[0].1[0].value, 1.0);
         assert_eq!(groups[1].0, "1");
         assert_eq!(groups[1].1[0].value, 2.0);
+    }
+
+    #[test]
+    fn aggregate_with_groups_is_both_aggregations_of_one_select() {
+        // Key order is (container, instance): it interleaves the
+        // instance groups, instance 1 owns two series, and the values
+        // are chosen so that a sum in any other order rounds differently.
+        let db = MetricsDb::new();
+        let placed = [(0, 2, 1.0e16), (1, 0, 1.0), (1, 1, -1.0e16), (2, 1, 3.0)];
+        for (container, instance, value) in placed {
+            let key = key("counter", instance).with_tag("container", container.to_string());
+            db.write_batch(
+                &key,
+                (0..3).map(|m| Sample::new(m * 60_000, value + m as f64)),
+            );
+        }
+        db.write(&key("splitter", 0), 0, 7.0);
+        let filters = [TagFilter::eq("component", "counter")];
+        let (sum, within) = (Aggregation::Sum, Aggregation::Sum);
+        for (from, to) in [(0, i64::MAX), (60_000, 60_000), (i64::MIN, -1)] {
+            let (combined, groups) = db
+                .aggregate_with_groups(
+                    "emit-count",
+                    &filters,
+                    "instance",
+                    from,
+                    to,
+                    60_000,
+                    within,
+                    sum,
+                )
+                .unwrap();
+            let bits = |s: &[Sample]| -> Vec<(i64, u64)> {
+                s.iter().map(|x| (x.ts, x.value.to_bits())).collect()
+            };
+            let aggregate = db
+                .aggregate("emit-count", &filters, from, to, 60_000, within, sum)
+                .unwrap();
+            assert_eq!(bits(&combined), bits(&aggregate));
+            let by = db
+                .aggregate_by(
+                    "emit-count",
+                    &filters,
+                    "instance",
+                    from,
+                    to,
+                    60_000,
+                    within,
+                    sum,
+                )
+                .unwrap();
+            assert_eq!(groups.len(), by.len());
+            for ((g, s), (by_g, by_s)) in groups.iter().zip(&by) {
+                assert_eq!(g, by_g);
+                assert_eq!(bits(s), bits(by_s));
+            }
+            // Summing the groups in the order they come back is not the
+            // combined view (minute 0: 3.0 in key order).
+            if from == 0 {
+                let regrouped: f64 = groups.iter().map(|(_, s)| s[0].value).sum();
+                assert_eq!(combined[0].value, 3.0);
+                assert_ne!(regrouped.to_bits(), combined[0].value.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! down-sampling, group-by and rate conversion.
 
 use crate::series::Sample;
-use std::collections::BTreeMap;
 
 /// Predicate over one tag of a series key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,16 +136,21 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// handle missing data natively).
 pub fn bucketed(samples: &[Sample], width_ms: i64, agg: Aggregation) -> Vec<Sample> {
     assert!(width_ms > 0, "bucket width must be positive");
-    let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for s in samples {
-        let left = s.ts.div_euclid(width_ms) * width_ms;
-        buckets.entry(left).or_default().push(s.value);
-    }
-    buckets
-        .into_iter()
-        .map(|(ts, values)| Sample {
-            ts,
-            value: agg.apply(values),
+    let left_edge = |s: &Sample| s.ts.div_euclid(width_ms) * width_ms;
+    aggregate_runs(samples.iter().map(|s| (left_edge(s), s.value)), agg)
+}
+
+/// One sample per distinct bucket of `keyed`, ascending, each the
+/// aggregate of that bucket's values in the order they arrived (the sort
+/// is stable) — float sums depend on it.
+fn aggregate_runs(keyed: impl Iterator<Item = (i64, f64)>, agg: Aggregation) -> Vec<Sample> {
+    let mut keyed: Vec<(i64, f64)> = keyed.collect();
+    keyed.sort_by_key(|(bucket, _)| *bucket);
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| Sample {
+            ts: run[0].0,
+            value: agg.apply(run.iter().map(|(_, value)| *value)),
         })
         .collect()
 }
@@ -163,19 +167,22 @@ pub fn combine(
     within: Aggregation,
     across: Aggregation,
 ) -> Vec<Sample> {
-    let mut merged: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-    for s in series {
-        for b in bucketed(s, width_ms, within) {
-            merged.entry(b.ts).or_default().push(b.value);
-        }
-    }
-    merged
-        .into_iter()
-        .map(|(ts, values)| Sample {
-            ts,
-            value: across.apply(values),
-        })
-        .collect()
+    let aligned: Vec<Vec<Sample>> = series
+        .iter()
+        .map(|s| bucketed(s, width_ms, within))
+        .collect();
+    merge_bucketed(aligned.iter().map(Vec::as_slice), across)
+}
+
+/// The second half of [`combine`]: aggregates, per bucket, across series
+/// that [`bucketed`] already aligned to one width. Values reach `across`
+/// in the order the series are given.
+pub fn merge_bucketed<'a>(
+    aligned: impl IntoIterator<Item = &'a [Sample]>,
+    across: Aggregation,
+) -> Vec<Sample> {
+    let buckets = aligned.into_iter().flatten().map(|b| (b.ts, b.value));
+    aggregate_runs(buckets, across)
 }
 
 /// Converts cumulative or per-interval counts into a per-second rate using

@@ -18,8 +18,11 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 
 # core has one cache protocol (freshness::StampedCache); the plan cache's
 # own version compare and its fingerprint confirm step went in PR 20.
+# core has one fit (Caladrius::absorb: a cold fit is the Stale fit over
+# empty statistics) fed by one windowed provider read (series_set); the
+# cold-only fit bodies and the two old trait reads went in PR 21.
 echo "==> deleted mechanisms stay deleted"
-if grep -rnE 'forecast_fingerprint|quantize_rate|PlanCacheLookup|fn lock_(cache|histories|forecasters|plan_cache)' crates src tests examples; then
+if grep -rnE 'forecast_fingerprint|quantize_rate|PlanCacheLookup|fn lock_(cache|histories|forecasters|plan_cache)|fit_topology_stats|fit_cpu_stats|full_fit_entry|absorb_delta|fn component_series|fn per_instance_series' crates src tests examples; then
     exit 1
 fi
 
@@ -75,9 +78,13 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner
 
 # Incremental model refitting: the forecast package carries the
 # incremental == batch proptests over random append schedules; the core
-# service suite carries the delta-aware model cache (bitwise component
-# equivalence, truncation/retention/re-anchor full-refit regressions).
-# Single-threaded so the fit fan-out cannot mask ordering dependencies
+# service suite carries the delta-aware model cache. There is one fit
+# path (a cold fit is the Stale fit over empty statistics), so
+# incremental == batch holds by construction; the suite still pins it
+# (bitwise component equivalence, truncation/retention/re-anchor
+# full-refit regressions), the Stale -> Cold fallback, and that a fit,
+# cold or Stale, reads each (component, metric) series set exactly once.
+# Single-threaded so the read fan-out cannot mask ordering dependencies
 # in the streaming accumulators. The source history is maintained the
 # same way: its proptest holds the cached window bitwise equal to a
 # from-scratch read over random append/gap/truncate/rescale schedules
