@@ -5,6 +5,7 @@
 //! "weeks" while a model evaluation takes milliseconds. These benches
 //! quantify the milliseconds.
 
+use caladrius_api::http::{Handler, HttpClient, HttpServer, Response};
 use caladrius_core::model::component::{ComponentModel, ComponentObservation, GroupingKind};
 use caladrius_core::model::instance::{InstanceModel, InstanceObservation};
 use caladrius_core::model::topology::TopologyModel;
@@ -270,6 +271,13 @@ fn bench_service(c: &mut Criterion) {
                 .evaluate(black_box("wordcount"), &none, &source)
                 .unwrap()
         });
+    });
+    // The front door alone: connect, one GET, a trivial handler, close.
+    let handler: Handler = std::sync::Arc::new(|_| Response::json("{}"));
+    let server = HttpServer::serve("127.0.0.1:0", 1, handler).unwrap();
+    let client = HttpClient::new(server.local_addr());
+    group.bench_function("http_roundtrip", |b| {
+        b.iter(|| client.get(black_box("/health")).unwrap());
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 
 use crate::error::CoreError;
 use crate::model::cpu::CpuModel;
-use crate::model::topology::{TopologyModel, RISK_MARGIN};
+use crate::model::topology::{BackpressureRisk, TopologyModel};
 use crate::traffic::TrafficForecast;
 use caladrius_obs::Counter;
 use caladrius_planner::{
@@ -112,12 +112,7 @@ impl CapacityOracle for ModelOracle {
             .model
             .saturation_source_rate(&proposal)
             .map_err(oracle_err)?;
-        // Mirrors Eq. 14: risk is Low only when the offered rate clears
-        // the saturation point by the risk margin.
-        let feasible = match saturation {
-            Some(t_sat) => rate < t_sat * (1.0 - RISK_MARGIN),
-            None => true,
-        };
+        let feasible = BackpressureRisk::classify(saturation, rate) == BackpressureRisk::Low;
         let bottleneck = if feasible {
             None
         } else {

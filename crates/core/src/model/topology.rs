@@ -25,6 +25,19 @@ pub enum BackpressureRisk {
     High,
 }
 
+impl BackpressureRisk {
+    /// Eq. 14: the risk of offering `source_rate` to a topology whose
+    /// saturation point (Eq. 13) is `saturation`. Low only when the rate
+    /// clears the saturation point by [`RISK_MARGIN`]; a topology with no
+    /// known saturation point is never at risk.
+    pub fn classify(saturation: Option<f64>, source_rate: f64) -> Self {
+        match saturation {
+            Some(t_sat) if source_rate >= t_sat * (1.0 - RISK_MARGIN) => Self::High,
+            _ => Self::Low,
+        }
+    }
+}
+
 /// Per-component line of a topology prediction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentReport {
@@ -67,6 +80,13 @@ pub struct TopologyModel {
     spouts: Vec<String>,
     /// Component names in topological order.
     order: Vec<String>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`TopologyModel::predict`] calls made on this thread, so tests can
+    /// pin how much work a search or an evaluation does.
+    pub(crate) static PREDICT_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Relative margin under the saturation point treated as "high risk"
@@ -172,6 +192,8 @@ impl TopologyModel {
                 "source rate must be non-negative, got {source_rate}"
             )));
         }
+        #[cfg(test)]
+        PREDICT_CALLS.set(PREDICT_CALLS.get() + 1);
         // Per-component arriving rate.
         let mut arriving: HashMap<&str, f64> = HashMap::new();
         let total_spouts = self.spouts.len() as f64;
@@ -285,9 +307,16 @@ impl TopologyModel {
         if !saturates {
             return Ok(None);
         }
+        // Once `lo` and `hi` are adjacent floats `mid` rounds onto one of
+        // them, where the indicator is already known: the interval has
+        // reached its fixed point and further halvings cannot move it.
+        // Exact, not a tolerance; 200 only bounds the loop.
         let mut lo = 0.0;
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
             if self.predict(parallelisms, mid)?.bottleneck.is_some() {
                 hi = mid;
             } else {
@@ -305,11 +334,7 @@ impl TopologyModel {
         source_rate: f64,
     ) -> Result<(BackpressureRisk, Option<f64>)> {
         let sat = self.saturation_source_rate(parallelisms)?;
-        let risk = match sat {
-            Some(t_sat) if source_rate >= t_sat * (1.0 - RISK_MARGIN) => BackpressureRisk::High,
-            _ => BackpressureRisk::Low,
-        };
-        Ok((risk, sat))
+        Ok((BackpressureRisk::classify(sat, source_rate), sat))
     }
 }
 
@@ -381,6 +406,25 @@ mod tests {
         let m = wordcount(2, 4);
         let sat = m.saturation_source_rate(&HashMap::new()).unwrap().unwrap();
         assert!((sat - 22.0).abs() < 0.01, "topology SP ≈ 22 M, got {sat}");
+    }
+
+    #[test]
+    fn saturation_search_stops_at_its_fixed_point() {
+        // The bracket ends at hi = 32 after 6 calls; ~53 halvings later
+        // the interval is two adjacent floats. 200 unconditional halvings
+        // made 206 calls here (228 at the service's tuples/min rates).
+        let m = wordcount(2, 4);
+        let none = HashMap::new();
+        let before = PREDICT_CALLS.get();
+        let sat = m.saturation_source_rate(&none).unwrap().unwrap();
+        let calls = PREDICT_CALLS.get() - before;
+        assert!(calls <= 80 + 64, "{calls} predict calls in one search");
+        // The answer is the boundary to the last bit: its neighbours
+        // straddle the indicator.
+        let below = f64::from_bits(sat.to_bits() - 1);
+        let above = f64::from_bits(sat.to_bits() + 1);
+        assert!(m.predict(&none, below).unwrap().bottleneck.is_none());
+        assert!(m.predict(&none, above).unwrap().bottleneck.is_some());
     }
 
     #[test]

@@ -34,6 +34,25 @@ pub struct PerformanceQuery<'a> {
     pub parallelisms: &'a HashMap<String, u32>,
     /// Offered source rate to evaluate at (tuples/min).
     pub source_rate: f64,
+    /// The topology's saturation point under `parallelisms` (Eq. 13),
+    /// searched once for every model that needs it.
+    pub saturation: Option<f64>,
+}
+
+impl<'a> PerformanceQuery<'a> {
+    /// Builds the query, running the Eq. 13 saturation search.
+    pub fn new(
+        topology: &'a TopologyModel,
+        parallelisms: &'a HashMap<String, u32>,
+        source_rate: f64,
+    ) -> Result<Self> {
+        Ok(Self {
+            topology,
+            parallelisms,
+            source_rate,
+            saturation: topology.saturation_source_rate(parallelisms)?,
+        })
+    }
 }
 
 /// The performance-model interface of the model tier.
@@ -91,9 +110,8 @@ impl PerformanceModel for BackpressureModel {
     }
 
     fn run(&self, query: &PerformanceQuery<'_>) -> Result<ModelOutput> {
-        let (risk, sat) = query
-            .topology
-            .backpressure_risk(query.parallelisms, query.source_rate)?;
+        let sat = query.saturation;
+        let risk = BackpressureRisk::classify(sat, query.source_rate);
         let mut metrics = BTreeMap::new();
         metrics.insert(
             "risk_high".into(),
@@ -302,19 +320,11 @@ mod tests {
     fn throughput_model_reports_rates_and_bottleneck() {
         let t = topo_model();
         let parallelisms = HashMap::new();
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 8.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 8.0).unwrap();
         let out = ThroughputModel.run(&q).unwrap();
         assert_eq!(out.metrics["sink_output_rate"], 16.0);
         assert_eq!(out.metrics["bolt.saturated"], 0.0);
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 50.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 50.0).unwrap();
         let out = ThroughputModel.run(&q).unwrap();
         assert_eq!(out.metrics["sink_output_rate"], 40.0);
         assert_eq!(out.metrics["bolt.saturated"], 1.0);
@@ -325,20 +335,12 @@ mod tests {
     fn backpressure_model_reports_risk_and_headroom() {
         let t = topo_model();
         let parallelisms = HashMap::new();
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 5.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 5.0).unwrap();
         let out = BackpressureModel.run(&q).unwrap();
         assert_eq!(out.metrics["risk_high"], 0.0);
         assert!((out.metrics["topology_saturation_rate"] - 20.0).abs() < 0.01);
         assert!((out.metrics["headroom_ratio"] - 4.0).abs() < 0.01);
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 25.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 25.0).unwrap();
         let out = BackpressureModel.run(&q).unwrap();
         assert_eq!(out.metrics["risk_high"], 1.0);
     }
@@ -356,11 +358,7 @@ mod tests {
         );
         let t = topo_model();
         let parallelisms = HashMap::new();
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 5.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 5.0).unwrap();
         let one = registry.run("topology_throughput", &q).unwrap();
         assert_eq!(one.model, "topology_throughput");
         let all = registry.run_all(&q).unwrap();
@@ -390,11 +388,7 @@ mod tests {
         )]);
         let t = TopologyModel::new(spec, models).unwrap();
         let parallelisms = HashMap::new();
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 5.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 5.0).unwrap();
         let out = LatencyModel.run(&q).unwrap();
         assert!(out.metrics.is_empty());
         assert!(out.notes[0].contains("not assessable"));
@@ -406,30 +400,18 @@ mod tests {
         let parallelisms = HashMap::new();
         // bolt: 2 instances, per-instance knee 10. Source 8 → 4 each →
         // 40% utilisation.
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 8.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 8.0).unwrap();
         let out = LatencyModel.run(&q).unwrap();
         assert!((out.metrics["bolt.utilisation"] - 0.4).abs() < 1e-9);
         assert_eq!(out.metrics["latency_critical"], 0.0);
         // Source 18 → 9 each → 90%: latency-critical.
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 18.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 18.0).unwrap();
         let out = LatencyModel.run(&q).unwrap();
         assert!((out.metrics["max_utilisation"] - 0.9).abs() < 1e-9);
         assert_eq!(out.metrics["latency_critical"], 1.0);
         assert!(out.notes[0].contains("steep"));
         // Beyond the knee utilisation clamps at 1.
-        let q = PerformanceQuery {
-            topology: &t,
-            parallelisms: &parallelisms,
-            source_rate: 100.0,
-        };
+        let q = PerformanceQuery::new(&t, &parallelisms, 100.0).unwrap();
         let out = LatencyModel.run(&q).unwrap();
         assert_eq!(out.metrics["max_utilisation"], 1.0);
     }

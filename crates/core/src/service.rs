@@ -1084,18 +1084,16 @@ impl Caladrius {
         let (model, cpu_models) = self.fitted_models(topology)?;
         let (source_rate, traffic) = self.resolve_source_rate(topology, source)?;
 
-        let query = PerformanceQuery {
-            topology: &model,
-            parallelisms: proposed_parallelisms,
-            source_rate,
-        };
+        // One saturation search serves the configured models and the
+        // report's own verdict.
+        let query = PerformanceQuery::new(&model, proposed_parallelisms, source_rate)?;
         let mut model_outputs = Vec::new();
         for name in &self.config.performance_models {
             model_outputs.push(self.performance.run(name, &query)?);
         }
         let prediction = model.predict(proposed_parallelisms, source_rate)?;
-        let (risk, saturation_rate) =
-            model.backpressure_risk(proposed_parallelisms, source_rate)?;
+        let saturation_rate = query.saturation;
+        let risk = BackpressureRisk::classify(saturation_rate, source_rate);
 
         let mut cpu_by_component = BTreeMap::new();
         for report in &prediction.per_component {
@@ -1507,6 +1505,44 @@ mod tests {
         assert_eq!(report.model_outputs.len(), 3);
         assert!(report.cpu_by_component.contains_key("splitter"));
         assert!(report.cpu_by_component["splitter"] > 0.0);
+    }
+
+    #[test]
+    fn evaluate_searches_for_the_saturation_point_once() {
+        use crate::model::topology::PREDICT_CALLS;
+        let caladrius = service();
+        let proposal = HashMap::from([("splitter".to_string(), 3u32)]);
+        let source = SourceRateSpec::Fixed(30.0e6);
+        // The first call fits; the second is the cached-model path.
+        caladrius.evaluate("wordcount", &proposal, &source).unwrap();
+        let before = PREDICT_CALLS.get();
+        let report = caladrius.evaluate("wordcount", &proposal, &source).unwrap();
+        let in_evaluate = PREDICT_CALLS.get() - before;
+
+        let (model, _) = caladrius.fitted_models("wordcount").unwrap();
+        let before = PREDICT_CALLS.get();
+        let direct = model.backpressure_risk(&proposal, 30.0e6).unwrap();
+        let in_search = PREDICT_CALLS.get() - before;
+        // One search, plus one prediction each for the throughput model,
+        // the latency model and the report's own `prediction`.
+        assert_eq!(in_evaluate, in_search + 3);
+
+        // Eq. 14 has one implementation: the report, the backpressure
+        // model's output and the direct call agree to the bit.
+        assert_eq!((report.risk, report.saturation_rate), direct);
+        let output = report
+            .model_outputs
+            .iter()
+            .find(|o| o.model == "backpressure_risk")
+            .unwrap();
+        assert_eq!(
+            output.metrics["risk_high"] == 1.0,
+            report.risk == BackpressureRisk::High
+        );
+        assert_eq!(
+            output.metrics["topology_saturation_rate"].to_bits(),
+            report.saturation_rate.unwrap().to_bits()
+        );
     }
 
     #[test]

@@ -21,10 +21,18 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # core has one fit (Caladrius::absorb: a cold fit is the Stale fit over
 # empty statistics) fed by one windowed provider read (series_set); the
 # cold-only fit bodies and the two old trait reads went in PR 21.
+# The request path has no timer on it: the accept thread blocks in
+# `accept` (the 5 ms non-blocking poll went in PR 22), and the saturation
+# search leaves its loop at the interval's floating-point fixed point
+# instead of running all 200 halvings.
 echo "==> deleted mechanisms stay deleted"
 if grep -rnE 'forecast_fingerprint|quantize_rate|PlanCacheLookup|fn lock_(cache|histories|forecasters|plan_cache)|fit_topology_stats|fit_cpu_stats|full_fit_entry|absorb_delta|fn component_series|fn per_instance_series' crates src tests examples; then
     exit 1
 fi
+if grep -n 'set_nonblocking' crates/api/src/http.rs; then
+    exit 1
+fi
+grep -q 'if mid <= lo || mid >= hi' crates/core/src/model/topology.rs
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release

@@ -29,7 +29,118 @@ fn shuffle_component(p: u32, instance: InstanceModel) -> ComponentModel {
     }
 }
 
+/// Eq. 13 as first written — bracket by doubling, then 200 unconditional
+/// halvings. `TopologyModel::saturation_source_rate` leaves its loop at
+/// the interval's floating-point fixed point and must land on the same
+/// bits.
+fn saturation_by_200_halvings(topo: &TopologyModel, p: &HashMap<String, u32>) -> Option<f64> {
+    let saturates = |rate: f64| topo.predict(p, rate).unwrap().bottleneck.is_some();
+    let mut hi = 1.0;
+    let mut bracketed = false;
+    for _ in 0..80 {
+        if saturates(hi) {
+            bracketed = true;
+            break;
+        }
+        hi *= 2.0;
+    }
+    if !bracketed {
+        return None;
+    }
+    let mut lo = 0.0;
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if saturates(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(0.5 * (lo + hi))
+}
+
+/// A two-bolt topology, chain (`spout → a → b`) or diamond (`spout → a`,
+/// `spout → b`, both into an unbounded `sink`). Each bolt is
+/// `(parallelism, log10 alpha, log10 knee)`; `None` knees never saturate.
+fn two_bolt_topology(diamond: bool, bolts: [(u32, f64, Option<f64>); 2]) -> TopologyModel {
+    let [a, b] = bolts;
+    let mut spec = LogicalSpec::new("t")
+        .component("spout", 1)
+        .component("a", a.0)
+        .component("b", b.0)
+        .edge("spout", "a", "shuffle");
+    let mut models = HashMap::new();
+    for (name, (p, log_alpha, log_knee)) in [("a", a), ("b", b)] {
+        let alpha = 10f64.powf(log_alpha);
+        let saturation = log_knee.map(|k| 10f64.powf(k)).map(|knee| Saturation {
+            input_sp: knee,
+            output_st: alpha * knee,
+        });
+        let mut component = shuffle_component(p, InstanceModel::from_params(alpha, saturation));
+        component.name = name.into();
+        models.insert(name.to_string(), component);
+    }
+    if diamond {
+        spec = spec
+            .component("sink", 1)
+            .edge("spout", "b", "shuffle")
+            .edge("a", "sink", "shuffle")
+            .edge("b", "sink", "shuffle");
+        let mut sink = shuffle_component(1, InstanceModel::from_params(1.0, None));
+        sink.name = "sink".into();
+        models.insert("sink".to_string(), sink);
+    } else {
+        spec = spec.edge("a", "b", "shuffle");
+    }
+    TopologyModel::new(spec, models).unwrap()
+}
+
+#[test]
+fn saturation_search_edges_match_200_halvings() {
+    let none = HashMap::new();
+    // Never saturates: no bracket, no search.
+    let open = two_bolt_topology(false, [(2, 0.0, None), (3, 1.0, None)]);
+    assert_eq!(open.saturation_source_rate(&none).unwrap(), None);
+    assert_eq!(saturation_by_200_halvings(&open, &none), None);
+    // Saturates below the bracket's first probe (hi = 1.0).
+    let tiny = two_bolt_topology(true, [(1, 0.0, Some(-7.5)), (4, -3.0, None)]);
+    let sat = tiny.saturation_source_rate(&none).unwrap();
+    assert!(sat.unwrap() < 1e-6);
+    assert_eq!(
+        sat.map(f64::to_bits),
+        saturation_by_200_halvings(&tiny, &none).map(f64::to_bits)
+    );
+}
+
 proptest! {
+    /// The fixed-point exit is exact: same bits as 200 halvings, over
+    /// chains and diamonds, 16 decades of alpha and knee, with and
+    /// without a parallelism proposal.
+    #[test]
+    fn saturation_search_matches_200_halvings_bit_for_bit(
+        diamond in prop::bool::ANY,
+        fitted in (1u32..65, 1u32..65),
+        log_alpha in (-8.0f64..8.0, -8.0f64..8.0),
+        log_knee in (-8.0f64..8.0, -8.0f64..8.0),
+        has_knee in (prop::bool::ANY, prop::bool::ANY),
+        propose in prop::bool::ANY,
+        proposed in (1u32..65, 1u32..65),
+    ) {
+        let topo = two_bolt_topology(diamond, [
+            (fitted.0, log_alpha.0, has_knee.0.then_some(log_knee.0)),
+            (fitted.1, log_alpha.1, has_knee.1.then_some(log_knee.1)),
+        ]);
+        let proposal = if propose {
+            HashMap::from([("a".to_string(), proposed.0), ("b".to_string(), proposed.1)])
+        } else {
+            HashMap::new()
+        };
+        prop_assert_eq!(
+            topo.saturation_source_rate(&proposal).unwrap().map(f64::to_bits),
+            saturation_by_200_halvings(&topo, &proposal).map(f64::to_bits)
+        );
+    }
+
     /// Eq. 2 is exactly `min(alpha * t, ST)`.
     #[test]
     fn instance_output_is_min_form(model in arb_instance_model(), t in 0.0f64..1e9) {
