@@ -132,6 +132,14 @@ fn bench_forecast(c: &mut Criterion) {
             m
         });
     });
+    // The service's per-minute refit: a one-day window.
+    group.bench_function("prophet_fit_1440_minutes", |b| {
+        b.iter(|| {
+            let mut m = Prophet::new(ProphetConfig::default());
+            m.fit(black_box(&history[1440..])).unwrap();
+            m
+        });
+    });
     let mut fitted = Prophet::new(ProphetConfig::default());
     fitted.fit(&history).unwrap();
     let horizon: Vec<i64> = (2881..2941).map(|i| i * 60_000).collect();

@@ -104,24 +104,23 @@ struct PendingQueue {
 }
 
 impl PendingQueue {
-    fn note(&mut self, topology: &str, window_end: i64) {
-        self.earliest_end
-            .entry(topology.to_string())
-            .and_modify(|end| *end = (*end).min(window_end))
-            .or_insert(window_end);
-    }
-
     /// Recomputes the per-topology minimums from the queue (after any
     /// removal that might have dropped a topology's earliest window).
     fn rebuild_earliest(&mut self) {
         self.earliest_end.clear();
-        let ends: Vec<(String, i64)> = self
-            .queue
-            .iter()
-            .map(|p| (p.topology.clone(), p.window_end))
-            .collect();
-        for (topology, end) in ends {
-            self.note(&topology, end);
+        for p in &self.queue {
+            note_end(&mut self.earliest_end, &p.topology, p.window_end);
+        }
+    }
+}
+
+/// Lowers a topology's earliest pending window end to `window_end`,
+/// copying the name only the first time the topology is seen.
+fn note_end(earliest_end: &mut HashMap<String, i64>, topology: &str, window_end: i64) {
+    match earliest_end.get_mut(topology) {
+        Some(end) => *end = (*end).min(window_end),
+        None => {
+            earliest_end.insert(topology.to_string(), window_end);
         }
     }
 }
@@ -200,7 +199,11 @@ impl AccuracyMonitor {
                 pending.rebuild_earliest();
             }
         }
-        pending.note(&prediction.topology, prediction.window_end);
+        note_end(
+            &mut pending.earliest_end,
+            &prediction.topology,
+            prediction.window_end,
+        );
         pending.queue.push_back(prediction);
         self.recorded.inc();
     }
@@ -222,21 +225,29 @@ impl AccuracyMonitor {
             .pending
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let any_due = pending
+        let pending = &mut *pending;
+        // One watermark per topology per pass, and only the topologies
+        // whose earliest window it has reached can have anything due.
+        let closed: HashMap<&str, i64> = pending
             .earliest_end
             .iter()
-            .any(|(topology, end)| watermark(topology).is_some_and(|w| w >= *end));
-        if !any_due {
+            .filter_map(|(topology, end)| {
+                let w = watermark(topology).filter(|w| w >= end)?;
+                Some((topology.as_str(), w))
+            })
+            .collect();
+        if closed.is_empty() {
             return Vec::new();
         }
         let mut due = Vec::new();
         pending.queue.retain(|p| {
-            if watermark(&p.topology).is_some_and(|w| w >= p.window_end) {
+            let is_due = closed
+                .get(p.topology.as_str())
+                .is_some_and(|w| *w >= p.window_end);
+            if is_due {
                 due.push(p.clone());
-                false
-            } else {
-                true
             }
+            !is_due
         });
         pending.rebuild_earliest();
         due
@@ -429,6 +440,58 @@ mod tests {
             .is_empty());
         assert_eq!(calls, 1);
         assert_eq!(m.pending_len(), 89);
+    }
+
+    #[test]
+    fn a_pass_asks_for_each_topology_watermark_once() {
+        let m = monitor();
+        // A mixed queue: 4 topologies interleaved, window ends scattered
+        // around their watermarks, several models per topology.
+        let watermark_of = |topology: &str| match topology {
+            "t0" => Some(60_000 * 200),
+            "t1" => Some(60_000 * 50),
+            "t2" => None,
+            _ => Some(0),
+        };
+        let mut queued = Vec::new();
+        for i in 0..1_000i64 {
+            let p = PendingPrediction {
+                topology: format!("t{}", i % 4),
+                model: format!("m{}", i % 3),
+                window_end: 60_000 * (1 + (i * 37) % 300),
+                ..pending("", 0, i as f64)
+            };
+            m.record(p.clone());
+            queued.push(p);
+        }
+        let mut calls = 0;
+        let due = m.take_due(|topology| {
+            calls += 1;
+            watermark_of(topology)
+        });
+        assert!(calls <= 4, "{calls} watermark reads for 4 topologies");
+        // The drained predictions are the ones a watermark read per entry
+        // picks, in queue order; the rest stay queued in theirs.
+        let is_due =
+            |p: &PendingPrediction| watermark_of(&p.topology).is_some_and(|w| w >= p.window_end);
+        let expected: Vec<PendingPrediction> =
+            queued.iter().filter(|p| is_due(p)).cloned().collect();
+        assert!(!expected.is_empty() && expected.len() < queued.len());
+        assert_eq!(due, expected);
+        assert_eq!(m.pending_len(), queued.len() - expected.len());
+        // Nothing is left due, and the rebuilt index still answers that
+        // from one read per topology.
+        let mut calls = 0;
+        assert!(m
+            .take_due(|topology| {
+                calls += 1;
+                watermark_of(topology)
+            })
+            .is_empty());
+        assert!(calls <= 4);
+        // Once the watermarks move on, the remainder drains in queue order.
+        let rest: Vec<PendingPrediction> = queued.into_iter().filter(|p| !is_due(p)).collect();
+        assert_eq!(m.take_due(|_| Some(i64::MAX)), rest);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::error::{CoreError, Result};
 use crate::model::instance::{InstanceFitStats, InstanceModel, InstanceObservation};
 use caladrius_forecast::streaming::KahanSum;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Upstream grouping as seen by the model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,6 +91,30 @@ pub struct ComponentPrediction {
     pub per_instance_inputs: Vec<f64>,
     /// Whether any instance is predicted to saturate at this rate.
     pub saturated: bool,
+}
+
+/// How a component's source traffic divides over its instances at one
+/// parallelism, without a share per instance having to exist.
+enum Shares<'a> {
+    /// Every instance receives this fraction (shuffle, unbiased fields:
+    /// `1/p`; all: the whole stream each).
+    Even(f64),
+    /// Instance 0 receives everything (global).
+    First,
+    /// One explicit fraction per instance (fields at the fitted
+    /// parallelism, or a [`CustomGroupingModel`]'s answer).
+    Each(Cow<'a, [f64]>),
+}
+
+impl Shares<'_> {
+    /// Calls `f` with each instance's share, instance 0 first.
+    fn for_each(&self, parallelism: u32, mut f: impl FnMut(f64)) {
+        match self {
+            Shares::Even(share) => (0..parallelism).for_each(|_| f(*share)),
+            Shares::First => (0..parallelism).for_each(|i| f(if i == 0 { 1.0 } else { 0.0 })),
+            Shares::Each(shares) => shares.iter().for_each(|share| f(*share)),
+        }
+    }
 }
 
 /// The fitted component model.
@@ -245,41 +270,38 @@ impl ComponentModel {
         self.bias() <= UNBIASED_TOLERANCE
     }
 
-    /// Traffic shares at a queried parallelism, or an error when they are
+    /// The grouping → shares rule: how source traffic divides over the
+    /// instances at a queried parallelism, or an error when that is
     /// unknowable (biased fields keys at a new parallelism without a
     /// custom model).
-    fn shares_at(
+    fn share_rule(
         &self,
         parallelism: u32,
         custom: Option<&dyn CustomGroupingModel>,
-    ) -> Result<Vec<f64>> {
-        let p = parallelism as usize;
+    ) -> Result<Shares<'_>> {
+        let even = Shares::Even(1.0 / f64::from(parallelism));
         match &self.grouping {
-            GroupingKind::Shuffle => Ok(vec![1.0 / p as f64; p]),
-            GroupingKind::All => Ok(vec![1.0; p]),
-            GroupingKind::Global => {
-                let mut s = vec![0.0; p];
-                s[0] = 1.0;
-                Ok(s)
-            }
+            GroupingKind::Shuffle => Ok(even),
+            GroupingKind::All => Ok(Shares::Even(1.0)),
+            GroupingKind::Global => Ok(Shares::First),
             GroupingKind::Fields | GroupingKind::Other(_) => {
                 if let Some(model) = custom {
                     let shares = model.shares(parallelism);
-                    if shares.len() != p {
+                    if shares.len() != parallelism as usize {
                         return Err(CoreError::InvalidRequest(format!(
-                            "custom grouping model returned {} shares for parallelism {p}",
+                            "custom grouping model returned {} shares for parallelism {parallelism}",
                             shares.len()
                         )));
                     }
-                    return Ok(shares);
+                    return Ok(Shares::Each(Cow::Owned(shares)));
                 }
                 if parallelism == self.fitted_parallelism {
                     // Fixed parallelism: the observed bias is assumed to
                     // persist (paper: "the source traffic bias remains
                     // unchanged over time").
-                    Ok(self.shares.clone())
+                    Ok(Shares::Each(Cow::Borrowed(&self.shares)))
                 } else if self.is_unbiased() {
-                    Ok(vec![1.0 / p as f64; p])
+                    Ok(even)
                 } else {
                     Err(CoreError::Unpredictable(format!(
                         "component {:?} uses fields grouping over biased keys \
@@ -295,6 +317,60 @@ impl ComponentModel {
         }
     }
 
+    /// [`ComponentModel::share_rule`] as one share per instance.
+    fn shares_at(
+        &self,
+        parallelism: u32,
+        custom: Option<&dyn CustomGroupingModel>,
+    ) -> Result<Vec<f64>> {
+        let mut shares = Vec::with_capacity(parallelism as usize);
+        self.share_rule(parallelism, custom)?
+            .for_each(parallelism, |share| shares.push(share));
+        Ok(shares)
+    }
+
+    /// Validates a `(parallelism, source rate)` query and resolves its
+    /// shares — the checks, in the order, every prediction makes.
+    fn checked_shares(
+        &self,
+        parallelism: u32,
+        source_rate: f64,
+        custom: Option<&dyn CustomGroupingModel>,
+    ) -> Result<Shares<'_>> {
+        if parallelism == 0 {
+            return Err(CoreError::InvalidRequest(
+                "parallelism must be positive".into(),
+            ));
+        }
+        if !(source_rate.is_finite() && source_rate >= 0.0) {
+            return Err(CoreError::InvalidRequest(format!(
+                "source rate must be a non-negative number, got {source_rate}"
+            )));
+        }
+        self.share_rule(parallelism, custom)
+    }
+
+    /// Eq. 7 over the instances, instance 0 first: the summed output and
+    /// whether any instance saturates. `each` sees every instance's
+    /// source rate `source · share` before it is added.
+    fn sum_instances(
+        &self,
+        shares: &Shares<'_>,
+        parallelism: u32,
+        source_rate: f64,
+        mut each: impl FnMut(f64),
+    ) -> (f64, bool) {
+        let mut output = 0.0;
+        let mut saturated = false;
+        shares.for_each(parallelism, |share| {
+            let t_i = source_rate * share;
+            each(t_i);
+            output += self.instance.output_for_source(t_i);
+            saturated |= self.instance.saturates_at(t_i);
+        });
+        (output, saturated)
+    }
+
     /// Predicts component throughput at `parallelism` under component
     /// source rate `source_rate` (Eq. 9 / Eq. 11 depending on grouping).
     pub fn predict(&self, parallelism: u32, source_rate: f64) -> Result<ComponentPrediction> {
@@ -308,35 +384,33 @@ impl ComponentModel {
         source_rate: f64,
         custom: Option<&dyn CustomGroupingModel>,
     ) -> Result<ComponentPrediction> {
-        if parallelism == 0 {
-            return Err(CoreError::InvalidRequest(
-                "parallelism must be positive".into(),
-            ));
-        }
-        if !(source_rate.is_finite() && source_rate >= 0.0) {
-            return Err(CoreError::InvalidRequest(format!(
-                "source rate must be a non-negative number, got {source_rate}"
-            )));
-        }
-        let shares = self.shares_at(parallelism, custom)?;
-        let mut output = 0.0;
+        let shares = self.checked_shares(parallelism, source_rate, custom)?;
         let mut input = 0.0;
-        let mut per_instance = Vec::with_capacity(shares.len());
-        let mut saturated = false;
-        for share in &shares {
-            let t_i = source_rate * share;
+        let mut per_instance = Vec::with_capacity(parallelism as usize);
+        let (output, saturated) = self.sum_instances(&shares, parallelism, source_rate, |t_i| {
             let in_i = self.instance.input_for_source(t_i);
-            output += self.instance.output_for_source(t_i);
             input += in_i;
             per_instance.push(in_i);
-            saturated |= self.instance.saturates_at(t_i);
-        }
+        });
         Ok(ComponentPrediction {
             output_rate: output,
             input_rate: input,
             per_instance_inputs: per_instance,
             saturated,
         })
+    }
+
+    /// [`ComponentModel::predict`]'s `(output_rate, saturated)` — the
+    /// same checks and the same sums in the same order, so the same
+    /// bits — without building the prediction: what the topology's
+    /// saturation search asks of every component at every probe.
+    pub(crate) fn output_and_saturation(
+        &self,
+        parallelism: u32,
+        source_rate: f64,
+    ) -> Result<(f64, bool)> {
+        let shares = self.checked_shares(parallelism, source_rate, None)?;
+        Ok(self.sum_instances(&shares, parallelism, source_rate, |_| {}))
     }
 
     /// The component source rate at which backpressure first triggers —
@@ -420,6 +494,50 @@ impl ComponentModel {
             }
         }
         Ok(0.5 * (lo + hi))
+    }
+}
+
+/// A hand-built component for this module's and the topology walk's
+/// proptests: `10^log_alpha` for α, `10^log_knee` for the knee, and
+/// `grouping` 0 shuffle, 1 fields over biased keys, 2 fields over uniform
+/// keys, 3 all, 4 global.
+#[cfg(test)]
+pub(crate) fn arbitrary_component(
+    name: &str,
+    fitted_p: u32,
+    log_alpha: f64,
+    log_knee: Option<f64>,
+    grouping: u32,
+) -> ComponentModel {
+    let alpha = 10f64.powf(log_alpha);
+    let p = f64::from(fitted_p);
+    let shares = if grouping == 1 {
+        // Instance i carries a share proportional to i + 1.
+        (1..=fitted_p)
+            .map(|i| f64::from(i) / (p * (p + 1.0) / 2.0))
+            .collect()
+    } else {
+        vec![1.0 / p; fitted_p as usize]
+    };
+    ComponentModel {
+        name: name.to_string(),
+        fitted_parallelism: fitted_p,
+        instance: InstanceModel::from_params(
+            alpha,
+            log_knee
+                .map(|k| 10f64.powf(k))
+                .map(|knee| crate::model::instance::Saturation {
+                    input_sp: knee,
+                    output_st: alpha * knee,
+                }),
+        ),
+        shares,
+        grouping: match grouping {
+            0 => GroupingKind::Shuffle,
+            1 | 2 => GroupingKind::Fields,
+            3 => GroupingKind::All,
+            _ => GroupingKind::Global,
+        },
     }
 }
 
@@ -601,6 +719,7 @@ mod tests {
             ComponentModel::fit("counter", 3, GroupingKind::Fields, &fields_obs(&shares)).unwrap();
         let err = m.predict(4, 10.0).unwrap_err();
         assert!(matches!(err, CoreError::Unpredictable(_)));
+        assert_eq!(m.output_and_saturation(4, 10.0).unwrap_err(), err);
     }
 
     #[test]
@@ -678,10 +797,45 @@ mod tests {
     #[test]
     fn invalid_requests_rejected() {
         let m = fitted_shuffle(3);
-        assert!(m.predict(0, 10.0).is_err());
-        assert!(m.predict(3, -5.0).is_err());
-        assert!(m.predict(3, f64::NAN).is_err());
+        for (p, rate) in [(0, 10.0), (3, -5.0), (3, f64::NAN), (0, f64::NAN)] {
+            let err = m.predict(p, rate).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidRequest(_)));
+            assert_eq!(m.output_and_saturation(p, rate).unwrap_err(), err);
+        }
         assert!(ComponentModel::fit("x", 0, GroupingKind::Shuffle, &shuffle_obs(1)).is_err());
+    }
+
+    proptest::proptest! {
+        /// The search's evaluation is `predict` minus the report: the
+        /// same output bits, the same saturation flag, the same error.
+        #[test]
+        fn output_and_saturation_is_predict_without_the_report(
+            fitted_p in 1u32..65,
+            log_alpha in -8.0f64..8.0,
+            knee in (proptest::bool::ANY, -8.0f64..8.0),
+            grouping in 0u32..5,
+            query in (proptest::bool::ANY, 0u32..65),
+            rate in (0u32..12, 0.0f64..80.0),
+        ) {
+            let model = arbitrary_component("c", fitted_p, log_alpha, knee.0.then_some(knee.1), grouping);
+            let p = if query.0 { query.1 } else { fitted_p };
+            let rate = match rate.0 {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => -1.0,
+                3 => f64::NAN,
+                _ => rate.1.exp2(),
+            };
+            let fast = model.output_and_saturation(p, rate);
+            let full = model.predict(p, rate);
+            match (fast, full) {
+                (Ok((output, saturated)), Ok(full)) => {
+                    assert_eq!(output.to_bits(), full.output_rate.to_bits());
+                    assert_eq!(saturated, full.saturated);
+                }
+                (fast, full) => assert_eq!(fast.unwrap_err(), full.unwrap_err()),
+            }
+        }
     }
 
     #[test]

@@ -78,15 +78,29 @@ pub struct TopologyModel {
     models: HashMap<String, ComponentModel>,
     /// Spout component names (no incoming edges).
     spouts: Vec<String>,
-    /// Component names in topological order.
-    order: Vec<String>,
+    /// The components in topological order.
+    order: Vec<Node>,
+}
+
+/// One component of the DAG, at its place in the topological order.
+#[derive(Debug, Clone)]
+struct Node {
+    name: String,
+    /// Whether the offered source rate enters here.
+    spout: bool,
+    /// Where each declared out stream leads (spec edge order), as
+    /// indices into the topological order.
+    targets: Vec<usize>,
 }
 
 #[cfg(test)]
 thread_local! {
-    /// [`TopologyModel::predict`] calls made on this thread, so tests can
-    /// pin how much work a search or an evaluation does.
-    pub(crate) static PREDICT_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// DAG walks made on this thread — by [`TopologyModel::predict`] or
+    /// by a saturation search's probes — so tests can pin how much work a
+    /// search or an evaluation does.
+    pub(crate) static DAG_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// [`TopologyPrediction`]s built on this thread.
+    pub(crate) static PREDICTIONS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Relative margin under the saturation point treated as "high risk"
@@ -98,7 +112,7 @@ impl TopologyModel {
     /// models. Spouts need no model (their output *is* the source rate).
     pub fn new(spec: LogicalSpec, models: HashMap<String, ComponentModel>) -> Result<Self> {
         let logical = build_logical(&spec)?;
-        let order: Vec<String> = algo::topo_sort(&logical.graph)
+        let names: Vec<String> = algo::topo_sort(&logical.graph)
             .map_err(|_| CoreError::InvalidRequest("topology graph has a cycle".into()))?
             .into_iter()
             .map(|v| {
@@ -122,6 +136,24 @@ impl TopologyModel {
                 )));
             }
         }
+        let order = names
+            .iter()
+            .map(|name| Node {
+                name: name.clone(),
+                spout: spouts.contains(name),
+                targets: spec
+                    .edges
+                    .iter()
+                    .filter(|(from, _, _)| from == name)
+                    .map(|(_, to, _)| {
+                        names
+                            .iter()
+                            .position(|n| n == to)
+                            .expect("a built spec's edges join its components")
+                    })
+                    .collect(),
+            })
+            .collect();
         Ok(Self {
             spec,
             models,
@@ -193,74 +225,46 @@ impl TopologyModel {
             )));
         }
         #[cfg(test)]
-        PREDICT_CALLS.set(PREDICT_CALLS.get() + 1);
-        // Per-component arriving rate.
-        let mut arriving: HashMap<&str, f64> = HashMap::new();
-        let total_spouts = self.spouts.len() as f64;
-        for spout in &self.spouts {
-            arriving.insert(spout.as_str(), source_rate / total_spouts);
-        }
-
+        PREDICTIONS_BUILT.set(PREDICTIONS_BUILT.get() + 1);
         let mut per_component = Vec::with_capacity(self.order.len());
         let mut bottleneck = None;
-        let mut sink_output = 0.0;
-        for name in &self.order {
-            let p = self.resolve_parallelism(parallelisms, name)?;
-            let source = arriving.get(name.as_str()).copied().unwrap_or(0.0);
-            let (input_rate, output_rate, per_instance, saturated) = match self.models.get(name) {
-                Some(model) => {
-                    let pred = model.predict(p, source)?;
-                    (
-                        pred.input_rate,
-                        pred.output_rate,
-                        pred.per_instance_inputs,
-                        pred.saturated,
-                    )
+        let sink_output_rate =
+            Walk::new(self, parallelisms).run(source_rate, |name, p, source, model| {
+                let (input_rate, output_rate, per_instance_inputs, saturated) = match model {
+                    Some(model) => {
+                        let pred = model.predict(p, source)?;
+                        (
+                            pred.input_rate,
+                            pred.output_rate,
+                            pred.per_instance_inputs,
+                            pred.saturated,
+                        )
+                    }
+                    // Spouts forward the offered rate unchanged.
+                    None => (
+                        source,
+                        source,
+                        vec![source / f64::from(p); p as usize],
+                        false,
+                    ),
+                };
+                if saturated && bottleneck.is_none() {
+                    bottleneck = Some(name.to_string());
                 }
-                // Spouts forward the offered rate unchanged.
-                None => (
-                    source,
-                    source,
-                    vec![source / f64::from(p); p as usize],
-                    false,
-                ),
-            };
-            if saturated && bottleneck.is_none() {
-                bottleneck = Some(name.clone());
-            }
-
-            // Propagate along out edges. The component model's output is
-            // its total across streams; the simulator emits the same α per
-            // declared stream, so each of `k` out edges carries 1/k of the
-            // modelled total.
-            let out_edges: Vec<&(String, String, String)> = self
-                .spec
-                .edges
-                .iter()
-                .filter(|(from, _, _)| from == name)
-                .collect();
-            if out_edges.is_empty() {
-                sink_output += output_rate;
-            } else {
-                let per_edge = output_rate / out_edges.len() as f64;
-                for (_, to, _) in out_edges {
-                    *arriving.entry(to.as_str()).or_insert(0.0) += per_edge;
-                }
-            }
-
-            per_component.push(ComponentReport {
-                name: name.clone(),
-                parallelism: p,
-                source_rate: source,
-                input_rate,
-                output_rate,
-                per_instance_inputs: per_instance,
-                saturated,
-            });
-        }
+                per_component.push(ComponentReport {
+                    name: name.to_string(),
+                    parallelism: p,
+                    source_rate: source,
+                    input_rate,
+                    output_rate,
+                    per_instance_inputs,
+                    saturated,
+                });
+                Ok(output_rate)
+            })?;
         Ok(TopologyPrediction {
             source_rate,
-            sink_output_rate: sink_output,
+            sink_output_rate,
             per_component,
             bottleneck,
         })
@@ -293,12 +297,15 @@ impl TopologyModel {
         &self,
         parallelisms: &HashMap<String, u32>,
     ) -> Result<Option<f64>> {
+        // The proposal is resolved once, by the first probe; every probe
+        // after it only redoes the arithmetic.
+        let mut walk = Walk::new(self, parallelisms);
         // The bottleneck indicator is monotone in t₀, so bisect. First
         // bracket an upper bound.
         let mut hi = 1.0;
         let mut saturates = false;
         for _ in 0..80 {
-            if self.predict(parallelisms, hi)?.bottleneck.is_some() {
+            if walk.any_saturates(hi)? {
                 saturates = true;
                 break;
             }
@@ -317,7 +324,7 @@ impl TopologyModel {
             if mid <= lo || mid >= hi {
                 break;
             }
-            if self.predict(parallelisms, mid)?.bottleneck.is_some() {
+            if walk.any_saturates(mid)? {
                 hi = mid;
             } else {
                 lo = mid;
@@ -338,10 +345,96 @@ impl TopologyModel {
     }
 }
 
+/// Eq. 12's propagation, written once: [`TopologyModel::predict`] makes
+/// one walk and keeps a report of it, a saturation search makes ≈ 80 and
+/// keeps one bit of each.
+///
+/// A component's model and parallelism are resolved by the first walk to
+/// reach it, just before that walk evaluates it, and kept for the walks
+/// that follow: a walk therefore raises the first error in topological
+/// order, whether the proposal or an arriving rate caused it, and a
+/// search resolves its proposal once.
+struct Walk<'a> {
+    topology: &'a TopologyModel,
+    parallelisms: &'a HashMap<String, u32>,
+    resolved: Vec<(u32, Option<&'a ComponentModel>)>,
+    /// Rate arriving at each component, indexed like the order.
+    arriving: Vec<f64>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(topology: &'a TopologyModel, parallelisms: &'a HashMap<String, u32>) -> Self {
+        let n = topology.order.len();
+        Self {
+            topology,
+            parallelisms,
+            resolved: Vec::with_capacity(n),
+            arriving: vec![0.0; n],
+        }
+    }
+
+    /// Offers `source_rate` to the spouts and visits every component in
+    /// topological order with `(name, parallelism, arriving rate, model)`
+    /// — no model means a spout; `output` answers with the component's
+    /// total output rate, which is split evenly over its out edges. The
+    /// component model's output is its total across streams, and the
+    /// simulator emits the same α per declared stream, so each of `k` out
+    /// edges carries `1/k` of it. Returns the summed output of the sinks.
+    fn run(
+        &mut self,
+        source_rate: f64,
+        mut output: impl FnMut(&'a str, u32, f64, Option<&'a ComponentModel>) -> Result<f64>,
+    ) -> Result<f64> {
+        #[cfg(test)]
+        DAG_WALKS.set(DAG_WALKS.get() + 1);
+        let topology = self.topology;
+        let per_spout = source_rate / topology.spouts.len() as f64;
+        for (arriving, node) in self.arriving.iter_mut().zip(&topology.order) {
+            *arriving = if node.spout { per_spout } else { 0.0 };
+        }
+        let mut sink_output = 0.0;
+        for (k, node) in topology.order.iter().enumerate() {
+            if k == self.resolved.len() {
+                let p = topology.resolve_parallelism(self.parallelisms, &node.name)?;
+                self.resolved.push((p, topology.models.get(&node.name)));
+            }
+            let (p, model) = self.resolved[k];
+            let output_rate = output(&node.name, p, self.arriving[k], model)?;
+            if node.targets.is_empty() {
+                sink_output += output_rate;
+            } else {
+                let per_edge = output_rate / node.targets.len() as f64;
+                for to in &node.targets {
+                    self.arriving[*to] += per_edge;
+                }
+            }
+        }
+        Ok(sink_output)
+    }
+
+    /// Whether any component saturates at `source_rate`:
+    /// `predict(..)?.bottleneck.is_some()` to the bit, and the same
+    /// error where `predict` has one, with nothing built. Every component
+    /// is visited even after one has saturated — an error further
+    /// downstream must still surface.
+    fn any_saturates(&mut self, source_rate: f64) -> Result<bool> {
+        let mut any = false;
+        self.run(source_rate, |_, p, source, model| {
+            let Some(model) = model else {
+                return Ok(source);
+            };
+            let (output_rate, saturated) = model.output_and_saturation(p, source)?;
+            any |= saturated;
+            Ok(output_rate)
+        })?;
+        Ok(any)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::component::{ComponentModel, GroupingKind};
+    use crate::model::component::{arbitrary_component, ComponentModel, GroupingKind};
     use crate::model::instance::{InstanceModel, Saturation};
 
     fn model(name: &str, p: u32, alpha: f64, instance_sp: f64) -> (String, ComponentModel) {
@@ -410,21 +503,162 @@ mod tests {
 
     #[test]
     fn saturation_search_stops_at_its_fixed_point() {
-        // The bracket ends at hi = 32 after 6 calls; ~53 halvings later
+        // The bracket ends at hi = 32 after 6 walks; ~53 halvings later
         // the interval is two adjacent floats. 200 unconditional halvings
-        // made 206 calls here (228 at the service's tuples/min rates).
+        // made 206 walks here (228 at the service's tuples/min rates).
         let m = wordcount(2, 4);
         let none = HashMap::new();
-        let before = PREDICT_CALLS.get();
+        let (walks, built) = (DAG_WALKS.get(), PREDICTIONS_BUILT.get());
         let sat = m.saturation_source_rate(&none).unwrap().unwrap();
-        let calls = PREDICT_CALLS.get() - before;
-        assert!(calls <= 80 + 64, "{calls} predict calls in one search");
+        let walks = DAG_WALKS.get() - walks;
+        assert!(walks <= 80 + 64, "{walks} walks in one search");
+        assert_eq!(
+            PREDICTIONS_BUILT.get() - built,
+            0,
+            "a search reads one bit per probe and builds no report"
+        );
         // The answer is the boundary to the last bit: its neighbours
         // straddle the indicator.
         let below = f64::from_bits(sat.to_bits() - 1);
         let above = f64::from_bits(sat.to_bits() + 1);
         assert!(m.predict(&none, below).unwrap().bottleneck.is_none());
         assert!(m.predict(&none, above).unwrap().bottleneck.is_some());
+    }
+
+    /// A bolt for the walk proptest: `(fitted parallelism, log10 α, log10
+    /// knee, grouping)`, as [`arbitrary_component`] reads them.
+    type Bolt = (u32, f64, Option<f64>, u32);
+
+    fn bolt(
+        name: &str,
+        (fitted_p, log_alpha, log_knee, grouping): Bolt,
+    ) -> (String, ComponentModel) {
+        let component = arbitrary_component(name, fitted_p, log_alpha, log_knee, grouping);
+        (name.to_string(), component)
+    }
+
+    /// Three bolts wired as a chain (`spout → a → b → c`), a diamond
+    /// (`spout → a`, `spout → b`, both into `c`) or a fan-in (spouts `s1`
+    /// and `s2` feed `a` and `b`, which join in `c`).
+    fn three_bolts(shape: u32, bolts: [Bolt; 3]) -> TopologyModel {
+        let [a, b, c] = bolts;
+        let spec = LogicalSpec::new("t")
+            .component("a", a.0)
+            .component("b", b.0)
+            .component("c", c.0);
+        let spec = match shape {
+            0 => spec
+                .component("spout", 2)
+                .edge("spout", "a", "shuffle")
+                .edge("a", "b", "shuffle")
+                .edge("b", "c", "shuffle"),
+            1 => spec
+                .component("spout", 2)
+                .edge("spout", "a", "shuffle")
+                .edge("spout", "b", "shuffle")
+                .edge("a", "c", "shuffle")
+                .edge("b", "c", "shuffle"),
+            _ => spec
+                .component("s1", 1)
+                .component("s2", 3)
+                .edge("s1", "a", "shuffle")
+                .edge("s2", "b", "shuffle")
+                .edge("a", "c", "shuffle")
+                .edge("b", "c", "shuffle"),
+        };
+        let models = HashMap::from([bolt("a", a), bolt("b", b), bolt("c", c)]);
+        TopologyModel::new(spec, models).unwrap()
+    }
+
+    /// What the search asked before it had its own walk.
+    fn saturates_by_predict(
+        m: &TopologyModel,
+        proposal: &HashMap<String, u32>,
+        rate: f64,
+    ) -> Result<bool> {
+        Ok(m.predict(proposal, rate)?.bottleneck.is_some())
+    }
+
+    proptest::proptest! {
+        /// The search's predicate is `predict(..)?.bottleneck.is_some()`:
+        /// the same decision at every rate the search can probe, and the
+        /// same error (a biased fields bolt at a new parallelism, an
+        /// arriving rate that overflowed) where `predict` has one.
+        #[test]
+        fn any_saturates_is_predict_reduced_to_its_bottleneck_bit(
+            shape in 0u32..3,
+            fitted in (1u32..65, 1u32..65, 1u32..65),
+            log_alpha in (-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0),
+            knee in (0u32..8, -8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0),
+            grouping in (0u32..5, 0u32..5, 0u32..5),
+            proposed in (0u32..8, 1u32..65, 1u32..65, 1u32..65),
+            rates in ((0.0f64..80.0, 0.0f64..80.0), (0.0f64..80.0, 0.0f64..80.0)),
+        ) {
+            // Bit i of `knee.0` gives bolt i a knee; bit i of `proposed.0`
+            // proposes a parallelism for it.
+            let has = |bits: u32, i: u32| bits & (1 << i) != 0;
+            let m = three_bolts(shape, [
+                (fitted.0, log_alpha.0, has(knee.0, 0).then_some(knee.1), grouping.0),
+                (fitted.1, log_alpha.1, has(knee.0, 1).then_some(knee.2), grouping.1),
+                (fitted.2, log_alpha.2, has(knee.0, 2).then_some(knee.3), grouping.2),
+            ]);
+            let proposal: HashMap<String, u32> =
+                [("a", proposed.1), ("b", proposed.2), ("c", proposed.3)]
+                    .into_iter()
+                    .zip(0..)
+                    .filter(|(_, i)| has(proposed.0, *i))
+                    .map(|((name, p), _)| (name.to_string(), p))
+                    .collect();
+            // One walk state across the probes, as in a search.
+            let mut walk = Walk::new(&m, &proposal);
+            let ((r0, r1), (r2, r3)) = rates;
+            for rate in [0.0, 1.0, r0.exp2(), r1.exp2(), r2.exp2(), r3.exp2(), 80f64.exp2()] {
+                assert_eq!(
+                    walk.any_saturates(rate),
+                    saturates_by_predict(&m, &proposal, rate),
+                    "rate {rate}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_search_fails_exactly_as_predict_does() {
+        let searched = |m: &TopologyModel, proposal: &HashMap<String, u32>| {
+            let err = m.saturation_source_rate(proposal).unwrap_err();
+            // The bracket's first probe is where `predict` met it.
+            assert_eq!(err, m.predict(proposal, 1.0).unwrap_err());
+            err
+        };
+        let m = wordcount(2, 4);
+        let zero = HashMap::from([("counter".to_string(), 0u32)]);
+        assert!(matches!(searched(&m, &zero), CoreError::InvalidRequest(_)));
+
+        // Biased fields keys cannot be re-hashed onto a new parallelism.
+        let biased = three_bolts(
+            0,
+            [(2, 0.0, None, 0), (4, 0.0, Some(1.0), 1), (2, 0.0, None, 0)],
+        );
+        let rescaled = HashMap::from([("b".to_string(), 5u32)]);
+        assert!(matches!(
+            searched(&biased, &rescaled),
+            CoreError::Unpredictable(_)
+        ));
+
+        // A rate that stops being one: `a` emits a negative rate to `b`.
+        let mut negative =
+            three_bolts(0, [(1, 0.0, None, 0), (1, 0.0, None, 0), (1, 0.0, None, 0)]);
+        negative.models.get_mut("a").unwrap().instance.alpha = -1.0;
+        let err = searched(&negative, &HashMap::new());
+        assert!(matches!(&err, CoreError::InvalidRequest(why) if why.contains("got -")));
+        // The first error in topological order wins, whichever kind it
+        // is: `c`'s proposal is bad too, but `b` fails before the walk
+        // gets there...
+        let bad_c = HashMap::from([("c".to_string(), 0u32)]);
+        assert_eq!(searched(&negative, &bad_c), err);
+        // ...and a bad proposal for `a` is met before `b`'s rate.
+        let bad_a = HashMap::from([("a".to_string(), 0u32)]);
+        assert_ne!(searched(&negative, &bad_a), err);
     }
 
     #[test]

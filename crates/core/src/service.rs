@@ -1509,20 +1509,20 @@ mod tests {
 
     #[test]
     fn evaluate_searches_for_the_saturation_point_once() {
-        use crate::model::topology::PREDICT_CALLS;
+        use crate::model::topology::DAG_WALKS;
         let caladrius = service();
         let proposal = HashMap::from([("splitter".to_string(), 3u32)]);
         let source = SourceRateSpec::Fixed(30.0e6);
         // The first call fits; the second is the cached-model path.
         caladrius.evaluate("wordcount", &proposal, &source).unwrap();
-        let before = PREDICT_CALLS.get();
+        let before = DAG_WALKS.get();
         let report = caladrius.evaluate("wordcount", &proposal, &source).unwrap();
-        let in_evaluate = PREDICT_CALLS.get() - before;
+        let in_evaluate = DAG_WALKS.get() - before;
 
         let (model, _) = caladrius.fitted_models("wordcount").unwrap();
-        let before = PREDICT_CALLS.get();
+        let before = DAG_WALKS.get();
         let direct = model.backpressure_risk(&proposal, 30.0e6).unwrap();
-        let in_search = PREDICT_CALLS.get() - before;
+        let in_search = DAG_WALKS.get() - before;
         // One search, plus one prediction each for the throughput model,
         // the latency model and the report's own `prediction`.
         assert_eq!(in_evaluate, in_search + 3);

@@ -77,6 +77,12 @@ impl Matrix {
 
     /// `Aᵀ diag(w) A`, the weighted Gram matrix. With `w = None` the
     /// weights are all one.
+    ///
+    /// Element `(i, j)` is `Σ_r (w_r · x_ri) · x_rj` summed over the rows
+    /// in ascending order, rows of weight zero and zero `w_r · x_ri`
+    /// skipped — that order is a contract (forecasts are compared bit
+    /// for bit), so the inner loops run over row slices, which the
+    /// compiler vectorises across `j`, and never reassociate over `r`.
     pub fn gram_weighted(&self, w: Option<&[f64]>) -> Matrix {
         let n = self.cols;
         let mut out = Matrix::zeros(n, n);
@@ -85,13 +91,13 @@ impl Matrix {
             if weight == 0.0 {
                 continue;
             }
-            for i in 0..n {
+            for (i, acc) in out.data.chunks_exact_mut(n).enumerate() {
                 let wi = weight * row[i];
                 if wi == 0.0 {
                     continue;
                 }
-                for j in i..n {
-                    out[(i, j)] += wi * row[j];
+                for (o, x) in acc[i..].iter_mut().zip(&row[i..]) {
+                    *o += wi * x;
                 }
             }
         }
@@ -261,6 +267,59 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
     Some((my - slope * mx, slope))
 }
 
+/// The kernels as first written, one indexed element at a time: what the
+/// slice loops above must equal bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::Matrix;
+
+    pub(crate) fn mul_vec(a: &Matrix, v: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|r| (0..a.cols()).map(|c| a[(r, c)] * v[c]).sum())
+            .collect()
+    }
+
+    pub(crate) fn gram_weighted(a: &Matrix, w: Option<&[f64]>) -> Matrix {
+        let n = a.cols();
+        let mut out = Matrix::zeros(n, n);
+        for r in 0..a.rows() {
+            let weight = w.map_or(1.0, |w| w[r]);
+            if weight == 0.0 {
+                continue;
+            }
+            for i in 0..n {
+                let wi = weight * a[(r, i)];
+                if wi == 0.0 {
+                    continue;
+                }
+                for j in i..n {
+                    out[(i, j)] += wi * a[(r, j)];
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                out[(i, j)] = out[(j, i)];
+            }
+        }
+        out
+    }
+
+    pub(crate) fn tr_mul_vec_weighted(a: &Matrix, y: &[f64], w: Option<&[f64]>) -> Vec<f64> {
+        let mut out = vec![0.0; a.cols()];
+        for r in 0..a.rows() {
+            let wy = w.map_or(1.0, |w| w[r]) * y[r];
+            if wy == 0.0 {
+                continue;
+            }
+            for c in 0..a.cols() {
+                out[c] += a[(r, c)] * wy;
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +345,48 @@ mod tests {
         let a = Matrix::from_rows(2, 1, vec![1.0, 2.0]);
         let g = a.gram_weighted(Some(&[2.0, 0.5]));
         assert_eq!(g[(0, 0)], 2.0 * 1.0 + 0.5 * 4.0);
+    }
+
+    proptest::proptest! {
+        /// The kernels' accumulation order is a contract: whatever shape
+        /// the loops take, every element equals the indexed reference's
+        /// bit for bit — exact zeros, zero weights and down-weighted rows
+        /// included.
+        #[test]
+        fn kernels_equal_their_indexed_reference_bit_for_bit(
+            shape in (0usize..41, 1usize..46),
+            entries in proptest::collection::vec(
+                proptest::prop_oneof![proptest::strategy::Just(0.0), -10.0f64..10.0],
+                40 * 45,
+            ),
+            weighted in proptest::bool::ANY,
+            weights in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::strategy::Just(0.0),
+                    proptest::strategy::Just(1.0),
+                    0.0f64..1.0
+                ],
+                40,
+            ),
+            vector in proptest::collection::vec(-10.0f64..10.0, 45),
+        ) {
+            let (rows, cols) = shape;
+            let a = Matrix::from_rows(rows, cols, entries[..rows * cols].to_vec());
+            let w = weighted.then_some(&weights[..rows]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&a.gram_weighted(w).data),
+                bits(&reference::gram_weighted(&a, w).data)
+            );
+            assert_eq!(
+                bits(&a.mul_vec(&vector[..cols])),
+                bits(&reference::mul_vec(&a, &vector[..cols]))
+            );
+            assert_eq!(
+                bits(&a.tr_mul_vec_weighted(&vector[..rows], w)),
+                bits(&reference::tr_mul_vec_weighted(&a, &vector[..rows], w))
+            );
+        }
     }
 
     #[test]

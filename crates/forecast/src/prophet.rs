@@ -93,16 +93,22 @@ impl Prophet {
         &self.config
     }
 
-    fn design_row(&self, fitted_t: (f64, f64), changepoints: &[f64], ts: i64) -> Vec<f64> {
+    /// Appends the design row for `ts` — trend columns, then each
+    /// seasonality's — to `out`. Fitting and predicting both build their
+    /// rows here, so a column can only ever mean one thing.
+    fn push_design_row(
+        &self,
+        fitted_t: (f64, f64),
+        changepoints: &[f64],
+        ts: i64,
+        out: &mut Vec<f64>,
+    ) {
         let (t_start, t_scale) = fitted_t;
         let t = (ts as f64 - t_start) / t_scale;
-        let mut row =
-            Vec::with_capacity(trend_width(changepoints) + total_width(&self.config.seasonalities));
-        trend_features(t, changepoints, &mut row);
+        trend_features(t, changepoints, out);
         for s in &self.config.seasonalities {
-            s.features(ts as f64, &mut row);
+            s.features(ts as f64, out);
         }
-        row
     }
 
     /// Point forecast of the deseasonalised trend component at `ts`,
@@ -224,6 +230,15 @@ pub fn normal_quantile(p: f64) -> f64 {
     }
 }
 
+/// The element a full sort would leave at `len / 2` (the upper median),
+/// found by selection. `total_cmp` orders the non-negative residuals it
+/// is given exactly as `<` does, and puts a NaN last instead of
+/// panicking.
+fn upper_median(values: &mut [f64]) -> f64 {
+    let mid = values.len() / 2;
+    *values.select_nth_unstable_by(mid, f64::total_cmp).1
+}
+
 fn laplace_sample(rng: &mut StdRng, scale: f64) -> f64 {
     let u: f64 = rng.random_range(-0.5..0.5);
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
@@ -258,7 +273,7 @@ impl Forecaster for Prophet {
 
         let mut rows = Vec::with_capacity(data.len() * n_cols);
         for p in &data {
-            rows.extend(self.design_row((t_start, t_scale), &changepoints, p.ts));
+            self.push_design_row((t_start, t_scale), &changepoints, p.ts, &mut rows);
         }
         let design = Matrix::from_rows(data.len(), n_cols, rows);
         let y: Vec<f64> = data.iter().map(|p| p.y / y_scale).collect();
@@ -290,9 +305,13 @@ impl Forecaster for Prophet {
             }
             let fitted = design.mul_vec(&coeffs);
             let mut abs_res: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| (a - b).abs()).collect();
-            abs_res.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
-            let mad = abs_res[abs_res.len() / 2].max(1e-12);
-            let sigma = 1.4826 * mad;
+            let mad = upper_median(&mut abs_res);
+            if !mad.is_finite() {
+                // A non-finite residual scale would turn every weight
+                // into NaN or zero: the solve has already gone wrong.
+                return Err(ForecastError::SingularSystem);
+            }
+            let sigma = 1.4826 * mad.max(1e-12);
             const HUBER_C: f64 = 1.345;
             weights = Some(
                 y.iter()
@@ -383,10 +402,11 @@ impl Forecaster for Prophet {
             }
         }
 
-        let trend_cols = trend_width(&f.changepoints);
         let mut out = Vec::with_capacity(timestamps.len());
+        let mut row = Vec::with_capacity(f.coeffs.len());
         for (i, ts) in timestamps.iter().enumerate() {
-            let row = self.design_row((f.t_start, f.t_scale), &f.changepoints, *ts);
+            row.clear();
+            self.push_design_row((f.t_start, f.t_scale), &f.changepoints, *ts, &mut row);
             let yhat_scaled: f64 = row.iter().zip(&f.coeffs).map(|(a, b)| a * b).sum();
             let t = t_norms[i];
 
@@ -410,7 +430,6 @@ impl Forecaster for Prophet {
                 lower: (yhat_scaled - z * sd) * f.y_scale,
                 upper: (yhat_scaled + z * sd) * f.y_scale,
             });
-            let _ = trend_cols;
         }
         Ok(out)
     }
@@ -424,6 +443,7 @@ impl Forecaster for Prophet {
 mod tests {
     use super::*;
     use crate::future_timestamps;
+    use proptest::strategy::Strategy;
 
     const MINUTE: i64 = 60_000;
     const HOUR: i64 = 3_600_000;
@@ -576,6 +596,164 @@ mod tests {
         b.fit(&hist).unwrap();
         let ts = [150 * MINUTE, 300 * MINUTE];
         assert_eq!(a.predict(&ts).unwrap(), b.predict(&ts).unwrap());
+    }
+
+    /// `Prophet::fit` as it stood before the fit was made cheaper: every
+    /// design row its own `Vec`, the normal equations through the indexed
+    /// reference kernels, the MAD read off a full sort.
+    fn reference_fit(config: &ProphetConfig, history: &[DataPoint]) -> FittedProphet {
+        use crate::linalg::{reference, solve_spd};
+        let mut data = clean(history);
+        data.sort_by_key(|p| p.ts);
+        let t_start = data[0].ts as f64;
+        let t_scale = (data[data.len() - 1].ts as f64 - t_start).max(1.0);
+        let y_scale = data.iter().map(|p| p.y.abs()).fold(0.0, f64::max);
+        let changepoints = changepoint_locations(&config.trend, data.len());
+        let trend_cols = trend_width(&changepoints);
+        let n_cols = trend_cols + total_width(&config.seasonalities);
+        let mut rows = Vec::new();
+        for p in &data {
+            let mut row = Vec::new();
+            trend_features((p.ts as f64 - t_start) / t_scale, &changepoints, &mut row);
+            for s in &config.seasonalities {
+                s.features(p.ts as f64, &mut row);
+            }
+            rows.extend(row);
+        }
+        let design = Matrix::from_rows(data.len(), n_cols, rows);
+        let y: Vec<f64> = data.iter().map(|p| p.y / y_scale).collect();
+        let mut penalties = vec![0.0; n_cols];
+        penalties[2..trend_cols].fill(config.trend.delta_penalty);
+        let mut col = trend_cols;
+        for s in &config.seasonalities {
+            penalties[col..col + s.width()].fill(s.penalty);
+            col += s.width();
+        }
+        let mut weights: Option<Vec<f64>> = None;
+        let mut coeffs = Vec::new();
+        for _ in 0..6 {
+            let mut gram = reference::gram_weighted(&design, weights.as_deref());
+            for (i, p) in penalties.iter().enumerate() {
+                gram[(i, i)] += p;
+            }
+            let rhs = reference::tr_mul_vec_weighted(&design, &y, weights.as_deref());
+            coeffs = solve_spd(&gram, &rhs).unwrap();
+            let fitted = reference::mul_vec(&design, &coeffs);
+            let mut abs_res: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| (a - b).abs()).collect();
+            abs_res.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let sigma = 1.4826 * abs_res[abs_res.len() / 2].max(1e-12);
+            weights = Some(
+                y.iter()
+                    .zip(&fitted)
+                    .map(|(a, b)| {
+                        let r = (a - b).abs() / sigma;
+                        if r <= 1.345 {
+                            1.0
+                        } else {
+                            1.345 / r
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        let fitted = reference::mul_vec(&design, &coeffs);
+        let residual_var = y
+            .iter()
+            .zip(&fitted)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            / (y.len() - 1) as f64;
+        let deltas = &coeffs[2..trend_cols];
+        let delta_scale = deltas.iter().map(|d| d.abs()).sum::<f64>() / deltas.len() as f64;
+        FittedProphet {
+            t_start,
+            t_scale,
+            y_scale,
+            changepoints,
+            coeffs,
+            sigma: residual_var.sqrt(),
+            delta_scale,
+        }
+    }
+
+    #[test]
+    fn fit_equals_the_reference_fit_bit_for_bit() {
+        // The service's shape: one day of minutes, diurnal, noisy, with
+        // spikes and dips large enough for the Huber weights to bite.
+        let mut noise = 0x2545_f491_4f6c_dd1du64;
+        let history: Vec<DataPoint> = (0..1440)
+            .map(|i| {
+                noise ^= noise << 13;
+                noise ^= noise >> 7;
+                noise ^= noise << 17;
+                let jitter = (noise >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                let phase = std::f64::consts::TAU * i as f64 / 1440.0;
+                let spike = match i % 97 {
+                    0 => 3.0,
+                    50 => 0.2,
+                    _ => 1.0,
+                };
+                let y = 1.0e6 * (1.0 + 0.4 * phase.sin() + 0.1 * jitter) * spike;
+                DataPoint::new(1_700_000_000_000 + i * MINUTE, y)
+            })
+            .collect();
+        let mut m = Prophet::with_defaults();
+        m.fit(&history).unwrap();
+        let reference = reference_fit(m.config(), &history);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fitted = m.fitted.as_ref().unwrap();
+        assert_eq!(bits(&fitted.coeffs), bits(&reference.coeffs));
+        assert_eq!(fitted.sigma.to_bits(), reference.sigma.to_bits());
+        assert_eq!(
+            fitted.delta_scale.to_bits(),
+            reference.delta_scale.to_bits()
+        );
+
+        // And so the forecast a caller sees is the same, interval and all.
+        let horizon = future_timestamps(&history, 60, MINUTE);
+        let served = m.predict(&horizon).unwrap();
+        let expected = Prophet {
+            config: m.config().clone(),
+            fitted: Some(reference),
+        }
+        .predict(&horizon)
+        .unwrap();
+        for (a, b) in served.iter().zip(&expected) {
+            assert_eq!(
+                (a.ts, a.yhat.to_bits(), a.lower.to_bits(), a.upper.to_bits()),
+                (b.ts, b.yhat.to_bits(), b.lower.to_bits(), b.upper.to_bits())
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Selection finds the element a full sort leaves at `len / 2`,
+        /// ties and all.
+        #[test]
+        fn upper_median_is_the_sorted_middle(
+            residuals in proptest::collection::vec(
+                proptest::prop_oneof![(0u32..8).prop_map(|v| f64::from(v) / 4.0), 0.0f64..2.0],
+                1..200usize,
+            ),
+        ) {
+            let mut sorted = residuals.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut residuals = residuals;
+            assert_eq!(
+                upper_median(&mut residuals).to_bits(),
+                sorted[sorted.len() / 2].to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_residual_orders_last_instead_of_panicking() {
+        // `partial_cmp(..).expect(..)` panicked here; `fit` turns the NaN
+        // median this yields into `SingularSystem`.
+        let mut mostly_nan = [0.5, f64::NAN, f64::NAN, 0.1];
+        assert!(upper_median(&mut mostly_nan).is_nan());
+        let mut one_nan = [0.5, f64::NAN, 0.25, 0.1];
+        assert_eq!(upper_median(&mut one_nan), 0.5);
     }
 
     #[test]

@@ -24,7 +24,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # The request path has no timer on it: the accept thread blocks in
 # `accept` (the 5 ms non-blocking poll went in PR 22), and the saturation
 # search leaves its loop at the interval's floating-point fixed point
-# instead of running all 200 halvings.
+# instead of running all 200 halvings. Its probes walk the DAG themselves
+# and keep one bit each (PR 24): nothing between the search's signature
+# and the next function may build a report. The Gram matrix accumulates
+# over row slices; the indexed loop survives only as the test reference.
 echo "==> deleted mechanisms stay deleted"
 if grep -rnE 'forecast_fingerprint|quantize_rate|PlanCacheLookup|fn lock_(cache|histories|forecasters|plan_cache)|fit_topology_stats|fit_cpu_stats|full_fit_entry|absorb_delta|fn component_series|fn per_instance_series' crates src tests examples; then
     exit 1
@@ -33,6 +36,13 @@ if grep -n 'set_nonblocking' crates/api/src/http.rs; then
     exit 1
 fi
 grep -q 'if mid <= lo || mid >= hi' crates/core/src/model/topology.rs
+if sed -n '/pub fn saturation_source_rate/,/pub fn backpressure_risk/p' crates/core/src/model/topology.rs |
+    grep -n 'self\.predict('; then
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/forecast/src/linalg.rs | grep -n 'out\[(i, j)\] +='; then
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release

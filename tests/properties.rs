@@ -95,6 +95,42 @@ fn two_bolt_topology(diamond: bool, bolts: [(u32, f64, Option<f64>); 2]) -> Topo
     TopologyModel::new(spec, models).unwrap()
 }
 
+/// Spouts `s1` and `s2` feed `a` and `b`, which join in `c`. Each bolt is
+/// `(parallelism, log10 alpha, log10 knee, grouping)`: 0 shuffle, 1
+/// fields over biased keys, 2 fields over uniform keys, 3 all, 4 global.
+fn fan_in_topology(bolts: [(u32, f64, Option<f64>, u32); 3]) -> TopologyModel {
+    let mut spec = LogicalSpec::new("t")
+        .component("s1", 1)
+        .component("s2", 2)
+        .edge("s1", "a", "shuffle")
+        .edge("s2", "b", "shuffle")
+        .edge("a", "c", "shuffle")
+        .edge("b", "c", "shuffle");
+    let mut models = HashMap::new();
+    for (name, (p, log_alpha, log_knee, grouping)) in ["a", "b", "c"].into_iter().zip(bolts) {
+        spec = spec.component(name, p);
+        let alpha = 10f64.powf(log_alpha);
+        let saturation = log_knee.map(|k| 10f64.powf(k)).map(|knee| Saturation {
+            input_sp: knee,
+            output_st: alpha * knee,
+        });
+        let mut component = shuffle_component(p, InstanceModel::from_params(alpha, saturation));
+        component.name = name.into();
+        component.grouping = match grouping {
+            0 => GroupingKind::Shuffle,
+            1 | 2 => GroupingKind::Fields,
+            3 => GroupingKind::All,
+            _ => GroupingKind::Global,
+        };
+        if grouping == 1 {
+            let total = f64::from(p) * (f64::from(p) + 1.0) / 2.0;
+            component.shares = (1..=p).map(|i| f64::from(i) / total).collect();
+        }
+        models.insert(name.to_string(), component);
+    }
+    TopologyModel::new(spec, models).unwrap()
+}
+
 #[test]
 fn saturation_search_edges_match_200_halvings() {
     let none = HashMap::new();
@@ -135,6 +171,43 @@ proptest! {
         } else {
             HashMap::new()
         };
+        prop_assert_eq!(
+            topo.saturation_source_rate(&proposal).unwrap().map(f64::to_bits),
+            saturation_by_200_halvings(&topo, &proposal).map(f64::to_bits)
+        );
+    }
+
+    /// The search walks the DAG itself instead of asking `predict`: same
+    /// bits as 200 halvings over `predict`, through a fan-in of two
+    /// spouts and every grouping (biased fields keys keep their fitted
+    /// parallelism — any other is an error, not a saturation point).
+    #[test]
+    fn saturation_search_matches_200_halvings_on_fan_in_with_groupings(
+        fitted in (1u32..65, 1u32..65, 1u32..65),
+        log_alpha in (-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0),
+        log_knee in (-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0),
+        has_knee in (prop::bool::ANY, prop::bool::ANY, prop::bool::ANY),
+        grouping in (0u32..5, 0u32..5, 0u32..5),
+        propose in prop::bool::ANY,
+        proposed in (1u32..65, 1u32..65, 1u32..65),
+    ) {
+        let topo = fan_in_topology([
+            (fitted.0, log_alpha.0, has_knee.0.then_some(log_knee.0), grouping.0),
+            (fitted.1, log_alpha.1, has_knee.1.then_some(log_knee.1), grouping.1),
+            (fitted.2, log_alpha.2, has_knee.2.then_some(log_knee.2), grouping.2),
+        ]);
+        let mut proposal = HashMap::new();
+        if propose {
+            for (name, p, grouping) in [
+                ("a", proposed.0, grouping.0),
+                ("b", proposed.1, grouping.1),
+                ("c", proposed.2, grouping.2),
+            ] {
+                if grouping != 1 {
+                    proposal.insert(name.to_string(), p);
+                }
+            }
+        }
         prop_assert_eq!(
             topo.saturation_source_rate(&proposal).unwrap().map(f64::to_bits),
             saturation_by_200_halvings(&topo, &proposal).map(f64::to_bits)
