@@ -348,6 +348,9 @@ pub struct JobRunner {
     tx: Sender<(u64, Task)>,
     queue_depth: Gauge,
     per_key_cap: u32,
+    /// The `runner="<scope>"` label on this runner's obs series, removed
+    /// from the registry on drop.
+    scope: String,
 }
 
 impl std::fmt::Debug for JobRunner {
@@ -355,6 +358,12 @@ impl std::fmt::Debug for JobRunner {
         f.debug_struct("JobRunner")
             .field("jobs", &self.store.len())
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for JobRunner {
+    fn drop(&mut self) {
+        caladrius_obs::global_registry().forget_labelled("runner", &self.scope);
     }
 }
 
@@ -380,8 +389,8 @@ impl JobRunner {
             "caladrius_job_duration_seconds",
             "Execution time of jobs once running",
         );
-        let runner_id = caladrius_obs::next_scope_id().to_string();
-        let labels: &[(&str, &str)] = &[("runner", &runner_id)];
+        let scope = caladrius_obs::next_scope_id().to_string();
+        let labels: &[(&str, &str)] = &[("runner", &scope)];
         let queue_depth = registry.gauge("caladrius_jobs_queue_depth", labels);
         let queue_wait = registry.histogram("caladrius_job_queue_wait_seconds", labels);
         let duration = registry.histogram("caladrius_job_duration_seconds", labels);
@@ -418,6 +427,7 @@ impl JobRunner {
             tx,
             queue_depth,
             per_key_cap: DEFAULT_PER_KEY_IN_FLIGHT,
+            scope,
         }
     }
 

@@ -22,6 +22,8 @@ use caladrius_tsdb::{MetricBatch, MetricsDb, Sample, SeriesKey, TagFilter};
 use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
 use criterion::{criterion_group, criterion_main, Criterion};
 use heron_sim::engine::{SimConfig, Simulation};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -160,6 +162,20 @@ fn bench_tsdb(c: &mut Criterion) {
     let block = compress(&samples);
     group.bench_function("gorilla_decompress_1000", |b| {
         b.iter(|| decompress(black_box(&block)).unwrap());
+    });
+    // What the simulator records: one sealed chunk (240 minutes) of a
+    // rate under the engine's default 0.4 % metric noise, which XORs to
+    // ~50 meaningful bits a sample where the values above cost 2-4.
+    let mut rng = StdRng::seed_from_u64(240);
+    let noisy: Vec<Sample> = (0..240)
+        .map(|i| Sample::new(i * 60_000, 8.0e6 * (1.0 + rng.random_range(-0.004..0.004))))
+        .collect();
+    group.bench_function("gorilla_compress_noisy_240", |b| {
+        b.iter(|| compress(black_box(&noisy)));
+    });
+    let noisy_block = compress(&noisy);
+    group.bench_function("gorilla_decompress_noisy_240", |b| {
+        b.iter(|| decompress(black_box(&noisy_block)).unwrap());
     });
     group.bench_function("ingest_1000_samples", |b| {
         b.iter(|| {

@@ -150,7 +150,9 @@ impl std::fmt::Debug for AccuracyMonitor {
 }
 
 impl AccuracyMonitor {
-    /// A monitor registering its series under `service="service_label"`.
+    /// A monitor registering its series under `service="service_label"`;
+    /// they go with every other series of that label when the owning
+    /// [`crate::Caladrius`] is dropped.
     pub fn new(service_label: &str) -> Self {
         let registry = caladrius_obs::global_registry();
         registry.describe(

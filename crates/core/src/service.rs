@@ -246,10 +246,12 @@ pub struct Caladrius {
     /// Finished plan timelines per `(topology, plan_request_key)`,
     /// bounded by `plan_cache_capacity`.
     plans: StampedCache<(String, u64), caladrius_planner::PlanTimeline>,
-    /// Cache/fit/plan counters live in the process-wide obs registry,
-    /// labelled `service="<instance id>"` so [`Caladrius::model_cache_stats`]
-    /// stays exact per instance while `/metrics/service` sees every
-    /// instance in the process.
+    /// Cache/fit/plan counters (and the accuracy monitor's series) live
+    /// in the process-wide obs registry, labelled `service="<scope>"` so
+    /// [`Caladrius::model_cache_stats`] stays exact per instance while
+    /// `/metrics/service` sees every instance in the process. Dropping
+    /// the service removes them.
+    scope: String,
     cache_hits: Counter,
     cache_misses: Counter,
     model_fits: Counter,
@@ -282,6 +284,12 @@ impl std::fmt::Debug for Caladrius {
     }
 }
 
+impl Drop for Caladrius {
+    fn drop(&mut self) {
+        caladrius_obs::global_registry().forget_labelled("service", &self.scope);
+    }
+}
+
 impl Caladrius {
     /// Creates a service with default config and model registries.
     pub fn new(metrics: Arc<dyn MetricsProvider>, tracker: Arc<dyn TopologyTracker>) -> Self {
@@ -309,8 +317,8 @@ impl Caladrius {
         extra_labels: &[(&str, &str)],
     ) -> Self {
         let registry = caladrius_obs::global_registry();
-        let service_id = caladrius_obs::next_scope_id().to_string();
-        let mut labels: Vec<(&str, &str)> = vec![("service", &service_id)];
+        let scope = caladrius_obs::next_scope_id().to_string();
+        let mut labels: Vec<(&str, &str)> = vec![("service", &scope)];
         labels.extend_from_slice(extra_labels);
         registry.describe(
             "caladrius_model_cache_hits_total",
@@ -413,7 +421,8 @@ impl Caladrius {
             evaluate_duration: registry.histogram("caladrius_evaluate_duration_seconds", &labels),
             fit_duration: registry.histogram("caladrius_model_fit_duration_seconds", &labels),
             plan_duration: registry.histogram("caladrius_plan_duration_seconds", &labels),
-            accuracy: AccuracyMonitor::new(&service_id),
+            accuracy: AccuracyMonitor::new(&scope),
+            scope,
         }
     }
 

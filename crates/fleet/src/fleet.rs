@@ -203,20 +203,30 @@ pub struct Fleet {
     shards: Vec<Shard>,
     /// topology id → (shard index, that topology's metrics store).
     assignments: RwLock<HashMap<String, (usize, SimMetrics)>>,
+    /// The `fleet="<scope>"` label on the shards' ingest counters,
+    /// removed from the registry on drop.
+    scope: String,
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        caladrius_obs::global_registry().forget_labelled("fleet", &self.scope);
+    }
 }
 
 impl Fleet {
     /// Builds a fleet of `config.shards` empty shards.
     pub fn new(config: FleetConfig) -> Fleet {
         assert!(config.shards > 0, "a fleet needs at least one shard");
-        let fleet_id = caladrius_obs::next_scope_id().to_string();
+        let scope = caladrius_obs::next_scope_id().to_string();
         let shards = (0..config.shards)
-            .map(|index| Shard::new(index, &fleet_id, &config.caladrius))
+            .map(|index| Shard::new(index, &scope, &config.caladrius))
             .collect();
         Fleet {
             config,
             shards,
             assignments: RwLock::new(HashMap::new()),
+            scope,
         }
     }
 

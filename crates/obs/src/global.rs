@@ -5,7 +5,8 @@
 //! these singletons so one `/metrics/service` scrape sees everything.
 //! Because the registry is shared across every service instance in the
 //! process, components that need exact per-instance counts register
-//! their series with an instance-id label from [`next_scope_id`].
+//! their series with an instance-id label from [`next_scope_id`], and
+//! remove them with [`MetricsRegistry::forget_labelled`] when dropped.
 
 use crate::flight::FlightRecorder;
 use crate::registry::MetricsRegistry;

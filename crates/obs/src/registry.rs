@@ -477,6 +477,21 @@ impl MetricsRegistry {
             .insert(name.to_string(), help.to_string());
     }
 
+    /// Removes every series carrying the label `key="value"`, of any
+    /// name and kind. An owner that labels its series with its own scope
+    /// id calls this when it is dropped, so a process that keeps making
+    /// short-lived stores and services does not keep their series
+    /// forever. Handles already held keep working; they are just no
+    /// longer exported.
+    pub fn forget_labelled(&self, key: &str, value: &str) {
+        for shard in &self.shards {
+            shard
+                .write()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .retain(|metric, _| !metric.labels.iter().any(|(k, v)| k == key && v == value));
+        }
+    }
+
     /// Snapshot of every registered family, sorted by name with rows
     /// sorted by labels.
     pub fn families(&self) -> Vec<MetricFamily> {
@@ -658,6 +673,38 @@ mod tests {
             );
         }
         assert_eq!(s.quantile(1.0), 1.9);
+    }
+
+    #[test]
+    fn forget_labelled_removes_only_that_scope() {
+        let r = MetricsRegistry::new();
+        let kept = r.counter("a_total", &[("db", "1")]);
+        let held = r.counter("a_total", &[("db", "2")]);
+        r.histogram("lat", &[("db", "2"), ("x", "y")]);
+        r.gauge("g", &[("service", "2")]);
+        r.forget_labelled("db", "2");
+        assert_eq!(r.len(), 2);
+        let rows: Vec<_> = r
+            .families()
+            .into_iter()
+            .flat_map(|f| {
+                f.rows
+                    .into_iter()
+                    .map(move |row| (f.name.clone(), row.labels))
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("a_total".to_string(), vec![("db".into(), "1".into())]),
+                ("g".to_string(), vec![("service".into(), "2".into())]),
+            ]
+        );
+        // Forgotten handles still count; live ones are untouched.
+        held.inc();
+        kept.add(2);
+        assert_eq!(held.get(), 1);
+        assert_eq!(r.counter("a_total", &[("db", "1")]).get(), 2);
     }
 
     #[test]

@@ -130,9 +130,10 @@ pub struct MetricsDb {
     /// truncated data.
     watermark: AtomicI64,
     /// Ingest counters live in the process-wide obs registry, labelled
-    /// with this db's instance id so [`MetricsDb::ingest_stats`] stays
-    /// exact per database while one `/metrics/service` scrape sees every
-    /// db in the process.
+    /// `db="<scope>"` so [`MetricsDb::ingest_stats`] stays exact per
+    /// database while one `/metrics/service` scrape sees every db in the
+    /// process. Dropping the db removes them.
+    scope: String,
     batches_ingested: Counter,
     samples_ingested: Counter,
     batch_size: Histogram,
@@ -145,8 +146,8 @@ pub struct MetricsDb {
 impl Default for MetricsDb {
     fn default() -> Self {
         let registry = caladrius_obs::global_registry();
-        let db_id = caladrius_obs::next_scope_id().to_string();
-        let labels: [(&str, &str); 1] = [("db", &db_id)];
+        let scope = caladrius_obs::next_scope_id().to_string();
+        let labels: [(&str, &str); 1] = [("db", &scope)];
         registry.describe(
             "caladrius_tsdb_ingest_batches_total",
             "Batches accepted by MetricsDb::ingest_batch",
@@ -167,7 +168,14 @@ impl Default for MetricsDb {
             samples_ingested: registry.counter("caladrius_tsdb_ingest_samples_total", &labels),
             batch_size: registry.histogram("caladrius_tsdb_ingest_batch_size", &labels),
             truncations: AtomicU64::new(0),
+            scope,
         }
+    }
+}
+
+impl Drop for MetricsDb {
+    fn drop(&mut self) {
+        caladrius_obs::global_registry().forget_labelled("db", &self.scope);
     }
 }
 

@@ -7,7 +7,8 @@
 //! * **Timestamps** are stored as a delta-of-delta: the first timestamp is a
 //!   full 64-bit value, the first delta is a zig-zag encoded 64-bit varint,
 //!   and every following delta-of-delta picks the smallest of five bit
-//!   windows (`0`, 7, 9, 12 or 64 bits).
+//!   windows (`0`, 7, 9, 12 or 64 bits). Deltas are taken modulo 2⁶⁴, so
+//!   any two `i64` timestamps round-trip.
 //! * **Values** are XORed with their predecessor. A zero XOR costs one bit;
 //!   otherwise the meaningful bits are stored, reusing the previous
 //!   leading/length window when it still fits.
@@ -15,54 +16,92 @@
 //! Per-minute Heron metrics have near-constant timestamp deltas and slowly
 //! varying values, so this encoding typically compresses chunks by an order
 //! of magnitude versus raw `(i64, f64)` pairs.
+//!
+//! The bit stream is a stored format: fields are packed most significant
+//! bit first, the last byte is zero-padded, and the buffer is exactly
+//! `ceil(bits / 8)` bytes long. The codec's bit cursors move up to 64 bits
+//! per call but produce and accept exactly the stream a cursor moving one
+//! bit at a time does; the tests hold them to such a cursor byte for byte.
 
 use crate::error::{Error, Result};
 use crate::series::Sample;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-/// Append-only bit cursor over a growable byte buffer.
-#[derive(Debug, Default)]
-struct BitWriter {
-    buf: BytesMut,
-    /// Bits already used in the final byte (0..=7). 0 means the last byte is
-    /// full (or the buffer is empty).
-    used: u8,
+/// What [`encode`] writes its fields to.
+trait BitSink {
+    /// Appends the low `count` (≤ 64) bits of `value`, most significant
+    /// first.
+    fn write_bits(&mut self, value: u64, count: u8);
+
+    /// Appends one bit.
+    fn write_bit(&mut self, bit: bool);
+
+    /// The stream, its last byte zero-padded.
+    fn finish(self) -> Bytes;
 }
 
-impl BitWriter {
-    fn new() -> Self {
-        Self {
-            buf: BytesMut::new(),
-            used: 0,
+/// What [`decode`] reads its fields from.
+trait BitSource {
+    /// Reads one bit.
+    fn read_bit(&mut self) -> Result<bool>;
+
+    /// Reads `count` (≤ 64) bits, most significant first. Errs when fewer
+    /// than `count` bits remain.
+    fn read_bits(&mut self, count: u8) -> Result<u64>;
+}
+
+fn exhausted() -> Error {
+    Error::CorruptChunk("bit stream exhausted".into())
+}
+
+/// Append-only bit cursor that gathers bits in a 64-bit word and appends
+/// each full word big-endian, so the bytes come out in stream order.
+#[derive(Debug, Default)]
+struct BitWriter {
+    buf: Vec<u8>,
+    /// The first `pending` bits (from the top) are written but not yet
+    /// appended to `buf`; the rest are zero.
+    word: u64,
+    /// Bits held in `word` (0..64).
+    pending: u32,
+}
+
+impl BitSink for BitWriter {
+    fn write_bits(&mut self, value: u64, count: u8) {
+        debug_assert!(count <= 64);
+        if count == 0 {
+            return;
+        }
+        let count = u32::from(count);
+        let value = value & (u64::MAX >> (64 - count));
+        let free = 64 - self.pending;
+        if count < free {
+            self.word |= value << (free - count);
+            self.pending += count;
+        } else {
+            let spill = count - free;
+            self.word |= value >> spill;
+            self.buf.extend_from_slice(&self.word.to_be_bytes());
+            self.word = if spill == 0 { 0 } else { value << (64 - spill) };
+            self.pending = spill;
         }
     }
 
     fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.buf.put_u8(0);
-            self.used = 8;
-        }
-        if bit {
-            let last = self.buf.len() - 1;
-            self.buf[last] |= 1 << (self.used - 1);
-        }
-        self.used -= 1;
+        self.write_bits(u64::from(bit), 1);
     }
 
-    /// Writes the low `count` bits of `value`, most significant first.
-    fn write_bits(&mut self, value: u64, count: u8) {
-        debug_assert!(count <= 64);
-        for i in (0..count).rev() {
-            self.write_bit((value >> i) & 1 == 1);
-        }
-    }
-
-    fn finish(self) -> Bytes {
-        self.buf.freeze()
+    fn finish(mut self) -> Bytes {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.word.to_be_bytes()[..tail]);
+        Bytes::from(self.buf)
     }
 }
 
-/// Bit cursor for reading back what [`BitWriter`] produced.
+/// Bit cursor for reading back what [`BitWriter`] produced. A field that
+/// fits in the 8 bytes starting at its first byte is one big-endian word
+/// load; a wider field, or one in the last 8 bytes, is gathered a byte at
+/// a time.
 #[derive(Debug)]
 struct BitReader<'a> {
     buf: &'a [u8],
@@ -74,22 +113,46 @@ impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
+}
 
+impl BitSource for BitReader<'_> {
     fn read_bit(&mut self) -> Result<bool> {
-        let byte = self.pos / 8;
-        if byte >= self.buf.len() {
-            return Err(Error::CorruptChunk("bit stream exhausted".into()));
-        }
-        let offset = 7 - (self.pos % 8) as u8;
+        let byte = *self.buf.get(self.pos / 8).ok_or_else(exhausted)?;
+        let bit = (byte >> (7 - self.pos % 8)) & 1 == 1;
         self.pos += 1;
-        Ok((self.buf[byte] >> offset) & 1 == 1)
+        Ok(bit)
     }
 
     fn read_bits(&mut self, count: u8) -> Result<u64> {
-        let mut out = 0u64;
-        for _ in 0..count {
-            out = (out << 1) | u64::from(self.read_bit()?);
+        debug_assert!(count <= 64);
+        let count = usize::from(count);
+        if count == 0 {
+            return Ok(0);
         }
+        let end = self.pos + count;
+        if end > self.buf.len() * 8 {
+            return Err(exhausted());
+        }
+        let (byte, offset) = (self.pos / 8, self.pos % 8);
+        let out = match self.buf.get(byte..byte + 8) {
+            Some(window) if offset + count <= 64 => {
+                let word = u64::from_be_bytes(window.try_into().expect("an 8-byte window"));
+                (word << offset) >> (64 - count)
+            }
+            _ => {
+                let mut out = 0u64;
+                let mut pos = self.pos;
+                while pos < end {
+                    let left_in_byte = 8 - pos % 8;
+                    let take = left_in_byte.min(end - pos);
+                    let bits = u64::from(self.buf[pos / 8]) >> (left_in_byte - take);
+                    out = (out << take) | (bits & ((1 << take) - 1));
+                    pos += take;
+                }
+                out
+            }
+        };
+        self.pos = end;
         Ok(out)
     }
 }
@@ -123,7 +186,10 @@ impl CompressedBlock {
 
 /// Encodes `samples` (which must be non-empty) into a Gorilla bit stream.
 pub fn compress(samples: &[Sample]) -> CompressedBlock {
-    let mut w = BitWriter::new();
+    encode(samples, BitWriter::default())
+}
+
+fn encode(samples: &[Sample], mut w: impl BitSink) -> CompressedBlock {
     let mut prev_ts = 0i64;
     let mut prev_delta = 0i64;
     let mut prev_bits = 0u64;
@@ -138,14 +204,14 @@ pub fn compress(samples: &[Sample]) -> CompressedBlock {
                 prev_ts = s.ts;
             }
             1 => {
-                let delta = s.ts - prev_ts;
+                let delta = s.ts.wrapping_sub(prev_ts);
                 write_varint(&mut w, zigzag_encode(delta));
                 prev_delta = delta;
                 prev_ts = s.ts;
             }
             _ => {
-                let delta = s.ts - prev_ts;
-                let dod = delta - prev_delta;
+                let delta = s.ts.wrapping_sub(prev_ts);
+                let dod = delta.wrapping_sub(prev_delta);
                 match dod {
                     0 => w.write_bit(false),
                     -63..=64 => {
@@ -215,15 +281,18 @@ pub fn compress(samples: &[Sample]) -> CompressedBlock {
 
 /// Decodes a block produced by [`compress`].
 pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
-    let mut r = BitReader::new(&block.bits);
-    let mut out = Vec::with_capacity(block.count as usize);
+    decode(block.count, BitReader::new(&block.bits))
+}
+
+fn decode(count: u32, mut r: impl BitSource) -> Result<Vec<Sample>> {
+    let mut out = Vec::with_capacity(count as usize);
     let mut prev_ts = 0i64;
     let mut prev_delta = 0i64;
     let mut prev_bits = 0u64;
     let mut prev_leading = 0u8;
     let mut prev_len = 0u8;
 
-    for i in 0..block.count {
+    for i in 0..count {
         let ts = match i {
             0 => {
                 prev_ts = r.read_bits(64)? as i64;
@@ -231,7 +300,7 @@ pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
             }
             1 => {
                 prev_delta = zigzag_decode(read_varint(&mut r)?);
-                prev_ts += prev_delta;
+                prev_ts = prev_ts.wrapping_add(prev_delta);
                 prev_ts
             }
             _ => {
@@ -246,8 +315,8 @@ pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
                 } else {
                     r.read_bits(64)? as i64
                 };
-                prev_delta += dod;
-                prev_ts += prev_delta;
+                prev_delta = prev_delta.wrapping_add(dod);
+                prev_ts = prev_ts.wrapping_add(prev_delta);
                 prev_ts
             }
         };
@@ -278,7 +347,7 @@ pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
 }
 
 /// LEB128-flavoured varint over the bit stream (7 data bits per group).
-fn write_varint(w: &mut BitWriter, mut v: u64) {
+fn write_varint(w: &mut impl BitSink, mut v: u64) {
     loop {
         let group = v & 0x7f;
         v >>= 7;
@@ -290,7 +359,7 @@ fn write_varint(w: &mut BitWriter, mut v: u64) {
     }
 }
 
-fn read_varint(r: &mut BitReader<'_>) -> Result<u64> {
+fn read_varint(r: &mut impl BitSource) -> Result<u64> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
@@ -309,9 +378,82 @@ fn read_varint(r: &mut BitReader<'_>) -> Result<u64> {
     }
 }
 
+/// The bit cursors as first written, one bit per call: the stream the
+/// word-at-a-time pair must produce and accept, byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::{exhausted, BitSink, BitSource, Bytes, Result};
+
+    #[derive(Debug, Default)]
+    pub(super) struct BitWriter {
+        buf: Vec<u8>,
+        /// Bits already used in the final byte (0..=7). 0 means the last
+        /// byte is full (or the buffer is empty).
+        used: u8,
+    }
+
+    impl BitSink for BitWriter {
+        fn write_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.buf.push(0);
+                self.used = 8;
+            }
+            if bit {
+                let last = self.buf.len() - 1;
+                self.buf[last] |= 1 << (self.used - 1);
+            }
+            self.used -= 1;
+        }
+
+        fn write_bits(&mut self, value: u64, count: u8) {
+            for i in (0..count).rev() {
+                self.write_bit((value >> i) & 1 == 1);
+            }
+        }
+
+        fn finish(self) -> Bytes {
+            Bytes::from(self.buf)
+        }
+    }
+
+    #[derive(Debug)]
+    pub(super) struct BitReader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub(super) fn new(buf: &'a [u8]) -> Self {
+            Self { buf, pos: 0 }
+        }
+    }
+
+    impl BitSource for BitReader<'_> {
+        fn read_bit(&mut self) -> Result<bool> {
+            let byte = self.pos / 8;
+            if byte >= self.buf.len() {
+                return Err(exhausted());
+            }
+            let offset = 7 - (self.pos % 8) as u8;
+            self.pos += 1;
+            Ok((self.buf[byte] >> offset) & 1 == 1)
+        }
+
+        fn read_bits(&mut self, count: u8) -> Result<u64> {
+            let mut out = 0u64;
+            for _ in 0..count {
+                out = (out << 1) | u64::from(self.read_bit()?);
+            }
+            Ok(out)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn roundtrip(samples: &[Sample]) {
         let block = compress(samples);
@@ -327,6 +469,153 @@ mod tests {
             );
         }
     }
+
+    fn reference_compress(samples: &[Sample]) -> CompressedBlock {
+        encode(samples, reference::BitWriter::default())
+    }
+
+    fn reference_decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
+        decode(block.count, reference::BitReader::new(&block.bits))
+    }
+
+    fn bits_of(samples: &[Sample]) -> Vec<(i64, u64)> {
+        samples.iter().map(|s| (s.ts, s.value.to_bits())).collect()
+    }
+
+    const SPECIAL_VALUES: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+    ];
+
+    /// A chunk of `1..=max_len` samples mixing the timestamp cadences and
+    /// value entropies the store sees (and some it should never see).
+    fn arb_chunk(max_len: usize) -> BoxedStrategy<Vec<Sample>> {
+        BoxedStrategy::from_fn(move |rng: &mut TestRng| {
+            let len = 1 + rng.below(max_len);
+            let mut ts = match rng.below(4) {
+                0 => 1_700_000_000_000,
+                1 => i64::MIN + rng.below(1_000_000) as i64,
+                2 => i64::MAX - rng.below(1_000_000) as i64,
+                _ => rng.next_u64() as i64,
+            };
+            let cadence = rng.below(4);
+            let entropy = rng.below(3);
+            let specials = rng.below(2) == 0;
+            (0..len)
+                .map(|i| {
+                    if i > 0 {
+                        let delta = match cadence {
+                            0 => 60_000,
+                            1 => 60_000 + rng.below(5_000) as i64 - 2_500,
+                            2 => rng.below(200_001) as i64 - 100_000,
+                            _ => rng.next_u64() as i64,
+                        };
+                        ts = ts.wrapping_add(delta);
+                    }
+                    let value = if specials && rng.below(10) == 0 {
+                        match rng.below(SPECIAL_VALUES.len() + 1) {
+                            // A NaN with a random payload and sign.
+                            0 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64()),
+                            k => SPECIAL_VALUES[k - 1],
+                        }
+                    } else {
+                        match entropy {
+                            0 => 1e6 + (i % 13) as f64,
+                            1 => 4_000.0 * (1.0 + 0.05 * rng.unit_f64()),
+                            _ => f64::from_bits(rng.next_u64()),
+                        }
+                    };
+                    Sample { ts, value }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Word-at-a-time writes lay down the same bytes as bit-at-a-time
+        /// ones, and read back (word or byte path) to the same fields.
+        #[test]
+        fn bit_cursors_match_the_reference(
+            fields in prop::collection::vec((0u8..65, any::<u64>()), 0..200),
+        ) {
+            let mut w = BitWriter::default();
+            let mut oracle = reference::BitWriter::default();
+            for &(count, value) in &fields {
+                w.write_bits(value, count);
+                oracle.write_bits(value, count);
+            }
+            let bytes = w.finish();
+            prop_assert_eq!(&bytes[..], &oracle.finish()[..]);
+            let mut r = BitReader::new(&bytes);
+            let mut oracle = reference::BitReader::new(&bytes);
+            for &(count, value) in &fields {
+                let want = if count == 0 { 0 } else { value & (u64::MAX >> (64 - count)) };
+                prop_assert_eq!(r.read_bits(count).unwrap(), want);
+                prop_assert_eq!(oracle.read_bits(count).unwrap(), want);
+            }
+            prop_assert!(r.read_bits(8).is_err());
+        }
+
+        /// `compress` writes the reference's bytes, and both decoders give
+        /// back every timestamp and value bit.
+        #[test]
+        fn compress_matches_the_reference(samples in arb_chunk(600)) {
+            let block = compress(&samples);
+            prop_assert_eq!(&block, &reference_compress(&samples));
+            prop_assert_eq!(bits_of(&decompress(&block).unwrap()), bits_of(&samples));
+            prop_assert_eq!(bits_of(&reference_decompress(&block).unwrap()), bits_of(&samples));
+        }
+
+        /// Every truncation of a stream fails exactly when the reference's
+        /// decode of it fails.
+        #[test]
+        fn truncations_fail_like_the_reference(samples in arb_chunk(60)) {
+            let block = compress(&samples);
+            for cut in 0..=block.bits.len() {
+                for count in [block.count, block.count + 1] {
+                    let truncated = CompressedBlock {
+                        count,
+                        bits: block.bits.slice(0..cut),
+                    };
+                    let got = decompress(&truncated);
+                    let want = reference_decompress(&truncated);
+                    prop_assert_eq!(got.is_err(), want.is_err(), "cut {} count {}", cut, count);
+                    if let (Ok(got), Ok(want)) = (got, want) {
+                        prop_assert_eq!(bits_of(&got), bits_of(&want));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pins the stream layout without the reference: every timestamp
+    /// window (varint, 0, 7, 9, 12 and 64 bits) and every value case
+    /// (first, repeat, new window, reused window).
+    #[test]
+    fn golden_stream() {
+        let samples = [
+            (1_700_000_000_000, 100.0),
+            (1_700_000_060_000, 100.0),
+            (1_700_000_120_000, 101.5),
+            (1_700_000_180_010, 101.25),
+            (1_700_000_240_210, 99.0),
+            (1_700_000_301_410, 99.0),
+            (-5, -0.0),
+            (i64::MAX, f64::NAN),
+        ]
+        .map(|(ts, value)| Sample { ts, value });
+        let block = compress(&samples);
+        let hex: String = block.bits.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_HEX);
+        assert_eq!(bits_of(&decompress(&block).unwrap()), bits_of(&samples));
+    }
+
+    const GOLDEN_HEX: &str = "0000018bcfe568004059000000000000c0a9073883d27903\
+                              edeef133d7ceffffffe7430150f89c08e02c7f000003179fd402d77ffc00";
 
     #[test]
     fn roundtrip_single_sample() {
@@ -473,7 +762,7 @@ mod tests {
 
     #[test]
     fn bit_writer_reader_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b1011, 4);
         w.write_bit(true);
         w.write_bits(u64::MAX, 64);

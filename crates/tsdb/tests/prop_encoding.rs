@@ -6,9 +6,19 @@ use caladrius_tsdb::query::{bucketed, Aggregation};
 use caladrius_tsdb::{Sample, Series};
 use proptest::prelude::*;
 
+/// Any `i64` timestamp, with the neighbours of `i64::MIN` and `i64::MAX`
+/// (whose deltas wrap) drawn often.
+fn arb_ts() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        any::<i64>(),
+        (0i64..4).prop_map(|k| i64::MIN + k),
+        (0i64..4).prop_map(|k| i64::MAX - k),
+    ]
+}
+
 fn arb_samples() -> impl Strategy<Value = Vec<Sample>> {
     prop::collection::vec(
-        (any::<i32>(), any::<f64>()).prop_map(|(ts, value)| Sample::new(i64::from(ts), value)),
+        (arb_ts(), any::<f64>()).prop_map(|(ts, value)| Sample::new(ts, value)),
         1..300,
     )
 }
@@ -32,7 +42,8 @@ fn arb_metric_stream() -> impl Strategy<Value = Vec<Sample>> {
 }
 
 proptest! {
-    /// Gorilla compression is lossless for arbitrary (even hostile) data.
+    /// Gorilla compression is lossless for arbitrary (even hostile) data,
+    /// timestamps included.
     #[test]
     fn gorilla_roundtrip_arbitrary(samples in arb_samples()) {
         let block = compress(&samples);
