@@ -38,24 +38,35 @@
 //! boundary, every rate-profile breakpoint (shifted by each pipeline
 //! delay so per-instance flows stay linear between events), and
 //! analytically computed saturation-onset / watermark-crossing ticks.
-//! Between consecutive events the fluid model ([`crate::fluid`])
-//! advances queue depths, throughput accumulators and clamped CPU in
-//! closed form — arithmetic series over the profile segments, the exact
-//! sums the tick loop would accumulate. Spans are guarded twice: an
-//! entry probe requires the live state to match the model within `1e-6`
-//! relative, and the span plan truncates at the first analytic capacity
-//! or watermark crossing so the crossing tick itself always executes
-//! exactly and the [`BackpressureTracker`] observes it. Congested
-//! regimes therefore run on the exact kernel tick-for-tick, keeping
-//! backpressure verdicts identical to exact runs, while relaxed
-//! stretches advance whole inter-event spans at a time. Inputs the fluid
-//! model cannot represent (see [`SimConfig::event_mode`]) run the whole
-//! minute on exact ticks, bit-identical to `event_mode: false`.
-//! Closed-form results are *not* bit-identical to exact runs, so the
-//! flag defaults to **off** — the bit-identity suite and the figure
-//! benches need the exact kernel as the reference — and
-//! `planner::replay` always turns it on, behind the workspace
-//! equivalence suite's 0.1 % sink-rate tolerance contract.
+//! The fluid model ([`crate::fluid`]) advances two regimes in closed
+//! form:
+//!
+//! - **Relaxed spans** (no backpressure): between consecutive events,
+//!   queue depths, throughput accumulators and clamped CPU move as
+//!   arithmetic series over the profile segments — the exact sums the
+//!   tick loop would accumulate. An entry probe requires the live state
+//!   to match the model within `1e-6` relative, and the span plan
+//!   truncates at the first analytic capacity or watermark crossing.
+//! - **Throttled-drain spans** (backpressure active): every spout is
+//!   stopped, so each bolt drains at `capacity·(1 − gateway)` per tick
+//!   or passes a constant inflow through, and spout backlogs grow by the
+//!   profile's integer-second sums. The drain plan stops before a
+//!   triggering queue falls under the low watermark, a non-triggering
+//!   queue rises over the high one, a saturated queue falls under one
+//!   tick of work, or the minute ends.
+//!
+//! Both stop with the same conservative `1e-6` margin, so the crossing
+//! tick itself — saturation onset, backpressure onset, release —
+//! always executes exactly and the [`BackpressureTracker`] observes
+//! every transition; per-minute backpressure time therefore matches
+//! exact runs. Every exact tick is counted under an [`ExactTickReason`].
+//! Inputs the fluid model cannot represent (see
+//! [`SimConfig::event_mode`]) run the whole minute on exact ticks,
+//! bit-identical to `event_mode: false`. Closed-form results are *not*
+//! bit-identical to exact runs, so the flag defaults to **off** — the
+//! bit-identity suite and the figure benches need the exact kernel as
+//! the reference — and `planner::replay` always turns it on, behind the
+//! workspace equivalence suite's 0.1 % sink-rate tolerance contract.
 
 use crate::backpressure::{BackpressureTracker, WatermarkConfig};
 use crate::error::{Result, SimError};
@@ -67,13 +78,17 @@ use crate::scheduler::{EventKind, EventQueue};
 use crate::topology::{ComponentKind, Topology};
 use caladrius_obs::{Counter, Histogram};
 use caladrius_tsdb::{MetricsDb, Sample, SeriesHandle};
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// After a failed event-mode entry probe (live state does not yet match
-/// the fluid model — pipeline refilling after cold start or a
-/// backpressure episode), tick exactly this many times before probing
-/// again.
+/// the relaxed model — pipeline refilling after cold start or a
+/// backpressure episode), a relaxed plan that stops at its first tick,
+/// or a failed drain plan (pipeline still converging after a
+/// backpressure onset), tick exactly this many times before planning
+/// again. A drain plan that stops at its first tick (a crossing is due)
+/// does not back off: it replans after that one exact tick.
 const EVENT_RETRY_TICKS: u64 = 8;
 
 /// Process-wide histogram of wall-clock time per recorded simulated
@@ -91,13 +106,58 @@ fn sim_minute_histogram() -> &'static Histogram {
     })
 }
 
-/// Process-wide simulator counters: ticks executed exactly, scheduler
-/// events processed by the event-driven core, and ticks advanced in
-/// closed form between events. `caladrius_sim_ticks_closed_form_total`
-/// over `caladrius_sim_ticks_total + closed_form` is the event-mode
-/// coverage ratio on `/metrics/service`.
+/// Why a tick ran on the exact kernel instead of in closed form — the
+/// `reason` label of `caladrius_sim_ticks_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ExactTickReason {
+    /// [`SimConfig::event_mode`] is off.
+    ExactMode,
+    /// Event mode is on but the fluid model declines the simulation:
+    /// sub-second ticks, finite stream managers, more than 64 flow terms
+    /// on an instance, or a spout profile that is not piecewise-linear.
+    Ineligible,
+    /// Backoff after a failed relaxed entry probe (live state still
+    /// converging toward the model, e.g. a pipeline refilling).
+    ProbeRetry,
+    /// Backoff after a relaxed span planned zero ticks: a capacity or
+    /// high-watermark crossing is due at the doorstep.
+    Crossing,
+    /// Backpressure is active and no drain span applies: onset and
+    /// release ticks, the ticks around a watermark crossing, and a drain
+    /// still converging.
+    BackpressureEdge,
+}
+
+impl ExactTickReason {
+    /// Every reason, in label order.
+    pub const ALL: [ExactTickReason; 5] = [
+        ExactTickReason::ExactMode,
+        ExactTickReason::Ineligible,
+        ExactTickReason::ProbeRetry,
+        ExactTickReason::Crossing,
+        ExactTickReason::BackpressureEdge,
+    ];
+
+    /// The `reason` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExactTickReason::ExactMode => "exact-mode",
+            ExactTickReason::Ineligible => "ineligible",
+            ExactTickReason::ProbeRetry => "probe-retry",
+            ExactTickReason::Crossing => "crossing",
+            ExactTickReason::BackpressureEdge => "backpressure-edge",
+        }
+    }
+}
+
+/// Process-wide simulator counters: ticks executed exactly (one series
+/// per [`ExactTickReason`], in `ALL` order), scheduler events processed
+/// by the event-driven core, and ticks advanced in closed form.
+/// `caladrius_sim_ticks_closed_form_total` over the sum of
+/// `caladrius_sim_ticks_total` and closed form is the event-mode coverage
+/// ratio on `/metrics/service`.
 struct SimCounters {
-    ticks: Counter,
+    ticks: [Counter; 5],
     events: Counter,
     ticks_closed_form: Counter,
 }
@@ -108,7 +168,7 @@ fn sim_counters() -> &'static SimCounters {
         let registry = caladrius_obs::global_registry();
         registry.describe(
             "caladrius_sim_ticks_total",
-            "Simulation ticks executed exactly",
+            "Simulation ticks executed exactly, by why closed form did not apply",
         );
         registry.describe(
             "caladrius_sim_events_total",
@@ -116,10 +176,12 @@ fn sim_counters() -> &'static SimCounters {
         );
         registry.describe(
             "caladrius_sim_ticks_closed_form_total",
-            "Simulated ticks advanced in closed form between scheduler events",
+            "Simulated ticks advanced in closed form (relaxed and drain spans)",
         );
         SimCounters {
-            ticks: registry.counter("caladrius_sim_ticks_total", &[]),
+            ticks: ExactTickReason::ALL.map(|reason| {
+                registry.counter("caladrius_sim_ticks_total", &[("reason", reason.label())])
+            }),
             events: registry.counter("caladrius_sim_events_total", &[]),
             ticks_closed_form: registry.counter("caladrius_sim_ticks_closed_form_total", &[]),
         }
@@ -175,13 +237,16 @@ pub struct SimConfig {
     /// computed saturation onsets and watermark crossings, and the minute
     /// boundary are events, and between events the fluid state advances
     /// in closed form ([`crate::fluid`]) for any piecewise-linear spout
-    /// profile. Falls back to exact ticking (per tick) whenever closed
-    /// form is not provably valid, so backpressure verdicts match exact
-    /// runs; sink rates agree within the equivalence suite's 0.1 %
-    /// tolerance rather than bitwise. Requires `ticks_per_second == 1`,
-    /// transparent stream managers, piecewise-linear spout profiles and
-    /// at most `fluid::MAX_TERMS` flow terms per instance; otherwise the
-    /// engine silently runs exact, bit-identical to `event_mode: false`.
+    /// profile, with or without backpressure (throttled drains advance in
+    /// closed form too). Falls back to exact ticking (per tick) whenever
+    /// closed form is not provably valid, so per-minute backpressure time
+    /// matches exact runs; sink rates agree within the equivalence
+    /// suite's 0.1 % tolerance rather than bitwise. Requires
+    /// `ticks_per_second == 1`, transparent stream managers,
+    /// piecewise-linear spout profiles and at most `fluid::MAX_TERMS`
+    /// flow terms per instance; otherwise the engine runs exact,
+    /// bit-identical to `event_mode: false`, counting every tick under
+    /// [`ExactTickReason::Ineligible`].
     pub event_mode: bool,
 }
 
@@ -401,6 +466,9 @@ pub struct Simulation {
     /// Cumulative ticks executed exactly over this simulation's lifetime
     /// (survives [`Simulation::reset_with`]).
     ticks_executed: u64,
+    /// The same ticks split by [`ExactTickReason`] (ditto; indexed by
+    /// the enum's discriminant).
+    exact_ticks: [u64; 5],
     /// Cumulative scheduler events processed in event mode (ditto).
     sim_events: u64,
     /// Cumulative ticks *not* executed exactly: advanced in closed form
@@ -472,11 +540,16 @@ impl Simulation {
                 "ticks_per_second must be at least 1".into(),
             ));
         }
-        if config.metric_noise < 0.0 || config.metric_noise >= 0.5 {
+        if !(0.0..0.5).contains(&config.metric_noise) {
             return Err(SimError::InvalidConfig(format!(
                 "metric_noise must be in [0, 0.5), got {}",
                 config.metric_noise
             )));
+        }
+        // `Topology`'s fields are public, so a topology that never went
+        // through `TopologyBuilder::build` is checked here too.
+        for component in &topology.components {
+            component.validate()?;
         }
         let packing = config.packing.unwrap_or(PackingAlgorithm::RoundRobin {
             num_containers: (topology.total_instances() as usize).div_ceil(4).max(1),
@@ -597,6 +670,7 @@ impl Simulation {
             topology,
             config,
             ticks_executed: 0,
+            exact_ticks: [0; 5],
             sim_events: 0,
             ticks_closed_form: 0,
             fluid: FluidState::Unbuilt,
@@ -625,6 +699,12 @@ impl Simulation {
     /// surviving [`Simulation::reset_with`]).
     pub fn ticks_executed(&self) -> u64 {
         self.ticks_executed
+    }
+
+    /// Cumulative ticks executed exactly for `reason` (lifetime, like
+    /// [`Simulation::ticks_executed`], which the reasons sum to).
+    pub fn exact_ticks(&self, reason: ExactTickReason) -> u64 {
+        self.exact_ticks[reason as usize]
     }
 
     /// Cumulative ticks not executed exactly. Closed form is the only
@@ -693,10 +773,15 @@ impl Simulation {
         if parallelism_changed {
             // Packing and routing change shape: rebuild the tables, but
             // keep the lifetime tick counters.
-            let (executed, events, closed_form) =
-                (self.ticks_executed, self.sim_events, self.ticks_closed_form);
+            let (executed, exact_ticks, events, closed_form) = (
+                self.ticks_executed,
+                self.exact_ticks,
+                self.sim_events,
+                self.ticks_closed_form,
+            );
             *self = Simulation::new(topo, self.config.clone())?;
             self.ticks_executed = executed;
+            self.exact_ticks = exact_ticks;
             self.sim_events = events;
             self.ticks_closed_form = closed_form;
             return Ok(());
@@ -738,8 +823,9 @@ impl Simulation {
         self.tracker.active()
     }
 
-    /// Advances one tick. Allocation-free; arithmetic is bit-identical to
-    /// the reference kernel (see module docs).
+    /// Advances one tick exactly, counted under `reason`. Allocation-free;
+    /// arithmetic is bit-identical to the reference kernel (see module
+    /// docs).
     ///
     /// The loop is organised for the optimiser rather than the reader:
     /// one sub-loop per component (so every per-component constant —
@@ -749,7 +835,7 @@ impl Simulation {
     /// the per-field `self.x[i]` form loses). Every hoisted expression
     /// uses the same operands and operations as the reference kernel's
     /// per-instance form, so results stay bit-identical.
-    fn tick(&mut self) {
+    fn tick(&mut self, reason: ExactTickReason) {
         let Simulation {
             topology,
             config,
@@ -1014,6 +1100,7 @@ impl Simulation {
 
         self.now_ticks += 1;
         self.ticks_executed += 1;
+        self.exact_ticks[reason as usize] += 1;
     }
 
     /// Ensures the event-mode fluid model is built and its spout-profile
@@ -1048,91 +1135,137 @@ impl Simulation {
     /// Advances one simulated minute on the event scheduler: seed the
     /// minute's agenda (profile breakpoints shifted by every pipeline
     /// delay, plus the minute boundary), then alternate between
-    /// closed-form spans and exact ticks. A span runs in closed form only
-    /// when the live state passes the fluid model's entry probe and the
-    /// span plan proves the relaxed regime holds; analytic saturation /
-    /// watermark crossings truncate spans so the crossing tick itself
-    /// always executes exactly (the backpressure tracker must observe
-    /// it). Failed probes back off [`EVENT_RETRY_TICKS`] exact ticks.
+    /// closed-form spans and exact ticks.
+    ///
+    /// Without backpressure a span runs in closed form only when the
+    /// live state passes the fluid model's entry probe and the span plan
+    /// proves the relaxed regime holds; analytic saturation / watermark
+    /// crossings truncate spans so the crossing tick itself always
+    /// executes exactly (the backpressure tracker must observe it).
+    /// Under backpressure a throttled-drain span runs up to the tick
+    /// before the first watermark or saturation crossing (or the minute
+    /// end), so onset and release ticks execute exactly too. A failed
+    /// probe or drain plan backs off [`EVENT_RETRY_TICKS`] exact ticks.
     fn run_minute_with_events(&mut self, engine: &FluidEngine) {
         let minute_end = self.now_ticks + 60;
+        let n = self.inst.n;
         let mut queue = EventQueue::new();
         queue.push(minute_end, EventKind::MinuteEnd);
         engine.for_each_breakpoint_event(self.now_ticks, minute_end, |tick| {
             queue.push(tick, EventKind::RateBreakpoint);
         });
+        // Relaxed entry backoff and why it was taken; drain backoff.
         let mut retry_at = 0u64;
+        let mut retry_reason = ExactTickReason::ProbeRetry;
+        let mut drain_retry_at = 0u64;
         while self.now_ticks < minute_end {
             let t0 = self.now_ticks;
             self.sim_events += queue.fire_until(t0);
-            let next = queue.next_tick().unwrap_or(minute_end).min(minute_end);
-            if next > t0
-                && t0 >= retry_at
-                && !self.tracker.active()
-                && engine.entry_matches(
-                    t0,
-                    &self.live.queue_tuples,
-                    &self.live.queue_bytes,
-                    &self.live.backlog,
-                )
-            {
-                let (stop, stop_kind) = match engine.plan_span(t0, next) {
-                    SpanPlan::Full => (next, None),
-                    SpanPlan::Stop { tick, kind } => (tick, Some(kind)),
-                };
-                if stop > t0 {
-                    let n = self.inst.n;
-                    engine.apply(
+            let reason = if self.tracker.active() {
+                if t0 >= drain_retry_at {
+                    let tracker = &self.tracker;
+                    match engine.plan_drain(
                         t0,
-                        stop,
-                        &mut FluidTargets {
-                            executed: &mut self.accum.executed[..n],
-                            emitted: &mut self.accum.emitted[..n],
-                            offered: &mut self.accum.offered[..n],
-                            failed: &mut self.accum.failed[..n],
-                            cpu_core_seconds: &mut self.accum.cpu_core_seconds[..n],
-                            stmgr_tuples: &mut self.stmgr_tuples,
-                            queue_tuples: &mut self.live.queue_tuples[..n],
-                            queue_bytes: &mut self.live.queue_bytes[..n],
-                            backlog: &mut self.live.backlog[..n],
-                        },
-                    );
-                    self.now_ticks = stop;
-                    self.ticks_closed_form += stop - t0;
-                    if let Some(kind) = stop_kind {
-                        queue.push(stop, kind);
+                        minute_end,
+                        &self.live.queue_tuples[..n],
+                        &self.live.queue_bytes[..n],
+                        |i| tracker.is_triggering(i),
+                    ) {
+                        Some(drain) if drain.ticks > 0 => {
+                            engine.apply_drain(t0, &drain, &mut self.fluid_targets());
+                            for id in self.tracker.triggering_instances().filter(|&id| id < n) {
+                                self.accum.bp_ms[id] += 1000.0 * drain.ticks as f64;
+                            }
+                            self.now_ticks += drain.ticks;
+                            self.ticks_closed_form += drain.ticks;
+                            continue;
+                        }
+                        // A crossing is due this tick: run it exactly.
+                        Some(_) => {}
+                        // Not a steady drain yet (pipeline converging
+                        // after onset). Back off before replanning.
+                        None => {
+                            drain_retry_at = t0 + EVENT_RETRY_TICKS;
+                            queue.push(drain_retry_at, EventKind::ProbeRetry);
+                        }
                     }
-                    continue;
                 }
-                // Congested at the doorstep: the crossing tick is now.
-                // Run it (and a backoff window) exactly.
-                retry_at = t0 + EVENT_RETRY_TICKS;
-                queue.push(retry_at, EventKind::ProbeRetry);
-            } else if next > t0 && t0 >= retry_at && !self.tracker.active() {
-                // Entry probe failed: live state still converging toward
-                // the model (pipeline refill). Back off before reprobing.
-                retry_at = t0 + EVENT_RETRY_TICKS;
-                queue.push(retry_at, EventKind::ProbeRetry);
-            }
-            self.tick();
+                ExactTickReason::BackpressureEdge
+            } else {
+                if t0 >= retry_at {
+                    if engine.entry_matches(
+                        t0,
+                        &self.live.queue_tuples,
+                        &self.live.queue_bytes,
+                        &self.live.backlog,
+                    ) {
+                        let next = queue.next_tick().unwrap_or(minute_end).min(minute_end);
+                        let (stop, stop_kind) = match engine.plan_span(t0, next) {
+                            SpanPlan::Full => (next, None),
+                            SpanPlan::Stop { tick, kind } => (tick, Some(kind)),
+                        };
+                        if stop > t0 {
+                            engine.apply(t0, stop, &mut self.fluid_targets());
+                            self.now_ticks = stop;
+                            self.ticks_closed_form += stop - t0;
+                            if let Some(kind) = stop_kind {
+                                queue.push(stop, kind);
+                            }
+                            continue;
+                        }
+                        // Congested at the doorstep: the crossing tick is
+                        // now. Run it (and a backoff window) exactly.
+                        retry_reason = ExactTickReason::Crossing;
+                    } else {
+                        // Entry probe failed: live state still converging
+                        // toward the model (pipeline refill).
+                        retry_reason = ExactTickReason::ProbeRetry;
+                    }
+                    retry_at = t0 + EVENT_RETRY_TICKS;
+                    queue.push(retry_at, EventKind::ProbeRetry);
+                }
+                retry_reason
+            };
+            self.tick(reason);
         }
         self.sim_events += queue.fire_until(minute_end);
+    }
+
+    /// The accumulators and live queues a closed-form span advances.
+    fn fluid_targets(&mut self) -> FluidTargets<'_> {
+        let n = self.inst.n;
+        FluidTargets {
+            executed: &mut self.accum.executed[..n],
+            emitted: &mut self.accum.emitted[..n],
+            offered: &mut self.accum.offered[..n],
+            failed: &mut self.accum.failed[..n],
+            cpu_core_seconds: &mut self.accum.cpu_core_seconds[..n],
+            stmgr_tuples: &mut self.stmgr_tuples,
+            queue_tuples: &mut self.live.queue_tuples[..n],
+            queue_bytes: &mut self.live.queue_bytes[..n],
+            backlog: &mut self.live.backlog[..n],
+        }
     }
 
     /// Advances one simulated minute: on the event scheduler when
     /// [`SimConfig::event_mode`] is on and the fluid model applies,
     /// otherwise `60 · ticks_per_second` exact ticks.
     fn advance_minute(&mut self) {
-        if self.config.event_mode && self.ensure_fluid() {
-            let FluidState::Ready(engine) = std::mem::take(&mut self.fluid) else {
-                unreachable!("ensure_fluid returned true");
-            };
-            self.run_minute_with_events(&engine);
-            self.fluid = FluidState::Ready(engine);
-            return;
-        }
+        let reason = if self.config.event_mode {
+            if self.ensure_fluid() {
+                let FluidState::Ready(engine) = std::mem::take(&mut self.fluid) else {
+                    unreachable!("ensure_fluid returned true");
+                };
+                self.run_minute_with_events(&engine);
+                self.fluid = FluidState::Ready(engine);
+                return;
+            }
+            ExactTickReason::Ineligible
+        } else {
+            ExactTickReason::ExactMode
+        };
         for _ in 0..60 * u64::from(self.config.ticks_per_second) {
-            self.tick();
+            self.tick(reason);
         }
     }
 
@@ -1261,8 +1394,8 @@ impl Simulation {
         span.field("topology", &self.topology.name)
             .field("minutes", minutes);
         let minute_hist = sim_minute_histogram();
-        let (exec_before, events_before, cf_before) =
-            (self.ticks_executed, self.sim_events, self.ticks_closed_form);
+        let (exact_before, events_before, cf_before) =
+            (self.exact_ticks, self.sim_events, self.ticks_closed_form);
         let db = metrics.db();
         let mut sink = match self.sink_cache.take() {
             Some(cache) if Arc::ptr_eq(&cache.db, &db) && cache.topology == metrics.topology() => {
@@ -1285,11 +1418,24 @@ impl Simulation {
         let events = self.sim_events - events_before;
         let closed_form = self.ticks_closed_form - cf_before;
         let counters = sim_counters();
-        counters.ticks.add(self.ticks_executed - exec_before);
         counters.events.add(events);
         counters.ticks_closed_form.add(closed_form);
         span.field("sim_events", events)
             .field("ticks_closed_form", closed_form);
+        // One field for the whole split, naming only the reasons that
+        // occurred: the trace ring retains thousands of these spans.
+        let mut split = String::new();
+        for reason in ExactTickReason::ALL {
+            let ticks = self.exact_ticks[reason as usize] - exact_before[reason as usize];
+            counters.ticks[reason as usize].add(ticks);
+            if ticks > 0 {
+                let sep = if split.is_empty() { "" } else { " " };
+                let _ = write!(split, "{sep}{}={ticks}", reason.label());
+            }
+        }
+        if !split.is_empty() {
+            span.field("exact_ticks", split);
+        }
     }
 
     /// Runs `minutes` simulated minutes into a fresh metrics store and
@@ -1649,6 +1795,132 @@ mod tests {
     }
 
     #[test]
+    fn inputs_that_would_poison_metrics_are_typed_errors() {
+        // Each bad profile, through every entry point that accepts one:
+        // the builder, `with_source_profile`, and `Simulation::new` on a
+        // topology whose public fields were edited after building.
+        let bad_profiles = [
+            ("NaN constant", RateProfile::constant(f64::NAN)),
+            ("negative constant", RateProfile::constant(-1.0)),
+            ("infinite constant", RateProfile::constant(f64::INFINITY)),
+            (
+                "NaN step",
+                RateProfile::Steps {
+                    initial: 10.0,
+                    steps: vec![(60, f64::NAN)],
+                },
+            ),
+            (
+                "steps out of order",
+                RateProfile::Steps {
+                    initial: 10.0,
+                    steps: vec![(120, 20.0), (60, 30.0)],
+                },
+            ),
+            (
+                "negative ramp",
+                RateProfile::Ramp {
+                    from: -5.0,
+                    to: 10.0,
+                    duration_secs: 60,
+                },
+            ),
+            (
+                "knots out of order",
+                RateProfile::PiecewiseLinear {
+                    points: vec![(0, 10.0), (600, 20.0), (300, 15.0)],
+                },
+            ),
+            (
+                "infinite knot",
+                RateProfile::PiecewiseLinear {
+                    points: vec![(0, 10.0), (600, f64::INFINITY)],
+                },
+            ),
+            (
+                "NaN seasonal amplitude",
+                RateProfile::Seasonal {
+                    base: 10.0,
+                    daily_amplitude: f64::NAN,
+                    weekend_delta: 0.0,
+                    noise: 0.0,
+                    seed: 1,
+                },
+            ),
+        ];
+        for (case, profile) in bad_profiles {
+            assert!(
+                matches!(
+                    wordcount_profiled(RateProfile::constant(1.0), 5000.0)
+                        .with_source_profile(&profile),
+                    Err(SimError::InvalidConfig(_))
+                ),
+                "{case}: with_source_profile"
+            );
+            let built = TopologyBuilder::new("bad")
+                .spout("spout", 1, profile.clone(), 60)
+                .bolt("sink", 1, WorkProfile::new(1000.0, 1.0, 8))
+                .edge("spout", "sink", Grouping::shuffle())
+                .build();
+            assert!(
+                matches!(built, Err(SimError::InvalidTopology(_))),
+                "{case}: build"
+            );
+            let mut edited = wordcount(1000.0, 1, 5000.0);
+            if let ComponentKind::Spout { profile: p, .. } = &mut edited.components[0].kind {
+                *p = profile;
+            }
+            assert!(
+                matches!(
+                    Simulation::new(edited, quiet()),
+                    Err(SimError::InvalidTopology(_))
+                ),
+                "{case}: Simulation::new"
+            );
+        }
+
+        // A NaN CPU request, built and edited in.
+        let nan_cpu = TopologyBuilder::new("bad")
+            .spout("spout", 1, RateProfile::constant(1.0), 60)
+            .bolt_with(
+                "sink",
+                1,
+                WorkProfile::new(1000.0, 1.0, 8),
+                crate::topology::Resources {
+                    cpu_cores: f64::NAN,
+                    ram_mb: 1024,
+                },
+            )
+            .edge("spout", "sink", Grouping::shuffle())
+            .build();
+        assert!(matches!(nan_cpu, Err(SimError::InvalidTopology(_))));
+        let mut edited = wordcount(1000.0, 1, 5000.0);
+        edited.components[1].resources.cpu_cores = f64::NAN;
+        assert!(matches!(
+            Simulation::new(edited, quiet()),
+            Err(SimError::InvalidTopology(_))
+        ));
+
+        // A NaN noise level.
+        let cfg = SimConfig {
+            metric_noise: f64::NAN,
+            ..SimConfig::default()
+        };
+        assert!(matches!(
+            Simulation::new(wordcount(1000.0, 1, 5000.0), cfg),
+            Err(SimError::InvalidConfig(_))
+        ));
+
+        // Equal step / knot times stay legal (the later entry wins).
+        let ties = RateProfile::PiecewiseLinear {
+            points: vec![(0, 10.0), (300, 20.0), (300, 5.0)],
+        };
+        assert!(wordcount(1000.0, 1, 5000.0)
+            .with_source_profile(&ties)
+            .is_ok());
+    }
+
+    #[test]
     fn transparent_stream_managers_by_default() {
         let mut sim = Simulation::new(wordcount(1000.0, 1, 5000.0), quiet()).unwrap();
         assert!(sim.stmgrs.is_empty());
@@ -1768,7 +2040,7 @@ mod tests {
         let mut sim = Simulation::new(wordcount(7000.0, 1, 5000.0), cfg).unwrap();
         let mut states = Vec::new();
         for _ in 0..600 {
-            sim.tick();
+            sim.tick(ExactTickReason::ExactMode);
             states.push(sim.backpressure_active());
         }
         let transitions = states.windows(2).filter(|w| w[0] != w[1]).count();
@@ -2076,11 +2348,13 @@ mod tests {
                     m.component_sum(metric::EXECUTE_COUNT, None, 0, i64::MAX),
                     m.component_sum(metric::CPU_LOAD, None, 0, i64::MAX),
                     sim.ticks_closed_form(),
+                    sim.exact_ticks(ExactTickReason::Ineligible) == sim.ticks_executed(),
                 )
             };
-            let (exact_exec, exact_cpu, _) = run(false);
-            let (event_exec, event_cpu, closed_form) = run(true);
+            let (exact_exec, exact_cpu, _, _) = run(false);
+            let (event_exec, event_cpu, closed_form, all_ineligible) = run(true);
             assert_eq!(closed_form, 0, "{reason}: closed form must not engage");
+            assert!(all_ineligible, "{reason}: every tick counts as ineligible");
             assert_eq!(exact_exec.len(), 5, "{reason}");
             for (exact, event) in [(&exact_exec, &event_exec), (&exact_cpu, &event_cpu)] {
                 assert_eq!(exact.len(), event.len(), "{reason}");

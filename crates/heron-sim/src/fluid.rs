@@ -21,16 +21,30 @@
 //! have accumulated sampling `rate_at` once per second, not a continuous
 //! integral approximation.
 //!
-//! The engine only advances a span in closed form when the relaxed
+//! The engine only advances a relaxed span in closed form when that
 //! regime provably holds across it: modelled input stays below every
 //! instance's effective capacity (margin `1e-6`) and modelled queue
 //! bytes stay below the backpressure high watermark (the crossing time
-//! comes from [`WatermarkConfig::secs_to_high`]). Outside that regime —
-//! saturation, watermark crossings, backpressure oscillation — the
-//! engine falls back to exact ticking, which is what makes the
-//! backpressure *verdicts* of event-mode runs identical to exact runs
-//! while sink throughput stays within the 0.1 % tolerance contract
-//! (enforced by `tests/sim_kernel_equivalence.rs`).
+//! comes from [`WatermarkConfig::secs_to_high`]).
+//!
+//! The second regime is the **throttled drain** ([`FluidEngine::plan_drain`]):
+//! while backpressure is active every spout is stopped, so per-tick
+//! flows no longer depend on the rate profile. Each bolt either drains
+//! a queue holding more than one tick of work at `capacity·(1 − gateway)`
+//! per tick, or passes a constant inflow straight through; queues move
+//! linearly and spout backlogs grow by the profile's integer-second sums.
+//! A drain span stops (same `1e-6` margin, early never late) before a
+//! triggering queue falls under the low watermark
+//! ([`WatermarkConfig::secs_to_low`]), a non-triggering queue rises over
+//! the high one, or a saturated bolt's queue falls under one tick of
+//! processing.
+//!
+//! Everything else — onset and release ticks, the ticks around each
+//! crossing, pipelines still converging — runs on the exact kernel, so
+//! the backpressure tracker observes every transition itself: per-minute
+//! backpressure time matches exact runs and sink throughput stays within
+//! the 0.1 % tolerance contract (enforced by
+//! `tests/sim_kernel_equivalence.rs`).
 
 use crate::backpressure::WatermarkConfig;
 use crate::packing::PackingPlan;
@@ -74,6 +88,29 @@ pub(crate) enum SpanPlan {
     Stop { tick: u64, kind: EventKind },
 }
 
+/// A planned throttled-drain span (see [`FluidEngine::plan_drain`]): the
+/// constant per-tick flows of a backpressured topology, and how many
+/// ticks they provably hold for.
+#[derive(Debug)]
+pub(crate) struct Drain {
+    /// Ticks the span may advance; `0` when a crossing is due on the
+    /// next tick, which must then run exactly.
+    pub ticks: u64,
+    /// Per instance: tuples processed per tick.
+    processed: Vec<f64>,
+    /// Per instance: tuples and bytes arriving per tick.
+    inflow: Vec<f64>,
+    inflow_bytes: Vec<f64>,
+    /// Per instance: the queue holds more than one tick of work.
+    saturated: Vec<bool>,
+}
+
+/// True when live state matches a modelled value within [`ENTRY_TOL`]
+/// relative (absolute floor of the same magnitude).
+fn close(actual: f64, model: f64) -> bool {
+    (actual - model).abs() <= ENTRY_TOL * model.max(1.0)
+}
+
 /// Mutable engine state a closed-form span advances, passed as disjoint
 /// slices so `fluid` needs no visibility into the engine's tables.
 pub(crate) struct FluidTargets<'a> {
@@ -112,6 +149,10 @@ pub(crate) struct FluidEngine {
     /// executed tuple, per touched container.
     cc_start: Vec<usize>,
     cc: Vec<(u32, f64)>,
+    /// CSR of per-instance routes: `(destination, tuples, bytes)` that
+    /// arrive downstream per executed tuple (throttled-drain inflows).
+    route_start: Vec<usize>,
+    routes: Vec<(u32, f64, f64)>,
     /// Spout slots: component index and parallelism divisor.
     spout_comp: Vec<usize>,
     spout_par: Vec<f64>,
@@ -119,8 +160,9 @@ pub(crate) struct FluidEngine {
     spout_segs: Vec<Segments>,
     max_delay: u32,
     base_cpu: f64,
-    /// High watermark pre-scaled by the safety margin, wrapped in a
-    /// [`WatermarkConfig`] so crossings come from its analytic solver.
+    /// Watermarks pre-scaled by the safety margin (high lowered, low
+    /// raised), wrapped in a [`WatermarkConfig`] so crossings come from
+    /// its analytic solvers.
     margin_wm: WatermarkConfig,
 }
 
@@ -178,6 +220,7 @@ impl FluidEngine {
         // fold order deterministic for the replay byte-identity contract.
         let mut term_maps: Vec<BTreeMap<(u32, u32), (f64, f64)>> = vec![BTreeMap::new(); n];
         let mut cc_maps: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); n];
+        let mut route_lists: Vec<Vec<(u32, f64, f64)>> = vec![Vec::new(); n];
         let mut route_sum = vec![0.0f64; n];
         let mut has_out = vec![false; n_comps];
 
@@ -221,6 +264,7 @@ impl FluidEngine {
                         if dst_container != src_container {
                             *cc_maps[flat].entry(dst_container).or_insert(0.0) += amount;
                         }
+                        route_lists[flat].push((dst as u32, amount, amount * tuple_bytes));
                         for &((slot, d), (w, _)) in &src_terms {
                             let e = term_maps[dst].entry((slot, d + 1)).or_insert((0.0, 0.0));
                             e.0 += amount * w;
@@ -238,8 +282,10 @@ impl FluidEngine {
         let mut terms = Vec::new();
         let mut cc_start = Vec::with_capacity(n + 1);
         let mut cc = Vec::new();
+        let mut route_start = Vec::with_capacity(n + 1);
         term_start.push(0);
         cc_start.push(0);
+        route_start.push(0);
         let mut max_delay = 0;
         for flat in 0..n {
             for (&(slot, delay), &(w, wb)) in &term_maps[flat] {
@@ -251,7 +297,9 @@ impl FluidEngine {
                 cc.push((container, coeff));
             }
             cc_start.push(cc.len());
+            route_start.push(route_start[flat] + route_lists[flat].len());
         }
+        let routes = route_lists.concat();
 
         let mut is_spout = Vec::with_capacity(n);
         let mut emit_coeff = Vec::with_capacity(n);
@@ -295,6 +343,8 @@ impl FluidEngine {
             cpu_cores,
             cc_start,
             cc,
+            route_start,
+            routes,
             spout_par: spout_comp
                 .iter()
                 .map(|&c| f64::from(topology.components[c].parallelism))
@@ -312,7 +362,7 @@ impl FluidEngine {
         self.base_cpu = base_cpu;
         self.margin_wm = WatermarkConfig {
             high_bytes: watermarks.high_bytes * (1.0 - MARGIN),
-            low_bytes: watermarks.low_bytes,
+            low_bytes: watermarks.low_bytes * (1.0 + MARGIN),
         };
     }
 
@@ -486,7 +536,6 @@ impl FluidEngine {
         queue_bytes: &[f64],
         backlog: &[f64],
     ) -> bool {
-        let close = |actual: f64, model: f64| (actual - model).abs() <= ENTRY_TOL * model.max(1.0);
         let tab = self.rates_at(t0 as i64);
         for i in 0..self.n {
             if self.is_spout[i] {
@@ -610,6 +659,138 @@ impl FluidEngine {
             );
             for &(container, coeff) in &self.cc[self.cc_start[i]..self.cc_start[i + 1]] {
                 tgt.stmgr_tuples[container as usize] += coeff * exec_sum;
+            }
+        }
+    }
+
+    /// Plans a throttled-drain span from the live state at the start of
+    /// tick `t0` (backpressure active, so every spout is stopped), ending
+    /// no later than `t1`. `None` when the state is not a steady drain:
+    /// a queue within the margin of one tick of work, a pass-through
+    /// queue that does not yet hold exactly its steady inflow, or a
+    /// saturated queue fed at a different bytes-per-tuple ratio than it
+    /// holds (its byte drain would not be linear).
+    ///
+    /// Otherwise the plan's `ticks` is the largest count for which, after
+    /// every tick of the span, each triggering queue stays at or above
+    /// the low watermark, each other queue at or below the high one, and
+    /// each saturated queue still starts its tick above one tick of work
+    /// — all with the `1e-6` margin, so the tracker's state provably
+    /// does not change inside the span.
+    pub fn plan_drain(
+        &self,
+        t0: u64,
+        t1: u64,
+        queue_tuples: &[f64],
+        queue_bytes: &[f64],
+        triggering: impl Fn(usize) -> bool,
+    ) -> Option<Drain> {
+        debug_assert!(t1 > t0);
+        let mut processed = vec![0.0; self.n];
+        let mut saturated = vec![false; self.n];
+        let mut inflow = vec![0.0; self.n];
+        let mut inflow_bytes = vec![0.0; self.n];
+        for i in 0..self.n {
+            if self.is_spout[i] {
+                continue;
+            }
+            let queue = queue_tuples[i];
+            let limit = self.sat_limit[i];
+            if queue >= limit * (1.0 + MARGIN) {
+                saturated[i] = true;
+                processed[i] = limit;
+            } else if queue <= limit * (1.0 - MARGIN) {
+                processed[i] = queue;
+            } else {
+                return None;
+            }
+            for &(dst, w, wb) in &self.routes[self.route_start[i]..self.route_start[i + 1]] {
+                inflow[dst as usize] += w * processed[i];
+                inflow_bytes[dst as usize] += wb * processed[i];
+            }
+        }
+
+        let mut ticks = t1 - t0;
+        let mut bound = |limit: f64| ticks = ticks.min(limit.floor().max(0.0) as u64);
+        for i in 0..self.n {
+            if self.is_spout[i] {
+                continue;
+            }
+            // End-of-tick queue bytes after `m ≥ 1` ticks: `b0 + m·slope`.
+            let (b0, slope) = if saturated[i] {
+                let (queue, bytes) = (queue_tuples[i], queue_bytes[i]);
+                let net_drain = processed[i] - inflow[i];
+                if net_drain > 0.0 {
+                    let floor = self.sat_limit[i] * (1.0 + MARGIN);
+                    bound((queue - floor) / net_drain + 1.0);
+                }
+                let ratio = bytes / queue;
+                if inflow[i] > 0.0 && !close(inflow_bytes[i], inflow[i] * ratio) {
+                    return None;
+                }
+                (bytes, inflow_bytes[i] - processed[i] * ratio)
+            } else {
+                if !close(queue_tuples[i], inflow[i])
+                    || !close(queue_bytes[i], inflow_bytes[i])
+                    || inflow[i] > self.sat_limit[i] * (1.0 - MARGIN)
+                {
+                    return None;
+                }
+                (inflow_bytes[i], 0.0)
+            };
+            let crossing = if triggering(i) {
+                self.margin_wm.secs_to_low(b0, -slope)
+            } else {
+                self.margin_wm.secs_to_high(b0, slope)
+            };
+            if let Some(secs) = crossing {
+                bound(secs);
+            }
+        }
+        Some(Drain {
+            ticks,
+            processed,
+            inflow,
+            inflow_bytes,
+            saturated,
+        })
+    }
+
+    /// Advances a planned drain span `[t0, t0 + drain.ticks)` in closed
+    /// form: `ticks ×` every bolt's per-tick executed, emitted, failed,
+    /// CPU and stream-manager mass, linear queue movement, and each
+    /// spout's offered load (the profile's integer-second sums) into its
+    /// source backlog with idle CPU. Backpressure time is the caller's:
+    /// it knows the triggering set.
+    pub fn apply_drain(&self, t0: u64, drain: &Drain, tgt: &mut FluidTargets<'_>) {
+        debug_assert!(drain.ticks > 0);
+        let k = drain.ticks as f64;
+        let sums = self.sums_over(t0 as i64, (t0 + drain.ticks) as i64);
+        for i in 0..self.n {
+            if self.is_spout[i] {
+                let offered = self.exec_from(i, &sums);
+                tgt.offered[i] += offered;
+                tgt.backlog[i] += offered;
+                tgt.cpu_core_seconds[i] += k * self.base_cpu.min(self.cpu_cores[i]);
+                continue;
+            }
+            let per_tick = drain.processed[i];
+            let exec = k * per_tick;
+            tgt.executed[i] += exec;
+            tgt.emitted[i] += self.emit_coeff[i] * exec;
+            tgt.failed[i] += self.fail_rate[i] * exec;
+            tgt.cpu_core_seconds[i] +=
+                k * (self.base_cpu + per_tick / self.cap_per_core[i]).min(self.cpu_cores[i]);
+            for &(container, coeff) in &self.cc[self.cc_start[i]..self.cc_start[i + 1]] {
+                tgt.stmgr_tuples[container as usize] += coeff * exec;
+            }
+            if drain.saturated[i] {
+                let ratio = tgt.queue_bytes[i] / tgt.queue_tuples[i];
+                tgt.queue_tuples[i] += k * (drain.inflow[i] - per_tick);
+                tgt.queue_bytes[i] += k * (drain.inflow_bytes[i] - per_tick * ratio);
+            } else {
+                tgt.queue_tuples[i] = drain.inflow[i];
+                tgt.queue_bytes[i] = drain.inflow_bytes[i];
             }
         }
     }
@@ -768,6 +949,153 @@ mod tests {
             qb_before <= tiny.high_bytes,
             "stop tick must not be after the crossing: qb {qb_before}"
         );
+    }
+
+    /// Configures `engine` for a drain test, with the live queues of the
+    /// chain's three mid instances set to `mid_tuples` (spout tuples are
+    /// 60 bytes) and its two sinks holding exactly their steady inflow:
+    /// three saturated mids processing 990/tick at selectivity 2 × 0.9,
+    /// split over two sinks, 8-byte tuples.
+    fn chain_drain_state(mid_tuples: f64) -> (Vec<f64>, Vec<f64>) {
+        let sink_inflow = 3.0 * 990.0 * 1.8 / 2.0;
+        let mut qt = vec![0.0; 7];
+        let mut qb = vec![0.0; 7];
+        for i in 2..5 {
+            qt[i] = mid_tuples;
+            qb[i] = mid_tuples * 60.0;
+        }
+        for i in 5..7 {
+            qt[i] = sink_inflow;
+            qb[i] = sink_inflow * 8.0;
+        }
+        (qt, qb)
+    }
+
+    #[test]
+    fn drain_plan_stops_before_the_release() {
+        let (topo, plan) = chain();
+        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        engine.configure(
+            0.05,
+            WatermarkConfig {
+                high_bytes: 500_000.0,
+                low_bytes: 300_000.0,
+            },
+        );
+        assert!(engine.refresh_profiles(&topo));
+        // Mid queues hold 600 kB and drain 990 × 60 B a tick: after 5
+        // ticks 303 kB, after 6 ticks 243.6 kB — under the low mark.
+        let (mut qt, mut qb) = chain_drain_state(10_000.0);
+        let mids = |i: usize| (2..5).contains(&i);
+        let drain = engine.plan_drain(100, 160, &qt, &qb, mids).unwrap();
+        assert_eq!(drain.ticks, 5);
+        // A span bounded by the minute end stops there instead.
+        assert_eq!(
+            engine.plan_drain(100, 103, &qt, &qb, mids).unwrap().ticks,
+            3
+        );
+
+        let mut executed = vec![0.0; 7];
+        let mut emitted = vec![0.0; 7];
+        let mut offered = vec![0.0; 7];
+        let mut failed = vec![0.0; 7];
+        let mut cpu = vec![0.0; 7];
+        let mut stmgr = vec![0.0; 64];
+        let mut backlog = vec![0.0; 7];
+        engine.apply_drain(
+            100,
+            &drain,
+            &mut FluidTargets {
+                executed: &mut executed,
+                emitted: &mut emitted,
+                offered: &mut offered,
+                failed: &mut failed,
+                cpu_core_seconds: &mut cpu,
+                stmgr_tuples: &mut stmgr,
+                queue_tuples: &mut qt,
+                queue_bytes: &mut qb,
+                backlog: &mut backlog,
+            },
+        );
+        assert_eq!(qb[2], 303_000.0);
+        assert_eq!(qt[2], 10_000.0 - 5.0 * 990.0);
+        assert!((executed[2] - 5.0 * 990.0).abs() < 1e-9);
+        assert!((failed[2] - 0.1 * 5.0 * 990.0).abs() < 1e-9);
+        // Stopped spouts execute nothing and bank the offered load.
+        let want: f64 = (100..105).map(|t| (100.0 + 2.0 * t as f64) / 2.0).sum();
+        assert_eq!(executed[0], 0.0);
+        assert!((backlog[0] - want).abs() < 1e-9 && (offered[0] - want).abs() < 1e-9);
+        assert!((cpu[0] - 5.0 * 0.05).abs() < 1e-12);
+        // The next tick is the release: it must run exactly.
+        assert_eq!(
+            engine.plan_drain(105, 160, &qt, &qb, mids).unwrap().ticks,
+            0
+        );
+    }
+
+    #[test]
+    fn drain_plan_stops_before_a_saturated_bolt_empties() {
+        let (topo, plan) = chain();
+        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        engine.configure(
+            0.05,
+            WatermarkConfig {
+                high_bytes: 1.0e9,
+                low_bytes: 1_000.0,
+            },
+        );
+        assert!(engine.refresh_profiles(&topo));
+        // 3000 queued tuples start ticks at 3000, 2010, 1020 — all over
+        // one tick of work (990) — and then 30, which is not.
+        let (qt, qb) = chain_drain_state(3_000.0);
+        let drain = engine
+            .plan_drain(0, 60, &qt, &qb, |i| (2..5).contains(&i))
+            .unwrap();
+        assert_eq!(drain.ticks, 3);
+        // Within the margin of one tick of work the state is no drain.
+        let (qt, qb) = chain_drain_state(990.0);
+        assert!(engine.plan_drain(0, 60, &qt, &qb, |_| true).is_none());
+        // Nor is a pass-through queue that does not hold its inflow.
+        let (mut qt, qb) = chain_drain_state(3_000.0);
+        qt[5] *= 0.5;
+        assert!(engine.plan_drain(0, 60, &qt, &qb, |_| true).is_none());
+    }
+
+    #[test]
+    fn drain_plan_stops_before_a_non_triggering_queue_crosses_high() {
+        // spout → a (990/tick after gateway) → b (495/tick): while `a`
+        // drains, `b` receives 990 and processes 495 a tick, so its
+        // 10-byte tuples pile up 4950 B a tick.
+        let topo = TopologyBuilder::new("two")
+            .spout("spout", 1, RateProfile::constant(100.0), 60)
+            .bolt("a", 1, WorkProfile::new(1000.0, 1.0, 10))
+            .bolt("b", 1, WorkProfile::new(500.0, 1.0, 16))
+            .edge("spout", "a", Grouping::shuffle())
+            .edge("a", "b", Grouping::shuffle())
+            .build()
+            .unwrap();
+        let plan = PackingAlgorithm::RoundRobin { num_containers: 2 }
+            .pack(&topo)
+            .unwrap();
+        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        engine.configure(
+            0.05,
+            WatermarkConfig {
+                high_bytes: 50_000.0,
+                low_bytes: 1_000.0,
+            },
+        );
+        assert!(engine.refresh_profiles(&topo));
+        let qt = [0.0, 100_000.0, 1_000.0];
+        let qb = [0.0, 6_000_000.0, 10_000.0];
+        // b's end-of-tick bytes: 10 000 + 4950·m — 49 600 after 8 ticks,
+        // 54 550 after 9.
+        let drain = engine.plan_drain(0, 60, &qt, &qb, |i| i == 1).unwrap();
+        assert_eq!(drain.ticks, 8);
+        // Fed at a different bytes-per-tuple ratio than it holds, b's
+        // byte drain is not linear: no drain.
+        let skewed = [0.0, 6_000_000.0, 20_000.0];
+        assert!(engine.plan_drain(0, 60, &qt, &skewed, |i| i == 1).is_none());
     }
 
     #[test]

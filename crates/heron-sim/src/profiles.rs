@@ -172,6 +172,61 @@ impl RateProfile {
         RateProfile::Constant { rate }
     }
 
+    /// Checks that the profile can drive a simulation: every rate finite
+    /// and non-negative, every other parameter finite, and `Steps` /
+    /// `PiecewiseLinear` times in ascending order (equal times are
+    /// allowed; the later entry wins).
+    pub fn validate(&self) -> Result<(), String> {
+        let rate = |what: &str, r: f64| {
+            if r.is_finite() && r >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{what} must be finite and non-negative, got {r}"))
+            }
+        };
+        let knots = |what: &str, points: &[(u64, f64)]| {
+            for (i, &(at, r)) in points.iter().enumerate() {
+                rate(what, r)?;
+                if i > 0 && at < points[i - 1].0 {
+                    return Err(format!(
+                        "{what} times must ascend, got {} before {at}",
+                        points[i - 1].0
+                    ));
+                }
+            }
+            Ok(())
+        };
+        match self {
+            RateProfile::Constant { rate: r } => rate("constant rate", *r),
+            RateProfile::Steps { initial, steps } => {
+                rate("initial step rate", *initial)?;
+                knots("step", steps)
+            }
+            RateProfile::Seasonal {
+                base,
+                daily_amplitude,
+                weekend_delta,
+                noise,
+                ..
+            } => {
+                rate("seasonal base rate", *base)?;
+                if [daily_amplitude, weekend_delta, noise]
+                    .iter()
+                    .all(|x| x.is_finite())
+                {
+                    Ok(())
+                } else {
+                    Err("seasonal amplitude, weekend delta and noise must be finite".into())
+                }
+            }
+            RateProfile::Ramp { from, to, .. } => {
+                rate("ramp start rate", *from)?;
+                rate("ramp end rate", *to)
+            }
+            RateProfile::PiecewiseLinear { points } => knots("knot", points),
+        }
+    }
+
     /// The piecewise-linear decomposition of this profile, or `None` for
     /// profiles that are not piecewise-linear in time (`Seasonal`, whose
     /// per-minute noise makes every minute its own breakpoint). Degenerate

@@ -118,6 +118,46 @@ pub struct Component {
     pub resources: Resources,
 }
 
+impl Component {
+    /// Checks the component's own inputs: positive parallelism, finite
+    /// positive capacity and CPU request, finite non-negative
+    /// selectivity, gateway overhead in `[0, 1)`, fail rate in `[0, 1]`
+    /// and, for spouts, a valid rate profile ([`RateProfile::validate`]).
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |what: String| {
+            Err(SimError::InvalidTopology(format!(
+                "component {:?} {what}",
+                self.name
+            )))
+        };
+        if self.parallelism == 0 {
+            return invalid("has zero parallelism".into());
+        }
+        let work = self.kind.work();
+        if !(work.capacity_per_core > 0.0 && work.capacity_per_core.is_finite()) {
+            return invalid("must have positive processing capacity".into());
+        }
+        if !(work.selectivity >= 0.0 && work.selectivity.is_finite()) {
+            return invalid("has invalid selectivity".into());
+        }
+        if !(0.0..1.0).contains(&work.gateway_overhead) {
+            return invalid("gateway overhead must be in [0, 1)".into());
+        }
+        if !(0.0..=1.0).contains(&work.fail_rate) {
+            return invalid("fail rate must be in [0, 1]".into());
+        }
+        if !(self.resources.cpu_cores > 0.0 && self.resources.cpu_cores.is_finite()) {
+            return invalid("must request positive, finite CPU".into());
+        }
+        if let ComponentKind::Spout { profile, .. } = &self.kind {
+            if let Err(why) = profile.validate() {
+                return invalid(format!("has an invalid rate profile: {why}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One stream between two components.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeSpec {
@@ -218,6 +258,7 @@ impl Topology {
     /// (each spout component offers the full profile; split the rate
     /// beforehand for multi-spout topologies).
     pub fn with_source_profile(&self, source: &RateProfile) -> Result<Topology> {
+        source.validate().map_err(SimError::InvalidConfig)?;
         let spouts = self.spout_indices();
         if spouts.is_empty() {
             return Err(SimError::InvalidTopology("topology has no spout".into()));
@@ -364,43 +405,7 @@ impl TopologyBuilder {
     pub fn build(self) -> Result<Topology> {
         let mut index: HashMap<&str, usize> = HashMap::new();
         for (i, c) in self.components.iter().enumerate() {
-            if c.parallelism == 0 {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} has zero parallelism",
-                    c.name
-                )));
-            }
-            let work = c.kind.work();
-            if work.capacity_per_core <= 0.0 || !work.capacity_per_core.is_finite() {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} must have positive processing capacity",
-                    c.name
-                )));
-            }
-            if work.selectivity < 0.0 || !work.selectivity.is_finite() {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} has invalid selectivity",
-                    c.name
-                )));
-            }
-            if !(0.0..1.0).contains(&work.gateway_overhead) {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} gateway overhead must be in [0, 1)",
-                    c.name
-                )));
-            }
-            if !(0.0..=1.0).contains(&work.fail_rate) {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} fail rate must be in [0, 1]",
-                    c.name
-                )));
-            }
-            if c.resources.cpu_cores <= 0.0 {
-                return Err(SimError::InvalidTopology(format!(
-                    "component {:?} must request positive CPU",
-                    c.name
-                )));
-            }
+            c.validate()?;
             if index.insert(c.name.as_str(), i).is_some() {
                 return Err(SimError::InvalidTopology(format!(
                     "duplicate component name {:?}",

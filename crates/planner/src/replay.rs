@@ -6,10 +6,11 @@
 //!
 //! Replay simulations always run event-driven
 //! (`SimConfig { event_mode: true, .. }`): relaxed stretches of a window
-//! advance in closed form, congested ones fall back to exact ticks, so
-//! backpressure verdicts match an exact-tick run and sink rates agree
-//! within the equivalence suite's 0.1 % tolerance. Per-window coverage
-//! is reported in [`WindowReplay::sim_events`] /
+//! and the throttled drain of each backpressure episode advance in
+//! closed form, while onsets, releases and other crossings run as exact
+//! ticks, so per-minute backpressure time matches an exact-tick run and
+//! sink rates agree within the equivalence suite's 0.1 % tolerance.
+//! Per-window coverage is reported in [`WindowReplay::sim_events`] /
 //! [`WindowReplay::closed_form_ticks`].
 
 use crate::plan::{PlanError, PlanTimeline, WindowPlan};

@@ -77,13 +77,21 @@ cargo test --workspace -q
 # sequential path, so any output depending on parallel scheduling
 # (and any accidental nondeterminism) shows up as a diff here. The
 # equivalence suite carries the event-scheduler contract (closed-form
-# advancement within 0.1% of exact across profile regimes), and
-# exec_determinism covers event-mode replay (replay always runs
-# event_mode=true), so wide-vs-1-thread replay stays byte-identical.
+# advancement within 0.1% of exact across profile regimes; overloaded
+# runs drain each backpressure episode in closed form with per-minute
+# backpressure time identical to exact), and exec_determinism covers
+# event-mode replay (replay always runs event_mode=true), so
+# wide-vs-1-thread replay stays byte-identical.
 echo "==> CALADRIUS_THREADS=1 determinism variant (incl. event-mode equivalence)"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-exec
 CALADRIUS_THREADS=1 cargo test -q --test exec_determinism --test capacity_plan
 CALADRIUS_THREADS=1 cargo test -q --test sim_kernel_equivalence
+
+# The same suite as the benchmark builds it: release drops debug
+# assertions and wraps on overflow, and the drain's tick arithmetic
+# must hold there too. More proptest cases than the default.
+echo "==> PROPTEST_CASES=512 sim_kernel_equivalence (release)"
+PROPTEST_CASES=512 cargo test -q --release --test sim_kernel_equivalence
 
 # The fleet e2e fans out cluster planning across the "fleet-plan" pool;
 # the single-thread run proves the fleet tier's answers (grants, shard

@@ -8,9 +8,13 @@ use caladrius::api::{json, ApiService, HttpClient, HttpServer, Value};
 use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
 use caladrius::fleet::{Fleet, FleetConfig, FleetService, StagedWorkload};
+use caladrius::sim::engine::ExactTickReason;
 use caladrius::sim::prelude::*;
 use caladrius::tsdb::MetricBatch;
-use caladrius::workload::wordcount::{wordcount_topology, WordCountParallelism};
+use caladrius::workload::traffic::DiurnalTraffic;
+use caladrius::workload::wordcount::{
+    wordcount_topology, wordcount_topology_with, WordCountParallelism,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -219,6 +223,67 @@ fn event_scheduler_counters_surface_in_service_metrics() {
     assert_eq!(status, 200);
     assert!(scrape(&text, &["caladrius_sim_events_total"]).unwrap() > 0.0);
     assert!(scrape(&text, &["caladrius_sim_ticks_closed_form_total"]).unwrap() > 0.0);
+    // Exact ticks carry one series per reason; the service's seeding
+    // legs ran in exact mode.
+    for reason in ExactTickReason::ALL {
+        let label = format!("reason=\"{}\"", reason.label());
+        assert!(
+            scrape(&text, &["caladrius_sim_ticks_total", &label]).is_some(),
+            "no {label} row"
+        );
+    }
+    assert!(
+        scrape(
+            &text,
+            &["caladrius_sim_ticks_total", "reason=\"exact-mode\""]
+        )
+        .unwrap()
+            > 0.0
+    );
+}
+
+#[test]
+fn exact_ticks_are_counted_by_reason() {
+    let run = |rate_profile: RateProfile, event_mode: bool, minutes: u64| {
+        let topology = wordcount_topology_with(WordCountParallelism::default(), rate_profile, None);
+        let mut sim = Simulation::new(
+            topology,
+            SimConfig {
+                event_mode,
+                metric_noise: 0.0,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        sim.run_minutes(minutes);
+        let by_reason: u64 = ExactTickReason::ALL
+            .iter()
+            .map(|&r| sim.exact_ticks(r))
+            .sum();
+        assert_eq!(by_reason, sim.ticks_executed(), "reasons sum to the total");
+        sim
+    };
+
+    // A relaxed diurnal day: the event core never sees backpressure.
+    let diurnal = DiurnalTraffic {
+        base_rate: 8.0e6 / 60.0,
+        amplitude: 0.3,
+        period_secs: 1200,
+        phase_secs: 0,
+        knots_per_period: 12,
+    };
+    let relaxed = run(diurnal.to_profile(20 * 60), true, 20);
+    assert_eq!(relaxed.exact_ticks(ExactTickReason::BackpressureEdge), 0);
+    assert_eq!(relaxed.exact_ticks(ExactTickReason::ExactMode), 0);
+    assert!(relaxed.ticks_closed_form() > relaxed.ticks_executed());
+
+    // Overload: the onset and release of each episode run exactly.
+    let overloaded = run(RateProfile::constant_per_min(22.0e6), true, 10);
+    assert!(overloaded.exact_ticks(ExactTickReason::BackpressureEdge) > 0);
+
+    // Event mode off: every tick is an exact-mode tick.
+    let exact = run(RateProfile::constant_per_min(8.0e6), false, 2);
+    assert_eq!(exact.exact_ticks(ExactTickReason::ExactMode), 120);
 }
 
 #[test]

@@ -12,11 +12,11 @@
 //! trades that guarantee for speed, so it is checked against a tolerance
 //! instead: sink throughput within 0.1 % of the exact run and the same
 //! backpressure verdict, across constant, stepped, ramping, diurnal and
-//! flash-crowd rate profiles — including overloaded runs, where it must
-//! fall back to exact ticks and reproduce the exact kernel's
-//! backpressure verdict.
+//! flash-crowd rate profiles. Overloaded runs drain their backpressure
+//! episodes in closed form; there the per-minute backpressure time of
+//! every instance must equal the exact kernel's.
 
-use caladrius::sim::engine::{SimConfig, Simulation};
+use caladrius::sim::engine::{ExactTickReason, SimConfig, Simulation};
 use caladrius::sim::metrics::{metric, SimMetrics};
 use caladrius::sim::profiles::RateProfile;
 use caladrius::sim::reference::ReferenceSimulation;
@@ -45,9 +45,14 @@ const METRIC_NAMES: [&str; 9] = [
 /// Flattens a metrics db into `(series key, ts, value bits)` rows, sorted
 /// deterministically, so two dbs can be compared for bitwise equality.
 fn dump(metrics: &SimMetrics) -> Vec<(String, i64, u64)> {
+    dump_of(metrics, &METRIC_NAMES)
+}
+
+/// [`dump`] restricted to the metric families in `names`.
+fn dump_of(metrics: &SimMetrics, names: &[&str]) -> Vec<(String, i64, u64)> {
     let db = metrics.db();
     let mut rows = Vec::new();
-    for name in METRIC_NAMES {
+    for &name in names {
         for (key, samples) in db.select(name, &[], i64::MIN, i64::MAX).unwrap() {
             for s in samples {
                 rows.push((format!("{key:?}"), s.ts, s.value.to_bits()));
@@ -177,10 +182,39 @@ fn sink_and_bp(metrics: &SimMetrics, topology: &Topology, from: i64) -> (f64, f6
     (sink_rate, bp_ms)
 }
 
+/// Asserts that every instance's per-minute backpressure time is the
+/// same in both runs, and returns a lower bound on the ticks the exact
+/// run spent in backpressure (per minute, the longest any one instance
+/// held it).
+fn assert_backpressure_identical(exact: &SimMetrics, event: &SimMetrics) -> u64 {
+    let (a, b) = (
+        dump_of(exact, &[metric::BACKPRESSURE_TIME]),
+        dump_of(event, &[metric::BACKPRESSURE_TIME]),
+    );
+    assert_eq!(a.len(), b.len(), "different backpressure sample counts");
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x, y, "per-minute backpressure diverged (key, ts, f64 bits)");
+    }
+    let mut longest = std::collections::BTreeMap::<i64, f64>::new();
+    for (_, ts, bits) in &a {
+        let held = longest.entry(*ts).or_default();
+        *held = held.max(f64::from_bits(*bits));
+    }
+    (longest.values().sum::<f64>() / 1000.0) as u64
+}
+
+/// Share of a simulation's ticks advanced in closed form.
+fn closed_form_share(sim: &Simulation) -> f64 {
+    sim.ticks_closed_form() as f64 / (sim.ticks_closed_form() + sim.ticks_executed()) as f64
+}
+
 /// Runs the same topology exact and event-driven; asserts closed-form
 /// coverage (when expected), matching backpressure verdicts and sink
-/// throughput within 0.1 %.
-fn assert_event_within_tolerance(topology: Topology, expect_closed_form: bool) {
+/// throughput within 0.1 %. Returns both runs.
+fn assert_event_within_tolerance(
+    topology: Topology,
+    expect_closed_form: bool,
+) -> ((Simulation, SimMetrics), (Simulation, SimMetrics)) {
     let exact_cfg = SimConfig {
         metric_noise: 0.0,
         ..SimConfig::default()
@@ -219,6 +253,7 @@ fn assert_event_within_tolerance(topology: Topology, expect_closed_form: bool) {
         fast_bp > tolerance,
         "backpressure verdicts diverged: exact {exact_bp} ms vs event {fast_bp} ms"
     );
+    ((exact, exact_metrics), (fast, fast_metrics))
 }
 
 #[test]
@@ -281,10 +316,68 @@ fn event_mode_matches_exact_on_flash_crowd() {
 
 #[test]
 fn event_mode_matches_exact_under_sustained_backpressure() {
-    // Permanently overloaded: the saturation probe never passes, so the
-    // scheduler degenerates to exact ticks — verdicts must still agree.
+    // Permanently overloaded: the relaxed probe never passes, but each
+    // backpressure episode drains in closed form between its onset and
+    // release ticks — which run exactly, so every minute's backpressure
+    // time matches the exact kernel.
     let topology = wordcount_topology(WordCountParallelism::default(), 22.0e6);
-    assert_event_within_tolerance(topology, false);
+    let ((_, exact_metrics), (fast, fast_metrics)) = assert_event_within_tolerance(topology, false);
+    let bp_ticks = assert_backpressure_identical(&exact_metrics, &fast_metrics);
+    assert!(bp_ticks > 0, "overload run must actually backpressure");
+    assert!(
+        closed_form_share(&fast) >= 0.9,
+        "throttled drains should advance in closed form, share {}",
+        closed_form_share(&fast)
+    );
+}
+
+#[test]
+fn event_mode_matches_exact_on_an_onboarding_cycle() {
+    // The onboarding shape: medium WordCount on a diurnal cycle whose
+    // peak (×1.6) overloads the splitters for hours, compressed to six
+    // hours. Noise stays on, as when onboarding.
+    for scale in [1.0, 0.9] {
+        let diurnal = DiurnalTraffic {
+            base_rate: 64.0e6 * scale / 60.0,
+            amplitude: 0.6,
+            period_secs: 360 * 60,
+            phase_secs: 0,
+            knots_per_period: 24,
+        };
+        let parallelism = WordCountParallelism {
+            spout: 32,
+            splitter: 8,
+            counter: 12,
+        };
+        let topology = wordcount_topology_with(parallelism, diurnal.to_profile(360 * 60), None);
+        let run = |event_mode: bool| {
+            let config = SimConfig {
+                event_mode,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(topology.clone(), config).unwrap();
+            let metrics = sim.run_minutes(360);
+            (sim, metrics)
+        };
+        let (_, exact_metrics) = run(false);
+        let (fast, fast_metrics) = run(true);
+        let sink_total = |m: &SimMetrics| {
+            let series = m.component_sum(metric::EXECUTE_COUNT, Some("counter"), 0, i64::MAX);
+            Aggregation::Sum.apply(series.iter().map(|s| s.value))
+        };
+        let (exact_sink, fast_sink) = (sink_total(&exact_metrics), sink_total(&fast_metrics));
+        assert!(
+            (fast_sink - exact_sink).abs() <= 1e-9 * exact_sink,
+            "scale {scale}: sink total exact {exact_sink} vs event {fast_sink}"
+        );
+        let bp_ticks = assert_backpressure_identical(&exact_metrics, &fast_metrics);
+        assert!(bp_ticks > 1000, "scale {scale}: the peak must backpressure");
+        let edge = fast.exact_ticks(ExactTickReason::BackpressureEdge);
+        assert!(
+            edge * 20 <= bp_ticks,
+            "scale {scale}: {edge} exact backpressure ticks out of {bp_ticks}"
+        );
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -342,9 +435,10 @@ fn arb_event_case() -> impl Strategy<Value = EventCase> {
 
 proptest! {
     /// Event-driven advancement stays within the tolerance contract —
-    /// sink rate within 0.1 % of the exact kernel and identical
-    /// backpressure verdicts — across constant, stepped, ramping and
-    /// diurnal profiles on both topologies, above and below the knee.
+    /// sink rate within 0.1 % of the exact kernel, identical per-minute
+    /// backpressure time on every instance — across constant, stepped,
+    /// ramping and diurnal profiles on both topologies, above and below
+    /// the knee.
     #[test]
     fn event_mode_is_equivalent_across_profile_regimes(case in arb_event_case()) {
         let exact_cfg = SimConfig { metric_noise: 0.0, ..SimConfig::default() };
@@ -361,6 +455,14 @@ proptest! {
             "sink rate diverged beyond 0.1%: exact {} vs event {} (regime {} load {} diamond {})",
             exact_sink,
             fast_sink,
+            case.regime,
+            case.load,
+            case.diamond
+        );
+        prop_assert!(
+            dump_of(&exact_metrics, &[metric::BACKPRESSURE_TIME])
+                == dump_of(&fast_metrics, &[metric::BACKPRESSURE_TIME]),
+            "per-minute backpressure diverged (regime {} load {} diamond {})",
             case.regime,
             case.load,
             case.diamond
