@@ -264,10 +264,10 @@ pub struct PlanValidation {
     pub windows: Vec<WindowReplay>,
     /// True when every window stayed under the backpressure tolerance.
     pub all_low_risk: bool,
-    /// Scheduler events processed by the event-driven core, summed over
+    /// Agenda events processed by the event-driven core, summed over
     /// all windows (mirrors `caladrius_sim_events_total`).
     pub sim_events: u64,
-    /// Ticks advanced in closed form between scheduler events instead
+    /// Ticks advanced in closed form between agenda events instead
     /// of being executed exactly, summed over all windows — the
     /// replay-acceleration telemetry mirrored by
     /// `caladrius_sim_ticks_closed_form_total`.

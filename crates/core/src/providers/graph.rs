@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn caches_until_version_changes() {
-        let mut tracker = StaticTracker::new().with(topo());
+        let tracker = StaticTracker::new().with(topo());
         let service = GraphService::new();
         let a = service.logical(&tracker, "wc").unwrap();
         let b = service.logical(&tracker, "wc").unwrap();

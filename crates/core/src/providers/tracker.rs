@@ -73,11 +73,13 @@ impl TopologyTracker for ClusterTracker {
     }
 }
 
-/// Tracker over a fixed set of topologies (no cluster needed) — useful
-/// for one-shot analyses and tests.
+/// Tracker over a set of topologies held in memory (no cluster needed):
+/// one-shot analyses, tests, and a fleet shard's hosted topologies.
+/// Registrations may land while a service reads it, and re-registration
+/// bumps the version (invalidating graph and model caches downstream).
 #[derive(Debug, Default)]
 pub struct StaticTracker {
-    topologies: HashMap<String, (Topology, u64)>,
+    topologies: RwLock<HashMap<String, (Topology, u64)>>,
 }
 
 impl StaticTracker {
@@ -88,18 +90,17 @@ impl StaticTracker {
 
     /// Registers a topology at version 1 (or bumps the version when the
     /// name is already present).
-    pub fn insert(&mut self, topology: Topology) {
-        let version = self
-            .topologies
+    pub fn insert(&self, topology: Topology) {
+        let mut topologies = self.topologies.write();
+        let version = topologies
             .get(&topology.name)
             .map(|(_, v)| v + 1)
             .unwrap_or(1);
-        self.topologies
-            .insert(topology.name.clone(), (topology, version));
+        topologies.insert(topology.name.clone(), (topology, version));
     }
 
     /// Builder-style insertion.
-    pub fn with(mut self, topology: Topology) -> Self {
+    pub fn with(self, topology: Topology) -> Self {
         self.insert(topology);
         self
     }
@@ -108,6 +109,7 @@ impl StaticTracker {
 impl TopologyTracker for StaticTracker {
     fn logical_spec(&self, topology: &str) -> Result<LogicalSpec> {
         self.topologies
+            .read()
             .get(topology)
             .map(|(t, _)| to_logical_spec(t))
             .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
@@ -115,13 +117,14 @@ impl TopologyTracker for StaticTracker {
 
     fn last_updated(&self, topology: &str) -> Result<u64> {
         self.topologies
+            .read()
             .get(topology)
             .map(|(_, v)| *v)
             .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
     }
 
     fn topologies(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.topologies.keys().cloned().collect();
+        let mut names: Vec<String> = self.topologies.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -164,7 +167,7 @@ mod tests {
 
     #[test]
     fn static_tracker_lookup_and_versioning() {
-        let mut tracker = StaticTracker::new().with(topo());
+        let tracker = StaticTracker::new().with(topo());
         assert_eq!(tracker.topologies(), vec!["wc"]);
         assert_eq!(tracker.last_updated("wc").unwrap(), 1);
         tracker.insert(topo().with_parallelism("splitter", 5).unwrap());

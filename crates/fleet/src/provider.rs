@@ -13,13 +13,14 @@
 
 use caladrius_core::error::{CoreError, Result};
 use caladrius_core::providers::metrics::MetricsProvider;
-use caladrius_core::providers::tracker::{to_logical_spec, TopologyTracker};
-use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample, SeriesKey, TagFilter};
 use heron_sim::metrics::{SeriesSet, SimMetrics};
-use heron_sim::topology::Topology;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+
+/// A shard's hosted topologies: core's tracker, which takes
+/// registrations while the service runs.
+pub use caladrius_core::providers::StaticTracker as FleetTracker;
 
 /// Per-shard metrics provider: one [`SimMetrics`] store per hosted
 /// topology, registered online and looked up by topology id.
@@ -110,66 +111,5 @@ impl MetricsProvider for ShardMetricsProvider {
         let mut scoped = vec![TagFilter::eq(heron_sim::metrics::tag::TOPOLOGY, topology)];
         scoped.extend_from_slice(filters);
         Ok(metrics.db().select(metric_name, &scoped, from, to)?)
-    }
-}
-
-/// Mutable tracker for a shard's hosted topologies: like
-/// `StaticTracker`, but registrations land while the service runs, and
-/// re-registration bumps the version (invalidating graph and model
-/// caches downstream).
-#[derive(Debug, Default)]
-pub struct FleetTracker {
-    topologies: RwLock<HashMap<String, (Topology, u64)>>,
-}
-
-impl FleetTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a topology at version 1 (or bumps the version when the
-    /// name is already present).
-    pub fn insert(&self, topology: Topology) {
-        let mut topologies = self.topologies.write();
-        let version = topologies
-            .get(&topology.name)
-            .map(|(_, v)| v + 1)
-            .unwrap_or(1);
-        topologies.insert(topology.name.clone(), (topology, version));
-    }
-
-    /// Number of hosted topologies.
-    pub fn len(&self) -> usize {
-        self.topologies.read().len()
-    }
-
-    /// True when no topology is hosted.
-    pub fn is_empty(&self) -> bool {
-        self.topologies.read().is_empty()
-    }
-}
-
-impl TopologyTracker for FleetTracker {
-    fn logical_spec(&self, topology: &str) -> Result<LogicalSpec> {
-        self.topologies
-            .read()
-            .get(topology)
-            .map(|(t, _)| to_logical_spec(t))
-            .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
-    }
-
-    fn last_updated(&self, topology: &str) -> Result<u64> {
-        self.topologies
-            .read()
-            .get(topology)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
-    }
-
-    fn topologies(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.topologies.read().keys().cloned().collect();
-        names.sort();
-        names
     }
 }

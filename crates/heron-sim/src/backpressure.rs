@@ -46,7 +46,7 @@ impl WatermarkConfig {
     /// Seconds until a queue at `queue_bytes`, filling at a constant
     /// `fill_bytes_per_sec`, first *exceeds* the high watermark (the
     /// trigger condition is strict `>`), or `None` if it never will.
-    /// Used by the event scheduler to jump straight to the crossing
+    /// Used by the event-driven core to jump straight to the crossing
     /// instead of probing tick-by-tick.
     pub fn secs_to_high(&self, queue_bytes: f64, fill_bytes_per_sec: f64) -> Option<f64> {
         if queue_bytes > self.high_bytes {

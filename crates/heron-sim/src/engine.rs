@@ -32,21 +32,21 @@
 //!
 //! [`SimConfig::event_mode`] is the engine's one fast path and its only
 //! mode switch: off, a minute is `60 · ticks_per_second` exact ticks; on,
-//! each minute runs on a binary-heap event scheduler
-//! ([`crate::scheduler`]) for any **piecewise-linear** spout profile
-//! (constant, stepped, ramping, diurnal). The agenda holds the minute
-//! boundary, every rate-profile breakpoint (shifted by each pipeline
-//! delay so per-instance flows stay linear between events), and
-//! analytically computed saturation-onset / watermark-crossing ticks.
-//! The fluid model ([`crate::fluid`]) advances two regimes in closed
-//! form:
+//! each minute runs against an *agenda* for any **piecewise-linear**
+//! spout profile (constant, stepped, ramping, diurnal): the sorted list
+//! of the minute's rate-profile breakpoint ticks, each shifted by every
+//! pipeline delay so per-instance flows stay linear between them. The
+//! fluid model ([`crate::fluid`]) is built from the same instance,
+//! component and edge tables the tick reads, and advances two regimes in
+//! closed form:
 //!
-//! - **Relaxed spans** (no backpressure): between consecutive events,
-//!   queue depths, throughput accumulators and clamped CPU move as
-//!   arithmetic series over the profile segments — the exact sums the
-//!   tick loop would accumulate. An entry probe requires the live state
-//!   to match the model within `1e-6` relative, and the span plan
-//!   truncates at the first analytic capacity or watermark crossing.
+//! - **Relaxed spans** (no backpressure): up to the next agenda tick or
+//!   the minute end, queue depths, throughput accumulators and clamped
+//!   CPU move as arithmetic series over the profile segments — the exact
+//!   sums the tick loop would accumulate. An entry probe requires the
+//!   live state to match the model within `1e-6` relative, and the span
+//!   plan truncates at the first analytic saturation-onset or
+//!   watermark-crossing tick.
 //! - **Throttled-drain spans** (backpressure active): every spout is
 //!   stopped, so each bolt drains at `capacity·(1 − gateway)` per tick
 //!   or passes a constant inflow through, and spout backlogs grow by the
@@ -74,7 +74,6 @@ use crate::fluid::{FluidEngine, FluidTargets, SpanPlan};
 use crate::metrics::SimMetrics;
 use crate::packing::{PackingAlgorithm, PackingPlan};
 use crate::profiles::hash64;
-use crate::scheduler::{EventKind, EventQueue};
 use crate::topology::{ComponentKind, Topology};
 use caladrius_obs::{Counter, Histogram};
 use caladrius_tsdb::{MetricsDb, Sample, SeriesHandle};
@@ -151,8 +150,8 @@ impl ExactTickReason {
 }
 
 /// Process-wide simulator counters: ticks executed exactly (one series
-/// per [`ExactTickReason`], in `ALL` order), scheduler events processed
-/// by the event-driven core, and ticks advanced in closed form.
+/// per [`ExactTickReason`], in `ALL` order), agenda events processed by
+/// the event-driven core, and ticks advanced in closed form.
 /// `caladrius_sim_ticks_closed_form_total` over the sum of
 /// `caladrius_sim_ticks_total` and closed form is the event-mode coverage
 /// ratio on `/metrics/service`.
@@ -172,7 +171,7 @@ fn sim_counters() -> &'static SimCounters {
         );
         registry.describe(
             "caladrius_sim_events_total",
-            "Scheduler events processed by the event-driven simulation core",
+            "Agenda events processed by the event-driven simulation core",
         );
         registry.describe(
             "caladrius_sim_ticks_closed_form_total",
@@ -232,16 +231,16 @@ pub struct SimConfig {
     /// assumption breaks (the `stmgr_ablation` bench).
     pub stmgr_capacity: Option<f64>,
     /// Opt-in event-driven advancement (default `false`) — the engine's
-    /// only mode switch. Minutes run on a binary-heap event scheduler
-    /// ([`crate::scheduler`]): rate-profile breakpoints, analytically
-    /// computed saturation onsets and watermark crossings, and the minute
-    /// boundary are events, and between events the fluid state advances
-    /// in closed form ([`crate::fluid`]) for any piecewise-linear spout
-    /// profile, with or without backpressure (throttled drains advance in
-    /// closed form too). Falls back to exact ticking (per tick) whenever
-    /// closed form is not provably valid, so per-minute backpressure time
-    /// matches exact runs; sink rates agree within the equivalence
-    /// suite's 0.1 % tolerance rather than bitwise. Requires
+    /// only mode switch. Each minute's agenda is its sorted rate-profile
+    /// breakpoint ticks; between them (and up to analytically computed
+    /// saturation onsets and watermark crossings) the fluid state
+    /// advances in closed form ([`crate::fluid`]) for any
+    /// piecewise-linear spout profile, with or without backpressure
+    /// (throttled drains advance in closed form too). Falls back to exact
+    /// ticking (per tick) whenever closed form is not provably valid, so
+    /// per-minute backpressure time matches exact runs; sink rates agree
+    /// within the equivalence suite's 0.1 % tolerance rather than
+    /// bitwise. Requires
     /// `ticks_per_second == 1`, transparent stream managers,
     /// piecewise-linear spout profiles and at most `fluid::MAX_TERMS`
     /// flow terms per instance; otherwise the engine runs exact,
@@ -269,67 +268,67 @@ impl Default for SimConfig {
 /// [`Simulation::new`]; the tick loop indexes these flat vectors instead
 /// of matching on `ComponentKind` per instance.
 #[derive(Debug)]
-struct InstanceTable {
+pub(crate) struct InstanceTable {
     /// Number of instances (length of every column).
-    n: usize,
+    pub(crate) n: usize,
     /// Owning component index.
-    comp_idx: Vec<u32>,
+    pub(crate) comp_idx: Vec<u32>,
     /// Index within the component.
-    inst_idx: Vec<u32>,
+    pub(crate) inst_idx: Vec<u32>,
     /// Container the instance is packed on.
-    container: Vec<u32>,
+    pub(crate) container: Vec<u32>,
     /// Processing capacity, tuples/second.
-    capacity: Vec<f64>,
+    pub(crate) capacity: Vec<f64>,
     /// Allocated CPU cores.
-    cpu_cores: Vec<f64>,
+    pub(crate) cpu_cores: Vec<f64>,
     /// `capacity / cpu_cores`, precomputed (division is deterministic, so
     /// hoisting it out of the tick preserves bit-identity).
-    cap_per_core: Vec<f64>,
+    pub(crate) cap_per_core: Vec<f64>,
     /// Output tuples per executed tuple.
-    selectivity: Vec<f64>,
+    pub(crate) selectivity: Vec<f64>,
     /// Capacity fraction lost to the gateway thread at full pressure.
-    gateway_overhead: Vec<f64>,
+    pub(crate) gateway_overhead: Vec<f64>,
     /// Fraction of executed tuples failed by user logic.
-    fail_rate: Vec<f64>,
+    pub(crate) fail_rate: Vec<f64>,
 }
 
 /// Per-component constants plus the CSR index into [`EdgeTable`].
 #[derive(Debug)]
-struct ComponentTable {
+pub(crate) struct ComponentTable {
     /// Spout/bolt tag, flattened out of the `ComponentKind` enum.
-    is_spout: Vec<bool>,
+    pub(crate) is_spout: Vec<bool>,
     /// True when the component has no outgoing edges.
-    is_sink: Vec<bool>,
+    pub(crate) is_sink: Vec<bool>,
     /// Parallelism as `f64` (spout rate division).
-    parallelism: Vec<f64>,
+    pub(crate) parallelism: Vec<f64>,
     /// CSR: instances of component `c` occupy
     /// `inst_start[c]..inst_start[c + 1]` in the instance table. The tick
     /// iterates per component so per-component constants (capacity,
     /// selectivity, fail rate, edge range) hoist out of the instance loop.
-    inst_start: Vec<usize>,
+    pub(crate) inst_start: Vec<usize>,
     /// CSR: edges leaving component `c` occupy
     /// `edge_start[c]..edge_start[c + 1]` in the edge table.
-    edge_start: Vec<usize>,
+    pub(crate) edge_start: Vec<usize>,
     /// Component indices that are spouts (per-tick offer computation).
-    spout_comps: Vec<usize>,
+    pub(crate) spout_comps: Vec<usize>,
 }
 
 /// All edges and their per-destination routes, flattened CSR-style so the
 /// tick never takes `out_edges` out of `self`.
 #[derive(Debug)]
-struct EdgeTable {
+pub(crate) struct EdgeTable {
     /// Per edge: grouping replicates to every downstream instance.
-    replicates: Vec<bool>,
+    pub(crate) replicates: Vec<bool>,
     /// Per edge: bytes per emitted tuple.
-    tuple_bytes: Vec<f64>,
+    pub(crate) tuple_bytes: Vec<f64>,
     /// CSR: routes of edge `e` occupy `route_start[e]..route_start[e+1]`.
-    route_start: Vec<usize>,
+    pub(crate) route_start: Vec<usize>,
     /// Per route: destination flat instance id.
-    route_dst: Vec<usize>,
+    pub(crate) route_dst: Vec<usize>,
     /// Per route: share of the edge's output (non-replicating groupings).
-    route_share: Vec<f64>,
+    pub(crate) route_share: Vec<f64>,
     /// Per route: destination's container.
-    route_dst_container: Vec<u32>,
+    pub(crate) route_dst_container: Vec<u32>,
 }
 
 /// Mutable queue state, struct-of-arrays. Split from [`MinuteAccum`] so
@@ -463,34 +462,35 @@ pub struct Simulation {
     emit_scratch: Vec<f64>,
     /// Reused buffer for backpressure attribution (no per-tick alloc).
     bp_scratch: Vec<usize>,
-    /// Cumulative ticks executed exactly over this simulation's lifetime
-    /// (survives [`Simulation::reset_with`]).
-    ticks_executed: u64,
-    /// The same ticks split by [`ExactTickReason`] (ditto; indexed by
-    /// the enum's discriminant).
-    exact_ticks: [u64; 5],
-    /// Cumulative scheduler events processed in event mode (ditto).
-    sim_events: u64,
-    /// Cumulative ticks *not* executed exactly: advanced in closed form
-    /// by the event-driven core (ditto).
-    ticks_closed_form: u64,
+    /// Lifetime tick and event counters.
+    counters: TickCounters,
     /// Lazily built fluid model for event mode.
     fluid: FluidState,
-    /// The topology's spout profiles changed since the fluid model last
-    /// decomposed them into segments.
-    fluid_profiles_dirty: bool,
-    /// Every spout profile decomposed successfully on the last refresh.
-    fluid_profiles_ok: bool,
     /// Sink handles kept across runs against the same metrics store (see
     /// [`Simulation::run_minutes_into`]). Dropped whenever a parallelism
     /// change rebuilds the instance tables.
     sink_cache: Option<SinkCache>,
 }
 
-/// Cache state of the event-mode fluid model. `Ineligible` is sticky per
-/// instance-table build (the term count only depends on topology shape);
-/// profile eligibility is tracked separately since profiles may be
-/// swapped by [`Simulation::reset_with`].
+/// Lifetime counters of a simulation: they survive
+/// [`Simulation::reset_with`], table rebuild included.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickCounters {
+    /// Ticks executed exactly, indexed by [`ExactTickReason`]
+    /// discriminant.
+    exact: [u64; 5],
+    /// Agenda events processed in event mode.
+    events: u64,
+    /// Ticks *not* executed exactly: advanced in closed form by the
+    /// event-driven core.
+    closed_form: u64,
+}
+
+/// Cache state of the event-mode fluid model, and with it whether closed
+/// form is usable for the current spout profiles. `Ineligible` is sticky
+/// per instance-table build (the term count only depends on topology
+/// shape); a profile swap by [`Simulation::reset_with`] turns a built
+/// model `Stale`.
 #[derive(Debug, Default)]
 enum FluidState {
     /// Not built yet (or invalidated by a table rebuild).
@@ -498,7 +498,11 @@ enum FluidState {
     Unbuilt,
     /// The topology's fan-in exceeds the fluid model's term budget.
     Ineligible,
-    /// Built and structurally valid.
+    /// Built; the spout profiles changed since it last decomposed them.
+    Stale(Box<FluidEngine>),
+    /// Built, but some spout profile is not piecewise-linear.
+    NonLinear(Box<FluidEngine>),
+    /// Built, with every spout profile decomposed: closed form usable.
     Ready(Box<FluidEngine>),
 }
 
@@ -548,9 +552,7 @@ impl Simulation {
         }
         // `Topology`'s fields are public, so a topology that never went
         // through `TopologyBuilder::build` is checked here too.
-        for component in &topology.components {
-            component.validate()?;
-        }
+        topology.validate()?;
         let packing = config.packing.unwrap_or(PackingAlgorithm::RoundRobin {
             num_containers: (topology.total_instances() as usize).div_ceil(4).max(1),
         });
@@ -669,13 +671,8 @@ impl Simulation {
             edges,
             topology,
             config,
-            ticks_executed: 0,
-            exact_ticks: [0; 5],
-            sim_events: 0,
-            ticks_closed_form: 0,
+            counters: TickCounters::default(),
             fluid: FluidState::Unbuilt,
-            fluid_profiles_dirty: true,
-            fluid_profiles_ok: false,
             sink_cache: None,
         })
     }
@@ -698,13 +695,13 @@ impl Simulation {
     /// Cumulative ticks this simulation executed exactly (lifetime,
     /// surviving [`Simulation::reset_with`]).
     pub fn ticks_executed(&self) -> u64 {
-        self.ticks_executed
+        self.counters.exact.iter().sum()
     }
 
     /// Cumulative ticks executed exactly for `reason` (lifetime, like
     /// [`Simulation::ticks_executed`], which the reasons sum to).
     pub fn exact_ticks(&self, reason: ExactTickReason) -> u64 {
-        self.exact_ticks[reason as usize]
+        self.counters.exact[reason as usize]
     }
 
     /// Cumulative ticks not executed exactly. Closed form is the only
@@ -713,19 +710,21 @@ impl Simulation {
     /// [`Simulation::ticks_executed`] (their sum is the simulated tick
     /// count).
     pub fn ticks_skipped(&self) -> u64 {
-        self.ticks_closed_form
+        self.counters.closed_form
     }
 
-    /// Cumulative scheduler events processed in event mode (lifetime,
-    /// surviving [`Simulation::reset_with`]).
+    /// Cumulative agenda events processed in event mode: per minute, the
+    /// minute end, each rate-profile breakpoint tick, each closed-form
+    /// span a crossing stopped, and each backoff falling due within the
+    /// minute (lifetime, surviving [`Simulation::reset_with`]).
     pub fn sim_events(&self) -> u64 {
-        self.sim_events
+        self.counters.events
     }
 
     /// Cumulative ticks advanced in closed form by the event-driven core
     /// (lifetime, surviving [`Simulation::reset_with`]).
     pub fn ticks_closed_form(&self) -> u64 {
-        self.ticks_closed_form
+        self.counters.closed_form
     }
 
     /// Replaces the observation-noise seed for subsequent runs.
@@ -773,21 +772,16 @@ impl Simulation {
         if parallelism_changed {
             // Packing and routing change shape: rebuild the tables, but
             // keep the lifetime tick counters.
-            let (executed, exact_ticks, events, closed_form) = (
-                self.ticks_executed,
-                self.exact_ticks,
-                self.sim_events,
-                self.ticks_closed_form,
-            );
+            let counters = self.counters;
             *self = Simulation::new(topo, self.config.clone())?;
-            self.ticks_executed = executed;
-            self.exact_ticks = exact_ticks;
-            self.sim_events = events;
-            self.ticks_closed_form = closed_form;
+            self.counters = counters;
             return Ok(());
         }
         self.topology = topo;
-        self.fluid_profiles_dirty = true;
+        self.fluid = match std::mem::take(&mut self.fluid) {
+            FluidState::NonLinear(engine) | FluidState::Ready(engine) => FluidState::Stale(engine),
+            unchanged => unchanged,
+        };
         self.live.reset();
         self.accum.reset();
         self.stmgr_tuples.fill(0.0);
@@ -1099,68 +1093,78 @@ impl Simulation {
         }
 
         self.now_ticks += 1;
-        self.ticks_executed += 1;
-        self.exact_ticks[reason as usize] += 1;
+        self.counters.exact[reason as usize] += 1;
     }
 
-    /// Ensures the event-mode fluid model is built and its spout-profile
-    /// segment decompositions are current. `false` when event mode
-    /// cannot engage for this simulation: sub-second resolution, finite
-    /// stream managers, a topology over the fluid term budget, or a
-    /// spout profile that is not piecewise-linear.
+    /// The fluid model of this simulation's tables, configured for its
+    /// CPU baseline and watermarks; `None` over the term budget.
+    pub(crate) fn fluid_engine(&self) -> Option<FluidEngine> {
+        let order = self.topology.topo_order();
+        let mut engine = FluidEngine::build(&self.inst, &self.comps, &self.edges, &order)?;
+        engine.configure(self.config.base_cpu_overhead, self.config.watermarks);
+        Some(engine)
+    }
+
+    /// Brings the event-mode fluid model up to date with the tables and
+    /// spout profiles. `false` when event mode cannot engage for this
+    /// simulation: sub-second resolution, finite stream managers, a
+    /// topology over the fluid term budget, or a spout profile that is
+    /// not piecewise-linear.
     fn ensure_fluid(&mut self) -> bool {
         if self.config.ticks_per_second != 1 || self.config.stmgr_capacity.is_some() {
             return false;
         }
-        if matches!(self.fluid, FluidState::Unbuilt) {
-            self.fluid = match FluidEngine::build(&self.topology, &self.plan) {
-                Some(mut engine) => {
-                    engine.configure(self.config.base_cpu_overhead, self.config.watermarks);
-                    FluidState::Ready(Box::new(engine))
-                }
-                None => FluidState::Ineligible,
-            };
-            self.fluid_profiles_dirty = true;
-        }
-        let FluidState::Ready(engine) = &mut self.fluid else {
-            return false;
+        let decompose = |mut engine: Box<FluidEngine>, topology: &Topology| {
+            if engine.refresh_profiles(topology) {
+                FluidState::Ready(engine)
+            } else {
+                FluidState::NonLinear(engine)
+            }
         };
-        if self.fluid_profiles_dirty {
-            self.fluid_profiles_ok = engine.refresh_profiles(&self.topology);
-            self.fluid_profiles_dirty = false;
-        }
-        self.fluid_profiles_ok
+        self.fluid = match std::mem::take(&mut self.fluid) {
+            FluidState::Unbuilt => match self.fluid_engine() {
+                Some(engine) => decompose(Box::new(engine), &self.topology),
+                None => FluidState::Ineligible,
+            },
+            FluidState::Stale(engine) => decompose(engine, &self.topology),
+            settled => settled,
+        };
+        matches!(self.fluid, FluidState::Ready(_))
     }
 
-    /// Advances one simulated minute on the event scheduler: seed the
-    /// minute's agenda (profile breakpoints shifted by every pipeline
-    /// delay, plus the minute boundary), then alternate between
-    /// closed-form spans and exact ticks.
+    /// Advances one simulated minute in event mode. The minute's agenda
+    /// is the sorted list of its rate-profile breakpoint ticks, each
+    /// shifted by every pipeline delay; the engine alternates between
+    /// closed-form spans and exact ticks, walking the agenda with a
+    /// cursor.
     ///
     /// Without backpressure a span runs in closed form only when the
     /// live state passes the fluid model's entry probe and the span plan
-    /// proves the relaxed regime holds; analytic saturation / watermark
-    /// crossings truncate spans so the crossing tick itself always
-    /// executes exactly (the backpressure tracker must observe it).
-    /// Under backpressure a throttled-drain span runs up to the tick
-    /// before the first watermark or saturation crossing (or the minute
-    /// end), so onset and release ticks execute exactly too. A failed
-    /// probe or drain plan backs off [`EVENT_RETRY_TICKS`] exact ticks.
+    /// proves the relaxed regime holds up to the next agenda tick or the
+    /// minute end; analytic saturation / watermark crossings truncate
+    /// spans so the crossing tick itself always executes exactly (the
+    /// backpressure tracker must observe it). Under backpressure a
+    /// throttled-drain span runs up to the tick before the first
+    /// watermark or saturation crossing (or the minute end), so onset and
+    /// release ticks execute exactly too. A failed probe or drain plan
+    /// backs off [`EVENT_RETRY_TICKS`] exact ticks.
     fn run_minute_with_events(&mut self, engine: &FluidEngine) {
         let minute_end = self.now_ticks + 60;
         let n = self.inst.n;
-        let mut queue = EventQueue::new();
-        queue.push(minute_end, EventKind::MinuteEnd);
-        engine.for_each_breakpoint_event(self.now_ticks, minute_end, |tick| {
-            queue.push(tick, EventKind::RateBreakpoint);
-        });
+        let mut agenda = Vec::new();
+        engine.for_each_breakpoint_event(self.now_ticks, minute_end, |tick| agenda.push(tick));
+        agenda.sort_unstable();
+        let mut cursor = 0;
+        // The minute end and every breakpoint are events; so are, below,
+        // each span a crossing stops and each backoff due by the minute
+        // end.
+        let mut events = 1 + agenda.len() as u64;
         // Relaxed entry backoff and why it was taken; drain backoff.
         let mut retry_at = 0u64;
         let mut retry_reason = ExactTickReason::ProbeRetry;
         let mut drain_retry_at = 0u64;
         while self.now_ticks < minute_end {
             let t0 = self.now_ticks;
-            self.sim_events += queue.fire_until(t0);
             let reason = if self.tracker.active() {
                 if t0 >= drain_retry_at {
                     let tracker = &self.tracker;
@@ -1177,7 +1181,7 @@ impl Simulation {
                                 self.accum.bp_ms[id] += 1000.0 * drain.ticks as f64;
                             }
                             self.now_ticks += drain.ticks;
-                            self.ticks_closed_form += drain.ticks;
+                            self.counters.closed_form += drain.ticks;
                             continue;
                         }
                         // A crossing is due this tick: run it exactly.
@@ -1186,7 +1190,7 @@ impl Simulation {
                         // after onset). Back off before replanning.
                         None => {
                             drain_retry_at = t0 + EVENT_RETRY_TICKS;
-                            queue.push(drain_retry_at, EventKind::ProbeRetry);
+                            events += u64::from(drain_retry_at <= minute_end);
                         }
                     }
                 }
@@ -1199,18 +1203,19 @@ impl Simulation {
                         &self.live.queue_bytes,
                         &self.live.backlog,
                     ) {
-                        let next = queue.next_tick().unwrap_or(minute_end).min(minute_end);
-                        let (stop, stop_kind) = match engine.plan_span(t0, next) {
-                            SpanPlan::Full => (next, None),
-                            SpanPlan::Stop { tick, kind } => (tick, Some(kind)),
+                        while agenda.get(cursor).is_some_and(|&tick| tick <= t0) {
+                            cursor += 1;
+                        }
+                        let next = agenda.get(cursor).copied().unwrap_or(minute_end);
+                        let stop = match engine.plan_span(t0, next) {
+                            SpanPlan::Full => next,
+                            SpanPlan::Stop { tick } => tick,
                         };
                         if stop > t0 {
                             engine.apply(t0, stop, &mut self.fluid_targets());
                             self.now_ticks = stop;
-                            self.ticks_closed_form += stop - t0;
-                            if let Some(kind) = stop_kind {
-                                queue.push(stop, kind);
-                            }
+                            self.counters.closed_form += stop - t0;
+                            events += u64::from(stop < next);
                             continue;
                         }
                         // Congested at the doorstep: the crossing tick is
@@ -1222,13 +1227,13 @@ impl Simulation {
                         retry_reason = ExactTickReason::ProbeRetry;
                     }
                     retry_at = t0 + EVENT_RETRY_TICKS;
-                    queue.push(retry_at, EventKind::ProbeRetry);
+                    events += u64::from(retry_at <= minute_end);
                 }
                 retry_reason
             };
             self.tick(reason);
         }
-        self.sim_events += queue.fire_until(minute_end);
+        self.counters.events += events;
     }
 
     /// The accumulators and live queues a closed-form span advances.
@@ -1247,7 +1252,7 @@ impl Simulation {
         }
     }
 
-    /// Advances one simulated minute: on the event scheduler when
+    /// Advances one simulated minute: against its agenda when
     /// [`SimConfig::event_mode`] is on and the fluid model applies,
     /// otherwise `60 · ticks_per_second` exact ticks.
     fn advance_minute(&mut self) {
@@ -1394,8 +1399,7 @@ impl Simulation {
         span.field("topology", &self.topology.name)
             .field("minutes", minutes);
         let minute_hist = sim_minute_histogram();
-        let (exact_before, events_before, cf_before) =
-            (self.exact_ticks, self.sim_events, self.ticks_closed_form);
+        let before = self.counters;
         let db = metrics.db();
         let mut sink = match self.sink_cache.take() {
             Some(cache) if Arc::ptr_eq(&cache.db, &db) && cache.topology == metrics.topology() => {
@@ -1415,8 +1419,8 @@ impl Simulation {
             topology: metrics.topology().to_string(),
             sink,
         });
-        let events = self.sim_events - events_before;
-        let closed_form = self.ticks_closed_form - cf_before;
+        let events = self.counters.events - before.events;
+        let closed_form = self.counters.closed_form - before.closed_form;
         let counters = sim_counters();
         counters.events.add(events);
         counters.ticks_closed_form.add(closed_form);
@@ -1426,7 +1430,7 @@ impl Simulation {
         // occurred: the trace ring retains thousands of these spans.
         let mut split = String::new();
         for reason in ExactTickReason::ALL {
-            let ticks = self.exact_ticks[reason as usize] - exact_before[reason as usize];
+            let ticks = self.counters.exact[reason as usize] - before.exact[reason as usize];
             counters.ticks[reason as usize].add(ticks);
             if ticks > 0 {
                 let sep = if split.is_empty() { "" } else { " " };
@@ -1448,17 +1452,15 @@ impl Simulation {
 
     /// Runs `minutes` simulated minutes without recording anything —
     /// the paper's "allowed to run ... to attain steady state before
-    /// measurements were retrieved".
+    /// measurements were retrieved". Each minute's accumulators are
+    /// zeroed where a recorded minute would flush them; nothing else
+    /// differs from a recorded run.
     pub fn warmup_minutes(&mut self, minutes: u64) {
-        let discard = SimMetrics::new("warmup-discard");
-        let mut sink = self.register_sink(&discard, minutes);
         for _ in 0..minutes {
             self.advance_minute();
-            // Reset accumulators without recording into the real store.
-            self.flush_minute(&mut sink);
+            self.accum.reset();
+            self.stmgr_tuples.fill(0.0);
         }
-        // The buffered columns are dropped uncommitted — warmup records
-        // nothing.
     }
 }
 
@@ -1918,6 +1920,55 @@ mod tests {
         assert!(wordcount(1000.0, 1, 5000.0)
             .with_source_profile(&ties)
             .is_ok());
+    }
+
+    #[test]
+    fn hand_built_topologies_are_validated_by_simulation_new() {
+        // `Topology`'s fields are public: each bad shape below skips the
+        // builder and must still be refused with a typed error.
+        let base = TopologyBuilder::new("shapes")
+            .spout("s1", 1, RateProfile::constant(100.0), 60)
+            .spout("s2", 1, RateProfile::constant(100.0), 60)
+            .bolt("b", 1, WorkProfile::new(1000.0, 1.0, 8))
+            .bolt("c", 1, WorkProfile::new(1000.0, 1.0, 8))
+            .edge("s1", "b", Grouping::shuffle())
+            .edge("s2", "b", Grouping::shuffle())
+            .edge("b", "c", Grouping::shuffle())
+            .build()
+            .unwrap();
+        let edge = |from, to| crate::topology::EdgeSpec {
+            from,
+            to,
+            grouping: Grouping::shuffle(),
+        };
+        let cases = [
+            (
+                "an out-of-range edge",
+                vec![edge(0, 2), edge(1, 2), edge(2, 3), edge(2, 9)],
+            ),
+            (
+                "a cycle",
+                vec![edge(0, 2), edge(1, 2), edge(2, 3), edge(3, 2)],
+            ),
+            (
+                "a stream into a spout",
+                vec![edge(0, 2), edge(2, 3), edge(3, 1)],
+            ),
+            ("a bolt no spout reaches", vec![edge(0, 2), edge(1, 2)]),
+        ];
+        for (shape, edges) in cases {
+            let topology = Topology {
+                edges,
+                ..base.clone()
+            };
+            assert!(
+                matches!(
+                    Simulation::new(topology, quiet()),
+                    Err(SimError::InvalidTopology(_))
+                ),
+                "{shape}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Closed-form fluid advancement for the event-driven simulation core.
 //!
-//! Between two scheduler events (see [`crate::scheduler`]) the tick
-//! kernel's behaviour in the *relaxed* regime — no backpressure, every
-//! queue a pure pass-through holding exactly one tick of arrivals — is a
-//! linear function of the spout rate profiles. [`FluidEngine`] exploits
-//! that: it precomputes, per instance, the flow terms
+//! Between two ticks of a minute's agenda (its rate-profile breakpoints,
+//! see [`FluidEngine::for_each_breakpoint_event`]) the tick kernel's
+//! behaviour in the *relaxed* regime — no backpressure, every queue a
+//! pure pass-through holding exactly one tick of arrivals — is a linear
+//! function of the spout rate profiles. [`FluidEngine`] exploits that:
+//! built from the kernel's own instance, component and edge tables, it
+//! precomputes, per instance, the flow terms
 //!
 //! ```text
 //! executed_i(t) = Σ_k  w_ik · r_k(t − d_ik)
@@ -47,9 +49,8 @@
 //! `tests/sim_kernel_equivalence.rs`).
 
 use crate::backpressure::WatermarkConfig;
-use crate::packing::PackingPlan;
+use crate::engine::{ComponentTable, EdgeTable, InstanceTable};
 use crate::profiles::Segments;
-use crate::scheduler::EventKind;
 use crate::topology::{ComponentKind, Topology};
 use std::collections::BTreeMap;
 
@@ -77,15 +78,16 @@ struct Term {
     wb: f64,
 }
 
-/// Where a planned span must stop, and the event that stops it.
+/// Where a planned span must stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SpanPlan {
     /// The whole span `[t0, t1)` is provably relaxed.
     Full,
-    /// Closed form is valid only for `[t0, tick)`; the tick at `tick`
-    /// (and onward) must run exactly. `tick == t0` means the regime is
-    /// congested at the doorstep.
-    Stop { tick: u64, kind: EventKind },
+    /// Closed form is valid only for `[t0, tick)` with `tick < t1`: a
+    /// saturation onset or watermark crossing is due, and the tick at
+    /// `tick` (and onward) must run exactly. `tick == t0` means the
+    /// regime is congested at the doorstep.
+    Stop { tick: u64 },
 }
 
 /// A planned throttled-drain span (see [`FluidEngine::plan_drain`]): the
@@ -197,22 +199,22 @@ fn clamped_linear_sum(u0: f64, slope: f64, n: u64, cap: f64) -> f64 {
 }
 
 impl FluidEngine {
-    /// Builds the fluid model, or `None` when the topology's fan-in
-    /// produces more than [`MAX_TERMS`] flow terms on some instance.
-    /// Instance ordering, capacities, shares and container placement all
-    /// mirror the tick kernel's flattened tables exactly.
-    pub fn build(topology: &Topology, plan: &PackingPlan) -> Option<Self> {
-        let n_comps = topology.components.len();
-        let mut inst_start = Vec::with_capacity(n_comps + 1);
-        inst_start.push(0usize);
-        for comp in &topology.components {
-            inst_start.push(inst_start.last().unwrap() + comp.parallelism as usize);
-        }
-        let n = *inst_start.last().unwrap();
-
-        let spout_comp = topology.spout_indices();
-        let mut slot_of = vec![u32::MAX; n_comps];
-        for (slot, &c) in spout_comp.iter().enumerate() {
+    /// Builds the fluid model from the tick kernel's flattened tables, or
+    /// `None` when the topology's fan-in produces more than [`MAX_TERMS`]
+    /// flow terms on some instance. `order` is the topology's
+    /// [`Topology::topo_order`]: terms propagate downstream, so every
+    /// source is folded before its destinations. The flow terms and the
+    /// coefficients derived from them are the only thing computed here;
+    /// capacities, routes, shares and containers are the tables'.
+    pub fn build(
+        inst: &InstanceTable,
+        comps: &ComponentTable,
+        edges: &EdgeTable,
+        order: &[usize],
+    ) -> Option<Self> {
+        let n = inst.n;
+        let mut slot_of = vec![u32::MAX; comps.is_spout.len()];
+        for (slot, &c) in comps.spout_comps.iter().enumerate() {
             slot_of[c] = slot as u32;
         }
 
@@ -222,45 +224,38 @@ impl FluidEngine {
         let mut cc_maps: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); n];
         let mut route_lists: Vec<Vec<(u32, f64, f64)>> = vec![Vec::new(); n];
         let mut route_sum = vec![0.0f64; n];
-        let mut has_out = vec![false; n_comps];
 
-        let container_of = |c: usize, inst: usize| -> u32 {
-            plan.container_of(&topology.components[c].name, inst as u32)
-                .expect("packing places every instance")
-        };
-
-        for &c in &topology.topo_order() {
-            let comp = &topology.components[c];
-            let work = comp.kind.work();
-            let kappa = if comp.kind.is_spout() {
-                work.selectivity
+        for &c in order {
+            let lo = comps.inst_start[c];
+            let spout = comps.is_spout[c];
+            let kappa = if spout {
+                inst.selectivity[lo]
             } else {
-                work.selectivity * (1.0 - work.fail_rate)
+                inst.selectivity[lo] * (1.0 - inst.fail_rate[lo])
             };
-            for inst in 0..comp.parallelism as usize {
-                let flat = inst_start[c] + inst;
-                if comp.kind.is_spout() {
+            for flat in lo..comps.inst_start[c + 1] {
+                if spout {
                     term_maps[flat].insert((slot_of[c], 0), (1.0, 0.0));
                 }
                 let src_terms: Vec<((u32, u32), (f64, f64))> =
                     term_maps[flat].iter().map(|(k, v)| (*k, *v)).collect();
-                let src_container = container_of(c, inst);
-                for edge in topology.edges.iter().filter(|e| e.from == c) {
-                    has_out[c] = true;
-                    let dst_lo = inst_start[edge.to];
-                    let dst_hi = inst_start[edge.to + 1];
-                    let shares = edge.grouping.shares(dst_hi - dst_lo);
-                    let tuple_bytes = f64::from(work.out_tuple_bytes);
-                    let replicates = edge.grouping.replicates();
-                    for (dst, share) in (dst_lo..dst_hi).zip(&shares) {
-                        let rw = if replicates { 1.0 } else { *share };
+                let src_container = inst.container[flat];
+                for e in comps.edge_start[c]..comps.edge_start[c + 1] {
+                    let tuple_bytes = edges.tuple_bytes[e];
+                    for r in edges.route_start[e]..edges.route_start[e + 1] {
+                        let rw = if edges.replicates[e] {
+                            1.0
+                        } else {
+                            edges.route_share[r]
+                        };
                         if rw == 0.0 {
                             continue;
                         }
+                        let dst = edges.route_dst[r];
                         route_sum[flat] += rw;
                         let amount = kappa * rw;
                         *cc_maps[flat].entry(src_container).or_insert(0.0) += amount;
-                        let dst_container = container_of(edge.to, dst - dst_lo);
+                        let dst_container = edges.route_dst_container[r];
                         if dst_container != src_container {
                             *cc_maps[flat].entry(dst_container).or_insert(0.0) += amount;
                         }
@@ -305,30 +300,27 @@ impl FluidEngine {
         let mut emit_coeff = Vec::with_capacity(n);
         let mut fail_rate = Vec::with_capacity(n);
         let mut sat_limit = Vec::with_capacity(n);
-        let mut cap_per_core = Vec::with_capacity(n);
-        let mut cpu_cores = Vec::with_capacity(n);
-        for (c, comp) in topology.components.iter().enumerate() {
-            let work = comp.kind.work();
-            let capacity = work.capacity_per_core * comp.resources.cpu_cores;
-            let spout = comp.kind.is_spout();
-            for inst in 0..comp.parallelism as usize {
-                let flat = inst_start[c] + inst;
-                is_spout.push(spout);
-                fail_rate.push(if spout { 0.0 } else { work.fail_rate });
-                sat_limit.push(if spout {
-                    capacity
-                } else {
-                    capacity * (1.0 - work.gateway_overhead)
-                });
-                cap_per_core.push(capacity / comp.resources.cpu_cores);
-                cpu_cores.push(comp.resources.cpu_cores);
-                let one_minus_fail = if spout { 1.0 } else { 1.0 - work.fail_rate };
-                emit_coeff.push(if has_out[c] {
-                    one_minus_fail * work.selectivity * route_sum[flat]
-                } else {
-                    one_minus_fail
-                });
-            }
+        for (flat, routed) in route_sum.into_iter().enumerate() {
+            let c = inst.comp_idx[flat] as usize;
+            let spout = comps.is_spout[c];
+            let capacity = inst.capacity[flat];
+            is_spout.push(spout);
+            fail_rate.push(if spout { 0.0 } else { inst.fail_rate[flat] });
+            sat_limit.push(if spout {
+                capacity
+            } else {
+                capacity * (1.0 - inst.gateway_overhead[flat])
+            });
+            let one_minus_fail = if spout {
+                1.0
+            } else {
+                1.0 - inst.fail_rate[flat]
+            };
+            emit_coeff.push(if comps.is_sink[c] {
+                one_minus_fail
+            } else {
+                one_minus_fail * inst.selectivity[flat] * routed
+            });
         }
 
         Some(Self {
@@ -339,17 +331,18 @@ impl FluidEngine {
             emit_coeff,
             fail_rate,
             sat_limit,
-            cap_per_core,
-            cpu_cores,
+            cap_per_core: inst.cap_per_core.clone(),
+            cpu_cores: inst.cpu_cores.clone(),
             cc_start,
             cc,
             route_start,
             routes,
-            spout_par: spout_comp
+            spout_comp: comps.spout_comps.clone(),
+            spout_par: comps
+                .spout_comps
                 .iter()
-                .map(|&c| f64::from(topology.components[c].parallelism))
+                .map(|&c| comps.parallelism[c])
                 .collect(),
-            spout_comp,
             spout_segs: Vec::new(),
             max_delay,
             base_cpu: 0.0,                         // set in configure
@@ -555,19 +548,15 @@ impl FluidEngine {
     }
 
     /// Plans the span `[t0, t1)` (no profile breakpoints strictly
-    /// inside, per the scheduler's shifted-event seeding): either the
-    /// whole span is relaxed, or closed form must stop at the analytic
-    /// first crossing of a capacity or watermark limit.
+    /// inside: `t1` is the minute's next agenda tick or its end): either
+    /// the whole span is relaxed, or closed form must stop at the
+    /// analytic first crossing of a capacity or watermark limit.
     pub fn plan_span(&self, t0: u64, t1: u64) -> SpanPlan {
         debug_assert!(t1 > t0);
         let last = t1 - 1;
         let span = (last - t0) as f64;
-        let mut stop: Option<(u64, EventKind)> = None;
-        let mut note = |tick: u64, kind: EventKind| {
-            if stop.is_none_or(|(t, _)| tick < t) {
-                stop = Some((tick, kind));
-            }
-        };
+        let mut stop: Option<u64> = None;
+        let mut note = |tick: u64| stop = Some(stop.map_or(tick, |t| t.min(tick)));
         // Four table bases cover every sample the span checks: exec at
         // t0/last, end-of-tick queue bytes at t0/last − 1/last (bases
         // t + 1).
@@ -581,11 +570,11 @@ impl FluidEngine {
             let v1 = self.exec_from(i, &tab_last);
             let limit = self.sat_limit[i] * (1.0 - MARGIN);
             if v0 > limit {
-                note(t0, EventKind::SaturationOnset);
+                note(t0);
             } else if v1 > limit {
                 let slope = (v1 - v0) / span;
                 let cross = t0 + (((limit - v0) / slope).floor() as u64 + 1).min(last - t0);
-                note(cross, EventKind::SaturationOnset);
+                note(cross);
             }
             if self.is_spout[i] {
                 continue;
@@ -595,26 +584,26 @@ impl FluidEngine {
             // and is checked pointwise.
             let b0 = self.qb_from(i, &tab_qb0);
             if b0 > self.margin_wm.high_bytes {
-                note(t0, EventKind::WatermarkCrossing);
+                note(t0);
             } else if last > t0 {
                 let b_pen = self.qb_from(i, &tab_last);
                 let slope = (b_pen - b0) / (span - 1.0).max(1.0);
                 if let Some(secs) = self.margin_wm.secs_to_high(b0, slope) {
                     let cross = t0 + (secs.floor() as u64 + 1).min(last - t0);
                     if cross < last || b_pen > self.margin_wm.high_bytes {
-                        note(cross, EventKind::WatermarkCrossing);
+                        note(cross);
                     }
                 }
                 if self.qb_from(i, &tab_qb_last) > self.margin_wm.high_bytes {
-                    note(last, EventKind::WatermarkCrossing);
+                    note(last);
                 }
             } else if self.qb_from(i, &tab_qb_last) > self.margin_wm.high_bytes {
-                note(last, EventKind::WatermarkCrossing);
+                note(last);
             }
         }
         match stop {
             None => SpanPlan::Full,
-            Some((tick, kind)) => SpanPlan::Stop { tick, kind },
+            Some(tick) => SpanPlan::Stop { tick },
         }
     }
 
@@ -799,10 +788,24 @@ impl FluidEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SimConfig, Simulation};
     use crate::grouping::Grouping;
     use crate::packing::PackingAlgorithm;
     use crate::profiles::RateProfile;
     use crate::topology::{TopologyBuilder, WorkProfile};
+
+    /// The fluid model of `topo` packed round-robin on two containers,
+    /// built from a simulation's tables.
+    fn engine_for(topo: &Topology) -> FluidEngine {
+        let config = SimConfig {
+            packing: Some(PackingAlgorithm::RoundRobin { num_containers: 2 }),
+            ..SimConfig::default()
+        };
+        Simulation::new(topo.clone(), config)
+            .unwrap()
+            .fluid_engine()
+            .expect("fits the term budget")
+    }
 
     fn brute_clamped(u0: f64, slope: f64, n: u64, cap: f64) -> f64 {
         (0..n).map(|j| (u0 + slope * j as f64).min(cap)).sum()
@@ -832,8 +835,8 @@ mod tests {
     }
 
     /// spout → mid → sink chain with a ramping spout.
-    fn chain() -> (crate::topology::Topology, PackingPlan) {
-        let topo = TopologyBuilder::new("chain")
+    fn chain() -> Topology {
+        TopologyBuilder::new("chain")
             .spout(
                 "spout",
                 2,
@@ -853,17 +856,13 @@ mod tests {
             .edge("spout", "mid", Grouping::shuffle())
             .edge("mid", "sink", Grouping::shuffle())
             .build()
-            .unwrap();
-        let plan = PackingAlgorithm::RoundRobin { num_containers: 2 }
-            .pack(&topo)
-            .unwrap();
-        (topo, plan)
+            .unwrap()
     }
 
     #[test]
     fn terms_model_pipeline_delay_and_weights() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).expect("chain fits term budget");
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         assert!(engine.refresh_profiles(&topo));
         assert_eq!(engine.max_delay, 2);
         // Spout instance: one zero-delay unit term; rate ramps at
@@ -890,8 +889,8 @@ mod tests {
 
     #[test]
     fn entry_accepts_cold_start_and_model_state_only() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         assert!(engine.refresh_profiles(&topo));
         let n = 7;
         let zeros = vec![0.0; n];
@@ -918,8 +917,8 @@ mod tests {
 
     #[test]
     fn plan_span_stops_at_analytic_saturation_crossing() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         engine.configure(0.05, WatermarkConfig::default());
         assert!(engine.refresh_profiles(&topo));
         // Per-instance mid input: 2·r(t-1)/3 where r ramps 100→700 over
@@ -929,17 +928,16 @@ mod tests {
         // 1e9 default spout work) — so a full relaxed span plans Full.
         assert_eq!(engine.plan_span(10, 50), SpanPlan::Full);
         // Against a tiny watermark the mid queue's end-of-tick bytes
-        // cross analytically: plan must stop at a WatermarkCrossing
-        // no later than the true crossing tick.
+        // cross analytically: plan must stop no later than the true
+        // crossing tick.
         let tiny = WatermarkConfig {
             high_bytes: 4000.0,
             low_bytes: 2000.0,
         };
         engine.configure(0.05, tiny);
-        let SpanPlan::Stop { tick, kind } = engine.plan_span(10, 290) else {
+        let SpanPlan::Stop { tick } = engine.plan_span(10, 290) else {
             panic!("tiny watermark must truncate the span");
         };
-        assert_eq!(kind, EventKind::WatermarkCrossing);
         // True crossing: mid end-of-tick bytes = (2·r(t)/3)·60 > 4000
         // ⇒ r(t) > 100 ⇒ t > 0 … rates already exceed it quickly; the
         // stop must be in-range and conservative.
@@ -973,8 +971,8 @@ mod tests {
 
     #[test]
     fn drain_plan_stops_before_the_release() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         engine.configure(
             0.05,
             WatermarkConfig {
@@ -1035,8 +1033,8 @@ mod tests {
 
     #[test]
     fn drain_plan_stops_before_a_saturated_bolt_empties() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         engine.configure(
             0.05,
             WatermarkConfig {
@@ -1074,10 +1072,7 @@ mod tests {
             .edge("a", "b", Grouping::shuffle())
             .build()
             .unwrap();
-        let plan = PackingAlgorithm::RoundRobin { num_containers: 2 }
-            .pack(&topo)
-            .unwrap();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let mut engine = engine_for(&topo);
         engine.configure(
             0.05,
             WatermarkConfig {
@@ -1100,8 +1095,8 @@ mod tests {
 
     #[test]
     fn breakpoint_events_cover_every_shifted_delay() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         assert!(engine.refresh_profiles(&topo));
         // Single profile breakpoint at t = 300 (ramp → flat), pipeline
         // delays 0..2 plus the −1 lookahead: events at 299..=302. The
@@ -1121,8 +1116,8 @@ mod tests {
 
     #[test]
     fn apply_accumulates_the_arithmetic_series() {
-        let (topo, plan) = chain();
-        let mut engine = FluidEngine::build(&topo, &plan).unwrap();
+        let topo = chain();
+        let mut engine = engine_for(&topo);
         engine.configure(0.05, WatermarkConfig::default());
         assert!(engine.refresh_profiles(&topo));
         let n = 7;

@@ -61,7 +61,6 @@ pub mod metrics;
 pub mod packing;
 pub mod profiles;
 pub mod reference;
-mod scheduler;
 pub mod topology;
 
 /// Convenient re-exports of the types most users need.

@@ -52,7 +52,7 @@ pub enum RateProfile {
     /// Piecewise-linear profile: linear interpolation between
     /// `(second, rate)` knots, flat before the first knot and after the
     /// last. Knots must be in strictly ascending time order. This is the
-    /// canonical event-scheduler-friendly shape: the diurnal and
+    /// canonical event-mode-friendly shape: the diurnal and
     /// flash-crowd generators in `caladrius-workload` produce it, and the
     /// engine's event-driven core advances it in closed form between
     /// breakpoints.

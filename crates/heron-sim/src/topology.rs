@@ -4,7 +4,7 @@ use crate::error::{Result, SimError};
 use crate::grouping::Grouping;
 use crate::profiles::RateProfile;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-instance resource request. The paper's evaluation allocates
 /// "1 CPU core and 2 GB RAM per instance" (§V-A); those are the defaults.
@@ -292,7 +292,10 @@ impl Topology {
             .collect()
     }
 
-    /// Components in a topological order (spouts first).
+    /// Components in a topological order (spouts first). A cyclic
+    /// topology yields fewer than `components.len()` entries — the
+    /// components on or behind a cycle are missing — which is how
+    /// [`Topology::validate`] detects one.
     pub fn topo_order(&self) -> Vec<usize> {
         let n = self.components.len();
         let mut in_deg = vec![0usize; n];
@@ -310,8 +313,57 @@ impl Topology {
                 }
             }
         }
-        debug_assert_eq!(order.len(), n, "validated topologies are DAGs");
         order
+    }
+
+    /// Checks the whole topology: every component's own inputs, unique
+    /// names, at least one spout, edge endpoints in range, no stream into
+    /// a spout, no cycle, and every component reachable from a spout.
+    /// [`TopologyBuilder::build`] and `Simulation::new` both call it, so
+    /// a topology edited through its public fields is held to the same
+    /// rules as a built one.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |why: String| Err(SimError::InvalidTopology(why));
+        let mut names = HashSet::new();
+        for c in &self.components {
+            c.validate()?;
+            if !names.insert(c.name.as_str()) {
+                return invalid(format!("duplicate component name {:?}", c.name));
+            }
+        }
+        let n = self.components.len();
+        if !self.components.iter().any(|c| c.kind.is_spout()) {
+            return invalid("topology has no spout".into());
+        }
+        for e in &self.edges {
+            if e.from >= n || e.to >= n {
+                return invalid(format!(
+                    "edge {} -> {} names a component outside 0..{n}",
+                    e.from, e.to
+                ));
+            }
+            if self.components[e.to].kind.is_spout() {
+                return invalid(format!(
+                    "spout {:?} cannot have incoming streams",
+                    self.components[e.to].name
+                ));
+            }
+        }
+        if self.topo_order().len() != n {
+            return invalid("topology contains a cycle".into());
+        }
+        // Every bolt must be reachable from a spout (otherwise it would
+        // starve forever, which is almost certainly a specification bug).
+        // In a DAG every component is reachable from some component
+        // without inputs, so it suffices that every bolt has an input.
+        let fed = |i: usize| self.in_edges(i).next().is_some();
+        if let Some(c) = (0..n).find(|&i| !self.components[i].kind.is_spout() && !fed(i)) {
+            return invalid(format!(
+                "component {:?} is not reachable from any spout",
+                self.components[c].name
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -401,93 +453,32 @@ impl TopologyBuilder {
         self
     }
 
-    /// Validates and builds the topology.
+    /// Resolves the edges' component names and builds the topology,
+    /// checked by [`Topology::validate`].
     pub fn build(self) -> Result<Topology> {
-        let mut index: HashMap<&str, usize> = HashMap::new();
-        for (i, c) in self.components.iter().enumerate() {
-            c.validate()?;
-            if index.insert(c.name.as_str(), i).is_some() {
-                return Err(SimError::InvalidTopology(format!(
-                    "duplicate component name {:?}",
-                    c.name
-                )));
-            }
-        }
-        if !self.components.iter().any(|c| c.kind.is_spout()) {
-            return Err(SimError::InvalidTopology("topology has no spout".into()));
-        }
-
-        let mut edges = Vec::with_capacity(self.edges.len());
-        for (from, to, grouping) in &self.edges {
-            let f = *index
-                .get(from.as_str())
-                .ok_or_else(|| SimError::UnknownComponent(from.clone()))?;
-            let t = *index
-                .get(to.as_str())
-                .ok_or_else(|| SimError::UnknownComponent(to.clone()))?;
-            if self.components[t].kind.is_spout() {
-                return Err(SimError::InvalidTopology(format!(
-                    "spout {to:?} cannot have incoming streams"
-                )));
-            }
-            edges.push(EdgeSpec {
-                from: f,
-                to: t,
-                grouping: grouping.clone(),
-            });
-        }
-
+        let index = |name: &str| {
+            self.components
+                .iter()
+                .position(|c| c.name == name)
+                .ok_or_else(|| SimError::UnknownComponent(name.to_string()))
+        };
+        let edges = self
+            .edges
+            .iter()
+            .map(|(from, to, grouping)| {
+                Ok(EdgeSpec {
+                    from: index(from)?,
+                    to: index(to)?,
+                    grouping: grouping.clone(),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         let topo = Topology {
             name: self.name,
             components: self.components,
             edges,
         };
-
-        // DAG check via Kahn.
-        let n = topo.components.len();
-        let mut in_deg = vec![0usize; n];
-        for e in &topo.edges {
-            in_deg[e.to] += 1;
-        }
-        let mut queue: VecDeque<usize> = (0..n).filter(|i| in_deg[*i] == 0).collect();
-        let mut visited = 0;
-        while let Some(v) = queue.pop_front() {
-            visited += 1;
-            for e in topo.out_edges(v) {
-                in_deg[e.to] -= 1;
-                if in_deg[e.to] == 0 {
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        if visited != n {
-            return Err(SimError::InvalidTopology(
-                "topology contains a cycle".into(),
-            ));
-        }
-
-        // Every bolt must be reachable from a spout (otherwise it would
-        // starve forever, which is almost certainly a specification bug).
-        let mut reachable = vec![false; n];
-        let mut queue: VecDeque<usize> = topo.spout_indices().into();
-        for s in &queue {
-            reachable[*s] = true;
-        }
-        while let Some(v) = queue.pop_front() {
-            for e in topo.out_edges(v) {
-                if !reachable[e.to] {
-                    reachable[e.to] = true;
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        if let Some(i) = (0..n).find(|i| !reachable[*i]) {
-            return Err(SimError::InvalidTopology(format!(
-                "component {:?} is not reachable from any spout",
-                topo.components[i].name
-            )));
-        }
-
+        topo.validate()?;
         Ok(topo)
     }
 }

@@ -65,11 +65,11 @@ pub struct WindowReplay {
     pub backpressure_ms: f64,
     /// Whether the window stayed under the backpressure tolerance.
     pub low_risk: bool,
-    /// Scheduler events this window's replay processed.
+    /// Agenda events this window's replay processed.
     #[serde(default)]
     pub sim_events: u64,
     /// Ticks this window's replay advanced in closed form between
-    /// scheduler events instead of executing exactly (0 when the window
+    /// agenda events instead of executing exactly (0 when the window
     /// never settled into the relaxed regime).
     #[serde(default)]
     pub closed_form_ticks: u64,

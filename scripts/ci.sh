@@ -49,6 +49,23 @@ if sed '/#\[cfg(test)\]/,$d' crates/tsdb/src/encoding.rs |
     grep -nE 'BytesMut|BufMut|for i in \(0\.\.count\)\.rev\(\)'; then
     exit 1
 fi
+# The event core's agenda is a sorted tick list: the binary-heap
+# scheduler and its event kinds are gone. The fluid model is built from
+# the tick kernel's tables, never re-derived from the topology and its
+# packing plan. The fleet tier registers topologies in core's tracker.
+if [ -e crates/heron-sim/src/scheduler.rs ]; then
+    exit 1
+fi
+if grep -rnE 'BinaryHeap|EventQueue|EventKind' crates/heron-sim/src; then
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/heron-sim/src/fluid.rs |
+    grep -nE 'container_of|\.shares\(|kind\.work\(\)'; then
+    exit 1
+fi
+if grep -rn 'struct FleetTracker' crates/fleet/src; then
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release

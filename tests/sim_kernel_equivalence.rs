@@ -15,6 +15,12 @@
 //! flash-crowd rate profiles. Overloaded runs drain their backpressure
 //! episodes in closed form; there the per-minute backpressure time of
 //! every instance must equal the exact kernel's.
+//!
+//! Both modes are also pinned against themselves: six runs (event mode
+//! on steady, ramping, onboarding, flash-crowd and overloaded load, and
+//! one exact run with warm-up) are digested sample by sample, together
+//! with their event and tick counters, and compared with recorded
+//! constants.
 
 use caladrius::sim::engine::{ExactTickReason, SimConfig, Simulation};
 use caladrius::sim::metrics::{metric, SimMetrics};
@@ -378,6 +384,149 @@ fn event_mode_matches_exact_on_an_onboarding_cycle() {
             "scale {scale}: {edge} exact backpressure ticks out of {bp_ticks}"
         );
     }
+}
+
+/// 64-bit FNV-1a.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, value: u64) {
+        self.bytes(&value.to_le_bytes());
+    }
+}
+
+/// Digest of everything a simulation produced: every stored sample's
+/// `(series key, ts, value bits)` in each store, then the lifetime event
+/// and tick counters.
+fn digest(sim: &Simulation, stores: &[&SimMetrics]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for metrics in stores {
+        let mut rows = dump(metrics);
+        rows.sort();
+        for (key, ts, bits) in rows {
+            hash.bytes(key.as_bytes());
+            hash.u64(ts as u64);
+            hash.u64(bits);
+        }
+    }
+    hash.u64(sim.sim_events());
+    hash.u64(sim.ticks_closed_form());
+    for reason in ExactTickReason::ALL {
+        hash.u64(sim.exact_ticks(reason));
+    }
+    hash.0
+}
+
+/// Runs `topology` for `minutes` after `warmup` unrecorded minutes and
+/// digests the run.
+fn run_digest(topology: Topology, event_mode: bool, warmup: u64, minutes: u64) -> u64 {
+    let config = SimConfig {
+        event_mode,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(topology, config).unwrap();
+    sim.warmup_minutes(warmup);
+    let metrics = sim.run_minutes(minutes);
+    digest(&sim, &[&metrics])
+}
+
+/// Digests of six reference runs. A change that alters any simulated
+/// bit, event count or tick split fails here; a change that does so on
+/// purpose updates these constants in its own diff (the failure message
+/// lists the new ones).
+const PINNED_DIGESTS: [(&str, u64); 6] = [
+    ("steady", 0xa9eaaee9ae75e67a),
+    ("ramp", 0xef5fc1ab3c2ffbde),
+    ("onboarding", 0x65db424dbfcd7d5c),
+    ("flash crowd", 0xc1d056466ca09570),
+    ("sustained overload", 0x9d3dca6c72249fde),
+    ("exact with warmup", 0x096de0ff87266baf),
+];
+
+#[test]
+fn simulated_output_matches_pinned_digests() {
+    let onboarding = {
+        let diurnal = DiurnalTraffic {
+            base_rate: 64.0e6 / 60.0,
+            amplitude: 0.6,
+            period_secs: 360 * 60,
+            phase_secs: 0,
+            knots_per_period: 24,
+        };
+        let parallelism = WordCountParallelism {
+            spout: 32,
+            splitter: 8,
+            counter: 12,
+        };
+        wordcount_topology_with(parallelism, diurnal.to_profile(360 * 60), None)
+    };
+    let ramp = diamond_topology_with(
+        DiamondParallelism::default(),
+        RateProfile::Ramp {
+            from: 6.0e6 / 60.0,
+            to: 24.0e6 / 60.0,
+            duration_secs: 1200,
+        },
+    );
+    let flash = wordcount_topology_with(
+        WordCountParallelism::default(),
+        flash_crowd(8.0e6 / 60.0, 22.0e6 / 60.0, 360, 120, 420),
+        None,
+    );
+    // Overload across a table rebuild: the second run starts from a
+    // parallelism change, so the lifetime counters cross `reset_with`.
+    let overload = {
+        let topology = wordcount_topology(WordCountParallelism::default(), 22.0e6);
+        let config = SimConfig {
+            event_mode: true,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(topology, config).unwrap();
+        let first = sim.run_minutes(20);
+        sim.reset_with(&[("splitter", 3)], 40.0e6).unwrap();
+        let second = sim.run_minutes(10);
+        digest(&sim, &[&first, &second])
+    };
+    let actual = [
+        (
+            "steady",
+            run_digest(
+                wordcount_topology(WordCountParallelism::default(), 8.0e6),
+                true,
+                0,
+                30,
+            ),
+        ),
+        ("ramp", run_digest(ramp, true, 0, 30)),
+        ("onboarding", run_digest(onboarding, true, 0, 360)),
+        ("flash crowd", run_digest(flash, true, 0, 30)),
+        ("sustained overload", overload),
+        (
+            "exact with warmup",
+            run_digest(
+                wordcount_topology(WordCountParallelism::default(), 22.0e6),
+                false,
+                5,
+                10,
+            ),
+        ),
+    ];
+    let listing: String = actual
+        .iter()
+        .map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n"))
+        .collect();
+    assert_eq!(actual, PINNED_DIGESTS, "actual digests:\n{listing}");
 }
 
 #[derive(Debug, Clone)]
