@@ -51,8 +51,9 @@ impl Priority {
 }
 
 /// Knobs of the admission layer. The default is **disabled** (admit
-/// everything) so single-tenant deployments keep their behavior; the
-/// fleet tier enables it explicitly.
+/// everything), and no shipped caller turns it on: [`crate::FrontDoor::new`]
+/// uses the default for one service and for a fleet alike. A caller
+/// opts in through [`crate::FrontDoor::with_admission`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Master switch; when false every request is admitted.

@@ -219,6 +219,12 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
         Value::Array(v.into_iter().map(Into::into).collect())
     }
 }
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
 
 /// A JSON parse error with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -17,11 +17,14 @@
 //! * [`admission`] — token-bucket + p99-SLO + queue-watermark admission
 //!   control: under overload, low-priority requests are shed with `429`
 //!   and `Retry-After` instead of queueing without bound.
-//! * [`routes`] — Caladrius's REST endpoints wired to
-//!   [`caladrius_core::Caladrius`]:
-//!   `GET /model/traffic/heron/{topology}`,
+//! * [`routes`] — the one front door, [`FrontDoor`]: Caladrius's REST
+//!   endpoints (`GET /model/traffic/heron/{topology}`,
 //!   `POST /model/topology/heron/{topology}`, job submission/polling,
-//!   topology listing and health.
+//!   topology listing, health, observability) over a [`Tenants`] seam
+//!   that resolves a topology to its [`caladrius_core::Caladrius`]. It
+//!   has two implementations: one service ([`ApiService`]) and a
+//!   fleet's shards (`caladrius_fleet::FleetService`). The front door
+//!   owns the only job runner and admission controller.
 
 #![warn(missing_docs)]
 
@@ -35,7 +38,4 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Pri
 pub use http::{HttpClient, HttpServer, Request, Response};
 pub use jobs::{JobRejected, JobRunner};
 pub use json::Value;
-pub use routes::{
-    handle_request, job_status_response, parse_plan_body, route_p99, shared_route,
-    too_many_requests, ApiService,
-};
+pub use routes::{parse_plan_body, ApiService, FrontDoor, Tenants};

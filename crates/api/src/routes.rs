@@ -1,9 +1,15 @@
-//! Caladrius's RESTful endpoints (paper §III-A), wired to the core
-//! service:
+//! Caladrius's RESTful endpoints (paper §III-A) behind one front door,
+//! [`FrontDoor`]. The door owns the only job runner, admission
+//! controller and request pipeline (request id, per-route counters,
+//! windowed latency, route SLO, `http.request` span), and one route
+//! table. It is generic over [`Tenants`], the seam by which a topology
+//! finds its modelling service: one [`Caladrius`] ([`ApiService`]), or
+//! the shards of a fleet (`caladrius_fleet::FleetService`). Every kind
+//! of tenants answers the same routes:
 //!
 //! | Method | Path | Purpose |
 //! |---|---|---|
-//! | GET  | `/health` | liveness |
+//! | GET  | `/health` | liveness (the body comes from [`Tenants::health`]) |
 //! | GET  | `/topologies` | known topologies |
 //! | GET  | `/model/traffic/heron/{topology}?models=a,b` | traffic forecast |
 //! | POST | `/model/topology/heron/{topology}` | performance evaluation (dry-run update) |
@@ -16,8 +22,14 @@
 //! | GET  | `/trace/recent?limit=N&request_id=...` | recent spans from the trace ring, JSON |
 //! | GET  | `/slo/status` | burn-rate evaluation of every SLO objective |
 //! | GET  | `/debug/flight` | flight-recorder dump (snapshots, SLO transitions, sheds) |
+//!
+//! A kind of tenants may mount routes of its own through
+//! [`Tenants::route`] (the fleet's `/fleet/*`), built from the door's
+//! [`FrontDoor::job_status`] and [`FrontDoor::submit_job`].
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Priority};
+use crate::admission::{
+    AdmissionConfig, AdmissionController, AdmissionDecision, Priority, PRIORITY_HEADER,
+};
 use crate::http::{Handler, Request, Response};
 use crate::jobs::{JobRunner, JobState};
 use crate::json::{self, Value};
@@ -31,17 +43,53 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The HTTP-facing Caladrius service.
-pub struct ApiService {
-    caladrius: Arc<Caladrius>,
+/// How a topology finds its modelling service: the one seam between
+/// the front door and what stands behind it.
+pub trait Tenants: Send + Sync + Sized + 'static {
+    /// The service that answers for `topology`. It need not know the
+    /// topology: an unknown one gets that service's own errors.
+    fn service(&self, topology: &str) -> &Caladrius;
+
+    /// Every known topology id (`GET /topologies`).
+    fn topologies(&self) -> Vec<String>;
+
+    /// The `GET /health` body; `jobs` is the door's job runner.
+    fn health(&self, jobs: &JobRunner) -> Value;
+
+    /// Routes of this kind of tenants, tried after the door's own table
+    /// and before the shared observability routes. `None` declines.
+    fn route(
+        _door: &FrontDoor<Self>,
+        _request: &Request,
+        _segments: &[&str],
+    ) -> Option<(&'static str, Response)> {
+        None
+    }
+}
+
+/// The HTTP front door: one route table, job runner and admission
+/// controller over a set of [`Tenants`].
+pub struct FrontDoor<T> {
+    tenants: Arc<T>,
     jobs: JobRunner,
     admission: AdmissionController,
 }
 
-impl std::fmt::Debug for ApiService {
+/// The front door of a single Caladrius service.
+pub type ApiService = FrontDoor<Caladrius>;
+
+impl<T> std::fmt::Debug for FrontDoor<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ApiService").finish_non_exhaustive()
+        f.debug_struct("FrontDoor").finish_non_exhaustive()
     }
+}
+
+/// `{"error": message}` with `status`.
+fn error_json(status: u16, message: &str) -> Response {
+    Response::json_status(
+        status,
+        Value::object([("error", Value::from(message))]).to_json(),
+    )
 }
 
 fn error_response(err: &CoreError) -> Response {
@@ -51,10 +99,7 @@ fn error_response(err: &CoreError) -> Response {
         CoreError::NotEnoughObservations { .. } | CoreError::Unpredictable(_) => 422,
         CoreError::Substrate(_) => 500,
     };
-    Response::json_status(
-        status,
-        Value::object([("error", Value::from(err.to_string()))]).to_json(),
-    )
+    error_json(status, &err.to_string())
 }
 
 fn forecast_to_json(f: &TrafficForecast) -> Value {
@@ -82,6 +127,17 @@ fn forecast_to_json(f: &TrafficForecast) -> Value {
     ])
 }
 
+/// A JSON object from a name → value map.
+fn named<'a, V: Copy + Into<Value> + 'a>(
+    map: impl IntoIterator<Item = (&'a String, &'a V)>,
+) -> Value {
+    Value::Object(
+        map.into_iter()
+            .map(|(k, v)| (k.clone(), (*v).into()))
+            .collect(),
+    )
+}
+
 fn report_to_json(report: &EvaluationReport) -> Value {
     let outputs = report
         .model_outputs
@@ -89,15 +145,7 @@ fn report_to_json(report: &EvaluationReport) -> Value {
         .map(|o| {
             Value::object([
                 ("model", Value::from(o.model.clone())),
-                (
-                    "metrics",
-                    Value::Object(
-                        o.metrics
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::from(*v)))
-                            .collect(),
-                    ),
-                ),
+                ("metrics", named(&o.metrics)),
                 (
                     "notes",
                     Value::Array(o.notes.iter().map(|n| Value::from(n.clone())).collect()),
@@ -124,58 +172,25 @@ fn report_to_json(report: &EvaluationReport) -> Value {
         ("topology", Value::from(report.topology.clone())),
         (
             "proposed_parallelisms",
-            Value::Object(
-                report
-                    .proposed_parallelisms
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(*v)))
-                    .collect(),
-            ),
+            named(&report.proposed_parallelisms),
         ),
         ("source_rate", Value::from(report.source_rate)),
         (
             "sink_output_rate",
             Value::from(report.prediction.sink_output_rate),
         ),
-        (
-            "bottleneck",
-            report
-                .prediction
-                .bottleneck
-                .clone()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        ),
+        ("bottleneck", report.prediction.bottleneck.clone().into()),
         (
             "backpressure_risk",
             Value::from(format!("{:?}", report.risk).to_lowercase()),
         ),
-        (
-            "saturation_rate",
-            report
-                .saturation_rate
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        ),
-        (
-            "cpu_by_component",
-            Value::Object(
-                report
-                    .cpu_by_component
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(*v)))
-                    .collect(),
-            ),
-        ),
+        ("saturation_rate", report.saturation_rate.into()),
+        ("cpu_by_component", named(&report.cpu_by_component)),
         ("components", Value::Array(components)),
         ("model_outputs", Value::Array(outputs)),
         (
             "traffic",
-            report
-                .traffic
-                .as_ref()
-                .map(forecast_to_json)
-                .unwrap_or(Value::Null),
+            report.traffic.as_ref().map(forecast_to_json).into(),
         ),
     ])
 }
@@ -225,8 +240,8 @@ fn parse_evaluation_body(body: &str) -> Result<(HashMap<String, u32>, SourceRate
 
 /// Parses the capacity-plan request body into a
 /// [`CapacityPlanRequest`]. Every field is optional; absent fields keep
-/// the planner defaults. Public so the fleet tier's plan route shares
-/// one body dialect with the single-topology route.
+/// the planner defaults. Public so the fleet's plan route shares one
+/// body dialect with the single-topology route.
 pub fn parse_plan_body(body: &str) -> Result<CapacityPlanRequest, String> {
     let value = if body.trim().is_empty() {
         Value::Object(Default::default())
@@ -315,12 +330,7 @@ fn cost_to_json(cost: &caladrius_planner::PlanCost) -> Value {
 }
 
 fn parallelisms_to_json(parallelisms: &[(String, u32)]) -> Value {
-    Value::Object(
-        parallelisms
-            .iter()
-            .map(|(name, p)| (name.clone(), Value::from(*p)))
-            .collect(),
-    )
+    named(parallelisms.iter().map(|(name, p)| (name, p)))
 }
 
 fn timeline_to_json(topology: &str, timeline: &caladrius_planner::PlanTimeline) -> Value {
@@ -357,8 +367,8 @@ fn timeline_to_json(topology: &str, timeline: &caladrius_planner::PlanTimeline) 
 }
 
 /// Feeds the per-route SLO objective: a request is good when it neither
-/// failed server-side nor blew the route's latency SLO. Shared by every
-/// front door (API and fleet) so `/slo/status` covers all routes.
+/// failed server-side nor blew the route's latency SLO, so
+/// `/slo/status` covers every route.
 fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f64) {
     caladrius_obs::global_slos()
         .objective(
@@ -368,12 +378,12 @@ fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f6
         .record(status < 500 && elapsed_secs <= latency_slo);
 }
 
-/// Observed **recent** p99 latency of a route, read from the same
-/// per-route windowed histogram both front doors' `handle` records
-/// into. `None` until the route has served a request inside the
-/// sliding window, so shedding reacts to the last couple of minutes
-/// — a long-past burst can no longer pin admission shut.
-pub fn route_p99(route: &str) -> Option<f64> {
+/// Observed **recent** p99 latency of a route, read from the per-route
+/// windowed histogram [`FrontDoor::handle`] records into. `None` until
+/// the route has served a request inside the sliding window, so
+/// shedding reacts to the last couple of minutes — a long-past burst
+/// can no longer pin admission shut.
+fn route_p99(route: &str) -> Option<f64> {
     let histogram = caladrius_obs::global_registry().windowed_histogram(
         "caladrius_http_request_duration_seconds",
         &[("route", route)],
@@ -384,70 +394,38 @@ pub fn route_p99(route: &str) -> Option<f64> {
 
 /// `429 Too Many Requests` with a `Retry-After` hint — both load
 /// shedding and per-topology fairness caps surface this shape.
-pub fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
+fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
+    error_json(429, error).with_header("Retry-After", retry_after_seconds.to_string())
+}
+
+/// `202 Accepted` for job `id`, polled at `{poll}{id}`.
+fn accepted(id: u64, poll: &str) -> Response {
     Response::json_status(
-        429,
-        Value::object([("error", Value::from(error))]).to_json(),
+        202,
+        Value::object([
+            ("job_id", Value::from(id as f64)),
+            ("poll", Value::from(format!("{poll}{id}"))),
+        ])
+        .to_json(),
     )
-    .with_header("Retry-After", retry_after_seconds.to_string())
 }
 
-/// One request through a front door. Installs the request id (from
-/// `x-request-id`, minting one for hand-built requests) for the duration
-/// of `route`, so every span recorded below attributes to this request,
-/// and records the per-route counter, recent-window latency histogram,
-/// route SLO (against `latency_slo` seconds) and an `http.request` span.
-/// `route` returns the normalized route pattern (the metric label)
-/// alongside the response. Both front doors go through here, which is
-/// why admission's p99 signal and `/slo/status` cover their routes alike.
-pub fn handle_request(
-    request: Request,
-    latency_slo: f64,
-    route: impl FnOnce(&Request) -> (&'static str, Response),
-) -> Response {
-    let request_id = request
-        .request_id()
-        .unwrap_or_else(caladrius_obs::next_request_id);
-    let _request_scope = RequestScope::enter(request_id);
-    let started = Instant::now();
-    let mut span = caladrius_obs::global_span("http.request");
-    let (route, response) = route(&request);
-    span.field("route", route)
-        .field("method", &request.method)
-        .field("status", response.status);
-    let registry = caladrius_obs::global_registry();
-    let status = response.status.to_string();
-    registry
-        .counter(
-            "caladrius_http_requests_total",
-            &[
-                ("route", route),
-                ("method", &request.method),
-                ("status", &status),
-            ],
-        )
-        .inc();
-    registry
-        .windowed_histogram(
-            "caladrius_http_request_duration_seconds",
-            &[("route", route)],
-        )
-        .record_duration(started.elapsed());
-    record_route_slo(
-        route,
-        response.status,
-        started.elapsed().as_secs_f64(),
-        latency_slo,
-    );
-    caladrius_obs::global_flight().maybe_snapshot(registry);
-    response
+/// A request's UTF-8 body through `parse`; `400` when either fails.
+fn parse_body<P>(
+    request: &Request,
+    parse: impl FnOnce(&str) -> Result<P, String>,
+) -> Result<P, Response> {
+    let body = request
+        .body_str()
+        .ok_or_else(|| Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"))?;
+    parse(body).map_err(|msg| error_json(400, &msg))
 }
 
-/// The tail of both front doors' route tables, for a request none of
-/// their own routes matched: the observability endpoints they share
-/// (`/metrics/service`, `/trace/recent`, `/slo/status`, `/debug/flight`),
-/// `405` for another method on one of those, `404` otherwise.
-pub fn shared_route(request: &Request, segments: &[&str]) -> (&'static str, Response) {
+/// The tail of the route table, for a request no other route matched:
+/// the observability endpoints (`/metrics/service`, `/trace/recent`,
+/// `/slo/status`, `/debug/flight`), `405` for another method on one of
+/// those, `404` otherwise.
+fn shared_route(request: &Request, segments: &[&str]) -> (&'static str, Response) {
     match (request.method.as_str(), segments) {
         ("GET", ["metrics", "service"]) => ("/metrics/service", service_metrics_response()),
         ("GET", ["trace", "recent"]) => ("/trace/recent", trace_recent_response(request)),
@@ -467,9 +445,9 @@ pub fn shared_route(request: &Request, segments: &[&str]) -> (&'static str, Resp
     }
 }
 
-/// Shared `GET /metrics/service` implementation: every registered
-/// metric in Prometheus text exposition format. SLO burn-rate gauges
-/// are re-evaluated first so the scrape never reports stale burn rates.
+/// `GET /metrics/service`: every registered metric in Prometheus text
+/// exposition format. SLO burn-rate gauges are re-evaluated first so
+/// the scrape never reports stale burn rates.
 fn service_metrics_response() -> Response {
     caladrius_obs::evaluate_slos();
     Response {
@@ -480,42 +458,9 @@ fn service_metrics_response() -> Response {
     }
 }
 
-/// Shared job-poll implementation (`GET /jobs/{id}`,
-/// `GET /fleet/jobs/{id}`): the job's state, its result or error once
-/// finished, and its timing milestones.
-pub fn job_status_response(jobs: &JobRunner, id: &str) -> Response {
-    let Ok(id) = id.parse::<u64>() else {
-        return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
-    };
-    let (status, mut fields) = match jobs.state(id) {
-        None => return Response::json_status(404, "{\"error\":\"no such job\"}"),
-        Some(JobState::Pending) => (202, vec![("state", Value::from("pending"))]),
-        Some(JobState::Done(result)) => (
-            200,
-            vec![("state", Value::from("done")), ("result", result)],
-        ),
-        Some(JobState::Failed(message)) => (
-            200,
-            vec![
-                ("state", Value::from("failed")),
-                ("error", Value::from(message)),
-            ],
-        ),
-    };
-    if let Some(timing) = jobs.timing(id) {
-        let opt = |v: Option<i64>| v.map(|ms| Value::from(ms as f64)).unwrap_or(Value::Null);
-        fields.push(("queued_ms", Value::from(timing.queued_unix_ms as f64)));
-        fields.push(("started_ms", opt(timing.started_unix_ms)));
-        fields.push(("finished_ms", opt(timing.finished_unix_ms)));
-        fields.push(("queue_wait_ms", opt(timing.queue_wait_ms())));
-        fields.push(("duration_ms", opt(timing.duration_ms())));
-    }
-    Response::json_status(status, Value::object(fields).to_json())
-}
-
-/// Shared `GET /trace/recent?limit=N&request_id=...` implementation:
-/// newest spans first, `limit` clamped to the ring capacity, optionally
-/// filtered to one request id. Mounted by both front doors.
+/// `GET /trace/recent?limit=N&request_id=...`: newest spans first,
+/// `limit` clamped to the ring capacity, optionally filtered to one
+/// request id.
 fn trace_recent_response(request: &Request) -> Response {
     let tracer = caladrius_obs::tracer();
     let limit = match request.query.get("limit") {
@@ -553,18 +498,11 @@ fn trace_recent_response(request: &Request) -> Response {
                 ("ts_unix_ms", Value::from(e.ts_unix_ms as f64)),
                 ("name", Value::from(e.name.clone())),
                 ("duration_us", Value::from(e.duration_us as f64)),
-                (
-                    "request_id",
-                    e.request_id
-                        .map(|id| Value::from(id.to_string()))
-                        .unwrap_or(Value::Null),
-                ),
+                ("request_id", e.request_id.map(|id| id.to_string()).into()),
                 ("span_id", Value::from(e.span_id as f64)),
                 (
                     "parent_span_id",
-                    e.parent_span_id
-                        .map(|id| Value::from(id as f64))
-                        .unwrap_or(Value::Null),
+                    e.parent_span_id.map(|id| id as f64).into(),
                 ),
                 (
                     "fields",
@@ -578,9 +516,7 @@ fn trace_recent_response(request: &Request) -> Response {
             ])
         })
         .collect();
-    Value::object([("events", Value::Array(events))])
-        .to_json()
-        .pipe(Response::json)
+    Response::json(Value::object([("events", Value::Array(events))]).to_json())
 }
 
 fn slo_status_to_json(status: &caladrius_obs::SloStatus) -> Value {
@@ -603,30 +539,39 @@ fn slo_status_to_json(status: &caladrius_obs::SloStatus) -> Value {
     ])
 }
 
-/// Shared `GET /slo/status` implementation: evaluates every registered
-/// objective (also refreshing the burn-rate gauges and flight-recorder
-/// transitions) and reports the multi-window verdicts.
+/// `GET /slo/status`: evaluates every registered objective (also
+/// refreshing the burn-rate gauges and flight-recorder transitions) and
+/// reports the multi-window verdicts.
 fn slo_status_response() -> Response {
-    let statuses = caladrius_obs::evaluate_slos();
-    let count_state = |state: caladrius_obs::SloState| {
-        statuses.iter().filter(|s| s.state == state).count() as f64
-    };
-    Value::object([
-        (
-            "firing",
-            Value::from(count_state(caladrius_obs::SloState::Firing)),
-        ),
-        (
-            "warning",
-            Value::from(count_state(caladrius_obs::SloState::Warning)),
-        ),
+    let (statuses, firing, warning) = evaluated_slos();
+    let body = Value::object([
+        ("firing", Value::from(firing)),
+        ("warning", Value::from(warning)),
         (
             "objectives",
             Value::Array(statuses.iter().map(slo_status_to_json).collect()),
         ),
-    ])
-    .to_json()
-    .pipe(Response::json)
+    ]);
+    Response::json(body.to_json())
+}
+
+/// Evaluates every SLO objective: the statuses, and how many of them
+/// fire and warn.
+fn evaluated_slos() -> (Vec<caladrius_obs::SloStatus>, f64, f64) {
+    let statuses = caladrius_obs::evaluate_slos();
+    let count = |state: caladrius_obs::SloState| {
+        statuses.iter().filter(|s| s.state == state).count() as f64
+    };
+    let (firing, warning) = (
+        count(caladrius_obs::SloState::Firing),
+        count(caladrius_obs::SloState::Warning),
+    );
+    (statuses, firing, warning)
+}
+
+/// A JSON object of counters.
+fn counters<const N: usize>(entries: [(&'static str, u64); N]) -> Value {
+    Value::object(entries.map(|(name, count)| (name, Value::from(count as f64))))
 }
 
 fn labels_to_json(labels: &[(String, String)]) -> Value {
@@ -638,10 +583,9 @@ fn labels_to_json(labels: &[(String, String)]) -> Value {
     )
 }
 
-/// Shared `GET /debug/flight` implementation: dumps the flight
-/// recorder's retained snapshots, SLO transitions and shed decisions.
-/// Takes a snapshot first when due (or when none exists yet) so the
-/// dump is never empty.
+/// `GET /debug/flight`: dumps the flight recorder's retained snapshots,
+/// SLO transitions and shed decisions. Takes a snapshot first when due
+/// (or when none exists yet) so the dump is never empty.
 fn flight_response() -> Response {
     let flight = caladrius_obs::global_flight();
     let registry = caladrius_obs::global_registry();
@@ -699,50 +643,34 @@ fn flight_response() -> Response {
             ])
         })
         .collect();
-    Value::object([
+    let body = Value::object([
         ("snapshots", Value::Array(snapshots)),
         ("slo_transitions", Value::Array(transitions)),
         ("sheds", Value::Array(sheds)),
-    ])
-    .to_json()
-    .pipe(Response::json)
+    ]);
+    Response::json(body.to_json())
 }
 
-impl ApiService {
-    /// Wraps a Caladrius service with the process-default worker count
-    /// ([`caladrius_exec::configured_threads`]: the `CALADRIUS_THREADS`
-    /// override, else the host's available parallelism).
-    pub fn with_defaults(caladrius: Arc<Caladrius>) -> Arc<Self> {
-        Self::new(caladrius, caladrius_exec::configured_threads())
+impl<T: Tenants> FrontDoor<T> {
+    /// A front door with `job_workers` asynchronous workers and
+    /// admission control disabled.
+    pub fn new(tenants: Arc<T>, job_workers: usize) -> Arc<Self> {
+        Self::with_admission(tenants, job_workers, AdmissionConfig::default())
     }
 
-    /// Wraps a Caladrius service with `job_workers` asynchronous workers
-    /// and admission control disabled.
-    pub fn new(caladrius: Arc<Caladrius>, job_workers: usize) -> Arc<Self> {
-        Self::with_parts(
-            caladrius,
-            JobRunner::new(job_workers),
-            AdmissionConfig::default(),
-        )
-    }
-
-    /// Wraps a Caladrius service with an explicit admission-control
-    /// configuration on the sheddable routes (currently the plan route).
+    /// A front door with an explicit admission-control configuration on
+    /// the sheddable routes (the plan routes).
     pub fn with_admission(
-        caladrius: Arc<Caladrius>,
+        tenants: Arc<T>,
         job_workers: usize,
         admission: AdmissionConfig,
     ) -> Arc<Self> {
-        Self::with_parts(caladrius, JobRunner::new(job_workers), admission)
+        Self::with_parts(tenants, JobRunner::new(job_workers), admission)
     }
 
     /// Fully explicit constructor: caller-built job runner (per-key caps,
     /// capacity) plus an admission configuration.
-    pub fn with_parts(
-        caladrius: Arc<Caladrius>,
-        jobs: JobRunner,
-        admission: AdmissionConfig,
-    ) -> Arc<Self> {
+    pub fn with_parts(tenants: Arc<T>, jobs: JobRunner, admission: AdmissionConfig) -> Arc<Self> {
         let registry = caladrius_obs::global_registry();
         registry.describe(
             "caladrius_http_requests_total",
@@ -757,15 +685,15 @@ impl ApiService {
             "SLO error-budget burn rate by objective and evaluation window",
         );
         Arc::new(Self {
-            caladrius,
+            tenants,
             jobs,
             admission: AdmissionController::new(admission),
         })
     }
 
-    /// The wrapped core service.
-    pub fn caladrius(&self) -> &Arc<Caladrius> {
-        &self.caladrius
+    /// The tenants behind the door.
+    pub fn tenants(&self) -> &Arc<T> {
+        &self.tenants
     }
 
     /// The async job runner (fleet health reads its queue depth).
@@ -779,11 +707,50 @@ impl ApiService {
         Arc::new(move |request| service.handle(request))
     }
 
-    /// Routes one request through [`handle_request`] (usable directly in
-    /// tests, no sockets needed).
+    /// Routes one request (usable directly in tests, no sockets
+    /// needed). Installs the request id (from `x-request-id`, minting
+    /// one for hand-built requests) while the route runs, so every span
+    /// recorded below attributes to this request, and records the
+    /// per-route counter, recent-window latency histogram (admission's
+    /// p99 signal), route SLO and an `http.request` span, all labelled
+    /// with the normalized route pattern.
     pub fn handle(&self, request: Request) -> Response {
-        let latency_slo = self.admission.config().slo_p99_seconds;
-        handle_request(request, latency_slo, |request| self.route(request))
+        let request_id = request
+            .request_id()
+            .unwrap_or_else(caladrius_obs::next_request_id);
+        let _request_scope = RequestScope::enter(request_id);
+        let started = Instant::now();
+        let mut span = caladrius_obs::global_span("http.request");
+        let (route, response) = self.route(&request);
+        span.field("route", route)
+            .field("method", &request.method)
+            .field("status", response.status);
+        let registry = caladrius_obs::global_registry();
+        let status = response.status.to_string();
+        registry
+            .counter(
+                "caladrius_http_requests_total",
+                &[
+                    ("route", route),
+                    ("method", &request.method),
+                    ("status", &status),
+                ],
+            )
+            .inc();
+        registry
+            .windowed_histogram(
+                "caladrius_http_request_duration_seconds",
+                &[("route", route)],
+            )
+            .record_duration(started.elapsed());
+        record_route_slo(
+            route,
+            response.status,
+            started.elapsed().as_secs_f64(),
+            self.admission.config().slo_p99_seconds,
+        );
+        caladrius_obs::global_flight().maybe_snapshot(registry);
+        response
     }
 
     /// Dispatches to a route handler, returning the normalized route
@@ -791,16 +758,17 @@ impl ApiService {
     fn route(&self, request: &Request) -> (&'static str, Response) {
         let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
         match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["health"]) => ("/health", self.health()),
+            ("GET", ["health"]) => (
+                "/health",
+                Response::json(self.tenants.health(&self.jobs).to_json()),
+            ),
             ("GET", ["topologies"]) => {
-                let names = self.caladrius.topologies();
-                let response = Value::object([(
+                let names = self.tenants.topologies();
+                let body = Value::object([(
                     "topologies",
                     Value::Array(names.into_iter().map(Value::from).collect()),
-                )])
-                .to_json()
-                .pipe(Response::json);
-                ("/topologies", response)
+                )]);
+                ("/topologies", Response::json(body.to_json()))
             }
             ("GET", ["model", "traffic", "heron", topology]) => (
                 "/model/traffic/heron/{topology}",
@@ -820,7 +788,7 @@ impl ApiService {
             ("POST", ["topology", topology, "plan"]) => {
                 ("/topology/{topology}/plan", self.plan(topology, request))
             }
-            ("GET", ["jobs", id]) => ("/jobs/{id}", job_status_response(&self.jobs, id)),
+            ("GET", ["jobs", id]) => ("/jobs/{id}", self.job_status(id)),
             (_, ["model", ..])
             | (_, ["jobs", ..])
             | (_, ["topology", _, "plan"])
@@ -829,76 +797,88 @@ impl ApiService {
                 "method_not_allowed",
                 Response::json_status(405, "{\"error\":\"method not allowed\"}"),
             ),
-            _ => shared_route(request, &segments),
+            _ => T::route(self, request, &segments)
+                .unwrap_or_else(|| shared_route(request, &segments)),
         }
     }
 
-    /// Liveness plus data-plane observability. A thin view over the obs
-    /// layer: the model-cache and ingest counters are `caladrius-obs`
-    /// handles read back through the service and provider tiers, so this
-    /// JSON and `/metrics/service` are two projections of the same
-    /// registry. Field names are a stable contract (see the
-    /// `health_shape_is_stable` regression test).
-    fn health(&self) -> Response {
-        let cache = self.caladrius.model_cache_stats();
-        let plan_cache = self.caladrius.plan_cache_stats();
-        let mut fields = vec![
-            ("status", Value::from("ok")),
-            (
-                "model_cache",
-                Value::object([
-                    ("hits", Value::from(cache.hits as f64)),
-                    ("misses", Value::from(cache.misses as f64)),
-                    ("fits", Value::from(cache.fits as f64)),
-                    (
-                        "incremental_fits",
-                        Value::from(cache.incremental_fits as f64),
-                    ),
-                    ("full_fits", Value::from(cache.full_fits as f64)),
-                    ("plans", Value::from(cache.plans as f64)),
-                    ("plan_evals", Value::from(cache.plan_evals as f64)),
-                    ("oracle_hits", Value::from(cache.oracle_hits as f64)),
-                    ("oracle_misses", Value::from(cache.oracle_misses as f64)),
-                ]),
+    /// Polls job `id` (a path segment): its state, its result or error
+    /// once finished, and its timing milestones.
+    pub fn job_status(&self, id: &str) -> Response {
+        let Ok(id) = id.parse::<u64>() else {
+            return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
+        };
+        let (status, mut fields) = match self.jobs.state(id) {
+            None => return Response::json_status(404, "{\"error\":\"no such job\"}"),
+            Some(JobState::Pending) => (202, vec![("state", Value::from("pending"))]),
+            Some(JobState::Done(result)) => (
+                200,
+                vec![("state", Value::from("done")), ("result", result)],
             ),
-            (
-                "plan_cache",
-                Value::object([
-                    ("hits", Value::from(plan_cache.hits as f64)),
-                    ("misses", Value::from(plan_cache.misses as f64)),
-                    ("warm_starts", Value::from(plan_cache.warm_starts as f64)),
-                    ("evictions", Value::from(plan_cache.evictions as f64)),
-                ]),
+            Some(JobState::Failed(message)) => (
+                200,
+                vec![
+                    ("state", Value::from("failed")),
+                    ("error", Value::from(message)),
+                ],
             ),
-            ("jobs_tracked", Value::from(self.jobs.len() as f64)),
-            ("slo", {
-                let statuses = caladrius_obs::evaluate_slos();
-                let count = |state: caladrius_obs::SloState| {
-                    statuses.iter().filter(|s| s.state == state).count() as f64
-                };
-                Value::object([
-                    ("objectives", Value::from(statuses.len() as f64)),
-                    (
-                        "firing",
-                        Value::from(count(caladrius_obs::SloState::Firing)),
-                    ),
-                    (
-                        "warning",
-                        Value::from(count(caladrius_obs::SloState::Warning)),
-                    ),
-                ])
-            }),
-        ];
-        if let Some(ingest) = self.caladrius.metrics_provider().ingest_stats() {
-            fields.push((
-                "ingest",
-                Value::object([
-                    ("batches", Value::from(ingest.batches as f64)),
-                    ("samples", Value::from(ingest.samples as f64)),
-                ]),
-            ));
+        };
+        if let Some(timing) = self.jobs.timing(id) {
+            fields.push(("queued_ms", Value::from(timing.queued_unix_ms as f64)));
+            fields.push(("started_ms", Value::from(timing.started_unix_ms)));
+            fields.push(("finished_ms", Value::from(timing.finished_unix_ms)));
+            fields.push(("queue_wait_ms", Value::from(timing.queue_wait_ms())));
+            fields.push(("duration_ms", Value::from(timing.duration_ms())));
         }
-        Value::object(fields).to_json().pipe(Response::json)
+        Response::json_status(status, Value::object(fields).to_json())
+    }
+
+    /// A sheddable asynchronous route. Admission control may shed a
+    /// low-priority request while `route` is over its latency SLO (or
+    /// the job queue over its watermark). Otherwise the UTF-8 body goes
+    /// through `parse`, and `job` runs on a worker with the tenants and
+    /// the parsed body. With a `key`, keyed submission caps that key's
+    /// unfinished jobs. Both refusals are `429` with `Retry-After`; a
+    /// bad body is `400`; an accepted job is `202`, polled at
+    /// `{poll}{id}`.
+    pub fn submit_job<P: Send + 'static>(
+        &self,
+        route: &str,
+        request: &Request,
+        key: Option<&str>,
+        poll: &str,
+        parse: impl FnOnce(&str) -> Result<P, String>,
+        job: impl FnOnce(&T, P) -> Result<Value, String> + Send + 'static,
+    ) -> Response {
+        let priority =
+            Priority::from_header(request.headers.get(PRIORITY_HEADER).map(String::as_str));
+        if let AdmissionDecision::Shed {
+            retry_after_seconds,
+        } = self
+            .admission
+            .decide(route, priority, route_p99(route), self.jobs.queue_depth())
+        {
+            return too_many_requests("shed by admission control", retry_after_seconds);
+        }
+        let parsed = match parse_body(request, parse) {
+            Ok(parsed) => parsed,
+            Err(response) => return response,
+        };
+        let tenants = Arc::clone(&self.tenants);
+        let task = move || job(&tenants, parsed);
+        let id = match key {
+            None => self.jobs.submit(task),
+            Some(key) => match self.jobs.submit_keyed(key, task) {
+                Ok(id) => id,
+                Err(rejected) => {
+                    return too_many_requests(
+                        &rejected.to_string(),
+                        self.admission.config().retry_after_seconds,
+                    )
+                }
+            },
+        };
+        accepted(id, poll)
     }
 
     fn traffic(&self, topology: &str, request: &Request) -> Response {
@@ -906,54 +886,48 @@ impl ApiService {
             .query
             .get("models")
             .map(|csv| csv.split(',').map(|s| s.trim().to_string()).collect());
-        match self.caladrius.forecast_traffic(topology, models.as_deref()) {
-            Ok(forecasts) => Value::object([
-                ("topology", Value::from(topology)),
-                (
-                    "forecasts",
-                    Value::Array(forecasts.iter().map(forecast_to_json).collect()),
-                ),
-            ])
-            .to_json()
-            .pipe(Response::json),
+        match self
+            .tenants
+            .service(topology)
+            .forecast_traffic(topology, models.as_deref())
+        {
+            Ok(forecasts) => Response::json(
+                Value::object([
+                    ("topology", Value::from(topology)),
+                    (
+                        "forecasts",
+                        Value::Array(forecasts.iter().map(forecast_to_json).collect()),
+                    ),
+                ])
+                .to_json(),
+            ),
             Err(e) => error_response(&e),
         }
     }
 
     fn evaluate(&self, topology: &str, request: &Request) -> Response {
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let (parallelisms, source) = match parse_evaluation_body(body) {
+        let (parallelisms, source) = match parse_body(request, parse_evaluation_body) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(response) => return response,
         };
         let is_async = request.query.get("async").map(String::as_str) == Some("true");
         if is_async {
-            let caladrius = Arc::clone(&self.caladrius);
+            let tenants = Arc::clone(&self.tenants);
             let topology = topology.to_string();
             let id = self.jobs.submit(move || {
-                caladrius
+                tenants
+                    .service(&topology)
                     .evaluate(&topology, &parallelisms, &source)
                     .map(|report| report_to_json(&report))
                     .map_err(|e| e.to_string())
             });
-            return Response::json_status(
-                202,
-                Value::object([
-                    ("job_id", Value::from(id as f64)),
-                    ("poll", Value::from(format!("/jobs/{id}"))),
-                ])
-                .to_json(),
-            );
+            return accepted(id, "/jobs/");
         }
-        match self.caladrius.evaluate(topology, &parallelisms, &source) {
+        match self
+            .tenants
+            .service(topology)
+            .evaluate(topology, &parallelisms, &source)
+        {
             Ok(report) => Response::json(report_to_json(&report).to_json()),
             Err(e) => error_response(&e),
         }
@@ -989,29 +963,31 @@ impl ApiService {
             }
         }
         match self
-            .caladrius
+            .tenants
+            .service(topology)
             .packing_overview(topology, &proposed, containers)
         {
-            Ok(overview) => Value::object([
-                ("topology", Value::from(topology)),
-                ("containers", Value::from(overview.containers)),
-                ("total_instances", Value::from(overview.total_instances)),
-                (
-                    "max_instances_per_container",
-                    Value::from(overview.max_instances_per_container),
-                ),
-                ("balance_stddev", Value::from(overview.balance_stddev)),
-                (
-                    "remote_pair_fraction",
-                    Value::from(overview.remote_pair_fraction),
-                ),
-                (
-                    "instance_paths",
-                    Value::from(overview.instance_paths as f64),
-                ),
-            ])
-            .to_json()
-            .pipe(Response::json),
+            Ok(overview) => Response::json(
+                Value::object([
+                    ("topology", Value::from(topology)),
+                    ("containers", Value::from(overview.containers)),
+                    ("total_instances", Value::from(overview.total_instances)),
+                    (
+                        "max_instances_per_container",
+                        Value::from(overview.max_instances_per_container),
+                    ),
+                    ("balance_stddev", Value::from(overview.balance_stddev)),
+                    (
+                        "remote_pair_fraction",
+                        Value::from(overview.remote_pair_fraction),
+                    ),
+                    (
+                        "instance_paths",
+                        Value::from(overview.instance_paths as f64),
+                    ),
+                ])
+                .to_json(),
+            ),
             Err(e) => error_response(&e),
         }
     }
@@ -1025,38 +1001,23 @@ impl ApiService {
         };
         let (name, filters) = match caladrius_tsdb::query::parse_selector(selector) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(msg) => return error_json(400, &msg),
         };
         let parse_ts = |key: &str, default: i64| -> Result<i64, Response> {
             match request.query.get(key) {
                 None => Ok(default),
                 Some(v) => v.parse().map_err(|_| {
-                    Response::json_status(
-                        400,
-                        Value::object([(
-                            "error",
-                            Value::from(format!("{key} must be a millisecond timestamp")),
-                        )])
-                        .to_json(),
-                    )
+                    error_json(400, &format!("{key} must be a millisecond timestamp"))
                 }),
             }
         };
-        let from = match parse_ts("from", 0) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let to = match parse_ts("to", i64::MAX) {
-            Ok(v) => v,
-            Err(r) => return r,
+        let (from, to) = match (parse_ts("from", 0), parse_ts("to", i64::MAX)) {
+            (Ok(from), Ok(to)) => (from, to),
+            (Err(response), _) | (_, Err(response)) => return response,
         };
         match self
-            .caladrius
+            .tenants
+            .service(topology)
             .metrics_provider()
             .select_series(topology, &name, &filters, from, to)
         {
@@ -1083,12 +1044,13 @@ impl ApiService {
                         ])
                     })
                     .collect();
-                Value::object([
-                    ("metric", Value::from(name)),
-                    ("series", Value::Array(series)),
-                ])
-                .to_json()
-                .pipe(Response::json)
+                Response::json(
+                    Value::object([
+                        ("metric", Value::from(name)),
+                        ("series", Value::Array(series)),
+                    ])
+                    .to_json(),
+                )
             }
             Err(e) => error_response(&e),
         }
@@ -1096,85 +1058,105 @@ impl ApiService {
 
     /// `POST /topology/{t}/plan` — horizon capacity planning. Plan
     /// searches forecast and probe the models across the whole horizon,
-    /// so the work always runs asynchronously through the job store:
-    /// the response is a `202` with a job id to poll.
-    ///
-    /// The route is guarded twice: admission control may shed
-    /// low-priority requests while the route is over its latency SLO
-    /// (or the job queue over its watermark), and keyed submission caps
-    /// each topology's unfinished plan jobs. Both refusals surface as
-    /// `429` with `Retry-After`.
+    /// so the work always runs asynchronously through the job store,
+    /// keyed by topology so one tenant cannot hold every worker (see
+    /// [`Self::submit_job`]).
     fn plan(&self, topology: &str, request: &Request) -> Response {
         const ROUTE: &str = "/topology/{topology}/plan";
-        let priority = Priority::from_header(
-            request
-                .headers
-                .get(crate::admission::PRIORITY_HEADER)
-                .map(String::as_str),
-        );
-        if let AdmissionDecision::Shed {
-            retry_after_seconds,
-        } = self
-            .admission
-            .decide(ROUTE, priority, route_p99(ROUTE), self.jobs.queue_depth())
-        {
-            return too_many_requests("shed by admission control", retry_after_seconds);
-        }
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let plan_request = match parse_plan_body(body) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
-        };
-        let caladrius = Arc::clone(&self.caladrius);
-        let topology = topology.to_string();
-        let task_topology = topology.clone();
-        let submitted = self.jobs.submit_keyed(&topology, move || {
-            let outcome = caladrius.plan_capacity(&task_topology, &plan_request);
-            // Plan jobs carry their own SLO objective: a failed plan
-            // burns error budget even though the HTTP 202 already
-            // succeeded.
-            caladrius_obs::global_slos()
-                .objective("plan-jobs", caladrius_obs::SloConfig::default())
-                .record(outcome.is_ok());
-            outcome
-                .map(|timeline| timeline_to_json(&task_topology, &timeline))
-                .map_err(|e| e.to_string())
-        });
-        let id = match submitted {
-            Ok(id) => id,
-            Err(rejected) => {
-                return too_many_requests(
-                    &rejected.to_string(),
-                    self.admission.config().retry_after_seconds,
-                )
-            }
-        };
-        Response::json_status(
-            202,
-            Value::object([
-                ("job_id", Value::from(id as f64)),
-                ("poll", Value::from(format!("/jobs/{id}"))),
-            ])
-            .to_json(),
+        let owned = topology.to_string();
+        self.submit_job(
+            ROUTE,
+            request,
+            Some(topology),
+            "/jobs/",
+            parse_plan_body,
+            move |tenants, plan_request| {
+                let outcome = tenants.service(&owned).plan_capacity(&owned, &plan_request);
+                // Plan jobs carry their own SLO objective: a failed plan
+                // burns error budget even though the HTTP 202 already
+                // succeeded.
+                caladrius_obs::global_slos()
+                    .objective("plan-jobs", caladrius_obs::SloConfig::default())
+                    .record(outcome.is_ok());
+                outcome
+                    .map(|timeline| timeline_to_json(&owned, &timeline))
+                    .map_err(|e| e.to_string())
+            },
         )
     }
 }
 
-/// Small pipe helper keeping the route bodies readable.
-trait Pipe: Sized {
-    fn pipe<T>(self, f: impl FnOnce(Self) -> T) -> T {
-        f(self)
+impl FrontDoor<Caladrius> {
+    /// The wrapped core service.
+    pub fn caladrius(&self) -> &Arc<Caladrius> {
+        &self.tenants
     }
 }
-impl<T> Pipe for T {}
+
+impl Tenants for Caladrius {
+    #[inline]
+    fn service(&self, _topology: &str) -> &Caladrius {
+        self
+    }
+
+    fn topologies(&self) -> Vec<String> {
+        self.topologies()
+    }
+
+    /// Liveness plus data-plane observability. A thin view over the obs
+    /// layer: the model-cache and ingest counters are `caladrius-obs`
+    /// handles read back through the service and provider tiers, so this
+    /// JSON and `/metrics/service` are two projections of the same
+    /// registry. Field names are a stable contract (see the
+    /// `health_shape_is_stable` regression test).
+    fn health(&self, jobs: &JobRunner) -> Value {
+        let cache = self.model_cache_stats();
+        let plan_cache = self.plan_cache_stats();
+        let (statuses, firing, warning) = evaluated_slos();
+        let mut fields = vec![
+            ("status", Value::from("ok")),
+            (
+                "model_cache",
+                counters([
+                    ("hits", cache.hits),
+                    ("misses", cache.misses),
+                    ("fits", cache.fits),
+                    ("incremental_fits", cache.incremental_fits),
+                    ("full_fits", cache.full_fits),
+                    ("plans", cache.plans),
+                    ("plan_evals", cache.plan_evals),
+                    ("oracle_hits", cache.oracle_hits),
+                    ("oracle_misses", cache.oracle_misses),
+                ]),
+            ),
+            (
+                "plan_cache",
+                counters([
+                    ("hits", plan_cache.hits),
+                    ("misses", plan_cache.misses),
+                    ("warm_starts", plan_cache.warm_starts),
+                    ("evictions", plan_cache.evictions),
+                ]),
+            ),
+            ("jobs_tracked", Value::from(jobs.len() as f64)),
+            (
+                "slo",
+                Value::object([
+                    ("objectives", Value::from(statuses.len() as f64)),
+                    ("firing", Value::from(firing)),
+                    ("warning", Value::from(warning)),
+                ]),
+            ),
+        ];
+        if let Some(ingest) = self.metrics_provider().ingest_stats() {
+            fields.push((
+                "ingest",
+                counters([("batches", ingest.batches), ("samples", ingest.samples)]),
+            ));
+        }
+        Value::object(fields)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -228,7 +228,7 @@ fn bench_tsdb(c: &mut Criterion) {
         let key = SeriesKey::new("execute-count")
             .with_tag("component", "splitter")
             .with_tag("instance", inst.to_string());
-        db.write_batch(&key, samples.iter().copied());
+        db.append_series(&db.register(&key), &samples);
     }
     let filters = [TagFilter::eq("component", "splitter")];
     group.bench_function("aggregate_8_series_x_1000", |b| {

@@ -13,10 +13,15 @@
 //!   own per-topology tsdb stores and a `shard="<i>"` label on its obs
 //!   series. Growing the fleet only migrates topologies to the new
 //!   shard, keeping surviving shards' model caches warm.
-//! * **Admission control** (reused from [`caladrius_api::admission`])
-//!   — the fleet front door sheds low-priority plan requests with
-//!   `429` + `Retry-After` when the route's p99 breaches its SLO, the
-//!   job queue crosses its watermark, or the token bucket empties.
+//! * **One front door** ([`service`]) — [`Fleet`] implements the API
+//!   tier's [`caladrius_api::Tenants`] seam, so the API tier's one
+//!   [`caladrius_api::FrontDoor`] serves a fleet: every per-topology
+//!   route of the paper answers for every tenant through its shard, and
+//!   the fleet mounts `/fleet/plan`, `/fleet/jobs/{id}` and
+//!   `/fleet/health`. Admission control sheds low-priority plan
+//!   requests with `429` + `Retry-After` when the route's p99 breaches
+//!   its SLO, the job queue crosses its watermark, or the token bucket
+//!   empties.
 //! * **Cluster planning** ([`allocator`], [`Fleet::plan_fleet`]) — a
 //!   knapsack-style split of a cluster-wide container budget across
 //!   topologies by marginal backpressure-risk reduction (greedy, exact

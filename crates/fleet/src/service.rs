@@ -1,204 +1,127 @@
-//! Fleet HTTP front door.
+//! The fleet behind the API tier's one front door.
 //!
-//! Reuses the API tier's building blocks — HTTP server, JSON model,
-//! async job store, and admission controller — and adds the
-//! fleet-level endpoints:
+//! [`Fleet`] implements [`Tenants`]: a topology resolves to the
+//! `Caladrius` of the shard it is pinned to, so a fleet door answers
+//! every per-topology route of the paper's REST API (what-if, traffic,
+//! packing, metrics, plan) for every tenant. A topology nobody
+//! registered resolves to the shard it would be pinned to, which
+//! answers with exactly the errors a standalone service gives. The
+//! fleet mounts three routes of its own:
 //!
 //! * `POST /fleet/plan` — cluster planning as an async job (`202` +
 //!   poll URL). The body may set `"budget"` (containers) to override
 //!   the configured cluster budget, plus the same planner knobs as the
 //!   single-topology plan route. Low-priority requests are shed with
-//!   `429` + `Retry-After` under overload.
+//!   `429` + `Retry-After` under overload, through the same
+//!   shed-then-submit path as `/topology/{topology}/plan`.
 //! * `GET /fleet/jobs/{id}` — poll a fleet plan job.
 //! * `GET /fleet/health` — per-shard topology counts, model-cache
-//!   counters and ingest totals.
-//! * `GET /metrics/service` — Prometheus exposition (includes the
-//!   per-shard `shard="<i>"` series and the fleet shed/ingest
-//!   counters).
-//! * `GET /trace/recent`, `GET /slo/status`, `GET /debug/flight` —
-//!   the shared observability endpoints (same handlers as the API
-//!   tier), so a fleet front door exposes the cross-shard span trees,
-//!   burn-rate verdicts and flight-recorder dumps directly.
+//!   counters and ingest totals; a fleet door's `GET /health` returns
+//!   the same body.
 
-use crate::fleet::{Fleet, FleetPlan, TopologyPlanOutcome};
-use caladrius_api::admission::PRIORITY_HEADER;
-use caladrius_api::http::{Handler, Request, Response};
+use crate::fleet::{Fleet, FleetHealth, FleetPlan, TopologyPlanOutcome};
+use crate::hash::assign_shard;
+use caladrius_api::http::{Request, Response};
+use caladrius_api::jobs::JobRunner;
 use caladrius_api::json::Value;
-use caladrius_api::{AdmissionConfig, AdmissionController, AdmissionDecision, JobRunner, Priority};
+use caladrius_api::{FrontDoor, Tenants};
 use caladrius_core::capacity::CapacityPlanRequest;
-use std::sync::Arc;
+use caladrius_core::Caladrius;
 
-/// The fleet tier's HTTP service: routes fleet requests to a shared
-/// [`Fleet`] behind admission control and the async job store.
-pub struct FleetService {
-    fleet: Arc<Fleet>,
-    jobs: JobRunner,
-    admission: AdmissionController,
-}
+/// The front door over a fleet. This alias exists only because the
+/// benchmark's `fleet_drift` workload names it; `FrontDoor<Fleet>` is
+/// the type.
+pub type FleetService = FrontDoor<Fleet>;
 
 /// Route label of the fleet plan endpoint (admission + metrics key).
 const PLAN_ROUTE: &str = "/fleet/plan";
 
-impl FleetService {
-    /// Wraps a fleet with `job_workers` async workers and admission
-    /// control disabled.
-    pub fn new(fleet: Arc<Fleet>, job_workers: usize) -> Arc<Self> {
-        Self::with_admission(fleet, job_workers, AdmissionConfig::default())
+impl Tenants for Fleet {
+    fn service(&self, topology: &str) -> &Caladrius {
+        // Registration pins a topology to exactly this shard.
+        self.shards()[assign_shard(topology, self.shards().len())].service()
     }
 
-    /// Wraps a fleet with an explicit admission-control configuration
-    /// on the plan route.
-    pub fn with_admission(
-        fleet: Arc<Fleet>,
-        job_workers: usize,
-        admission: AdmissionConfig,
-    ) -> Arc<Self> {
-        Arc::new(FleetService {
-            fleet,
-            jobs: JobRunner::new(job_workers),
-            admission: AdmissionController::new(admission),
-        })
+    fn topologies(&self) -> Vec<String> {
+        self.topologies()
     }
 
-    /// The wrapped fleet.
-    pub fn fleet(&self) -> &Arc<Fleet> {
-        &self.fleet
+    fn health(&self, _jobs: &JobRunner) -> Value {
+        health_to_json(&self.health())
     }
 
-    /// The job runner (tests gate its workers to force queueing).
-    pub fn jobs(&self) -> &JobRunner {
-        &self.jobs
-    }
-
-    /// A connection handler for [`caladrius_api::HttpServer::serve`].
-    pub fn handler(self: &Arc<Self>) -> Handler {
-        let service = Arc::clone(self);
-        Arc::new(move |request| service.handle(request))
-    }
-
-    /// Routes one request through the API tier's
-    /// [`caladrius_api::handle_request`] (so admission's p99 signal works
-    /// unchanged for fleet routes).
-    pub fn handle(&self, request: Request) -> Response {
-        let latency_slo = self.admission.config().slo_p99_seconds;
-        caladrius_api::handle_request(request, latency_slo, |request| self.route(request))
-    }
-
-    fn route(&self, request: &Request) -> (&'static str, Response) {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("POST", ["fleet", "plan"]) => (PLAN_ROUTE, self.plan(request)),
-            ("GET", ["fleet", "jobs", id]) => (
-                "/fleet/jobs/{id}",
-                caladrius_api::job_status_response(&self.jobs, id),
+    fn route(
+        door: &FrontDoor<Self>,
+        request: &Request,
+        segments: &[&str],
+    ) -> Option<(&'static str, Response)> {
+        Some(match (request.method.as_str(), segments) {
+            ("POST", ["fleet", "plan"]) => (
+                PLAN_ROUTE,
+                door.submit_job(
+                    PLAN_ROUTE,
+                    request,
+                    None,
+                    "/fleet/jobs/",
+                    parse_fleet_plan_body,
+                    |fleet, (plan_request, budget)| {
+                        let plan = fleet.plan_fleet(&plan_request, budget);
+                        // Fleet plan jobs burn their own error budget: any
+                        // topology failing to plan counts as a bad event.
+                        caladrius_obs::global_slos()
+                            .objective("fleet-plan-jobs", caladrius_obs::SloConfig::default())
+                            .record(plan.errors() == 0);
+                        Ok(fleet_plan_to_json(&plan))
+                    },
+                ),
             ),
-            ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
+            ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", door.job_status(id)),
+            ("GET", ["fleet", "health"]) => (
+                "/fleet/health",
+                Response::json(health_to_json(&door.tenants().health()).to_json()),
+            ),
             (_, ["fleet", ..]) => (
                 "method_not_allowed",
                 Response::json_status(405, "{\"error\":\"method not allowed\"}"),
             ),
-            _ => caladrius_api::shared_route(request, &segments),
-        }
+            _ => return None,
+        })
     }
+}
 
-    /// `POST /fleet/plan` — cluster planning across every registered
-    /// topology, async through the job store.
-    fn plan(&self, request: &Request) -> Response {
-        let priority =
-            Priority::from_header(request.headers.get(PRIORITY_HEADER).map(String::as_str));
-        if let AdmissionDecision::Shed {
-            retry_after_seconds,
-        } = self.admission.decide(
-            PLAN_ROUTE,
-            priority,
-            caladrius_api::route_p99(PLAN_ROUTE),
-            self.jobs.queue_depth(),
-        ) {
-            return caladrius_api::too_many_requests(
-                "shed by admission control",
-                retry_after_seconds,
-            );
-        }
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let (plan_request, budget) = match parse_fleet_plan_body(body) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
-        };
-        let fleet = Arc::clone(&self.fleet);
-        let id = self.jobs.submit(move || {
-            let plan = fleet.plan_fleet(&plan_request, budget);
-            // Fleet plan jobs burn their own error budget: any topology
-            // failing to plan counts as a bad event.
-            caladrius_obs::global_slos()
-                .objective("fleet-plan-jobs", caladrius_obs::SloConfig::default())
-                .record(plan.errors() == 0);
-            Ok(fleet_plan_to_json(&plan))
-        });
-        Response::json_status(
-            202,
-            Value::object([
-                ("job_id", Value::from(id as f64)),
-                ("poll", Value::from(format!("/fleet/jobs/{id}"))),
-            ])
-            .to_json(),
-        )
-    }
-
-    /// `GET /fleet/health` — per-shard snapshot.
-    fn health(&self) -> Response {
-        let health = self.fleet.health();
-        let shards = health
-            .shards
-            .iter()
-            .map(|s| {
-                Value::object([
-                    ("shard", Value::from(s.shard as f64)),
-                    ("topologies", Value::from(s.topologies as f64)),
-                    ("cache_hits", Value::from(s.model_cache.hits as f64)),
-                    ("cache_misses", Value::from(s.model_cache.misses as f64)),
-                    ("model_fits", Value::from(s.model_cache.fits as f64)),
-                    (
-                        "model_fits_incremental",
-                        Value::from(s.model_cache.incremental_fits as f64),
-                    ),
-                    (
-                        "model_fits_full",
-                        Value::from(s.model_cache.full_fits as f64),
-                    ),
-                    ("plans", Value::from(s.model_cache.plans as f64)),
-                    ("plan_cache_hits", Value::from(s.plan_cache.hits as f64)),
-                    ("plan_cache_misses", Value::from(s.plan_cache.misses as f64)),
-                    (
-                        "plan_warm_starts",
-                        Value::from(s.plan_cache.warm_starts as f64),
-                    ),
-                    (
-                        "plan_cache_evictions",
-                        Value::from(s.plan_cache.evictions as f64),
-                    ),
-                    ("ingest_batches", Value::from(s.ingest.batches as f64)),
-                    ("ingest_samples", Value::from(s.ingest.samples as f64)),
-                    ("routed_batches", Value::from(s.routed_batches as f64)),
-                ])
-            })
-            .collect();
-        Response::json(
-            Value::object([
-                ("status", Value::from("ok")),
-                ("topologies", Value::from(health.topologies as f64)),
-                ("shards", Value::Array(shards)),
-            ])
-            .to_json(),
-        )
-    }
+/// The `/fleet/health` body: per-shard snapshot.
+fn health_to_json(health: &FleetHealth) -> Value {
+    let shards = health
+        .shards
+        .iter()
+        .map(|s| {
+            Value::object(
+                [
+                    ("shard", s.shard as u64),
+                    ("topologies", s.topologies as u64),
+                    ("cache_hits", s.model_cache.hits),
+                    ("cache_misses", s.model_cache.misses),
+                    ("model_fits", s.model_cache.fits),
+                    ("model_fits_incremental", s.model_cache.incremental_fits),
+                    ("model_fits_full", s.model_cache.full_fits),
+                    ("plans", s.model_cache.plans),
+                    ("plan_cache_hits", s.plan_cache.hits),
+                    ("plan_cache_misses", s.plan_cache.misses),
+                    ("plan_warm_starts", s.plan_cache.warm_starts),
+                    ("plan_cache_evictions", s.plan_cache.evictions),
+                    ("ingest_batches", s.ingest.batches),
+                    ("ingest_samples", s.ingest.samples),
+                    ("routed_batches", s.routed_batches),
+                ]
+                .map(|(name, count)| (name, Value::from(count as f64))),
+            )
+        })
+        .collect();
+    Value::object([
+        ("status", Value::from("ok")),
+        ("topologies", Value::from(health.topologies as f64)),
+        ("shards", Value::Array(shards)),
+    ])
 }
 
 /// Parses a `POST /fleet/plan` body: the single-topology planner knobs
@@ -206,7 +129,7 @@ impl FleetService {
 /// API tier's parser, plus the fleet-only `"budget"` (containers,
 /// overriding the configured cluster budget).
 fn parse_fleet_plan_body(body: &str) -> Result<(CapacityPlanRequest, Option<u32>), String> {
-    let request = caladrius_api::routes::parse_plan_body(body)?;
+    let request = caladrius_api::parse_plan_body(body)?;
     let mut budget = None;
     if !body.trim().is_empty() {
         let value = caladrius_api::json::parse(body).map_err(|e| e.to_string())?;
@@ -225,16 +148,7 @@ fn outcome_to_json(outcome: &TopologyPlanOutcome) -> Value {
     let mut fields = vec![
         ("topology", Value::from(outcome.topology.as_str())),
         ("shard", Value::from(outcome.shard as f64)),
-        (
-            "demand",
-            Value::Array(
-                outcome
-                    .demand
-                    .iter()
-                    .map(|d| Value::from(f64::from(*d)))
-                    .collect(),
-            ),
-        ),
+        ("demand", Value::from(outcome.demand.clone())),
         (
             "granted_containers",
             Value::from(f64::from(outcome.granted_containers)),
@@ -264,7 +178,7 @@ fn outcome_to_json(outcome: &TopologyPlanOutcome) -> Value {
 }
 
 /// Renders a fleet plan for the job result payload.
-pub fn fleet_plan_to_json(plan: &FleetPlan) -> Value {
+fn fleet_plan_to_json(plan: &FleetPlan) -> Value {
     Value::object([
         ("budget", Value::from(f64::from(plan.budget))),
         ("total_granted", Value::from(f64::from(plan.total_granted))),
@@ -282,7 +196,10 @@ pub fn fleet_plan_to_json(plan: &FleetPlan) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caladrius_api::admission::PRIORITY_HEADER;
+    use caladrius_api::AdmissionConfig;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn request(method: &str, path: &str, body: &str, headers: &[(&str, &str)]) -> Request {
         Request {

@@ -201,6 +201,9 @@ struct SinkHandles {
     columns: Vec<(SeriesHandle, Vec<Sample>)>,
 }
 
+/// Baseline CPU (cores) an idle instance consumes (JVM + gateway).
+pub(crate) const BASE_CPU_OVERHEAD: f64 = 0.05;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -216,8 +219,6 @@ pub struct SimConfig {
     pub metric_noise: f64,
     /// Deterministic seed for observation noise.
     pub seed: u64,
-    /// Baseline CPU (cores) an idle instance consumes (JVM + gateway).
-    pub base_cpu_overhead: f64,
     /// Simulation resolution: ticks per simulated second (default 1).
     /// Raise it when a bottleneck component's queue holds only a few
     /// seconds of work at its drain rate (e.g. small tuples + high
@@ -256,7 +257,6 @@ impl Default for SimConfig {
             packing: None,
             metric_noise: 0.004,
             seed: 0xCA1AD,
-            base_cpu_overhead: 0.05,
             ticks_per_second: 1,
             stmgr_capacity: None,
             event_mode: false,
@@ -850,7 +850,7 @@ impl Simulation {
         let dt = 1.0 / f64::from(config.ticks_per_second);
         let now_secs = self.now_ticks / u64::from(config.ticks_per_second);
         let finite_stmgr = config.stmgr_capacity.is_some();
-        let base_cpu = config.base_cpu_overhead;
+        let base_cpu = BASE_CPU_OVERHEAD;
         let high_watermark = config.watermarks.high_bytes;
         let n = inst.n;
 
@@ -1097,11 +1097,11 @@ impl Simulation {
     }
 
     /// The fluid model of this simulation's tables, configured for its
-    /// CPU baseline and watermarks; `None` over the term budget.
+    /// watermarks; `None` over the term budget.
     pub(crate) fn fluid_engine(&self) -> Option<FluidEngine> {
         let order = self.topology.topo_order();
         let mut engine = FluidEngine::build(&self.inst, &self.comps, &self.edges, &order)?;
-        engine.configure(self.config.base_cpu_overhead, self.config.watermarks);
+        engine.configure(self.config.watermarks);
         Some(engine)
     }
 

@@ -49,7 +49,7 @@
 //! `tests/sim_kernel_equivalence.rs`).
 
 use crate::backpressure::WatermarkConfig;
-use crate::engine::{ComponentTable, EdgeTable, InstanceTable};
+use crate::engine::{ComponentTable, EdgeTable, InstanceTable, BASE_CPU_OVERHEAD};
 use crate::profiles::Segments;
 use crate::topology::{ComponentKind, Topology};
 use std::collections::BTreeMap;
@@ -161,7 +161,6 @@ pub(crate) struct FluidEngine {
     /// Per-slot profile decomposition (refreshed on profile swaps).
     spout_segs: Vec<Segments>,
     max_delay: u32,
-    base_cpu: f64,
     /// Watermarks pre-scaled by the safety margin (high lowered, low
     /// raised), wrapped in a [`WatermarkConfig`] so crossings come from
     /// its analytic solvers.
@@ -345,14 +344,12 @@ impl FluidEngine {
                 .collect(),
             spout_segs: Vec::new(),
             max_delay,
-            base_cpu: 0.0,                         // set in configure
             margin_wm: WatermarkConfig::default(), // set in configure
         })
     }
 
-    /// Installs the engine-config parameters the closed form depends on.
-    pub fn configure(&mut self, base_cpu: f64, watermarks: WatermarkConfig) {
-        self.base_cpu = base_cpu;
+    /// Installs the queue watermarks the closed form depends on.
+    pub fn configure(&mut self, watermarks: WatermarkConfig) {
         self.margin_wm = WatermarkConfig {
             high_bytes: watermarks.high_bytes * (1.0 - MARGIN),
             low_bytes: watermarks.low_bytes * (1.0 + MARGIN),
@@ -641,7 +638,7 @@ impl FluidEngine {
                 0.0
             };
             tgt.cpu_core_seconds[i] += clamped_linear_sum(
-                self.base_cpu + v0 / self.cap_per_core[i],
+                BASE_CPU_OVERHEAD + v0 / self.cap_per_core[i],
                 slope / self.cap_per_core[i],
                 n_ticks,
                 self.cpu_cores[i],
@@ -760,7 +757,7 @@ impl FluidEngine {
                 let offered = self.exec_from(i, &sums);
                 tgt.offered[i] += offered;
                 tgt.backlog[i] += offered;
-                tgt.cpu_core_seconds[i] += k * self.base_cpu.min(self.cpu_cores[i]);
+                tgt.cpu_core_seconds[i] += k * BASE_CPU_OVERHEAD.min(self.cpu_cores[i]);
                 continue;
             }
             let per_tick = drain.processed[i];
@@ -769,7 +766,7 @@ impl FluidEngine {
             tgt.emitted[i] += self.emit_coeff[i] * exec;
             tgt.failed[i] += self.fail_rate[i] * exec;
             tgt.cpu_core_seconds[i] +=
-                k * (self.base_cpu + per_tick / self.cap_per_core[i]).min(self.cpu_cores[i]);
+                k * (BASE_CPU_OVERHEAD + per_tick / self.cap_per_core[i]).min(self.cpu_cores[i]);
             for &(container, coeff) in &self.cc[self.cc_start[i]..self.cc_start[i + 1]] {
                 tgt.stmgr_tuples[container as usize] += coeff * exec;
             }
@@ -919,7 +916,7 @@ mod tests {
     fn plan_span_stops_at_analytic_saturation_crossing() {
         let topo = chain();
         let mut engine = engine_for(&topo);
-        engine.configure(0.05, WatermarkConfig::default());
+        engine.configure(WatermarkConfig::default());
         assert!(engine.refresh_profiles(&topo));
         // Per-instance mid input: 2·r(t-1)/3 where r ramps 100→700 over
         // 300 s. Effective capacity 1000·(1-gateway). It never reaches
@@ -934,7 +931,7 @@ mod tests {
             high_bytes: 4000.0,
             low_bytes: 2000.0,
         };
-        engine.configure(0.05, tiny);
+        engine.configure(tiny);
         let SpanPlan::Stop { tick } = engine.plan_span(10, 290) else {
             panic!("tiny watermark must truncate the span");
         };
@@ -973,13 +970,10 @@ mod tests {
     fn drain_plan_stops_before_the_release() {
         let topo = chain();
         let mut engine = engine_for(&topo);
-        engine.configure(
-            0.05,
-            WatermarkConfig {
-                high_bytes: 500_000.0,
-                low_bytes: 300_000.0,
-            },
-        );
+        engine.configure(WatermarkConfig {
+            high_bytes: 500_000.0,
+            low_bytes: 300_000.0,
+        });
         assert!(engine.refresh_profiles(&topo));
         // Mid queues hold 600 kB and drain 990 × 60 B a tick: after 5
         // ticks 303 kB, after 6 ticks 243.6 kB — under the low mark.
@@ -1035,13 +1029,10 @@ mod tests {
     fn drain_plan_stops_before_a_saturated_bolt_empties() {
         let topo = chain();
         let mut engine = engine_for(&topo);
-        engine.configure(
-            0.05,
-            WatermarkConfig {
-                high_bytes: 1.0e9,
-                low_bytes: 1_000.0,
-            },
-        );
+        engine.configure(WatermarkConfig {
+            high_bytes: 1.0e9,
+            low_bytes: 1_000.0,
+        });
         assert!(engine.refresh_profiles(&topo));
         // 3000 queued tuples start ticks at 3000, 2010, 1020 — all over
         // one tick of work (990) — and then 30, which is not.
@@ -1073,13 +1064,10 @@ mod tests {
             .build()
             .unwrap();
         let mut engine = engine_for(&topo);
-        engine.configure(
-            0.05,
-            WatermarkConfig {
-                high_bytes: 50_000.0,
-                low_bytes: 1_000.0,
-            },
-        );
+        engine.configure(WatermarkConfig {
+            high_bytes: 50_000.0,
+            low_bytes: 1_000.0,
+        });
         assert!(engine.refresh_profiles(&topo));
         let qt = [0.0, 100_000.0, 1_000.0];
         let qb = [0.0, 6_000_000.0, 10_000.0];
@@ -1118,7 +1106,7 @@ mod tests {
     fn apply_accumulates_the_arithmetic_series() {
         let topo = chain();
         let mut engine = engine_for(&topo);
-        engine.configure(0.05, WatermarkConfig::default());
+        engine.configure(WatermarkConfig::default());
         assert!(engine.refresh_profiles(&topo));
         let n = 7;
         let mut executed = vec![0.0; n];

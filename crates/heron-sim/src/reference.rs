@@ -345,7 +345,7 @@ impl ReferenceSimulation {
                 total_emitted = emitted_base;
             }
 
-            let cpu = (self.config.base_cpu_overhead
+            let cpu = (crate::engine::BASE_CPU_OVERHEAD
                 + executed / dt / (info.capacity / info.cpu_cores))
                 .min(info.cpu_cores);
             let failed = if is_spout {

@@ -294,25 +294,6 @@ impl MetricsDb {
         self.append(&self.register(key), ts, value);
     }
 
-    /// Writes many samples for one series, cheaper than repeated
-    /// [`MetricsDb::write`] because the series is resolved once.
-    pub fn write_batch(&self, key: &SeriesKey, samples: impl IntoIterator<Item = Sample>) {
-        let handle = self.register(key);
-        let mut series = handle.series.write();
-        let mut count = 0u64;
-        let mut max_ts = WATERMARK_NONE;
-        for s in samples {
-            max_ts = max_ts.max(s.ts);
-            series.push(s);
-            count += 1;
-        }
-        drop(series);
-        if count > 0 {
-            self.watermark.fetch_max(max_ts, Ordering::AcqRel);
-            self.samples_ingested.add(count);
-        }
-    }
-
     /// Reads one series' samples in `[from, to]`, or an error if the exact
     /// key is unknown.
     pub fn read(&self, key: &SeriesKey, from: i64, to: i64) -> Result<Vec<Sample>> {
@@ -639,9 +620,11 @@ mod tests {
     fn aggregate_sums_across_instances() {
         let db = MetricsDb::new();
         for i in 0..4u32 {
-            db.write_batch(
-                &key("splitter", i),
-                (0..3).map(|m| Sample::new(m * 60_000, 100.0)),
+            db.append_series(
+                &db.register(&key("splitter", i)),
+                &(0..3)
+                    .map(|m| Sample::new(m * 60_000, 100.0))
+                    .collect::<Vec<_>>(),
             );
         }
         let agg = db
@@ -693,9 +676,11 @@ mod tests {
         let placed = [(0, 2, 1.0e16), (1, 0, 1.0), (1, 1, -1.0e16), (2, 1, 3.0)];
         for (container, instance, value) in placed {
             let key = key("counter", instance).with_tag("container", container.to_string());
-            db.write_batch(
-                &key,
-                (0..3).map(|m| Sample::new(m * 60_000, value + m as f64)),
+            db.append_series(
+                &db.register(&key),
+                &(0..3)
+                    .map(|m| Sample::new(m * 60_000, value + m as f64))
+                    .collect::<Vec<_>>(),
             );
         }
         db.write(&key("splitter", 0), 0, 7.0);
@@ -761,9 +746,11 @@ mod tests {
     fn truncation_applies_to_all_series() {
         let db = MetricsDb::new();
         for i in 0..2u32 {
-            db.write_batch(
-                &key("splitter", i),
-                (0..10).map(|m| Sample::new(m * 60_000, 1.0)),
+            db.append_series(
+                &db.register(&key("splitter", i)),
+                &(0..10)
+                    .map(|m| Sample::new(m * 60_000, 1.0))
+                    .collect::<Vec<_>>(),
             );
         }
         let dropped = db.truncate_before(5 * 60_000).unwrap();
@@ -929,11 +916,17 @@ mod tests {
         batch.push(&h, 1.0);
         db.ingest_batch(&batch);
         assert_eq!(db.watermark(), Some(240_000));
-        db.write_batch(
-            &key("splitter", 2),
-            (5..7).map(|m| Sample::new(m * 60_000, 1.0)),
+        db.append_series(
+            &db.register(&key("splitter", 2)),
+            &(5..7)
+                .map(|m| Sample::new(m * 60_000, 1.0))
+                .collect::<Vec<_>>(),
         );
         assert_eq!(db.watermark(), Some(360_000));
+        // Every path counts its samples; the batch paths (one
+        // `MetricBatch`, one column) count one batch each.
+        let stats = db.ingest_stats();
+        assert_eq!((stats.batches, stats.samples), (2, 6));
     }
 
     #[test]

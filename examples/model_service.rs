@@ -37,7 +37,7 @@ fn main() {
     );
 
     // Launch the web service on an ephemeral port.
-    let api = ApiService::with_defaults(Arc::new(caladrius));
+    let api = ApiService::new(Arc::new(caladrius), caladrius::exec::configured_threads());
     let server = HttpServer::serve(
         "127.0.0.1:0",
         caladrius::exec::configured_threads(),

@@ -33,7 +33,7 @@ fn main() {
         Arc::new(SimMetricsProvider::new(metrics)),
         Arc::new(StaticTracker::new().with(wordcount_topology(parallelism, 26.0e6))),
     );
-    let api = ApiService::with_defaults(Arc::new(caladrius));
+    let api = ApiService::new(Arc::new(caladrius), caladrius::exec::configured_threads());
     let server = HttpServer::serve(
         "127.0.0.1:0",
         caladrius::exec::configured_threads(),

@@ -1,10 +1,16 @@
-//! Fleet-tier integration test over the real HTTP surface: 64
+//! Fleet-tier integration tests over the real HTTP surface: 64
 //! topologies across 4 shards, cluster planning under a container
-//! budget, and admission control shedding low-priority requests.
+//! budget, admission control shedding low-priority requests, and fleet
+//! tenants answering the per-topology routes exactly as a standalone
+//! service over the same data does.
 
-use caladrius::api::{json, HttpClient, HttpServer};
+use caladrius::api::{json, ApiService, HttpClient, HttpServer, Request, Response};
 use caladrius::api::{AdmissionConfig, Value};
+use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
+use caladrius::core::Caladrius;
 use caladrius::fleet::{assign_shard, Fleet, FleetConfig, FleetService, StagedWorkload};
+use caladrius::sim::metrics::SimMetrics;
+use caladrius::sim::topology::Topology;
 use caladrius::tsdb::MetricBatch;
 use caladrius::workload::wordcount::{wordcount_topology, WordCountParallelism};
 use std::sync::Arc;
@@ -13,6 +19,30 @@ use std::time::{Duration, Instant};
 const SHARDS: usize = 4;
 const TOPOLOGIES: usize = 64;
 
+/// A staged-workload WordCount deployment named `name`.
+fn tenant_topology(name: &str) -> Topology {
+    let mut topology = wordcount_topology(
+        WordCountParallelism {
+            spout: 8,
+            splitter: 2,
+            counter: 3,
+        },
+        6.0e6,
+    );
+    topology.name = name.to_string();
+    topology
+}
+
+/// Replays every staged minute into `metrics` through `ingest`.
+fn feed(staged: &StagedWorkload, metrics: &SimMetrics, mut ingest: impl FnMut(&MetricBatch)) {
+    let mut batch = MetricBatch::new(0);
+    let bound = staged.bind(metrics);
+    for idx in 0..staged.minutes() {
+        bound.fill(staged, idx, &mut batch);
+        ingest(&batch);
+    }
+}
+
 /// A 4-shard fleet hosting 64 staged-workload topologies.
 fn build_fleet() -> Arc<Fleet> {
     let fleet = Arc::new(Fleet::new(FleetConfig {
@@ -20,24 +50,12 @@ fn build_fleet() -> Arc<Fleet> {
         ..FleetConfig::default()
     }));
     let staged = StagedWorkload::stage_wordcount();
-    let mut batch = MetricBatch::new(0);
     for i in 0..TOPOLOGIES {
         let name = format!("tenant-{i:02}");
-        let mut topology = wordcount_topology(
-            WordCountParallelism {
-                spout: 8,
-                splitter: 2,
-                counter: 3,
-            },
-            6.0e6,
-        );
-        topology.name = name.clone();
-        let metrics = fleet.register(topology);
-        let bound = staged.bind(&metrics);
-        for idx in 0..staged.minutes() {
-            bound.fill(&staged, idx, &mut batch);
-            fleet.ingest(&name, &batch).expect("registered topology");
-        }
+        let metrics = fleet.register(tenant_topology(&name));
+        feed(&staged, &metrics, |batch| {
+            fleet.ingest(&name, batch).expect("registered topology")
+        });
     }
     fleet
 }
@@ -271,5 +289,130 @@ fn fleet_tier_end_to_end() {
             .lines()
             .any(|l| l.starts_with("caladrius_fleet_shed_total{") && !l.trim_end().ends_with(" 0")),
         "shed counter missing after forced shed"
+    );
+}
+
+fn request(method: &str, target: &str, body: &str) -> Request {
+    let (path, query) = caladrius::api::http::parse_target(target);
+    Request {
+        method: method.to_string(),
+        path,
+        query,
+        headers: Default::default(),
+        body: body.as_bytes().to_vec(),
+    }
+}
+
+fn text(response: &Response) -> String {
+    String::from_utf8(response.body.clone()).expect("UTF-8 body")
+}
+
+/// Submits a job through `handle` and returns its finished poll body's
+/// `state` and `result` (or `error`) — the parts that do not carry
+/// wall-clock timing.
+fn job_outcome(handle: impl Fn(Request) -> Response, target: &str, body: &str) -> String {
+    let accepted = handle(request("POST", target, body));
+    assert_eq!(accepted.status, 202, "{}", text(&accepted));
+    let poll = json::parse(&text(&accepted))
+        .unwrap()
+        .get("poll")
+        .and_then(Value::as_str)
+        .expect("poll link")
+        .to_string();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let polled = json::parse(&text(&handle(request("GET", &poll, "")))).unwrap();
+        match polled.get("state").and_then(Value::as_str) {
+            Some("pending") => {
+                assert!(Instant::now() < deadline, "job {poll} timed out");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Some(state) => {
+                let outcome = polled.get("result").or_else(|| polled.get("error"));
+                return format!("{state}: {}", outcome.expect("outcome").to_json());
+            }
+            None => panic!("no job state: {polled:?}"),
+        }
+    }
+}
+
+/// A fleet tenant answers the paper's per-topology routes through its
+/// shard, byte for byte as a standalone service over the same data —
+/// including the errors for a topology neither of them knows.
+#[test]
+fn fleet_tenants_answer_the_per_topology_routes_like_a_standalone_service() {
+    let staged = StagedWorkload::stage_wordcount();
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 2,
+        ..FleetConfig::default()
+    }));
+    for name in ["tenant-a", "tenant-b", "tenant-c"] {
+        let metrics = fleet.register(tenant_topology(name));
+        feed(&staged, &metrics, |batch| {
+            fleet.ingest(name, batch).expect("registered topology")
+        });
+    }
+    let fleet_door = FleetService::new(Arc::clone(&fleet), 2);
+
+    let name = "tenant-b";
+    let metrics = SimMetrics::new(name);
+    feed(&staged, &metrics, |batch| metrics.ingest(batch));
+    let standalone = ApiService::new(
+        Arc::new(Caladrius::new(
+            Arc::new(SimMetricsProvider::new(metrics)),
+            Arc::new(StaticTracker::new().with(tenant_topology(name))),
+        )),
+        2,
+    );
+
+    let whatif = r#"{"parallelism": {"splitter": 4}, "source_rate": 20000000}"#;
+    for topology in [name, "ghost"] {
+        for (method, target, body) in [
+            ("POST", format!("/model/topology/heron/{topology}"), whatif),
+            ("GET", format!("/model/traffic/heron/{topology}"), ""),
+            (
+                "GET",
+                format!("/model/packing/heron/{topology}?parallelism=splitter:6"),
+                "",
+            ),
+            (
+                "GET",
+                format!("/metrics/heron/{topology}?q=execute-count%7Bcomponent%3Dsplitter%7D"),
+                "",
+            ),
+        ] {
+            let ours = fleet_door.handle(request(method, &target, body));
+            let theirs = standalone.handle(request(method, &target, body));
+            assert_eq!(
+                (ours.status, text(&ours)),
+                (theirs.status, text(&theirs)),
+                "{method} {target}"
+            );
+            let expected = if topology == name { 200 } else { 404 };
+            assert_eq!(ours.status, expected, "{method} {target}: {}", text(&ours));
+        }
+        let plan = r#"{"window_minutes": 15}"#;
+        let target = format!("/topology/{topology}/plan");
+        let ours = job_outcome(|r| fleet_door.handle(r), &target, plan);
+        let theirs = job_outcome(|r| standalone.handle(r), &target, plan);
+        assert_eq!(ours, theirs, "{target}");
+        let expected = if topology == name {
+            "done: "
+        } else {
+            "failed: "
+        };
+        assert!(ours.starts_with(expected), "{target}: {ours}");
+    }
+
+    // The fleet door lists every tenant, and its `/health` is the
+    // `/fleet/health` body.
+    let listed = json::parse(&text(&fleet_door.handle(request("GET", "/topologies", "")))).unwrap();
+    assert_eq!(
+        listed.get("topologies").map(Value::to_json),
+        Some(r#"["tenant-a","tenant-b","tenant-c"]"#.to_string())
+    );
+    assert_eq!(
+        text(&fleet_door.handle(request("GET", "/health", ""))),
+        text(&fleet_door.handle(request("GET", "/fleet/health", "")))
     );
 }
