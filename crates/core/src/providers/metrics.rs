@@ -8,7 +8,6 @@ use caladrius_forecast::DataPoint;
 use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample};
 use heron_sim::metrics::{metric, SeriesSet, SimMetrics};
-use std::collections::BTreeMap;
 
 /// Backpressure-time (ms per minute) above which a window counts as
 /// backpressured. The metric is bimodal (≈0 or ≈60 000, paper §IV-B1), so
@@ -213,47 +212,54 @@ impl<'a> FitWindow<'a> {
     /// series — "the throughput that the external source provides whilst
     /// waiting to be processed by the entity" (paper §II-C), seen from
     /// inside the topology.
+    ///
+    /// One observation per minute of the execute series that also has an
+    /// emit sample. Every column is ascending ([`MetricsProvider::series_set`]'s
+    /// contract), so each is joined by a cursor that moves forward only.
     pub(crate) fn component_observations(
         &self,
         component: &str,
         upstream_emits: &[(String, f64)],
     ) -> Vec<ComponentObservation> {
-        let by_ts = |series: &[Sample]| -> BTreeMap<i64, f64> {
-            series.iter().map(|s| (s.ts, s.value)).collect()
-        };
         let execute = self.set(component, metric::EXECUTE_COUNT);
-        let output_by_ts = by_ts(&self.set(component, metric::EMIT_COUNT).combined);
-        let bp_by_ts = by_ts(&self.set(component, metric::BACKPRESSURE_TIME).combined);
-
-        // Source = weighted sum of upstream emissions, minute-aligned.
-        let mut source: BTreeMap<i64, f64> = BTreeMap::new();
-        for (upstream, weight) in upstream_emits {
-            for s in &self.set(upstream, metric::EMIT_COUNT).combined {
-                *source.entry(s.ts).or_insert(0.0) += s.value * weight;
-            }
-        }
+        let mut output = Column::new(&self.set(component, metric::EMIT_COUNT).combined);
+        let mut backpressure =
+            Column::new(&self.set(component, metric::BACKPRESSURE_TIME).combined);
+        let mut upstreams: Vec<(Column, f64)> = upstream_emits
+            .iter()
+            .map(|(upstream, weight)| {
+                let emits = &self.set(upstream, metric::EMIT_COUNT).combined;
+                (Column::new(emits), *weight)
+            })
+            .collect();
 
         let mut observations = Vec::new();
-        for (ts, input_rate) in &by_ts(&execute.combined) {
-            let Some(output_rate) = output_by_ts.get(ts) else {
+        for s in &execute.combined {
+            let Some(output_rate) = output.at(s.ts) else {
                 continue;
             };
-            let source_rate = source.get(ts).copied().unwrap_or(*input_rate);
-            let backpressured =
-                bp_by_ts.get(ts).copied().unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
+            // Source = weighted sum of upstream emissions, minute-aligned,
+            // added in the order the upstreams are given.
+            let mut source_rate = None;
+            for (emits, weight) in &mut upstreams {
+                if let Some(emitted) = emits.at(s.ts) {
+                    source_rate = Some(source_rate.unwrap_or(0.0) + emitted * *weight);
+                }
+            }
+            let backpressured = backpressure.at(s.ts).unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
             let per_instance_inputs: Vec<f64> = execute
                 .per_instance
                 .iter()
                 .map(|(_, series)| {
                     series
-                        .binary_search_by_key(ts, |s| s.ts)
+                        .binary_search_by_key(&s.ts, |s| s.ts)
                         .map_or(0.0, |i| series[i].value)
                 })
                 .collect();
             observations.push(ComponentObservation {
-                source_rate,
-                input_rate: *input_rate,
-                output_rate: *output_rate,
+                source_rate: source_rate.unwrap_or(s.value),
+                input_rate: s.value,
+                output_rate,
                 per_instance_inputs,
                 backpressured,
             });
@@ -262,39 +268,38 @@ impl<'a> FitWindow<'a> {
     }
 
     /// Pools per-instance `(input rate, cpu load)` pairs of a component
-    /// into CPU-model training data.
+    /// into CPU-model training data, instance by instance in the order
+    /// the execute read lists them, minute by minute.
     ///
     /// Backpressured windows are excluded: at saturation the measured CPU
     /// is clipped at the instance's allocation ("its CPU ... load is
     /// supposed to be at the maximum possible level", paper §V-E), so
     /// including those windows would bias the linear ratio ψ.
     pub(crate) fn cpu_observations(&self, component: &str) -> Vec<CpuObservation> {
-        let by_instance = |metric_name| -> BTreeMap<u32, BTreeMap<i64, f64>> {
-            self.set(component, metric_name)
-                .per_instance
-                .iter()
-                .map(|(i, s)| (*i, s.iter().map(|x| (x.ts, x.value)).collect()))
-                .collect()
+        let series_of = |metric_name, instance: &u32| {
+            let per_instance = &self.set(component, metric_name).per_instance;
+            let found = per_instance.iter().rfind(|(i, _)| i == instance);
+            found.map(|(_, series)| series.as_slice())
         };
-        let cpu_by_instance = by_instance(metric::CPU_LOAD);
-        let bp_by_instance = by_instance(metric::BACKPRESSURE_TIME);
         let mut observations = Vec::new();
         for (instance, series) in &self.set(component, metric::EXECUTE_COUNT).per_instance {
-            let Some(cpu_series) = cpu_by_instance.get(instance) else {
+            let Some(cpu_series) = series_of(metric::CPU_LOAD, instance) else {
                 continue;
             };
-            let bp_series = bp_by_instance.get(instance);
+            let mut cpu = Column::new(cpu_series);
+            let mut backpressure =
+                Column::new(series_of(metric::BACKPRESSURE_TIME, instance).unwrap_or(&[]));
             for s in series {
-                let backpressured = bp_series
-                    .and_then(|b| b.get(&s.ts))
-                    .is_some_and(|ms| *ms > BACKPRESSURE_THRESHOLD_MS);
+                let backpressured = backpressure
+                    .at(s.ts)
+                    .is_some_and(|ms| ms > BACKPRESSURE_THRESHOLD_MS);
                 if backpressured {
                     continue;
                 }
-                if let Some(cpu) = cpu_series.get(&s.ts) {
+                if let Some(cpu_load) = cpu.at(s.ts) {
                     observations.push(CpuObservation {
                         input_rate: s.value,
-                        cpu_load: *cpu,
+                        cpu_load,
                     });
                 }
             }
@@ -303,8 +308,31 @@ impl<'a> FitWindow<'a> {
     }
 }
 
+/// An ascending series read at ascending timestamps: a forward-only
+/// cursor that answers what a `ts → value` map built from the series
+/// would (the last sample at a timestamp wins).
+struct Column<'s> {
+    samples: &'s [Sample],
+    next: usize,
+}
+
+impl<'s> Column<'s> {
+    fn new(samples: &'s [Sample]) -> Self {
+        Self { samples, next: 0 }
+    }
+
+    /// The value at `ts`, which must not be below any earlier probe.
+    fn at(&mut self, ts: i64) -> Option<f64> {
+        let ahead = &self.samples[self.next..];
+        self.next += ahead.iter().take_while(|s| s.ts <= ts).count();
+        let last = self.next.checked_sub(1).map(|i| self.samples[i]);
+        last.filter(|s| s.ts == ts).map(|s| s.value)
+    }
+}
+
 /// Spout-summed offered load per minute in `[from, to]`; empty when
-/// nothing was recorded there.
+/// nothing was recorded there. Each minute's sum starts at `0.0` and adds
+/// the spouts that recorded it in the order they are given.
 fn read_source_history(
     provider: &dyn MetricsProvider,
     topology: &str,
@@ -312,17 +340,28 @@ fn read_source_history(
     from: i64,
     to: i64,
 ) -> Result<Vec<DataPoint>> {
-    let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+    let mut history: Vec<DataPoint> = Vec::new();
     for spout in spouts {
         let offered = provider.series_set(topology, spout, metric::SOURCE_OFFERED, from, to)?;
-        for s in offered.combined {
-            *by_ts.entry(s.ts).or_insert(0.0) += s.value;
-        }
+        history = add_minutes(history, &offered.combined);
     }
-    Ok(by_ts
-        .into_iter()
-        .map(|(ts, y)| DataPoint::new(ts, y))
-        .collect())
+    Ok(history)
+}
+
+/// Merges one ascending per-minute series into an ascending running sum:
+/// a minute only `series` has enters as `0.0 + value`.
+fn add_minutes(sum: Vec<DataPoint>, series: &[Sample]) -> Vec<DataPoint> {
+    let mut merged = Vec::with_capacity(sum.len().max(series.len()));
+    let mut sum = sum.into_iter().peekable();
+    for s in series {
+        while let Some(point) = sum.next_if(|p| p.ts < s.ts) {
+            merged.push(point);
+        }
+        let before = sum.next_if(|p| p.ts == s.ts).map_or(0.0, |p| p.y);
+        merged.push(DataPoint::new(s.ts, before + s.value));
+    }
+    merged.extend(sum);
+    merged
 }
 
 fn no_source_history(topology: &str) -> CoreError {
@@ -386,6 +425,7 @@ mod tests {
     use heron_sim::grouping::Grouping;
     use heron_sim::profiles::RateProfile;
     use heron_sim::topology::{TopologyBuilder, WorkProfile};
+    use std::collections::BTreeMap;
 
     fn run_sim(rate: f64) -> SimMetrics {
         let topo = TopologyBuilder::new("t")
@@ -514,8 +554,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_read_returns_both_views_in_the_stores_order() {
+    /// The per-instance metrics a fit reads of a bolt.
+    const BOLT_METRICS: [&str; 4] = [
+        metric::EXECUTE_COUNT,
+        metric::EMIT_COUNT,
+        metric::BACKPRESSURE_TIME,
+        metric::CPU_LOAD,
+    ];
+
+    /// An hour of WordCount (spout 8, splitter 5, counter 7) with a
+    /// repack: from the last simulated minute on, every counter instance
+    /// also reports from another container, so in any window across it
+    /// an instance owns two series (and in that one minute two samples,
+    /// which the per-instance view merges). Returns the store and its
+    /// last simulated minute.
+    fn repacked_wordcount() -> (SimMetrics, i64) {
         use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
         let parallelism = WordCountParallelism {
             spout: 8,
@@ -526,26 +579,23 @@ mod tests {
         let mut sim = Simulation::new(topo, SimConfig::default()).unwrap();
         sim.warmup_minutes(2);
         let metrics = sim.run_minutes(60);
-        // A repack: from the last simulated minute on, every counter
-        // instance also reports from another container, so in any window
-        // across it an instance owns two series (and in that one minute
-        // two samples, which the per-instance view merges).
-        let metric_names = [
-            metric::EXECUTE_COUNT,
-            metric::EMIT_COUNT,
-            metric::BACKPRESSURE_TIME,
-            metric::CPU_LOAD,
-        ];
         let newest = metrics.db().watermark().unwrap();
         for minute in 0..6 {
             for instance in 0..7u32 {
-                for (m, name) in metric_names.iter().enumerate() {
+                for (m, name) in BOLT_METRICS.iter().enumerate() {
                     let value = 0.1 + f64::from(instance * 31 + minute * 7 + m as u32) / 3.0;
                     let ts = newest + i64::from(minute) * 60_000;
                     metrics.record_instance(name, "counter", instance, 40 - instance, ts, value);
                 }
             }
         }
+        (metrics, newest)
+    }
+
+    #[test]
+    fn one_read_returns_both_views_in_the_stores_order() {
+        let (metrics, newest) = repacked_wordcount();
+        let metric_names = BOLT_METRICS;
 
         let bits = |s: &[Sample]| -> Vec<(i64, u64)> {
             s.iter().map(|x| (x.ts, x.value.to_bits())).collect()
@@ -642,5 +692,268 @@ mod tests {
             source_history(&provider, "t", &["ghost".to_string()], 0, i64::MAX),
             Err(CoreError::NotEnoughObservations { .. })
         ));
+    }
+
+    /// The map-based assemblers the cursor joins replaced: every column
+    /// collected into a `ts → value` map, then looked up. The reference
+    /// the non-test assemblers are held to, bit for bit.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        pub(super) fn component_observations(
+            window: &FitWindow<'_>,
+            component: &str,
+            upstream_emits: &[(String, f64)],
+        ) -> Vec<ComponentObservation> {
+            let by_ts = |series: &[Sample]| -> BTreeMap<i64, f64> {
+                series.iter().map(|s| (s.ts, s.value)).collect()
+            };
+            let execute = window.set(component, metric::EXECUTE_COUNT);
+            let output_by_ts = by_ts(&window.set(component, metric::EMIT_COUNT).combined);
+            let bp_by_ts = by_ts(&window.set(component, metric::BACKPRESSURE_TIME).combined);
+            let mut source: BTreeMap<i64, f64> = BTreeMap::new();
+            for (upstream, weight) in upstream_emits {
+                for s in &window.set(upstream, metric::EMIT_COUNT).combined {
+                    *source.entry(s.ts).or_insert(0.0) += s.value * weight;
+                }
+            }
+            let mut observations = Vec::new();
+            for (ts, input_rate) in &by_ts(&execute.combined) {
+                let Some(output_rate) = output_by_ts.get(ts) else {
+                    continue;
+                };
+                let source_rate = source.get(ts).copied().unwrap_or(*input_rate);
+                let backpressured =
+                    bp_by_ts.get(ts).copied().unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
+                let per_instance_inputs: Vec<f64> = execute
+                    .per_instance
+                    .iter()
+                    .map(|(_, series)| {
+                        series
+                            .binary_search_by_key(ts, |s| s.ts)
+                            .map_or(0.0, |i| series[i].value)
+                    })
+                    .collect();
+                observations.push(ComponentObservation {
+                    source_rate,
+                    input_rate: *input_rate,
+                    output_rate: *output_rate,
+                    per_instance_inputs,
+                    backpressured,
+                });
+            }
+            observations
+        }
+
+        pub(super) fn cpu_observations(
+            window: &FitWindow<'_>,
+            component: &str,
+        ) -> Vec<CpuObservation> {
+            let by_instance = |metric_name| -> BTreeMap<u32, BTreeMap<i64, f64>> {
+                window
+                    .set(component, metric_name)
+                    .per_instance
+                    .iter()
+                    .map(|(i, s)| (*i, s.iter().map(|x| (x.ts, x.value)).collect()))
+                    .collect()
+            };
+            let cpu_by_instance = by_instance(metric::CPU_LOAD);
+            let bp_by_instance = by_instance(metric::BACKPRESSURE_TIME);
+            let mut observations = Vec::new();
+            for (instance, series) in &window.set(component, metric::EXECUTE_COUNT).per_instance {
+                let Some(cpu_series) = cpu_by_instance.get(instance) else {
+                    continue;
+                };
+                let bp_series = bp_by_instance.get(instance);
+                for s in series {
+                    let backpressured = bp_series
+                        .and_then(|b| b.get(&s.ts))
+                        .is_some_and(|ms| *ms > BACKPRESSURE_THRESHOLD_MS);
+                    if backpressured {
+                        continue;
+                    }
+                    if let Some(cpu) = cpu_series.get(&s.ts) {
+                        observations.push(CpuObservation {
+                            input_rate: s.value,
+                            cpu_load: *cpu,
+                        });
+                    }
+                }
+            }
+            observations
+        }
+
+        pub(super) fn source_history(
+            provider: &dyn MetricsProvider,
+            topology: &str,
+            spouts: &[String],
+            from: i64,
+            to: i64,
+        ) -> Result<Vec<DataPoint>> {
+            let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+            for spout in spouts {
+                let offered =
+                    provider.series_set(topology, spout, metric::SOURCE_OFFERED, from, to)?;
+                for s in offered.combined {
+                    *by_ts.entry(s.ts).or_insert(0.0) += s.value;
+                }
+            }
+            Ok(by_ts
+                .into_iter()
+                .map(|(ts, y)| DataPoint::new(ts, y))
+                .collect())
+        }
+    }
+
+    fn component_bits(observations: &[ComponentObservation]) -> Vec<Vec<u64>> {
+        observations
+            .iter()
+            .map(|o| {
+                let mut row = vec![
+                    o.source_rate.to_bits(),
+                    o.input_rate.to_bits(),
+                    o.output_rate.to_bits(),
+                    u64::from(o.backpressured),
+                ];
+                row.extend(o.per_instance_inputs.iter().map(|v| v.to_bits()));
+                row
+            })
+            .collect()
+    }
+
+    fn cpu_bits(observations: &[CpuObservation]) -> Vec<(u64, u64)> {
+        observations
+            .iter()
+            .map(|o| (o.input_rate.to_bits(), o.cpu_load.to_bits()))
+            .collect()
+    }
+
+    fn history_bits(history: &[DataPoint]) -> Vec<(i64, u64)> {
+        history.iter().map(|p| (p.ts, p.y.to_bits())).collect()
+    }
+
+    /// Runs every assembler and its map reference over `windows` of
+    /// `metrics`; returns how many component observations were
+    /// backpressured and how many CPU observations there were, so the
+    /// caller can confirm what was exercised.
+    fn assert_assemblers_match_reference(
+        metrics: &SimMetrics,
+        spec: &LogicalSpec,
+        upstreams: &[(&str, Vec<(String, f64)>)],
+        spouts: &[String],
+        windows: &[(i64, i64)],
+    ) -> (usize, usize) {
+        let topology = metrics.topology().to_string();
+        let provider = SimMetricsProvider::new(metrics.clone());
+        let (mut backpressured, mut cpu) = (0, 0);
+        for &(from, to) in windows {
+            let window = FitWindow::read(&provider, &topology, spec, from, to).unwrap();
+            for (component, upstream_emits) in upstreams {
+                let actual = window.component_observations(component, upstream_emits);
+                let expected =
+                    reference::component_observations(&window, component, upstream_emits);
+                assert_eq!(
+                    component_bits(&actual),
+                    component_bits(&expected),
+                    "{component} [{from}, {to}]"
+                );
+                backpressured += actual.iter().filter(|o| o.backpressured).count();
+                let actual = window.cpu_observations(component);
+                let expected = reference::cpu_observations(&window, component);
+                assert_eq!(cpu_bits(&actual), cpu_bits(&expected), "{component} cpu");
+                cpu += actual.len();
+            }
+            let actual = source_history(&provider, &topology, spouts, from, to);
+            let expected = reference::source_history(&provider, &topology, spouts, from, to);
+            match (actual, expected) {
+                (Ok(actual), Ok(expected)) => {
+                    assert_eq!(history_bits(&actual), history_bits(&expected))
+                }
+                (Err(_), Ok(expected)) => assert!(expected.is_empty()),
+                (actual, expected) => panic!("{actual:?} vs {expected:?}"),
+            }
+        }
+        (backpressured, cpu)
+    }
+
+    #[test]
+    fn cursor_assemblers_match_the_map_reference_on_a_repacked_store() {
+        let (metrics, newest) = repacked_wordcount();
+        let spec = LogicalSpec::new("wordcount")
+            .component("spout", 8)
+            .component("splitter", 5)
+            .component("counter", 7)
+            .edge("spout", "splitter", "shuffle")
+            .edge("splitter", "counter", "fields");
+        let upstreams = [
+            ("splitter", vec![("spout".to_string(), 1.0)]),
+            ("counter", vec![("splitter".to_string(), 1.0)]),
+            // Two upstreams, one of them twice: the sum's order shows.
+            (
+                "counter",
+                vec![
+                    ("splitter".to_string(), 0.3),
+                    ("spout".to_string(), 0.7),
+                    ("splitter".to_string(), 1.0 / 3.0),
+                ],
+            ),
+        ];
+        let spouts = [
+            "spout".to_string(),
+            "counter".to_string(),
+            "spout".to_string(),
+        ];
+        let windows = [
+            (i64::MIN, i64::MAX),
+            (newest - 5 * 60_000, newest + 2 * 60_000),
+            (newest + 1, i64::MAX),
+        ];
+        let (_, cpu) =
+            assert_assemblers_match_reference(&metrics, &spec, &upstreams, &spouts, &windows);
+        assert!(cpu > 0);
+    }
+
+    #[test]
+    fn cursor_assemblers_match_the_map_reference_with_a_gap_and_a_late_duplicate() {
+        // A run copied into a fresh store minus one minute of the bolt's
+        // emit count and of instance 1's CPU load, with two minutes of
+        // instance 0 backpressured, then a late duplicate in one of the
+        // bolt's execute-count minutes.
+        let source = run_sim(3_000.0);
+        let newest = source.db().watermark().unwrap();
+        let gap = newest - 4 * 60_000;
+        let metrics = SimMetrics::new("t");
+        for name in source.db().metric_names() {
+            for (key, samples) in source.db().select(&name, &[], i64::MIN, i64::MAX).unwrap() {
+                let bolt = key.tag("component") == Some("bolt");
+                let instance = key.tag("instance");
+                let skipped = |s: &Sample| {
+                    s.ts == gap
+                        && bolt
+                        && (name == metric::EMIT_COUNT
+                            || (name == metric::CPU_LOAD && instance == Some("1")))
+                };
+                for s in samples.iter().filter(|s| !skipped(s)) {
+                    let stalled = bolt
+                        && name == metric::BACKPRESSURE_TIME
+                        && instance == Some("0")
+                        && (newest - 7 * 60_000..newest - 5 * 60_000).contains(&s.ts);
+                    let value = if stalled { 60_000.0 } else { s.value };
+                    metrics.db().write(&key, s.ts, value);
+                }
+            }
+        }
+        let late = newest - 3 * 60_000 + 1_000;
+        metrics.record_instance(metric::EXECUTE_COUNT, "bolt", 1, 0, late, 1.0);
+        let upstreams = [
+            ("bolt", vec![("spout".to_string(), 1.0)]),
+            ("ghost", vec![("spout".to_string(), 0.5)]),
+        ];
+        let spouts = ["spout".to_string()];
+        let windows = [(i64::MIN, i64::MAX), (0, i64::MAX), (gap, newest)];
+        let (backpressured, _) =
+            assert_assemblers_match_reference(&metrics, &spec(), &upstreams, &spouts, &windows);
+        assert!(backpressured > 0, "no backpressured minute was joined");
     }
 }

@@ -587,6 +587,38 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_reads_the_whole_i64_range() {
+        // The bottom bucket is partial: its left edge clamps to i64::MIN
+        // instead of overflowing below it.
+        let db = MetricsDb::new();
+        for (instance, ts, value) in [(0, i64::MIN, 1.0), (0, 0, 2.0), (1, i64::MIN, 4.0)] {
+            db.write(&key("splitter", instance), ts, value);
+        }
+        db.write(&key("splitter", 1), i64::MAX, 8.0);
+        let filters = [TagFilter::eq("component", "splitter")];
+        let summed = db
+            .aggregate(
+                "emit-count",
+                &filters,
+                i64::MIN,
+                i64::MAX,
+                60_000,
+                Aggregation::Sum,
+                Aggregation::Sum,
+            )
+            .unwrap();
+        let top = i64::MAX - i64::MAX.rem_euclid(60_000);
+        assert_eq!(
+            summed,
+            vec![
+                Sample::new(i64::MIN, 5.0),
+                Sample::new(0, 2.0),
+                Sample::new(top, 8.0)
+            ]
+        );
+    }
+
+    #[test]
     fn read_unknown_key_errors() {
         let db = MetricsDb::new();
         assert!(matches!(

@@ -281,11 +281,19 @@ fn encode(samples: &[Sample], mut w: impl BitSink) -> CompressedBlock {
 
 /// Decodes a block produced by [`compress`].
 pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
-    decode(block.count, BitReader::new(&block.bits))
+    let mut out = Vec::new();
+    decompress_into(block, &mut out)?;
+    Ok(out)
 }
 
-fn decode(count: u32, mut r: impl BitSource) -> Result<Vec<Sample>> {
-    let mut out = Vec::with_capacity(count as usize);
+/// [`decompress`], appending to `out` instead of allocating. On error
+/// `out` may hold part of the block.
+pub fn decompress_into(block: &CompressedBlock, out: &mut Vec<Sample>) -> Result<()> {
+    decode(block.count, BitReader::new(&block.bits), out)
+}
+
+fn decode(count: u32, mut r: impl BitSource, out: &mut Vec<Sample>) -> Result<()> {
+    out.reserve(count as usize);
     let mut prev_ts = 0i64;
     let mut prev_delta = 0i64;
     let mut prev_bits = 0u64;
@@ -343,7 +351,7 @@ fn decode(count: u32, mut r: impl BitSource) -> Result<Vec<Sample>> {
             value: f64::from_bits(bits),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// LEB128-flavoured varint over the bit stream (7 data bits per group).
@@ -475,7 +483,13 @@ mod tests {
     }
 
     fn reference_decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
-        decode(block.count, reference::BitReader::new(&block.bits))
+        let mut out = Vec::new();
+        decode(
+            block.count,
+            reference::BitReader::new(&block.bits),
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     fn bits_of(samples: &[Sample]) -> Vec<(i64, u64)> {

@@ -132,17 +132,69 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// Aligns samples to fixed-width buckets and aggregates each bucket.
 ///
 /// Bucket `b` covers `[b * width, (b + 1) * width)` and is emitted at its
-/// left edge. Empty buckets are omitted (Caladrius's Prophet-style models
-/// handle missing data natively).
+/// left edge; the partial bucket at the bottom of the `i64` range is
+/// emitted at `i64::MIN`. Empty buckets are omitted (Caladrius's
+/// Prophet-style models handle missing data natively). Each bucket's
+/// values reach `agg` in the order they are given.
+///
+/// Ascending input (what a store read returns) is walked bucket by
+/// bucket in one pass; anything else falls back to a stable sort by
+/// bucket, which yields the same result for ascending input.
 pub fn bucketed(samples: &[Sample], width_ms: i64, agg: Aggregation) -> Vec<Sample> {
     assert!(width_ms > 0, "bucket width must be positive");
-    let left_edge = |s: &Sample| s.ts.div_euclid(width_ms) * width_ms;
-    aggregate_runs(samples.iter().map(|s| (left_edge(s), s.value)), agg)
+    let mut out = Vec::with_capacity(samples.len());
+    let mut start = 0;
+    let mut bucket = None;
+    while let Some(first) = samples.get(start) {
+        let (edge, last) = match bucket {
+            // The bucket right after the previous one: no division.
+            Some((_, prev_last))
+                if first.ts > prev_last && first.ts <= prev_last.saturating_add(width_ms) =>
+            {
+                (prev_last + 1, prev_last.saturating_add(width_ms))
+            }
+            _ => bucket_of(first.ts, width_ms),
+        };
+        if bucket.is_some_and(|(prev_edge, _)| edge <= prev_edge) {
+            return aggregate_runs(
+                samples
+                    .iter()
+                    .map(|s| (bucket_of(s.ts, width_ms).0, s.value)),
+                agg,
+            );
+        }
+        let mut end = start + 1;
+        while samples
+            .get(end)
+            .is_some_and(|s| s.ts >= edge && s.ts <= last)
+        {
+            end += 1;
+        }
+        out.push(Sample {
+            ts: edge,
+            value: agg.apply(samples[start..end].iter().map(|s| s.value)),
+        });
+        bucket = Some((edge, last));
+        start = end;
+    }
+    out
+}
+
+/// The bucket of width `width_ms` holding `ts`, as its first and last
+/// timestamp, clamped to the `i64` range.
+fn bucket_of(ts: i64, width_ms: i64) -> (i64, i64) {
+    let offset = ts.rem_euclid(width_ms);
+    (
+        ts.saturating_sub(offset),
+        ts.saturating_add(width_ms - 1 - offset),
+    )
 }
 
 /// One sample per distinct bucket of `keyed`, ascending, each the
 /// aggregate of that bucket's values in the order they arrived (the sort
-/// is stable) — float sums depend on it.
+/// is stable) — float sums depend on it. The fallback for input that is
+/// not ascending, and the reference the one-pass paths are tested
+/// against.
 fn aggregate_runs(keyed: impl Iterator<Item = (i64, f64)>, agg: Aggregation) -> Vec<Sample> {
     let mut keyed: Vec<(i64, f64)> = keyed.collect();
     keyed.sort_by_key(|(bucket, _)| *bucket);
@@ -177,12 +229,46 @@ pub fn combine(
 /// The second half of [`combine`]: aggregates, per bucket, across series
 /// that [`bucketed`] already aligned to one width. Values reach `across`
 /// in the order the series are given.
+///
+/// Ascending series are merged in one pass: each output bucket takes the
+/// series' samples at the smallest pending timestamp, series by series.
+/// If any series is not ascending, everything falls back to a stable
+/// sort, which yields the same result for ascending input.
 pub fn merge_bucketed<'a>(
     aligned: impl IntoIterator<Item = &'a [Sample]>,
     across: Aggregation,
 ) -> Vec<Sample> {
-    let buckets = aligned.into_iter().flatten().map(|b| (b.ts, b.value));
-    aggregate_runs(buckets, across)
+    let mut runs: Vec<&[Sample]> = aligned.into_iter().collect();
+    if !runs.iter().all(|run| run.is_sorted_by_key(|s| s.ts)) {
+        let buckets = runs
+            .iter()
+            .flat_map(|run| run.iter().map(|s| (s.ts, s.value)));
+        return aggregate_runs(buckets, across);
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(|run| run.len()).max().unwrap_or(0));
+    let mut values = Vec::with_capacity(runs.len());
+    while let Some(ts) = runs
+        .iter()
+        .filter_map(|run| run.first())
+        .map(|s| s.ts)
+        .min()
+    {
+        values.clear();
+        for run in &mut runs {
+            while let Some((first, rest)) = run.split_first() {
+                if first.ts != ts {
+                    break;
+                }
+                values.push(first.value);
+                *run = rest;
+            }
+        }
+        out.push(Sample {
+            ts,
+            value: across.apply(values.iter().copied()),
+        });
+    }
+    out
 }
 
 /// Converts cumulative or per-interval counts into a per-second rate using

@@ -166,24 +166,39 @@ impl Series {
 
     /// Returns all samples whose timestamp lies in `[from, to]`, in time
     /// order.
+    ///
+    /// Chunks decode straight into the output. Chunks are sealed in
+    /// arrival order, so the output is already in time order unless a
+    /// late sample made two ranges overlap; only then is it sorted
+    /// (stably, so equal timestamps keep their stored order).
     pub fn samples(&self, from: i64, to: i64) -> Result<Vec<Sample>> {
         let mut out = Vec::new();
+        let mut in_order = true;
+        let mut newest = i64::MIN;
         for chunk in &self.chunks {
             if chunk.end < from || chunk.start > to {
                 continue;
             }
-            let decoded = encoding::decompress(&chunk.block)?;
-            out.extend(decoded.into_iter().filter(|s| s.ts >= from && s.ts <= to));
+            in_order &= chunk.start >= newest;
+            newest = newest.max(chunk.end);
+            let decoded = out.len();
+            encoding::decompress_into(&chunk.block, &mut out)?;
+            // A sealed chunk is sorted: keep its part in range.
+            let chunk_samples = &out[decoded..];
+            let below = chunk_samples.partition_point(|s| s.ts < from);
+            let kept = chunk_samples.partition_point(|s| s.ts <= to).max(below);
+            out.truncate(decoded + kept);
+            out.drain(decoded..decoded + below);
         }
-        out.extend(
-            self.head
-                .iter()
-                .copied()
-                .filter(|s| s.ts >= from && s.ts <= to),
-        );
-        // Chunks are sealed in arrival order; a merge keeps the guarantee
-        // even when late data crossed chunk boundaries.
-        out.sort_by_key(|s| s.ts);
+        let below = self.head.partition_point(|s| s.ts < from);
+        let kept = self.head.partition_point(|s| s.ts <= to);
+        if below < kept {
+            in_order &= self.head[below].ts >= newest;
+            out.extend_from_slice(&self.head[below..kept]);
+        }
+        if !in_order {
+            out.sort_by_key(|s| s.ts);
+        }
         Ok(out)
     }
 
@@ -327,6 +342,53 @@ mod tests {
             s.push(Sample::new(i * 60_000, 42.0));
         }
         assert!(s.storage_bytes() < 1200 * 16 / 4);
+    }
+
+    #[test]
+    fn range_reads_match_a_filter_of_every_sample() {
+        // Sealed chunks, a head, a late sample overlapping two chunks,
+        // duplicate timestamps, and ranges that are empty, inverted or
+        // fall between samples.
+        let mut s = Series::with_chunk_size(4);
+        for i in 0..10i64 {
+            s.push(Sample::new(i * 1_000, i as f64));
+        }
+        s.push(Sample::new(6_000, 60.0));
+        s.seal_head();
+        s.push(Sample::new(2_500, 25.0));
+        s.push(Sample::new(12_000, 12.0));
+        let mut all: Vec<Sample> = Vec::new();
+        for chunk in &s.chunks {
+            all.extend(encoding::decompress(&chunk.block).unwrap());
+        }
+        all.extend(&s.head);
+        all.sort_by_key(|x| x.ts);
+        let bounds = [
+            i64::MIN,
+            -1,
+            0,
+            999,
+            2_500,
+            3_000,
+            6_000,
+            9_000,
+            12_000,
+            i64::MAX,
+        ];
+        for from in bounds {
+            for to in bounds {
+                let expected: Vec<Sample> = all
+                    .iter()
+                    .copied()
+                    .filter(|x| x.ts >= from && x.ts <= to)
+                    .collect();
+                assert_eq!(s.samples(from, to).unwrap(), expected, "[{from}, {to}]");
+            }
+        }
+        // Without the late sample the chunks do not overlap.
+        let s = filled(40);
+        assert_eq!(s.samples(7 * 60_000, 3 * 60_000).unwrap(), vec![]);
+        assert_eq!(s.samples(17 * 60_000, 17 * 60_000).unwrap().len(), 1);
     }
 
     #[test]

@@ -87,6 +87,19 @@ fi
 if grep -n 'fn write_batch' crates/tsdb/src/db.rs; then
     exit 1
 fi
+# A window read is one linear pass over sorted input: the fit joins its
+# ascending columns with cursors, not per-series `ts -> value` maps (the
+# map assemblers survive only as the test reference), and merging
+# bucketed series is a k-way merge. The one sort left on the read path
+# is `aggregate_runs`, the stated fallback for input that is not
+# ascending.
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/providers/metrics.rs | grep -n 'BTreeMap<i64'; then
+    exit 1
+fi
+if sed -n '/^pub fn merge_bucketed/,/^}/p' crates/tsdb/src/query.rs |
+    grep -nE '\.sort(_|\()|^ *aggregate_runs\('; then
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release
@@ -165,6 +178,13 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test incremental_equiv
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --test source_history_equivalence
 CALADRIUS_THREADS=1 cargo test -q --test forecast_equivalence
+
+# The read path's one-pass bucketing and k-way merge against the
+# stable-sort oracle, bit for bit, over ascending, unsorted and empty
+# runs, i64-extreme timestamps and hostile values; more cases than the
+# default.
+echo "==> PROPTEST_CASES=2048 read-path merge == sort"
+PROPTEST_CASES=2048 cargo test -q -p caladrius-tsdb --test prop_query
 
 echo "==> observability smoke (scrape /metrics/service)"
 cargo run --release --example obs_smoke
