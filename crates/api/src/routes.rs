@@ -1624,6 +1624,37 @@ mod tests {
     }
 
     #[test]
+    fn packing_path_count_overflow_is_422() {
+        // 40 layers at parallelism 4: 4^40 instance paths, past u64.
+        use heron_sim::prelude::{Grouping, RateProfile, TopologyBuilder, WorkProfile};
+        let mut deep =
+            TopologyBuilder::new("deep").spout("c0", 4, RateProfile::constant_per_min(1.0e6), 64);
+        for layer in 1..40 {
+            deep = deep
+                .bolt(format!("c{layer}"), 4, WorkProfile::new(1.0e6, 1.0, 64))
+                .edge(
+                    format!("c{}", layer - 1),
+                    format!("c{layer}"),
+                    Grouping::shuffle(),
+                );
+        }
+        let caladrius = Caladrius::new(
+            Arc::new(SimMetricsProvider::new(
+                heron_sim::metrics::SimMetrics::new("deep"),
+            )),
+            Arc::new(StaticTracker::new().with(deep.build().unwrap())),
+        );
+        let s = ApiService::new(Arc::new(caladrius), 2);
+        let r = get(&s, "/model/packing/heron/deep?containers=4");
+        let body = String::from_utf8_lossy(&r.body);
+        assert_eq!(r.status, 422, "{body}");
+        assert!(
+            body.contains("instance path count exceeds the u64 range"),
+            "{body}"
+        );
+    }
+
+    #[test]
     fn metrics_endpoint() {
         let s = service();
         let r = get(

@@ -15,8 +15,7 @@ use caladrius_core::service::SourceRateSpec;
 use caladrius_core::Caladrius;
 use caladrius_forecast::prophet::{Prophet, ProphetConfig};
 use caladrius_forecast::{DataPoint, Forecaster};
-use caladrius_graph::algo;
-use caladrius_graph::topology_graph::{build_logical, instance_path_count, LogicalSpec};
+use caladrius_graph::topology_graph::{LogicalSpec, TopologyDag};
 use caladrius_tsdb::encoding::{compress, decompress};
 use caladrius_tsdb::{MetricBatch, MetricsDb, Sample, SeriesKey, TagFilter};
 use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
@@ -316,15 +315,12 @@ fn bench_graph(c: &mut Criterion) {
         .edge("spout", "a", "shuffle")
         .edge("a", "b", "fields")
         .edge("b", "sink", "shuffle");
-    group.bench_function("build_logical", |b| {
-        b.iter(|| build_logical(black_box(&spec)).unwrap());
+    group.bench_function("dag_build", |b| {
+        b.iter(|| TopologyDag::new(black_box(&spec)).unwrap());
     });
+    let dag = TopologyDag::new(&spec).unwrap();
     group.bench_function("instance_path_count", |b| {
-        b.iter(|| instance_path_count(black_box(&spec)).unwrap());
-    });
-    let logical = build_logical(&spec).unwrap();
-    group.bench_function("source_sink_paths", |b| {
-        b.iter(|| algo::source_sink_paths(black_box(&logical.graph)));
+        b.iter(|| black_box(&dag).instance_path_count().unwrap());
     });
     group.finish();
 }

@@ -72,9 +72,16 @@ impl From<caladrius_tsdb::Error> for CoreError {
     }
 }
 
-impl From<caladrius_graph::topology_graph::TopologyGraphError> for CoreError {
-    fn from(e: caladrius_graph::topology_graph::TopologyGraphError) -> Self {
-        CoreError::Substrate(format!("graph: {e}"))
+impl From<caladrius_graph::TopologyGraphError> for CoreError {
+    /// A path count past `u64` is a property of the topology asked about,
+    /// not a failure: it cannot be answered ([`CoreError::Unpredictable`]).
+    fn from(e: caladrius_graph::TopologyGraphError) -> Self {
+        match e {
+            caladrius_graph::TopologyGraphError::PathCountOverflow => {
+                CoreError::Unpredictable(format!("graph: {e}"))
+            }
+            _ => CoreError::Substrate(format!("graph: {e}")),
+        }
     }
 }
 
@@ -106,5 +113,9 @@ mod tests {
         assert!(matches!(e, CoreError::Substrate(_)));
         let e: CoreError = caladrius_tsdb::Error::SeriesNotFound("m".into()).into();
         assert!(matches!(e, CoreError::Substrate(_)));
+        let e: CoreError = caladrius_graph::TopologyGraphError::NotADag.into();
+        assert!(matches!(e, CoreError::Substrate(_)));
+        let e: CoreError = caladrius_graph::TopologyGraphError::PathCountOverflow.into();
+        assert!(matches!(&e, CoreError::Unpredictable(why) if why.contains("u64 range")));
     }
 }

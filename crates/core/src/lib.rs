@@ -19,8 +19,9 @@
 //!
 //! Everything is wired together by [`service::Caladrius`], which pulls
 //! metrics through the [`providers`] seams (metrics database, topology
-//! tracker, graph cache) exactly the way the paper's model-logistics tier
-//! does (Fig. 2).
+//! tracker) exactly the way the paper's model-logistics tier does
+//! (Fig. 2), and builds the topology DAG from the tracker's spec when it
+//! needs the structure.
 
 #![warn(missing_docs)]
 

@@ -10,8 +10,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::model::component::ComponentModel;
-use caladrius_graph::algo;
-use caladrius_graph::topology_graph::{build_logical, LogicalSpec};
+use caladrius_graph::topology_graph::{LogicalSpec, TopologyDag};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -111,47 +110,34 @@ impl TopologyModel {
     /// Builds a topology model from a logical spec and per-bolt component
     /// models. Spouts need no model (their output *is* the source rate).
     pub fn new(spec: LogicalSpec, models: HashMap<String, ComponentModel>) -> Result<Self> {
-        let logical = build_logical(&spec)?;
-        let names: Vec<String> = algo::topo_sort(&logical.graph)
-            .map_err(|_| CoreError::InvalidRequest("topology graph has a cycle".into()))?
-            .into_iter()
-            .map(|v| {
-                logical
-                    .graph
-                    .vertex_prop(v, "name")
-                    .and_then(|p| p.as_str().map(String::from))
-                    .expect("built vertices carry names")
-            })
-            .collect();
-        let spouts: Vec<String> = spec
-            .components
+        let dag = TopologyDag::new(&spec)?;
+        let spouts: Vec<String> = dag
+            .spouts()
             .iter()
-            .filter(|(name, _)| !spec.edges.iter().any(|(_, to, _)| to == name))
-            .map(|(name, _)| name.clone())
+            .map(|&v| dag.name(v).to_string())
             .collect();
-        for (name, _) in &spec.components {
-            if !spouts.contains(name) && !models.contains_key(name) {
+        let mut is_spout = vec![false; dag.len()];
+        for &v in dag.spouts() {
+            is_spout[v] = true;
+        }
+        for ((name, _), spout) in spec.components.iter().zip(&is_spout) {
+            if !spout && !models.contains_key(name) {
                 return Err(CoreError::Unknown(format!(
                     "no component model supplied for bolt {name:?}"
                 )));
             }
         }
-        let order = names
+        let mut position = vec![0; dag.len()];
+        for (i, &v) in dag.order().iter().enumerate() {
+            position[v] = i;
+        }
+        let order = dag
+            .order()
             .iter()
-            .map(|name| Node {
-                name: name.clone(),
-                spout: spouts.contains(name),
-                targets: spec
-                    .edges
-                    .iter()
-                    .filter(|(from, _, _)| from == name)
-                    .map(|(_, to, _)| {
-                        names
-                            .iter()
-                            .position(|n| n == to)
-                            .expect("a built spec's edges join its components")
-                    })
-                    .collect(),
+            .map(|&v| Node {
+                name: dag.name(v).to_string(),
+                spout: is_spout[v],
+                targets: dag.successors(v).iter().map(|&w| position[w]).collect(),
             })
             .collect();
         Ok(Self {
@@ -172,24 +158,16 @@ impl TopologyModel {
         self.models.get(name)
     }
 
-    /// All spout→sink critical-path candidates (component name chains),
-    /// via the graph substrate.
+    /// All spout→sink critical-path candidates (component name chains):
+    /// by (spout, sink) in declaration order, then depth-first in edge
+    /// order. Their number can grow exponentially with depth, so no
+    /// service path calls this.
     pub fn critical_path_candidates(&self) -> Result<Vec<Vec<String>>> {
-        let logical = build_logical(&self.spec)?;
-        let paths = algo::source_sink_paths(&logical.graph);
-        Ok(paths
+        let dag = TopologyDag::new(&self.spec)?;
+        Ok(dag
+            .spout_sink_paths()
             .into_iter()
-            .map(|path| {
-                path.into_iter()
-                    .map(|v| {
-                        logical
-                            .graph
-                            .vertex_prop(v, "name")
-                            .and_then(|p| p.as_str().map(String::from))
-                            .expect("built vertices carry names")
-                    })
-                    .collect()
-            })
+            .map(|path| path.into_iter().map(|v| dag.name(v).to_string()).collect())
             .collect())
     }
 

@@ -14,8 +14,8 @@ pub trait TopologyTracker: Send + Sync {
     /// The logical spec (components with parallelism, grouped edges).
     fn logical_spec(&self, topology: &str) -> Result<LogicalSpec>;
 
-    /// Monotonic version bumped on every topology update; drives graph
-    /// cache invalidation.
+    /// Monotonic version bumped on every topology update; part of the
+    /// model and plan caches' data stamp.
     fn last_updated(&self, topology: &str) -> Result<u64>;
 
     /// Names of known topologies, sorted.
@@ -76,7 +76,7 @@ impl TopologyTracker for ClusterTracker {
 /// Tracker over a set of topologies held in memory (no cluster needed):
 /// one-shot analyses, tests, and a fleet shard's hosted topologies.
 /// Registrations may land while a service reads it, and re-registration
-/// bumps the version (invalidating graph and model caches downstream).
+/// bumps the version (invalidating the model and plan caches downstream).
 #[derive(Debug, Default)]
 pub struct StaticTracker {
     topologies: RwLock<HashMap<String, (Topology, u64)>>,

@@ -12,11 +12,11 @@ use crate::model::component::{ComponentFitStats, GroupingKind};
 use crate::model::cpu::{CpuFitStats, CpuModel};
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
-use crate::providers::graph::GraphService;
 use crate::providers::metrics::{slide_source_history, source_history, FitWindow, MetricsProvider};
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
 use caladrius_forecast::{DataPoint, Forecaster, UpdateOutcome};
+use caladrius_graph::topology_graph::TopologyDag;
 use caladrius_obs::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -196,30 +196,85 @@ type FitJob = (String, u32, Vec<(String, f64)>, GroupingKind);
 
 /// Per-bolt fit jobs in declaration order, with per-edge emission
 /// weights derived from each upstream's out-degree.
-fn fit_jobs(spec: &caladrius_graph::topology_graph::LogicalSpec) -> Vec<FitJob> {
-    let mut out_degree: HashMap<&str, usize> = HashMap::new();
-    for (from_c, _, _) in &spec.edges {
-        *out_degree.entry(from_c.as_str()).or_insert(0) += 1;
+fn fit_jobs(spec: &caladrius_graph::LogicalSpec, dag: &TopologyDag) -> Vec<FitJob> {
+    let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); dag.len()];
+    for (e, &(_, to)) in dag.edges().iter().enumerate() {
+        in_edges[to].push(e);
     }
-    spec.components
-        .iter()
-        .filter_map(|(name, parallelism)| {
-            let in_edges: Vec<&(String, String, String)> = spec
-                .edges
+    (0..dag.len())
+        .filter(|&v| !in_edges[v].is_empty()) // spouts have none
+        .map(|v| {
+            let upstreams: Vec<(String, f64)> = in_edges[v]
                 .iter()
-                .filter(|(_, to_c, _)| to_c == name)
+                .map(|&e| {
+                    let from = dag.edges()[e].0;
+                    let weight = 1.0 / dag.successors(from).len() as f64;
+                    (dag.name(from).to_string(), weight)
+                })
                 .collect();
-            if in_edges.is_empty() {
-                return None; // spout
-            }
-            let upstreams: Vec<(String, f64)> = in_edges
-                .iter()
-                .map(|(from_c, _, _)| (from_c.clone(), 1.0 / out_degree[from_c.as_str()] as f64))
-                .collect();
-            let grouping = GroupingKind::from_name(&in_edges[0].2);
-            Some((name.clone(), *parallelism, upstreams, grouping))
+            let grouping = GroupingKind::from_name(&spec.edges[in_edges[v][0]].2);
+            (
+                dag.name(v).to_string(),
+                dag.parallelism(v),
+                upstreams,
+                grouping,
+            )
         })
         .collect()
+}
+
+/// Summarises the round-robin packing of `dag`'s instances over
+/// `containers` containers (Heron's default order: component declaration
+/// order, then instance index). Instance `k` of that sequence lands on
+/// container `k % containers`, so a component whose first instance takes
+/// slot `first` places `instances_on(c, first, p, containers)` of its `p`
+/// instances on container `c`, and the summary works from those counts.
+fn packing_summary(dag: &TopologyDag, containers: usize) -> Result<PackingOverview> {
+    let mut first_slot = Vec::with_capacity(dag.len());
+    let mut total_instances = 0usize;
+    for v in 0..dag.len() {
+        first_slot.push(total_instances);
+        total_instances += dag.parallelism(v) as usize;
+    }
+    let counts: Vec<f64> = (0..containers)
+        .map(|c| instances_on(c, 0, total_instances, containers) as f64)
+        .collect();
+    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
+    let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
+
+    // Remote-pair fraction: how many upstream→downstream instance pairs
+    // cross containers. A pair is local when both ends share one.
+    let on = |v: usize, c: usize| {
+        instances_on(c, first_slot[v], dag.parallelism(v) as usize, containers) as u128
+    };
+    let mut pairs = 0u128;
+    let mut remote = 0u128;
+    for &(from, to) in dag.edges() {
+        let all = dag.parallelism(from) as u128 * dag.parallelism(to) as u128;
+        let local: u128 = (0..containers).map(|c| on(from, c) * on(to, c)).sum();
+        pairs += all;
+        remote += all - local;
+    }
+
+    Ok(PackingOverview {
+        containers,
+        total_instances,
+        max_instances_per_container: counts.iter().copied().fold(0.0, f64::max) as usize,
+        balance_stddev: var.sqrt(),
+        remote_pair_fraction: if pairs > 0 {
+            remote as f64 / pairs as f64
+        } else {
+            0.0
+        },
+        instance_paths: dag.instance_path_count()?,
+    })
+}
+
+/// How many of `count` consecutive round-robin slots starting at `first`
+/// fall on container `c` of `containers`.
+fn instances_on(c: usize, first: usize, count: usize, containers: usize) -> usize {
+    let offset = (c + containers - first % containers) % containers;
+    count / containers + usize::from(offset < count % containers)
 }
 
 /// What [`Caladrius::fitted_models`] hands out: the fitted topology model
@@ -233,7 +288,6 @@ pub struct Caladrius {
     tracker: Arc<dyn TopologyTracker>,
     traffic: TrafficModelRegistry,
     performance: ModelRegistry,
-    graphs: GraphService,
     /// Per topology.
     models: StampedCache<String, CachedModels>,
     /// Per topology: the source-rate history over the training window
@@ -397,7 +451,6 @@ impl Caladrius {
             tracker,
             traffic: TrafficModelRegistry::with_defaults(),
             performance: ModelRegistry::with_defaults(),
-            graphs: GraphService::new(),
             models: StampedCache::new(None),
             histories: StampedCache::new(None),
             forecasters: StampedCache::new(None),
@@ -464,73 +517,25 @@ impl Caladrius {
         proposed_parallelisms: &HashMap<String, u32>,
         containers: usize,
     ) -> Result<PackingOverview> {
-        use caladrius_graph::topology_graph::{
-            instance_path_count, round_robin_assignment, LogicalSpec,
-        };
         if containers == 0 {
             return Err(CoreError::InvalidRequest(
                 "containers must be at least 1".into(),
             ));
         }
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        let mut spec = LogicalSpec::new(logical.spec.name.clone());
-        for (name, p) in &logical.spec.components {
-            let p = proposed_parallelisms.get(name).copied().unwrap_or(*p);
-            if p == 0 {
-                return Err(CoreError::InvalidRequest(format!(
-                    "parallelism of {name:?} must be positive"
-                )));
-            }
-            spec = spec.component(name.clone(), p);
-        }
-        for (from, to, grouping) in &logical.spec.edges {
-            spec = spec.edge(from.clone(), to.clone(), grouping.clone());
-        }
-
-        let assignment = round_robin_assignment(&spec, containers);
-        let counts: Vec<f64> = assignment.iter().map(|c| c.len() as f64).collect();
-        let total_instances: usize = assignment.iter().map(Vec::len).sum();
-        let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-        let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
-
-        // Remote-pair fraction: how many upstream→downstream instance
-        // pairs cross containers under this assignment.
-        let mut location = HashMap::new();
-        for (c_idx, contents) in assignment.iter().enumerate() {
-            for (component, index) in contents {
-                location.insert((component.clone(), *index), c_idx);
-            }
-        }
-        let parallelism: HashMap<&str, u32> = spec
-            .components
-            .iter()
-            .map(|(n, p)| (n.as_str(), *p))
-            .collect();
-        let mut pairs = 0usize;
-        let mut remote = 0usize;
-        for (from, to, _) in &spec.edges {
-            for fi in 0..parallelism[from.as_str()] {
-                for ti in 0..parallelism[to.as_str()] {
-                    pairs += 1;
-                    if location.get(&(from.clone(), fi)) != location.get(&(to.clone(), ti)) {
-                        remote += 1;
-                    }
+        // The tracked spec's own errors come before the proposal's.
+        let mut spec = self.tracker.logical_spec(topology)?;
+        TopologyDag::new(&spec)?;
+        for (name, p) in &mut spec.components {
+            if let Some(&proposed) = proposed_parallelisms.get(name.as_str()) {
+                if proposed == 0 {
+                    return Err(CoreError::InvalidRequest(format!(
+                        "parallelism of {name:?} must be positive"
+                    )));
                 }
+                *p = proposed;
             }
         }
-
-        Ok(PackingOverview {
-            containers,
-            total_instances,
-            max_instances_per_container: counts.iter().copied().fold(0.0, f64::max) as usize,
-            balance_stddev: var.sqrt(),
-            remote_pair_fraction: if pairs > 0 {
-                remote as f64 / pairs as f64
-            } else {
-                0.0
-            },
-            instance_paths: instance_path_count(&spec)?,
-        })
+        packing_summary(&TopologyDag::new(&spec)?, containers)
     }
 
     /// First minute of the training window ending at minute `to`.
@@ -548,15 +553,18 @@ impl Caladrius {
         Ok((self.window_start(to), to))
     }
 
+    /// The DAG of `topology`'s current spec.
+    fn dag(&self, topology: &str) -> Result<TopologyDag> {
+        Ok(TopologyDag::new(&self.tracker.logical_spec(topology)?)?)
+    }
+
     /// Spout component names of a topology.
     fn spouts(&self, topology: &str) -> Result<Vec<String>> {
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        Ok(logical
-            .spec
-            .components
+        let dag = self.dag(topology)?;
+        Ok(dag
+            .spouts()
             .iter()
-            .filter(|(name, _)| !logical.spec.edges.iter().any(|(_, to, _)| to == name))
-            .map(|(name, _)| name.clone())
+            .map(|&v| dag.name(v).to_string())
             .collect())
     }
 
@@ -840,9 +848,8 @@ impl Caladrius {
         from: i64,
         to: i64,
     ) -> Result<CachedModels> {
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        let spec = logical.spec.clone();
-        let jobs = fit_jobs(&spec);
+        let spec = self.tracker.logical_spec(topology)?;
+        let jobs = fit_jobs(&spec, &TopologyDag::new(&spec)?);
         let fits_by_mode = if stats.component.is_empty() {
             for (name, parallelism, _, grouping) in &jobs {
                 let zeroed = ComponentFitStats::new(name.clone(), *parallelism, grouping.clone())?;
@@ -1252,9 +1259,9 @@ impl Caladrius {
 
         // Plan the modelled bolts in declaration order; the current
         // deployment seeds the window-0 action diff.
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        let initial: Vec<(String, u32)> = logical
-            .spec
+        let initial: Vec<(String, u32)> = self
+            .tracker
+            .logical_spec(topology)?
             .components
             .iter()
             .filter(|(name, _)| model.component_model(name).is_some())
@@ -1310,13 +1317,11 @@ impl Caladrius {
 
     /// Sink component names of a topology (no outgoing edges).
     fn sinks(&self, topology: &str) -> Result<Vec<String>> {
-        let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
-        Ok(logical
-            .spec
-            .components
+        let dag = self.dag(topology)?;
+        Ok(dag
+            .sinks()
             .iter()
-            .filter(|(name, _)| !logical.spec.edges.iter().any(|(from, _, _)| from == name))
-            .map(|(name, _)| name.clone())
+            .map(|&v| dag.name(v).to_string())
             .collect())
     }
 
@@ -1645,6 +1650,125 @@ mod tests {
         assert!(caladrius
             .packing_overview("ghost", &HashMap::new(), 2)
             .is_err());
+    }
+
+    #[test]
+    fn packing_overview_counts_hostile_parallelism_exactly() {
+        // 2,000,008 instances and 10^12 splitter→counter pairs: answered
+        // from per-container counts, never by visiting them.
+        let caladrius = service();
+        let proposal = HashMap::from([
+            ("splitter".to_string(), 1_000_000u32),
+            ("counter".to_string(), 1_000_000u32),
+        ]);
+        let overview = caladrius
+            .packing_overview("wordcount", &proposal, 13)
+            .unwrap();
+        assert_eq!(overview.total_instances, 8 + 2_000_000);
+        assert_eq!(overview.instance_paths, 8 * 1_000_000 * 1_000_000);
+        assert_eq!(overview.max_instances_per_container, 153_847);
+        assert!((0.0..1.0).contains(&overview.remote_pair_fraction));
+    }
+
+    /// The packing summary as it was computed before it worked from
+    /// per-container counts: materialise the round-robin assignment, then
+    /// visit every upstream→downstream instance pair.
+    fn reference_packing(
+        spec: &caladrius_graph::LogicalSpec,
+        num_containers: usize,
+    ) -> PackingOverview {
+        let mut assignment: Vec<Vec<(String, u32)>> = vec![Vec::new(); num_containers];
+        let mut next = 0usize;
+        for (name, p) in &spec.components {
+            for i in 0..*p {
+                assignment[next % num_containers].push((name.clone(), i));
+                next += 1;
+            }
+        }
+        let counts: Vec<f64> = assignment.iter().map(|c| c.len() as f64).collect();
+        let total_instances: usize = assignment.iter().map(Vec::len).sum();
+        let mean = counts.iter().sum::<f64>() / counts.len() as f64;
+        let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
+        let mut location = HashMap::new();
+        for (c_idx, contents) in assignment.iter().enumerate() {
+            for (component, index) in contents {
+                location.insert((component.clone(), *index), c_idx);
+            }
+        }
+        let parallelism: HashMap<&str, u32> = spec
+            .components
+            .iter()
+            .map(|(n, p)| (n.as_str(), *p))
+            .collect();
+        let mut pairs = 0usize;
+        let mut remote = 0usize;
+        for (from, to, _) in &spec.edges {
+            for fi in 0..parallelism[from.as_str()] {
+                for ti in 0..parallelism[to.as_str()] {
+                    pairs += 1;
+                    if location.get(&(from.clone(), fi)) != location.get(&(to.clone(), ti)) {
+                        remote += 1;
+                    }
+                }
+            }
+        }
+        PackingOverview {
+            containers: num_containers,
+            total_instances,
+            max_instances_per_container: counts.iter().copied().fold(0.0, f64::max) as usize,
+            balance_stddev: var.sqrt(),
+            remote_pair_fraction: if pairs > 0 {
+                remote as f64 / pairs as f64
+            } else {
+                0.0
+            },
+            instance_paths: TopologyDag::new(spec)
+                .unwrap()
+                .instance_path_count()
+                .unwrap(),
+        }
+    }
+
+    /// A small random acyclic spec (streams run down the declaration
+    /// order and may repeat) and a container count.
+    fn arb_packing() -> proptest::strategy::BoxedStrategy<(caladrius_graph::LogicalSpec, usize)> {
+        proptest::strategy::BoxedStrategy::from_fn(|rng| {
+            let n = 1 + rng.below(6);
+            let mut spec = caladrius_graph::LogicalSpec::new("random");
+            for v in 0..n {
+                spec = spec.component(format!("c{v}"), 1 + rng.below(9) as u32);
+            }
+            for _ in 0..rng.below(10) {
+                let (a, b) = (rng.below(n), rng.below(n));
+                if a < b {
+                    spec = spec.edge(format!("c{a}"), format!("c{b}"), "shuffle");
+                }
+            }
+            (spec, 1 + rng.below(14))
+        })
+    }
+
+    proptest::proptest! {
+        /// Every field of the summary equals the materialised reference's,
+        /// the floats bit for bit.
+        #[test]
+        fn packing_summary_matches_materialised_round_robin(case in arb_packing()) {
+            let (spec, containers) = case;
+            let got = packing_summary(&TopologyDag::new(&spec).unwrap(), containers).unwrap();
+            let want = reference_packing(&spec, containers);
+            proptest::prop_assert_eq!(got.containers, want.containers);
+            proptest::prop_assert_eq!(got.total_instances, want.total_instances);
+            proptest::prop_assert_eq!(
+                got.max_instances_per_container,
+                want.max_instances_per_container
+            );
+            proptest::prop_assert_eq!(got.balance_stddev.to_bits(), want.balance_stddev.to_bits());
+            proptest::prop_assert_eq!(
+                got.remote_pair_fraction.to_bits(),
+                want.remote_pair_fraction.to_bits()
+            );
+            proptest::prop_assert_eq!(got.instance_paths, want.instance_paths);
+        }
     }
 
     #[test]

@@ -1,24 +1,22 @@
 //! # caladrius-graph
 //!
-//! In-memory property-graph substrate standing in for the Apache TinkerPop
-//! layer the Caladrius paper uses for topology analysis (§III-C1).
+//! The topology graph layer the Caladrius paper builds on Apache TinkerPop
+//! (§III-C1). The paper uses it for path calculations over a topology, and
+//! that is all this crate does:
 //!
-//! The crate provides:
-//!
-//! * a labelled property graph ([`graph::Graph`]) with typed property
-//!   values on vertices and edges,
-//! * a fluent, TinkerPop-flavoured traversal API ([`traversal::Traversal`]):
-//!   `g.v().has_label("component").out("stream").values("parallelism")`,
-//! * DAG algorithms used by the models ([`algo`]): topological sort, simple
-//!   path enumeration between sources and sinks, path counting (the "16
-//!   possible paths" of the paper's Fig. 1), longest/critical path search,
-//! * builders that turn a topology description into its logical and
-//!   physical graphs ([`topology_graph`]), plus a metadata cache with
-//!   last-updated invalidation, mirroring the paper's graph/topology
-//!   metadata components.
+//! * [`LogicalSpec`] — a topology description: named components with
+//!   parallelism, joined by grouped streams;
+//! * [`TopologyDag`] — the spec validated once into an index-based DAG
+//!   (components in declaration order, out-edges in CSR form, spouts,
+//!   sinks and a topological order);
+//! * [`TopologyDag::instance_path_count`] — the instance-level path count
+//!   (the "16 possible paths" of the paper's Fig. 1c) as a checked DP over
+//!   components, never an enumeration;
+//! * [`TopologyDag::spout_sink_paths`] — the component-level critical-path
+//!   candidates of Fig. 10, for offline analysis.
 //!
 //! ```
-//! use caladrius_graph::topology_graph::{LogicalSpec, build_logical};
+//! use caladrius_graph::topology_graph::{LogicalSpec, TopologyDag};
 //!
 //! let spec = LogicalSpec::new("wordcount")
 //!     .component("spout", 2)
@@ -26,18 +24,15 @@
 //!     .component("counter", 4)
 //!     .edge("spout", "splitter", "shuffle")
 //!     .edge("splitter", "counter", "fields");
-//! let logical = build_logical(&spec).unwrap();
-//! assert_eq!(logical.graph.vertex_count(), 3);
+//! let dag = TopologyDag::new(&spec).unwrap();
+//! assert_eq!(dag.len(), 3);
+//! assert_eq!(dag.spout_sink_paths(), vec![vec![0, 1, 2]]);
 //! // Instance-level path count through the physical topology: 2 * 2 * 4.
-//! assert_eq!(caladrius_graph::topology_graph::instance_path_count(&spec).unwrap(), 16);
+//! assert_eq!(dag.instance_path_count().unwrap(), 16);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod algo;
-pub mod graph;
 pub mod topology_graph;
-pub mod traversal;
 
-pub use graph::{EdgeId, Graph, PropValue, VertexId};
-pub use traversal::Traversal;
+pub use topology_graph::{LogicalSpec, TopologyDag, TopologyGraphError};

@@ -1,13 +1,11 @@
-//! Builders turning a topology description into its logical and physical
-//! property graphs, plus the metadata cache Caladrius keeps in front of the
-//! graph store (paper §III-C1).
+//! A topology description and the typed DAG Caladrius runs its path
+//! calculations over (paper §III-C1).
 //!
 //! The spec type here is deliberately independent of the simulator so that
 //! this crate stays a generic substrate; `caladrius-core` adapts simulator
-//! topologies into [`LogicalSpec`]s.
+//! topologies into [`LogicalSpec`]s and builds a [`TopologyDag`] from one
+//! whenever it needs the structure.
 
-use crate::algo::{self, AlgoError};
-use crate::graph::{Graph, VertexId};
 use std::collections::HashMap;
 
 /// Errors from topology graph construction.
@@ -43,15 +41,6 @@ impl std::fmt::Display for TopologyGraphError {
 }
 
 impl std::error::Error for TopologyGraphError {}
-
-impl From<AlgoError> for TopologyGraphError {
-    fn from(e: AlgoError) -> Self {
-        match e {
-            AlgoError::NotADag => TopologyGraphError::NotADag,
-            AlgoError::CountOverflow => TopologyGraphError::PathCountOverflow,
-        }
-    }
-}
 
 /// A minimal logical topology description: named components with
 /// parallelism, connected by grouped streams.
@@ -91,265 +80,223 @@ impl LogicalSpec {
         self.edges.push((from.into(), to.into(), grouping.into()));
         self
     }
+}
 
-    fn validate(&self) -> Result<HashMap<&str, u32>, TopologyGraphError> {
-        let mut seen: HashMap<&str, u32> = HashMap::new();
-        for (name, p) in &self.components {
+/// A validated logical topology. Components are numbered in declaration
+/// order and edges in spec order; every method speaks those indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyDag {
+    names: Vec<String>,
+    parallelism: Vec<u32>,
+    /// `(from, to)` of every spec edge, in spec order.
+    edges: Vec<(usize, usize)>,
+    /// Successors of component `v` are `targets[offsets[v]..offsets[v + 1]]`,
+    /// in spec edge order.
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+    spouts: Vec<usize>,
+    sinks: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl TopologyDag {
+    /// Validates `spec` and builds its DAG. Checks run in a fixed order:
+    /// each component's parallelism and uniqueness in declaration order,
+    /// then each edge's endpoints (source first) in spec order, then
+    /// acyclicity.
+    pub fn new(spec: &LogicalSpec) -> Result<Self, TopologyGraphError> {
+        let mut index: HashMap<&str, usize> = HashMap::with_capacity(spec.components.len());
+        for (v, (name, p)) in spec.components.iter().enumerate() {
             if *p == 0 {
                 return Err(TopologyGraphError::ZeroParallelism(name.clone()));
             }
-            if seen.insert(name.as_str(), *p).is_some() {
+            if index.insert(name.as_str(), v).is_some() {
                 return Err(TopologyGraphError::DuplicateComponent(name.clone()));
             }
         }
-        for (from, to, _) in &self.edges {
-            for c in [from, to] {
-                if !seen.contains_key(c.as_str()) {
-                    return Err(TopologyGraphError::UnknownComponent(c.clone()));
+        let endpoint = |c: &String| {
+            index
+                .get(c.as_str())
+                .copied()
+                .ok_or_else(|| TopologyGraphError::UnknownComponent(c.clone()))
+        };
+        let edges = spec
+            .edges
+            .iter()
+            .map(|(from, to, _)| Ok((endpoint(from)?, endpoint(to)?)))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // Out-edges as CSR: a counting sort by source keeps spec order.
+        let n = spec.components.len();
+        let mut offsets = vec![0; n + 1];
+        let mut in_degree = vec![0usize; n];
+        for &(from, to) in &edges {
+            offsets[from + 1] += 1;
+            in_degree[to] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets.clone();
+        let mut targets = vec![0; edges.len()];
+        for &(from, to) in &edges {
+            targets[fill[from]] = to;
+            fill[from] += 1;
+        }
+
+        let spouts: Vec<usize> = (0..n).filter(|&v| in_degree[v] == 0).collect();
+        let sinks: Vec<usize> = (0..n).filter(|&v| offsets[v] == offsets[v + 1]).collect();
+
+        // Kahn's algorithm, seeded in declaration order. `order` is its
+        // own FIFO queue: every component enters it once.
+        let mut order = spouts.clone();
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &w in &targets[offsets[v]..offsets[v + 1]] {
+                in_degree[w] -= 1;
+                if in_degree[w] == 0 {
+                    order.push(w);
                 }
             }
         }
-        Ok(seen)
-    }
-}
-
-/// A built logical graph together with its component→vertex map.
-#[derive(Debug, Clone)]
-pub struct LogicalGraph {
-    /// The property graph: one `component` vertex per component, one
-    /// `stream` edge per declared stream (grouping stored as an edge
-    /// property).
-    pub graph: Graph,
-    /// Component name → vertex.
-    pub vertex_of: HashMap<String, VertexId>,
-}
-
-/// Builds the logical (component-level) graph of a topology.
-pub fn build_logical(spec: &LogicalSpec) -> Result<LogicalGraph, TopologyGraphError> {
-    spec.validate()?;
-    let mut graph = Graph::new();
-    let mut vertex_of = HashMap::new();
-    for (name, p) in &spec.components {
-        let v = graph.add_vertex("component");
-        graph.set_vertex_prop(v, "name", name.as_str());
-        graph.set_vertex_prop(v, "parallelism", i64::from(*p));
-        vertex_of.insert(name.clone(), v);
-    }
-    for (from, to, grouping) in &spec.edges {
-        let e = graph.add_edge(vertex_of[from], vertex_of[to], "stream");
-        graph.set_edge_prop(e, "grouping", grouping.as_str());
-    }
-    if !algo::is_dag(&graph) {
-        return Err(TopologyGraphError::NotADag);
-    }
-    Ok(LogicalGraph { graph, vertex_of })
-}
-
-/// A container assignment: `containers[c]` lists `(component, instance
-/// index)` pairs placed on container `c`.
-pub type ContainerAssignment = Vec<Vec<(String, u32)>>;
-
-/// Round-robin assignment of all instances over `num_containers` containers
-/// (Heron's default packing order: component declaration order, instance
-/// index order).
-pub fn round_robin_assignment(spec: &LogicalSpec, num_containers: usize) -> ContainerAssignment {
-    let num_containers = num_containers.max(1);
-    let mut containers: ContainerAssignment = vec![Vec::new(); num_containers];
-    let mut next = 0usize;
-    for (name, p) in &spec.components {
-        for i in 0..*p {
-            containers[next % num_containers].push((name.clone(), i));
-            next += 1;
+        if order.len() < n {
+            return Err(TopologyGraphError::NotADag);
         }
-    }
-    containers
-}
 
-/// A built physical graph: instance and stream-manager vertices.
-#[derive(Debug, Clone)]
-pub struct PhysicalGraph {
-    /// The property graph. Vertex labels: `instance` (props: `component`,
-    /// `index`, `container`) and `stream_manager` (prop: `container`).
-    /// Edge labels: `gateway` (instance→its stmgr and stmgr→instance) and
-    /// `network` (stmgr→stmgr).
-    pub graph: Graph,
-    /// `(component, index)` → instance vertex.
-    pub instance_of: HashMap<(String, u32), VertexId>,
-    /// container index → stream-manager vertex.
-    pub stmgr_of: Vec<VertexId>,
-}
-
-/// Builds the physical (instance + stream manager) graph for a spec under a
-/// container assignment, mirroring paper Fig. 1b/1c: every tuple leaves an
-/// instance through its local stream manager; remote deliveries hop across
-/// a `network` edge between stream managers.
-pub fn build_physical(
-    spec: &LogicalSpec,
-    assignment: &ContainerAssignment,
-) -> Result<PhysicalGraph, TopologyGraphError> {
-    spec.validate()?;
-    let mut graph = Graph::new();
-    let mut instance_of = HashMap::new();
-    let mut container_of: HashMap<(String, u32), usize> = HashMap::new();
-    let mut stmgr_of = Vec::with_capacity(assignment.len());
-
-    for (c_idx, contents) in assignment.iter().enumerate() {
-        let sm = graph.add_vertex("stream_manager");
-        graph.set_vertex_prop(sm, "container", c_idx as i64);
-        stmgr_of.push(sm);
-        for (component, index) in contents {
-            let v = graph.add_vertex("instance");
-            graph.set_vertex_prop(v, "component", component.as_str());
-            graph.set_vertex_prop(v, "index", i64::from(*index));
-            graph.set_vertex_prop(v, "container", c_idx as i64);
-            instance_of.insert((component.clone(), *index), v);
-            container_of.insert((component.clone(), *index), c_idx);
-        }
+        Ok(Self {
+            names: spec
+                .components
+                .iter()
+                .map(|(name, _)| name.clone())
+                .collect(),
+            parallelism: spec.components.iter().map(|(_, p)| *p).collect(),
+            edges,
+            offsets,
+            targets,
+            spouts,
+            sinks,
+            order,
+        })
     }
 
-    let parallelism: HashMap<&str, u32> = spec
-        .components
-        .iter()
-        .map(|(n, p)| (n.as_str(), *p))
-        .collect();
-    for (from, to, grouping) in &spec.edges {
-        let from_p = parallelism[from.as_str()];
-        let to_p = parallelism[to.as_str()];
-        for fi in 0..from_p {
-            let Some(&src) = instance_of.get(&(from.clone(), fi)) else {
-                return Err(TopologyGraphError::UnknownComponent(format!(
-                    "{from}[{fi}]"
-                )));
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True for a topology without components.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// Name of component `v`.
+    pub fn name(&self, v: usize) -> &str {
+        &self.names[v]
+    }
+
+    /// Parallelism of component `v`.
+    pub fn parallelism(&self, v: usize) -> u32 {
+        self.parallelism[v]
+    }
+
+    /// `(from, to)` of every spec edge, in spec order.
+    pub fn edges(&self) -> &[(usize, usize)] {
+        &self.edges
+    }
+
+    /// Where `v`'s streams lead, one entry per out-edge in spec order.
+    pub fn successors(&self, v: usize) -> &[usize] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Components without incoming edges, in declaration order.
+    pub fn spouts(&self) -> &[usize] {
+        &self.spouts
+    }
+
+    /// Components without outgoing edges, in declaration order.
+    pub fn sinks(&self) -> &[usize] {
+        &self.sinks
+    }
+
+    /// Every component in topological order: Kahn's algorithm with a FIFO
+    /// queue seeded with the spouts in declaration order, successors
+    /// released in edge order.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// Number of distinct instance-level paths through the topology — the
+    /// quantity the paper's Fig. 1c discusses ("there are 16 possible
+    /// paths").
+    ///
+    /// Stream managers are excluded (the paper notes they do not increase
+    /// the number of possible paths): every instance of a component feeds
+    /// every instance of each downstream component. Counted by a DP in
+    /// reverse topological order, `paths(v) = p_v · (1 if v is a sink,
+    /// else Σ paths(w) over its successors)`, summed over the spouts.
+    /// Every partial result is at most the total, so the count is `Ok`
+    /// exactly when it fits in a `u64`.
+    pub fn instance_path_count(&self) -> Result<u64, TopologyGraphError> {
+        let overflow = || TopologyGraphError::PathCountOverflow;
+        let mut paths = vec![0u64; self.len()];
+        for &v in self.order.iter().rev() {
+            let successors = self.successors(v);
+            let onward = if successors.is_empty() {
+                1
+            } else {
+                successors
+                    .iter()
+                    .try_fold(0u64, |sum, &w| sum.checked_add(paths[w]))
+                    .ok_or_else(overflow)?
             };
-            let src_c = container_of[&(from.clone(), fi)];
-            for ti in 0..to_p {
-                let Some(&dst) = instance_of.get(&(to.clone(), ti)) else {
-                    return Err(TopologyGraphError::UnknownComponent(format!("{to}[{ti}]")));
-                };
-                let dst_c = container_of[&(to.clone(), ti)];
-                // instance -> local stmgr
-                let e = graph.add_edge(src, stmgr_of[src_c], "gateway");
-                graph.set_edge_prop(e, "grouping", grouping.as_str());
-                if src_c != dst_c {
-                    graph.add_edge(stmgr_of[src_c], stmgr_of[dst_c], "network");
-                    let e = graph.add_edge(stmgr_of[dst_c], dst, "gateway");
-                    graph.set_edge_prop(e, "grouping", grouping.as_str());
-                } else {
-                    let e = graph.add_edge(stmgr_of[src_c], dst, "gateway");
-                    graph.set_edge_prop(e, "grouping", grouping.as_str());
-                }
+            paths[v] = onward
+                .checked_mul(u64::from(self.parallelism[v]))
+                .ok_or_else(overflow)?;
+        }
+        self.spouts
+            .iter()
+            .try_fold(0u64, |sum, &s| sum.checked_add(paths[s]))
+            .ok_or_else(overflow)
+    }
+
+    /// Every spout→sink component path — the candidate critical paths of
+    /// a topology (paper §IV-B3). Ordered by (spout, sink) in declaration
+    /// order, then depth-first in edge order; a stream declared twice
+    /// yields its paths twice.
+    ///
+    /// The number of paths can grow exponentially with depth. This is for
+    /// offline analysis; count paths with
+    /// [`TopologyDag::instance_path_count`].
+    pub fn spout_sink_paths(&self) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for &spout in &self.spouts {
+            for &sink in &self.sinks {
+                self.extend_paths(spout, sink, &mut vec![spout], &mut out);
             }
         }
+        out
     }
-    Ok(PhysicalGraph {
-        graph,
-        instance_of,
-        stmgr_of,
-    })
-}
 
-/// Number of distinct instance-level paths through the topology — the
-/// quantity the paper's Fig. 1c discusses ("there are 16 possible paths").
-///
-/// Stream managers are excluded (the paper notes they do not increase the
-/// number of possible paths), so this is the path count of the instance
-/// DAG where instance `a` of component `A` connects to every instance `b`
-/// of each downstream component `B`.
-pub fn instance_path_count(spec: &LogicalSpec) -> Result<u64, TopologyGraphError> {
-    spec.validate()?;
-    let mut graph = Graph::new();
-    let mut instance_of: HashMap<(String, u32), VertexId> = HashMap::new();
-    for (name, p) in &spec.components {
-        for i in 0..*p {
-            let v = graph.add_vertex("instance");
-            instance_of.insert((name.clone(), i), v);
+    /// Appends to `out` every extension of `path`, which ends at `at`,
+    /// that reaches `sink`.
+    fn extend_paths(
+        &self,
+        at: usize,
+        sink: usize,
+        path: &mut Vec<usize>,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        if at == sink {
+            out.push(path.clone());
+            return;
         }
-    }
-    let parallelism: HashMap<&str, u32> = spec
-        .components
-        .iter()
-        .map(|(n, p)| (n.as_str(), *p))
-        .collect();
-    for (from, to, _) in &spec.edges {
-        for fi in 0..parallelism[from.as_str()] {
-            for ti in 0..parallelism[to.as_str()] {
-                graph.add_edge(
-                    instance_of[&(from.clone(), fi)],
-                    instance_of[&(to.clone(), ti)],
-                    "data",
-                );
-            }
+        for &next in self.successors(at) {
+            path.push(next);
+            self.extend_paths(next, sink, path, out);
+            path.pop();
         }
-    }
-    Ok(algo::count_source_sink_paths(&graph)?)
-}
-
-/// A versioned cache for built graphs (or any other derived topology
-/// metadata). Caladrius invalidates cached graphs when the Heron Tracker
-/// reports a newer `last_updated` for the topology (paper §III-C1).
-#[derive(Debug, Default)]
-pub struct MetadataCache<T> {
-    entries: HashMap<String, (u64, T)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<T: Clone> MetadataCache<T> {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Returns the cached value for `key` if its stored version matches
-    /// `version`; otherwise rebuilds via `build`, stores and returns it.
-    pub fn get_or_build(&mut self, key: &str, version: u64, build: impl FnOnce() -> T) -> T {
-        match self.entries.get(key) {
-            Some((v, value)) if *v == version => {
-                self.hits += 1;
-                value.clone()
-            }
-            _ => {
-                self.misses += 1;
-                let value = build();
-                self.entries
-                    .insert(key.to_string(), (version, value.clone()));
-                value
-            }
-        }
-    }
-
-    /// Returns the cached value only when its stored version matches,
-    /// counting a hit or miss.
-    pub fn get(&mut self, key: &str, version: u64) -> Option<T> {
-        match self.entries.get(key) {
-            Some((v, value)) if *v == version => {
-                self.hits += 1;
-                Some(value.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores (or replaces) the value for `key` at `version`.
-    pub fn put(&mut self, key: &str, version: u64, value: T) {
-        self.entries.insert(key.to_string(), (version, value));
-    }
-
-    /// Drops the entry for `key`.
-    pub fn invalidate(&mut self, key: &str) {
-        self.entries.remove(key);
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -366,24 +313,46 @@ mod tests {
             .edge("splitter", "counter", "fields")
     }
 
+    fn diamond() -> LogicalSpec {
+        LogicalSpec::new("d")
+            .component("a", 1)
+            .component("b", 1)
+            .component("c", 1)
+            .component("d", 1)
+            .edge("a", "b", "shuffle")
+            .edge("a", "c", "shuffle")
+            .edge("b", "d", "shuffle")
+            .edge("c", "d", "shuffle")
+    }
+
     #[test]
-    fn logical_graph_structure() {
-        let lg = build_logical(&wordcount()).unwrap();
-        assert_eq!(lg.graph.vertex_count(), 3);
-        assert_eq!(lg.graph.edge_count(), 2);
-        let splitter = lg.vertex_of["splitter"];
-        assert_eq!(
-            lg.graph
-                .vertex_prop(splitter, "parallelism")
-                .unwrap()
-                .as_i64(),
-            Some(2)
-        );
-        let e = lg.graph.out_edges(lg.vertex_of["spout"], None)[0];
-        assert_eq!(
-            lg.graph.edge_prop(e, "grouping").unwrap().as_str(),
-            Some("shuffle")
-        );
+    fn dag_structure() {
+        let dag = TopologyDag::new(&wordcount()).unwrap();
+        assert_eq!(dag.len(), 3);
+        assert_eq!(dag.edges(), &[(0, 1), (1, 2)]);
+        assert_eq!(dag.name(1), "splitter");
+        assert_eq!(dag.parallelism(2), 4);
+        assert_eq!(dag.successors(0), &[1]);
+        assert!(dag.successors(2).is_empty());
+        assert_eq!(dag.spouts(), &[0]);
+        assert_eq!(dag.sinks(), &[2]);
+        assert_eq!(dag.order(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn order_is_fifo_kahn() {
+        // Declared sink-first: Kahn's queue starts at the spout and
+        // releases b before c (edge order), then d.
+        let spec = LogicalSpec::new("d")
+            .component("d", 1)
+            .component("c", 1)
+            .component("a", 1)
+            .component("b", 1)
+            .edge("a", "b", "shuffle")
+            .edge("a", "c", "shuffle")
+            .edge("b", "d", "shuffle")
+            .edge("c", "d", "shuffle");
+        assert_eq!(TopologyDag::new(&spec).unwrap().order(), &[2, 3, 1, 0]);
     }
 
     #[test]
@@ -392,7 +361,7 @@ mod tests {
             .component("a", 1)
             .edge("a", "b", "shuffle");
         assert_eq!(
-            build_logical(&spec).unwrap_err(),
+            TopologyDag::new(&spec).unwrap_err(),
             TopologyGraphError::UnknownComponent("b".into())
         );
     }
@@ -401,7 +370,7 @@ mod tests {
     fn validation_duplicate_component() {
         let spec = LogicalSpec::new("bad").component("a", 1).component("a", 2);
         assert_eq!(
-            build_logical(&spec).unwrap_err(),
+            TopologyDag::new(&spec).unwrap_err(),
             TopologyGraphError::DuplicateComponent("a".into())
         );
     }
@@ -410,7 +379,7 @@ mod tests {
     fn validation_zero_parallelism() {
         let spec = LogicalSpec::new("bad").component("a", 0);
         assert_eq!(
-            build_logical(&spec).unwrap_err(),
+            TopologyDag::new(&spec).unwrap_err(),
             TopologyGraphError::ZeroParallelism("a".into())
         );
     }
@@ -423,14 +392,26 @@ mod tests {
             .edge("a", "b", "shuffle")
             .edge("b", "a", "shuffle");
         assert_eq!(
-            build_logical(&spec).unwrap_err(),
+            TopologyDag::new(&spec).unwrap_err(),
+            TopologyGraphError::NotADag
+        );
+    }
+
+    #[test]
+    fn self_loop_is_a_cycle() {
+        let spec = LogicalSpec::new("bad")
+            .component("a", 1)
+            .edge("a", "a", "shuffle");
+        assert_eq!(
+            TopologyDag::new(&spec).unwrap_err(),
             TopologyGraphError::NotADag
         );
     }
 
     #[test]
     fn paper_fig1_has_16_paths() {
-        assert_eq!(instance_path_count(&wordcount()).unwrap(), 16);
+        let dag = TopologyDag::new(&wordcount()).unwrap();
+        assert_eq!(dag.instance_path_count().unwrap(), 16);
     }
 
     #[test]
@@ -445,9 +426,31 @@ mod tests {
             }
         }
         assert_eq!(
-            instance_path_count(&spec),
+            TopologyDag::new(&spec).unwrap().instance_path_count(),
             Err(TopologyGraphError::PathCountOverflow)
         );
+    }
+
+    #[test]
+    fn path_count_is_exact_at_the_u64_edge() {
+        // A chain of k diamonds has 2^k paths: 63 fit, 64 do not.
+        let chain = |k: usize| {
+            let mut spec = LogicalSpec::new("diamonds").component("j0", 1);
+            for i in 0..k {
+                let (join, next) = (format!("j{i}"), format!("j{}", i + 1));
+                for branch in ["l", "r"] {
+                    let b = format!("{branch}{i}");
+                    spec = spec
+                        .component(b.clone(), 1)
+                        .edge(join.clone(), b.clone(), "shuffle")
+                        .edge(b, next.clone(), "shuffle");
+                }
+                spec = spec.component(next, 1);
+            }
+            TopologyDag::new(&spec).unwrap().instance_path_count()
+        };
+        assert_eq!(chain(63), Ok(1u64 << 63));
+        assert_eq!(chain(64), Err(TopologyGraphError::PathCountOverflow));
     }
 
     #[test]
@@ -456,92 +459,32 @@ mod tests {
             .component("a", 1)
             .component("b", 1)
             .edge("a", "b", "shuffle");
-        assert_eq!(instance_path_count(&spec).unwrap(), 1);
+        assert_eq!(
+            TopologyDag::new(&spec).unwrap().instance_path_count(),
+            Ok(1)
+        );
     }
 
     #[test]
-    fn round_robin_spreads_instances() {
-        let assignment = round_robin_assignment(&wordcount(), 2);
-        assert_eq!(assignment.len(), 2);
-        assert_eq!(assignment[0].len(), 4);
-        assert_eq!(assignment[1].len(), 4);
-        // First instance goes to container 0, second to container 1, ...
-        assert_eq!(assignment[0][0], ("spout".to_string(), 0));
-        assert_eq!(assignment[1][0], ("spout".to_string(), 1));
+    fn lone_component_is_its_own_path() {
+        let spec = LogicalSpec::new("one").component("a", 3);
+        let dag = TopologyDag::new(&spec).unwrap();
+        assert_eq!(dag.spout_sink_paths(), vec![vec![0]]);
+        assert_eq!(dag.instance_path_count(), Ok(3));
     }
 
     #[test]
-    fn round_robin_single_container_floor() {
-        let assignment = round_robin_assignment(&wordcount(), 0);
-        assert_eq!(assignment.len(), 1);
-        assert_eq!(assignment[0].len(), 8);
+    fn diamond_paths_in_edge_order() {
+        let dag = TopologyDag::new(&diamond()).unwrap();
+        assert_eq!(dag.spout_sink_paths(), vec![vec![0, 1, 3], vec![0, 2, 3]]);
+        assert_eq!(dag.instance_path_count(), Ok(2));
     }
 
     #[test]
-    fn physical_graph_counts() {
-        let spec = wordcount();
-        let assignment = round_robin_assignment(&spec, 2);
-        let pg = build_physical(&spec, &assignment).unwrap();
-        // 8 instances + 2 stream managers.
-        assert_eq!(pg.graph.vertex_count(), 10);
-        assert_eq!(pg.instance_of.len(), 8);
-        assert_eq!(pg.stmgr_of.len(), 2);
-        // Every instance has a container property.
-        for v in pg.instance_of.values() {
-            assert!(pg.graph.vertex_prop(*v, "container").is_some());
-        }
-    }
-
-    #[test]
-    fn physical_local_delivery_stays_in_container() {
-        // Everything on one container: no network edges at all.
-        let spec = wordcount();
-        let assignment = round_robin_assignment(&spec, 1);
-        let pg = build_physical(&spec, &assignment).unwrap();
-        let network_edges = pg
-            .graph
-            .edge_ids()
-            .filter(|e| pg.graph.edge_label(*e) == "network")
-            .count();
-        assert_eq!(network_edges, 0);
-    }
-
-    #[test]
-    fn physical_remote_delivery_crosses_network() {
-        let spec = wordcount();
-        let assignment = round_robin_assignment(&spec, 2);
-        let pg = build_physical(&spec, &assignment).unwrap();
-        let network_edges = pg
-            .graph
-            .edge_ids()
-            .filter(|e| pg.graph.edge_label(*e) == "network")
-            .count();
-        assert!(network_edges > 0);
-    }
-
-    #[test]
-    fn metadata_cache_hit_and_invalidate() {
-        let mut cache: MetadataCache<u64> = MetadataCache::new();
-        let mut builds = 0;
-        let v = cache.get_or_build("wc", 1, || {
-            builds += 1;
-            42
-        });
-        assert_eq!(v, 42);
-        let v = cache.get_or_build("wc", 1, || {
-            builds += 1;
-            43
-        });
-        assert_eq!(v, 42, "same version must hit the cache");
-        let v = cache.get_or_build("wc", 2, || {
-            builds += 1;
-            44
-        });
-        assert_eq!(v, 44, "newer version must rebuild");
-        assert_eq!(builds, 2);
-        assert_eq!(cache.stats(), (1, 2));
-        cache.invalidate("wc");
-        let v = cache.get_or_build("wc", 2, || 45);
-        assert_eq!(v, 45);
+    fn empty_spec_has_no_paths() {
+        let dag = TopologyDag::new(&LogicalSpec::new("empty")).unwrap();
+        assert!(dag.is_empty());
+        assert!(dag.spout_sink_paths().is_empty());
+        assert_eq!(dag.instance_path_count(), Ok(0));
     }
 }

@@ -6,7 +6,7 @@
 //! exposes a RESTful API" (paper §III-C1). [`Cluster`] is the simulator's
 //! equivalent: a registry of deployed topologies, their packing plans and
 //! a monotonically increasing `last_updated` version that Caladrius's
-//! graph cache keys invalidation on.
+//! model and plan caches key invalidation on.
 
 use crate::error::{Result, SimError};
 use crate::packing::{PackingAlgorithm, PackingPlan};

@@ -101,6 +101,21 @@ if sed -n '/^pub fn merge_bucketed/,/^}/p' crates/tsdb/src/query.rs |
     exit 1
 fi
 
+# The graph layer is one typed DAG (graph::TopologyDag) and a path-count
+# DP: the property graph, its traversal layer, the physical-graph builder
+# and core's graph cache are gone. Enumerating paths is exponential in
+# depth, so only offline analysis (fig10, the diamond test) may ask for
+# critical-path candidates; no service, route, fleet or planner path does.
+if grep -rnE 'MetadataCache|GraphService|CachedLogical|Traversal|PropValue|build_physical|source_sink_paths|instance_of' crates src tests examples; then
+    exit 1
+fi
+for f in crates/core/src/service.rs $(find crates/api/src crates/fleet/src crates/planner/src -name '*.rs'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'critical_path_candidates'; then
+        echo "$f"
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 

@@ -9,7 +9,7 @@
 //! * [`core`] — the paper's contribution: traffic and performance models.
 //! * [`sim`] — the Heron-style DSPS simulator substrate.
 //! * [`tsdb`] — the metrics time-series database substrate.
-//! * [`graph`] — the property-graph substrate.
+//! * [`graph`] — the typed topology DAG and its path calculations.
 //! * [`forecast`] — the Prophet-analog forecasting substrate.
 //! * [`workload`] — corpus/traffic generators and the WordCount topology.
 //! * [`planner`] — the horizon capacity planner: joint parallelism
