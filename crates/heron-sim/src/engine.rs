@@ -8,10 +8,10 @@
 //! [`BackpressureTracker`]; while backpressure is active every spout
 //! stops, reproducing Heron's throttle-and-drain oscillation.
 //!
-//! Per simulated minute the engine exports the metrics a real Heron
-//! deployment reports (see [`crate::metrics::metric`]), with optional
-//! multiplicative observation noise so repeated runs produce confidence
-//! bands like the paper's Figs. 4-12.
+//! Per simulated minute the engine exports the metrics the models read
+//! (see [`crate::metrics::metric`]), with optional multiplicative
+//! observation noise so repeated runs produce confidence bands like the
+//! paper's Figs. 4-12.
 //!
 //! # Kernel layout
 //!
@@ -188,17 +188,21 @@ fn sim_counters() -> &'static SimCounters {
 }
 
 /// Pre-resolved sink state for one `(simulation, SimMetrics)` pairing:
-/// one `(series handle, sample column)` pair per series the flush writes,
-/// laid out in flush order. Registered once at the top of a run so the
-/// steady-state flush path never touches the catalog — and buffered for
-/// the whole run so the flush path never touches a lock either: each
-/// minute appends one `Sample` per column, and the run commits every
-/// column with a single [`caladrius_tsdb::MetricsDb::append_series`]
-/// call per series. Stored samples are identical (same series ids, same
+/// one `(series handle, value column)` pair per series the flush writes,
+/// laid out in flush order, and one minute-timestamp column they all
+/// share. Registered once at the top of a run so the steady-state flush
+/// path never touches the catalog — and buffered for the whole run so
+/// the flush path never touches a lock either: each minute appends one
+/// timestamp and one `f64` per column, and the run commits every column
+/// with a single [`caladrius_tsdb::MetricsDb::append_series`] call per
+/// series. Stored samples are identical (same series ids, same
 /// timestamps, same order) to per-minute ingestion; only the lock
-/// traffic moves out of the hot loop.
+/// traffic moves out of the hot loop. Each series keeps its own column:
+/// one run-long frame of every series would be a single allocation large
+/// enough to raise the allocator's mmap threshold for the whole process.
 struct SinkHandles {
-    columns: Vec<(SeriesHandle, Vec<Sample>)>,
+    minutes: Vec<i64>,
+    columns: Vec<(SeriesHandle, Vec<f64>)>,
 }
 
 /// Baseline CPU (cores) an idle instance consumes (JVM + gateway).
@@ -327,8 +331,6 @@ pub(crate) struct EdgeTable {
     pub(crate) route_dst: Vec<usize>,
     /// Per route: share of the edge's output (non-replicating groupings).
     pub(crate) route_share: Vec<f64>,
-    /// Per route: destination's container.
-    pub(crate) route_dst_container: Vec<u32>,
 }
 
 /// Mutable queue state, struct-of-arrays. Split from [`MinuteAccum`] so
@@ -373,7 +375,6 @@ struct MinuteAccum {
     executed: Vec<f64>,
     emitted: Vec<f64>,
     offered: Vec<f64>,
-    failed: Vec<f64>,
     bp_ms: Vec<f64>,
     cpu_core_seconds: Vec<f64>,
 }
@@ -384,7 +385,6 @@ impl MinuteAccum {
             executed: vec![0.0; n],
             emitted: vec![0.0; n],
             offered: vec![0.0; n],
-            failed: vec![0.0; n],
             bp_ms: vec![0.0; n],
             cpu_core_seconds: vec![0.0; n],
         }
@@ -394,7 +394,6 @@ impl MinuteAccum {
         self.executed.fill(0.0);
         self.emitted.fill(0.0);
         self.offered.fill(0.0);
-        self.failed.fill(0.0);
         self.bp_ms.fill(0.0);
         self.cpu_core_seconds.fill(0.0);
     }
@@ -450,8 +449,6 @@ pub struct Simulation {
     tracker: BackpressureTracker,
     /// Simulation clock in ticks (see `SimConfig::ticks_per_second`).
     now_ticks: u64,
-    /// Per-container stream-manager routed-tuple accumulator (per minute).
-    stmgr_tuples: Vec<f64>,
     /// Per-container forwarding queues; empty when stream managers are
     /// transparent.
     stmgrs: Vec<StmgrState>,
@@ -508,7 +505,7 @@ enum FluidState {
 
 /// A [`SinkHandles`] retained across runs, together with the store
 /// identity it was registered against. Pooled replay runs every window
-/// against the same (truncated) per-worker store, so re-resolving ~8
+/// against the same (truncated) per-worker store, so re-resolving 4–5
 /// series per instance per window would otherwise rival the tick loop.
 struct SinkCache {
     db: Arc<MetricsDb>,
@@ -606,7 +603,6 @@ impl Simulation {
             route_start: Vec::with_capacity(topology.edges.len() + 1),
             route_dst: Vec::new(),
             route_share: Vec::new(),
-            route_dst_container: Vec::new(),
         };
         edges.route_start.push(0);
         let mut edge_start = Vec::with_capacity(n_comps + 1);
@@ -619,7 +615,6 @@ impl Simulation {
                 for (dst, share) in (dst_lo..dst_hi).zip(&shares) {
                     edges.route_dst.push(dst);
                     edges.route_share.push(*share);
-                    edges.route_dst_container.push(inst.container[dst]);
                 }
                 edges.replicates.push(edge.grouping.replicates());
                 edges.tuple_bytes.push(f64::from(
@@ -661,7 +656,6 @@ impl Simulation {
             accum: MinuteAccum::zeroed(n),
             tracker: BackpressureTracker::new(config.watermarks),
             now_ticks: 0,
-            stmgr_tuples: vec![0.0; 64.max(n)],
             spout_offered: vec![0.0; n_comps],
             emit_scratch: vec![0.0; n],
             bp_scratch: Vec::with_capacity(n),
@@ -784,7 +778,6 @@ impl Simulation {
         };
         self.live.reset();
         self.accum.reset();
-        self.stmgr_tuples.fill(0.0);
         for stmgr in &mut self.stmgrs {
             stmgr.reset();
         }
@@ -839,7 +832,6 @@ impl Simulation {
             live,
             accum,
             tracker,
-            stmgr_tuples,
             stmgrs,
             spout_offered,
             emit_scratch,
@@ -871,7 +863,6 @@ impl Simulation {
         let acc_executed = &mut accum.executed[..n];
         let acc_emitted = &mut accum.emitted[..n];
         let acc_offered = &mut accum.offered[..n];
-        let acc_failed = &mut accum.failed[..n];
         let acc_cpu = &mut accum.cpu_core_seconds[..n];
         let emitted_now = &mut emit_scratch[..n];
 
@@ -892,8 +883,7 @@ impl Simulation {
             let cap_per_core = inst.cap_per_core[lo];
             let cpu_cores = inst.cpu_cores[lo];
             let selectivity = inst.selectivity[lo];
-            let fail_rate = inst.fail_rate[lo];
-            let one_minus_fail = 1.0 - fail_rate;
+            let one_minus_fail = 1.0 - inst.fail_rate[lo];
             let is_sink = comps.is_sink[c];
 
             // Compute pass.
@@ -949,7 +939,6 @@ impl Simulation {
                     }
                     emitted_now[flat] = processed * one_minus_fail;
                     acc_executed[flat] += processed;
-                    acc_failed[flat] += processed * fail_rate;
                     let cpu = (base_cpu + processed / dt / cap_per_core).min(cpu_cores);
                     acc_cpu[flat] += cpu * dt;
                 }
@@ -993,11 +982,6 @@ impl Simulation {
                         } else {
                             incoming_tuples[dst] += amount;
                             incoming_bytes[dst] += amount * tuple_bytes;
-                            stmgr_tuples[container] += amount;
-                            let dst_container = edges.route_dst_container[r] as usize;
-                            if dst_container != container {
-                                stmgr_tuples[dst_container] += amount;
-                            }
                         }
                         total_emitted += amount;
                     }
@@ -1035,7 +1019,6 @@ impl Simulation {
                     stmgr.pending_bytes[dst] -= bytes;
                     stmgr.total_tuples -= tuples;
                     stmgr.total_bytes -= bytes;
-                    stmgr_tuples[container] += tuples;
                     let dst_container = inst.container[dst] as usize;
                     if dst_container == container {
                         incoming_tuples[dst] += tuples;
@@ -1243,9 +1226,7 @@ impl Simulation {
             executed: &mut self.accum.executed[..n],
             emitted: &mut self.accum.emitted[..n],
             offered: &mut self.accum.offered[..n],
-            failed: &mut self.accum.failed[..n],
             cpu_core_seconds: &mut self.accum.cpu_core_seconds[..n],
-            stmgr_tuples: &mut self.stmgr_tuples,
             queue_tuples: &mut self.live.queue_tuples[..n],
             queue_bytes: &mut self.live.queue_bytes[..n],
             backlog: &mut self.live.backlog[..n],
@@ -1284,13 +1265,13 @@ impl Simulation {
     }
 
     /// Resolves every series handle the per-minute flush will append to,
-    /// with one pre-sized sample column per series in flush order. One
+    /// with one pre-sized value column per series in flush order. One
     /// catalog pass per run; the flush loop itself is catalog- and
     /// lock-free. Registration order matches the reference kernel's so
     /// both assign identical series ids.
     fn register_sink(&self, metrics: &SimMetrics, minutes: u64) -> SinkHandles {
         let cap = minutes as usize;
-        let mut columns = Vec::with_capacity(self.inst.n * 8 + self.plan.num_containers());
+        let mut columns = Vec::with_capacity(self.inst.n * 5);
         for flat in 0..self.inst.n {
             let comp = &self.topology.components[self.inst.comp_idx[flat] as usize];
             let handles = metrics.register_instance(
@@ -1304,9 +1285,6 @@ impl Simulation {
                 &handles.emit,
                 &handles.cpu,
                 &handles.backpressure,
-                &handles.queue,
-                &handles.fail,
-                &handles.latency,
             ] {
                 columns.push((handle.clone(), Vec::with_capacity(cap)));
             }
@@ -1314,30 +1292,27 @@ impl Simulation {
                 columns.push((offered.clone(), Vec::with_capacity(cap)));
             }
         }
-        for container in 0..self.plan.num_containers() {
-            columns.push((
-                metrics.register_container(container as u32),
-                Vec::with_capacity(cap),
-            ));
+        SinkHandles {
+            minutes: Vec::with_capacity(cap),
+            columns,
         }
-        SinkHandles { columns }
     }
 
     /// Flushes per-minute metrics for the minute ending now into the
-    /// run's sample columns (no db call — see [`SinkHandles`]). The
+    /// run's value columns (no db call — see [`SinkHandles`]). The
     /// accumulators are read in place (they are split from the live queue
     /// state) and zeroed for the next minute. Columns are written in
-    /// `register_sink` order: per instance the seven (eight for spouts)
-    /// instance series, then one stream-manager series per container.
+    /// `register_sink` order: per instance the four (five for spouts)
+    /// instance series.
     fn flush_minute(&mut self, sink: &mut SinkHandles) {
-        let minute_ts = (self.now_secs() * 1000) as i64 - 60_000;
+        sink.minutes.push((self.now_secs() * 1000) as i64 - 60_000);
         let minute = self.now_secs() / 60;
         let mut cols = sink.columns.iter_mut();
         let mut push = |value: f64| {
             cols.next()
                 .expect("sink column count matches flush row count")
                 .1
-                .push(Sample::new(minute_ts, value));
+                .push(value);
         };
         for flat in 0..self.inst.n {
             let salt = ((flat as u64) << 32) | minute;
@@ -1345,19 +1320,10 @@ impl Simulation {
             let executed = self.accum.executed[flat] * self.noise(salt ^ (1 << 17));
             let emitted = self.accum.emitted[flat] * self.noise(salt ^ (2 << 17));
             let cpu = self.accum.cpu_core_seconds[flat] / 60.0 * self.noise(salt ^ (3 << 17));
-            let capacity = self.inst.capacity[flat];
-            let latency_ms = if capacity > 0.0 {
-                self.live.queue_tuples[flat] / capacity * 1000.0
-            } else {
-                0.0
-            };
             push(executed);
             push(emitted);
             push(cpu);
             push(self.accum.bp_ms[flat].min(60_000.0));
-            push(self.live.queue_bytes[flat]);
-            push(self.accum.failed[flat]);
-            push(latency_ms);
             if self.comps.is_spout[self.inst.comp_idx[flat] as usize] {
                 push(self.accum.offered[flat]);
             }
@@ -1365,26 +1331,31 @@ impl Simulation {
             self.accum.executed[flat] = 0.0;
             self.accum.emitted[flat] = 0.0;
             self.accum.offered[flat] = 0.0;
-            self.accum.failed[flat] = 0.0;
             self.accum.bp_ms[flat] = 0.0;
             self.accum.cpu_core_seconds[flat] = 0.0;
         }
-        for container in 0..self.plan.num_containers() {
-            push(self.stmgr_tuples[container]);
-            self.stmgr_tuples[container] = 0.0;
-        }
     }
 
-    /// Commits the run's buffered sample columns: one
-    /// [`caladrius_tsdb::MetricsDb::append_series`] call (one lock round)
-    /// per series. The stored samples are exactly what per-minute
-    /// ingestion would have stored.
+    /// Commits the run's buffered value columns: each series' samples
+    /// are built into one reused buffer and handed to one
+    /// [`caladrius_tsdb::MetricsDb::append_series`] call (one lock round,
+    /// whole chunks sealed straight from the buffer). The stored samples
+    /// are exactly what per-minute ingestion would have stored.
     fn commit_sink(metrics: &SimMetrics, sink: &mut SinkHandles) {
         let db = metrics.db();
-        for (handle, column) in &mut sink.columns {
-            db.append_series(handle, column);
-            column.clear();
+        let mut samples = Vec::with_capacity(sink.minutes.len());
+        for (handle, values) in &mut sink.columns {
+            samples.clear();
+            samples.extend(
+                sink.minutes
+                    .iter()
+                    .zip(values.iter())
+                    .map(|(&ts, &value)| Sample::new(ts, value)),
+            );
+            db.append_series(handle, &samples);
+            values.clear();
         }
+        sink.minutes.clear();
     }
 
     /// Runs `minutes` simulated minutes, recording metrics into `metrics`.
@@ -1459,7 +1430,6 @@ impl Simulation {
         for _ in 0..minutes {
             self.advance_minute();
             self.accum.reset();
-            self.stmgr_tuples.fill(0.0);
         }
     }
 }
@@ -1685,29 +1655,9 @@ mod tests {
         let executed =
             mean_of(&metrics.component_sum(metric::EXECUTE_COUNT, Some("b"), 0, i64::MAX));
         let emitted = mean_of(&metrics.component_sum(metric::EMIT_COUNT, Some("b"), 0, i64::MAX));
-        let failed = mean_of(&metrics.component_sum(metric::FAIL_COUNT, Some("b"), 0, i64::MAX));
-        assert!((emitted / executed - 0.75).abs() < 0.01);
-        assert!((failed / executed - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn stream_managers_route_tuples() {
-        let mut sim = Simulation::new(wordcount(1000.0, 2, 5000.0), quiet()).unwrap();
-        let metrics = sim.run_minutes(3);
-        let db = metrics.db();
-        let routed = db
-            .aggregate(
-                metric::STMGR_TUPLES,
-                &[],
-                0,
-                i64::MAX,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap();
-        assert!(!routed.is_empty());
-        assert!(routed.iter().all(|s| s.value > 0.0));
+        // A 1:1 bolt: every executed tuple is either emitted or failed.
+        let fail_rate = 1.0 - emitted / executed;
+        assert!((fail_rate - 0.25).abs() < 0.01);
     }
 
     #[test]
@@ -1999,24 +1949,14 @@ mod tests {
         // Unthrottled the splitter would see 2000/s = 120k/min; the shared
         // stream manager (sentences + words) limits it to roughly
         // 3000/(1+7.63)/s ≈ 348/s ≈ 20.9k/min.
-        let routed = {
-            let db = metrics.db();
-            let series = db
-                .aggregate(
-                    metric::STMGR_TUPLES,
-                    &[],
-                    0,
-                    i64::MAX,
-                    60_000,
-                    Aggregation::Sum,
-                    Aggregation::Sum,
-                )
-                .unwrap();
-            Aggregation::Mean.apply(series.iter().map(|s| s.value))
-        };
-        // Conservation: the stream manager routes exactly its capacity.
+        let counter_in =
+            mean_of(&metrics.component_sum(metric::EXECUTE_COUNT, Some("counter"), 0, i64::MAX));
+        // Conservation: with one container, every tuple the splitter and
+        // counter execute crossed the one stream manager, which routes
+        // exactly its capacity (the bolts drain their queues every tick).
+        let routed = splitter_in + counter_in;
         assert!(
-            (routed - 3_000.0 * 60.0).abs() < 1.0,
+            (routed - 3_000.0 * 60.0).abs() < 1e-6,
             "stream manager must route at capacity, got {routed}/min"
         );
         // The splitter's unthrottled input would be 2000/s = 120k/min;

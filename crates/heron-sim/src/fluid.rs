@@ -119,9 +119,7 @@ pub(crate) struct FluidTargets<'a> {
     pub executed: &'a mut [f64],
     pub emitted: &'a mut [f64],
     pub offered: &'a mut [f64],
-    pub failed: &'a mut [f64],
     pub cpu_core_seconds: &'a mut [f64],
-    pub stmgr_tuples: &'a mut [f64],
     pub queue_tuples: &'a mut [f64],
     pub queue_bytes: &'a mut [f64],
     pub backlog: &'a mut [f64],
@@ -141,16 +139,11 @@ pub(crate) struct FluidEngine {
     /// Emitted-metric mass per executed tuple (selectivity × route sum ×
     /// `(1 − fail)`, or just `(1 − fail)` for sinks).
     emit_coeff: Vec<f64>,
-    fail_rate: Vec<f64>,
     /// Relaxed-regime input limit: capacity × (1 − gateway) for bolts
     /// (queues flowing mass have pressure 1), plain capacity for spouts.
     sat_limit: Vec<f64>,
     cap_per_core: Vec<f64>,
     cpu_cores: Vec<f64>,
-    /// CSR of per-instance stream-manager contributions: routed mass per
-    /// executed tuple, per touched container.
-    cc_start: Vec<usize>,
-    cc: Vec<(u32, f64)>,
     /// CSR of per-instance routes: `(destination, tuples, bytes)` that
     /// arrive downstream per executed tuple (throttled-drain inflows).
     route_start: Vec<usize>,
@@ -220,7 +213,6 @@ impl FluidEngine {
         // Per-instance flow terms keyed (slot, delay); BTreeMap keeps the
         // fold order deterministic for the replay byte-identity contract.
         let mut term_maps: Vec<BTreeMap<(u32, u32), (f64, f64)>> = vec![BTreeMap::new(); n];
-        let mut cc_maps: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); n];
         let mut route_lists: Vec<Vec<(u32, f64, f64)>> = vec![Vec::new(); n];
         let mut route_sum = vec![0.0f64; n];
 
@@ -238,7 +230,6 @@ impl FluidEngine {
                 }
                 let src_terms: Vec<((u32, u32), (f64, f64))> =
                     term_maps[flat].iter().map(|(k, v)| (*k, *v)).collect();
-                let src_container = inst.container[flat];
                 for e in comps.edge_start[c]..comps.edge_start[c + 1] {
                     let tuple_bytes = edges.tuple_bytes[e];
                     for r in edges.route_start[e]..edges.route_start[e + 1] {
@@ -253,11 +244,6 @@ impl FluidEngine {
                         let dst = edges.route_dst[r];
                         route_sum[flat] += rw;
                         let amount = kappa * rw;
-                        *cc_maps[flat].entry(src_container).or_insert(0.0) += amount;
-                        let dst_container = edges.route_dst_container[r];
-                        if dst_container != src_container {
-                            *cc_maps[flat].entry(dst_container).or_insert(0.0) += amount;
-                        }
                         route_lists[flat].push((dst as u32, amount, amount * tuple_bytes));
                         for &((slot, d), (w, _)) in &src_terms {
                             let e = term_maps[dst].entry((slot, d + 1)).or_insert((0.0, 0.0));
@@ -274,11 +260,8 @@ impl FluidEngine {
 
         let mut term_start = Vec::with_capacity(n + 1);
         let mut terms = Vec::new();
-        let mut cc_start = Vec::with_capacity(n + 1);
-        let mut cc = Vec::new();
         let mut route_start = Vec::with_capacity(n + 1);
         term_start.push(0);
-        cc_start.push(0);
         route_start.push(0);
         let mut max_delay = 0;
         for flat in 0..n {
@@ -287,24 +270,18 @@ impl FluidEngine {
                 max_delay = max_delay.max(delay);
             }
             term_start.push(terms.len());
-            for (&container, &coeff) in &cc_maps[flat] {
-                cc.push((container, coeff));
-            }
-            cc_start.push(cc.len());
             route_start.push(route_start[flat] + route_lists[flat].len());
         }
         let routes = route_lists.concat();
 
         let mut is_spout = Vec::with_capacity(n);
         let mut emit_coeff = Vec::with_capacity(n);
-        let mut fail_rate = Vec::with_capacity(n);
         let mut sat_limit = Vec::with_capacity(n);
         for (flat, routed) in route_sum.into_iter().enumerate() {
             let c = inst.comp_idx[flat] as usize;
             let spout = comps.is_spout[c];
             let capacity = inst.capacity[flat];
             is_spout.push(spout);
-            fail_rate.push(if spout { 0.0 } else { inst.fail_rate[flat] });
             sat_limit.push(if spout {
                 capacity
             } else {
@@ -328,12 +305,9 @@ impl FluidEngine {
             terms,
             is_spout,
             emit_coeff,
-            fail_rate,
             sat_limit,
             cap_per_core: inst.cap_per_core.clone(),
             cpu_cores: inst.cpu_cores.clone(),
-            cc_start,
-            cc,
             route_start,
             routes,
             spout_comp: comps.spout_comps.clone(),
@@ -618,7 +592,6 @@ impl FluidEngine {
             let exec_sum = self.exec_from(i, &sums);
             tgt.executed[i] += exec_sum;
             tgt.emitted[i] += self.emit_coeff[i] * exec_sum;
-            tgt.failed[i] += self.fail_rate[i] * exec_sum;
             if self.is_spout[i] {
                 tgt.offered[i] += exec_sum;
                 tgt.queue_tuples[i] = 0.0;
@@ -643,9 +616,6 @@ impl FluidEngine {
                 n_ticks,
                 self.cpu_cores[i],
             );
-            for &(container, coeff) in &self.cc[self.cc_start[i]..self.cc_start[i + 1]] {
-                tgt.stmgr_tuples[container as usize] += coeff * exec_sum;
-            }
         }
     }
 
@@ -743,8 +713,8 @@ impl FluidEngine {
     }
 
     /// Advances a planned drain span `[t0, t0 + drain.ticks)` in closed
-    /// form: `ticks ×` every bolt's per-tick executed, emitted, failed,
-    /// CPU and stream-manager mass, linear queue movement, and each
+    /// form: `ticks ×` every bolt's per-tick executed, emitted and CPU
+    /// mass, linear queue movement, and each
     /// spout's offered load (the profile's integer-second sums) into its
     /// source backlog with idle CPU. Backpressure time is the caller's:
     /// it knows the triggering set.
@@ -764,12 +734,8 @@ impl FluidEngine {
             let exec = k * per_tick;
             tgt.executed[i] += exec;
             tgt.emitted[i] += self.emit_coeff[i] * exec;
-            tgt.failed[i] += self.fail_rate[i] * exec;
             tgt.cpu_core_seconds[i] +=
                 k * (BASE_CPU_OVERHEAD + per_tick / self.cap_per_core[i]).min(self.cpu_cores[i]);
-            for &(container, coeff) in &self.cc[self.cc_start[i]..self.cc_start[i + 1]] {
-                tgt.stmgr_tuples[container as usize] += coeff * exec;
-            }
             if drain.saturated[i] {
                 let ratio = tgt.queue_bytes[i] / tgt.queue_tuples[i];
                 tgt.queue_tuples[i] += k * (drain.inflow[i] - per_tick);
@@ -990,9 +956,7 @@ mod tests {
         let mut executed = vec![0.0; 7];
         let mut emitted = vec![0.0; 7];
         let mut offered = vec![0.0; 7];
-        let mut failed = vec![0.0; 7];
         let mut cpu = vec![0.0; 7];
-        let mut stmgr = vec![0.0; 64];
         let mut backlog = vec![0.0; 7];
         engine.apply_drain(
             100,
@@ -1001,9 +965,7 @@ mod tests {
                 executed: &mut executed,
                 emitted: &mut emitted,
                 offered: &mut offered,
-                failed: &mut failed,
                 cpu_core_seconds: &mut cpu,
-                stmgr_tuples: &mut stmgr,
                 queue_tuples: &mut qt,
                 queue_bytes: &mut qb,
                 backlog: &mut backlog,
@@ -1012,7 +974,7 @@ mod tests {
         assert_eq!(qb[2], 303_000.0);
         assert_eq!(qt[2], 10_000.0 - 5.0 * 990.0);
         assert!((executed[2] - 5.0 * 990.0).abs() < 1e-9);
-        assert!((failed[2] - 0.1 * 5.0 * 990.0).abs() < 1e-9);
+        assert!((emitted[2] - 2.0 * 0.9 * 5.0 * 990.0).abs() < 1e-9);
         // Stopped spouts execute nothing and bank the offered load.
         let want: f64 = (100..105).map(|t| (100.0 + 2.0 * t as f64) / 2.0).sum();
         assert_eq!(executed[0], 0.0);
@@ -1112,9 +1074,7 @@ mod tests {
         let mut executed = vec![0.0; n];
         let mut emitted = vec![0.0; n];
         let mut offered = vec![0.0; n];
-        let mut failed = vec![0.0; n];
         let mut cpu = vec![0.0; n];
-        let mut stmgr = vec![0.0; 64];
         let mut qt = vec![0.0; n];
         let mut qb = vec![0.0; n];
         let mut backlog = vec![0.0; n];
@@ -1125,9 +1085,7 @@ mod tests {
                 executed: &mut executed,
                 emitted: &mut emitted,
                 offered: &mut offered,
-                failed: &mut failed,
                 cpu_core_seconds: &mut cpu,
-                stmgr_tuples: &mut stmgr,
                 queue_tuples: &mut qt,
                 queue_bytes: &mut qb,
                 backlog: &mut backlog,
@@ -1144,9 +1102,8 @@ mod tests {
         // Mid executed = pointwise sum of its delayed terms.
         let want_mid: f64 = (0..100).map(|t| engine.exec_at(2, t)).sum();
         assert!((executed[2] - want_mid).abs() < 1e-6);
-        // Failed = 10 % of mid executed; emitted = 2.0 × 0.9 × executed
-        // (selectivity × (1 − fail) × route sum 1).
-        assert!((failed[2] - 0.1 * want_mid).abs() < 1e-6);
+        // Emitted = 2.0 × 0.9 × executed (selectivity × (1 − fail) ×
+        // route sum 1).
         assert!((emitted[2] - 2.0 * 0.9 * want_mid).abs() < 1e-6);
         // Exit queues are the model state at the span end.
         let (mt, mb) = engine.queue_at(2, 100);

@@ -1,9 +1,11 @@
 //! Metric names and the simulator's metrics sink.
 //!
-//! The simulator exports the same per-minute, per-instance metrics a Heron
-//! metrics manager ships to Cuckoo / the MetricsCache, stored in a
+//! The simulator exports per-minute, per-instance metrics the way a Heron
+//! metrics manager ships them to Cuckoo / the MetricsCache, stored in a
 //! [`caladrius_tsdb::MetricsDb`]. Caladrius's metrics provider reads them
-//! back through the tag-filtered query interface.
+//! back through the tag-filtered query interface. Only the series the
+//! models read are recorded: execute-count, emit-count, backpressure time
+//! and CPU load per instance, plus each spout's offered load.
 
 use caladrius_tsdb::{
     Aggregation, MetricBatch, MetricsDb, Sample, SeriesHandle, SeriesKey, TagFilter,
@@ -23,15 +25,6 @@ pub mod metric {
     pub const BACKPRESSURE_TIME: &str = "backpressure-time";
     /// CPU load in cores (Heron's JVM process CPU metric).
     pub const CPU_LOAD: &str = "cpu-load";
-    /// Pending bytes in the instance input queue (end-of-minute value).
-    pub const QUEUE_BYTES: &str = "queue-bytes";
-    /// Estimated tuple queueing latency (ms, Little's law on the input
-    /// queue).
-    pub const LATENCY_MS: &str = "latency-ms";
-    /// Tuples failed by user logic per minute (errors golden signal).
-    pub const FAIL_COUNT: &str = "fail-count";
-    /// Tuples routed by a stream manager per minute (tagged by container).
-    pub const STMGR_TUPLES: &str = "stmgr-tuples";
 }
 
 /// Tag names used on every simulator series.
@@ -61,12 +54,6 @@ pub struct InstanceHandles {
     pub cpu: SeriesHandle,
     /// `backpressure-time` series.
     pub backpressure: SeriesHandle,
-    /// `queue-bytes` series.
-    pub queue: SeriesHandle,
-    /// `fail-count` series.
-    pub fail: SeriesHandle,
-    /// `latency-ms` series.
-    pub latency: SeriesHandle,
     /// `source-offered` series; `None` for bolts.
     pub offered: Option<SeriesHandle>,
 }
@@ -154,14 +141,6 @@ impl SimMetrics {
         );
     }
 
-    /// Records a per-container (stream manager) sample.
-    pub fn record_container(&self, name: &str, container: u32, minute_ts: i64, value: f64) {
-        let key = SeriesKey::new(name)
-            .with_tag(tag::TOPOLOGY, self.topology.clone())
-            .with_tag(tag::CONTAINER, container.to_string());
-        self.db.write(&key, minute_ts, value);
-    }
-
     /// Resolves all per-instance series handles for one instance up front.
     ///
     /// `is_spout` controls whether a `source-offered` series is registered.
@@ -181,19 +160,8 @@ impl SimMetrics {
             emit: register(metric::EMIT_COUNT),
             cpu: register(metric::CPU_LOAD),
             backpressure: register(metric::BACKPRESSURE_TIME),
-            queue: register(metric::QUEUE_BYTES),
-            fail: register(metric::FAIL_COUNT),
-            latency: register(metric::LATENCY_MS),
             offered: is_spout.then(|| register(metric::SOURCE_OFFERED)),
         }
-    }
-
-    /// Resolves the per-container stream-manager throughput handle.
-    pub fn register_container(&self, container: u32) -> SeriesHandle {
-        let key = SeriesKey::new(metric::STMGR_TUPLES)
-            .with_tag(tag::TOPOLOGY, self.topology.clone())
-            .with_tag(tag::CONTAINER, container.to_string());
-        self.db.register(&key)
     }
 
     /// Ingests one assembled minute batch.
@@ -350,7 +318,6 @@ mod tests {
                 );
             }
         }
-        m.record_container(metric::STMGR_TUPLES, 0, 0, 5000.0);
         m
     }
 

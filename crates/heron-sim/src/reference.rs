@@ -21,15 +21,14 @@ use crate::backpressure::BackpressureTracker;
 use crate::engine::SimConfig;
 use crate::error::{Result, SimError};
 use crate::metrics::{InstanceHandles, SimMetrics};
-use crate::packing::{PackingAlgorithm, PackingPlan};
+use crate::packing::PackingAlgorithm;
 use crate::profiles::hash64;
 use crate::topology::{ComponentKind, Topology};
-use caladrius_tsdb::{MetricBatch, SeriesHandle};
+use caladrius_tsdb::MetricBatch;
 
 /// Pre-resolved sink state for one `(simulation, SimMetrics)` pairing.
 struct SinkHandles {
     instances: Vec<InstanceHandles>,
-    containers: Vec<SeriesHandle>,
     batch: MetricBatch,
 }
 
@@ -38,7 +37,6 @@ struct SinkHandles {
 struct Route {
     dst: usize,
     share: f64,
-    dst_container: u32,
 }
 
 /// Static (per-run) data for one edge leaving a component.
@@ -61,7 +59,6 @@ struct InstanceState {
     executed: f64,
     emitted: f64,
     offered: f64,
-    failed: f64,
     bp_ms: f64,
     cpu_core_seconds: f64,
 }
@@ -111,14 +108,12 @@ impl StmgrState {
 #[derive(Debug)]
 pub struct ReferenceSimulation {
     topology: Topology,
-    plan: PackingPlan,
     config: SimConfig,
     instances: Vec<InstanceInfo>,
     states: Vec<InstanceState>,
     out_edges: Vec<Vec<EdgeRuntime>>,
     tracker: BackpressureTracker,
     now_ticks: u64,
-    stmgr_tuples: Vec<f64>,
     stmgrs: Vec<StmgrState>,
 }
 
@@ -189,7 +184,6 @@ impl ReferenceSimulation {
                 .map(|(dst, share)| Route {
                     dst: *dst,
                     share: *share,
-                    dst_container: instances[*dst].container,
                 })
                 .collect();
             out_edges[edge.from].push(EdgeRuntime {
@@ -202,13 +196,11 @@ impl ReferenceSimulation {
         let n = instances.len();
         let plan_containers = plan.num_containers();
         Ok(Self {
-            plan,
             instances,
             states: vec![InstanceState::default(); n],
             out_edges,
             tracker: BackpressureTracker::new(config.watermarks),
             now_ticks: 0,
-            stmgr_tuples: vec![0.0; 64.max(n)],
             stmgrs: if config.stmgr_capacity.is_some() {
                 vec![StmgrState::sized(n); plan_containers]
             } else {
@@ -330,10 +322,6 @@ impl ReferenceSimulation {
                         let dst = &mut self.states[route.dst];
                         dst.incoming_tuples += amount;
                         dst.incoming_bytes += amount * edge.tuple_bytes;
-                        self.stmgr_tuples[info.container as usize] += amount;
-                        if route.dst_container != info.container {
-                            self.stmgr_tuples[route.dst_container as usize] += amount;
-                        }
                     }
                     total_emitted += amount;
                 }
@@ -348,16 +336,10 @@ impl ReferenceSimulation {
             let cpu = (crate::engine::BASE_CPU_OVERHEAD
                 + executed / dt / (info.capacity / info.cpu_cores))
                 .min(info.cpu_cores);
-            let failed = if is_spout {
-                0.0
-            } else {
-                executed * info.fail_rate
-            };
             let state = &mut self.states[flat];
             state.executed += executed;
             state.emitted += total_emitted;
             state.offered += offered;
-            state.failed += failed;
             state.cpu_core_seconds += cpu * dt;
         }
 
@@ -383,7 +365,6 @@ impl ReferenceSimulation {
                     stmgr.pending_bytes[dst] -= bytes;
                     stmgr.total_tuples -= tuples;
                     stmgr.total_bytes -= bytes;
-                    self.stmgr_tuples[container] += tuples;
                     let dst_container = self.instances[dst].container as usize;
                     if dst_container == container {
                         let state = &mut self.states[dst];
@@ -438,13 +419,12 @@ impl ReferenceSimulation {
             .iter()
             .map(|info| {
                 if self.topology.components[info.comp_idx].kind.is_spout() {
-                    8
+                    5
                 } else {
-                    7
+                    4
                 }
             })
-            .sum::<usize>()
-            + self.plan.num_containers();
+            .sum::<usize>();
         SinkHandles {
             instances: self
                 .instances
@@ -459,9 +439,6 @@ impl ReferenceSimulation {
                     )
                 })
                 .collect(),
-            containers: (0..self.plan.num_containers())
-                .map(|c| metrics.register_container(c as u32))
-                .collect(),
             batch: MetricBatch::with_capacity(0, rows_per_minute),
         }
     }
@@ -470,27 +447,18 @@ impl ReferenceSimulation {
         let minute_ts = (self.now_secs() * 1000) as i64 - 60_000;
         sink.batch.reset(minute_ts);
         for flat in 0..self.instances.len() {
-            let info = self.instances[flat];
             let state = self.states[flat].clone();
             let salt = ((flat as u64) << 32) | (self.now_secs() / 60);
 
             let executed = state.executed * self.noise(salt ^ (1 << 17));
             let emitted = state.emitted * self.noise(salt ^ (2 << 17));
             let cpu = state.cpu_core_seconds / 60.0 * self.noise(salt ^ (3 << 17));
-            let latency_ms = if info.capacity > 0.0 {
-                state.queue_tuples / info.capacity * 1000.0
-            } else {
-                0.0
-            };
             let handles = &sink.instances[flat];
             sink.batch.push(&handles.execute, executed);
             sink.batch.push(&handles.emit, emitted);
             sink.batch.push(&handles.cpu, cpu);
             sink.batch
                 .push(&handles.backpressure, state.bp_ms.min(60_000.0));
-            sink.batch.push(&handles.queue, state.queue_bytes);
-            sink.batch.push(&handles.fail, state.failed);
-            sink.batch.push(&handles.latency, latency_ms);
             if let Some(offered) = &handles.offered {
                 sink.batch.push(offered, state.offered);
             }
@@ -499,14 +467,8 @@ impl ReferenceSimulation {
             state.executed = 0.0;
             state.emitted = 0.0;
             state.offered = 0.0;
-            state.failed = 0.0;
             state.bp_ms = 0.0;
             state.cpu_core_seconds = 0.0;
-        }
-        for container in 0..self.plan.num_containers() {
-            let routed = self.stmgr_tuples[container];
-            sink.batch.push(&sink.containers[container], routed);
-            self.stmgr_tuples[container] = 0.0;
         }
         metrics.ingest(&sink.batch);
     }

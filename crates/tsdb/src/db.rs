@@ -125,9 +125,8 @@ pub struct MetricsDb {
     catalog: RwLock<Catalog>,
     series: RwLock<HashMap<SeriesId, Arc<RwLock<Series>>>>,
     /// Largest timestamp ever ingested (`WATERMARK_NONE` when empty).
-    /// Advanced with `fetch_max` on every append; recomputed under the
-    /// series map lock by `truncate_before` so it never points at
-    /// truncated data.
+    /// Advanced with `fetch_max` on every append; recomputed from the
+    /// surviving data by `truncate_before`, under every series' lock.
     watermark: AtomicI64,
     /// Ingest counters live in the process-wide obs registry, labelled
     /// `db="<scope>"` so [`MetricsDb::ingest_stats`] stays exact per
@@ -250,19 +249,16 @@ impl MetricsDb {
     /// This is the cheapest bulk-ingest path: producers that buffer one
     /// run's worth of samples per series (e.g. the simulator's run-long
     /// sink) commit each column with one lock round instead of one
-    /// [`MetricBatch`] per interval. Samples are appended in slice order;
-    /// the watermark and ingest counters advance once per call.
+    /// [`MetricBatch`] per interval. Samples are appended in slice order
+    /// by [`Series::extend_from_slice`]: ascending input seals its whole
+    /// chunks straight from the slice, anything else is pushed sample by
+    /// sample, and the stored chunks are the same either way. The
+    /// watermark and ingest counters advance once per call.
     pub fn append_series(&self, handle: &SeriesHandle, samples: &[Sample]) {
-        if samples.is_empty() {
+        let Some(max_ts) = samples.iter().map(|s| s.ts).max() else {
             return;
-        }
-        let mut series = handle.series.write();
-        let mut max_ts = WATERMARK_NONE;
-        for s in samples {
-            max_ts = max_ts.max(s.ts);
-            series.push(*s);
-        }
-        drop(series);
+        };
+        handle.series.write().extend_from_slice(samples);
         self.watermark.fetch_max(max_ts, Ordering::AcqRel);
         self.batches_ingested.inc();
         self.samples_ingested.add(samples.len() as u64);
@@ -495,13 +491,18 @@ impl MetricsDb {
     /// Applies a retention cutoff to every series (see
     /// [`crate::retention::RetentionPolicy`]). Returns total dropped samples.
     ///
-    /// The ingest watermark is recomputed from the surviving data so it
-    /// never points at truncated samples. Retention is a rare maintenance
-    /// path; a write racing the recomputation can at worst leave the
-    /// watermark slightly behind, and the next append's `fetch_max`
-    /// catches it up.
+    /// The ingest watermark is recomputed from the surviving data. Every
+    /// series' write guard is held until the recomputed watermark is
+    /// stored, so an append racing the truncation either lands before its
+    /// series is scanned (and counts toward the watermark) or waits, and
+    /// its `fetch_max` runs after the store: the watermark never ends
+    /// below a stored sample. The guards are taken in the series map's
+    /// iteration order under its read lock, one order for every
+    /// truncation, so two truncations cannot deadlock; an append holds
+    /// only its own series' lock.
     pub fn truncate_before(&self, cutoff: i64) -> Result<usize> {
         let map = self.series.read();
+        let mut guards = Vec::with_capacity(map.len());
         let mut dropped = 0;
         let mut surviving_max = WATERMARK_NONE;
         for series in map.values() {
@@ -510,8 +511,10 @@ impl MetricsDb {
             if let Some(ts) = guard.latest_ts() {
                 surviving_max = surviving_max.max(ts);
             }
+            guards.push(guard);
         }
         self.watermark.store(surviving_max, Ordering::Release);
+        drop(guards);
         if dropped > 0 {
             self.truncations.fetch_add(1, Ordering::AcqRel);
         }

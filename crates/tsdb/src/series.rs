@@ -77,6 +77,17 @@ struct Chunk {
     block: CompressedBlock,
 }
 
+impl Chunk {
+    /// Seals a non-empty, ascending run.
+    fn of(run: &[Sample]) -> Self {
+        Self {
+            start: run[0].ts,
+            end: run[run.len() - 1].ts,
+            block: encoding::compress(run),
+        }
+    }
+}
+
 /// Default number of samples buffered in the mutable head before sealing.
 pub const DEFAULT_CHUNK_SIZE: usize = 240;
 
@@ -152,16 +163,60 @@ impl Series {
         }
     }
 
+    /// Appends `samples` in slice order, leaving exactly the chunks
+    /// (ranges and bytes) and head a loop of [`Series::push`] leaves.
+    ///
+    /// Input that is ascending and does not start behind the head's last
+    /// sample tops a non-empty head up to the chunk size and seals it,
+    /// seals every further whole chunk-size run straight from the input
+    /// (no copy through the head), and keeps the rest as the head. Any
+    /// other input takes the per-sample `push` loop.
+    pub fn extend_from_slice(&mut self, samples: &[Sample]) {
+        let behind_head = matches!(
+            (self.head.last(), samples.first()),
+            (Some(last), Some(first)) if first.ts < last.ts
+        );
+        if behind_head || samples.windows(2).any(|w| w[1].ts < w[0].ts) {
+            for &sample in samples {
+                self.push(sample);
+            }
+            return;
+        }
+        let mut rest = samples;
+        if !self.head.is_empty() {
+            let room = self.chunk_size - self.head.len();
+            let (fill, tail) = samples.split_at(room.min(samples.len()));
+            self.head.extend_from_slice(fill);
+            if self.head.len() < self.chunk_size {
+                return;
+            }
+            self.seal_head();
+            rest = tail;
+        }
+        let mut runs = rest.chunks_exact(self.chunk_size);
+        for run in &mut runs {
+            self.chunks.push(Chunk::of(run));
+        }
+        self.head.extend_from_slice(runs.remainder());
+    }
+
     /// Seals the current head into a compressed chunk.
     pub fn seal_head(&mut self) {
         if self.head.is_empty() {
             return;
         }
-        let start = self.head.first().expect("non-empty").ts;
-        let end = self.head.last().expect("non-empty").ts;
-        let block = encoding::compress(&self.head);
-        self.chunks.push(Chunk { start, end, block });
+        self.chunks.push(Chunk::of(&self.head));
         self.head.clear();
+    }
+
+    /// The sealed chunks as `(start, end, block)`, in seal order.
+    pub fn chunks(&self) -> impl Iterator<Item = (i64, i64, &CompressedBlock)> {
+        self.chunks.iter().map(|c| (c.start, c.end, &c.block))
+    }
+
+    /// The unsealed head, sorted by timestamp.
+    pub fn head(&self) -> &[Sample] {
+        &self.head
     }
 
     /// Returns all samples whose timestamp lies in `[from, to]`, in time
@@ -229,13 +284,7 @@ impl Series {
                     .filter(|s| s.ts >= cutoff)
                     .collect();
                 if !remaining.is_empty() {
-                    let start = remaining.first().expect("non-empty").ts;
-                    let end = remaining.last().expect("non-empty").ts;
-                    kept.push(Chunk {
-                        start,
-                        end,
-                        block: encoding::compress(&remaining),
-                    });
+                    kept.push(Chunk::of(&remaining));
                 }
             }
         }

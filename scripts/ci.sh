@@ -115,6 +115,17 @@ for f in crates/core/src/service.rs $(find crates/api/src crates/fleet/src crate
         exit 1
     fi
 done
+# The simulator records only the series the models read (execute-count,
+# emit-count, source-offered, backpressure-time, cpu-load): the queue,
+# latency, fail and stream-manager series and their accumulators are
+# gone. Its run-long sink buffers one f64 column per series beside one
+# shared minute-timestamp column, not a Sample column per series.
+if grep -rnE 'QUEUE_BYTES|LATENCY_MS|FAIL_COUNT|STMGR_TUPLES|register_container|record_container' crates src tests examples; then
+    exit 1
+fi
+if grep -nF 'Vec<(SeriesHandle, Vec<Sample>)>' crates/heron-sim/src/engine.rs; then
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release
@@ -200,6 +211,12 @@ CALADRIUS_THREADS=1 cargo test -q --test forecast_equivalence
 # default.
 echo "==> PROPTEST_CASES=2048 read-path merge == sort"
 PROPTEST_CASES=2048 cargo test -q -p caladrius-tsdb --test prop_query
+
+# A bulk append seals whole chunks straight from the input; the chunks
+# (ranges and bytes) and the head must be exactly a push loop's, on the
+# direct path and on its fallback (unsorted or behind-head input).
+echo "==> PROPTEST_CASES=2048 append_series direct seal == push loop"
+PROPTEST_CASES=2048 cargo test -q -p caladrius-tsdb --test prop_extend
 
 echo "==> observability smoke (scrape /metrics/service)"
 cargo run --release --example obs_smoke
