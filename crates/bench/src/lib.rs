@@ -1,23 +1,10 @@
-//! Shared harness for the figure-reproduction benchmarks.
-//!
-//! Every figure of the paper's evaluation (§V, Figs. 4–12) has a bench
-//! target in `benches/` that regenerates its series with the simulator
-//! and the Caladrius models, prints the rows, and compares the headline
-//! quantities against the values the paper reports. The helpers here
-//! run sweeps with repeats, compute 90 % confidence bands (matching the
-//! paper's plots) and format tables.
+//! Shared helpers for the perf benches in `benches/`: sweep sizing and
+//! table printing. The paper's figures are tests, in the workspace root's
+//! `tests/paper_figures.rs`.
 //!
 //! Environment knobs:
-//! * `CALADRIUS_BENCH_REPEATS` — observation repeats per point
-//!   (default 5; the paper uses 10).
+//! * `CALADRIUS_BENCH_REPEATS` — repeats per measured point (default 5).
 //! * `CALADRIUS_BENCH_FAST=1` — shrink sweeps for smoke runs.
-
-use caladrius_tsdb::Aggregation;
-use heron_sim::engine::{SimConfig, Simulation};
-use heron_sim::metrics::{metric, SimMetrics};
-use heron_sim::topology::Topology;
-
-pub use caladrius_core::model::relative_error;
 
 /// Number of repeats per sweep point.
 pub fn repeats() -> usize {
@@ -32,125 +19,6 @@ pub fn fast_mode() -> bool {
     std::env::var("CALADRIUS_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Mean with a 90 % confidence band over repeated observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ci {
-    /// Mean over repeats.
-    pub mean: f64,
-    /// 5th percentile.
-    pub lo: f64,
-    /// 95th percentile.
-    pub hi: f64,
-}
-
-impl Ci {
-    /// Computes the band from raw repeat values.
-    pub fn from_values(values: &[f64]) -> Ci {
-        assert!(!values.is_empty(), "need at least one repeat");
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let q = |p: f64| -> f64 {
-            let pos = p * (sorted.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-            }
-        };
-        Ci {
-            mean: values.iter().sum::<f64>() / values.len() as f64,
-            lo: q(0.05),
-            hi: q(0.95),
-        }
-    }
-}
-
-/// Runs `topology` once with the given noise seed and returns its metrics
-/// after `warmup` minutes of stabilisation and `measure` recorded minutes
-/// (the paper lets experiments "run for several hours to attain steady
-/// state before measurements were retrieved").
-pub fn run_once(topology: Topology, seed: u64, warmup: u64, measure: u64) -> SimMetrics {
-    run_once_cfg(
-        topology,
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
-        warmup,
-        measure,
-    )
-}
-
-/// [`run_once`] with full control over the simulator configuration (used
-/// by experiments that need finer tick resolution).
-pub fn run_once_cfg(
-    topology: Topology,
-    config: SimConfig,
-    warmup: u64,
-    measure: u64,
-) -> SimMetrics {
-    let mut sim = Simulation::new(topology, config).expect("benchmark topologies are valid");
-    sim.warmup_minutes(warmup);
-    sim.run_minutes(measure)
-}
-
-/// Mean per-minute component sum of a metric over a recorded run.
-pub fn component_rate(metrics: &SimMetrics, name: &str, component: &str) -> f64 {
-    let series = metrics.component_sum(name, Some(component), 0, i64::MAX);
-    Aggregation::Mean.apply(series.iter().map(|s| s.value))
-}
-
-/// Observed statistics for several component metrics across shared
-/// repeated runs. `queries` pairs are `(metric name, component)`.
-pub fn observe_many(
-    make_topology: impl Fn() -> Topology,
-    queries: &[(&str, &str)],
-    warmup: u64,
-    measure: u64,
-) -> Vec<Ci> {
-    observe_many_cfg(
-        make_topology,
-        &SimConfig::default(),
-        queries,
-        warmup,
-        measure,
-    )
-}
-
-/// [`observe_many`] with an explicit base simulator configuration (the
-/// per-repeat noise seed still varies).
-pub fn observe_many_cfg(
-    make_topology: impl Fn() -> Topology,
-    base_config: &SimConfig,
-    queries: &[(&str, &str)],
-    warmup: u64,
-    measure: u64,
-) -> Vec<Ci> {
-    let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-    for rep in 0..repeats() {
-        let config = SimConfig {
-            seed: 0xBE + rep as u64,
-            ..base_config.clone()
-        };
-        let metrics = run_once_cfg(make_topology(), config, warmup, measure);
-        for (i, (metric_name, component)) in queries.iter().enumerate() {
-            per_query[i].push(component_rate(&metrics, metric_name, component));
-        }
-    }
-    per_query
-        .iter()
-        .map(|values| Ci::from_values(values))
-        .collect()
-}
-
-/// Mean backpressure-time (ms/min) of a component over a recorded run.
-pub fn backpressure_ms(metrics: &SimMetrics, component: &str) -> f64 {
-    let series = metrics.component_sum(metric::BACKPRESSURE_TIME, Some(component), 0, i64::MAX);
-    Aggregation::Mean.apply(series.iter().map(|s| s.value))
 }
 
 /// Prints a benchmark header.
@@ -179,32 +47,9 @@ pub fn columns(label: &str, names: &[&str]) {
     println!();
 }
 
-/// Prints a paper-vs-reproduced comparison line and returns whether the
-/// reproduction is within tolerance of the paper's value.
-pub fn compare(what: &str, paper: f64, measured: f64, tolerance: f64) -> bool {
-    let err = relative_error(measured, paper);
-    let ok = err <= tolerance;
-    println!(
-        "  {what}: paper {paper:.4}, reproduced {measured:.4} ({:+.1}% vs paper) {}",
-        (measured - paper) / paper * 100.0,
-        if ok { "[shape OK]" } else { "[DIVERGES]" }
-    );
-    ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ci_from_values() {
-        let ci = Ci::from_values(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(ci.mean, 3.0);
-        assert!(ci.lo >= 1.0 && ci.lo < 2.0);
-        assert!(ci.hi > 4.0 && ci.hi <= 5.0);
-        let single = Ci::from_values(&[7.0]);
-        assert_eq!((single.mean, single.lo, single.hi), (7.0, 7.0, 7.0));
-    }
 
     #[test]
     fn repeats_is_positive() {

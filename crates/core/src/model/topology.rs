@@ -158,19 +158,6 @@ impl TopologyModel {
         self.models.get(name)
     }
 
-    /// All spout→sink critical-path candidates (component name chains):
-    /// by (spout, sink) in declaration order, then depth-first in edge
-    /// order. Their number can grow exponentially with depth, so no
-    /// service path calls this.
-    pub fn critical_path_candidates(&self) -> Result<Vec<Vec<String>>> {
-        let dag = TopologyDag::new(&self.spec)?;
-        Ok(dag
-            .spout_sink_paths()
-            .into_iter()
-            .map(|path| path.into_iter().map(|v| dag.name(v).to_string()).collect())
-            .collect())
-    }
-
     fn resolve_parallelism(&self, parallelisms: &HashMap<String, u32>, name: &str) -> Result<u32> {
         if let Some(p) = parallelisms.get(name) {
             if *p == 0 {
@@ -246,25 +233,6 @@ impl TopologyModel {
             per_component,
             bottleneck,
         })
-    }
-
-    /// Eq. 12 on an explicit component path: chains the component models
-    /// along `path`, returning the path's output rate at the sink.
-    pub fn predict_path(
-        &self,
-        path: &[String],
-        parallelisms: &HashMap<String, u32>,
-        source_rate: f64,
-    ) -> Result<f64> {
-        let mut t = source_rate;
-        for name in path {
-            let p = self.resolve_parallelism(parallelisms, name)?;
-            t = match self.models.get(name) {
-                Some(model) => model.predict(p, t)?.output_rate,
-                None => t,
-            };
-        }
-        Ok(t)
     }
 
     /// Eq. 13: the topology saturation point `t'₀` — the smallest offered
@@ -671,13 +639,12 @@ mod tests {
     }
 
     #[test]
-    fn eq12_path_chaining_matches_dag_on_chain() {
+    fn eq12_chaining_matches_dag_on_chain() {
         let m = wordcount(2, 4);
-        let paths = m.critical_path_candidates().unwrap();
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0], vec!["spout", "splitter", "counter"]);
+        let (splitter, counter) = (&m.models["splitter"], &m.models["counter"]);
         for t in [5.0, 22.0, 40.0] {
-            let chain = m.predict_path(&paths[0], &HashMap::new(), t).unwrap();
+            let words = splitter.predict(2, t).unwrap().output_rate;
+            let chain = counter.predict(4, words).unwrap().output_rate;
             let dag = m.predict(&HashMap::new(), t).unwrap().sink_output_rate;
             assert!((chain - dag).abs() < 1e-9, "t={t}: {chain} vs {dag}");
         }
@@ -713,7 +680,6 @@ mod tests {
         // The spout's 10 splits 5/5 over its two out edges, and the sink
         // receives both halves.
         assert!((pred.sink_output_rate - 10.0).abs() < 1e-9);
-        assert_eq!(m.critical_path_candidates().unwrap().len(), 2);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   sinks and a topological order);
 //! * [`TopologyDag::instance_path_count`] — the instance-level path count
 //!   (the "16 possible paths" of the paper's Fig. 1c) as a checked DP over
-//!   components, never an enumeration;
-//! * [`TopologyDag::spout_sink_paths`] — the component-level critical-path
-//!   candidates of Fig. 10, for offline analysis.
+//!   components, never an enumeration (the number of paths is exponential
+//!   in depth).
 //!
 //! ```
 //! use caladrius_graph::topology_graph::{LogicalSpec, TopologyDag};
@@ -26,7 +25,7 @@
 //!     .edge("splitter", "counter", "fields");
 //! let dag = TopologyDag::new(&spec).unwrap();
 //! assert_eq!(dag.len(), 3);
-//! assert_eq!(dag.spout_sink_paths(), vec![vec![0, 1, 2]]);
+//! assert_eq!(dag.order(), &[0, 1, 2]);
 //! // Instance-level path count through the physical topology: 2 * 2 * 4.
 //! assert_eq!(dag.instance_path_count().unwrap(), 16);
 //! ```

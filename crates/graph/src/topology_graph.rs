@@ -260,44 +260,6 @@ impl TopologyDag {
             .try_fold(0u64, |sum, &s| sum.checked_add(paths[s]))
             .ok_or_else(overflow)
     }
-
-    /// Every spout→sink component path — the candidate critical paths of
-    /// a topology (paper §IV-B3). Ordered by (spout, sink) in declaration
-    /// order, then depth-first in edge order; a stream declared twice
-    /// yields its paths twice.
-    ///
-    /// The number of paths can grow exponentially with depth. This is for
-    /// offline analysis; count paths with
-    /// [`TopologyDag::instance_path_count`].
-    pub fn spout_sink_paths(&self) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        for &spout in &self.spouts {
-            for &sink in &self.sinks {
-                self.extend_paths(spout, sink, &mut vec![spout], &mut out);
-            }
-        }
-        out
-    }
-
-    /// Appends to `out` every extension of `path`, which ends at `at`,
-    /// that reaches `sink`.
-    fn extend_paths(
-        &self,
-        at: usize,
-        sink: usize,
-        path: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if at == sink {
-            out.push(path.clone());
-            return;
-        }
-        for &next in self.successors(at) {
-            path.push(next);
-            self.extend_paths(next, sink, path, out);
-            path.pop();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -469,14 +431,12 @@ mod tests {
     fn lone_component_is_its_own_path() {
         let spec = LogicalSpec::new("one").component("a", 3);
         let dag = TopologyDag::new(&spec).unwrap();
-        assert_eq!(dag.spout_sink_paths(), vec![vec![0]]);
         assert_eq!(dag.instance_path_count(), Ok(3));
     }
 
     #[test]
-    fn diamond_paths_in_edge_order() {
+    fn diamond_has_two_paths() {
         let dag = TopologyDag::new(&diamond()).unwrap();
-        assert_eq!(dag.spout_sink_paths(), vec![vec![0, 1, 3], vec![0, 2, 3]]);
         assert_eq!(dag.instance_path_count(), Ok(2));
     }
 
@@ -484,7 +444,6 @@ mod tests {
     fn empty_spec_has_no_paths() {
         let dag = TopologyDag::new(&LogicalSpec::new("empty")).unwrap();
         assert!(dag.is_empty());
-        assert!(dag.spout_sink_paths().is_empty());
         assert_eq!(dag.instance_path_count(), Ok(0));
     }
 }

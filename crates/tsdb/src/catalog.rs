@@ -122,17 +122,6 @@ impl Catalog {
             TagFilter::Exists(tag) => key.tag(tag).is_some(),
         }
     }
-
-    /// Distinct values of `tag` among series of metric `name`.
-    pub fn tag_values(&self, name: &str, tag: &str) -> Vec<String> {
-        let mut values: BTreeSet<String> = BTreeSet::new();
-        for id in self.ids_for_name(name) {
-            if let Some(v) = self.keys[id.0 as usize].tag(tag) {
-                values.insert(v.to_string());
-            }
-        }
-        values.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -213,17 +202,6 @@ mod tests {
         assert!(ids.is_empty());
         let ids = c.select("emit-count", &[TagFilter::exists("instance")]);
         assert_eq!(ids.len(), 6);
-    }
-
-    #[test]
-    fn tag_values_are_distinct_and_sorted() {
-        let c = catalog();
-        assert_eq!(
-            c.tag_values("emit-count", "component"),
-            vec!["counter", "splitter"]
-        );
-        assert_eq!(c.tag_values("emit-count", "instance"), vec!["0", "1", "2"]);
-        assert!(c.tag_values("emit-count", "nope").is_empty());
     }
 
     #[test]

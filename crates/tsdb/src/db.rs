@@ -441,23 +441,6 @@ impl MetricsDb {
         Ok(selected)
     }
 
-    /// Pooled summary statistics of a metric's values across matching
-    /// series in `[from, to]` — what the paper's statistics-summary
-    /// traffic model consumes. Returns `None` when nothing matches.
-    pub fn summary(
-        &self,
-        name: &str,
-        filters: &[TagFilter],
-        from: i64,
-        to: i64,
-    ) -> Result<Option<crate::query::Summary>> {
-        let rows = self.select(name, filters, from, to)?;
-        Ok(crate::query::Summary::of(
-            rows.iter()
-                .flat_map(|(_, samples)| samples.iter().map(|s| s.value)),
-        ))
-    }
-
     /// Latest timestamp observed for a metric across matching series.
     ///
     /// The per-db [`MetricsDb::watermark`] short-circuits the empty case
@@ -471,11 +454,6 @@ impl MetricsDb {
         ids.iter()
             .filter_map(|id| map.get(id).and_then(|s| s.read().latest_ts()))
             .max()
-    }
-
-    /// Distinct values of `tag` on series of metric `name`.
-    pub fn tag_values(&self, name: &str, tag: &str) -> Vec<String> {
-        self.catalog.read().tag_values(name, tag)
     }
 
     /// All metric names seen so far.
@@ -832,33 +810,6 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(db.read(&k, 0, i64::MAX).unwrap().len(), 2000);
-    }
-
-    #[test]
-    fn summary_pools_matching_series() {
-        let db = MetricsDb::new();
-        for i in 0..4u32 {
-            db.write(&key("splitter", i), 0, f64::from(i + 1));
-            db.write(&key("splitter", i), 60_000, f64::from(i + 1) * 10.0);
-        }
-        let s = db
-            .summary(
-                "emit-count",
-                &[TagFilter::eq("component", "splitter")],
-                0,
-                i64::MAX,
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(s.count, 8);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 40.0);
-        // Window restriction.
-        let s = db.summary("emit-count", &[], 0, 0).unwrap().unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.max, 4.0);
-        // No match.
-        assert!(db.summary("ghost", &[], 0, 1).unwrap().is_none());
     }
 
     #[test]

@@ -357,55 +357,6 @@ pub fn parse_selector(input: &str) -> Result<(String, Vec<TagFilter>), String> {
     Ok((name.to_string(), filters))
 }
 
-/// Summary statistics of a value set — the paper's "statistics summary
-/// traffic model" consumes these.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples summarised.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (0.5 quantile).
-    pub median: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// 10th percentile.
-    pub p10: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics; returns `None` for empty input.
-    pub fn of(values: impl IntoIterator<Item = f64>) -> Option<Summary> {
-        let mut v: Vec<f64> = values.into_iter().filter(|x| x.is_finite()).collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let count = v.len();
-        let mean = v.iter().sum::<f64>() / count as f64;
-        let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / count as f64;
-        Some(Summary {
-            count,
-            mean,
-            median: quantile_sorted(&v, 0.5),
-            std_dev: var.sqrt(),
-            min: v[0],
-            max: v[count - 1],
-            p10: quantile_sorted(&v, 0.10),
-            p90: quantile_sorted(&v, 0.90),
-            p95: quantile_sorted(&v, 0.95),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,26 +516,5 @@ mod tests {
         let (name, filters) = parse_selector("m{instance=0|2}").unwrap();
         let rows = db.select(&name, &filters, 0, 10).unwrap();
         assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let sum = Summary::of((1..=100).map(f64::from)).unwrap();
-        assert_eq!(sum.count, 100);
-        assert!((sum.mean - 50.5).abs() < 1e-12);
-        assert!((sum.median - 50.5).abs() < 1e-12);
-        assert_eq!(sum.min, 1.0);
-        assert_eq!(sum.max, 100.0);
-        assert!((sum.p90 - 90.1).abs() < 1e-9);
-        assert!(sum.std_dev > 28.0 && sum.std_dev < 29.0);
-    }
-
-    #[test]
-    fn summary_filters_non_finite_and_handles_empty() {
-        assert!(Summary::of(std::iter::empty()).is_none());
-        assert!(Summary::of([f64::NAN, f64::INFINITY]).is_none());
-        let sum = Summary::of([1.0, f64::NAN, 3.0]).unwrap();
-        assert_eq!(sum.count, 2);
-        assert_eq!(sum.mean, 2.0);
     }
 }

@@ -104,14 +104,23 @@ fi
 # The graph layer is one typed DAG (graph::TopologyDag) and a path-count
 # DP: the property graph, its traversal layer, the physical-graph builder
 # and core's graph cache are gone. Enumerating paths is exponential in
-# depth, so only offline analysis (fig10, the diamond test) may ask for
-# critical-path candidates; no service, route, fleet or planner path does.
+# depth, so the depth-first enumeration lives only in the graph crate's
+# property test, as the reference the DP is checked against.
 if grep -rnE 'MetadataCache|GraphService|CachedLogical|Traversal|PropValue|build_physical|source_sink_paths|instance_of' crates src tests examples; then
     exit 1
 fi
-for f in crates/core/src/service.rs $(find crates/api/src crates/fleet/src crates/planner/src -name '*.rs'); do
-    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'critical_path_candidates'; then
-        echo "$f"
+if grep -rnE 'spout_sink_paths|critical_path_candidates|predict_path' crates src tests examples |
+    grep -v '^crates/graph/tests/prop_graph\.rs:'; then
+    exit 1
+fi
+# The paper's figures are tier-1 tests (tests/paper_figures.rs), not
+# hand-run bench binaries.
+for b in fig04_instance_throughput fig05_io_ratio fig06_backpressure_time \
+    fig07_08_component_model fig09_counter_model fig10_critical_path \
+    fig11_12_cpu_model traffic_forecast_eval risk_classification \
+    scaling_convergence stmgr_ablation; do
+    if [ -e "crates/bench/benches/$b.rs" ]; then
+        echo "crates/bench/benches/$b.rs"
         exit 1
     fi
 done
@@ -133,7 +142,9 @@ cargo build --release
 echo "==> cargo build --examples"
 cargo build --examples
 
-echo "==> cargo bench --no-run (compile-gate bench code, incl. diurnal event, fleet_scale + model_fit)"
+# The perf benches only compile here; their ratio gates run by hand. The
+# paper's figures run as tests below.
+echo "==> cargo bench --no-run (compile-gate the perf benches)"
 cargo bench --no-run
 
 echo "==> cargo test -q (tier-1)"
@@ -158,17 +169,23 @@ cargo test --workspace -q
 # runs drain each backpressure episode in closed form with per-minute
 # backpressure time identical to exact), and exec_determinism covers
 # event-mode replay (replay always runs event_mode=true), so
-# wide-vs-1-thread replay stays byte-identical.
+# wide-vs-1-thread replay stays byte-identical. The paper figures'
+# printed tables must be the same one thread wide.
 echo "==> CALADRIUS_THREADS=1 determinism variant (incl. event-mode equivalence)"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-exec
 CALADRIUS_THREADS=1 cargo test -q --test exec_determinism --test capacity_plan
 CALADRIUS_THREADS=1 cargo test -q --test sim_kernel_equivalence
+CALADRIUS_THREADS=1 cargo test -q --test paper_figures
 
 # The same suite as the benchmark builds it: release drops debug
 # assertions and wraps on overflow, and the drain's tick arithmetic
 # must hold there too. More proptest cases than the default.
 echo "==> PROPTEST_CASES=512 sim_kernel_equivalence (release)"
 PROPTEST_CASES=512 cargo test -q --release --test sim_kernel_equivalence
+
+# The figures' printed tables must not depend on the build profile.
+echo "==> paper figures (release)"
+cargo test -q --release --test paper_figures
 
 # The fleet e2e fans out cluster planning across the "fleet-plan" pool;
 # the single-thread run proves the fleet tier's answers (grants, shard

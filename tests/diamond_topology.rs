@@ -4,8 +4,10 @@
 //! same time") but does not evaluate.
 
 use caladrius::core::model::relative_error;
+use caladrius::core::providers::tracker::to_logical_spec;
 use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
+use caladrius::graph::TopologyDag;
 use caladrius::sim::metrics::metric;
 use caladrius::sim::prelude::*;
 use caladrius::tsdb::Aggregation;
@@ -42,16 +44,23 @@ fn dag_model_predicts_fan_out_fan_in() {
     let caladrius = fitted_caladrius();
     let model = caladrius.fit_topology_model("diamond").unwrap();
 
-    // Two critical-path candidates through the diamond.
-    let mut paths = model.critical_path_candidates().unwrap();
-    paths.sort();
-    assert_eq!(
-        paths,
-        vec![
-            vec!["events", "enrich", "device", "aggregator"],
-            vec!["events", "enrich", "geo", "aggregator"],
-        ]
-    );
+    // Two critical-path candidates through the diamond: at unit
+    // parallelism it has two spout→sink paths, enrich fanning out to the
+    // geo and device branches, which both feed the aggregator.
+    let mut spec = to_logical_spec(&diamond_topology(DiamondParallelism::default(), 8.0e6));
+    for (_, p) in &mut spec.components {
+        *p = 1;
+    }
+    let dag = TopologyDag::new(&spec).unwrap();
+    assert_eq!(dag.instance_path_count(), Ok(2));
+    let names = |vs: &[usize]| -> Vec<&str> { vs.iter().map(|&v| dag.name(v)).collect() };
+    let enrich = (0..dag.len()).find(|&v| dag.name(v) == "enrich").unwrap();
+    let mut branches = names(dag.successors(enrich));
+    branches.sort();
+    assert_eq!(branches, ["device", "geo"]);
+    for &branch in dag.successors(enrich) {
+        assert_eq!(names(dag.successors(branch)), ["aggregator"]);
+    }
 
     // Linear regime: aggregator sees 2x the offered rate.
     let pred = model.predict(&HashMap::new(), 10.0e6).unwrap();
