@@ -207,8 +207,13 @@ fn parse_evaluation_body(body: &str) -> Result<(HashMap<String, u32>, SourceRate
         for (k, v) in map {
             let p = v
                 .as_f64()
-                .filter(|p| *p >= 0.0 && p.fract() == 0.0)
-                .ok_or_else(|| format!("parallelism of {k:?} must be a whole number"))?;
+                .filter(|p| (0.0..=f64::from(u32::MAX)).contains(p) && p.fract() == 0.0)
+                .ok_or_else(|| {
+                    format!(
+                        "parallelism of {k:?} must be a whole number up to {}",
+                        u32::MAX
+                    )
+                })?;
             parallelisms.insert(k.clone(), p as u32);
         }
     }
@@ -1329,6 +1334,13 @@ mod tests {
             &s,
             "/model/topology/heron/wordcount",
             r#"{"parallelism": {"splitter": 2.5}}"#,
+        );
+        assert_eq!(r.status, 400);
+        // Above u32::MAX: refused, not saturated to 4,294,967,295.
+        let r = post(
+            &s,
+            "/model/topology/heron/wordcount",
+            r#"{"parallelism": {"splitter": 5e9}}"#,
         );
         assert_eq!(r.status, 400);
         let r = post(

@@ -928,6 +928,7 @@ mod tests {
             for (key, samples) in source.db().select(&name, &[], i64::MIN, i64::MAX).unwrap() {
                 let bolt = key.tag("component") == Some("bolt");
                 let instance = key.tag("instance");
+                let handle = metrics.db().register(&key);
                 let skipped = |s: &Sample| {
                     s.ts == gap
                         && bolt
@@ -940,7 +941,7 @@ mod tests {
                         && instance == Some("0")
                         && (newest - 7 * 60_000..newest - 5 * 60_000).contains(&s.ts);
                     let value = if stalled { 60_000.0 } else { s.value };
-                    metrics.db().write(&key, s.ts, value);
+                    metrics.db().append(&handle, s.ts, value);
                 }
             }
         }

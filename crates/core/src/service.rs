@@ -2251,11 +2251,13 @@ mod tests {
         }
     }
 
-    /// Counts every windowed read per `(component, metric)` and, once
-    /// armed, fails the next one.
+    /// Counts every windowed read per `(component, metric)`, records the
+    /// `from` bounds the reads asked for and, once armed, fails the next
+    /// read.
     struct ProbedProvider {
         inner: SimMetricsProvider,
         reads: parking_lot::Mutex<BTreeMap<(String, String), u32>>,
+        froms: parking_lot::Mutex<std::collections::BTreeSet<i64>>,
         fail_next: std::sync::atomic::AtomicBool,
     }
 
@@ -2269,6 +2271,7 @@ mod tests {
             let provider = Arc::new(ProbedProvider {
                 inner: SimMetricsProvider::new(metrics.clone()),
                 reads: Default::default(),
+                froms: Default::default(),
                 fail_next: Default::default(),
             });
             let tracker = StaticTracker::new().with(wordcount_topology(PARALLELISM, 20.0e6));
@@ -2291,6 +2294,7 @@ mod tests {
         ) -> Result<heron_sim::metrics::SeriesSet> {
             let key = (component.to_string(), metric_name.to_string());
             *self.reads.lock().entry(key).or_insert(0) += 1;
+            self.froms.lock().insert(from);
             if self
                 .fail_next
                 .swap(false, std::sync::atomic::Ordering::SeqCst)
@@ -2339,13 +2343,38 @@ mod tests {
         let cold = caladrius.model_cache_stats();
         assert!(cold.full_fits > 0 && cold.incremental_fits == 0);
 
-        run_leg(&metrics, 600, 24.0e6);
-        provider.reads.lock().clear();
-        caladrius.fitted_models("wordcount").unwrap();
-        assert_eq!(*provider.reads.lock(), once, "stale fit");
+        // Steady ingest over the 4-hour window: one fresh minute a round.
+        // Every Stale fit reads each series set once, from just after the
+        // previous fit's watermark, never the window again.
+        let rounds = 30;
+        let mut sim = Simulation::new(
+            wordcount_topology(PARALLELISM, 24.0e6),
+            SimConfig {
+                metric_noise: 0.0,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        sim.skip_to_minute(600);
+        sim.warmup_minutes(30);
+        for round in 0..rounds {
+            let fitted_to = metrics.db().watermark().unwrap();
+            sim.run_minutes_into(1, &metrics);
+            provider.reads.lock().clear();
+            provider.froms.lock().clear();
+            caladrius.fitted_models("wordcount").unwrap();
+            assert_eq!(*provider.reads.lock(), once, "stale fit, round {round}");
+            assert_eq!(
+                provider.froms.lock().iter().copied().collect::<Vec<_>>(),
+                vec![fitted_to + 1],
+                "stale fit, round {round}"
+            );
+        }
         let stale = caladrius.model_cache_stats();
+        assert!(stale.incremental_fits > 0);
+        assert_eq!(stale.fits, stale.full_fits + stale.incremental_fits);
         assert_eq!(stale.full_fits, cold.full_fits);
-        assert_eq!(stale.incremental_fits, cold.full_fits);
+        assert_eq!(stale.incremental_fits, rounds * cold.full_fits);
     }
 
     /// Every fitted parameter, bit for bit.

@@ -134,11 +134,8 @@ impl SimMetrics {
         minute_ts: i64,
         value: f64,
     ) {
-        self.db.write(
-            &self.instance_key(name, component, instance, container),
-            minute_ts,
-            value,
-        );
+        let key = self.instance_key(name, component, instance, container);
+        self.db.append(&self.db.register(&key), minute_ts, value);
     }
 
     /// Resolves all per-instance series handles for one instance up front.

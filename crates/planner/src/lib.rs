@@ -32,6 +32,6 @@ pub use plan::{
 };
 pub use replay::{replay_timeline, replay_timeline_with, ReplayConfig, WindowReplay};
 pub use search::{
-    grid_min_cost, min_satisfying, plan_horizon, plan_horizon_warm, plan_horizon_warm_with,
-    plan_horizon_with, plan_window, plan_window_warm, Assessment, CapacityOracle,
+    min_satisfying, plan_horizon, plan_horizon_warm, plan_horizon_warm_with, plan_horizon_with,
+    plan_window, plan_window_warm, Assessment, CapacityOracle,
 };

@@ -313,58 +313,6 @@ fn get_cpu(a: &Assessment, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Outcome of [`grid_min_cost`]: the cheapest acceptable assignment
-/// (`None` when the grid holds no feasible point) and the number of
-/// oracle evaluations spent.
-pub type GridOutcome = (Option<Vec<(String, u32)>>, u64);
-
-/// Exhaustive reference search: scans the full joint grid
-/// `[1, max_per_component]^k` and returns the feasible assignment with
-/// the fewest total instances (`None` when the grid holds no feasible
-/// point) plus the number of oracle evaluations spent. Exponential in
-/// the component count — benchmark/cross-check use only.
-pub fn grid_min_cost(
-    oracle: &dyn CapacityOracle,
-    rate: f64,
-    config: &PlannerConfig,
-    max_per_component: u32,
-) -> Result<GridOutcome, PlanError> {
-    config.validate()?;
-    let comps = oracle.components();
-    let cpu_budget = config.limits.cores_per_instance * config.cpu_utilization_cap;
-    let mut odometer: Vec<u32> = vec![1; comps.len()];
-    let mut best: Option<(u32, Vec<(String, u32)>)> = None;
-    let mut evals = 0u64;
-    loop {
-        let ps: Vec<(String, u32)> = comps
-            .iter()
-            .cloned()
-            .zip(odometer.iter().copied())
-            .collect();
-        let total: u32 = odometer.iter().sum();
-        if best.as_ref().is_none_or(|(b, _)| total < *b) {
-            let a = oracle.assess(&ps, rate)?;
-            evals += 1;
-            if accepts(&a, cpu_budget) {
-                best = Some((total, ps));
-            }
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            if i == odometer.len() {
-                return Ok((best.map(|(_, ps)| ps), evals));
-            }
-            if odometer[i] < max_per_component {
-                odometer[i] += 1;
-                break;
-            }
-            odometer[i] = 1;
-            i += 1;
-        }
-    }
-}
-
 /// Componentwise maximum of two assignments (same components, any
 /// order).
 fn componentwise_max(a: &[(String, u32)], b: &[(String, u32)]) -> Vec<(String, u32)> {
@@ -682,13 +630,59 @@ mod tests {
         }
     }
 
+    /// Exhaustive reference search: scans the full joint grid
+    /// `[1, max_per_component]^k` and returns the feasible assignment
+    /// with the fewest total instances (`None` when the grid holds no
+    /// feasible point) plus the number of oracle evaluations spent.
+    /// Exponential in the component count.
+    fn grid_min_cost(
+        oracle: &dyn CapacityOracle,
+        rate: f64,
+        config: &PlannerConfig,
+        max_per_component: u32,
+    ) -> (Option<Vec<(String, u32)>>, u64) {
+        let comps = oracle.components();
+        let cpu_budget = config.limits.cores_per_instance * config.cpu_utilization_cap;
+        let mut odometer: Vec<u32> = vec![1; comps.len()];
+        let mut best: Option<(u32, Vec<(String, u32)>)> = None;
+        let mut evals = 0u64;
+        loop {
+            let ps: Vec<(String, u32)> = comps
+                .iter()
+                .cloned()
+                .zip(odometer.iter().copied())
+                .collect();
+            let total: u32 = odometer.iter().sum();
+            if best.as_ref().is_none_or(|(b, _)| total < *b) {
+                let a = oracle.assess(&ps, rate).unwrap();
+                evals += 1;
+                if accepts(&a, cpu_budget) {
+                    best = Some((total, ps));
+                }
+            }
+            // Advance the odometer.
+            let mut i = 0;
+            loop {
+                if i == odometer.len() {
+                    return (best.map(|(_, ps)| ps), evals);
+                }
+                if odometer[i] < max_per_component {
+                    odometer[i] += 1;
+                    break;
+                }
+                odometer[i] = 1;
+                i += 1;
+            }
+        }
+    }
+
     #[test]
     fn plan_window_matches_exhaustive_grid() {
         let oracle =
             AnalyticOracle::new(&[("a", 1.0, 3.0e6), ("b", 2.0, 5.0e6), ("c", 0.5, 1.5e6)]);
         let cfg = config(12);
         let solved = plan_window(&oracle, 9.0e6, &cfg).unwrap();
-        let (grid, grid_evals) = grid_min_cost(&oracle, 9.0e6, &cfg, 12).unwrap();
+        let (grid, grid_evals) = grid_min_cost(&oracle, 9.0e6, &cfg, 12);
         let grid = grid.expect("grid must find a feasible point");
         let grid_total: u32 = grid.iter().map(|(_, p)| *p).sum();
         let search_total: u32 = solved.parallelisms.iter().map(|(_, p)| *p).sum();

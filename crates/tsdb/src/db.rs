@@ -282,14 +282,6 @@ impl MetricsDb {
         }
     }
 
-    /// Writes one sample. Compatibility wrapper over
-    /// [`MetricsDb::register`] + [`MetricsDb::append`]; steady-state
-    /// producers should hold the handle instead of paying the catalog
-    /// lookup per sample.
-    pub fn write(&self, key: &SeriesKey, ts: i64, value: f64) {
-        self.append(&self.register(key), ts, value);
-    }
-
     /// Reads one series' samples in `[from, to]`, or an error if the exact
     /// key is unknown.
     pub fn read(&self, key: &SeriesKey, from: i64, to: i64) -> Result<Vec<Sample>> {
@@ -532,6 +524,11 @@ mod tests {
     use std::sync::Arc as StdArc;
     use std::thread;
 
+    /// Appends one sample to `key`'s series, registering it if new.
+    fn write(db: &MetricsDb, key: &SeriesKey, ts: i64, value: f64) {
+        db.append(&db.register(key), ts, value);
+    }
+
     fn key(component: &str, instance: u32) -> SeriesKey {
         SeriesKey::new("emit-count")
             .with_tag("topology", "wc")
@@ -542,8 +539,8 @@ mod tests {
     #[test]
     fn write_then_read_exact_key() {
         let db = MetricsDb::new();
-        db.write(&key("splitter", 0), 0, 5.0);
-        db.write(&key("splitter", 0), 60_000, 7.0);
+        write(&db, &key("splitter", 0), 0, 5.0);
+        write(&db, &key("splitter", 0), 60_000, 7.0);
         let samples = db.read(&key("splitter", 0), 0, i64::MAX).unwrap();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[1].value, 7.0);
@@ -573,9 +570,9 @@ mod tests {
         // instead of overflowing below it.
         let db = MetricsDb::new();
         for (instance, ts, value) in [(0, i64::MIN, 1.0), (0, 0, 2.0), (1, i64::MIN, 4.0)] {
-            db.write(&key("splitter", instance), ts, value);
+            write(&db, &key("splitter", instance), ts, value);
         }
-        db.write(&key("splitter", 1), i64::MAX, 8.0);
+        write(&db, &key("splitter", 1), i64::MAX, 8.0);
         let filters = [TagFilter::eq("component", "splitter")];
         let summed = db
             .aggregate(
@@ -612,8 +609,8 @@ mod tests {
     fn select_filters_by_tag() {
         let db = MetricsDb::new();
         for i in 0..3 {
-            db.write(&key("splitter", i), 0, f64::from(i));
-            db.write(&key("counter", i), 0, f64::from(i) * 10.0);
+            write(&db, &key("splitter", i), 0, f64::from(i));
+            write(&db, &key("counter", i), 0, f64::from(i) * 10.0);
         }
         let rows = db
             .select(
@@ -659,7 +656,7 @@ mod tests {
     fn aggregate_by_groups_per_instance() {
         let db = MetricsDb::new();
         for i in 0..2u32 {
-            db.write(&key("splitter", i), 0, f64::from(i + 1));
+            write(&db, &key("splitter", i), 0, f64::from(i + 1));
         }
         let groups = db
             .aggregate_by(
@@ -696,7 +693,7 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
         }
-        db.write(&key("splitter", 0), 0, 7.0);
+        write(&db, &key("splitter", 0), 0, 7.0);
         let filters = [TagFilter::eq("component", "counter")];
         let (sum, within) = (Aggregation::Sum, Aggregation::Sum);
         for (from, to) in [(0, i64::MAX), (60_000, 60_000), (i64::MIN, -1)] {
@@ -749,8 +746,8 @@ mod tests {
     #[test]
     fn latest_ts_across_series() {
         let db = MetricsDb::new();
-        db.write(&key("splitter", 0), 120_000, 1.0);
-        db.write(&key("splitter", 1), 300_000, 1.0);
+        write(&db, &key("splitter", 0), 120_000, 1.0);
+        write(&db, &key("splitter", 1), 300_000, 1.0);
         assert_eq!(db.latest_ts("emit-count", &[]), Some(300_000));
         assert_eq!(db.latest_ts("missing", &[]), None);
     }
@@ -779,7 +776,7 @@ mod tests {
             let db = StdArc::clone(&db);
             handles.push(thread::spawn(move || {
                 for m in 0..250i64 {
-                    db.write(&key("splitter", t), m * 60_000, m as f64);
+                    write(&db, &key("splitter", t), m * 60_000, m as f64);
                 }
             }));
         }
@@ -794,13 +791,13 @@ mod tests {
     fn concurrent_read_write_same_series() {
         let db = StdArc::new(MetricsDb::new());
         let k = key("splitter", 0);
-        db.write(&k, 0, 0.0);
+        write(&db, &k, 0, 0.0);
         let writer = {
             let db = StdArc::clone(&db);
             let k = k.clone();
             thread::spawn(move || {
                 for m in 1..2000i64 {
-                    db.write(&k, m * 1_000, m as f64);
+                    write(&db, &k, m * 1_000, m as f64);
                 }
             })
         };
@@ -815,8 +812,8 @@ mod tests {
     #[test]
     fn metric_names_listing() {
         let db = MetricsDb::new();
-        db.write(&SeriesKey::new("a"), 0, 1.0);
-        db.write(&SeriesKey::new("b"), 0, 1.0);
+        write(&db, &SeriesKey::new("a"), 0, 1.0);
+        write(&db, &SeriesKey::new("b"), 0, 1.0);
         assert_eq!(db.metric_names(), vec!["a", "b"]);
     }
 
@@ -890,7 +887,7 @@ mod tests {
     fn watermark_tracks_every_ingest_path() {
         let db = MetricsDb::new();
         assert_eq!(db.watermark(), None);
-        db.write(&key("splitter", 0), 60_000, 1.0);
+        write(&db, &key("splitter", 0), 60_000, 1.0);
         assert_eq!(db.watermark(), Some(60_000));
         let h = db.register(&key("splitter", 1));
         db.append(&h, 180_000, 1.0);
@@ -978,7 +975,7 @@ mod tests {
             .collect();
         for (i, v) in values.iter().enumerate() {
             let ts = i as i64 * 60_000;
-            per_sample.write(&k, ts, *v);
+            write(&per_sample, &k, ts, *v);
             let mut batch = MetricBatch::new(ts);
             batch.push(&handle, *v);
             batched.ingest_batch(&batch);

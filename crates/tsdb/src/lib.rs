@@ -27,8 +27,9 @@
 //!     .with_tag("topology", "wordcount")
 //!     .with_tag("component", "splitter")
 //!     .with_tag("instance", "0");
+//! let handle = db.register(&key);
 //! for minute in 0..10 {
-//!     db.write(&key, minute * 60_000, 1000.0 + minute as f64);
+//!     db.append(&handle, minute * 60_000, 1000.0 + minute as f64);
 //! }
 //! let out = db
 //!     .select("emit-count", &[TagFilter::eq("component", "splitter")], 0, i64::MAX)

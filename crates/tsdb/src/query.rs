@@ -507,11 +507,8 @@ mod tests {
         use crate::{MetricsDb, SeriesKey};
         let db = MetricsDb::new();
         for i in 0..3 {
-            db.write(
-                &SeriesKey::new("m").with_tag("instance", i.to_string()),
-                0,
-                f64::from(i),
-            );
+            let key = SeriesKey::new("m").with_tag("instance", i.to_string());
+            db.append(&db.register(&key), 0, f64::from(i));
         }
         let (name, filters) = parse_selector("m{instance=0|2}").unwrap();
         let rows = db.select(&name, &filters, 0, 10).unwrap();

@@ -59,8 +59,9 @@ mod tests {
     fn enforce_drops_old_samples_relative_to_newest() {
         let db = MetricsDb::new();
         let key = SeriesKey::new("m");
+        let handle = db.register(&key);
         for m in 0..180i64 {
-            db.write(&key, m * 60_000, m as f64);
+            db.append(&handle, m * 60_000, m as f64);
         }
         // Newest ts = 179 min; 1 hour retention keeps [119 min, 179 min].
         let dropped = RetentionPolicy::hours(1).enforce(&db).unwrap();
@@ -79,8 +80,8 @@ mod tests {
     #[test]
     fn enforce_spans_multiple_metrics() {
         let db = MetricsDb::new();
-        db.write(&SeriesKey::new("old"), 0, 1.0);
-        db.write(&SeriesKey::new("new"), 10 * 86_400_000, 1.0);
+        db.append(&db.register(&SeriesKey::new("old")), 0, 1.0);
+        db.append(&db.register(&SeriesKey::new("new")), 10 * 86_400_000, 1.0);
         let dropped = RetentionPolicy::days(1).enforce(&db).unwrap();
         assert_eq!(dropped, 1);
         assert_eq!(db.sample_count(), 1);

@@ -8,7 +8,9 @@ use caladrius::api::{json, ApiService, HttpClient, HttpServer, Request, Response
 use caladrius::api::{AdmissionConfig, Value};
 use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
-use caladrius::fleet::{assign_shard, Fleet, FleetConfig, FleetService, StagedWorkload};
+use caladrius::fleet::{
+    assign_shard, BoundWorkload, Fleet, FleetConfig, FleetService, StagedWorkload,
+};
 use caladrius::sim::metrics::SimMetrics;
 use caladrius::sim::topology::Topology;
 use caladrius::tsdb::MetricBatch;
@@ -43,21 +45,40 @@ fn feed(staged: &StagedWorkload, metrics: &SimMetrics, mut ingest: impl FnMut(&M
     }
 }
 
-/// A 4-shard fleet hosting 64 staged-workload topologies.
-fn build_fleet() -> Arc<Fleet> {
+/// A 4-shard fleet hosting 64 staged-workload topologies, with each
+/// tenant's binding to the staged workload.
+fn build_fleet(staged: &StagedWorkload) -> (Arc<Fleet>, Vec<(String, BoundWorkload)>) {
     let fleet = Arc::new(Fleet::new(FleetConfig {
         shards: SHARDS,
         ..FleetConfig::default()
     }));
-    let staged = StagedWorkload::stage_wordcount();
+    let mut tenants = Vec::with_capacity(TOPOLOGIES);
     for i in 0..TOPOLOGIES {
         let name = format!("tenant-{i:02}");
         let metrics = fleet.register(tenant_topology(&name));
-        feed(&staged, &metrics, |batch| {
+        feed(staged, &metrics, |batch| {
             fleet.ingest(&name, batch).expect("registered topology")
         });
+        tenants.push((name, staged.bind(&metrics)));
     }
-    fleet
+    (fleet, tenants)
+}
+
+/// Ships staged minute `idx`, replayed one cycle past the fed history, to
+/// each of `tenants`: their watermarks advance and their cached models
+/// and plans go stale.
+fn ship_minute(
+    fleet: &Fleet,
+    staged: &StagedWorkload,
+    tenants: &[(String, BoundWorkload)],
+    idx: usize,
+) {
+    let cycle_ms = staged.minute_ts(staged.minutes() - 1) - staged.minute_ts(0) + 60_000;
+    let mut batch = MetricBatch::new(0);
+    for (name, bound) in tenants {
+        bound.fill_at(staged, idx, cycle_ms, &mut batch);
+        fleet.ingest(name, &batch).expect("registered topology");
+    }
 }
 
 /// Polls a fleet plan job until it finishes, returning the result.
@@ -95,9 +116,22 @@ fn sum_field(result: &Value, field: &str) -> f64 {
         .sum()
 }
 
+/// A fleet plan's `[unchanged, drifted, cold, errors]` counts.
+fn partition(result: &Value) -> [Option<f64>; 4] {
+    ["unchanged", "drifted", "cold", "errors"]
+        .map(|field| result.get(field).and_then(Value::as_f64))
+}
+
 #[test]
 fn fleet_tier_end_to_end() {
-    let fleet = build_fleet();
+    let staged = StagedWorkload::stage_wordcount();
+    let (fleet, tenants) = build_fleet(&staged);
+    let n = TOPOLOGIES as f64;
+    // Plan searches the shards have run, in total.
+    let searches = || -> u64 {
+        let shards = fleet.health().shards;
+        shards.iter().map(|s| s.model_cache.plans).sum()
+    };
 
     // Shard assignment is the pure rendezvous hash, and every shard
     // hosts a sensible share of the 64 topologies.
@@ -140,11 +174,15 @@ fn fleet_tier_end_to_end() {
         );
     }
 
+    let plan = |body: &str| {
+        let (status, accepted) = client.post("/fleet/plan", body).unwrap();
+        assert_eq!(status, 202, "{accepted}");
+        wait_for_plan(&client, &accepted)
+    };
+
     // Unconstrained cluster plan: every topology plans cleanly and the
     // grant covers its peak demand.
-    let (status, body) = client.post("/fleet/plan", "{}").unwrap();
-    assert_eq!(status, 202, "{body}");
-    let free = wait_for_plan(&client, &body);
+    let free = plan("{}");
     assert_eq!(free.get("errors").and_then(Value::as_f64), Some(0.0));
     let outcomes = free.get("topologies").and_then(Value::as_array).unwrap();
     assert_eq!(outcomes.len(), TOPOLOGIES);
@@ -163,10 +201,10 @@ fn fleet_tier_end_to_end() {
 
     // A second identical plan over unchanged data is served entirely
     // from the per-shard plan caches: every topology counts as
-    // unchanged and the outcomes are byte-identical.
-    let (status, body) = client.post("/fleet/plan", "{}").unwrap();
-    assert_eq!(status, 202, "{body}");
-    let cached = wait_for_plan(&client, &body);
+    // unchanged, no search runs and the outcomes are byte-identical.
+    let before = searches();
+    let cached = plan("{}");
+    assert_eq!(searches(), before, "a cached replan runs no search");
     assert_eq!(
         cached.get("unchanged").and_then(Value::as_f64),
         Some(TOPOLOGIES as f64)
@@ -209,16 +247,54 @@ fn fleet_tier_end_to_end() {
         "first plan missed throughout"
     );
 
+    // Replans under continuous ingest. A fresh minute to every tenant
+    // drifts them all: each re-plan warm-starts from its stale entry.
+    ship_minute(&fleet, &staged, &tenants, 0);
+    let refit = plan("{}");
+    assert_eq!(
+        partition(&refit),
+        [Some(0.0), Some(n), Some(0.0), Some(0.0)]
+    );
+    // No new data: the warm replan is pure plan-cache reads, runs no
+    // search and grants what the plans it memoises granted.
+    let before = searches();
+    let warm = plan("{}");
+    assert_eq!(partition(&warm), [Some(n), Some(0.0), Some(0.0), Some(0.0)]);
+    assert_eq!(searches(), before, "a warm replan runs no search");
+    assert_eq!(
+        warm.get("total_granted").and_then(Value::as_f64),
+        refit.get("total_granted").and_then(Value::as_f64),
+        "cached plans must match the plans they memoise"
+    );
+    // 10 % drift: only the drifted tenants search again.
+    let drifted = TOPOLOGIES / 10;
+    ship_minute(&fleet, &staged, &tenants[..drifted], 1);
+    let before = searches();
+    let drift = plan("{}");
+    let d = drifted as f64;
+    assert_eq!(
+        partition(&drift),
+        [Some(n - d), Some(d), Some(0.0), Some(0.0)]
+    );
+    assert_eq!(
+        searches(),
+        before + drifted as u64,
+        "one search per drifted tenant"
+    );
+    // The cached, warm and drift rounds hit the plan caches; the refit and
+    // drift rounds warm-started from stale entries.
+    let shards = fleet.health().shards;
+    let plan_hits: u64 = shards.iter().map(|s| s.plan_cache.hits).sum();
+    let warm_starts: u64 = shards.iter().map(|s| s.plan_cache.warm_starts).sum();
+    assert_eq!(plan_hits, 3 * TOPOLOGIES as u64 - drifted as u64);
+    assert_eq!(warm_starts, (TOPOLOGIES + drifted) as u64);
+
     // Budgeted cluster plan: grants sum within the cluster budget, and
     // every produced timeline fits its topology's grant.
     let budget = (peak_sum as u32)
         .saturating_sub(TOPOLOGIES as u32 / 2)
         .max(1);
-    let (status, body) = client
-        .post("/fleet/plan", &format!("{{\"budget\": {budget}}}"))
-        .unwrap();
-    assert_eq!(status, 202, "{body}");
-    let tight = wait_for_plan(&client, &body);
+    let tight = plan(&format!("{{\"budget\": {budget}}}"));
     assert_eq!(
         tight.get("budget").and_then(Value::as_f64),
         Some(f64::from(budget))
@@ -290,6 +366,34 @@ fn fleet_tier_end_to_end() {
             .any(|l| l.starts_with("caladrius_fleet_shed_total{") && !l.trim_end().ends_with(" 0")),
         "shed counter missing after forced shed"
     );
+
+    // A burst of low-priority plans against a token bucket that never
+    // refills, on a front door over an empty fleet: the bucket admits
+    // exactly its capacity and sheds the rest.
+    let edge = FleetService::with_admission(
+        Arc::new(Fleet::new(FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        })),
+        2,
+        AdmissionConfig {
+            enabled: true,
+            bucket_capacity: 64.0,
+            refill_per_second: 0.0,
+            queue_depth_watermark: 256.0,
+            slo_p99_seconds: f64::INFINITY,
+            ..AdmissionConfig::default()
+        },
+    );
+    let (mut admitted, mut shed) = (0, 0);
+    for _ in 0..256 {
+        match edge.handle(request("POST", "/fleet/plan", "{}")).status {
+            202 => admitted += 1,
+            429 => shed += 1,
+            other => panic!("unexpected status {other}"),
+        }
+    }
+    assert_eq!((admitted, shed), (64, 192));
 }
 
 fn request(method: &str, target: &str, body: &str) -> Request {

@@ -382,6 +382,77 @@ fn event_mode_matches_exact_on_an_onboarding_cycle() {
     }
 }
 
+/// A pooled simulation rewound through healthy windows, as the planner's
+/// replay drives it, advances every tick in closed form: event mode runs
+/// no exact tick at all. Windows sweep 0.75x..1.10x of each deployment's
+/// base rate; the wide WordCount follows a diurnal spout whose rate never
+/// settles.
+#[test]
+fn event_mode_runs_no_exact_tick_on_pooled_healthy_windows() {
+    const WINDOWS: usize = 8;
+    const MINUTES: u64 = 30;
+    let rates = |base: f64| (0..WINDOWS).map(move |w| base * (0.75 + 0.05 * w as f64));
+    let config = SimConfig {
+        event_mode: true,
+        ..SimConfig::default()
+    };
+    let assert_all_closed_form = |sim: &Simulation, label: &str| {
+        assert_eq!(sim.ticks_executed(), 0, "{label}: exact ticks");
+        assert_eq!(
+            sim.ticks_closed_form(),
+            WINDOWS as u64 * MINUTES * 60,
+            "{label}: closed-form ticks"
+        );
+    };
+
+    for (topology, base) in [
+        (
+            wordcount_topology(WordCountParallelism::default(), 8.0e6),
+            8.0e6,
+        ),
+        (
+            diamond_topology(DiamondParallelism::default(), 12.0e6),
+            12.0e6,
+        ),
+    ] {
+        let metrics = SimMetrics::new(topology.name.clone());
+        let mut sim = Simulation::new(topology, config.clone()).unwrap();
+        for rate in rates(base) {
+            metrics.db().truncate_before(i64::MAX).unwrap();
+            sim.reset_with(&[], rate).unwrap();
+            sim.run_minutes_into(MINUTES, &metrics);
+        }
+        assert_all_closed_form(&sim, &sim.topology().name);
+    }
+
+    let wide = WordCountParallelism {
+        spout: 256,
+        splitter: 64,
+        counter: 96,
+    };
+    let profiles: Vec<RateProfile> = rates(32.0 * 6.0e6)
+        .map(|rate| {
+            DiurnalTraffic {
+                base_rate: rate / 60.0,
+                amplitude: 0.25,
+                period_secs: 600,
+                phase_secs: 0,
+                knots_per_period: 12,
+            }
+            .to_profile(MINUTES * 60)
+        })
+        .collect();
+    let topology = wordcount_topology_with(wide, profiles[0].clone(), None);
+    let metrics = SimMetrics::new(topology.name.clone());
+    let mut sim = Simulation::new(topology, config).unwrap();
+    for profile in &profiles {
+        metrics.db().truncate_before(i64::MAX).unwrap();
+        sim.reset_with_profile(&[], profile).unwrap();
+        sim.run_minutes_into(MINUTES, &metrics);
+    }
+    assert_all_closed_form(&sim, "wide diurnal wordcount");
+}
+
 /// 64-bit FNV-1a.
 struct Fnv1a(u64);
 
