@@ -18,8 +18,11 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketA
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+/// How long a worker waits for a whole request, counted from when it
+/// starts reading; a request not read by then is answered `408`.
+const REQUEST_READ_DEADLINE: Duration = Duration::from_secs(10);
 /// Maximum accepted request body (1 MiB) — model requests are small.
 const MAX_BODY: usize = 1024 * 1024;
 /// Longest accepted request or header line, terminator included.
@@ -71,7 +74,7 @@ pub struct Response {
     /// Body bytes.
     pub body: Vec<u8>,
     /// Extra response headers beyond the standard set (e.g.
-    /// `Retry-After` on load-shedding 429s).
+    /// `Retry-After` on a per-topology cap's 429).
     pub headers: Vec<(String, String)>,
 }
 
@@ -117,6 +120,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             413 => "Payload Too Large",
             422 => "Unprocessable Entity",
             429 => "Too Many Requests",
@@ -185,7 +189,7 @@ impl HttpServer {
             let handler = Arc::clone(&handler);
             std::thread::spawn(move || {
                 while let Ok(stream) = rx.recv() {
-                    handle_connection(stream, &handler);
+                    handle_connection(stream, &handler, REQUEST_READ_DEADLINE);
                 }
             });
         }
@@ -252,7 +256,6 @@ fn accept_loop(listener: TcpListener, tx: Sender<TcpStream>, stop: Arc<AtomicBoo
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
                 if tx.send(stream).is_err() {
                     break;
@@ -281,9 +284,35 @@ fn accept_backoff(kind: ErrorKind) -> Option<Duration> {
     }
 }
 
-fn handle_connection(stream: TcpStream, handler: &Handler) {
+/// A socket read against one deadline for the whole request: each
+/// `read` may block only for the time that is left, so a client that
+/// trickles bytes cannot hold a worker past the deadline.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// Reads one request off `stream` within `read_deadline`, answers it
+/// through `handler` (or with the rejection) and writes the response.
+fn handle_connection(stream: TcpStream, handler: &Handler, read_deadline: Duration) {
     let mut stream = stream;
-    let response = match read_request(&mut stream) {
+    let mut reader = DeadlineReader {
+        stream: &stream,
+        deadline: Instant::now() + read_deadline,
+    };
+    let response = match read_request(&mut reader) {
         Ok(mut request) => {
             // Mint a request id at the service edge when the client did
             // not send one; every downstream span records under it.
@@ -302,6 +331,17 @@ fn bad_request(message: impl Into<String>) -> Response {
     Response::text(400, message)
 }
 
+/// The rejection for a failed read: `408` when the read deadline ran
+/// out, `400` for anything else.
+fn read_failure(what: &str, e: &std::io::Error) -> Response {
+    match e.kind() {
+        ErrorKind::TimedOut | ErrorKind::WouldBlock => {
+            Response::text(408, "request not received before the read deadline")
+        }
+        _ => bad_request(format!("{what}: {e}")),
+    }
+}
+
 /// Reads one line of the header section into `line`, refusing (`431`) to
 /// buffer more than [`MAX_HEADER_LINE`] bytes of a line that never ends.
 fn read_header_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), Response> {
@@ -309,7 +349,7 @@ fn read_header_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), 
     reader
         .take(MAX_HEADER_LINE as u64)
         .read_line(line)
-        .map_err(|e| bad_request(format!("read error: {e}")))?;
+        .map_err(|e| read_failure("read error", &e))?;
     if line.len() == MAX_HEADER_LINE && !line.ends_with('\n') {
         return Err(Response::text(
             431,
@@ -320,7 +360,7 @@ fn read_header_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), 
 }
 
 /// Reads and parses one HTTP/1.1 request from a stream. The error is the
-/// response that rejects the request (`400`, `413` or `431`).
+/// response that rejects the request (`400`, `408`, `413` or `431`).
 pub fn read_request(stream: &mut impl Read) -> Result<Request, Response> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -371,7 +411,7 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, Response> {
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| bad_request(format!("body read error: {e}")))?;
+        .map_err(|e| read_failure("body read error", &e))?;
 
     let (path, query) = parse_target(&target);
     Ok(Request {
@@ -448,8 +488,7 @@ impl HttpClient {
     }
 
     /// [`HttpClient::post`] with request headers, returning the response
-    /// headers too (keys lower-cased) — load-shedding clients read
-    /// `Retry-After` off 429s, and priority rides in on `x-priority`.
+    /// headers too (keys lower-cased), e.g. `Retry-After` off a 429.
     pub fn post_full(
         &self,
         target: &str,
@@ -754,10 +793,50 @@ mod tests {
         );
     }
 
+    /// A client that sends one header byte every 50 ms is answered `408`
+    /// once the 300-ms read deadline has passed, not when it stops.
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_read_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let trickle = std::thread::spawn(move || {
+                // 45 bytes at 50 ms each: over two seconds to send in full.
+                for &byte in b"GET / HTTP/1.1\r\nx-pad: aaaaaaaaaaaaaaaaaa\r\n\r\n" {
+                    if writer.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            });
+            let mut response = Vec::new();
+            let _ = (&stream).read_to_end(&mut response);
+            trickle.join().unwrap();
+            String::from_utf8_lossy(&response).into_owned()
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let handler: Handler = Arc::new(|_| Response::json("{}"));
+        let start = Instant::now();
+        handle_connection(stream, &handler, Duration::from_millis(300));
+        let held = start.elapsed();
+        let response = client.join().unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{response:?}"
+        );
+        assert!(held < Duration::from_secs(1), "worker held for {held:?}");
+    }
+
     #[test]
     fn response_status_text() {
         assert_eq!(Response::text(404, "nope").status_text(), "Not Found");
         assert_eq!(Response::json_status(202, "{}").status_text(), "Accepted");
+        assert_eq!(Response::text(408, "").status_text(), "Request Timeout");
         assert_eq!(Response::json("{}").status_text(), "OK");
         assert_eq!(Response::text(599, "?").status_text(), "Unknown");
     }

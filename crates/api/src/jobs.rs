@@ -503,11 +503,6 @@ impl JobRunner {
         self.store.timing(id)
     }
 
-    /// Jobs submitted but not yet picked up by a worker.
-    pub fn queue_depth(&self) -> f64 {
-        self.queue_depth.get()
-    }
-
     /// Blocks until the job completes (testing convenience).
     pub fn wait(&self, id: u64) -> Option<JobState> {
         loop {
@@ -767,7 +762,7 @@ mod tests {
             runner.wait(id);
         }
         // Every submitted job has been picked up, so the gauge is back to 0.
-        assert_eq!(runner.queue_depth(), 0.0);
+        assert_eq!(runner.queue_depth.get(), 0.0);
     }
 
     #[test]

@@ -14,9 +14,6 @@
 //!   client to continue with other operations while the modelling is
 //!   being processed". Keyed submission caps each topology's in-flight
 //!   jobs so one tenant cannot monopolize the workers.
-//! * [`admission`] — token-bucket + p99-SLO + queue-watermark admission
-//!   control: under overload, low-priority requests are shed with `429`
-//!   and `Retry-After` instead of queueing without bound.
 //! * [`routes`] — the one front door, [`FrontDoor`]: Caladrius's REST
 //!   endpoints (`GET /model/traffic/heron/{topology}`,
 //!   `POST /model/topology/heron/{topology}`, job submission/polling,
@@ -24,17 +21,15 @@
 //!   that resolves a topology to its [`caladrius_core::Caladrius`]. It
 //!   has two implementations: one service ([`ApiService`]) and a
 //!   fleet's shards (`caladrius_fleet::FleetService`). The front door
-//!   owns the only job runner and admission controller.
+//!   owns the only job runner.
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod http;
 pub mod jobs;
 pub mod json;
 pub mod routes;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Priority};
 pub use http::{HttpClient, HttpServer, Request, Response};
 pub use jobs::{JobRejected, JobRunner};
 pub use json::Value;

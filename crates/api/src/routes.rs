@@ -1,11 +1,11 @@
 //! Caladrius's RESTful endpoints (paper §III-A) behind one front door,
-//! [`FrontDoor`]. The door owns the only job runner, admission
-//! controller and request pipeline (request id, per-route counters,
-//! windowed latency, route SLO, `http.request` span), and one route
-//! table. It is generic over [`Tenants`], the seam by which a topology
-//! finds its modelling service: one [`Caladrius`] ([`ApiService`]), or
-//! the shards of a fleet (`caladrius_fleet::FleetService`). Every kind
-//! of tenants answers the same routes:
+//! [`FrontDoor`]. The door owns the only job runner and request
+//! pipeline (request id, per-route counters, windowed latency, route
+//! SLO, `http.request` span), and one route table. It is generic over
+//! [`Tenants`], the seam by which a topology finds its modelling
+//! service: one [`Caladrius`] ([`ApiService`]), or the shards of a fleet
+//! (`caladrius_fleet::FleetService`). Every kind of tenants answers the
+//! same routes:
 //!
 //! | Method | Path | Purpose |
 //! |---|---|---|
@@ -21,15 +21,12 @@
 //! | GET  | `/metrics/service` | service-wide metrics, Prometheus text format |
 //! | GET  | `/trace/recent?limit=N&request_id=...` | recent spans from the trace ring, JSON |
 //! | GET  | `/slo/status` | burn-rate evaluation of every SLO objective |
-//! | GET  | `/debug/flight` | flight-recorder dump (snapshots, SLO transitions, sheds) |
+//! | GET  | `/debug/flight` | flight-recorder dump (snapshots, SLO transitions) |
 //!
 //! A kind of tenants may mount routes of its own through
-//! [`Tenants::route`] (the fleet's `/fleet/*`), built from the door's
+//! [`Tenants::route`] (the fleet's `/fleet/plan`), built from the door's
 //! [`FrontDoor::job_status`] and [`FrontDoor::submit_job`].
 
-use crate::admission::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, Priority, PRIORITY_HEADER,
-};
 use crate::http::{Handler, Request, Response};
 use crate::jobs::{JobRunner, JobState};
 use crate::json::{self, Value};
@@ -67,12 +64,11 @@ pub trait Tenants: Send + Sync + Sized + 'static {
     }
 }
 
-/// The HTTP front door: one route table, job runner and admission
-/// controller over a set of [`Tenants`].
+/// The HTTP front door: one route table and job runner over a set of
+/// [`Tenants`].
 pub struct FrontDoor<T> {
     tenants: Arc<T>,
     jobs: JobRunner,
-    admission: AdmissionController,
 }
 
 /// The front door of a single Caladrius service.
@@ -371,45 +367,33 @@ fn timeline_to_json(topology: &str, timeline: &caladrius_planner::PlanTimeline) 
     ])
 }
 
+/// A request slower than this many seconds counts against its route's
+/// SLO objective.
+const ROUTE_LATENCY_SLO_SECONDS: f64 = 2.0;
+
+/// The `Retry-After` hint (seconds) on a `429` from the per-topology
+/// job cap.
+const KEY_CAP_RETRY_AFTER_SECONDS: u32 = 1;
+
 /// Feeds the per-route SLO objective: a request is good when it neither
-/// failed server-side nor blew the route's latency SLO, so
-/// `/slo/status` covers every route.
-fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f64) {
+/// failed server-side nor took longer than
+/// [`ROUTE_LATENCY_SLO_SECONDS`], so `/slo/status` covers every route.
+fn record_route_slo(route: &str, status: u16, elapsed_secs: f64) {
     caladrius_obs::global_slos()
         .objective(
             &format!("route:{route}"),
             caladrius_obs::SloConfig::default(),
         )
-        .record(status < 500 && elapsed_secs <= latency_slo);
+        .record(status < 500 && elapsed_secs <= ROUTE_LATENCY_SLO_SECONDS);
 }
 
-/// Observed **recent** p99 latency of a route, read from the per-route
-/// windowed histogram [`FrontDoor::handle`] records into. `None` until
-/// the route has served a request inside the sliding window, so
-/// shedding reacts to the last couple of minutes — a long-past burst
-/// can no longer pin admission shut.
-fn route_p99(route: &str) -> Option<f64> {
-    let histogram = caladrius_obs::global_registry().windowed_histogram(
-        "caladrius_http_request_duration_seconds",
-        &[("route", route)],
-    );
-    let snapshot = histogram.windowed_snapshot();
-    (snapshot.count > 0).then(|| snapshot.quantile(0.99))
-}
-
-/// `429 Too Many Requests` with a `Retry-After` hint — both load
-/// shedding and per-topology fairness caps surface this shape.
-fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
-    error_json(429, error).with_header("Retry-After", retry_after_seconds.to_string())
-}
-
-/// `202 Accepted` for job `id`, polled at `{poll}{id}`.
-fn accepted(id: u64, poll: &str) -> Response {
+/// `202 Accepted` for job `id`, polled at `/jobs/{id}`.
+fn accepted(id: u64) -> Response {
     Response::json_status(
         202,
         Value::object([
             ("job_id", Value::from(id as f64)),
-            ("poll", Value::from(format!("{poll}{id}"))),
+            ("poll", Value::from(format!("/jobs/{id}"))),
         ])
         .to_json(),
     )
@@ -588,8 +572,8 @@ fn labels_to_json(labels: &[(String, String)]) -> Value {
     )
 }
 
-/// `GET /debug/flight`: dumps the flight recorder's retained snapshots,
-/// SLO transitions and shed decisions. Takes a snapshot first when due
+/// `GET /debug/flight`: dumps the flight recorder's retained snapshots
+/// and SLO transitions. Takes a snapshot first when due
 /// (or when none exists yet) so the dump is never empty.
 fn flight_response() -> Response {
     let flight = caladrius_obs::global_flight();
@@ -636,46 +620,22 @@ fn flight_response() -> Response {
             ])
         })
         .collect();
-    let sheds = flight
-        .sheds()
-        .into_iter()
-        .map(|s| {
-            Value::object([
-                ("ts_unix_ms", Value::from(s.ts_unix_ms as f64)),
-                ("route", Value::from(s.route.clone())),
-                ("priority", Value::from(s.priority.clone())),
-                ("reason", Value::from(s.reason.clone())),
-            ])
-        })
-        .collect();
     let body = Value::object([
         ("snapshots", Value::Array(snapshots)),
         ("slo_transitions", Value::Array(transitions)),
-        ("sheds", Value::Array(sheds)),
     ]);
     Response::json(body.to_json())
 }
 
 impl<T: Tenants> FrontDoor<T> {
-    /// A front door with `job_workers` asynchronous workers and
-    /// admission control disabled.
+    /// A front door with `job_workers` asynchronous workers.
     pub fn new(tenants: Arc<T>, job_workers: usize) -> Arc<Self> {
-        Self::with_admission(tenants, job_workers, AdmissionConfig::default())
+        Self::with_parts(tenants, JobRunner::new(job_workers))
     }
 
-    /// A front door with an explicit admission-control configuration on
-    /// the sheddable routes (the plan routes).
-    pub fn with_admission(
-        tenants: Arc<T>,
-        job_workers: usize,
-        admission: AdmissionConfig,
-    ) -> Arc<Self> {
-        Self::with_parts(tenants, JobRunner::new(job_workers), admission)
-    }
-
-    /// Fully explicit constructor: caller-built job runner (per-key caps,
-    /// capacity) plus an admission configuration.
-    pub fn with_parts(tenants: Arc<T>, jobs: JobRunner, admission: AdmissionConfig) -> Arc<Self> {
+    /// A front door over a caller-built job runner (per-key caps,
+    /// capacity).
+    pub fn with_parts(tenants: Arc<T>, jobs: JobRunner) -> Arc<Self> {
         let registry = caladrius_obs::global_registry();
         registry.describe(
             "caladrius_http_requests_total",
@@ -689,11 +649,7 @@ impl<T: Tenants> FrontDoor<T> {
             caladrius_obs::BURN_RATE_METRIC,
             "SLO error-budget burn rate by objective and evaluation window",
         );
-        Arc::new(Self {
-            tenants,
-            jobs,
-            admission: AdmissionController::new(admission),
-        })
+        Arc::new(Self { tenants, jobs })
     }
 
     /// The tenants behind the door.
@@ -701,7 +657,7 @@ impl<T: Tenants> FrontDoor<T> {
         &self.tenants
     }
 
-    /// The async job runner (fleet health reads its queue depth).
+    /// The async job runner.
     pub fn jobs(&self) -> &JobRunner {
         &self.jobs
     }
@@ -716,9 +672,9 @@ impl<T: Tenants> FrontDoor<T> {
     /// needed). Installs the request id (from `x-request-id`, minting
     /// one for hand-built requests) while the route runs, so every span
     /// recorded below attributes to this request, and records the
-    /// per-route counter, recent-window latency histogram (admission's
-    /// p99 signal), route SLO and an `http.request` span, all labelled
-    /// with the normalized route pattern.
+    /// per-route counter, recent-window latency histogram, route SLO and
+    /// an `http.request` span, all labelled with the normalized route
+    /// pattern.
     pub fn handle(&self, request: Request) -> Response {
         let request_id = request
             .request_id()
@@ -748,12 +704,7 @@ impl<T: Tenants> FrontDoor<T> {
                 &[("route", route)],
             )
             .record_duration(started.elapsed());
-        record_route_slo(
-            route,
-            response.status,
-            started.elapsed().as_secs_f64(),
-            self.admission.config().slo_p99_seconds,
-        );
+        record_route_slo(route, response.status, started.elapsed().as_secs_f64());
         caladrius_obs::global_flight().maybe_snapshot(registry);
         response
     }
@@ -838,33 +789,18 @@ impl<T: Tenants> FrontDoor<T> {
         Response::json_status(status, Value::object(fields).to_json())
     }
 
-    /// A sheddable asynchronous route. Admission control may shed a
-    /// low-priority request while `route` is over its latency SLO (or
-    /// the job queue over its watermark). Otherwise the UTF-8 body goes
-    /// through `parse`, and `job` runs on a worker with the tenants and
-    /// the parsed body. With a `key`, keyed submission caps that key's
-    /// unfinished jobs. Both refusals are `429` with `Retry-After`; a
-    /// bad body is `400`; an accepted job is `202`, polled at
-    /// `{poll}{id}`.
+    /// An asynchronous route. The UTF-8 body goes through `parse`, and
+    /// `job` runs on a worker with the tenants and the parsed body. With
+    /// a `key`, keyed submission caps that key's unfinished jobs; a
+    /// refusal is `429` with `Retry-After`. A bad body is `400`; an
+    /// accepted job is `202`, polled at `/jobs/{id}`.
     pub fn submit_job<P: Send + 'static>(
         &self,
-        route: &str,
         request: &Request,
         key: Option<&str>,
-        poll: &str,
         parse: impl FnOnce(&str) -> Result<P, String>,
         job: impl FnOnce(&T, P) -> Result<Value, String> + Send + 'static,
     ) -> Response {
-        let priority =
-            Priority::from_header(request.headers.get(PRIORITY_HEADER).map(String::as_str));
-        if let AdmissionDecision::Shed {
-            retry_after_seconds,
-        } = self
-            .admission
-            .decide(route, priority, route_p99(route), self.jobs.queue_depth())
-        {
-            return too_many_requests("shed by admission control", retry_after_seconds);
-        }
         let parsed = match parse_body(request, parse) {
             Ok(parsed) => parsed,
             Err(response) => return response,
@@ -876,14 +812,12 @@ impl<T: Tenants> FrontDoor<T> {
             Some(key) => match self.jobs.submit_keyed(key, task) {
                 Ok(id) => id,
                 Err(rejected) => {
-                    return too_many_requests(
-                        &rejected.to_string(),
-                        self.admission.config().retry_after_seconds,
-                    )
+                    return error_json(429, &rejected.to_string())
+                        .with_header("Retry-After", KEY_CAP_RETRY_AFTER_SECONDS.to_string())
                 }
             },
         };
-        accepted(id, poll)
+        accepted(id)
     }
 
     fn traffic(&self, topology: &str, request: &Request) -> Response {
@@ -926,7 +860,7 @@ impl<T: Tenants> FrontDoor<T> {
                     .map(|report| report_to_json(&report))
                     .map_err(|e| e.to_string())
             });
-            return accepted(id, "/jobs/");
+            return accepted(id);
         }
         match self
             .tenants
@@ -1067,13 +1001,10 @@ impl<T: Tenants> FrontDoor<T> {
     /// keyed by topology so one tenant cannot hold every worker (see
     /// [`Self::submit_job`]).
     fn plan(&self, topology: &str, request: &Request) -> Response {
-        const ROUTE: &str = "/topology/{topology}/plan";
         let owned = topology.to_string();
         self.submit_job(
-            ROUTE,
             request,
             Some(topology),
-            "/jobs/",
             parse_plan_body,
             move |tenants, plan_request| {
                 let outcome = tenants.service(&owned).plan_capacity(&owned, &plan_request);
@@ -1217,24 +1148,12 @@ mod tests {
     }
 
     fn post(service: &ApiService, target: &str, body: &str) -> Response {
-        post_with(service, target, body, &[])
-    }
-
-    fn post_with(
-        service: &ApiService,
-        target: &str,
-        body: &str,
-        headers: &[(&str, &str)],
-    ) -> Response {
         let (path, query) = crate::http::parse_target(target);
         service.handle(Request {
             method: "POST".into(),
             path,
             query,
-            headers: headers
-                .iter()
-                .map(|(n, v)| (n.to_string(), v.to_string()))
-                .collect(),
+            headers: BTreeMap::new(),
             body: body.as_bytes().to_vec(),
         })
     }
@@ -1513,55 +1432,6 @@ mod tests {
         }
     }
 
-    /// Forced shed: with an impossible latency SLO, any low-priority
-    /// plan request is shed once the route has observed latency at all,
-    /// while high-priority requests always pass.
-    #[test]
-    fn plan_requests_shed_under_admission_pressure() {
-        let s = ApiService::with_admission(
-            caladrius(),
-            2,
-            AdmissionConfig {
-                enabled: true,
-                slo_p99_seconds: -1.0,
-                retry_after_seconds: 3,
-                ..AdmissionConfig::default()
-            },
-        );
-        // Prime the route's latency histogram: high priority bypasses
-        // shedding unconditionally.
-        let r = post_with(
-            &s,
-            "/topology/wordcount/plan",
-            "",
-            &[("x-priority", "high")],
-        );
-        assert_eq!(r.status, 202, "{}", String::from_utf8_lossy(&r.body));
-        // Low priority now sheds — the observed p99 exceeds the SLO.
-        let r = post(&s, "/topology/wordcount/plan", "");
-        assert_eq!(r.status, 429, "{}", String::from_utf8_lossy(&r.body));
-        assert!(
-            r.headers
-                .iter()
-                .any(|(n, v)| n == "Retry-After" && v == "3"),
-            "Retry-After hint on shed responses: {:?}",
-            r.headers
-        );
-        let shed = caladrius_obs::global_registry().counter(
-            "caladrius_fleet_shed_total",
-            &[("route", "/topology/{topology}/plan"), ("priority", "low")],
-        );
-        assert!(shed.get() >= 1);
-        // High priority still passes under the same pressure.
-        let r = post_with(
-            &s,
-            "/topology/wordcount/plan",
-            "",
-            &[("x-priority", "high")],
-        );
-        assert_eq!(r.status, 202);
-    }
-
     /// Per-topology fairness at the route: with the single worker gated
     /// and the per-key cap at 1, a second plan for the same topology is
     /// refused with `429` + `Retry-After`.
@@ -1570,7 +1440,6 @@ mod tests {
         let s = ApiService::with_parts(
             caladrius(),
             crate::jobs::JobRunner::new(1).with_per_key_cap(1),
-            AdmissionConfig::default(),
         );
         let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
         s.jobs().submit(move || {
@@ -1581,7 +1450,13 @@ mod tests {
         assert_eq!(r.status, 202, "{}", String::from_utf8_lossy(&r.body));
         let r = post(&s, "/topology/wordcount/plan", "");
         assert_eq!(r.status, 429, "{}", String::from_utf8_lossy(&r.body));
-        assert!(r.headers.iter().any(|(n, _)| n == "Retry-After"));
+        let retry_after: Vec<&str> = r
+            .headers
+            .iter()
+            .filter(|(n, _)| n == "Retry-After")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        assert_eq!(retry_after, ["1"], "{:?}", r.headers);
         // A different topology is not starved by wordcount's backlog
         // (the job itself will fail — ghost is unknown — but submission
         // must be admitted).

@@ -151,28 +151,6 @@ pub fn run_to_convergence(
         );
         simulated_minutes += config.stabilize_minutes + config.observe_minutes;
         let decision = policy.decide(&deployed, &observation)?;
-        if std::env::var("CALADRIUS_SCALE_DEBUG").is_ok() {
-            eprintln!(
-                "round {round}: parallelisms={:?} offered={:.2e} bottleneck={:?} decision={}",
-                deployed
-                    .components
-                    .iter()
-                    .map(|c| (c.name.clone(), c.parallelism))
-                    .collect::<Vec<_>>(),
-                observation.visible_offered,
-                observation.bottleneck(&deployed),
-                match &decision {
-                    Decision::Converged => "converged".to_string(),
-                    Decision::Redeploy(t) => format!(
-                        "redeploy {:?}",
-                        t.components
-                            .iter()
-                            .map(|c| (c.name.clone(), c.parallelism))
-                            .collect::<Vec<_>>()
-                    ),
-                },
-            );
-        }
         let slo_ok = meets_slo(&observation, offered_rate_per_min);
         last_observation = Some(observation);
         match decision {

@@ -16,12 +16,9 @@
 //! * **One front door** ([`service`]) — [`Fleet`] implements the API
 //!   tier's [`caladrius_api::Tenants`] seam, so the API tier's one
 //!   [`caladrius_api::FrontDoor`] serves a fleet: every per-topology
-//!   route of the paper answers for every tenant through its shard, and
-//!   the fleet mounts `/fleet/plan`, `/fleet/jobs/{id}` and
-//!   `/fleet/health`. Admission control sheds low-priority plan
-//!   requests with `429` + `Retry-After` when the route's p99 breaches
-//!   its SLO, the job queue crosses its watermark, or the token bucket
-//!   empties.
+//!   route of the paper answers for every tenant through its shard, the
+//!   door's `/health` reports per shard, and the fleet mounts
+//!   `/fleet/plan`, polled at the door's `/jobs/{id}`.
 //! * **Cluster planning** ([`allocator`], [`Fleet::plan_fleet`]) — a
 //!   knapsack-style split of a cluster-wide container budget across
 //!   topologies by marginal backpressure-risk reduction (greedy, exact

@@ -6,18 +6,16 @@
 //! packing, metrics, plan) for every tenant. A topology nobody
 //! registered resolves to the shard it would be pinned to, which
 //! answers with exactly the errors a standalone service gives. The
-//! fleet mounts three routes of its own:
+//! fleet mounts one route of its own:
 //!
 //! * `POST /fleet/plan` — cluster planning as an async job (`202` +
-//!   poll URL). The body may set `"budget"` (containers) to override
-//!   the configured cluster budget, plus the same planner knobs as the
-//!   single-topology plan route. Low-priority requests are shed with
-//!   `429` + `Retry-After` under overload, through the same
-//!   shed-then-submit path as `/topology/{topology}/plan`.
-//! * `GET /fleet/jobs/{id}` — poll a fleet plan job.
-//! * `GET /fleet/health` — per-shard topology counts, model-cache
-//!   counters and ingest totals; a fleet door's `GET /health` returns
-//!   the same body.
+//!   a `/jobs/{id}` poll link), submitted through the same path as
+//!   `/topology/{topology}/plan`. The body may set `"budget"`
+//!   (containers) to override the configured cluster budget, plus the
+//!   same planner knobs as the single-topology plan route.
+//!
+//! A fleet door's `GET /health` is the per-shard view: topology counts,
+//! model- and plan-cache counters and ingest totals.
 
 use crate::fleet::{Fleet, FleetHealth, FleetPlan, TopologyPlanOutcome};
 use crate::hash::assign_shard;
@@ -32,9 +30,6 @@ use caladrius_core::Caladrius;
 /// benchmark's `fleet_drift` workload names it; `FrontDoor<Fleet>` is
 /// the type.
 pub type FleetService = FrontDoor<Fleet>;
-
-/// Route label of the fleet plan endpoint (admission + metrics key).
-const PLAN_ROUTE: &str = "/fleet/plan";
 
 impl Tenants for Fleet {
     fn service(&self, topology: &str) -> &Caladrius {
@@ -57,12 +52,10 @@ impl Tenants for Fleet {
     ) -> Option<(&'static str, Response)> {
         Some(match (request.method.as_str(), segments) {
             ("POST", ["fleet", "plan"]) => (
-                PLAN_ROUTE,
+                "/fleet/plan",
                 door.submit_job(
-                    PLAN_ROUTE,
                     request,
                     None,
-                    "/fleet/jobs/",
                     parse_fleet_plan_body,
                     |fleet, (plan_request, budget)| {
                         let plan = fleet.plan_fleet(&plan_request, budget);
@@ -75,12 +68,7 @@ impl Tenants for Fleet {
                     },
                 ),
             ),
-            ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", door.job_status(id)),
-            ("GET", ["fleet", "health"]) => (
-                "/fleet/health",
-                Response::json(health_to_json(&door.tenants().health()).to_json()),
-            ),
-            (_, ["fleet", ..]) => (
+            (_, ["fleet", "plan"]) => (
                 "method_not_allowed",
                 Response::json_status(405, "{\"error\":\"method not allowed\"}"),
             ),
@@ -89,7 +77,7 @@ impl Tenants for Fleet {
     }
 }
 
-/// The `/fleet/health` body: per-shard snapshot.
+/// A fleet door's `/health` body: per-shard snapshot.
 fn health_to_json(health: &FleetHealth) -> Value {
     let shards = health
         .shards
@@ -196,20 +184,15 @@ fn fleet_plan_to_json(plan: &FleetPlan) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caladrius_api::admission::PRIORITY_HEADER;
-    use caladrius_api::AdmissionConfig;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    fn request(method: &str, path: &str, body: &str, headers: &[(&str, &str)]) -> Request {
+    fn request(method: &str, path: &str, body: &str) -> Request {
         Request {
             method: method.to_string(),
             path: path.to_string(),
             query: BTreeMap::new(),
-            headers: headers
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            headers: BTreeMap::new(),
             body: body.as_bytes().to_vec(),
         }
     }
@@ -237,7 +220,7 @@ mod tests {
     #[test]
     fn fleet_routes_dispatch() {
         let service = empty_service();
-        let health = service.handle(request("GET", "/fleet/health", "", &[]));
+        let health = service.handle(request("GET", "/health", ""));
         assert_eq!(health.status, 200);
         let body = String::from_utf8(health.body).unwrap();
         let body = caladrius_api::json::parse(&body).unwrap();
@@ -272,32 +255,26 @@ mod tests {
         );
 
         assert_eq!(
-            service
-                .handle(request("GET", "/fleet/plan", "", &[]))
-                .status,
+            service.handle(request("GET", "/fleet/plan", "")).status,
             405
         );
-        assert_eq!(service.handle(request("GET", "/nope", "", &[])).status, 404);
+        assert_eq!(service.handle(request("GET", "/nope", "")).status, 404);
+        // Only `/fleet/plan` lives under `/fleet`: jobs and health are the
+        // door's own routes.
         assert_eq!(
-            service
-                .handle(request("GET", "/fleet/jobs/zero", "", &[]))
-                .status,
-            400
-        );
-        assert_eq!(
-            service
-                .handle(request("GET", "/fleet/jobs/17", "", &[]))
-                .status,
+            service.handle(request("GET", "/fleet/nope", "")).status,
             404
         );
-        let metrics = service.handle(request("GET", "/metrics/service", "", &[]));
+        assert_eq!(service.handle(request("GET", "/jobs/zero", "")).status, 400);
+        assert_eq!(service.handle(request("GET", "/jobs/17", "")).status, 404);
+        let metrics = service.handle(request("GET", "/metrics/service", ""));
         assert_eq!(metrics.status, 200);
         // The scrape re-evaluates SLOs first, so the health request's
         // objective already has burn-rate gauges.
         let body = String::from_utf8(metrics.body).unwrap();
         assert!(
-            body.lines().any(|l| l
-                .starts_with("caladrius_slo_burn_rate{objective=\"route:/fleet/health\"")),
+            body.lines()
+                .any(|l| l.starts_with("caladrius_slo_burn_rate{objective=\"route:/health\"")),
             "no burn-rate gauge in fleet scrape"
         );
     }
@@ -305,19 +282,20 @@ mod tests {
     #[test]
     fn plan_jobs_run_async_even_on_an_empty_fleet() {
         let service = empty_service();
-        let accepted = service.handle(request("POST", "/fleet/plan", "{}", &[]));
+        let accepted = service.handle(request("POST", "/fleet/plan", "{}"));
         assert_eq!(accepted.status, 202, "{:?}", accepted.body);
         let body = String::from_utf8(accepted.body).unwrap();
-        let id = caladrius_api::json::parse(&body)
-            .unwrap()
-            .get("job_id")
-            .and_then(Value::as_f64)
-            .expect("job id") as u64;
+        let body = caladrius_api::json::parse(&body).unwrap();
+        let id = body.get("job_id").and_then(Value::as_f64).expect("job id") as u64;
+        let poll = format!("/jobs/{id}");
+        assert_eq!(
+            body.get("poll").and_then(Value::as_str),
+            Some(poll.as_str())
+        );
         service.jobs().wait(id).expect("job exists");
-        // Poll through the front door: the shared job renderer reports
-        // the result and the same timing fields as the API tier's
-        // `/jobs/{id}`.
-        let polled = service.handle(request("GET", &format!("/fleet/jobs/{id}"), "", &[]));
+        // Poll through the door's own job route: the result and the same
+        // timing fields as any other job.
+        let polled = service.handle(request("GET", &poll, ""));
         assert_eq!(polled.status, 200);
         let polled = caladrius_api::json::parse(&String::from_utf8(polled.body).unwrap()).unwrap();
         assert_eq!(polled.get("state").and_then(Value::as_str), Some("done"));
@@ -340,41 +318,5 @@ mod tests {
             let value = polled.get(field).and_then(Value::as_f64);
             assert!(value.is_some_and(|ms| ms >= 0.0), "{field}: {value:?}");
         }
-    }
-
-    #[test]
-    fn low_priority_fleet_plans_shed_under_pressure() {
-        let service = FleetService::with_admission(
-            Arc::new(Fleet::new(crate::fleet::FleetConfig::default())),
-            1,
-            AdmissionConfig {
-                enabled: true,
-                slo_p99_seconds: -1.0, // any recorded latency sheds
-                retry_after_seconds: 5,
-                ..AdmissionConfig::default()
-            },
-        );
-        // Prime the route histogram with a high-priority request.
-        let primed = service.handle(request(
-            "POST",
-            "/fleet/plan",
-            "{}",
-            &[(PRIORITY_HEADER, "high")],
-        ));
-        assert_eq!(primed.status, 202);
-        let shed = service.handle(request("POST", "/fleet/plan", "{}", &[]));
-        assert_eq!(shed.status, 429);
-        assert!(shed
-            .headers
-            .iter()
-            .any(|(k, v)| k == "Retry-After" && v == "5"));
-        // High priority still lands.
-        let high = service.handle(request(
-            "POST",
-            "/fleet/plan",
-            "{}",
-            &[(PRIORITY_HEADER, "high")],
-        ));
-        assert_eq!(high.status, 202);
     }
 }

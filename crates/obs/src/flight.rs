@@ -1,9 +1,9 @@
 //! Flight recorder: a bounded ring of periodic metrics snapshots plus
-//! the most recent SLO state transitions and admission shed decisions.
+//! the most recent SLO state transitions.
 //!
 //! Scrape infrastructure answers "what is happening now"; the flight
-//! recorder answers "what happened in the minutes before this shed
-//! storm / replan stall" without any external collector. Request paths
+//! recorder answers "what happened in the minutes before this SLO
+//! breach / replan stall" without any external collector. Request paths
 //! call [`FlightRecorder::maybe_snapshot`] opportunistically — it is a
 //! single atomic compare until the snapshot interval elapses — and
 //! `GET /debug/flight` dumps the whole recorder as JSON.
@@ -22,13 +22,13 @@ pub struct FlightConfig {
     pub snapshot_interval_secs: u64,
     /// Snapshots retained (oldest evicted first).
     pub max_snapshots: usize,
-    /// SLO transitions and shed events retained, each.
+    /// SLO transitions retained.
     pub max_events: usize,
 }
 
 impl Default for FlightConfig {
     /// Snapshot every 10 s, keep 32 snapshots (~5 minutes) and the last
-    /// 128 transitions/sheds.
+    /// 128 transitions.
     fn default() -> Self {
         FlightConfig {
             snapshot_interval_secs: 10,
@@ -79,19 +79,6 @@ pub struct SloTransition {
     pub slow_burn: f64,
 }
 
-/// One admission-control shed decision.
-#[derive(Debug, Clone)]
-pub struct ShedEvent {
-    /// Wall-clock shed time, milliseconds since the Unix epoch.
-    pub ts_unix_ms: i64,
-    /// Route that shed the request.
-    pub route: String,
-    /// Priority of the shed request.
-    pub priority: String,
-    /// Why admission refused it (e.g. `slo`, `queue`, `tokens`).
-    pub reason: String,
-}
-
 /// Tag value marking "no snapshot taken yet".
 const NEVER: u64 = u64::MAX;
 
@@ -103,7 +90,6 @@ pub struct FlightRecorder {
     last_interval: AtomicU64,
     snapshots: Mutex<VecDeque<FlightSnapshot>>,
     transitions: Mutex<VecDeque<SloTransition>>,
-    sheds: Mutex<VecDeque<ShedEvent>>,
 }
 
 impl Default for FlightRecorder {
@@ -139,7 +125,6 @@ impl FlightRecorder {
             last_interval: AtomicU64::new(NEVER),
             snapshots: Mutex::new(VecDeque::new()),
             transitions: Mutex::new(VecDeque::new()),
-            sheds: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -228,20 +213,6 @@ impl FlightRecorder {
         push_bounded(&self.transitions, self.config.max_events, transition);
     }
 
-    /// Appends a shed decision (oldest evicted at capacity).
-    pub fn record_shed(&self, route: &str, priority: &str, reason: &str) {
-        push_bounded(
-            &self.sheds,
-            self.config.max_events,
-            ShedEvent {
-                ts_unix_ms: unix_now_ms(),
-                route: route.to_string(),
-                priority: priority.to_string(),
-                reason: reason.to_string(),
-            },
-        );
-    }
-
     /// Retained snapshots, oldest first.
     pub fn snapshots(&self) -> Vec<FlightSnapshot> {
         drain(&self.snapshots)
@@ -250,11 +221,6 @@ impl FlightRecorder {
     /// Retained SLO transitions, oldest first.
     pub fn transitions(&self) -> Vec<SloTransition> {
         drain(&self.transitions)
-    }
-
-    /// Retained shed events, oldest first.
-    pub fn sheds(&self) -> Vec<ShedEvent> {
-        drain(&self.sheds)
     }
 
     /// Number of retained snapshots.
@@ -312,12 +278,20 @@ mod tests {
         }
         assert_eq!(flight.snapshot_count(), 2);
         for i in 0..5 {
-            flight.record_shed(&format!("/r{i}"), "low", "slo");
+            flight.record_slo_transition(SloTransition {
+                ts_unix_ms: 0,
+                objective: format!("o{i}"),
+                from: SloState::Ok,
+                to: SloState::Firing,
+                fast_burn: f64::from(i),
+                slow_burn: 0.0,
+            });
         }
-        let sheds = flight.sheds();
-        assert_eq!(sheds.len(), 3);
-        assert_eq!(sheds[0].route, "/r2", "oldest evicted first");
-        assert_eq!(sheds[2].reason, "slo");
+        let transitions = flight.transitions();
+        assert_eq!(transitions.len(), 3);
+        assert_eq!(transitions[0].objective, "o2", "oldest evicted first");
+        assert_eq!(transitions[2].objective, "o4");
+        assert_eq!(transitions[2].fast_burn, 4.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`slo`] — multi-window SLO burn-rate engine
 //!   ([`SloRegistry`]/[`SloObjective`], Google-SRE style alerts).
 //! * [`flight`] — a bounded [`FlightRecorder`] of periodic metric
-//!   snapshots, SLO transitions and shed decisions.
+//!   snapshots and SLO transitions.
 //!
 //! [`global::registry()`](global::registry) and
 //! [`global::tracer()`](global::tracer) are the process-wide instances
@@ -33,9 +33,7 @@ pub mod slo;
 pub mod span;
 pub mod windowed;
 
-pub use flight::{
-    FlightConfig, FlightRecorder, FlightSample, FlightSnapshot, ShedEvent, SloTransition,
-};
+pub use flight::{FlightConfig, FlightRecorder, FlightSample, FlightSnapshot, SloTransition};
 pub use global::{
     evaluate_slos, flight as global_flight, next_scope_id, registry as global_registry,
     slos as global_slos, span as global_span, tracer,

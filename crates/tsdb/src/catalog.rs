@@ -78,14 +78,6 @@ impl Catalog {
         self.keys.get(id.0 as usize)
     }
 
-    /// All ids registered under a metric name.
-    pub fn ids_for_name(&self, name: &str) -> Vec<SeriesId> {
-        self.by_name
-            .get(name)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// All distinct metric names.
     pub fn names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.by_name.keys().map(String::as_str).collect();

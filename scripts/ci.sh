@@ -66,18 +66,24 @@ fi
 if grep -rn 'struct FleetTracker' crates/fleet/src; then
     exit 1
 fi
-# One front door: api's FrontDoor owns the only route table, job runner
-# and admission controller, and a fleet is one of its Tenants. The fleet
-# builds no second service, and the api crate exports no plumbing for
-# one. The simulator's idle-CPU baseline is a constant, and a tsdb
-# column has one bulk write (append_series, which counts the batch).
+# One front door: api's FrontDoor owns the only route table and job
+# runner, and a fleet is one of its Tenants. The fleet builds no second
+# service, mounts no aliases of the door's own routes, and the api crate
+# exports no plumbing for one. Admission control (load shedding, its
+# priority header, shed counter and flight-recorder ring) is gone: no
+# shipped front door ever switched it on. The simulator's idle-CPU
+# baseline is a constant, and a tsdb column has one bulk write
+# (append_series, which counts the batch).
 for f in crates/fleet/src/*.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" |
-        grep -nE 'struct FleetService|JobRunner::new|AdmissionController::new'; then
+        grep -nE 'struct FleetService|JobRunner::new'; then
         echo "$f"
         exit 1
     fi
 done
+if grep -rnE 'AdmissionConfig|AdmissionController|with_admission|PRIORITY_HEADER|x-priority|record_shed|ShedEvent|caladrius_fleet_shed_total|/fleet/jobs|/fleet/health|CALADRIUS_SCALE_DEBUG|ids_for_name' crates src tests examples; then
+    exit 1
+fi
 if grep -nwE 'handle_request|shared_route|job_status_response|too_many_requests|route_p99' crates/api/src/lib.rs; then
     exit 1
 fi
@@ -188,7 +194,7 @@ cargo test -q --release --test paper_figures
 
 # The fleet e2e fans out cluster planning across the "fleet-plan" pool;
 # the single-thread run proves the fleet tier's answers (grants, shard
-# routing, shed decisions) do not depend on parallel scheduling.
+# routing) do not depend on parallel scheduling.
 echo "==> CALADRIUS_THREADS=1 fleet tier e2e"
 CALADRIUS_THREADS=1 cargo test -q --test fleet_scale
 

@@ -15,9 +15,8 @@
 //! * [`planner`] — the horizon capacity planner: joint parallelism
 //!   search over the fitted models plus sim-replay validation.
 //! * [`api`] — the REST service tier.
-//! * [`fleet`] — the multi-tenant fleet tier: sharded services,
-//!   admission control, and the cluster-level container-budget
-//!   planner.
+//! * [`fleet`] — the multi-tenant fleet tier: sharded services and
+//!   the cluster-level container-budget planner.
 //! * [`autoscale`] — scaling policies: the Dhalion-style reactive
 //!   baseline vs Caladrius-driven one-shot scaling.
 //! * [`obs`] — the observability layer: metrics registry, span tracing,

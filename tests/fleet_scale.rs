@@ -1,11 +1,10 @@
 //! Fleet-tier integration tests over the real HTTP surface: 64
 //! topologies across 4 shards, cluster planning under a container
-//! budget, admission control shedding low-priority requests, and fleet
-//! tenants answering the per-topology routes exactly as a standalone
+//! budget, and fleet tenants answering the per-topology routes exactly as a standalone
 //! service over the same data does.
 
+use caladrius::api::Value;
 use caladrius::api::{json, ApiService, HttpClient, HttpServer, Request, Response};
-use caladrius::api::{AdmissionConfig, Value};
 use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
 use caladrius::fleet::{
@@ -149,7 +148,7 @@ fn fleet_tier_end_to_end() {
     let client = HttpClient::new(server.local_addr());
 
     // Health reports the same per-shard layout over HTTP.
-    let (status, body) = client.get("/fleet/health").unwrap();
+    let (status, body) = client.get("/health").unwrap();
     assert_eq!(status, 200, "{body}");
     let health = json::parse(&body).unwrap();
     assert_eq!(
@@ -217,8 +216,8 @@ fn fleet_tier_end_to_end() {
         "cached fleet plan must match the plan it memoises"
     );
 
-    // The cache traffic is visible per shard in /fleet/health.
-    let (status, body) = client.get("/fleet/health").unwrap();
+    // The cache traffic is visible per shard in the door's /health.
+    let (status, body) = client.get("/health").unwrap();
     assert_eq!(status, 200, "{body}");
     let health = json::parse(&body).unwrap();
     let mut plan_hits = 0.0;
@@ -318,82 +317,6 @@ fn fleet_tier_end_to_end() {
             assert!(peak <= grant, "{outcome:?}");
         }
     }
-
-    // Below the overload threshold (admission disabled here), nothing
-    // was shed: the shed counter is absent from the exposition or zero.
-    let (status, exposition) = client.get("/metrics/service").unwrap();
-    assert_eq!(status, 200);
-    for line in exposition
-        .lines()
-        .filter(|l| l.starts_with("caladrius_fleet_shed_total{"))
-    {
-        assert!(line.trim_end().ends_with(" 0"), "unexpected shed: {line}");
-    }
-
-    // Forced shed: a second front door over the same fleet with an
-    // impossible SLO sheds low-priority plans once the route histogram
-    // has a sample, with a Retry-After hint; high priority still lands.
-    let shedding = FleetService::with_admission(
-        Arc::clone(&fleet),
-        2,
-        AdmissionConfig {
-            enabled: true,
-            slo_p99_seconds: -1.0,
-            retry_after_seconds: 7,
-            ..AdmissionConfig::default()
-        },
-    );
-    let shed_server = HttpServer::serve("127.0.0.1:0", 2, shedding.handler()).unwrap();
-    let shed_client = HttpClient::new(shed_server.local_addr());
-    let (status, _, body) = shed_client
-        .post_full("/fleet/plan", "{}", &[("x-priority", "high")])
-        .unwrap();
-    assert_eq!(status, 202, "{body}");
-    let (status, headers, body) = shed_client.post_full("/fleet/plan", "{}", &[]).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert_eq!(headers.get("retry-after").map(String::as_str), Some("7"));
-    assert!(body.contains("shed"), "{body}");
-    let (status, _, _) = shed_client
-        .post_full("/fleet/plan", "{}", &[("x-priority", "high")])
-        .unwrap();
-    assert_eq!(status, 202);
-
-    // The shed shows up in the exposition now.
-    let (_, exposition) = shed_client.get("/metrics/service").unwrap();
-    assert!(
-        exposition
-            .lines()
-            .any(|l| l.starts_with("caladrius_fleet_shed_total{") && !l.trim_end().ends_with(" 0")),
-        "shed counter missing after forced shed"
-    );
-
-    // A burst of low-priority plans against a token bucket that never
-    // refills, on a front door over an empty fleet: the bucket admits
-    // exactly its capacity and sheds the rest.
-    let edge = FleetService::with_admission(
-        Arc::new(Fleet::new(FleetConfig {
-            shards: 1,
-            ..FleetConfig::default()
-        })),
-        2,
-        AdmissionConfig {
-            enabled: true,
-            bucket_capacity: 64.0,
-            refill_per_second: 0.0,
-            queue_depth_watermark: 256.0,
-            slo_p99_seconds: f64::INFINITY,
-            ..AdmissionConfig::default()
-        },
-    );
-    let (mut admitted, mut shed) = (0, 0);
-    for _ in 0..256 {
-        match edge.handle(request("POST", "/fleet/plan", "{}")).status {
-            202 => admitted += 1,
-            429 => shed += 1,
-            other => panic!("unexpected status {other}"),
-        }
-    }
-    assert_eq!((admitted, shed), (64, 192));
 }
 
 fn request(method: &str, target: &str, body: &str) -> Request {
@@ -508,15 +431,10 @@ fn fleet_tenants_answer_the_per_topology_routes_like_a_standalone_service() {
         assert!(ours.starts_with(expected), "{target}: {ours}");
     }
 
-    // The fleet door lists every tenant, and its `/health` is the
-    // `/fleet/health` body.
+    // The fleet door lists every tenant.
     let listed = json::parse(&text(&fleet_door.handle(request("GET", "/topologies", "")))).unwrap();
     assert_eq!(
         listed.get("topologies").map(Value::to_json),
         Some(r#"["tenant-a","tenant-b","tenant-c"]"#.to_string())
-    );
-    assert_eq!(
-        text(&fleet_door.handle(request("GET", "/health", ""))),
-        text(&fleet_door.handle(request("GET", "/fleet/health", "")))
     );
 }
