@@ -28,7 +28,7 @@ pub trait MetricsProvider: Send + Sync {
     /// instances, so it cannot be rebuilt from that half — and every
     /// instance's series is ascending in `ts` with at most one sample
     /// per minute bucket (what `tsdb::query::combine` returns); the
-    /// throughput assembler binary-searches it.
+    /// throughput assembler walks it with a forward cursor.
     fn series_set(
         &self,
         topology: &str,
@@ -232,6 +232,11 @@ impl<'a> FitWindow<'a> {
                 (Column::new(emits), *weight)
             })
             .collect();
+        let mut instances: Vec<Column> = execute
+            .per_instance
+            .iter()
+            .map(|(_, series)| Column::new(series))
+            .collect();
 
         let mut observations = Vec::new();
         for s in &execute.combined {
@@ -247,14 +252,9 @@ impl<'a> FitWindow<'a> {
                 }
             }
             let backpressured = backpressure.at(s.ts).unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
-            let per_instance_inputs: Vec<f64> = execute
-                .per_instance
-                .iter()
-                .map(|(_, series)| {
-                    series
-                        .binary_search_by_key(&s.ts, |s| s.ts)
-                        .map_or(0.0, |i| series[i].value)
-                })
+            let per_instance_inputs: Vec<f64> = instances
+                .iter_mut()
+                .map(|inputs| inputs.at(s.ts).unwrap_or(0.0))
                 .collect();
             observations.push(ComponentObservation {
                 source_rate: source_rate.unwrap_or(s.value),
@@ -536,7 +536,7 @@ mod tests {
 
     #[test]
     fn per_instance_views_are_ascending_with_one_sample_per_minute() {
-        // The contract `component_observations` binary-searches on, with
+        // The contract `component_observations`' per-instance cursors rely on, with
         // a late duplicate in one minute bucket to make it bite.
         let metrics = run_sim(500.0);
         let late = metrics.db().watermark().unwrap() - 3 * 60_000 + 1_000;
@@ -718,6 +718,11 @@ mod tests {
                     *source.entry(s.ts).or_insert(0.0) += s.value * weight;
                 }
             }
+            let instances_by_ts: Vec<BTreeMap<i64, f64>> = execute
+                .per_instance
+                .iter()
+                .map(|(_, series)| by_ts(series))
+                .collect();
             let mut observations = Vec::new();
             for (ts, input_rate) in &by_ts(&execute.combined) {
                 let Some(output_rate) = output_by_ts.get(ts) else {
@@ -726,14 +731,9 @@ mod tests {
                 let source_rate = source.get(ts).copied().unwrap_or(*input_rate);
                 let backpressured =
                     bp_by_ts.get(ts).copied().unwrap_or(0.0) > BACKPRESSURE_THRESHOLD_MS;
-                let per_instance_inputs: Vec<f64> = execute
-                    .per_instance
+                let per_instance_inputs: Vec<f64> = instances_by_ts
                     .iter()
-                    .map(|(_, series)| {
-                        series
-                            .binary_search_by_key(ts, |s| s.ts)
-                            .map_or(0.0, |i| series[i].value)
-                    })
+                    .map(|inputs| inputs.get(ts).copied().unwrap_or(0.0))
                     .collect();
                 observations.push(ComponentObservation {
                     source_rate,

@@ -2,7 +2,7 @@
 
 use crate::catalog::{Catalog, SeriesId};
 use crate::error::{Error, Result};
-use crate::query::{bucketed, merge_bucketed, Aggregation, TagFilter};
+use crate::query::{bucket_in_place, merge_bucketed, Aggregation, TagFilter};
 use crate::series::{Sample, Series, SeriesKey};
 use caladrius_obs::{Counter, Histogram};
 use parking_lot::RwLock;
@@ -383,7 +383,7 @@ impl MetricsDb {
         across: Aggregation,
     ) -> Result<Grouped> {
         let aligned = self.select_bucketed(name, filters, from, to, bucket_ms, within)?;
-        Ok(merge_groups(&aligned, group_tag, across))
+        Ok(merge_groups(aligned, group_tag, across))
     }
 
     /// What [`MetricsDb::aggregate`] and [`MetricsDb::aggregate_by`]
@@ -408,15 +408,14 @@ impl MetricsDb {
         across: Aggregation,
     ) -> Result<(Vec<Sample>, Grouped)> {
         let aligned = self.select_bucketed(name, filters, from, to, bucket_ms, within)?;
-        Ok((
-            merge_all(&aligned, across),
-            merge_groups(&aligned, group_tag, across),
-        ))
+        let combined = merge_all(&aligned, across);
+        Ok((combined, merge_groups(aligned, group_tag, across)))
     }
 
     /// [`MetricsDb::select`] with every series down-sampled to
-    /// `bucket_ms` buckets — the half of an aggregation that is the same
-    /// whichever way the series are then merged.
+    /// `bucket_ms` buckets, each in the vector it was decoded into — the
+    /// half of an aggregation that is the same whichever way the series
+    /// are then merged. Every series comes back strictly ascending.
     fn select_bucketed(
         &self,
         name: &str,
@@ -428,7 +427,7 @@ impl MetricsDb {
     ) -> Result<Vec<(SeriesKey, Vec<Sample>)>> {
         let mut selected = self.select(name, filters, from, to)?;
         for (_, samples) in &mut selected {
-            *samples = bucketed(samples, bucket_ms, within);
+            bucket_in_place(samples, bucket_ms, within);
         }
         Ok(selected)
     }
@@ -500,21 +499,35 @@ fn merge_all(aligned: &[(SeriesKey, Vec<Sample>)], across: Aggregation) -> Vec<S
 /// Groups bucket-aligned series (in key order) by the value of
 /// `group_tag` — series missing the tag under the empty string — and
 /// merges each group; groups come back in tag-value order.
+///
+/// A group of one series is that series with `across` applied to each
+/// bucket's one value, in its own vector: what merging it would return.
 fn merge_groups(
-    aligned: &[(SeriesKey, Vec<Sample>)],
+    aligned: Vec<(SeriesKey, Vec<Sample>)>,
     group_tag: &str,
     across: Aggregation,
 ) -> Grouped {
-    let mut groups: BTreeMap<&str, Vec<&[Sample]>> = BTreeMap::new();
-    for (key, samples) in aligned {
+    let mut groups: BTreeMap<String, Vec<Vec<Sample>>> = BTreeMap::new();
+    for (mut key, samples) in aligned {
         groups
-            .entry(key.tag(group_tag).unwrap_or(""))
+            .entry(key.tags.remove(group_tag).unwrap_or_default())
             .or_default()
             .push(samples);
     }
     groups
         .into_iter()
-        .map(|(group, series)| (group.to_string(), merge_bucketed(series, across)))
+        .map(|(group, mut series)| {
+            let merged = if series.len() == 1 {
+                let mut only = series.pop().expect("one series");
+                for s in &mut only {
+                    s.value = across.apply([s.value]);
+                }
+                only
+            } else {
+                merge_bucketed(series.iter().map(Vec::as_slice), across)
+            };
+            (group, merged)
+        })
         .collect()
 }
 

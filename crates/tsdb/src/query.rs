@@ -137,47 +137,55 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// Prophet-style models handle missing data natively). Each bucket's
 /// values reach `agg` in the order they are given.
 ///
-/// Ascending input (what a store read returns) is walked bucket by
-/// bucket in one pass; anything else falls back to a stable sort by
-/// bucket, which yields the same result for ascending input.
+/// A copy of the input, bucketed by [`bucket_in_place`].
 pub fn bucketed(samples: &[Sample], width_ms: i64, agg: Aggregation) -> Vec<Sample> {
+    let mut out = samples.to_vec();
+    bucket_in_place(&mut out, width_ms, agg);
+    out
+}
+
+/// [`bucketed`], overwriting `samples` with its result.
+///
+/// Ascending input (what a store read returns) is compacted into its own
+/// prefix in one pass, one `agg.apply` per bucket in arrival order (and
+/// one `rem_euclid` per bucket that does not follow the previous one);
+/// anything else falls back to a stable sort by bucket, which yields the
+/// same result for ascending input.
+pub fn bucket_in_place(samples: &mut Vec<Sample>, width_ms: i64, agg: Aggregation) {
     assert!(width_ms > 0, "bucket width must be positive");
-    let mut out = Vec::with_capacity(samples.len());
+    if !samples.is_sorted_by_key(|s| s.ts) {
+        *samples = aggregate_runs(
+            samples
+                .iter()
+                .map(|s| (bucket_of(s.ts, width_ms).0, s.value)),
+            agg,
+        );
+        return;
+    }
+    let mut written = 0;
     let mut start = 0;
-    let mut bucket = None;
+    let mut last: Option<i64> = None;
     while let Some(first) = samples.get(start) {
-        let (edge, last) = match bucket {
+        let (edge, bucket_last) = match last {
             // The bucket right after the previous one: no division.
-            Some((_, prev_last))
-                if first.ts > prev_last && first.ts <= prev_last.saturating_add(width_ms) =>
-            {
+            Some(prev_last) if first.ts <= prev_last.saturating_add(width_ms) => {
                 (prev_last + 1, prev_last.saturating_add(width_ms))
             }
             _ => bucket_of(first.ts, width_ms),
         };
-        if bucket.is_some_and(|(prev_edge, _)| edge <= prev_edge) {
-            return aggregate_runs(
-                samples
-                    .iter()
-                    .map(|s| (bucket_of(s.ts, width_ms).0, s.value)),
-                agg,
-            );
-        }
         let mut end = start + 1;
-        while samples
-            .get(end)
-            .is_some_and(|s| s.ts >= edge && s.ts <= last)
-        {
+        while samples.get(end).is_some_and(|s| s.ts <= bucket_last) {
             end += 1;
         }
-        out.push(Sample {
+        samples[written] = Sample {
             ts: edge,
             value: agg.apply(samples[start..end].iter().map(|s| s.value)),
-        });
-        bucket = Some((edge, last));
+        };
+        written += 1;
+        last = Some(bucket_last);
         start = end;
     }
-    out
+    samples.truncate(written);
 }
 
 /// The bucket of width `width_ms` holding `ts`, as its first and last

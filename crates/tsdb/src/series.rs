@@ -222,18 +222,26 @@ impl Series {
     /// Returns all samples whose timestamp lies in `[from, to]`, in time
     /// order.
     ///
-    /// Chunks decode straight into the output. Chunks are sealed in
-    /// arrival order, so the output is already in time order unless a
-    /// late sample made two ranges overlap; only then is it sorted
-    /// (stably, so equal timestamps keep their stored order).
+    /// The output is allocated once, for the samples of every chunk that
+    /// overlaps the range plus the head's samples in it, and chunks decode
+    /// straight into it. Chunks are sealed in arrival order, so the output
+    /// is already in time order unless a late sample made two ranges
+    /// overlap; only then is it sorted (stably, so equal timestamps keep
+    /// their stored order).
     pub fn samples(&self, from: i64, to: i64) -> Result<Vec<Sample>> {
-        let mut out = Vec::new();
+        let overlaps = |chunk: &&Chunk| chunk.end >= from && chunk.start <= to;
+        let below = self.head.partition_point(|s| s.ts < from);
+        let head = &self.head[below..self.head.partition_point(|s| s.ts <= to).max(below)];
+        let chunked: usize = self
+            .chunks
+            .iter()
+            .filter(overlaps)
+            .map(|c| c.block.count as usize)
+            .sum();
+        let mut out = Vec::with_capacity(chunked + head.len());
         let mut in_order = true;
         let mut newest = i64::MIN;
-        for chunk in &self.chunks {
-            if chunk.end < from || chunk.start > to {
-                continue;
-            }
+        for chunk in self.chunks.iter().filter(overlaps) {
             in_order &= chunk.start >= newest;
             newest = newest.max(chunk.end);
             let decoded = out.len();
@@ -245,11 +253,9 @@ impl Series {
             out.truncate(decoded + kept);
             out.drain(decoded..decoded + below);
         }
-        let below = self.head.partition_point(|s| s.ts < from);
-        let kept = self.head.partition_point(|s| s.ts <= to);
-        if below < kept {
-            in_order &= self.head[below].ts >= newest;
-            out.extend_from_slice(&self.head[below..kept]);
+        if let Some(first) = head.first() {
+            in_order &= first.ts >= newest;
+            out.extend_from_slice(head);
         }
         if !in_order {
             out.sort_by_key(|s| s.ts);

@@ -1,9 +1,10 @@
 //! Property tests for the storage layer: compression round-trips and
 //! series/query invariants over arbitrary inputs.
 
-use caladrius_tsdb::encoding::{compress, decompress};
+use bytes::Bytes;
+use caladrius_tsdb::encoding::{compress, decompress, CompressedBlock};
 use caladrius_tsdb::query::{bucketed, Aggregation};
-use caladrius_tsdb::{Sample, Series};
+use caladrius_tsdb::{Error, Sample, Series};
 use proptest::prelude::*;
 
 /// Any `i64` timestamp, with the neighbours of `i64::MIN` and `i64::MAX`
@@ -63,6 +64,30 @@ proptest! {
         prop_assert_eq!(&back, &samples);
         if samples.len() > 50 {
             prop_assert!(block.payload_len() < samples.len() * 16);
+        }
+    }
+
+    /// `decompress` is total: a block with any count and any bytes (its
+    /// fields are public) decodes or fails as `CorruptChunk`, never
+    /// panics. Short counts, huge counts, and streams that start like a
+    /// real chunk are all drawn.
+    #[test]
+    fn decompress_is_total(
+        count in prop_oneof![0u32..64, any::<u32>()],
+        real_start in any::<bool>(),
+        samples in arb_metric_stream(),
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut stream = Vec::new();
+        if real_start {
+            stream.extend_from_slice(&compress(&samples).bits);
+        }
+        stream.extend_from_slice(&bytes);
+        let block = CompressedBlock { count, bits: Bytes::from(stream) };
+        match decompress(&block) {
+            Ok(samples) => prop_assert_eq!(samples.len(), count as usize),
+            Err(Error::CorruptChunk(_)) => {}
+            Err(other) => prop_assert!(false, "unexpected error {:?}", other),
         }
     }
 

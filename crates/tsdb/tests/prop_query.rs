@@ -1,11 +1,12 @@
 //! Property tests for the read path's one-pass aggregation: `bucketed`,
-//! `merge_bucketed` and `combine` must return, bit for bit, what a stable
-//! sort by bucket returns — for every `Aggregation`, on ascending runs
-//! (the one-pass path) and on unsorted ones (the sort fallback), with
-//! empty runs, timestamps at both ends of `i64` and hostile values.
+//! `bucket_in_place`, `merge_bucketed`, `combine` and the store's grouped
+//! reads must return, bit for bit, what a stable sort by bucket returns —
+//! for every `Aggregation`, on ascending runs (the one-pass paths) and on
+//! unsorted ones (the sort fallback), with empty runs, timestamps at both
+//! ends of `i64` and hostile values.
 
-use caladrius_tsdb::query::{bucketed, combine, merge_bucketed, Aggregation};
-use caladrius_tsdb::Sample;
+use caladrius_tsdb::query::{bucket_in_place, bucketed, combine, merge_bucketed, Aggregation};
+use caladrius_tsdb::{MetricsDb, Sample, SeriesKey};
 use proptest::prelude::*;
 
 /// Left edge of the bucket holding `ts`; the partial bucket below the
@@ -147,6 +148,105 @@ proptest! {
     }
 
     #[test]
+    fn bucket_in_place_matches_the_stable_sort(
+        run in arb_run(),
+        width in arb_width(),
+        agg in arb_aggregation(),
+    ) {
+        let mut in_place = run.clone();
+        bucket_in_place(&mut in_place, width, agg);
+        prop_assert_eq!(bits(&in_place), bits(&oracle_bucketed(&run, width, agg)));
+    }
+
+    /// Series sharing one strictly ascending timestamp column (what
+    /// bucketed per-minute series over one window are), and the same
+    /// with one timestamp moved, dropped or doubled in one of them.
+    #[test]
+    fn shared_columns_merge_like_the_stable_sort(
+        column in prop::collection::vec((arb_step(), arb_value()), 0..40),
+        start in arb_start(),
+        others in prop::collection::vec(prop::collection::vec(arb_value(), 40), 0..5),
+        change in 0u8..4,
+        k in any::<usize>(),
+        agg in arb_aggregation(),
+    ) {
+        let mut ts = start;
+        let mut first: Vec<Sample> = column
+            .iter()
+            .map(|&(step, value)| {
+                ts = ts.saturating_add(step.max(1));
+                Sample::new(ts, value)
+            })
+            .collect();
+        first.dedup_by_key(|s| s.ts);
+        let mut runs = vec![first.clone()];
+        for values in &others {
+            runs.push(first.iter().zip(values).map(|(s, v)| Sample::new(s.ts, *v)).collect());
+        }
+        let n = first.len();
+        let target = k % runs.len();
+        match change {
+            // 0: every run on the one column.
+            1 if n > 0 => runs[target][k % n].ts = runs[target][k % n].ts.wrapping_add(1),
+            2 if n > 0 => {
+                runs[target].remove(k % n);
+            }
+            3 if n > 0 => {
+                let s = runs[target][k % n];
+                runs[target].insert(k % n, s);
+            }
+            _ => {}
+        }
+        let merged = merge_bucketed(runs.iter().map(Vec::as_slice), agg);
+        prop_assert_eq!(bits(&merged), bits(&oracle_merge(&runs, agg)));
+    }
+
+    /// A store read grouped by instance: groups of one series (moved into
+    /// place) and of several (merged) give what merging their bucketed
+    /// series gives, and the combined view what merging all of them does.
+    #[test]
+    fn grouped_reads_match_the_stable_sort(
+        placed in prop::collection::vec((0u8..3, arb_run()), 1..6),
+        width in arb_width(),
+        within in arb_aggregation(),
+        across in arb_aggregation(),
+    ) {
+        let db = MetricsDb::new();
+        let mut series: Vec<(SeriesKey, Vec<Sample>)> = Vec::new();
+        for (container, (instance, run)) in placed.iter().enumerate() {
+            let key = SeriesKey::new("m")
+                .with_tag("container", container.to_string())
+                .with_tag("instance", instance.to_string());
+            let handle = db.register(&key);
+            for s in run {
+                db.append(&handle, s.ts, s.value);
+            }
+            let mut stored = run.clone();
+            stored.sort_by_key(|s| s.ts);
+            series.push((key, oracle_bucketed(&stored, width, within)));
+        }
+        let (combined, groups) = db
+            .aggregate_with_groups("m", &[], "instance", i64::MIN, i64::MAX, width, within, across)
+            .unwrap();
+        let all: Vec<Vec<Sample>> = series.iter().map(|(_, s)| s.clone()).collect();
+        prop_assert_eq!(bits(&combined), bits(&oracle_merge(&all, across)));
+        let mut want: Vec<(String, Vec<Vec<Sample>>)> = Vec::new();
+        for (key, aligned) in &series {
+            let group = key.tag("instance").unwrap().to_string();
+            match want.iter_mut().find(|(g, _)| *g == group) {
+                Some((_, members)) => members.push(aligned.clone()),
+                None => want.push((group, vec![aligned.clone()])),
+            }
+        }
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(groups.len(), want.len());
+        for ((group, got), (want_group, members)) in groups.iter().zip(&want) {
+            prop_assert_eq!(group, want_group);
+            prop_assert_eq!(bits(got), bits(&oracle_merge(members, across)));
+        }
+    }
+
+    #[test]
     fn merge_bucketed_matches_the_stable_sort(
         runs in arb_runs(),
         agg in arb_aggregation(),
@@ -200,6 +300,47 @@ fn a_sum_sees_each_bucket_in_series_order() {
     let runs = [a.to_vec(), b.to_vec(), c.to_vec()];
     assert_eq!(bits(&merged), bits(&oracle_merge(&runs, Aggregation::Sum)));
     assert_eq!(merged[0].value, 0.0);
+}
+
+#[test]
+fn a_one_series_group_is_what_merging_it_returns() {
+    // Count turns every value into 1, and a Mean over -0.0 is +0.0: the
+    // one series of a group is not its own merge, it is moved into place
+    // with `across` applied bucket by bucket.
+    let db = MetricsDb::new();
+    let run = [
+        Sample::new(0, -0.0),
+        Sample::new(60_000, f64::NAN),
+        Sample::new(120_000, 5.0),
+    ];
+    let key = SeriesKey::new("m").with_tag("instance", "0");
+    let handle = db.register(&key);
+    for s in run {
+        db.append(&handle, s.ts, s.value);
+    }
+    for across in [
+        Aggregation::Count,
+        Aggregation::Mean,
+        Aggregation::Sum,
+        Aggregation::MEDIAN,
+    ] {
+        let groups = db
+            .aggregate_by(
+                "m",
+                &[],
+                "instance",
+                0,
+                i64::MAX,
+                60_000,
+                Aggregation::Sum,
+                across,
+            )
+            .unwrap();
+        let aligned = bucketed(&run, 60_000, Aggregation::Sum);
+        let merged = merge_bucketed([aligned.as_slice()], across);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(bits(&groups[0].1), bits(&merged), "{across:?}");
+    }
 }
 
 #[test]

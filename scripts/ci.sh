@@ -44,9 +44,12 @@ if sed '/#\[cfg(test)\]/,$d' crates/forecast/src/linalg.rs | grep -n 'out\[(i, j
     exit 1
 fi
 # The Gorilla codec's bit cursors move words (PR 25); the bit-at-a-time
-# pair survives only as the test reference they are held to.
+# pair survives only as the test reference they are held to. There is one
+# production encoder and one production decoder, both fused (several
+# fields per cursor call): the field-at-a-time codec generic over bit
+# sinks and sources lives only in the #[cfg(test)] reference module.
 if sed '/#\[cfg(test)\]/,$d' crates/tsdb/src/encoding.rs |
-    grep -nE 'BytesMut|BufMut|for i in \(0\.\.count\)\.rev\(\)'; then
+    grep -nE 'BytesMut|BufMut|for i in \(0\.\.count\)\.rev\(\)|fn (encode|decode)<|impl BitSink|impl BitSource'; then
     exit 1
 fi
 # The event core's agenda is a sorted tick list: the binary-heap
@@ -94,12 +97,12 @@ if grep -n 'fn write_batch' crates/tsdb/src/db.rs; then
     exit 1
 fi
 # A window read is one linear pass over sorted input: the fit joins its
-# ascending columns with cursors, not per-series `ts -> value` maps (the
-# map assemblers survive only as the test reference), and merging
-# bucketed series is a k-way merge. The one sort left on the read path
-# is `aggregate_runs`, the stated fallback for input that is not
-# ascending.
-if sed '/#\[cfg(test)\]/,$d' crates/core/src/providers/metrics.rs | grep -n 'BTreeMap<i64'; then
+# ascending columns with cursors (per-instance columns included), not
+# per-series `ts -> value` maps or per-minute binary searches (the map
+# assemblers survive only as the test reference), and merging bucketed
+# series is a k-way merge. The one sort left on the read path is
+# `aggregate_runs`, the stated fallback for input that is not ascending.
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/providers/metrics.rs | grep -nE 'BTreeMap<i64|binary_search'; then
     exit 1
 fi
 if sed -n '/^pub fn merge_bucketed/,/^}/p' crates/tsdb/src/query.rs |
@@ -233,6 +236,11 @@ CALADRIUS_THREADS=1 cargo test -q --test forecast_equivalence
 # default.
 echo "==> PROPTEST_CASES=2048 read-path merge == sort"
 PROPTEST_CASES=2048 cargo test -q -p caladrius-tsdb --test prop_query
+
+# The codec round-trips hostile chunks, and `decompress` is total: any
+# (count, bytes) block decodes or fails as CorruptChunk, never panics.
+echo "==> PROPTEST_CASES=2048 Gorilla codec round trip and totality"
+PROPTEST_CASES=2048 cargo test -q -p caladrius-tsdb --test prop_encoding
 
 # A bulk append seals whole chunks straight from the input; the chunks
 # (ranges and bytes) and the head must be exactly a push loop's, on the
