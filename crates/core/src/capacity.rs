@@ -475,7 +475,7 @@ mod tests {
         let cfg = PlannerConfig::default();
         let base = plan_request_key("prophet", false, &cfg);
         assert_eq!(base, plan_request_key("prophet", false, &cfg));
-        assert_ne!(base, plan_request_key("holt_winters", false, &cfg));
+        assert_ne!(base, plan_request_key("ar", false, &cfg));
         assert_ne!(base, plan_request_key("prophet", true, &cfg));
         let mut constrained = cfg;
         constrained.limits.max_containers = 3;

@@ -8,8 +8,8 @@
 //!
 //! 1. **Traffic** — what will the topology's source throughput be in the
 //!    near future? ([`traffic`], backed by the `caladrius-forecast`
-//!    substrate: Prophet-style, statistics-summary, Holt-Winters and AR
-//!    models behind one registry.)
+//!    substrate: Prophet-style, statistics-summary and AR models behind
+//!    one registry.)
 //! 2. **Performance** — how will the topology perform under a given
 //!    traffic level and a (possibly hypothetical) parallelism
 //!    configuration? ([`model`]: the paper's Eq. 1–14 — piecewise-linear

@@ -1,15 +1,14 @@
 //! The traffic-model tier (paper §IV-A).
 //!
 //! Wraps the `caladrius-forecast` substrate behind a name-keyed registry
-//! of forecaster factories (Prophet-style, statistics summary,
-//! Holt-Winters, AR) and produces the summary the performance tier
-//! consumes: predicted source rates over a future window, with the
-//! summary statistics the paper says the model produces "for the
-//! predicted source rate at the future instances".
+//! of forecaster factories (Prophet-style, statistics summary, AR) and
+//! produces the summary the performance tier consumes: predicted source
+//! rates over a future window, with the summary statistics the paper says
+//! the model produces "for the predicted source rate at the future
+//! instances".
 
 use crate::error::{CoreError, Result};
 use caladrius_forecast::ar::ArModel;
-use caladrius_forecast::holtwinters::HoltWinters;
 use caladrius_forecast::prophet::{Prophet, ProphetConfig};
 use caladrius_forecast::seasonality::Seasonality;
 use caladrius_forecast::stats::StatsSummaryModel;
@@ -79,8 +78,7 @@ impl TrafficModelRegistry {
     }
 
     /// The default registry: `prophet` (daily+weekly seasonality),
-    /// `stats_summary` (mean), `holt_winters` (daily season over minute
-    /// data) and `ar` (order 10).
+    /// `stats_summary` (mean) and `ar` (order 10).
     pub fn with_defaults() -> Self {
         let mut r = Self::empty();
         r.register("prophet", || {
@@ -90,7 +88,6 @@ impl TrafficModelRegistry {
             }))
         });
         r.register("stats_summary", || Box::new(StatsSummaryModel::mean()));
-        r.register("holt_winters", || Box::new(HoltWinters::daily_minutes()));
         r.register("ar", || Box::new(ArModel::new(10, 0.9)));
         r
     }
@@ -137,16 +134,6 @@ impl TrafficModelRegistry {
         let points = model.predict(horizon)?;
         TrafficForecast::from_points(name, points)
     }
-
-    /// Runs every registered model, skipping ones whose data requirements
-    /// aren't met, and returns the successful forecasts — the "run all
-    /// models and concatenate" endpoint behaviour.
-    pub fn forecast_all(&self, history: &[DataPoint], horizon: &[i64]) -> Vec<TrafficForecast> {
-        self.names()
-            .iter()
-            .filter_map(|name| self.forecast(name, history, horizon).ok())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -164,10 +151,7 @@ mod tests {
     #[test]
     fn default_registry_names() {
         let r = TrafficModelRegistry::with_defaults();
-        assert_eq!(
-            r.names(),
-            vec!["ar", "holt_winters", "prophet", "stats_summary"]
-        );
+        assert_eq!(r.names(), vec!["ar", "prophet", "stats_summary"]);
     }
 
     #[test]
@@ -194,10 +178,15 @@ mod tests {
     #[test]
     fn unknown_model_rejected() {
         let r = TrafficModelRegistry::with_defaults();
-        assert!(matches!(
-            r.forecast("nope", &history(10), &[0]),
-            Err(CoreError::UnknownModel(_))
-        ));
+        for name in ["nope", "holt_winters"] {
+            assert!(
+                matches!(
+                    r.forecast(name, &history(10), &[0]),
+                    Err(CoreError::UnknownModel(_))
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -207,18 +196,6 @@ mod tests {
             r.forecast("stats_summary", &history(10), &[]),
             Err(CoreError::InvalidRequest(_))
         ));
-    }
-
-    #[test]
-    fn forecast_all_skips_unfittable_models() {
-        let r = TrafficModelRegistry::with_defaults();
-        // 100 minutes is far too short for holt_winters (needs 2880).
-        let out = r.forecast_all(&history(100), &[150 * MINUTE]);
-        let names: Vec<&str> = out.iter().map(|f| f.model.as_str()).collect();
-        assert!(names.contains(&"prophet"));
-        assert!(names.contains(&"stats_summary"));
-        assert!(names.contains(&"ar"));
-        assert!(!names.contains(&"holt_winters"));
     }
 
     #[test]

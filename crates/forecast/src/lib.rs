@@ -12,7 +12,6 @@
 //!   simulation-based uncertainty intervals,
 //! * [`stats`] — the paper's "statistics summary traffic model" for stable
 //!   traffic (mean / median / quantile forecasts),
-//! * [`holtwinters`] — additive triple exponential smoothing baseline,
 //! * [`ar`] — autoregressive AR(p) baseline via Levinson–Durbin,
 //! * [`eval`] — rolling-origin backtesting with MAE / RMSE / MAPE and
 //!   interval-coverage metrics,
@@ -25,7 +24,6 @@
 
 pub mod ar;
 pub mod eval;
-pub mod holtwinters;
 pub mod linalg;
 pub mod prophet;
 pub mod seasonality;
@@ -127,11 +125,10 @@ pub trait Forecaster {
     /// Absorbs points observed *after* the history the model was fitted
     /// on, in O(new points) where the model family allows it.
     ///
-    /// Models backed by streaming sufficient statistics (AR, Holt-Winters,
-    /// stats summary) return [`UpdateOutcome::Incremental`] and afterwards
-    /// predict as if [`Forecaster::fit`] had been re-run over the extended
-    /// history (bitwise-exact for sum-based models, recurrence-exact for
-    /// Holt-Winters with fixed smoothing parameters). When no exact
+    /// Models backed by streaming sufficient statistics (AR, stats
+    /// summary) return [`UpdateOutcome::Incremental`] and afterwards
+    /// predict bitwise as if [`Forecaster::fit`] had been re-run over the
+    /// extended history. When no exact
     /// incremental path exists — the model was never fitted, the new
     /// points are not strictly newer than the fitted history, or the
     /// model must re-select structure (Prophet changepoints) — the fitted

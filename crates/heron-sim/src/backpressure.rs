@@ -213,7 +213,7 @@ mod tests {
         // Exactly at the mark with no fill: strict `>` never fires.
         assert_eq!(c.secs_to_high(100.0 * MB, 0.0), None);
         // Draining queues never reach the high mark.
-        assert_eq!(c.secs_to_high(90.0 * MB, -1.0 * MB), None);
+        assert_eq!(c.secs_to_high(90.0 * MB, -MB), None);
     }
 
     #[test]
@@ -227,7 +227,7 @@ mod tests {
         // Exactly at the mark with no drain: strict `<` never fires.
         assert_eq!(c.secs_to_low(50.0 * MB, 0.0), None);
         // Filling queues never release.
-        assert_eq!(c.secs_to_low(70.0 * MB, -1.0 * MB), None);
+        assert_eq!(c.secs_to_low(70.0 * MB, -MB), None);
     }
 
     #[test]

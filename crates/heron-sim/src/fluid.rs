@@ -904,7 +904,7 @@ mod tests {
         // True crossing: mid end-of-tick bytes = (2·r(t)/3)·60 > 4000
         // ⇒ r(t) > 100 ⇒ t > 0 … rates already exceed it quickly; the
         // stop must be in-range and conservative.
-        assert!(tick >= 10 && tick < 290);
+        assert!((10..290).contains(&tick));
         let qb_before = engine.queue_bytes_end(2, tick.saturating_sub(1));
         assert!(
             qb_before <= tiny.high_bytes,

@@ -12,7 +12,7 @@ use std::time::Duration;
 /// One octave is split into 4 sub-buckets, so a bucket's bounds are a
 /// factor of 2^(1/4) apart: any quantile estimate interpolated inside
 /// the right bucket is within ~19% of the exact order statistic.
-const BUCKET_WIDTH: f64 = 1.189_207_115_002_721_1; // 2^(1/4)
+const BUCKET_WIDTH: f64 = 1.189_207_115_002_721; // 2^(1/4)
 
 fn arb_positive_values() -> impl Strategy<Value = Vec<f64>> {
     // Stay inside the histogram's bucketed range (~4.7e-10 .. ~8.6e9)

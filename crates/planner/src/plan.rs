@@ -388,11 +388,17 @@ mod tests {
         }
         .validate()
         .is_err());
-        let mut limits = ResourceLimits::default();
-        limits.container_cpu = 0.5;
-        assert!(limits.validate().is_err());
-        let mut limits = ResourceLimits::default();
-        limits.max_containers = 0;
-        assert!(limits.validate().is_err());
+        assert!(ResourceLimits {
+            container_cpu: 0.5,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ResourceLimits {
+            max_containers: 0,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
     }
 }

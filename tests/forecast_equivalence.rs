@@ -8,11 +8,10 @@
 //! * Prophet refits over the sliding window on both sides: `to_bits`
 //!   equality, for the what-if's forecast points and the plan's window
 //!   rates alike.
-//! * AR, stats-summary and Holt-Winters forecasters are kept warm and
-//!   absorb only the tail, so their window is anchored where they were
-//!   first fitted; the from-scratch reference spans that anchored
-//!   window. AR/stats: `to_bits`. Holt-Winters (fixed parameters): 1e-9
-//!   relative, the forecast crate's own incremental == batch bound.
+//! * AR and stats-summary forecasters are kept warm and absorb only the
+//!   tail, so their window is anchored where they were first fitted; the
+//!   from-scratch reference spans that anchored window: `to_bits`
+//!   equality too.
 //!
 //! The read counter shows the history was read from the store in full
 //! once, and after that only ever one new minute at a time.
@@ -24,7 +23,6 @@ use caladrius::core::config::CaladriusConfig;
 use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::service::SourceRateSpec;
 use caladrius::core::{Caladrius, SourceHistoryReads};
-use caladrius::forecast::holtwinters::{HoltWinters, HoltWintersConfig};
 use caladrius::forecast::ForecastPoint;
 use caladrius::sim::metrics::{metric, SimMetrics};
 use caladrius::sim::prelude::*;
@@ -42,7 +40,7 @@ const PARALLELISM: WordCountParallelism = WordCountParallelism {
 /// minute on; long enough that the anchored forecasters never re-anchor.
 const WINDOW_MINUTES: u32 = 45;
 const LIVE_MINUTES: u32 = 20;
-const MODELS: [&str; 4] = ["prophet", "ar", "stats_summary", "hw6"];
+const MODELS: [&str; 3] = ["prophet", "ar", "stats_summary"];
 
 fn quiet() -> SimConfig {
     SimConfig {
@@ -68,24 +66,14 @@ fn swept_hour() -> SimMetrics {
 }
 
 fn service(metrics: &SimMetrics, window_minutes: u32) -> Caladrius {
-    let mut caladrius = Caladrius::with_config(
+    Caladrius::with_config(
         Arc::new(SimMetricsProvider::new(metrics.clone())),
         Arc::new(StaticTracker::new().with(wordcount_topology(PARALLELISM, 20.0e6))),
         CaladriusConfig {
             source_window_minutes: window_minutes,
             ..CaladriusConfig::default()
         },
-    );
-    // The registry's own Holt-Winters wants two days of minutes and
-    // grid-searches its parameters; this one fits the test's hour.
-    caladrius.traffic_registry_mut().register("hw6", || {
-        Box::new(HoltWinters::new(HoltWintersConfig {
-            season_length: 6,
-            params: Some((0.3, 0.1, 0.2)),
-            interval_width: 0.9,
-        }))
-    });
-    caladrius
+    )
 }
 
 fn forecast(caladrius: &Caladrius, model: &str) -> Vec<ForecastPoint> {
@@ -119,19 +107,6 @@ fn assert_bitwise(served: &[ForecastPoint], fresh: &[ForecastPoint], what: &str)
     assert_eq!(bits(served), bits(fresh), "{what}");
 }
 
-fn assert_close(served: &[ForecastPoint], fresh: &[ForecastPoint], what: &str) {
-    assert_eq!(served.len(), fresh.len(), "{what}");
-    for (a, b) in served.iter().zip(fresh) {
-        assert_eq!(a.ts, b.ts, "{what}");
-        for (x, y) in [(a.yhat, b.yhat), (a.lower, b.lower), (a.upper, b.upper)] {
-            assert!(
-                (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-                "{what}: {x} vs {y}"
-            );
-        }
-    }
-}
-
 #[test]
 fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
     let metrics = swept_hour();
@@ -150,11 +125,12 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
         let anchored = service(&metrics, WINDOW_MINUTES + minute);
         for (model, served) in MODELS.iter().zip(&served) {
             let what = format!("{model}, live minute {minute}");
-            match *model {
-                "prophet" => assert_bitwise(served, &forecast(&sliding, model), &what),
-                "hw6" => assert_close(served, &forecast(&anchored, model), &what),
-                _ => assert_bitwise(served, &forecast(&anchored, model), &what),
-            }
+            let reference = if *model == "prophet" {
+                &sliding
+            } else {
+                &anchored
+            };
+            assert_bitwise(served, &forecast(reference, model), &what);
         }
         assert_eq!(
             served_rates,
@@ -163,13 +139,14 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
         );
     }
 
-    // Per minute: four what-ifs and a plan ask for the history; the first
-    // of them reads the new minute, the others are served from memory.
+    // Per minute: a what-if per model and a plan ask for the history; the
+    // first of them reads the new minute, the others are served from
+    // memory.
     let minutes = u64::from(LIVE_MINUTES);
     assert_eq!(
         warm.source_history_reads(),
         SourceHistoryReads {
-            hit: 4 * (minutes + 1),
+            hit: MODELS.len() as u64 * (minutes + 1),
             tail: minutes,
             full: 1,
         }
@@ -215,10 +192,7 @@ fn a_truncation_at_an_unchanged_watermark_refits_every_forecaster() {
         let fresh = service(&metrics, WINDOW_MINUTES);
         for (model, served) in MODELS.iter().zip(&served) {
             let what = format!("{model}, {minute} minutes after the cut");
-            match *model {
-                "hw6" => assert_close(served, &forecast(&fresh, model), &what),
-                _ => assert_bitwise(served, &forecast(&fresh, model), &what),
-            }
+            assert_bitwise(served, &forecast(&fresh, model), &what);
         }
         assert_eq!(
             served_rates,

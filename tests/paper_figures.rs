@@ -22,7 +22,6 @@ use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
 use caladrius::forecast::ar::ArModel;
 use caladrius::forecast::eval::{backtest, Accuracy, BacktestConfig};
-use caladrius::forecast::holtwinters::{HoltWinters, HoltWintersConfig};
 use caladrius::forecast::prophet::{Prophet, ProphetConfig};
 use caladrius::forecast::seasonality::Seasonality;
 use caladrius::forecast::stats::StatsSummaryModel;
@@ -866,26 +865,19 @@ fn backtest_row<F: Forecaster>(
     model: &mut F,
     data: &[DataPoint],
     config: BacktestConfig,
-) -> Option<Accuracy> {
-    match backtest(model, data, config) {
-        Ok(acc) => {
-            r.row(
-                name,
-                &[
-                    acc.mape,
-                    acc.mae / 1e6,
-                    acc.rmse / 1e6,
-                    acc.coverage * 100.0,
-                    acc.n as f64,
-                ],
-            );
-            Some(acc)
-        }
-        Err(e) => {
-            r.line(format_args!("{name:>14}  (skipped: {e})"));
-            None
-        }
-    }
+) -> Accuracy {
+    let acc = backtest(model, data, config).unwrap_or_else(|e| panic!("{name} fits: {e}"));
+    r.row(
+        name,
+        &[
+            acc.mape,
+            acc.mae / 1e6,
+            acc.rmse / 1e6,
+            acc.coverage * 100.0,
+            acc.n as f64,
+        ],
+    );
+    acc
 }
 
 /// Traffic-forecast evaluation (§IV-A, an extension). The paper relies on
@@ -894,7 +886,7 @@ fn backtest_row<F: Forecaster>(
 /// validates the substitution: rolling-origin backtests on strongly
 /// seasonal synthetic traffic with production pathologies, the additive
 /// model against the statistics-summary model the paper suggests for
-/// stable traffic, plus Holt-Winters and AR baselines.
+/// stable traffic, plus an AR baseline that must beat the summary too.
 #[test]
 fn traffic_forecast_eval() {
     let mut r = Report::default();
@@ -939,19 +931,11 @@ fn traffic_forecast_eval() {
         seasonalities: vec![Seasonality::daily(6), Seasonality::weekly(3)],
         ..ProphetConfig::default()
     });
-    let prophet_acc =
-        backtest_row(&mut r, "prophet", &mut prophet, &data, config).expect("prophet fits");
+    let prophet_acc = backtest_row(&mut r, "prophet", &mut prophet, &data, config);
     let mut mean_model = StatsSummaryModel::mean();
-    let mean_acc =
-        backtest_row(&mut r, "stats_mean", &mut mean_model, &data, config).expect("stats fits");
-    let mut hw = HoltWinters::new(HoltWintersConfig {
-        season_length: per_day,
-        params: None,
-        interval_width: 0.9,
-    });
-    backtest_row(&mut r, "holt_winters", &mut hw, &data, config);
+    let mean_acc = backtest_row(&mut r, "stats_mean", &mut mean_model, &data, config);
     let mut ar = ArModel::new(per_day, 0.9);
-    backtest_row(&mut r, "ar", &mut ar, &data, config);
+    let ar_acc = backtest_row(&mut r, "ar", &mut ar, &data, config);
 
     r.line("");
     r.line(format_args!(
@@ -972,6 +956,15 @@ fn traffic_forecast_eval() {
         "interval coverage {:.0}% too low",
         prophet_acc.coverage * 100.0
     );
+    // AR is not a paper model: it earns its registry slot by beating the
+    // statistics summary on every error column.
+    for (what, ar, mean) in [
+        ("MAPE", ar_acc.mape, mean_acc.mape),
+        ("MAE", ar_acc.mae, mean_acc.mae),
+        ("RMSE", ar_acc.rmse, mean_acc.rmse),
+    ] {
+        assert!(ar < mean, "ar {what} {ar} must beat stats_mean {mean}");
+    }
     r.line("traffic_forecast_eval: OK");
     r.check(include_str!("paper_figures/traffic_forecast_eval.txt"));
 }
