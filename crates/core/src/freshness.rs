@@ -59,7 +59,7 @@ impl DataStamp {
 /// it was derived from. [`StampedCache::read`] is the only way to learn
 /// how an entry stands against the store, so every cache decides with
 /// [`DataStamp::freshness`]; what a Stale or Cold entry is still good
-/// for (a delta to absorb, a seed to search from) is the caller's
+/// for (a window to slide, a seed to search from) is the caller's
 /// business.
 pub(crate) struct StampedCache<K, V> {
     inner: Mutex<Entries<K, V>>,

@@ -15,7 +15,7 @@
 //!   [`CustomGroupingModel`] describing their own partitioner.
 
 use crate::error::{CoreError, Result};
-use crate::model::instance::{InstanceFitStats, InstanceModel, InstanceObservation};
+use crate::model::instance::{InstanceModel, InstanceObservation};
 use caladrius_forecast::streaming::KahanSum;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -133,124 +133,75 @@ pub struct ComponentModel {
     pub grouping: GroupingKind,
 }
 
-/// Streaming sufficient statistics for a component fit.
-///
-/// Holds the per-instance-average regression sums plus the bias (share)
-/// sums; both the batch `fit` and the incremental delta path push
-/// observation windows through here one at a time, so a model rebuilt
-/// after absorbing a delta is bitwise-identical to a full refit.
-#[derive(Debug, Clone)]
-pub struct ComponentFitStats {
-    name: String,
-    parallelism: u32,
-    grouping: GroupingKind,
-    instance: InstanceFitStats,
-    share_sums: Vec<KahanSum>,
-    share_windows: usize,
-    pushed: usize,
-}
-
-impl ComponentFitStats {
-    /// A zeroed accumulator for a component observed at `parallelism`
-    /// under `grouping`.
-    pub fn new(name: impl Into<String>, parallelism: u32, grouping: GroupingKind) -> Result<Self> {
+impl ComponentModel {
+    /// Fits a component model from observation windows taken at
+    /// `parallelism` instances under `grouping`.
+    ///
+    /// The representative instance is fitted on per-instance-average
+    /// rates; the shares are the mean of each instance's share of the
+    /// input over the windows that show the bias (compensated sums, in
+    /// the order the observations come).
+    pub fn fit<'a>(
+        name: impl Into<String>,
+        parallelism: u32,
+        grouping: GroupingKind,
+        observations: impl IntoIterator<Item = &'a ComponentObservation>,
+    ) -> Result<Self> {
+        let name = name.into();
         if parallelism == 0 {
             return Err(CoreError::InvalidRequest(
                 "component parallelism must be positive".into(),
             ));
         }
-        Ok(Self {
-            name: name.into(),
-            parallelism,
-            grouping,
-            instance: InstanceFitStats::new(),
-            share_sums: vec![KahanSum::new(); parallelism as usize],
-            share_windows: 0,
-            pushed: 0,
-        })
-    }
-
-    /// Absorbs one observation window.
-    pub fn push(&mut self, o: &ComponentObservation) {
-        self.pushed += 1;
-        let p = f64::from(self.parallelism);
-        // Representative instance model on per-instance-average rates.
-        self.instance.push(&InstanceObservation {
-            source_rate: o.source_rate / p,
-            input_rate: o.input_rate / p,
-            output_rate: o.output_rate / p,
-            backpressured: o.backpressured,
-        });
-        // Bias estimation: average each instance's share of the total
-        // input over non-saturated windows (saturated windows flatten the
-        // shares and would hide the bias).
-        if o.backpressured
-            || o.per_instance_inputs.len() != self.parallelism as usize
-            || o.input_rate <= 0.0
-        {
-            return;
+        let p = f64::from(parallelism);
+        let mut averages = Vec::new();
+        let mut share_sums = vec![KahanSum::new(); parallelism as usize];
+        let mut share_windows = 0usize;
+        for o in observations {
+            averages.push(InstanceObservation {
+                source_rate: o.source_rate / p,
+                input_rate: o.input_rate / p,
+                output_rate: o.output_rate / p,
+                backpressured: o.backpressured,
+            });
+            // Bias estimation: saturated windows flatten the shares and
+            // would hide the bias.
+            if o.backpressured
+                || o.per_instance_inputs.len() != parallelism as usize
+                || o.input_rate <= 0.0
+            {
+                continue;
+            }
+            for (s, v) in share_sums.iter_mut().zip(&o.per_instance_inputs) {
+                s.add(v / o.input_rate);
+            }
+            share_windows += 1;
         }
-        for (s, v) in self.share_sums.iter_mut().zip(&o.per_instance_inputs) {
-            s.add(v / o.input_rate);
-        }
-        self.share_windows += 1;
-    }
-
-    /// Total observation windows pushed (usable or not).
-    pub fn windows(&self) -> usize {
-        self.pushed
-    }
-
-    /// The parallelism the statistics were accumulated at.
-    pub fn parallelism(&self) -> u32 {
-        self.parallelism
-    }
-
-    /// Solves the accumulated sums into a fitted model.
-    pub fn solve(&self) -> Result<ComponentModel> {
-        let instance = self.instance.solve().map_err(|e| match e {
+        let instance = InstanceModel::fit(&averages).map_err(|e| match e {
             CoreError::NotEnoughObservations { needed, got, .. } => {
                 CoreError::NotEnoughObservations {
-                    what: format!("component model for {:?}", self.name),
+                    what: format!("component model for {name:?}"),
                     needed,
                     got,
                 }
             }
             other => other,
         })?;
-        let p = f64::from(self.parallelism);
-        let shares = if self.share_windows > 0 {
-            self.share_sums
+        let shares = if share_windows > 0 {
+            share_sums
                 .iter()
-                .map(|s| s.value() / self.share_windows as f64)
+                .map(|s| s.value() / share_windows as f64)
                 .collect()
         } else {
-            vec![1.0 / p; self.parallelism as usize]
+            vec![1.0 / p; parallelism as usize]
         };
         Ok(ComponentModel {
-            name: self.name.clone(),
-            fitted_parallelism: self.parallelism,
+            name,
+            fitted_parallelism: parallelism,
             instance,
             shares,
-            grouping: self.grouping.clone(),
+            grouping,
         })
-    }
-}
-
-impl ComponentModel {
-    /// Fits a component model from observation windows taken at
-    /// `parallelism` instances under `grouping`.
-    pub fn fit(
-        name: impl Into<String>,
-        parallelism: u32,
-        grouping: GroupingKind,
-        observations: &[ComponentObservation],
-    ) -> Result<Self> {
-        let mut stats = ComponentFitStats::new(name, parallelism, grouping)?;
-        for o in observations {
-            stats.push(o);
-        }
-        stats.solve()
     }
 
     /// Maximum relative deviation of the observed shares from uniform:
@@ -578,31 +529,6 @@ mod tests {
         assert!((s.input_sp - 11.0).abs() < 1e-9);
         assert!(m.is_unbiased());
         assert_eq!(m.shares.len(), 3);
-    }
-
-    #[test]
-    fn split_accumulation_matches_batch_exactly() {
-        let observations = fields_obs(&[0.5, 0.3, 0.2]);
-        for split_at in [1, 20, observations.len() - 1] {
-            let mut stats = ComponentFitStats::new("counter", 3, GroupingKind::Fields).unwrap();
-            for o in &observations[..split_at] {
-                stats.push(o);
-            }
-            for o in &observations[split_at..] {
-                stats.push(o);
-            }
-            let incremental = stats.solve().unwrap();
-            let batch =
-                ComponentModel::fit("counter", 3, GroupingKind::Fields, &observations).unwrap();
-            assert_eq!(
-                incremental.instance.alpha.to_bits(),
-                batch.instance.alpha.to_bits()
-            );
-            assert_eq!(incremental.instance.saturation, batch.instance.saturation);
-            for (a, b) in incremental.shares.iter().zip(&batch.shares) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

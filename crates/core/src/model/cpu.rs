@@ -30,80 +30,49 @@ pub struct CpuModel {
     pub psi: f64,
 }
 
-/// Streaming sufficient statistics for the CPU fit.
-///
-/// The least-squares line needs only the raw compensated sums
-/// (n, Σx, Σy, Σxx, Σxy); both the batch fit and the incremental delta
-/// path push windows through here one at a time, so rebuilding after a
-/// delta is bitwise-identical to refitting over the full window list.
-#[derive(Debug, Clone, Default)]
-pub struct CpuFitStats {
-    n: usize,
-    sx: KahanSum,
-    sy: KahanSum,
-    sxx: KahanSum,
-    sxy: KahanSum,
-}
-
-impl CpuFitStats {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one observation window in O(1).
-    pub fn push(&mut self, o: &CpuObservation) {
-        if !(o.input_rate.is_finite() && o.cpu_load.is_finite()) {
-            return;
+impl CpuModel {
+    /// Fits the linear ratio from observations. Needs at least two
+    /// windows at distinct input rates.
+    ///
+    /// The least-squares line comes from the raw sums (n, Σx, Σy, Σxx,
+    /// Σxy), compensated ([`KahanSum`]) and added in the order the
+    /// observations come, so the same observations in the same order
+    /// give the same bits.
+    pub fn fit<'a>(observations: impl IntoIterator<Item = &'a CpuObservation>) -> Result<Self> {
+        let mut n = 0usize;
+        let [mut sx, mut sy, mut sxx, mut sxy] = [KahanSum::new(); 4];
+        for o in observations {
+            if !(o.input_rate.is_finite() && o.cpu_load.is_finite()) {
+                continue;
+            }
+            n += 1;
+            sx.add(o.input_rate);
+            sy.add(o.cpu_load);
+            sxx.add(o.input_rate * o.input_rate);
+            sxy.add(o.input_rate * o.cpu_load);
         }
-        self.n += 1;
-        self.sx.add(o.input_rate);
-        self.sy.add(o.cpu_load);
-        self.sxx.add(o.input_rate * o.input_rate);
-        self.sxy.add(o.input_rate * o.cpu_load);
-    }
-
-    /// Number of usable windows absorbed so far.
-    pub fn windows(&self) -> usize {
-        self.n
-    }
-
-    /// Solves the accumulated sums into a fitted model.
-    pub fn solve(&self) -> Result<CpuModel> {
         let degenerate = || CoreError::NotEnoughObservations {
             what: "cpu model".into(),
             needed: 2,
-            got: self.n,
+            got: n,
         };
-        if self.n < 2 {
+        if n < 2 {
             return Err(degenerate());
         }
-        let n = self.n as f64;
-        let mx = self.sx.value() / n;
-        let my = self.sy.value() / n;
+        let nf = n as f64;
+        let mx = sx.value() / nf;
+        let my = sy.value() / nf;
         // Centred moments recovered from the raw sums.
-        let sxx_c = self.sxx.value() - n * mx * mx;
-        let sxy_c = self.sxy.value() - n * mx * my;
+        let sxx_c = sxx.value() - nf * mx * mx;
+        let sxy_c = sxy.value() - nf * mx * my;
         // Relative degeneracy guard: after cancellation the centred Σx²
         // may carry noise proportional to the raw Σx² magnitude.
-        if sxx_c <= f64::EPSILON * self.sxx.value().abs().max(n) {
+        if sxx_c <= f64::EPSILON * sxx.value().abs().max(nf) {
             return Err(degenerate());
         }
         let psi = sxy_c / sxx_c;
         let base = my - psi * mx;
         Ok(CpuModel { base, psi })
-    }
-}
-
-impl CpuModel {
-    /// Fits the linear ratio from observations. Needs at least two
-    /// windows at distinct input rates.
-    pub fn fit(observations: &[CpuObservation]) -> Result<Self> {
-        let mut stats = CpuFitStats::new();
-        for o in observations {
-            stats.push(o);
-        }
-        stats.solve()
     }
 
     /// Predicted CPU load (cores) of one instance processing
@@ -162,26 +131,6 @@ mod tests {
         assert!(CpuModel::fit(&[obs(1.0, 1.0)]).is_err());
         assert!(CpuModel::fit(&[obs(1.0, 1.0), obs(1.0, 2.0)]).is_err());
         assert!(CpuModel::fit(&[obs(f64::NAN, 1.0), obs(1.0, f64::NAN)]).is_err());
-    }
-
-    #[test]
-    fn split_accumulation_matches_batch_exactly() {
-        let observations: Vec<CpuObservation> = (1..=20)
-            .map(|i| obs(i as f64 * 1e6, 0.05 + i as f64 * 0.1))
-            .collect();
-        for split_at in [1, 9, 19] {
-            let mut stats = CpuFitStats::new();
-            for o in &observations[..split_at] {
-                stats.push(o);
-            }
-            for o in &observations[split_at..] {
-                stats.push(o);
-            }
-            let incremental = stats.solve().unwrap();
-            let batch = CpuModel::fit(&observations).unwrap();
-            assert_eq!(incremental.base.to_bits(), batch.base.to_bits());
-            assert_eq!(incremental.psi.to_bits(), batch.psi.to_bits());
-        }
     }
 
     #[test]

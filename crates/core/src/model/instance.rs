@@ -53,85 +53,6 @@ pub struct InstanceModel {
 /// saturated even without an explicit backpressure flag.
 const SATURATION_SLACK: f64 = 0.03;
 
-/// Streaming sufficient statistics for the instance fit.
-///
-/// Both the batch `fit` and the incremental delta path push observations
-/// through this accumulator one window at a time, so a model rebuilt
-/// after absorbing a delta is bitwise-identical to one refit over the
-/// full window list: the through-origin slope α needs only the
-/// compensated Σxy and Σx², and the saturation medians come from
-/// maintained sorted vectors of the saturated windows.
-#[derive(Debug, Clone, Default)]
-pub struct InstanceFitStats {
-    sxy: KahanSum,
-    sxx: KahanSum,
-    usable: usize,
-    sat_inputs: Vec<f64>,
-    sat_outputs: Vec<f64>,
-}
-
-impl InstanceFitStats {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one observation window (O(1) amortised, O(log n) when the
-    /// window is saturated).
-    pub fn push(&mut self, o: &InstanceObservation) {
-        if !(o.input_rate.is_finite()
-            && o.output_rate.is_finite()
-            && o.source_rate.is_finite()
-            && o.input_rate > 0.0)
-        {
-            return;
-        }
-        self.sxy.add(o.input_rate * o.output_rate);
-        self.sxx.add(o.input_rate * o.input_rate);
-        self.usable += 1;
-        let starved =
-            o.source_rate > 0.0 && o.input_rate < o.source_rate * (1.0 - SATURATION_SLACK);
-        if o.backpressured || starved {
-            insert_sorted(&mut self.sat_inputs, o.input_rate);
-            insert_sorted(&mut self.sat_outputs, o.output_rate);
-        }
-    }
-
-    /// Number of usable windows absorbed so far.
-    pub fn windows(&self) -> usize {
-        self.usable
-    }
-
-    /// Solves the accumulated sums into a fitted model.
-    pub fn solve(&self) -> Result<InstanceModel> {
-        if self.usable == 0 {
-            return Err(CoreError::NotEnoughObservations {
-                what: "instance model".into(),
-                needed: 1,
-                got: 0,
-            });
-        }
-        let den = self.sxx.value();
-        if den <= 0.0 {
-            return Err(CoreError::NotEnoughObservations {
-                what: "instance model alpha".into(),
-                needed: 1,
-                got: 0,
-            });
-        }
-        let alpha = self.sxy.value() / den;
-        let saturation = if self.sat_inputs.is_empty() {
-            None
-        } else {
-            Some(Saturation {
-                input_sp: sorted_median(&self.sat_inputs),
-                output_st: sorted_median(&self.sat_outputs),
-            })
-        };
-        Ok(InstanceModel { alpha, saturation })
-    }
-}
-
 impl InstanceModel {
     /// Builds a model directly from parameters (useful for what-if
     /// analyses and tests).
@@ -148,12 +69,56 @@ impl InstanceModel {
     /// * A window is *saturated* when it was flagged backpressured or its
     ///   input fell measurably below its source rate; ST is the median
     ///   output and SP the median input over saturated windows.
-    pub fn fit(observations: &[InstanceObservation]) -> Result<Self> {
-        let mut stats = InstanceFitStats::new();
+    ///
+    /// α's sums are compensated ([`KahanSum`]) and added in the order the
+    /// observations come, so the same observations in the same order give
+    /// the same bits.
+    pub fn fit<'a>(
+        observations: impl IntoIterator<Item = &'a InstanceObservation>,
+    ) -> Result<Self> {
+        let (mut sxy, mut sxx, mut usable) = (KahanSum::new(), KahanSum::new(), 0usize);
+        let (mut sat_inputs, mut sat_outputs) = (Vec::new(), Vec::new());
         for o in observations {
-            stats.push(o);
+            if !(o.input_rate.is_finite()
+                && o.output_rate.is_finite()
+                && o.source_rate.is_finite()
+                && o.input_rate > 0.0)
+            {
+                continue;
+            }
+            sxy.add(o.input_rate * o.output_rate);
+            sxx.add(o.input_rate * o.input_rate);
+            usable += 1;
+            let starved =
+                o.source_rate > 0.0 && o.input_rate < o.source_rate * (1.0 - SATURATION_SLACK);
+            if o.backpressured || starved {
+                sat_inputs.push(o.input_rate);
+                sat_outputs.push(o.output_rate);
+            }
         }
-        stats.solve()
+        if usable == 0 {
+            return Err(CoreError::NotEnoughObservations {
+                what: "instance model".into(),
+                needed: 1,
+                got: 0,
+            });
+        }
+        let den = sxx.value();
+        if den <= 0.0 {
+            return Err(CoreError::NotEnoughObservations {
+                what: "instance model alpha".into(),
+                needed: 1,
+                got: 0,
+            });
+        }
+        let saturation = (!sat_inputs.is_empty()).then(|| Saturation {
+            input_sp: median(sat_inputs),
+            output_st: median(sat_outputs),
+        });
+        Ok(Self {
+            alpha: sxy.value() / den,
+            saturation,
+        })
     }
 
     /// Eq. 2: output rate for a single-stream source rate `t`.
@@ -216,14 +181,13 @@ pub fn multi_output_total(streams: &[InstanceModel], sources: &[f64]) -> f64 {
     streams.iter().map(|s| s.output_for_sources(sources)).sum()
 }
 
-/// Inserts into an already-sorted vector, keeping it sorted.
-pub(crate) fn insert_sorted(values: &mut Vec<f64>, v: f64) {
-    let at = values.partition_point(|x| *x < v);
-    values.insert(at, v);
-}
-
-/// Median of an already-sorted slice.
-pub(crate) fn sorted_median(values: &[f64]) -> f64 {
+/// Median of finite `values`, given in the order they were observed.
+/// Values that compare equal sort newest first (a stable sort of the
+/// reversed list), so which of `-0.0` and `0.0` lands in the middle
+/// depends on the observations' order alone.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.reverse();
+    values.sort_by(|a, b| a.partial_cmp(b).expect("saturated windows are finite"));
     let n = values.len();
     if n % 2 == 1 {
         values[n / 2]
@@ -414,20 +378,35 @@ mod tests {
     }
 
     #[test]
-    fn split_accumulation_matches_batch_exactly() {
-        let observations = sweep();
-        for split_at in [1, 7, 19] {
-            let mut stats = InstanceFitStats::new();
-            for o in &observations[..split_at] {
-                stats.push(o);
+    fn median_sorts_equal_values_newest_first() {
+        // What inserting each value before its equals gives, -0.0 and 0.0
+        // included: the median is the same function of the order.
+        let insertion_sorted = |values: &[f64]| {
+            let mut sorted: Vec<f64> = Vec::new();
+            for v in values {
+                sorted.insert(sorted.partition_point(|x| x < v), *v);
             }
-            for o in &observations[split_at..] {
-                stats.push(o);
-            }
-            let incremental = stats.solve().unwrap();
-            let batch = InstanceModel::fit(&observations).unwrap();
-            assert_eq!(incremental.alpha.to_bits(), batch.alpha.to_bits());
-            assert_eq!(incremental.saturation, batch.saturation);
+            sorted
+        };
+        let cases: [&[f64]; 4] = [
+            &[0.0, -0.0, 3.0],
+            &[-0.0, 0.0, 3.0],
+            &[2.0, 0.0, -0.0, 1.0, -0.0, 0.0, 2.0],
+            &[5.0, 1.5, 1.5, -0.0, 9.0, 0.0],
+        ];
+        for values in cases {
+            let sorted = insertion_sorted(values);
+            let n = sorted.len();
+            let expected = if n % 2 == 1 {
+                sorted[n / 2]
+            } else {
+                (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+            };
+            assert_eq!(
+                median(values.to_vec()).to_bits(),
+                expected.to_bits(),
+                "{values:?}"
+            );
         }
     }
 

@@ -8,6 +8,8 @@ use caladrius_forecast::DataPoint;
 use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample};
 use heron_sim::metrics::{metric, SeriesSet, SimMetrics};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 
 /// Backpressure-time (ms per minute) above which a window counts as
 /// backpressured. The metric is bimodal (≈0 or ≈60 000, paper §IV-B1), so
@@ -46,11 +48,11 @@ pub trait MetricsProvider: Send + Sync {
 
     /// Monotone counter of retention truncations that actually dropped
     /// samples of `topology` from the backing store, when the store
-    /// exposes one. Incremental fit consumers compare snapshots: a change
-    /// means already-absorbed history was rewritten, so accumulated
-    /// sufficient statistics are invalid and a full refit is due. `None`
-    /// means the provider cannot detect truncation (callers must then
-    /// choose between trusting the data or always refitting).
+    /// exposes one. Consumers that keep a window compare snapshots: a
+    /// change means already-read history was rewritten, so a kept window
+    /// is invalid and a full refit is due. `None` means the provider
+    /// cannot detect truncation (callers must then choose between
+    /// trusting the data or always refitting).
     fn truncation_generation(&self, _topology: &str) -> Option<u64> {
         None
     }
@@ -144,8 +146,8 @@ impl MetricsProvider for SimMetricsProvider {
 /// `[from, to]` exactly once — per bolt execute-count, emit-count,
 /// backpressure-time and cpu-load, per spout that feeds a bolt
 /// emit-count — from which both the throughput and the CPU observations
-/// are assembled. A cold fit builds it over the training window, a refit
-/// over the new minutes only; it does not know which.
+/// are assembled. A cold fit builds it over the training window, a Stale
+/// fit over the new minutes only; it does not know which.
 ///
 /// A window without samples assembles to no observations, which is what
 /// a refit sees when no new minute has landed; whether that is an error
@@ -214,13 +216,14 @@ impl<'a> FitWindow<'a> {
     /// inside the topology.
     ///
     /// One observation per minute of the execute series that also has an
-    /// emit sample. Every column is ascending ([`MetricsProvider::series_set`]'s
-    /// contract), so each is joined by a cursor that moves forward only.
+    /// emit sample, with that minute, oldest first. Every column is
+    /// ascending ([`MetricsProvider::series_set`]'s contract), so each is
+    /// joined by a cursor that moves forward only.
     pub(crate) fn component_observations(
         &self,
         component: &str,
         upstream_emits: &[(String, f64)],
-    ) -> Vec<ComponentObservation> {
+    ) -> VecDeque<(i64, ComponentObservation)> {
         let execute = self.set(component, metric::EXECUTE_COUNT);
         let mut output = Column::new(&self.set(component, metric::EMIT_COUNT).combined);
         let mut backpressure =
@@ -238,7 +241,8 @@ impl<'a> FitWindow<'a> {
             .map(|(_, series)| Column::new(series))
             .collect();
 
-        let mut observations = Vec::new();
+        // Sized to the read: a kept window lives as long as its topology.
+        let mut observations = VecDeque::with_capacity(execute.combined.len());
         for s in &execute.combined {
             let Some(output_rate) = output.at(s.ts) else {
                 continue;
@@ -256,56 +260,165 @@ impl<'a> FitWindow<'a> {
                 .iter_mut()
                 .map(|inputs| inputs.at(s.ts).unwrap_or(0.0))
                 .collect();
-            observations.push(ComponentObservation {
+            let observation = ComponentObservation {
                 source_rate: source_rate.unwrap_or(s.value),
                 input_rate: s.value,
                 output_rate,
                 per_instance_inputs,
                 backpressured,
-            });
+            };
+            observations.push_back((s.ts, observation));
         }
         observations
     }
 
-    /// Pools per-instance `(input rate, cpu load)` pairs of a component
-    /// into CPU-model training data, instance by instance in the order
-    /// the execute read lists them, minute by minute.
+    /// Per-instance `(input rate, cpu load)` pairs of a component as
+    /// CPU-model training data, with their minute: one list per instance
+    /// the execute read lists, in its order (empty for an instance
+    /// without a CPU series), minute by minute. Pooled instance by
+    /// instance, they are what the CPU fit reads.
     ///
     /// Backpressured windows are excluded: at saturation the measured CPU
     /// is clipped at the instance's allocation ("its CPU ... load is
     /// supposed to be at the maximum possible level", paper §V-E), so
     /// including those windows would bias the linear ratio ψ.
-    pub(crate) fn cpu_observations(&self, component: &str) -> Vec<CpuObservation> {
+    pub(crate) fn cpu_observations(&self, component: &str) -> Vec<PerInstance<CpuObservation>> {
         let series_of = |metric_name, instance: &u32| {
             let per_instance = &self.set(component, metric_name).per_instance;
             let found = per_instance.iter().rfind(|(i, _)| i == instance);
             found.map(|(_, series)| series.as_slice())
         };
-        let mut observations = Vec::new();
-        for (instance, series) in &self.set(component, metric::EXECUTE_COUNT).per_instance {
-            let Some(cpu_series) = series_of(metric::CPU_LOAD, instance) else {
-                continue;
-            };
-            let mut cpu = Column::new(cpu_series);
-            let mut backpressure =
-                Column::new(series_of(metric::BACKPRESSURE_TIME, instance).unwrap_or(&[]));
-            for s in series {
-                let backpressured = backpressure
-                    .at(s.ts)
-                    .is_some_and(|ms| ms > BACKPRESSURE_THRESHOLD_MS);
-                if backpressured {
-                    continue;
+        let execute = &self.set(component, metric::EXECUTE_COUNT).per_instance;
+        execute
+            .iter()
+            .map(|(instance, series)| {
+                let mut observations = VecDeque::with_capacity(series.len());
+                if let Some(cpu_series) = series_of(metric::CPU_LOAD, instance) {
+                    let mut cpu = Column::new(cpu_series);
+                    let mut backpressure =
+                        Column::new(series_of(metric::BACKPRESSURE_TIME, instance).unwrap_or(&[]));
+                    for s in series {
+                        let backpressured = backpressure
+                            .at(s.ts)
+                            .is_some_and(|ms| ms > BACKPRESSURE_THRESHOLD_MS);
+                        if backpressured {
+                            continue;
+                        }
+                        if let Some(cpu_load) = cpu.at(s.ts) {
+                            let observation = CpuObservation {
+                                input_rate: s.value,
+                                cpu_load,
+                            };
+                            observations.push_back((s.ts, observation));
+                        }
+                    }
                 }
-                if let Some(cpu_load) = cpu.at(s.ts) {
-                    observations.push(CpuObservation {
-                        input_rate: s.value,
-                        cpu_load,
-                    });
-                }
-            }
-        }
-        observations
+                (*instance, observations)
+            })
+            .collect()
     }
+}
+
+/// One instance's observations with their minutes, oldest first.
+pub(crate) type PerInstance<T> = (u32, VecDeque<(i64, T)>);
+
+/// The training window a fit solves over, kept between fits: per bolt,
+/// what [`FitWindow`] assembled of it, every observation with its minute.
+///
+/// A fit slides it to the window it fits over: it drops the minutes that
+/// left the window and appends what a read of the minutes after the kept
+/// ones assembled. Every observation is assembled from one minute's
+/// samples alone, so the kept window is, observation for observation and
+/// in the same order, what a read of the whole window assembles —
+/// provided nothing at or before the last read changed in the store (the
+/// caller's version stamp vouches for that) and the new read lists the
+/// instances the kept window was assembled with, which
+/// [`TrainingWindow::slide`] checks.
+#[derive(Debug, Default)]
+pub(crate) struct TrainingWindow {
+    bolts: HashMap<String, BoltWindow>,
+}
+
+/// One bolt's share of a [`TrainingWindow`].
+#[derive(Debug)]
+pub(crate) struct BoltWindow {
+    /// Component observations, oldest first.
+    component: VecDeque<(i64, ComponentObservation)>,
+    /// CPU observations per instance, in the execute read's order: the
+    /// order of every component observation's `per_instance_inputs`.
+    cpu: Vec<PerInstance<CpuObservation>>,
+}
+
+impl BoltWindow {
+    /// The component observations, oldest first.
+    pub(crate) fn component(&self) -> impl Iterator<Item = &ComponentObservation> {
+        self.component.iter().map(|(_, o)| o)
+    }
+
+    /// The CPU observations pooled instance by instance, minute by
+    /// minute: the order the CPU fit reads them in.
+    pub(crate) fn cpu(&self) -> impl Iterator<Item = &CpuObservation> {
+        self.cpu
+            .iter()
+            .flat_map(|(_, minutes)| minutes.iter().map(|(_, o)| o))
+    }
+}
+
+impl TrainingWindow {
+    /// Slides `bolt`'s window to start at minute `from`, appending what
+    /// `window` — a read of the minutes after the kept ones, or of the
+    /// whole window when nothing is kept — assembled for it with
+    /// `upstreams`. Errs when the read lists other instances than the
+    /// kept window was assembled with (an instance's series registered
+    /// since): every per-instance column would shift.
+    pub(crate) fn slide(
+        &mut self,
+        bolt: &str,
+        window: &FitWindow<'_>,
+        upstreams: &[(String, f64)],
+        from: i64,
+    ) -> Result<&BoltWindow> {
+        let component = window.component_observations(bolt, upstreams);
+        let cpu = window.cpu_observations(bolt);
+        let kept = match self.bolts.entry(bolt.to_string()) {
+            Entry::Vacant(nothing_kept) => {
+                return Ok(nothing_kept.insert(BoltWindow { component, cpu }))
+            }
+            Entry::Occupied(kept) => kept.into_mut(),
+        };
+        if !kept
+            .cpu
+            .iter()
+            .map(|(i, _)| i)
+            .eq(cpu.iter().map(|(i, _)| i))
+        {
+            return Err(CoreError::Unknown(format!(
+                "the instances of {bolt:?} changed under the kept training window"
+            )));
+        }
+        drop_before(&mut kept.component, from);
+        kept.component.extend(component);
+        for ((_, kept), (_, new)) in kept.cpu.iter_mut().zip(cpu) {
+            drop_before(kept, from);
+            kept.extend(new);
+        }
+        Ok(kept)
+    }
+}
+
+/// Drops the minutes before `from` from an ascending list.
+fn drop_before<T>(minutes: &mut VecDeque<(i64, T)>, from: i64) {
+    while minutes.front().is_some_and(|(ts, _)| *ts < from) {
+        minutes.pop_front();
+    }
+}
+
+/// Where a read that brings a window read up to `read_to` forward to a
+/// window starting at `from` starts: just after `read_to`, but never
+/// before the window, so a topology left alone for longer than the
+/// window reads only the window again, not every minute since.
+pub(crate) fn slide_from(read_to: i64, from: i64) -> i64 {
+    read_to.saturating_add(1).max(from)
 }
 
 /// An ascending series read at ascending timestamps: a forward-only
@@ -390,9 +503,9 @@ pub fn source_history(
 }
 
 /// Slides a history that [`source_history`] read up to `read_to` forward
-/// to the window `[from, to]`: reads only `[read_to + 1, to]` (no new
-/// minute may have landed yet: an empty delta), appends it and drops the
-/// points older than `from`.
+/// to the window `[from, to]`: reads only the minutes after `read_to`
+/// that lie in the window (no new minute may have landed yet: an empty
+/// delta), appends them and drops the points older than `from`.
 ///
 /// Every point is a per-minute sum that neither read splits, so the
 /// result is bit for bit what `source_history(.., from, to)` returns —
@@ -408,7 +521,7 @@ pub fn slide_source_history(
     from: i64,
     to: i64,
 ) -> Result<()> {
-    let since = read_to.saturating_add(1);
+    let since = slide_from(read_to, from);
     history.extend(read_source_history(provider, topology, spouts, since, to)?);
     let expired = history.partition_point(|p| p.ts < from);
     history.drain(..expired);
@@ -490,7 +603,9 @@ mod tests {
             let window = FitWindow::read(&provider, "t", &spec, from, to).unwrap();
             let obs = window.component_observations("bolt", &upstream);
             assert_eq!(obs.len(), 10);
-            for o in &obs {
+            let minutes: Vec<i64> = obs.iter().map(|(ts, _)| *ts).collect();
+            assert!(minutes.windows(2).all(|w| w[1] - w[0] == 60_000));
+            for (_, o) in &obs {
                 assert!((o.source_rate - 30_000.0).abs() < 1.0);
                 assert!((o.input_rate - 30_000.0).abs() < 1.0);
                 // The bolt is a sink: its recorded output is its processing
@@ -525,9 +640,12 @@ mod tests {
         for (from, to) in WINDOWS {
             let spec = spec();
             let window = FitWindow::read(&provider, "t", &spec, from, to).unwrap();
-            let obs = window.cpu_observations("bolt");
+            let per_instance = window.cpu_observations("bolt");
+            let instances: Vec<u32> = per_instance.iter().map(|(i, _)| *i).collect();
+            assert_eq!(instances, [0, 1]);
+            let obs: Vec<_> = per_instance.into_iter().flat_map(|(_, m)| m).collect();
             assert_eq!(obs.len(), 20); // 2 instances x 10 minutes
-            for o in &obs {
+            for (_, o) in &obs {
                 assert!(o.cpu_load > 0.0 && o.cpu_load <= 1.0);
                 assert!(o.input_rate > 0.0);
             }
@@ -639,13 +757,78 @@ mod tests {
         assert!(interleaved > 0, "the store order never mattered here");
     }
 
+    /// Sliding == batch at the assembler: a kept training window slid
+    /// by reads of the minutes after it — one, a few, more than the
+    /// window at once — assembles, observation for observation and in
+    /// the same order, what a read of the whole window assembles, across
+    /// a repack that gives every counter instance a second series. A read
+    /// that lists an instance the kept window never saw is refused.
+    #[test]
+    fn a_slid_training_window_is_a_read_of_the_whole_window() {
+        const MINUTE: i64 = 60_000;
+        const WIDTH: i64 = 20;
+        let (metrics, newest) = repacked_wordcount();
+        let provider = SimMetricsProvider::new(metrics.clone());
+        let spec = LogicalSpec::new("wordcount")
+            .component("spout", 8)
+            .component("splitter", 5)
+            .component("counter", 7)
+            .edge("spout", "splitter", "shuffle")
+            .edge("splitter", "counter", "fields");
+        let upstreams = [
+            ("splitter", vec![("spout".to_string(), 1.0)]),
+            ("counter", vec![("splitter".to_string(), 1.0)]),
+        ];
+        let mut kept = TrainingWindow::default();
+        let mut to = newest - 35 * MINUTE;
+        let mut read_to = None;
+        for step in [1, 1, 3, 2, 25, 1, 2, 1, 3, 1] {
+            let from = to - (WIDTH - 1) * MINUTE;
+            let read_from = read_to.map_or(from, |read_to| slide_from(read_to, from));
+            let read = FitWindow::read(&provider, "wordcount", &spec, read_from, to).unwrap();
+            let whole = FitWindow::read(&provider, "wordcount", &spec, from, to).unwrap();
+            for (bolt, upstream) in &upstreams {
+                let slid = kept.slide(bolt, &read, upstream, from).unwrap();
+                let expected = whole.component_observations(bolt, upstream);
+                assert_eq!(
+                    component_bits(&slid.component),
+                    component_bits(&expected),
+                    "{bolt} to {to}"
+                );
+                assert!(!expected.is_empty(), "{bolt} to {to}");
+                let expected = whole.cpu_observations(bolt);
+                assert_eq!(
+                    cpu_bits(&slid.cpu),
+                    cpu_bits(&expected),
+                    "{bolt} cpu to {to}"
+                );
+                let pooled: Vec<_> = slid.cpu().copied().collect();
+                let flat = expected.iter().flat_map(|(_, m)| m.iter().map(|(_, o)| *o));
+                assert_eq!(pooled, flat.collect::<Vec<_>>());
+            }
+            read_to = Some(to);
+            to += step * MINUTE;
+        }
+        assert!(read_to > Some(newest), "the slides crossed the repack");
+
+        // An eighth counter instance reports: the kept window's columns
+        // no longer line up with a read's.
+        let next = read_to.unwrap() + MINUTE;
+        metrics.record_instance(metric::EXECUTE_COUNT, "counter", 7, 0, next, 1.0);
+        let from = next - (WIDTH - 1) * MINUTE;
+        let read = FitWindow::read(&provider, "wordcount", &spec, next, next).unwrap();
+        let refused = kept.slide("counter", &read, &upstreams[1].1, from);
+        assert!(matches!(refused, Err(CoreError::Unknown(_))));
+    }
+
     #[test]
     fn an_empty_delta_is_not_an_error() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         let newest = provider.latest_minute("t").unwrap();
         let spec = spec();
         let delta = FitWindow::read(&provider, "t", &spec, newest + 1, i64::MAX).unwrap();
-        assert!(delta.cpu_observations("bolt").is_empty());
+        let cpu = delta.cpu_observations("bolt");
+        assert!(cpu.len() == 2 && cpu.iter().all(|(_, minutes)| minutes.is_empty()));
         let upstream = [("spout".to_string(), 1.0)];
         assert!(delta.component_observations("bolt", &upstream).is_empty());
         let mut history =
@@ -679,12 +862,14 @@ mod tests {
         let window = FitWindow::read(&provider, "t", &spec, 0, i64::MAX).unwrap();
         for ghost in ["ghost", "never-read"] {
             let observations = window.component_observations(ghost, &[]);
+            let observations = observations.iter().map(|(_, o)| o);
             assert!(matches!(
-                ComponentModel::fit(ghost, 1, GroupingKind::Shuffle, &observations),
+                ComponentModel::fit(ghost, 1, GroupingKind::Shuffle, observations),
                 Err(CoreError::NotEnoughObservations { .. })
             ));
+            let cpu = window.cpu_observations(ghost);
             assert!(matches!(
-                CpuModel::fit(&window.cpu_observations(ghost)),
+                CpuModel::fit(cpu.iter().flat_map(|(_, m)| m.iter().map(|(_, o)| o))),
                 Err(CoreError::NotEnoughObservations { .. })
             ));
         }
@@ -705,7 +890,7 @@ mod tests {
             window: &FitWindow<'_>,
             component: &str,
             upstream_emits: &[(String, f64)],
-        ) -> Vec<ComponentObservation> {
+        ) -> VecDeque<(i64, ComponentObservation)> {
             let by_ts = |series: &[Sample]| -> BTreeMap<i64, f64> {
                 series.iter().map(|s| (s.ts, s.value)).collect()
             };
@@ -723,7 +908,7 @@ mod tests {
                 .iter()
                 .map(|(_, series)| by_ts(series))
                 .collect();
-            let mut observations = Vec::new();
+            let mut observations = VecDeque::new();
             for (ts, input_rate) in &by_ts(&execute.combined) {
                 let Some(output_rate) = output_by_ts.get(ts) else {
                     continue;
@@ -735,13 +920,14 @@ mod tests {
                     .iter()
                     .map(|inputs| inputs.get(ts).copied().unwrap_or(0.0))
                     .collect();
-                observations.push(ComponentObservation {
+                let observation = ComponentObservation {
                     source_rate,
                     input_rate: *input_rate,
                     output_rate: *output_rate,
                     per_instance_inputs,
                     backpressured,
-                });
+                };
+                observations.push_back((*ts, observation));
             }
             observations
         }
@@ -749,7 +935,7 @@ mod tests {
         pub(super) fn cpu_observations(
             window: &FitWindow<'_>,
             component: &str,
-        ) -> Vec<CpuObservation> {
+        ) -> Vec<PerInstance<CpuObservation>> {
             let by_instance = |metric_name| -> BTreeMap<u32, BTreeMap<i64, f64>> {
                 window
                     .set(component, metric_name)
@@ -762,24 +948,27 @@ mod tests {
             let bp_by_instance = by_instance(metric::BACKPRESSURE_TIME);
             let mut observations = Vec::new();
             for (instance, series) in &window.set(component, metric::EXECUTE_COUNT).per_instance {
-                let Some(cpu_series) = cpu_by_instance.get(instance) else {
-                    continue;
-                };
+                let mut minutes = VecDeque::new();
                 let bp_series = bp_by_instance.get(instance);
-                for s in series {
+                for s in series
+                    .iter()
+                    .filter(|_| cpu_by_instance.contains_key(instance))
+                {
                     let backpressured = bp_series
                         .and_then(|b| b.get(&s.ts))
                         .is_some_and(|ms| *ms > BACKPRESSURE_THRESHOLD_MS);
                     if backpressured {
                         continue;
                     }
-                    if let Some(cpu) = cpu_series.get(&s.ts) {
-                        observations.push(CpuObservation {
+                    if let Some(cpu) = cpu_by_instance[instance].get(&s.ts) {
+                        let observation = CpuObservation {
                             input_rate: s.value,
                             cpu_load: *cpu,
-                        });
+                        };
+                        minutes.push_back((s.ts, observation));
                     }
                 }
+                observations.push((*instance, minutes));
             }
             observations
         }
@@ -806,11 +995,12 @@ mod tests {
         }
     }
 
-    fn component_bits(observations: &[ComponentObservation]) -> Vec<Vec<u64>> {
+    fn component_bits(observations: &VecDeque<(i64, ComponentObservation)>) -> Vec<Vec<u64>> {
         observations
             .iter()
-            .map(|o| {
+            .map(|(ts, o)| {
                 let mut row = vec![
+                    *ts as u64,
                     o.source_rate.to_bits(),
                     o.input_rate.to_bits(),
                     o.output_rate.to_bits(),
@@ -822,11 +1012,14 @@ mod tests {
             .collect()
     }
 
-    fn cpu_bits(observations: &[CpuObservation]) -> Vec<(u64, u64)> {
-        observations
-            .iter()
-            .map(|o| (o.input_rate.to_bits(), o.cpu_load.to_bits()))
-            .collect()
+    fn cpu_bits(observations: &[PerInstance<CpuObservation>]) -> Vec<(u32, i64, u64, u64)> {
+        let pooled = observations.iter().flat_map(|(i, minutes)| {
+            let bits = |(ts, o): &(i64, CpuObservation)| {
+                (*i, *ts, o.input_rate.to_bits(), o.cpu_load.to_bits())
+            };
+            minutes.iter().map(bits)
+        });
+        pooled.collect()
     }
 
     fn history_bits(history: &[DataPoint]) -> Vec<(i64, u64)> {
@@ -858,11 +1051,14 @@ mod tests {
                     component_bits(&expected),
                     "{component} [{from}, {to}]"
                 );
-                backpressured += actual.iter().filter(|o| o.backpressured).count();
+                backpressured += actual.iter().filter(|(_, o)| o.backpressured).count();
                 let actual = window.cpu_observations(component);
                 let expected = reference::cpu_observations(&window, component);
                 assert_eq!(cpu_bits(&actual), cpu_bits(&expected), "{component} cpu");
-                cpu += actual.len();
+                cpu += actual
+                    .iter()
+                    .map(|(_, minutes)| minutes.len())
+                    .sum::<usize>();
             }
             let actual = source_history(&provider, &topology, spouts, from, to);
             let expected = reference::source_history(&provider, &topology, spouts, from, to);

@@ -8,14 +8,16 @@ use crate::accuracy::{AccuracyMonitor, AccuracySummary, PendingPrediction, Predi
 use crate::config::CaladriusConfig;
 use crate::error::{CoreError, Result};
 use crate::freshness::{DataStamp, Freshness, StampedCache};
-use crate::model::component::{ComponentFitStats, GroupingKind};
-use crate::model::cpu::{CpuFitStats, CpuModel};
+use crate::model::component::{ComponentModel, GroupingKind};
+use crate::model::cpu::CpuModel;
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
-use crate::providers::metrics::{slide_source_history, source_history, FitWindow, MetricsProvider};
+use crate::providers::metrics::{
+    slide_from, slide_source_history, source_history, FitWindow, MetricsProvider, TrainingWindow,
+};
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
-use caladrius_forecast::{DataPoint, Forecaster, UpdateOutcome};
+use caladrius_forecast::{DataPoint, Forecaster};
 use caladrius_graph::topology_graph::TopologyDag;
 use caladrius_obs::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
@@ -94,10 +96,10 @@ pub struct ModelCacheStats {
     /// Individual model fits performed (one per component throughput
     /// model, one per CPU model).
     pub fits: u64,
-    /// Fits resolved incrementally from cached sufficient statistics
-    /// (the watermark advanced; only the delta was read and absorbed).
+    /// Fits over a kept training window slid forward (the watermark
+    /// advanced; only the new minutes were read).
     pub incremental_fits: u64,
-    /// Fits computed from scratch over the full training window.
+    /// Fits over a read of the whole training window.
     pub full_fits: u64,
     /// Capacity-plan searches completed ([`Caladrius::plan_capacity`]).
     pub plans: u64,
@@ -134,60 +136,23 @@ pub struct SourceHistoryReads {
     pub full: u64,
 }
 
-/// One topology's fitted models plus the streaming sufficient
-/// statistics they were solved from, cached under the [`DataStamp`] they
-/// were fitted against. An entry is served verbatim while the stamp
-/// still matches.
+/// One topology's fitted models plus the training window they were
+/// fitted over, cached under the [`DataStamp`] they were fitted against.
+/// An entry is served verbatim while the stamp still matches.
 ///
-/// A moved watermark alone does not force a from-scratch refit: the
-/// retained [`FitStats`] absorb just the `(watermark_old, watermark_new]`
-/// delta and re-solve in O(1) per model (the *Stale* path). The entry
-/// goes fully cold — the same fit over empty statistics and the whole
-/// training window — when the plan version moved (models fitted against
-/// the old physical plan), the store truncated data out from under the
-/// fitted window, or the anchored window `[fitted_from, watermark]` grew
-/// past twice the configured training window (periodic re-anchoring
-/// keeps the expanding window from diverging unboundedly from the
-/// sliding batch window).
+/// A moved watermark alone does not force a full read: the kept
+/// [`TrainingWindow`] reads just the minutes after the entry's watermark,
+/// drops the minutes that left the window, and every model is refitted
+/// over it (the *Stale* path). The entry goes fully cold — the same fit
+/// over an empty window and a read of the whole of it — when the plan
+/// version moved (models fitted against the old physical plan) or the
+/// store truncated data out from under the window.
 struct CachedModels {
-    stats: FitStats,
+    /// The fit jobs the window was assembled for.
+    jobs: Vec<FitJob>,
+    window: TrainingWindow,
     topology_model: Arc<TopologyModel>,
     cpu_models: Arc<HashMap<String, CpuModel>>,
-}
-
-/// The sufficient statistics of one topology's models: everything
-/// observed in `[fitted_from, the entry's watermark]`, per bolt.
-struct FitStats {
-    /// Start of the window the statistics cover (the `from` of the fit
-    /// that started them — deltas expand the window rightwards).
-    fitted_from: i64,
-    component: HashMap<String, ComponentFitStats>,
-    /// Kept even for bolts whose CPU model cannot be solved yet — future
-    /// deltas may push them over the threshold.
-    cpu: HashMap<String, CpuFitStats>,
-}
-
-impl FitStats {
-    /// Nothing observed yet, from `fitted_from` on: what a cold fit
-    /// starts from.
-    fn empty(fitted_from: i64) -> Self {
-        Self {
-            fitted_from,
-            component: HashMap::new(),
-            cpu: HashMap::new(),
-        }
-    }
-}
-
-/// A fitted traffic forecaster kept warm across watermark advances,
-/// cached under the stamp of the history it was fitted on. While the
-/// source history only grows, `Forecaster::update` absorbs the new tail
-/// instead of refitting over the whole window; `anchor` marks the first
-/// fitted timestamp so the expanding window is re-anchored (full refit)
-/// on the same 2× schedule as the performance models.
-struct CachedForecaster {
-    model: Box<dyn Forecaster + Send>,
-    anchor: i64,
 }
 
 /// One component-model fit job: (name, parallelism, upstream emission
@@ -291,12 +256,12 @@ pub struct Caladrius {
     /// Per topology.
     models: StampedCache<String, CachedModels>,
     /// Per topology: the source-rate history over the training window
-    /// ending at the entry's watermark, decoded and summed over spouts.
-    /// Unlike the fitted models' expanding window this one slides exactly
-    /// ([`slide_source_history`]), so it never needs re-anchoring.
+    /// ending at the entry's watermark, decoded and summed over spouts,
+    /// slid like the fitted models' window ([`slide_source_history`]).
     histories: StampedCache<String, Arc<Vec<DataPoint>>>,
-    /// Per `(topology, traffic model)`.
-    forecasters: StampedCache<(String, String), CachedForecaster>,
+    /// Per `(topology, traffic model)`: the forecaster fitted on the
+    /// history under the entry's stamp.
+    forecasters: StampedCache<(String, String), Box<dyn Forecaster + Send>>,
     /// Finished plan timelines per `(topology, plan_request_key)`,
     /// bounded by `plan_cache_capacity`.
     plans: StampedCache<(String, u64), caladrius_planner::PlanTimeline>,
@@ -388,11 +353,11 @@ impl Caladrius {
         );
         registry.describe(
             "caladrius_model_fits_incremental_total",
-            "Model fits resolved incrementally from cached sufficient statistics",
+            "Model fits over a kept training window slid forward by a tail read",
         );
         registry.describe(
             "caladrius_model_fits_full_total",
-            "Model fits computed from scratch over the full training window",
+            "Model fits over a read of the whole training window",
         );
         registry.describe("caladrius_plans_total", "Capacity-plan searches completed");
         registry.describe(
@@ -597,7 +562,8 @@ impl Caladrius {
     /// All three return bit for bit what a from-scratch read returns,
     /// with the model cache's caveat: a sample written at or below the
     /// watermark after it was read stays invisible until the entry goes
-    /// cold.
+    /// cold. The Stale read never starts before the window
+    /// ([`slide_from`]).
     ///
     /// Returned with the stamp the window was read under, which is what
     /// anything derived from it (a fitted forecaster) is stamped with.
@@ -678,14 +644,8 @@ impl Caladrius {
     /// * **Hit** — the history has not moved: the cached forecaster
     ///   predicts, untouched, so repeated forecasts stay deterministic
     ///   (which is what lets a plan-cache Hit skip forecasting).
-    /// * **Stale** — the history only gained new minutes: the forecaster
-    ///   absorbs just the tail via [`Forecaster::update`] (streaming
-    ///   sufficient statistics). Models that can't update incrementally
-    ///   (Prophet) report [`UpdateOutcome::FullRefitNeeded`] and are
-    ///   refitted. Like the performance-model cache, the fitted window
-    ///   expands rightwards from its anchor and is re-anchored with a
-    ///   full refit once it spans twice the configured training window.
-    /// * **Cold** — anything else: refit over `history`.
+    /// * Anything else: a fresh forecaster is fitted on `history`, the
+    ///   training window — what a fresh service fits, bit for bit.
     fn forecast_cached(
         &self,
         topology: &str,
@@ -694,40 +654,20 @@ impl Caladrius {
         history: &[DataPoint],
         horizon: &[i64],
     ) -> Result<TrafficForecast> {
-        let Some(first) = history.first() else {
-            return self.traffic.forecast(name, history, horizon);
-        };
         let key = (topology.to_string(), name.to_string());
-        let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
-        // Taken out, so the update/predict work runs outside the lock.
-        if let Some((stamp, mut entry)) = self.forecasters.take(&key) {
-            let usable = match stamp.freshness(&now) {
-                Freshness::Hit => true,
-                Freshness::Stale if now.watermark - entry.anchor < reanchor_span => {
-                    let tail: Vec<DataPoint> = history
-                        .iter()
-                        .filter(|p| p.ts > stamp.watermark)
-                        .cloned()
-                        .collect();
-                    matches!(entry.model.update(&tail), Ok(UpdateOutcome::Incremental))
-                }
-                _ => false,
-            };
-            if usable {
-                if let Ok(points) = entry.model.predict(horizon) {
-                    self.forecasters.put(key, now, entry);
+        // Taken out, so the predict runs outside the lock.
+        if let Some((stamp, model)) = self.forecasters.take(&key) {
+            if stamp.freshness(&now) == Freshness::Hit {
+                if let Ok(points) = model.predict(horizon) {
+                    self.forecasters.put(key, now, model);
                     return TrafficForecast::from_points(name, points);
                 }
             }
-            // Cold, re-anchor due, update refused, or a predict failure:
-            // fall through to a fresh fit.
         }
         let mut model = self.traffic.create(name)?;
         model.fit(history)?;
         let points = model.predict(horizon)?;
-        let anchor = first.ts;
-        self.forecasters
-            .put(key, now, CachedForecaster { model, anchor });
+        self.forecasters.put(key, now, model);
         TrafficForecast::from_points(name, points)
     }
 
@@ -804,7 +744,7 @@ impl Caladrius {
     pub fn fit_topology_model(&self, topology: &str) -> Result<TopologyModel> {
         let (_, to) = self.window(topology)?;
         Ok(Arc::unwrap_or_clone(
-            self.cold_fit(topology, to)?.topology_model,
+            self.refit(topology, None, to)?.topology_model,
         ))
     }
 
@@ -815,87 +755,74 @@ impl Caladrius {
     pub fn fit_cpu_models(&self, topology: &str) -> Result<HashMap<String, CpuModel>> {
         let (_, to) = self.window(topology)?;
         Ok(Arc::unwrap_or_clone(
-            self.cold_fit(topology, to)?.cpu_models,
+            self.refit(topology, None, to)?.cpu_models,
         ))
     }
 
-    /// The fit from nothing, over the training window ending at `to`.
-    fn cold_fit(&self, topology: &str, to: i64) -> Result<CachedModels> {
-        let from = self.window_start(to);
-        self.absorb(topology, FitStats::empty(from), from, to)
-    }
-
-    /// The fit: absorbs the observations of `[from, to]` into `stats`
-    /// and re-solves every model from them, O(1) per model.
+    /// The fit: slides the training window to the one ending at `to` and
+    /// fits every model over the whole of it.
     ///
-    /// Called with an entry's retained statistics and
-    /// `from = fitted_to + 1` this is the incremental (Stale) path; with
-    /// [`FitStats::empty`] and the whole training window it is the cold
-    /// fit. Both stream the same observations, in the same order,
-    /// through the same accumulators, so a model served off a chain of
-    /// deltas is the from-scratch model over `[fitted_from, to]` by
-    /// construction. One [`FitWindow`] feeds the throughput and the CPU
-    /// statistics, so every series set is read once.
+    /// Given a kept entry and the watermark it was fitted to, this is the
+    /// Stale path: it reads only the minutes after that watermark that
+    /// lie in the window ([`slide_from`]) and slides the entry's window
+    /// ([`TrainingWindow::slide`]). Given nothing, it is the cold fit: it
+    /// reads the whole window into an empty one. Either way the models
+    /// are fitted over the same observations in the same order, so a
+    /// model served off a chain of slides is the from-scratch model over
+    /// the window, bit for bit. One [`FitWindow`] feeds the throughput
+    /// and the CPU observations, so every series set is read once.
     ///
-    /// A throughput model with nothing to solve from fails the fit
+    /// A throughput model with nothing to fit from fails the fit
     /// ([`CoreError::NotEnoughObservations`]); a CPU model in that state
     /// is skipped (no data, or no input-rate variance to regress on). A
     /// failed fit counts nothing.
-    fn absorb(
+    fn refit(
         &self,
         topology: &str,
-        mut stats: FitStats,
-        from: i64,
+        kept: Option<(i64, CachedModels)>,
         to: i64,
     ) -> Result<CachedModels> {
         let spec = self.tracker.logical_spec(topology)?;
         let jobs = fit_jobs(&spec, &TopologyDag::new(&spec)?);
-        let fits_by_mode = if stats.component.is_empty() {
-            for (name, parallelism, _, grouping) in &jobs {
-                let zeroed = ComponentFitStats::new(name.clone(), *parallelism, grouping.clone())?;
-                stats.component.insert(name.clone(), zeroed);
+        let from = self.window_start(to);
+        let (mut window, read_from, fits_by_mode) = match kept {
+            None => (TrainingWindow::default(), from, &self.full_fits),
+            Some((fitted_to, entry)) if entry.jobs == jobs => (
+                entry.window,
+                slide_from(fitted_to, from),
+                &self.incremental_fits,
+            ),
+            // Topology drift the versions didn't catch.
+            Some(_) => {
+                return Err(CoreError::Unknown(format!(
+                    "the fit jobs of {topology:?} changed under an unchanged plan version"
+                )))
             }
-            &self.full_fits
-        } else {
-            &self.incremental_fits
         };
-        let window = FitWindow::read(self.metrics.as_ref(), topology, &spec, from, to)?;
+        let read = FitWindow::read(self.metrics.as_ref(), topology, &spec, read_from, to)?;
 
         let mut models = HashMap::new();
         let mut cpu_models = HashMap::new();
-        for (name, parallelism, upstreams, _) in jobs {
-            // Topology drift the versions didn't catch.
-            let component = stats.component.get_mut(&name).ok_or_else(|| {
-                CoreError::Unknown(format!("no cached fit statistics for {name:?}"))
-            })?;
-            if component.parallelism() != parallelism {
-                return Err(CoreError::Unknown(format!(
-                    "cached fit statistics for {name:?} cover a different parallelism"
-                )));
-            }
-            for o in &window.component_observations(&name, &upstreams) {
-                component.push(o);
-            }
-            let model = component.solve()?;
-            let cpu = stats.cpu.entry(name.clone()).or_default();
-            for o in &window.cpu_observations(&name) {
-                cpu.push(o);
-            }
-            match cpu.solve() {
+        for (name, parallelism, upstreams, grouping) in &jobs {
+            let bolt = window.slide(name, &read, upstreams, from)?;
+            let model =
+                ComponentModel::fit(name, *parallelism, grouping.clone(), bolt.component())?;
+            match CpuModel::fit(bolt.cpu()) {
                 Ok(cpu_model) => {
                     cpu_models.insert(name.clone(), cpu_model);
                 }
                 Err(CoreError::NotEnoughObservations { .. }) => {}
                 Err(other) => return Err(other),
             }
-            models.insert(name, model);
+            models.insert(name.clone(), model);
         }
         let fits = (models.len() + cpu_models.len()) as u64;
         let topology_model = Arc::new(TopologyModel::new(spec, models)?);
         self.model_fits.add(fits);
         fits_by_mode.add(fits);
         Ok(CachedModels {
-            stats,
+            jobs,
+            window,
             topology_model,
             cpu_models: Arc::new(cpu_models),
         })
@@ -906,18 +833,18 @@ impl Caladrius {
     ///
     /// * **Hit** — stamp unchanged: the cached models are returned
     ///   as-is.
-    /// * **Stale** — only the watermark advanced (and the anchored window
-    ///   hasn't outgrown its 2× re-anchor bound): the fit absorbs the
-    ///   delta `[fitted_to + 1, watermark]` into the retained sufficient
-    ///   statistics. Counted as a cache miss plus `incremental_fits`.
+    /// * **Stale** — only the watermark advanced: the entry's training
+    ///   window slides over the new minutes and the models are refitted
+    ///   over it. Counted as a cache miss plus `incremental_fits`.
     /// * **Cold** — anything else, a Stale fit that failed included (the
     ///   `core.fit` span then says why, as `fallback`): the same fit over
-    ///   empty statistics and the sliding window, counted as a cache miss
-    ///   plus `full_fits`.
+    ///   an empty window, counted as a cache miss plus `full_fits`.
+    ///
+    /// Both fit paths give the model a fresh service would fit, bit for
+    /// bit.
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
         let now = self.data_stamp(topology)?;
         let watermark = now.watermark;
-        let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
         let fitted = |entry: &CachedModels| {
             (
                 Arc::clone(&entry.topology_model),
@@ -928,33 +855,32 @@ impl Caladrius {
             self.cache_hits.inc();
             return Ok(models);
         }
-        let stale = self.models.take(topology).filter(|(stamp, entry)| {
-            stamp.freshness(&now) == Freshness::Stale
-                && watermark - entry.stats.fitted_from < reanchor_span
-        });
+        let stale = self
+            .models
+            .take(topology)
+            .filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale);
         self.cache_misses.inc();
         let mut span = caladrius_obs::global_span("core.fit");
         span.field("topology", topology);
         let fit_started = Instant::now();
-        // Anything unexpected in the delta (topology drift the versions
-        // didn't catch, provider errors) falls back to the cold fit
-        // rather than serving a dubious model.
-        let absorbed = stale.and_then(|(stamp, entry)| {
-            let from = stamp.watermark.saturating_add(1);
-            self.absorb(topology, entry.stats, from, watermark)
+        // Anything unexpected in the slide (topology drift the versions
+        // didn't catch, provider errors, a model that cannot be fitted)
+        // falls back to the cold fit rather than serving a dubious model.
+        let slid = stale.and_then(|(stamp, entry)| {
+            self.refit(topology, Some((stamp.watermark, entry)), watermark)
                 .inspect_err(|why| {
                     span.field("fallback", why);
                 })
                 .ok()
         });
-        let entry = match absorbed {
+        let entry = match slid {
             Some(updated) => {
                 span.field("mode", "incremental");
                 updated
             }
             None => {
                 span.field("mode", "full");
-                self.cold_fit(topology, watermark)?
+                self.refit(topology, None, watermark)?
             }
         };
         self.fit_duration.record_duration(fit_started.elapsed());
@@ -2160,9 +2086,8 @@ mod tests {
         assert_eq!(plan_cache.warm_starts, 0);
     }
 
-    /// A service whose sliding window covers `[anchor, watermark]` of
-    /// the shared metrics — the batch reference for the incremental
-    /// equivalence assertions.
+    /// A from-scratch service over the shared metrics with a
+    /// `window_minutes` training window.
     fn batch_reference(metrics: &heron_sim::metrics::SimMetrics, window_minutes: u32) -> Caladrius {
         let config = crate::config::CaladriusConfig {
             source_window_minutes: window_minutes,
@@ -2176,13 +2101,13 @@ mod tests {
     }
 
     #[test]
-    fn watermark_advance_refits_incrementally_and_matches_batch() {
-        let (caladrius, metrics) = service_with_metrics();
+    fn watermark_advance_slides_the_window_and_matches_a_fresh_fit() {
+        // Wide enough that the slid window still holds the load ramp
+        // both CPU lines regress on.
+        const WINDOW: u32 = 400;
+        let metrics = sweep_metrics();
+        let caladrius = batch_reference(&metrics, WINDOW);
         let source = SourceRateSpec::Fixed(30.0e6);
-        let wm_old = caladrius
-            .metrics_provider()
-            .latest_minute("wordcount")
-            .unwrap();
         caladrius
             .evaluate("wordcount", &HashMap::new(), &source)
             .unwrap();
@@ -2191,14 +2116,14 @@ mod tests {
         assert_eq!(cold.incremental_fits, 0);
         assert_eq!(cold.fits, cold.full_fits);
 
-        // New data moves the watermark; the refit must absorb only the
-        // delta into the cached sufficient statistics.
+        // New data moves the watermark; the refit must read only the new
+        // minutes and slide the kept window over them.
         run_leg(&metrics, 600, 24.0e6);
-        let (inc_model, inc_cpu) = caladrius.fitted_models("wordcount").unwrap();
+        let served = caladrius.fitted_models("wordcount").unwrap();
         let warm = caladrius.model_cache_stats();
         assert!(
             warm.incremental_fits > 0,
-            "watermark advance must refit incrementally"
+            "watermark advance must slide the window"
         );
         assert_eq!(
             warm.full_fits, cold.full_fits,
@@ -2206,49 +2131,13 @@ mod tests {
         );
         assert_eq!(warm.fits, warm.full_fits + warm.incremental_fits);
 
-        // Equivalence: the incremental models cover the anchored window
-        // [wm_old - (W-1) min, wm_new]. A batch service whose sliding
-        // window spans exactly that range pushes the identical
-        // observation sequence through the same accumulators, so the
-        // component models must agree bit for bit.
-        let wm_new = caladrius
-            .metrics_provider()
-            .latest_minute("wordcount")
+        // The slid window is the window a fresh service reads: every
+        // parameter, the CPU lines included, bit for bit.
+        let from_scratch = batch_reference(&metrics, WINDOW)
+            .fitted_models("wordcount")
             .unwrap();
-        let gap_minutes = ((wm_new - wm_old) / 60_000) as u32;
-        let batch = batch_reference(
-            &metrics,
-            caladrius.config().source_window_minutes + gap_minutes,
-        );
-        let batch_model = batch.fit_topology_model("wordcount").unwrap();
-        for name in ["splitter", "counter"] {
-            let inc = inc_model.component_model(name).unwrap();
-            let full = batch_model.component_model(name).unwrap();
-            assert_eq!(
-                inc.instance.alpha.to_bits(),
-                full.instance.alpha.to_bits(),
-                "incremental alpha for {name} must equal the batch fit"
-            );
-            assert_eq!(inc.instance.saturation, full.instance.saturation);
-            for (a, b) in inc.shares.iter().zip(&full.shares) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // CPU observations are assembled instance-major, so the batch
-        // push order interleaves differently — tolerance-bounded rather
-        // than bitwise.
-        let batch_cpu = batch.fit_cpu_models("wordcount").unwrap();
-        assert_eq!(inc_cpu.len(), batch_cpu.len());
-        for (name, inc) in inc_cpu.iter() {
-            let full = &batch_cpu[name];
-            assert!(
-                (inc.psi - full.psi).abs() <= 1e-9 * full.psi.abs().max(1.0),
-                "cpu psi for {name}: incremental {} vs batch {}",
-                inc.psi,
-                full.psi
-            );
-            assert!((inc.base - full.base).abs() <= 1e-9 * full.base.abs().max(1.0));
-        }
+        assert_eq!(model_bits(&served), model_bits(&from_scratch));
+        assert_eq!(served.1.len(), 2, "both CPU lines were fitted");
     }
 
     /// Counts every windowed read per `(component, metric)`, records the
@@ -2326,6 +2215,10 @@ mod tests {
         }
     }
 
+    /// A fit reads every series set once, and a Stale fit only the
+    /// minutes after the kept ones that lie in the window: never the
+    /// window again, and after a gap longer than the window never a
+    /// minute before it.
     #[test]
     fn a_fit_reads_every_series_set_once() {
         use heron_sim::metrics::metric::{BACKPRESSURE_TIME, CPU_LOAD, EMIT_COUNT, EXECUTE_COUNT};
@@ -2357,13 +2250,24 @@ mod tests {
         .unwrap();
         sim.skip_to_minute(600);
         sim.warmup_minutes(30);
+        let window = caladrius.config().source_window_minutes;
+        let mut fitted = 0;
         for round in 0..rounds {
             let fitted_to = metrics.db().watermark().unwrap();
             sim.run_minutes_into(1, &metrics);
             provider.reads.lock().clear();
             provider.froms.lock().clear();
-            caladrius.fitted_models("wordcount").unwrap();
+            let served = caladrius.fitted_models("wordcount").unwrap();
             assert_eq!(*provider.reads.lock(), once, "stale fit, round {round}");
+            // Both throughput models and the CPU lines the slid window
+            // supports: what a fresh service fits.
+            fitted += 2 + served.1.len() as u64;
+            let fresh = batch_reference(&metrics, window).fitted_models("wordcount");
+            assert_eq!(
+                model_bits(&served),
+                model_bits(&fresh.unwrap()),
+                "round {round}"
+            );
             assert_eq!(
                 provider.froms.lock().iter().copied().collect::<Vec<_>>(),
                 vec![fitted_to + 1],
@@ -2374,7 +2278,26 @@ mod tests {
         assert!(stale.incremental_fits > 0);
         assert_eq!(stale.fits, stale.full_fits + stale.incremental_fits);
         assert_eq!(stale.full_fits, cold.full_fits);
-        assert_eq!(stale.incremental_fits, rounds * cold.full_fits);
+        assert_eq!(stale.incremental_fits, fitted);
+
+        // Two days pass: the next minute's read starts at the window.
+        sim.skip_to_minute(4_000);
+        sim.run_minutes_into(1, &metrics);
+        provider.reads.lock().clear();
+        provider.froms.lock().clear();
+        let served = caladrius.fitted_models("wordcount").unwrap();
+        assert_eq!(*provider.reads.lock(), once, "after the gap");
+        let window_start = caladrius.window_start(metrics.db().watermark().unwrap());
+        assert_eq!(
+            provider.froms.lock().iter().copied().collect::<Vec<_>>(),
+            vec![window_start],
+            "after the gap"
+        );
+        let after_gap = caladrius.model_cache_stats();
+        assert_eq!(after_gap.full_fits, cold.full_fits);
+        assert!(after_gap.incremental_fits > stale.incremental_fits);
+        let fresh = batch_reference(&metrics, window).fitted_models("wordcount");
+        assert_eq!(model_bits(&served), model_bits(&fresh.unwrap()));
     }
 
     /// Every fitted parameter, bit for bit.
@@ -2528,37 +2451,14 @@ mod tests {
     }
 
     #[test]
-    fn long_gap_reanchors_with_full_refit() {
-        let (caladrius, metrics) = service_with_metrics();
-        let source = SourceRateSpec::Fixed(30.0e6);
-        caladrius
-            .evaluate("wordcount", &HashMap::new(), &source)
-            .unwrap();
-        let before = caladrius.model_cache_stats();
-
-        // The next leg lands far past twice the training window: the
-        // anchored window would outgrow its re-anchor bound, so the
-        // cache falls back to a cold fit over the fresh sliding window.
-        run_leg(&metrics, 1600, 24.0e6);
-        caladrius
-            .evaluate("wordcount", &HashMap::new(), &source)
-            .unwrap();
-        let after = caladrius.model_cache_stats();
-        assert_eq!(after.incremental_fits, before.incremental_fits);
-        assert!(
-            after.full_fits > before.full_fits,
-            "re-anchor must refit in full"
-        );
-    }
-
-    #[test]
-    fn forecaster_cache_updates_incrementally_and_matches_batch() {
-        let models = ["stats_summary".to_string()];
-        let (caladrius, metrics) = service_with_metrics();
-        let wm_old = caladrius
-            .metrics_provider()
-            .latest_minute("wordcount")
-            .unwrap();
+    fn forecaster_cache_refits_over_the_window_and_matches_a_fresh_service() {
+        let models: Vec<String> = ["prophet", "stats_summary", "ar"]
+            .map(String::from)
+            .to_vec();
+        // Prophet needs 31 points: the slid window must still hold them.
+        const WINDOW: u32 = 400;
+        let metrics = sweep_metrics();
+        let caladrius = batch_reference(&metrics, WINDOW);
         let first = caladrius
             .forecast_traffic("wordcount", Some(&models))
             .unwrap();
@@ -2567,37 +2467,23 @@ mod tests {
             .unwrap();
         assert_eq!(first, again, "cached forecaster must be deterministic");
 
-        // New data: the cached forecaster absorbs the tail. The result
-        // must equal a fresh fit over the anchored window
-        // [anchor, wm_new] — same points pushed in the same order.
+        // New data: every forecaster is refitted over the slid window,
+        // which is what a fresh service fits.
         run_leg(&metrics, 600, 24.0e6);
-        let incremental = caladrius
+        let served = caladrius
             .forecast_traffic("wordcount", Some(&models))
-            .unwrap()
-            .pop()
             .unwrap();
-        let wm_new = caladrius
-            .metrics_provider()
-            .latest_minute("wordcount")
-            .unwrap();
-        let gap_minutes = ((wm_new - wm_old) / 60_000) as u32;
-        let batch = batch_reference(
-            &metrics,
-            caladrius.config().source_window_minutes + gap_minutes,
-        );
-        let full = batch
+        let fresh = batch_reference(&metrics, WINDOW)
             .forecast_traffic("wordcount", Some(&models))
-            .unwrap()
-            .pop()
             .unwrap();
-        assert_eq!(incremental.points.len(), full.points.len());
-        for (a, b) in incremental.points.iter().zip(&full.points) {
-            assert_eq!(a.ts, b.ts);
-            assert_eq!(
-                a.yhat.to_bits(),
-                b.yhat.to_bits(),
-                "incremental forecast must equal the batch fit over the anchored window"
-            );
-        }
+        let bits = |forecasts: &[TrafficForecast]| -> Vec<(i64, u64, u64, u64)> {
+            let points = forecasts.iter().flat_map(|f| &f.points);
+            let bits = |p: &caladrius_forecast::ForecastPoint| {
+                (p.ts, p.yhat.to_bits(), p.lower.to_bits(), p.upper.to_bits())
+            };
+            points.map(bits).collect()
+        };
+        assert_eq!(bits(&served), bits(&fresh));
+        assert_eq!(served.len(), 3);
     }
 }

@@ -2,16 +2,11 @@
 //! the Levinson-Durbin recursion — one of the classical network-traffic
 //! predictors the paper's related-work section cites (ARIMA family).
 //!
-//! Fitting routes through [`ArStats`], a streaming sufficient-statistics
-//! accumulator over *raw* (not demeaned) lagged product sums. Batch `fit`
-//! pushes the history point by point into a fresh accumulator and
-//! [`Forecaster::update`] pushes only the appended points into the
-//! retained one, so the two paths perform the identical float operations
-//! and Levinson-Durbin re-runs over O(p) recovered autocovariances
-//! instead of re-scanning the series.
+//! A fit is a function of the history it is given: the mean, the sample
+//! autocovariances γ₀..γₚ of the demeaned series, Levinson-Durbin over
+//! them, and the sampling step as the median gap.
 
-use crate::streaming::{GapStats, KahanSum};
-use crate::{clean, DataPoint, ForecastError, ForecastPoint, Forecaster, UpdateOutcome};
+use crate::{clean, DataPoint, ForecastError, ForecastPoint, Forecaster};
 
 /// AR(p) configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +21,6 @@ pub struct ArConfig {
 #[derive(Debug, Clone)]
 pub struct ArModel {
     config: ArConfig,
-    stats: Option<ArStats>,
     fitted: Option<FittedAr>,
 }
 
@@ -43,83 +37,6 @@ struct FittedAr {
     step_ms: i64,
 }
 
-/// Streaming sufficient statistics for an AR(p) Yule-Walker fit.
-///
-/// Keeps `n`, the compensated value sum `S₁`, the raw lagged product sums
-/// `R_lag = Σ yᵢ·yᵢ₊lag` for `lag ∈ 0..=p`, the first and last `p` raw
-/// values and the inter-sample gap counts. The sample autocovariances of
-/// the demeaned series are recovered exactly from these:
-///
-/// `γ_lag = [R_lag − m·(2·S₁ − head_lag − tail_lag) + (n−lag)·m²] / n`
-///
-/// where `m = S₁/n`, `head_lag` is the sum of the first `lag` values and
-/// `tail_lag` the sum of the last `lag` values.
-#[derive(Debug, Clone)]
-struct ArStats {
-    order: usize,
-    n: usize,
-    s1: KahanSum,
-    /// `r[lag]` = Σ yᵢ·yᵢ₊lag for lag 0..=p.
-    r: Vec<KahanSum>,
-    /// First `order` raw values, oldest first.
-    head: Vec<f64>,
-    /// Last `order` raw values, newest last.
-    tail: Vec<f64>,
-    gaps: GapStats,
-    last_ts: i64,
-}
-
-impl ArStats {
-    fn new(order: usize) -> Self {
-        Self {
-            order,
-            n: 0,
-            s1: KahanSum::new(),
-            r: vec![KahanSum::new(); order + 1],
-            head: Vec::with_capacity(order),
-            tail: Vec::with_capacity(order + 1),
-            gaps: GapStats::new(),
-            last_ts: 0,
-        }
-    }
-
-    fn push(&mut self, ts: i64, y: f64) {
-        if self.n > 0 {
-            self.gaps.record(ts - self.last_ts);
-        }
-        self.s1.add(y);
-        self.r[0].add(y * y);
-        for lag in 1..=self.order.min(self.n) {
-            self.r[lag].add(self.tail[self.tail.len() - lag] * y);
-        }
-        if self.head.len() < self.order {
-            self.head.push(y);
-        }
-        self.tail.push(y);
-        if self.tail.len() > self.order {
-            self.tail.remove(0);
-        }
-        self.n += 1;
-        self.last_ts = ts;
-    }
-
-    /// Sample autocovariances γ₀..γ_p recovered from the raw sums.
-    fn autocovariances(&self) -> Vec<f64> {
-        let n = self.n as f64;
-        let m = self.s1.value() / n;
-        (0..=self.order)
-            .map(|lag| {
-                let head_lag: f64 = self.head.iter().take(lag).sum();
-                let tail_lag: f64 = self.tail.iter().rev().take(lag).sum();
-                let centred = self.r[lag].value()
-                    - m * (2.0 * self.s1.value() - head_lag - tail_lag)
-                    + (n - lag as f64) * m * m;
-                centred / n
-            })
-            .collect()
-    }
-}
-
 impl ArModel {
     /// Creates an AR(p) model.
     pub fn new(order: usize, interval_width: f64) -> Self {
@@ -128,26 +45,8 @@ impl ArModel {
                 order,
                 interval_width,
             },
-            stats: None,
             fitted: None,
         }
-    }
-
-    /// Rebuilds the fitted state from the current sufficient statistics.
-    fn refresh(&mut self) {
-        let stats = self.stats.as_ref().expect("refresh requires stats");
-        let p = self.config.order;
-        let gamma = stats.autocovariances();
-        let (phi, var) = Self::levinson_durbin(&gamma).unwrap_or((vec![0.0; p], 0.0));
-        let mean = stats.s1.value() / stats.n as f64;
-        self.fitted = Some(FittedAr {
-            mean,
-            sigma: var.max(0.0).sqrt(),
-            tail: stats.tail.iter().map(|v| v - mean).collect(),
-            phi,
-            last_ts: stats.last_ts,
-            step_ms: stats.gaps.median().unwrap_or(60_000).max(1),
-        });
     }
 
     /// Levinson-Durbin recursion: solves the Yule-Walker system, returning
@@ -195,32 +94,31 @@ impl Forecaster for ArModel {
                 got: data.len(),
             });
         }
-        let mut stats = ArStats::new(p);
-        for d in &data {
-            stats.push(d.ts, d.y);
-        }
-        self.stats = Some(stats);
-        self.refresh();
+        let n = data.len() as f64;
+        let mean = data.iter().map(|d| d.y).sum::<f64>() / n;
+        let centred: Vec<f64> = data.iter().map(|d| d.y - mean).collect();
+        let gamma: Vec<f64> = (0..=p)
+            .map(|lag| {
+                let products = centred[lag..].iter().zip(&centred).map(|(a, b)| a * b);
+                products.sum::<f64>() / n
+            })
+            .collect();
+        let (phi, var) = Self::levinson_durbin(&gamma).unwrap_or((vec![0.0; p], 0.0));
+        let mut gaps: Vec<i64> = data
+            .windows(2)
+            .map(|w| w[1].ts - w[0].ts)
+            .filter(|gap| *gap > 0)
+            .collect();
+        gaps.sort_unstable();
+        self.fitted = Some(FittedAr {
+            mean,
+            phi,
+            sigma: var.max(0.0).sqrt(),
+            tail: centred[centred.len() - p..].to_vec(),
+            last_ts: data[data.len() - 1].ts,
+            step_ms: gaps.get(gaps.len() / 2).copied().unwrap_or(60_000).max(1),
+        });
         Ok(())
-    }
-
-    fn update(&mut self, new_points: &[DataPoint]) -> Result<UpdateOutcome, ForecastError> {
-        let Some(stats) = self.stats.as_mut() else {
-            return Ok(UpdateOutcome::FullRefitNeeded);
-        };
-        let mut pts = clean(new_points);
-        pts.sort_by_key(|p| p.ts);
-        if pts.is_empty() {
-            return Ok(UpdateOutcome::Incremental);
-        }
-        if pts[0].ts <= stats.last_ts {
-            return Ok(UpdateOutcome::FullRefitNeeded);
-        }
-        for p in &pts {
-            stats.push(p.ts, p.y);
-        }
-        self.refresh();
-        Ok(UpdateOutcome::Incremental)
     }
 
     fn predict(&self, timestamps: &[i64]) -> Result<Vec<ForecastPoint>, ForecastError> {
@@ -373,67 +271,43 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update_matches_batch_exactly() {
-        let hist = ar1_series(2000, 0.6, 42);
-        for split in [1500, 1900, 1999] {
-            let mut incremental = ArModel::new(5, 0.9);
-            incremental.fit(&hist[..split]).unwrap();
-            assert_eq!(
-                incremental.update(&hist[split..]).unwrap(),
-                UpdateOutcome::Incremental
+    fn a_refit_forgets_the_previous_history() {
+        // One model refitted as its window slides equals a fresh fit on
+        // each window, whatever it was fitted on before.
+        let hist = ar1_series(600, 0.6, 42);
+        let mut sliding = ArModel::new(5, 0.9);
+        for start in [0, 1, 7, 300] {
+            let window = &hist[start..start + 240];
+            sliding.fit(window).unwrap();
+            let mut fresh = ArModel::new(5, 0.9);
+            fresh.fit(window).unwrap();
+            let (fs, ff) = (
+                sliding.fitted.as_ref().unwrap(),
+                fresh.fitted.as_ref().unwrap(),
             );
-            let mut batch = ArModel::new(5, 0.9);
-            batch.fit(&hist).unwrap();
-            let (fi, fb) = (
-                incremental.fitted.as_ref().unwrap(),
-                batch.fitted.as_ref().unwrap(),
-            );
-            assert_eq!(fi.mean.to_bits(), fb.mean.to_bits(), "split {split}");
-            assert_eq!(fi.sigma.to_bits(), fb.sigma.to_bits(), "split {split}");
-            assert_eq!(fi.step_ms, fb.step_ms);
-            assert_eq!(fi.last_ts, fb.last_ts);
-            for (a, b) in fi.phi.iter().zip(&fb.phi) {
-                assert_eq!(a.to_bits(), b.to_bits(), "split {split}");
-            }
-            for (a, b) in fi.tail.iter().zip(&fb.tail) {
-                assert_eq!(a.to_bits(), b.to_bits(), "split {split}");
-            }
+            assert_eq!(fs.mean.to_bits(), ff.mean.to_bits(), "start {start}");
+            assert_eq!(fs.sigma.to_bits(), ff.sigma.to_bits(), "start {start}");
+            assert_eq!((fs.last_ts, fs.step_ms), (ff.last_ts, ff.step_ms));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fs.phi), bits(&ff.phi), "start {start}");
+            assert_eq!(bits(&fs.tail), bits(&ff.tail), "start {start}");
         }
     }
 
     #[test]
-    fn update_before_fit_needs_full_refit() {
-        let mut m = ArModel::new(2, 0.9);
-        assert_eq!(
-            m.update(&[DataPoint::new(0, 1.0)]).unwrap(),
-            UpdateOutcome::FullRefitNeeded
-        );
-    }
-
-    #[test]
-    fn out_of_order_update_needs_full_refit() {
-        let hist = ar1_series(100, 0.5, 9);
-        let mut m = ArModel::new(2, 0.9);
-        m.fit(&hist).unwrap();
-        let before = m.fitted.clone().unwrap();
-        let stale = DataPoint::new(hist[50].ts, 1.0);
-        assert_eq!(m.update(&[stale]).unwrap(), UpdateOutcome::FullRefitNeeded);
-        // Fitted state untouched by the refused update.
-        assert_eq!(m.fitted.as_ref().unwrap().mean, before.mean);
-        assert_eq!(m.fitted.as_ref().unwrap().last_ts, before.last_ts);
-    }
-
-    #[test]
-    fn empty_update_is_a_noop() {
-        let hist = ar1_series(100, 0.5, 9);
+    fn step_is_the_median_gap() {
+        // Handed out of order, with a duplicate timestamp: the positive
+        // gaps sorted are [1, 1, 1, 2, 2, 5] minutes, index 3 is 2.
+        let ts = [0, 60, 120, 240, 240, 360, 660, 720];
+        let mut hist: Vec<DataPoint> = ts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| DataPoint::new(t * 1_000, 100.0 + (i % 3) as f64))
+            .collect();
+        hist.swap(2, 5);
         let mut m = ArModel::new(2, 0.9);
         m.fit(&hist).unwrap();
-        assert_eq!(m.update(&[]).unwrap(), UpdateOutcome::Incremental);
-        assert_eq!(
-            m.update(&[DataPoint::new(hist.last().unwrap().ts + MINUTE, f64::NAN)])
-                .unwrap(),
-            UpdateOutcome::Incremental
-        );
+        assert_eq!(m.fitted.as_ref().unwrap().step_ms, 2 * MINUTE);
     }
 
     #[test]

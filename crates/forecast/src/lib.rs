@@ -95,25 +95,17 @@ impl std::fmt::Display for ForecastError {
 
 impl std::error::Error for ForecastError {}
 
-/// What an [`Forecaster::update`] call actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum UpdateOutcome {
-    /// The model absorbed the new points through its streaming sufficient
-    /// statistics — the fitted state now covers the extended history.
-    Incremental,
-    /// The model has no exact incremental path for this update (no prior
-    /// fit, out-of-order points, or a model family that must re-select
-    /// structure, e.g. Prophet changepoints). The fitted state was left
-    /// untouched; the caller must re-fit over the full history.
-    FullRefitNeeded,
-}
-
 /// Common interface over all traffic forecasting models.
 ///
-/// A `Forecaster` is fit once on history and can then be queried for any
+/// A `Forecaster` is fit on a history and can then be queried for any
 /// set of future timestamps. This is the seam Caladrius's traffic-model
 /// tier plugs into (paper Fig. 2: "Prophet Traffic Model", "Statistic
 /// Summary Traffic Model").
+///
+/// There is no incremental update: a fit is a function of the history it
+/// is given and nothing else, so a model refitted as its training window
+/// slides predicts exactly what a fresh model fitted on that window
+/// predicts. Keeping the window is the caller's job.
 pub trait Forecaster {
     /// Fits the model to history. Non-finite observations are ignored.
     fn fit(&mut self, history: &[DataPoint]) -> Result<(), ForecastError>;
@@ -121,24 +113,6 @@ pub trait Forecaster {
     /// Predicts at the given future (or past, for in-sample inspection)
     /// timestamps. Must be called after a successful [`Forecaster::fit`].
     fn predict(&self, timestamps: &[i64]) -> Result<Vec<ForecastPoint>, ForecastError>;
-
-    /// Absorbs points observed *after* the history the model was fitted
-    /// on, in O(new points) where the model family allows it.
-    ///
-    /// Models backed by streaming sufficient statistics (AR, stats
-    /// summary) return [`UpdateOutcome::Incremental`] and afterwards
-    /// predict bitwise as if [`Forecaster::fit`] had been re-run over the
-    /// extended history. When no exact
-    /// incremental path exists — the model was never fitted, the new
-    /// points are not strictly newer than the fitted history, or the
-    /// model must re-select structure (Prophet changepoints) — the fitted
-    /// state is left untouched and [`UpdateOutcome::FullRefitNeeded`] is
-    /// returned: the caller owns the full history and must call `fit`.
-    ///
-    /// The default implementation declares no incremental path.
-    fn update(&mut self, _new_points: &[DataPoint]) -> Result<UpdateOutcome, ForecastError> {
-        Ok(UpdateOutcome::FullRefitNeeded)
-    }
 
     /// Human-readable model name used by the registry.
     fn name(&self) -> &'static str;
@@ -185,27 +159,6 @@ mod tests {
             vec![120_000, 180_000, 240_000]
         );
         assert_eq!(future_timestamps(&[], 2, 10), vec![10, 20]);
-    }
-
-    #[test]
-    fn default_update_requests_full_refit() {
-        struct NoUpdate;
-        impl Forecaster for NoUpdate {
-            fn fit(&mut self, _history: &[DataPoint]) -> Result<(), ForecastError> {
-                Ok(())
-            }
-            fn predict(&self, _ts: &[i64]) -> Result<Vec<ForecastPoint>, ForecastError> {
-                Ok(Vec::new())
-            }
-            fn name(&self) -> &'static str {
-                "no-update"
-            }
-        }
-        let mut m = NoUpdate;
-        assert_eq!(
-            m.update(&[DataPoint::new(0, 1.0)]).unwrap(),
-            UpdateOutcome::FullRefitNeeded
-        );
     }
 
     #[test]

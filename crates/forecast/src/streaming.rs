@@ -1,19 +1,15 @@
-//! Streaming sufficient-statistics primitives shared by the incremental
-//! fit paths.
+//! The compensated sum every fit that accumulates floats shares.
 //!
-//! The incremental == batch equivalence bar (exact for sum-based models)
-//! only holds if the batch fit and the incremental update accumulate in
-//! the *same order with the same operations*. Both paths therefore route
-//! through the helpers here: a compensated (Kahan) accumulator for sums
-//! and an exact streaming median over inter-sample gaps.
-
-use std::collections::BTreeMap;
+//! A fit's result must be a function of its observations and their
+//! order alone, so that a model refitted over a sliding window equals a
+//! fresh fit over the same window bit for bit. Fits that sum many terms
+//! (the stats summary's mean; in `caladrius-core` the throughput and CPU
+//! fits) add them through [`KahanSum`] in the order they are given.
 
 /// Kahan (compensated) summation accumulator.
 ///
-/// Used for every streaming sum so that pushing points one at a time —
-/// whether all at once in a batch fit or split across updates — produces
-/// bitwise-identical totals.
+/// Adding the same terms in the same order gives the same bits, however
+/// the additions are split across calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KahanSum {
     sum: f64,
@@ -37,60 +33,6 @@ impl KahanSum {
     /// Current compensated total.
     pub fn value(&self) -> f64 {
         self.sum
-    }
-}
-
-/// Streaming exact median over positive inter-sample gaps.
-///
-/// Keeps a count per distinct gap so the median is the *same element* a
-/// sort-then-index batch computation (`sorted[len / 2]`) would pick,
-/// regardless of how the gaps were split across updates.
-#[derive(Debug, Clone, Default)]
-pub struct GapStats {
-    counts: BTreeMap<i64, usize>,
-    total: usize,
-}
-
-impl GapStats {
-    /// An empty gap tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one inter-sample gap; non-positive gaps are ignored, the
-    /// same policy as the batch median.
-    pub fn record(&mut self, gap: i64) {
-        if gap > 0 {
-            *self.counts.entry(gap).or_insert(0) += 1;
-            self.total += 1;
-        }
-    }
-
-    /// The element at sorted index `total / 2` — identical to
-    /// `sorted_gaps[sorted_gaps.len() / 2]` over the full gap list.
-    pub fn median(&self) -> Option<i64> {
-        if self.total == 0 {
-            return None;
-        }
-        let k = self.total / 2;
-        let mut seen = 0usize;
-        for (&gap, &count) in &self.counts {
-            seen += count;
-            if seen > k {
-                return Some(gap);
-            }
-        }
-        None
-    }
-
-    /// Number of positive gaps recorded.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Whether any positive gap has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 }
 
@@ -127,25 +69,5 @@ mod tests {
         }
         assert!((k.value() - (1e16 + 10_000.0)).abs() <= (naive - (1e16 + 10_000.0)).abs());
         assert_eq!(k.value(), 1e16 + 10_000.0);
-    }
-
-    #[test]
-    fn gap_median_matches_sorted_index() {
-        let gaps = [5i64, 1, 3, 3, 9, 2, 3, 7, 1, 4, 0, -2];
-        let mut stats = GapStats::new();
-        for g in gaps {
-            stats.record(g);
-        }
-        let mut sorted: Vec<i64> = gaps.iter().copied().filter(|g| *g > 0).collect();
-        sorted.sort_unstable();
-        assert_eq!(stats.median(), Some(sorted[sorted.len() / 2]));
-        assert_eq!(stats.len(), sorted.len());
-    }
-
-    #[test]
-    fn gap_median_empty() {
-        let stats = GapStats::new();
-        assert_eq!(stats.median(), None);
-        assert!(stats.is_empty());
     }
 }

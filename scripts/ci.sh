@@ -19,9 +19,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 
 # core has one cache protocol (freshness::StampedCache); the plan cache's
 # own version compare and its fingerprint confirm step went in PR 20.
-# core has one fit (Caladrius::absorb: a cold fit is the Stale fit over
-# empty statistics) fed by one windowed provider read (series_set); the
-# cold-only fit bodies and the two old trait reads went in PR 21.
+# core has one fit (Caladrius::refit: a cold fit is the Stale fit over
+# an empty training window) fed by one windowed provider read
+# (series_set); the cold-only fit bodies and the two old trait reads went
+# in PR 21.
 # The request path has no timer on it: the accept thread blocks in
 # `accept` (the 5 ms non-blocking poll went in PR 22), and the saturation
 # search leaves its loop at the interval's floating-point fixed point
@@ -157,6 +158,14 @@ if grep -rnE 'HoltWinters|holtwinters|holt_winters' crates src tests examples |
     exit 1
 fi
 
+# One training window: every model and forecaster is the batch fit over
+# exactly the configured window. The anchored, expanding window (its
+# anchor, both re-anchor rules), the forecasters' incremental update and
+# AR's streaming gap statistics are gone.
+if grep -rnE 'reanchor|fitted_from|UpdateOutcome|CachedForecaster|GapStats' crates src tests examples; then
+    exit 1
+fi
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 
@@ -218,22 +227,23 @@ echo "==> CALADRIUS_THREADS=1 plan cache + warm-start equivalence"
 CALADRIUS_THREADS=1 cargo test -q --test plan_cache
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner
 
-# Incremental model refitting: the forecast package carries the
-# incremental == batch proptests over random append schedules; the core
-# service suite carries the delta-aware model cache. There is one fit
-# path (a cold fit is the Stale fit over empty statistics), so
-# incremental == batch holds by construction; the suite still pins it
-# (bitwise component equivalence, truncation/retention/re-anchor
-# full-refit regressions), the Stale -> Cold fallback, and that a fit,
-# cold or Stale, reads each (component, metric) series set exactly once.
-# Single-threaded so the read fan-out cannot mask ordering dependencies
-# in the streaming accumulators. The source history is maintained the
-# same way: its proptest holds the cached window bitwise equal to a
-# from-scratch read over random append/gap/truncate/rescale schedules
-# (core and fleet providers), and forecast_equivalence holds every
-# forecast served off it equal to a from-scratch service's.
-echo "==> CALADRIUS_THREADS=1 incremental-refit equivalence"
-CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test incremental_equivalence
+# Sliding == batch over the window: the forecast package's proptests
+# hold a forecaster refitted as its window slides equal to a fresh fit;
+# the core service suite carries the model cache. There is one fit path
+# (a cold fit is the Stale fit over an empty training window), so a warm
+# model equals a fresh service's by construction; the suite still pins
+# it bit for bit (CPU lines included), the truncation/retention
+# full-refit regressions, the Stale -> Cold fallback, and that a fit,
+# cold or Stale, reads each (component, metric) series set exactly once
+# and never before the window. Single-threaded so the read fan-out
+# cannot mask ordering dependencies in the compensated sums. The source
+# history slides the same way: its proptest holds the kept window, the
+# models and the forecasts bitwise equal to a from-scratch service's
+# over random append/gap/hostile-sample/truncate/rescale schedules (core
+# and fleet providers), and forecast_equivalence holds a warm service
+# equal to a fresh one at every minute of three windows.
+echo "==> CALADRIUS_THREADS=1 sliding-window equivalence"
+CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test prop_sliding
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --test source_history_equivalence
 CALADRIUS_THREADS=1 cargo test -q --test forecast_equivalence

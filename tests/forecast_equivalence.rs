@@ -5,16 +5,15 @@
 //! what a service created that instant, reading the store from scratch,
 //! answers.
 //!
-//! * Prophet refits over the sliding window on both sides: `to_bits`
-//!   equality, for the what-if's forecast points and the plan's window
-//!   rates alike.
-//! * AR and stats-summary forecasters are kept warm and absorb only the
-//!   tail, so their window is anchored where they were first fitted; the
-//!   from-scratch reference spans that anchored window: `to_bits`
-//!   equality too.
+//! Every forecaster is refitted over the sliding window on both sides,
+//! so `to_bits` equality holds for every model's forecast points and the
+//! plan's window rates alike.
 //!
 //! The read counter shows the history was read from the store in full
-//! once, and after that only ever one new minute at a time.
+//! once, and after that only ever one new minute at a time. Over three
+//! windows of live minutes the fitted models hold to the same bar: every
+//! parameter, CPU lines included, equals a fresh service's at every
+//! minute, and no full fit runs after the first.
 //!
 //! Deterministic; CI runs it under `CALADRIUS_THREADS=1`.
 
@@ -26,7 +25,9 @@ use caladrius::core::{Caladrius, SourceHistoryReads};
 use caladrius::forecast::ForecastPoint;
 use caladrius::sim::metrics::{metric, SimMetrics};
 use caladrius::sim::prelude::*;
-use caladrius::workload::wordcount::{wordcount_topology, WordCountParallelism};
+use caladrius::workload::wordcount::{
+    wordcount_topology, wordcount_topology_with, WordCountParallelism,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ const PARALLELISM: WordCountParallelism = WordCountParallelism {
     counter: 3,
 };
 /// Shorter than the history, so the window slides from the first live
-/// minute on; long enough that the anchored forecasters never re-anchor.
+/// minute on.
 const WINDOW_MINUTES: u32 = 45;
 const LIVE_MINUTES: u32 = 20;
 const MODELS: [&str; 3] = ["prophet", "ar", "stats_summary"];
@@ -121,20 +122,14 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
         let served: Vec<Vec<ForecastPoint>> = MODELS.iter().map(|m| forecast(&warm, m)).collect();
         let served_rates = window_rates(&warm);
 
-        let sliding = service(&metrics, WINDOW_MINUTES);
-        let anchored = service(&metrics, WINDOW_MINUTES + minute);
+        let fresh = service(&metrics, WINDOW_MINUTES);
         for (model, served) in MODELS.iter().zip(&served) {
             let what = format!("{model}, live minute {minute}");
-            let reference = if *model == "prophet" {
-                &sliding
-            } else {
-                &anchored
-            };
-            assert_bitwise(served, &forecast(reference, model), &what);
+            assert_bitwise(served, &forecast(&fresh, model), &what);
         }
         assert_eq!(
             served_rates,
-            window_rates(&sliding),
+            window_rates(&fresh),
             "plan, live minute {minute}"
         );
     }
@@ -155,6 +150,103 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
     assert_eq!(history.len(), WINDOW_MINUTES as usize);
 }
 
+/// Every fitted parameter a caller can tell two fits apart by: per bolt
+/// α, the saturation point, the shares and the CPU line, and the
+/// topology's throughput prediction at rates either side of the knees.
+fn fitted_bits(caladrius: &Caladrius) -> Vec<(String, Vec<u64>)> {
+    let (model, cpu) = caladrius.fitted_models(TOPOLOGY).expect("fit");
+    let mut bits = Vec::new();
+    for name in ["splitter", "counter"] {
+        let component = model.component_model(name).unwrap();
+        let mut row = vec![component.instance.alpha.to_bits()];
+        if let Some(saturation) = &component.instance.saturation {
+            row.extend([
+                saturation.input_sp.to_bits(),
+                saturation.output_st.to_bits(),
+            ]);
+        }
+        row.extend(component.shares.iter().map(|s| s.to_bits()));
+        if let Some(cpu) = cpu.get(name) {
+            row.extend([cpu.base.to_bits(), cpu.psi.to_bits()]);
+        }
+        bits.push((name.to_string(), row));
+    }
+    for rate in [5.0e6, 15.0e6, 30.0e6, 60.0e6] {
+        let p = model.predict(&HashMap::new(), rate).expect("prediction");
+        let mut row = vec![p.sink_output_rate.to_bits()];
+        for c in &p.per_component {
+            row.extend([
+                c.input_rate.to_bits(),
+                c.output_rate.to_bits(),
+                u64::from(c.saturated),
+            ]);
+        }
+        bits.push((format!("{rate:e}"), row));
+    }
+    bits
+}
+
+/// Warm == fresh: a long-lived service that ingests one minute at a time
+/// for three windows answers, at every minute, what a service created
+/// that minute answers — every fitted parameter and every model's
+/// forecast, bit for bit — and after its first fit it never reads the
+/// whole window again. The live load ramps through the splitter's knee
+/// and back, so the window the models see keeps changing.
+#[test]
+fn a_warm_service_equals_a_fresh_one_at_every_minute_of_three_windows() {
+    const LIVE: u64 = 3 * WINDOW_MINUTES as u64;
+    const START: u64 = 90;
+    let metrics = swept_hour();
+    let warm = service(&metrics, WINDOW_MINUTES);
+    let per_sec = |per_min: f64| per_min / 60.0;
+    let profile = RateProfile::PiecewiseLinear {
+        points: vec![
+            (START * 60, per_sec(4.0e6)),
+            ((START + LIVE / 2) * 60, per_sec(56.0e6)),
+            ((START + LIVE) * 60, per_sec(4.0e6)),
+        ],
+    };
+    let topology = wordcount_topology_with(PARALLELISM, profile, None);
+    let mut live = Simulation::new(topology, quiet()).unwrap();
+    live.skip_to_minute(START);
+    let models: Vec<String> = MODELS.map(String::from).to_vec();
+    let forecasts = |caladrius: &Caladrius| -> Vec<Vec<ForecastPoint>> {
+        let forecasts = caladrius.forecast_traffic(TOPOLOGY, Some(&models));
+        let forecasts = forecasts.expect("forecasts");
+        forecasts.into_iter().map(|f| f.points).collect()
+    };
+
+    let mut cold_fits = None;
+    let (mut saturated, mut both_cpu_lines) = (0, 0);
+    for minute in 0..=LIVE {
+        if minute > 0 {
+            live.run_minutes_into(1, &metrics);
+        }
+        let fresh = service(&metrics, WINDOW_MINUTES);
+        let (model, cpu) = warm.fitted_models(TOPOLOGY).expect("fit");
+        let splitter = model.component_model("splitter").unwrap();
+        saturated += u64::from(splitter.instance.saturation.is_some());
+        both_cpu_lines += u64::from(cpu.len() == 2);
+        assert_eq!(fitted_bits(&warm), fitted_bits(&fresh), "minute {minute}");
+        let served = forecasts(&warm);
+        for ((model, served), fresh) in MODELS.iter().zip(&served).zip(forecasts(&fresh)) {
+            assert_bitwise(served, &fresh, &format!("{model}, live minute {minute}"));
+        }
+        let stats = warm.model_cache_stats();
+        let cold_fits = *cold_fits.get_or_insert(stats.full_fits);
+        assert_eq!(stats.full_fits, cold_fits, "minute {minute}: a full fit");
+        assert_eq!(stats.misses, minute + 1);
+    }
+    let reads = warm.source_history_reads();
+    assert_eq!((reads.full, reads.tail), (1, LIVE));
+    // The windows compared held knees and CPU lines, and windows without.
+    assert!(saturated > 0 && saturated <= LIVE, "{saturated}");
+    assert!(
+        both_cpu_lines > 0 && both_cpu_lines <= LIVE,
+        "{both_cpu_lines}"
+    );
+}
+
 /// A truncation that leaves the watermark where it was still changes
 /// what every fit reads: forecasters, like the history they were fitted
 /// on, go cold, so what-ifs and plans answer what a service created
@@ -168,8 +260,7 @@ fn a_truncation_at_an_unchanged_watermark_refits_every_forecaster() {
     }
     window_rates(&warm);
 
-    // 40 of the hour's minutes stay: less than the window, so a sliding
-    // and an anchored reference read the same minutes from here on.
+    // 40 of the hour's minutes stay: less than the window.
     let watermark = metrics.db().watermark().unwrap();
     assert!(
         metrics
