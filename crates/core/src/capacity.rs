@@ -7,11 +7,7 @@ use crate::model::cpu::CpuModel;
 use crate::model::topology::{BackpressureRisk, TopologyModel};
 use crate::traffic::TrafficForecast;
 use caladrius_obs::Counter;
-use caladrius_planner::{
-    replay_timeline, Assessment, CapacityOracle, PlanError, PlanTimeline, PlannerConfig,
-    ReplayConfig, WindowReplay, WindowSpec,
-};
-use heron_sim::topology::Topology;
+use caladrius_planner::{Assessment, CapacityOracle, PlanError, PlannerConfig, WindowSpec};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -256,50 +252,6 @@ pub fn plan_request_key(model_name: &str, conservative: bool, planner: &PlannerC
     fnv1a64(&bytes)
 }
 
-/// Outcome of replaying a full plan timeline in the simulator (see
-/// [`validate_plan`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanValidation {
-    /// Per-window simulated outcomes, in timeline order.
-    pub windows: Vec<WindowReplay>,
-    /// True when every window stayed under the backpressure tolerance.
-    pub all_low_risk: bool,
-    /// Agenda events processed by the event-driven core, summed over
-    /// all windows (mirrors `caladrius_sim_events_total`).
-    pub sim_events: u64,
-    /// Ticks advanced in closed form between agenda events instead
-    /// of being executed exactly, summed over all windows — the
-    /// replay-acceleration telemetry mirrored by
-    /// `caladrius_sim_ticks_closed_form_total`.
-    pub closed_form_ticks: u64,
-}
-
-/// Replays every window of `timeline` on `base` at its peak forecast
-/// rate and folds the per-window verdicts into one [`PlanValidation`].
-///
-/// This is the model-independent acceptance check for a capacity plan:
-/// the same `heron-sim` substrate the models were fitted against decides
-/// whether the proposed parallelisms actually hold the forecast load
-/// without backpressure. Replays run with the planner's pooled,
-/// event-driven simulations (see
-/// [`caladrius_planner::replay_timeline`]).
-pub fn validate_plan(
-    base: &Topology,
-    timeline: &PlanTimeline,
-    config: &ReplayConfig,
-) -> Result<PlanValidation, CoreError> {
-    let windows = replay_timeline(base, timeline, config)?;
-    let all_low_risk = windows.iter().all(|w| w.low_risk);
-    let sim_events = windows.iter().map(|w| w.sim_events).sum();
-    let closed_form_ticks = windows.iter().map(|w| w.closed_form_ticks).sum();
-    Ok(PlanValidation {
-        windows,
-        all_low_risk,
-        sim_events,
-        closed_form_ticks,
-    })
-}
-
 impl From<PlanError> for CoreError {
     fn from(e: PlanError) -> Self {
         match e {
@@ -396,76 +348,6 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             3,
             "the inner oracle must only see misses"
-        );
-    }
-
-    #[test]
-    fn validate_plan_folds_window_verdicts_and_reports_skips() {
-        use caladrius_planner::{PlanCost, PlanTimeline, WindowPlan};
-        use heron_sim::grouping::Grouping;
-        use heron_sim::profiles::RateProfile;
-        use heron_sim::topology::{TopologyBuilder, WorkProfile};
-
-        let base = TopologyBuilder::new("wc")
-            .spout("spout", 2, RateProfile::constant(100.0), 60)
-            .bolt(
-                "splitter",
-                2,
-                WorkProfile::new(5000.0, 7.63, 8).with_gateway_overhead(0.0),
-            )
-            .bolt("counter", 2, WorkProfile::new(1.0e9, 1.0, 16))
-            .edge("spout", "splitter", Grouping::shuffle())
-            .edge("splitter", "counter", Grouping::fields_uniform())
-            .build()
-            .unwrap();
-        let window_plan = |window: usize, rate_per_min: f64, splitter: u32| {
-            let parallelisms = vec![
-                ("spout".to_string(), 2u32),
-                ("splitter".to_string(), splitter),
-                ("counter".to_string(), 2u32),
-            ];
-            let cost = PlanCost::of(&parallelisms, &PlannerConfig::default().limits);
-            WindowPlan {
-                window,
-                start_ts: window as i64 * 900_000,
-                end_ts: (window as i64 + 1) * 900_000,
-                peak_rate: rate_per_min,
-                planned_rate: rate_per_min,
-                parallelisms,
-                cost,
-                saturation_rate: f64::INFINITY,
-                actions: Vec::new(),
-            }
-        };
-        // Window 0 comfortably under the 2×5000/s splitter capacity;
-        // window 1 offers 20k/s to a single 5k/s splitter instance.
-        let healthy = window_plan(0, 2_000.0 * 60.0, 2);
-        let starved = window_plan(1, 20_000.0 * 60.0, 1);
-        let peak = healthy.parallelisms.clone();
-        let peak_cost = healthy.cost;
-        let timeline = PlanTimeline {
-            windows: vec![healthy, starved],
-            peak_parallelisms: peak,
-            peak_cost,
-            oracle_evals: 0,
-        };
-        let cfg = ReplayConfig {
-            warmup_minutes: 10,
-            measure_minutes: 5,
-            ..ReplayConfig::default()
-        };
-        let v = validate_plan(&base, &timeline, &cfg).unwrap();
-        assert_eq!(v.windows.len(), 2);
-        assert!(v.windows[0].low_risk, "healthy window: {:?}", v.windows[0]);
-        assert!(!v.windows[1].low_risk, "starved window: {:?}", v.windows[1]);
-        assert!(!v.all_low_risk);
-        assert!(
-            v.closed_form_ticks > 0,
-            "the steady healthy window must advance in closed form"
-        );
-        assert_eq!(
-            v.closed_form_ticks,
-            v.windows.iter().map(|w| w.closed_form_ticks).sum::<u64>()
         );
     }
 

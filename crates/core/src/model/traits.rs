@@ -272,17 +272,6 @@ impl ModelRegistry {
             .ok_or_else(|| CoreError::UnknownModel(name.to_string()))?
             .run(query)
     }
-
-    /// Runs every registered model and concatenates the outputs — the
-    /// paper's default endpoint behaviour ("the endpoint will run all
-    /// model implementations defined in the configuration and concatenate
-    /// the results").
-    pub fn run_all(&self, query: &PerformanceQuery<'_>) -> Result<Vec<ModelOutput>> {
-        self.names()
-            .into_iter()
-            .map(|n| self.run(n, query))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -361,8 +350,9 @@ mod tests {
         let q = PerformanceQuery::new(&t, &parallelisms, 5.0).unwrap();
         let one = registry.run("topology_throughput", &q).unwrap();
         assert_eq!(one.model, "topology_throughput");
-        let all = registry.run_all(&q).unwrap();
-        assert_eq!(all.len(), 3);
+        for name in registry.names() {
+            assert_eq!(registry.run(name, &q).unwrap().model, name);
+        }
         assert!(matches!(
             registry.run("nope", &q),
             Err(CoreError::UnknownModel(_))

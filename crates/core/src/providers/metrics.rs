@@ -8,7 +8,6 @@ use caladrius_forecast::DataPoint;
 use caladrius_graph::topology_graph::LogicalSpec;
 use caladrius_tsdb::{IngestStats, Sample};
 use heron_sim::metrics::{metric, SeriesSet, SimMetrics};
-use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
 
 /// Backpressure-time (ms per minute) above which a window counts as
@@ -142,15 +141,15 @@ impl MetricsProvider for SimMetricsProvider {
     }
 }
 
-/// Everything one fit reads: each `(component, metric)` series set of
-/// `[from, to]` exactly once — per bolt execute-count, emit-count,
-/// backpressure-time and cpu-load, per spout that feeds a bolt
-/// emit-count — from which both the throughput and the CPU observations
-/// are assembled. A cold fit builds it over the training window, a Stale
-/// fit over the new minutes only; it does not know which.
+/// Everything one training window is assembled from: each
+/// `(component, metric)` series set of `[from, to]` exactly once — per
+/// bolt execute-count, emit-count, backpressure-time and cpu-load, per
+/// spout source-offered and, when it feeds a bolt, emit-count. A read of
+/// the whole window or of the minutes after a kept one; it does not know
+/// which.
 ///
 /// A window without samples assembles to no observations, which is what
-/// a refit sees when no new minute has landed; whether that is an error
+/// a slide sees when no new minute has landed; whether that is an error
 /// is for the model being solved to say.
 pub(crate) struct FitWindow<'a> {
     /// `((component, metric), what was read)`: a handful, searched.
@@ -183,14 +182,24 @@ impl<'a> FitWindow<'a> {
                     metric::CPU_LOAD,
                 ];
                 reads.extend(bolt.map(|m| (name.as_str(), m)));
-            } else if spec.edges.iter().any(|(from_c, _, _)| from_c == name) {
-                reads.push((name.as_str(), metric::EMIT_COUNT));
+            } else {
+                reads.push((name.as_str(), metric::SOURCE_OFFERED));
+                if spec.edges.iter().any(|(from_c, _, _)| from_c == name) {
+                    reads.push((name.as_str(), metric::EMIT_COUNT));
+                }
             }
         }
         let sets = caladrius_exec::shared_pool("fit").parallel_try_map(
             &reads,
             |_, (component, metric_name)| {
-                provider.series_set(topology, component, metric_name, from, to)
+                let mut set = provider.series_set(topology, component, metric_name, from, to)?;
+                if *metric_name == metric::SOURCE_OFFERED {
+                    // Only the spout sum is assembled: the instances' half
+                    // goes at once, so a window read holds no more than
+                    // the bolt sets beside one spout column.
+                    set.per_instance = Vec::new();
+                }
+                Ok::<_, CoreError>(set)
             },
         )?;
         Ok(Self {
@@ -204,6 +213,16 @@ impl<'a> FitWindow<'a> {
             .iter()
             .find(|(key, _)| *key == (component, metric_name));
         read.map_or(&NO_SERIES, |(_, set)| set)
+    }
+
+    /// The source column: the spouts' offered load, in declaration order
+    /// ([`offered_load`]).
+    fn source_minutes(&self) -> Vec<DataPoint> {
+        let sets = self.sets.iter();
+        offered_load(
+            sets.filter(|((_, m), _)| *m == metric::SOURCE_OFFERED)
+                .map(|(_, set)| set),
+        )
     }
 
     /// Assembles per-minute [`ComponentObservation`]s for one component.
@@ -322,25 +341,29 @@ impl<'a> FitWindow<'a> {
 /// One instance's observations with their minutes, oldest first.
 pub(crate) type PerInstance<T> = (u32, VecDeque<(i64, T)>);
 
-/// The training window a fit solves over, kept between fits: per bolt,
-/// what [`FitWindow`] assembled of it, every observation with its minute.
+/// The training window every model and forecast of a topology is fitted
+/// over, kept between fits: the source column (the offered load summed
+/// over spouts per minute, [`offered_load`]) and per bolt what
+/// [`FitWindow`] assembled of it, every observation with its minute.
 ///
-/// A fit slides it to the window it fits over: it drops the minutes that
-/// left the window and appends what a read of the minutes after the kept
-/// ones assembled. Every observation is assembled from one minute's
-/// samples alone, so the kept window is, observation for observation and
-/// in the same order, what a read of the whole window assembles —
-/// provided nothing at or before the last read changed in the store (the
-/// caller's version stamp vouches for that) and the new read lists the
-/// instances the kept window was assembled with, which
-/// [`TrainingWindow::slide`] checks.
-#[derive(Debug, Default)]
+/// A slide drops the minutes that left the window and appends what a
+/// read of the minutes after the kept ones assembled. Every point and
+/// observation is assembled from one minute's samples alone, so the kept
+/// window is, point for point and in the same order, what a read of the
+/// whole window assembles — provided nothing at or before the last read
+/// changed in the store (the caller's version stamp vouches for that) and
+/// the new read lists the instances the kept window was assembled with,
+/// which [`TrainingWindow::slide`] checks.
+#[derive(Debug, Clone)]
 pub(crate) struct TrainingWindow {
-    bolts: HashMap<String, BoltWindow>,
+    /// Per bolt, in the order the window was assembled for.
+    bolts: Vec<BoltWindow>,
+    /// One point per usable minute, oldest first.
+    source: Vec<DataPoint>,
 }
 
 /// One bolt's share of a [`TrainingWindow`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct BoltWindow {
     /// Component observations, oldest first.
     component: VecDeque<(i64, ComponentObservation)>,
@@ -365,44 +388,59 @@ impl BoltWindow {
 }
 
 impl TrainingWindow {
-    /// Slides `bolt`'s window to start at minute `from`, appending what
-    /// `window` — a read of the minutes after the kept ones, or of the
-    /// whole window when nothing is kept — assembled for it with
-    /// `upstreams`. Errs when the read lists other instances than the
-    /// kept window was assembled with (an instance's series registered
-    /// since): every per-instance column would shift.
-    pub(crate) fn slide(
-        &mut self,
-        bolt: &str,
-        window: &FitWindow<'_>,
-        upstreams: &[(String, f64)],
-        from: i64,
-    ) -> Result<&BoltWindow> {
-        let component = window.component_observations(bolt, upstreams);
-        let cpu = window.cpu_observations(bolt);
-        let kept = match self.bolts.entry(bolt.to_string()) {
-            Entry::Vacant(nothing_kept) => {
-                return Ok(nothing_kept.insert(BoltWindow { component, cpu }))
+    /// What `read` assembles: the source column and, for each of `bolts`
+    /// with its upstreams, its observations.
+    pub(crate) fn assemble<'j>(
+        read: &FitWindow<'_>,
+        bolts: impl IntoIterator<Item = (&'j str, &'j [(String, f64)])>,
+    ) -> Self {
+        let bolts = bolts.into_iter().map(|(bolt, upstreams)| BoltWindow {
+            component: read.component_observations(bolt, upstreams),
+            cpu: read.cpu_observations(bolt),
+        });
+        Self {
+            bolts: bolts.collect(),
+            source: read.source_minutes(),
+        }
+    }
+
+    /// The bolts' windows, in the order the window was assembled for.
+    pub(crate) fn bolts(&self) -> &[BoltWindow] {
+        &self.bolts
+    }
+
+    /// The source column, oldest first.
+    pub(crate) fn source(&self) -> &[DataPoint] {
+        &self.source
+    }
+
+    /// Slides the window to start at minute `from` and appends `delta`,
+    /// what a read of the minutes after the kept ones assembled for the
+    /// same bolts. Errs, leaving the window as it was, when a bolt's read
+    /// lists other instances than the kept window was assembled with (an
+    /// instance's series registered since): every per-instance column
+    /// would shift.
+    pub(crate) fn slide(&mut self, delta: TrainingWindow, from: i64) -> Result<()> {
+        let instances = |bolt: &BoltWindow| bolt.cpu.iter().map(|(i, _)| *i).collect::<Vec<_>>();
+        let same = self.bolts.len() == delta.bolts.len()
+            && (self.bolts.iter().zip(&delta.bolts)).all(|(a, b)| instances(a) == instances(b));
+        if !same {
+            return Err(CoreError::Unknown(
+                "a bolt's instances changed under the kept training window".into(),
+            ));
+        }
+        let expired = self.source.partition_point(|p| p.ts < from);
+        self.source.drain(..expired);
+        self.source.extend(delta.source);
+        for (kept, new) in self.bolts.iter_mut().zip(delta.bolts) {
+            drop_before(&mut kept.component, from);
+            kept.component.extend(new.component);
+            for ((_, kept), (_, new)) in kept.cpu.iter_mut().zip(new.cpu) {
+                drop_before(kept, from);
+                kept.extend(new);
             }
-            Entry::Occupied(kept) => kept.into_mut(),
-        };
-        if !kept
-            .cpu
-            .iter()
-            .map(|(i, _)| i)
-            .eq(cpu.iter().map(|(i, _)| i))
-        {
-            return Err(CoreError::Unknown(format!(
-                "the instances of {bolt:?} changed under the kept training window"
-            )));
         }
-        drop_before(&mut kept.component, from);
-        kept.component.extend(component);
-        for ((_, kept), (_, new)) in kept.cpu.iter_mut().zip(cpu) {
-            drop_before(kept, from);
-            kept.extend(new);
-        }
-        Ok(kept)
+        Ok(())
     }
 }
 
@@ -443,22 +481,18 @@ impl<'s> Column<'s> {
     }
 }
 
-/// Spout-summed offered load per minute in `[from, to]`; empty when
-/// nothing was recorded there. Each minute's sum starts at `0.0` and adds
-/// the spouts that recorded it in the order they are given.
-fn read_source_history(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    spouts: &[String],
-    from: i64,
-    to: i64,
-) -> Result<Vec<DataPoint>> {
-    let mut history: Vec<DataPoint> = Vec::new();
-    for spout in spouts {
-        let offered = provider.series_set(topology, spout, metric::SOURCE_OFFERED, from, to)?;
-        history = add_minutes(history, &offered.combined);
+/// The offered load summed over spouts per minute, from each spout's
+/// `source-offered` set in spout order: each minute's sum starts at `0.0`
+/// and adds the spouts that recorded it in that order. A minute whose sum
+/// is not a finite, non-negative rate is left out, as a minute without a
+/// sample is: a stored NaN or a negative count is no load to forecast.
+pub(crate) fn offered_load<'s>(spouts: impl IntoIterator<Item = &'s SeriesSet>) -> Vec<DataPoint> {
+    let mut sum = Vec::new();
+    for offered in spouts {
+        sum = add_minutes(sum, &offered.combined);
     }
-    Ok(history)
+    sum.retain(|p| p.y.is_finite() && p.y >= 0.0);
+    sum
 }
 
 /// Merges one ascending per-minute series into an ascending running sum:
@@ -475,60 +509,6 @@ fn add_minutes(sum: Vec<DataPoint>, series: &[Sample]) -> Vec<DataPoint> {
     }
     merged.extend(sum);
     merged
-}
-
-fn no_source_history(topology: &str) -> CoreError {
-    CoreError::NotEnoughObservations {
-        what: format!("source history for {topology:?}"),
-        needed: 1,
-        got: 0,
-    }
-}
-
-/// The topology's source-throughput history (offered load summed over all
-/// spouts, tuples/min) as forecaster training data. A window without
-/// observations is [`CoreError::NotEnoughObservations`].
-pub fn source_history(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    spouts: &[String],
-    from: i64,
-    to: i64,
-) -> Result<Vec<DataPoint>> {
-    let history = read_source_history(provider, topology, spouts, from, to)?;
-    if history.is_empty() {
-        return Err(no_source_history(topology));
-    }
-    Ok(history)
-}
-
-/// Slides a history that [`source_history`] read up to `read_to` forward
-/// to the window `[from, to]`: reads only the minutes after `read_to`
-/// that lie in the window (no new minute may have landed yet: an empty
-/// delta), appends them and drops the points older than `from`.
-///
-/// Every point is a per-minute sum that neither read splits, so the
-/// result is bit for bit what `source_history(.., from, to)` returns —
-/// provided nothing at or before `read_to` changed in the store since
-/// (no truncation, no late sample, same spouts); the caller's version
-/// stamp vouches for that.
-pub fn slide_source_history(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    spouts: &[String],
-    history: &mut Vec<DataPoint>,
-    read_to: i64,
-    from: i64,
-    to: i64,
-) -> Result<()> {
-    let since = slide_from(read_to, from);
-    history.extend(read_source_history(provider, topology, spouts, since, to)?);
-    let expired = history.partition_point(|p| p.ts < from);
-    history.drain(..expired);
-    if history.is_empty() {
-        return Err(no_source_history(topology));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -627,7 +607,9 @@ mod tests {
     fn source_history_sums_spouts() {
         let provider = SimMetricsProvider::new(run_sim(500.0));
         for (from, to) in WINDOWS {
-            let hist = source_history(&provider, "t", &["spout".to_string()], from, to).unwrap();
+            let spec = spec();
+            let window = FitWindow::read(&provider, "t", &spec, from, to).unwrap();
+            let hist = window.source_minutes();
             assert_eq!(hist.len(), 10);
             assert!((hist[0].y - 30_000.0).abs() < 1.0);
             assert!(hist.windows(2).all(|w| w[1].ts - w[0].ts == 60_000));
@@ -759,10 +741,11 @@ mod tests {
 
     /// Sliding == batch at the assembler: a kept training window slid
     /// by reads of the minutes after it — one, a few, more than the
-    /// window at once — assembles, observation for observation and in
-    /// the same order, what a read of the whole window assembles, across
-    /// a repack that gives every counter instance a second series. A read
-    /// that lists an instance the kept window never saw is refused.
+    /// window at once — assembles, point for point, observation for
+    /// observation and in the same order, what a read of the whole window
+    /// assembles, across a repack that gives every counter instance a
+    /// second series. A read that lists an instance the kept window never
+    /// saw is refused, and the window is left as it was.
     #[test]
     fn a_slid_training_window_is_a_read_of_the_whole_window() {
         const MINUTE: i64 = 60_000;
@@ -779,16 +762,27 @@ mod tests {
             ("splitter", vec![("spout".to_string(), 1.0)]),
             ("counter", vec![("splitter".to_string(), 1.0)]),
         ];
-        let mut kept = TrainingWindow::default();
+        let bolts = || upstreams.iter().map(|(bolt, up)| (*bolt, up.as_slice()));
+        let mut kept: Option<TrainingWindow> = None;
         let mut to = newest - 35 * MINUTE;
         let mut read_to = None;
         for step in [1, 1, 3, 2, 25, 1, 2, 1, 3, 1] {
             let from = to - (WIDTH - 1) * MINUTE;
             let read_from = read_to.map_or(from, |read_to| slide_from(read_to, from));
             let read = FitWindow::read(&provider, "wordcount", &spec, read_from, to).unwrap();
+            let delta = TrainingWindow::assemble(&read, bolts());
+            let slid = match &mut kept {
+                Some(kept) => {
+                    kept.slide(delta, from).unwrap();
+                    kept
+                }
+                None => kept.insert(delta),
+            };
             let whole = FitWindow::read(&provider, "wordcount", &spec, from, to).unwrap();
-            for (bolt, upstream) in &upstreams {
-                let slid = kept.slide(bolt, &read, upstream, from).unwrap();
+            let expected = whole.source_minutes();
+            assert_eq!(history_bits(slid.source()), history_bits(&expected));
+            assert!(!expected.is_empty(), "source to {to}");
+            for ((bolt, upstream), slid) in upstreams.iter().zip(slid.bolts()) {
                 let expected = whole.component_observations(bolt, upstream);
                 assert_eq!(
                     component_bits(&slid.component),
@@ -813,12 +807,22 @@ mod tests {
 
         // An eighth counter instance reports: the kept window's columns
         // no longer line up with a read's.
+        let mut kept = kept.unwrap();
+        let before = kept.clone();
         let next = read_to.unwrap() + MINUTE;
         metrics.record_instance(metric::EXECUTE_COUNT, "counter", 7, 0, next, 1.0);
         let from = next - (WIDTH - 1) * MINUTE;
         let read = FitWindow::read(&provider, "wordcount", &spec, next, next).unwrap();
-        let refused = kept.slide("counter", &read, &upstreams[1].1, from);
+        let refused = kept.slide(TrainingWindow::assemble(&read, bolts()), from);
         assert!(matches!(refused, Err(CoreError::Unknown(_))));
+        assert_eq!(history_bits(kept.source()), history_bits(before.source()));
+        for (kept, before) in kept.bolts().iter().zip(before.bolts()) {
+            assert_eq!(
+                component_bits(&kept.component),
+                component_bits(&before.component)
+            );
+            assert_eq!(cpu_bits(&kept.cpu), cpu_bits(&before.cpu));
+        }
     }
 
     #[test]
@@ -831,24 +835,22 @@ mod tests {
         assert!(cpu.len() == 2 && cpu.iter().all(|(_, minutes)| minutes.is_empty()));
         let upstream = [("spout".to_string(), 1.0)];
         assert!(delta.component_observations("bolt", &upstream).is_empty());
-        let mut history =
-            source_history(&provider, "t", &["spout".to_string()], 0, newest).unwrap();
-        let read = history.clone();
-        let spouts = ["spout".to_string()];
-        slide_source_history(&provider, "t", &spouts, &mut history, newest, 0, i64::MAX).unwrap();
-        assert_eq!(history, read);
+        assert!(delta.source_minutes().is_empty());
+        let bolts = || [("bolt", upstream.as_slice())];
+        let whole = FitWindow::read(&provider, "t", &spec, 0, newest).unwrap();
+        let mut window = TrainingWindow::assemble(&whole, bolts());
+        let read = window.clone();
+        window
+            .slide(TrainingWindow::assemble(&delta, bolts()), 0)
+            .unwrap();
+        assert_eq!(history_bits(window.source()), history_bits(read.source()));
+        assert_eq!(window.source().len(), 10);
+        assert_eq!(
+            component_bits(&window.bolts()[0].component),
+            component_bits(&read.bolts()[0].component)
+        );
         // Any other error stays one.
         let unknown = FitWindow::read(&provider, "other", &spec, newest + 1, i64::MAX);
-        assert!(matches!(unknown, Err(CoreError::Unknown(_))));
-        let unknown = slide_source_history(
-            &provider,
-            "other",
-            &spouts,
-            &mut history,
-            newest,
-            0,
-            i64::MAX,
-        );
         assert!(matches!(unknown, Err(CoreError::Unknown(_))));
     }
 
@@ -873,10 +875,32 @@ mod tests {
                 Err(CoreError::NotEnoughObservations { .. })
             ));
         }
-        assert!(matches!(
-            source_history(&provider, "t", &["ghost".to_string()], 0, i64::MAX),
-            Err(CoreError::NotEnoughObservations { .. })
-        ));
+        let ghost = provider.series_set("t", "ghost", metric::SOURCE_OFFERED, 0, i64::MAX);
+        assert!(offered_load([&ghost.unwrap()]).is_empty());
+    }
+
+    /// Hostile offered loads: a minute whose spout sum is NaN, ±inf or
+    /// negative is left out of the source column, as a minute without a
+    /// sample is; a negative sample that other spouts outweigh stays in.
+    #[test]
+    fn a_minute_without_a_usable_load_is_left_out_of_the_source_column() {
+        let metrics = run_sim(500.0);
+        let newest = metrics.db().watermark().unwrap();
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0e9];
+        for (k, value) in hostile.into_iter().enumerate() {
+            let ts = newest + (k as i64 + 1) * 60_000;
+            metrics.record_instance(metric::SOURCE_OFFERED, "spout", 0, 0, ts, value);
+        }
+        let outweighed = newest + 5 * 60_000;
+        metrics.record_instance(metric::SOURCE_OFFERED, "spout", 0, 0, outweighed, -1.0);
+        metrics.record_instance(metric::SOURCE_OFFERED, "spout", 1, 0, outweighed, 3.0);
+        let provider = SimMetricsProvider::new(metrics);
+        let spec = spec();
+        let window = FitWindow::read(&provider, "t", &spec, 0, i64::MAX).unwrap();
+        let source = window.source_minutes();
+        assert_eq!(source.len(), 11);
+        assert_eq!(source[9].ts, newest);
+        assert_eq!((source[10].ts, source[10].y), (outweighed, 2.0));
     }
 
     /// The map-based assemblers the cursor joins replaced: every column
@@ -990,6 +1014,7 @@ mod tests {
             }
             Ok(by_ts
                 .into_iter()
+                .filter(|(_, y)| y.is_finite() && *y >= 0.0)
                 .map(|(ts, y)| DataPoint::new(ts, y))
                 .collect())
         }
@@ -1060,15 +1085,13 @@ mod tests {
                     .map(|(_, minutes)| minutes.len())
                     .sum::<usize>();
             }
-            let actual = source_history(&provider, &topology, spouts, from, to);
+            let offered = spouts.iter().map(|spout| {
+                let set = provider.series_set(&topology, spout, metric::SOURCE_OFFERED, from, to);
+                set.unwrap()
+            });
+            let actual = offered_load(&offered.collect::<Vec<_>>());
             let expected = reference::source_history(&provider, &topology, spouts, from, to);
-            match (actual, expected) {
-                (Ok(actual), Ok(expected)) => {
-                    assert_eq!(history_bits(&actual), history_bits(&expected))
-                }
-                (Err(_), Ok(expected)) => assert!(expected.is_empty()),
-                (actual, expected) => panic!("{actual:?} vs {expected:?}"),
-            }
+            assert_eq!(history_bits(&actual), history_bits(&expected.unwrap()));
         }
         (backpressured, cpu)
     }

@@ -13,11 +13,11 @@ use crate::model::cpu::CpuModel;
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
 use crate::providers::metrics::{
-    slide_from, slide_source_history, source_history, FitWindow, MetricsProvider, TrainingWindow,
+    offered_load, slide_from, FitWindow, MetricsProvider, TrainingWindow,
 };
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
-use caladrius_forecast::{DataPoint, Forecaster};
+use caladrius_forecast::DataPoint;
 use caladrius_graph::topology_graph::TopologyDag;
 use caladrius_obs::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
@@ -125,34 +125,44 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// How [`Caladrius::source_history`] reads were served, cumulatively.
+/// How accesses to the kept training windows (the source history among
+/// them) were served, cumulatively.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SourceHistoryReads {
-    /// Served from the cached window: no store read.
+    /// Served from the kept window: no store read.
     pub hit: u64,
-    /// The cached window slid forward by reading only the new minutes.
+    /// The kept window slid forward by reading only the new minutes.
     pub tail: u64,
     /// Read from the store over the whole training window.
     pub full: u64,
 }
 
-/// One topology's fitted models plus the training window they were
-/// fitted over, cached under the [`DataStamp`] they were fitted against.
-/// An entry is served verbatim while the stamp still matches.
-///
-/// A moved watermark alone does not force a full read: the kept
-/// [`TrainingWindow`] reads just the minutes after the entry's watermark,
-/// drops the minutes that left the window, and every model is refitted
-/// over it (the *Stale* path). The entry goes fully cold — the same fit
-/// over an empty window and a read of the whole of it — when the plan
-/// version moved (models fitted against the old physical plan) or the
-/// store truncated data out from under the window.
-struct CachedModels {
-    /// The fit jobs the window was assembled for.
+/// One topology's training window, kept under the [`DataStamp`] it was
+/// read or slid to, with the fit jobs it was assembled for and how it got
+/// there. Models and forecasts are derived from it.
+#[derive(Clone)]
+struct KeptWindow {
     jobs: Vec<FitJob>,
     window: TrainingWindow,
-    topology_model: Arc<TopologyModel>,
-    cpu_models: Arc<HashMap<String, CpuModel>>,
+    /// Slid from the previous stamp's window, not read whole.
+    slid: bool,
+    /// Why a slide was tried and failed, when it was.
+    fallback: Option<String>,
+}
+
+impl KeptWindow {
+    /// The source column, or [`CoreError::NotEnoughObservations`] when
+    /// the window holds no usable minute of it.
+    fn source(&self, topology: &str) -> Result<&[DataPoint]> {
+        match self.window.source() {
+            [] => Err(CoreError::NotEnoughObservations {
+                what: format!("source history for {topology:?}"),
+                needed: 1,
+                got: 0,
+            }),
+            source => Ok(source),
+        }
+    }
 }
 
 /// One component-model fit job: (name, parallelism, upstream emission
@@ -253,15 +263,14 @@ pub struct Caladrius {
     tracker: Arc<dyn TopologyTracker>,
     traffic: TrafficModelRegistry,
     performance: ModelRegistry,
-    /// Per topology.
-    models: StampedCache<String, CachedModels>,
-    /// Per topology: the source-rate history over the training window
-    /// ending at the entry's watermark, decoded and summed over spouts,
-    /// slid like the fitted models' window ([`slide_source_history`]).
-    histories: StampedCache<String, Arc<Vec<DataPoint>>>,
-    /// Per `(topology, traffic model)`: the forecaster fitted on the
-    /// history under the entry's stamp.
-    forecasters: StampedCache<(String, String), Box<dyn Forecaster + Send>>,
+    /// Per topology: the training window every model and forecast is
+    /// fitted over ([`Caladrius::training_window`]).
+    windows: StampedCache<String, Arc<KeptWindow>>,
+    /// Per topology: the models fitted over the window under its stamp.
+    models: StampedCache<String, FittedModels>,
+    /// Per `(topology, traffic model)`: the forecast fitted over the
+    /// window's source column under its stamp.
+    forecasts: StampedCache<(String, String), TrafficForecast>,
     /// Finished plan timelines per `(topology, plan_request_key)`,
     /// bounded by `plan_cache_capacity`.
     plans: StampedCache<(String, u64), caladrius_planner::PlanTimeline>,
@@ -390,7 +399,7 @@ impl Caladrius {
         );
         registry.describe(
             "caladrius_source_history_reads_total",
-            "Source-history reads by path: cached window (hit), new minutes only (tail), whole window (full)",
+            "Training-window accesses by path: kept window (hit), new minutes only (tail), whole window (full)",
         );
         registry.describe(
             "caladrius_evaluate_duration_seconds",
@@ -416,9 +425,9 @@ impl Caladrius {
             tracker,
             traffic: TrafficModelRegistry::with_defaults(),
             performance: ModelRegistry::with_defaults(),
+            windows: StampedCache::new(None),
             models: StampedCache::new(None),
-            histories: StampedCache::new(None),
-            forecasters: StampedCache::new(None),
+            forecasts: StampedCache::new(None),
             plans,
             cache_hits: registry.counter("caladrius_model_cache_hits_total", &labels),
             cache_misses: registry.counter("caladrius_model_cache_misses_total", &labels),
@@ -545,57 +554,86 @@ impl Caladrius {
         })
     }
 
-    /// The topology's offered-load history over the training window.
+    /// The topology's offered-load history over the training window:
+    /// the kept window's source column.
     pub fn source_history(&self, topology: &str) -> Result<Vec<DataPoint>> {
-        Ok(self.source_window(topology)?.1.to_vec())
+        let (_, kept) = self.training_window(topology)?;
+        Ok(kept.source(topology)?.to_vec())
     }
 
-    /// [`Caladrius::source_history`] as a maintained tail: the decoded,
-    /// spout-summed window is kept per topology and, like the fitted
-    /// models, only brought up to date when the watermark moves.
+    /// The topology's training window ending at the store's newest
+    /// minute, kept per topology: the one place the Hit / Stale / Cold
+    /// decision is made ([`DataStamp::freshness`]).
     ///
-    /// * **Hit** — stamp unchanged: the cached window, no store read.
-    /// * **Stale** — only the watermark advanced: read `(cached_to, to]`,
-    ///   append, drop what slid out of the window.
-    /// * **Cold** — anything else: read the whole window.
+    /// * **Hit** — stamp unchanged: the kept window, no store read.
+    /// * **Stale** — only the watermark advanced: one read of the minutes
+    ///   after the kept ones that lie in the window ([`slide_from`])
+    ///   slides every column ([`TrainingWindow::slide`]).
+    /// * **Cold** — anything else, a failed slide included (other fit
+    ///   jobs, other instances, a read error; the window records why):
+    ///   a read of the whole window.
     ///
-    /// All three return bit for bit what a from-scratch read returns,
-    /// with the model cache's caveat: a sample written at or below the
-    /// watermark after it was read stays invisible until the entry goes
-    /// cold. The Stale read never starts before the window
-    /// ([`slide_from`]).
+    /// All three give, point for point, what a read of the whole window
+    /// gives, with one caveat: a sample written at or below the watermark
+    /// after it was read stays invisible until the window goes cold.
     ///
-    /// Returned with the stamp the window was read under, which is what
-    /// anything derived from it (a fitted forecaster) is stamped with.
-    fn source_window(&self, topology: &str) -> Result<(DataStamp, Arc<Vec<DataPoint>>)> {
+    /// Returned with the stamp it is kept under, which is what anything
+    /// derived from it is stamped with.
+    fn training_window(&self, topology: &str) -> Result<(DataStamp, Arc<KeptWindow>)> {
         let now = self.data_stamp(topology)?;
-        if let Some((Freshness::Hit, points)) = self.histories.read(topology, &now, Arc::clone) {
+        if let Some((Freshness::Hit, kept)) = self.windows.read(topology, &now, Arc::clone) {
             self.history_hits.inc();
-            return Ok((now, points));
+            return Ok((now, kept));
         }
-        let stale = self
-            .histories
-            .take(topology)
-            .filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale);
+        let stale = self.windows.take(topology);
+        let spec = self.tracker.logical_spec(topology)?;
+        let jobs = fit_jobs(&spec, &TopologyDag::new(&spec)?);
         let (from, to) = (self.window_start(now.watermark), now.watermark);
-        let spouts = self.spouts(topology)?;
-        let metrics = self.metrics.as_ref();
-        let points = match stale {
-            Some((stamp, mut points)) => {
-                self.history_tail_reads.inc();
-                let history = Arc::make_mut(&mut points);
-                let read_to = stamp.watermark;
-                slide_source_history(metrics, topology, &spouts, history, read_to, from, to)?;
-                points
-            }
-            None => {
-                self.history_full_reads.inc();
-                Arc::new(source_history(metrics, topology, &spouts, from, to)?)
-            }
+        let bolts = || {
+            jobs.iter()
+                .map(|(name, _, up, _)| (name.as_str(), up.as_slice()))
         };
-        self.histories
-            .put(topology.to_string(), now, Arc::clone(&points));
-        Ok((now, points))
+        let read = |read_from| {
+            let read = FitWindow::read(self.metrics.as_ref(), topology, &spec, read_from, to)?;
+            Ok::<_, CoreError>(TrainingWindow::assemble(&read, bolts()))
+        };
+        let mut fallback = None;
+        if let Some((stamp, mut kept)) =
+            stale.filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale)
+        {
+            let slid = if kept.jobs != jobs {
+                Err(CoreError::Unknown(format!(
+                    "the fit jobs of {topology:?} changed under an unchanged plan version"
+                )))
+            } else {
+                // In place: nothing else holds the window unless a caller
+                // is still fitting over the previous stamp's.
+                let entry = Arc::make_mut(&mut kept);
+                (entry.slid, entry.fallback) = (true, None);
+                read(slide_from(stamp.watermark, from))
+                    .and_then(|delta| entry.window.slide(delta, from))
+            };
+            match slid {
+                Ok(()) => {
+                    self.history_tail_reads.inc();
+                    self.windows
+                        .put(topology.to_string(), now, Arc::clone(&kept));
+                    return Ok((now, kept));
+                }
+                Err(why) => fallback = Some(why.to_string()),
+            }
+        }
+        self.history_full_reads.inc();
+        let window = read(from)?;
+        let kept = Arc::new(KeptWindow {
+            jobs,
+            window,
+            slid: false,
+            fallback,
+        });
+        self.windows
+            .put(topology.to_string(), now, Arc::clone(&kept));
+        Ok((now, kept))
     }
 
     /// How source-history reads were served so far.
@@ -628,47 +666,32 @@ impl Caladrius {
                 .map(|name| self.forecast_traffic_per_spout(topology, name))
                 .collect();
         }
-        let (stamp, history) = self.source_window(topology)?;
-        let horizon = self.horizon_after(&history);
+        // A Hit serves the stored forecast without touching the window;
+        // anything else fits a fresh forecaster over the window's source
+        // column, which is what a fresh service fits, bit for bit.
+        let now = self.data_stamp(topology)?;
+        let mut window = None;
         names
             .iter()
-            .map(|name| self.forecast_cached(topology, name, stamp, &history, &horizon))
-            .collect()
-    }
-
-    /// Forecasts through the per-(topology, model) forecaster cache.
-    /// `history` was read under `now`, and so `now` is what the fitted
-    /// forecaster is stamped with: reading the store's stamp again here
-    /// could stamp a forecaster newer than its data.
-    ///
-    /// * **Hit** — the history has not moved: the cached forecaster
-    ///   predicts, untouched, so repeated forecasts stay deterministic
-    ///   (which is what lets a plan-cache Hit skip forecasting).
-    /// * Anything else: a fresh forecaster is fitted on `history`, the
-    ///   training window — what a fresh service fits, bit for bit.
-    fn forecast_cached(
-        &self,
-        topology: &str,
-        name: &str,
-        now: DataStamp,
-        history: &[DataPoint],
-        horizon: &[i64],
-    ) -> Result<TrafficForecast> {
-        let key = (topology.to_string(), name.to_string());
-        // Taken out, so the predict runs outside the lock.
-        if let Some((stamp, model)) = self.forecasters.take(&key) {
-            if stamp.freshness(&now) == Freshness::Hit {
-                if let Ok(points) = model.predict(horizon) {
-                    self.forecasters.put(key, now, model);
-                    return TrafficForecast::from_points(name, points);
+            .map(|name| {
+                let key = (topology.to_string(), name.clone());
+                if let Some((Freshness::Hit, forecast)) =
+                    self.forecasts.read(&key, &now, Clone::clone)
+                {
+                    return Ok(forecast);
                 }
-            }
-        }
-        let mut model = self.traffic.create(name)?;
-        model.fit(history)?;
-        let points = model.predict(horizon)?;
-        self.forecasters.put(key, now, model);
-        TrafficForecast::from_points(name, points)
+                let (stamp, kept) = match &window {
+                    Some(kept) => Clone::clone(kept),
+                    None => window.insert(self.training_window(topology)?).clone(),
+                };
+                let history = kept.source(topology)?;
+                let forecast =
+                    self.traffic
+                        .forecast(name, history, &self.horizon_after(history))?;
+                self.forecasts.put(key, stamp, forecast.clone());
+                Ok(forecast)
+            })
+            .collect()
     }
 
     fn horizon_after(&self, history: &[DataPoint]) -> Vec<i64> {
@@ -740,71 +763,34 @@ impl Caladrius {
         })
     }
 
-    /// Fits the full topology throughput model from the training window.
+    /// The topology throughput model fitted over the training window
+    /// ([`Caladrius::fitted_models`]).
     pub fn fit_topology_model(&self, topology: &str) -> Result<TopologyModel> {
-        let (_, to) = self.window(topology)?;
-        Ok(Arc::unwrap_or_clone(
-            self.refit(topology, None, to)?.topology_model,
-        ))
+        Ok(Arc::unwrap_or_clone(self.fitted_models(topology)?.0))
     }
 
     /// Fits a CPU model per bolt from the training window. Bolts whose
     /// observations cannot support a fit (no data, or no input-rate
     /// variance to regress on) are skipped rather than failing the whole
-    /// report.
+    /// report ([`Caladrius::fitted_models`]).
     pub fn fit_cpu_models(&self, topology: &str) -> Result<HashMap<String, CpuModel>> {
-        let (_, to) = self.window(topology)?;
-        Ok(Arc::unwrap_or_clone(
-            self.refit(topology, None, to)?.cpu_models,
-        ))
+        Ok(Arc::unwrap_or_clone(self.fitted_models(topology)?.1))
     }
 
-    /// The fit: slides the training window to the one ending at `to` and
-    /// fits every model over the whole of it.
-    ///
-    /// Given a kept entry and the watermark it was fitted to, this is the
-    /// Stale path: it reads only the minutes after that watermark that
-    /// lie in the window ([`slide_from`]) and slides the entry's window
-    /// ([`TrainingWindow::slide`]). Given nothing, it is the cold fit: it
-    /// reads the whole window into an empty one. Either way the models
-    /// are fitted over the same observations in the same order, so a
-    /// model served off a chain of slides is the from-scratch model over
-    /// the window, bit for bit. One [`FitWindow`] feeds the throughput
-    /// and the CPU observations, so every series set is read once.
+    /// The fit: every model over the whole of `kept`'s window, counted as
+    /// `incremental_fits` when the window got to its stamp by a slide and
+    /// as `full_fits` when by a read of the whole window. Either way the
+    /// models are fitted over the same observations in the same order, so
+    /// a warm service's model is a fresh service's, bit for bit.
     ///
     /// A throughput model with nothing to fit from fails the fit
     /// ([`CoreError::NotEnoughObservations`]); a CPU model in that state
     /// is skipped (no data, or no input-rate variance to regress on). A
     /// failed fit counts nothing.
-    fn refit(
-        &self,
-        topology: &str,
-        kept: Option<(i64, CachedModels)>,
-        to: i64,
-    ) -> Result<CachedModels> {
-        let spec = self.tracker.logical_spec(topology)?;
-        let jobs = fit_jobs(&spec, &TopologyDag::new(&spec)?);
-        let from = self.window_start(to);
-        let (mut window, read_from, fits_by_mode) = match kept {
-            None => (TrainingWindow::default(), from, &self.full_fits),
-            Some((fitted_to, entry)) if entry.jobs == jobs => (
-                entry.window,
-                slide_from(fitted_to, from),
-                &self.incremental_fits,
-            ),
-            // Topology drift the versions didn't catch.
-            Some(_) => {
-                return Err(CoreError::Unknown(format!(
-                    "the fit jobs of {topology:?} changed under an unchanged plan version"
-                )))
-            }
-        };
-        let read = FitWindow::read(self.metrics.as_ref(), topology, &spec, read_from, to)?;
-
+    fn fit(&self, topology: &str, kept: &KeptWindow) -> Result<FittedModels> {
         let mut models = HashMap::new();
         let mut cpu_models = HashMap::new();
-        for (name, parallelism, upstreams, grouping) in &jobs {
-            let bolt = window.slide(name, &read, upstreams, from)?;
+        for ((name, parallelism, _, grouping), bolt) in kept.jobs.iter().zip(kept.window.bolts()) {
             let model =
                 ComponentModel::fit(name, *parallelism, grouping.clone(), bolt.component())?;
             match CpuModel::fit(bolt.cpu()) {
@@ -817,75 +803,42 @@ impl Caladrius {
             models.insert(name.clone(), model);
         }
         let fits = (models.len() + cpu_models.len()) as u64;
+        let spec = self.tracker.logical_spec(topology)?;
         let topology_model = Arc::new(TopologyModel::new(spec, models)?);
         self.model_fits.add(fits);
-        fits_by_mode.add(fits);
-        Ok(CachedModels {
-            jobs,
-            window,
-            topology_model,
-            cpu_models: Arc::new(cpu_models),
-        })
+        if kept.slid {
+            self.incremental_fits.add(fits);
+        } else {
+            self.full_fits.add(fits);
+        }
+        Ok((topology_model, Arc::new(cpu_models)))
     }
 
-    /// Fitted models for `topology`, served from the stamp-keyed cache.
-    /// Three states ([`DataStamp::freshness`]):
-    ///
-    /// * **Hit** — stamp unchanged: the cached models are returned
-    ///   as-is.
-    /// * **Stale** — only the watermark advanced: the entry's training
-    ///   window slides over the new minutes and the models are refitted
-    ///   over it. Counted as a cache miss plus `incremental_fits`.
-    /// * **Cold** — anything else, a Stale fit that failed included (the
-    ///   `core.fit` span then says why, as `fallback`): the same fit over
-    ///   an empty window, counted as a cache miss plus `full_fits`.
-    ///
-    /// Both fit paths give the model a fresh service would fit, bit for
-    /// bit.
+    /// Fitted models for `topology`: a Hit serves the models fitted under
+    /// the store's current stamp without touching the training window;
+    /// anything else is a cache miss and the fit (`Caladrius::fit`)
+    /// over the window (`Caladrius::training_window`), stamped with the
+    /// window's stamp. The `core.fit` span says how the window got there
+    /// (`mode`: `incremental` or `full`) and, when a slide failed, why
+    /// (`fallback`).
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
         let now = self.data_stamp(topology)?;
-        let watermark = now.watermark;
-        let fitted = |entry: &CachedModels| {
-            (
-                Arc::clone(&entry.topology_model),
-                Arc::clone(&entry.cpu_models),
-            )
-        };
-        if let Some((Freshness::Hit, models)) = self.models.read(topology, &now, fitted) {
+        if let Some((Freshness::Hit, models)) = self.models.read(topology, &now, Clone::clone) {
             self.cache_hits.inc();
             return Ok(models);
         }
-        let stale = self
-            .models
-            .take(topology)
-            .filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale);
         self.cache_misses.inc();
         let mut span = caladrius_obs::global_span("core.fit");
         span.field("topology", topology);
         let fit_started = Instant::now();
-        // Anything unexpected in the slide (topology drift the versions
-        // didn't catch, provider errors, a model that cannot be fitted)
-        // falls back to the cold fit rather than serving a dubious model.
-        let slid = stale.and_then(|(stamp, entry)| {
-            self.refit(topology, Some((stamp.watermark, entry)), watermark)
-                .inspect_err(|why| {
-                    span.field("fallback", why);
-                })
-                .ok()
-        });
-        let entry = match slid {
-            Some(updated) => {
-                span.field("mode", "incremental");
-                updated
-            }
-            None => {
-                span.field("mode", "full");
-                self.refit(topology, None, watermark)?
-            }
-        };
+        let (stamp, kept) = self.training_window(topology)?;
+        span.field("mode", if kept.slid { "incremental" } else { "full" });
+        if let Some(why) = &kept.fallback {
+            span.field("fallback", why);
+        }
+        let models = self.fit(topology, &kept)?;
         self.fit_duration.record_duration(fit_started.elapsed());
-        let models = fitted(&entry);
-        self.models.put(topology.to_string(), now, entry);
+        self.models.put(topology.to_string(), stamp, models.clone());
         Ok(models)
     }
 
@@ -962,11 +915,9 @@ impl Caladrius {
     /// the service. Cached plan timelines for the same scope are dropped
     /// too: they were searched against the dropped models.
     pub fn invalidate_model_cache(&self, topology: Option<&str>) {
+        self.windows.forget(topology, |name| name);
         self.models.forget(topology, |name| name);
-        // The cached source history and the forecasters fitted on it read
-        // the same provider: drop them too.
-        self.histories.forget(topology, |name| name);
-        self.forecasters.forget(topology, |(name, _)| name);
+        self.forecasts.forget(topology, |(name, _)| name);
         self.plans.forget(topology, |(name, _)| name);
     }
 
@@ -985,7 +936,8 @@ impl Caladrius {
                 Ok((*rate, None))
             }
             SourceRateSpec::Current => {
-                let (_, history) = self.source_window(topology)?;
+                let (_, kept) = self.training_window(topology)?;
+                let history = kept.source(topology)?;
                 let recent: Vec<f64> = history.iter().rev().take(5).map(|p| p.y).collect();
                 Ok((recent.iter().sum::<f64>() / recent.len() as f64, None))
             }
@@ -1294,9 +1246,11 @@ impl Caladrius {
         match prediction.kind {
             PredictionKind::Traffic => {
                 let spouts = self.spouts(topology).ok()?;
-                let history =
-                    source_history(self.metrics.as_ref(), topology, &spouts, from, to).ok()?;
-                peak(history)
+                let offered = spouts.iter().map(|spout| {
+                    let metric = heron_sim::metrics::metric::SOURCE_OFFERED;
+                    self.metrics.series_set(topology, spout, metric, from, to)
+                });
+                peak(offered_load(&offered.collect::<Result<Vec<_>>>().ok()?))
             }
             PredictionKind::Throughput => {
                 let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
@@ -2215,21 +2169,34 @@ mod tests {
         }
     }
 
-    /// A fit reads every series set once, and a Stale fit only the
-    /// minutes after the kept ones that lie in the window: never the
-    /// window again, and after a gap longer than the window never a
-    /// minute before it.
+    /// A fit reads every series set once, spout source-offered included,
+    /// and a Stale fit only the minutes after the kept ones that lie in
+    /// the window: never the window again, and after a gap longer than
+    /// the window never a minute before it. In a new minute, whichever of
+    /// a forecast and a fit asks first slides the one kept window; the
+    /// other reads nothing.
     #[test]
     fn a_fit_reads_every_series_set_once() {
-        use heron_sim::metrics::metric::{BACKPRESSURE_TIME, CPU_LOAD, EMIT_COUNT, EXECUTE_COUNT};
+        use heron_sim::metrics::metric::{
+            BACKPRESSURE_TIME, CPU_LOAD, EMIT_COUNT, EXECUTE_COUNT, SOURCE_OFFERED,
+        };
         let (caladrius, provider, metrics) = ProbedProvider::service();
-        let mut once = BTreeMap::from([(("spout".to_string(), EMIT_COUNT.to_string()), 1)]);
+        let mut once = BTreeMap::new();
+        for metric_name in [EMIT_COUNT, SOURCE_OFFERED] {
+            once.insert(("spout".to_string(), metric_name.to_string()), 1);
+        }
         for bolt in ["splitter", "counter"] {
             for metric_name in [EXECUTE_COUNT, EMIT_COUNT, BACKPRESSURE_TIME, CPU_LOAD] {
                 once.insert((bolt.to_string(), metric_name.to_string()), 1);
             }
         }
-        assert_eq!(once.len(), 9);
+        assert_eq!(once.len(), 10);
+        let forecast = || {
+            let model = ["stats_summary".to_string()];
+            caladrius
+                .forecast_traffic("wordcount", Some(&model))
+                .unwrap()
+        };
 
         caladrius.fitted_models("wordcount").unwrap();
         assert_eq!(*provider.reads.lock(), once, "cold fit");
@@ -2257,8 +2224,21 @@ mod tests {
             sim.run_minutes_into(1, &metrics);
             provider.reads.lock().clear();
             provider.froms.lock().clear();
+            let forecast_first = round % 2 == 1;
+            if forecast_first {
+                forecast();
+                assert_eq!(*provider.reads.lock(), once, "forecast, round {round}");
+                provider.reads.lock().clear();
+            }
             let served = caladrius.fitted_models("wordcount").unwrap();
-            assert_eq!(*provider.reads.lock(), once, "stale fit, round {round}");
+            if forecast_first {
+                assert!(provider.reads.lock().is_empty(), "fit, round {round}");
+            } else {
+                assert_eq!(*provider.reads.lock(), once, "stale fit, round {round}");
+                provider.reads.lock().clear();
+                forecast();
+                assert!(provider.reads.lock().is_empty(), "forecast, round {round}");
+            }
             // Both throughput models and the CPU lines the slid window
             // supports: what a fresh service fits.
             fitted += 2 + served.1.len() as u64;
@@ -2368,6 +2348,52 @@ mod tests {
         let spans = caladrius_obs::tracer().recent_filtered(usize::MAX, Some(cold_span));
         let fit = spans.iter().find(|s| s.name == "core.fit").unwrap();
         assert!(fit.fields.iter().all(|(k, _)| k != "fallback"));
+    }
+
+    /// A hostile offered load in the newest minute (NaN, ±inf, a negative
+    /// count) is no load: the source history leaves that minute out, so
+    /// `Current` answers the mean of the last five valid minutes and every
+    /// forecast what-if a positive rate.
+    #[test]
+    fn hostile_source_rates_are_left_out_of_the_source_history() {
+        use heron_sim::metrics::metric::SOURCE_OFFERED;
+        const RATE: f64 = 8.0e6;
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0e9] {
+            let metrics = heron_sim::metrics::SimMetrics::new("wordcount");
+            let quiet = SimConfig {
+                metric_noise: 0.0,
+                ..SimConfig::default()
+            };
+            let topology = wordcount_topology(PARALLELISM, RATE);
+            let mut sim = Simulation::new(topology.clone(), quiet).unwrap();
+            sim.run_minutes_into(60, &metrics);
+            let newest = metrics.db().watermark().unwrap();
+            metrics.record_instance(SOURCE_OFFERED, "spout", 0, 0, newest + 60_000, hostile);
+            let caladrius = Caladrius::new(
+                Arc::new(SimMetricsProvider::new(metrics)),
+                Arc::new(StaticTracker::new().with(topology)),
+            );
+
+            let history = caladrius.source_history("wordcount").unwrap();
+            assert_eq!(history.last().unwrap().ts, newest, "{hostile}");
+            let recent = history.iter().rev().take(5).map(|p| p.y);
+            let mean = recent.sum::<f64>() / 5.0;
+            assert!((mean - RATE).abs() < 1.0, "{mean}");
+            let current = caladrius
+                .evaluate("wordcount", &HashMap::new(), &SourceRateSpec::Current)
+                .unwrap();
+            assert_eq!(current.source_rate.to_bits(), mean.to_bits(), "{hostile}");
+            for model in ["prophet", "stats_summary", "ar"] {
+                let source = SourceRateSpec::Forecast {
+                    model: Some(model.to_string()),
+                    conservative: false,
+                };
+                let report = caladrius
+                    .evaluate("wordcount", &HashMap::new(), &source)
+                    .unwrap();
+                assert!(report.source_rate > 0.0, "{model} at {hostile}");
+            }
+        }
     }
 
     #[test]

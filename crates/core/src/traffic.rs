@@ -51,9 +51,7 @@ impl TrafficForecast {
     }
 }
 
-/// Factory signature: a fresh, unfitted forecaster. The produced
-/// forecaster is `Send` so fitted instances can live in the service's
-/// forecaster cache across watermark advances.
+/// Factory signature: a fresh, unfitted forecaster.
 type ForecasterFactory = Box<dyn Fn() -> Box<dyn Forecaster + Send> + Send + Sync>;
 
 /// Name-keyed registry of traffic models.
@@ -125,11 +123,7 @@ impl TrafficModelRegistry {
         history: &[DataPoint],
         horizon: &[i64],
     ) -> Result<TrafficForecast> {
-        let factory = self
-            .factories
-            .get(name)
-            .ok_or_else(|| CoreError::UnknownModel(name.to_string()))?;
-        let mut model = factory();
+        let mut model = self.create(name)?;
         model.fit(history)?;
         let points = model.predict(horizon)?;
         TrafficForecast::from_points(name, points)

@@ -1,16 +1,18 @@
 //! Sliding == batch over the window, for everything a long-lived service
 //! keeps per topology.
 //!
-//! A long-lived service keeps each topology's source-rate window and its
-//! models' training window, and slides both forward with tail reads.
-//! Over random schedules of appends, gaps, truncations, retention passes,
+//! A long-lived service keeps one training window per topology — the
+//! source column and every bolt's observations — and slides it forward
+//! with tail reads; its models and forecasts are derived from it. Over
+//! random schedules of appends, gaps, truncations, retention passes,
 //! spout rescales and explicit invalidations, after **every** step its
 //! `source_history`, its fitted models and its forecasts must equal —
 //! bit for bit, or the same error — what a service created that instant
-//! reads and fits from scratch over the same window, and the read
+//! reads and fits from scratch over the same window, and the window
 //! counters must show the path the version stamp dictates: a full read
 //! exactly where the stamp says Cold, a tail read where only the
-//! watermark advanced, nothing otherwise.
+//! watermark advanced, a hit otherwise — and a model or forecast already
+//! derived under the current stamp does not touch the window at all.
 //!
 //! A tail read is the range read from just after the last watermark (or
 //! from the window's start, if that is later) to the watermark; a
@@ -53,7 +55,8 @@ const MODELS: [&str; 3] = ["prophet", "ar", "stats_summary"];
 enum Step {
     /// Append this many contiguous minutes.
     Append(i64),
-    /// Append one minute whose first instance of each bolt reports this
+    /// Append one minute whose first spout instance reports this offered
+    /// load and whose first instance of each bolt reports it as its
     /// execute count and CPU load.
     Hostile(f64),
     /// Skip this many minutes, then append one.
@@ -174,12 +177,16 @@ impl Harness {
     /// per bolt instance its execute count, emit count, backpressure
     /// time and CPU load. The load cycles through a 17-minute ramp that
     /// backpressures the splitter at its top; `hostile` replaces the
-    /// execute count and CPU load of each bolt's instance 0.
+    /// offered load of spout instance 0 and the execute count and CPU
+    /// load of each bolt's instance 0.
     fn append_minute(&mut self, hostile: Option<f64>) {
         let ts = self.next_minute * MINUTE;
         let load = 1000.0 * (1.0 + (self.next_minute % 17) as f64);
         for instance in 0..self.spouts {
-            let value = (self.next_minute as f64 * 1000.0 + 0.1) / (f64::from(instance) + 3.0);
+            let mut value = (self.next_minute as f64 * 1000.0 + 0.1) / (f64::from(instance) + 3.0);
+            if let (0, Some(hostile)) = (instance, hostile) {
+                value = hostile;
+            }
             let record = |name, value| {
                 self.metrics
                     .record_instance(name, "spout", instance, 0, ts, value)
@@ -305,7 +312,7 @@ fn forecast_bits(caladrius: &Caladrius, model: &str) -> Result<Vec<[u64; 4]>, Co
 
 /// Replays `steps`, checking the warm service against a fresh one after
 /// each — the history, the fitted models and the `forecasters`' forecasts
-/// — and returns how the warm service's history reads were served, and
+/// — and returns how the warm service's window accesses were served, and
 /// what each step's fit gave (the fit's error, if any).
 fn run(
     mut harness: Harness,
@@ -314,14 +321,19 @@ fn run(
 ) -> (SourceHistoryReads, Vec<Option<CoreError>>) {
     harness.append(45);
     let warm = harness.service();
-    // The stamp of the entry the warm service holds, if any.
+    // The stamps the warm service keeps its window, its models and each
+    // forecaster's forecast under, if any.
     let mut cached = None;
+    let mut models_at = None;
+    let mut forecasts_at = vec![None; forecasters.len()];
     let mut expected = SourceHistoryReads::default();
     let mut fits = Vec::new();
     for step in std::iter::once(&Step::Read).chain(steps) {
         harness.apply(step, &warm);
         if matches!(step, Step::Invalidate) {
             cached = None;
+            models_at = None;
+            forecasts_at.fill(None);
         }
         let now = harness.stamp();
         let fresh = harness.service();
@@ -335,7 +347,8 @@ fn run(
             (Err(_), Err(_)) => {}
             _ => panic!("after {step:?}: served {served:?} but fresh {fresh_history:?}"),
         }
-        // The path the stamp dictates, re-derived independently.
+        // The path the stamp dictates, re-derived independently. With
+        // data in the store the window is kept, usable minutes or not.
         if let Some(now) = now {
             match cached {
                 Some(entry) if entry == now => expected.hit += 1,
@@ -346,29 +359,31 @@ fn run(
                 }
                 _ => expected.full += 1,
             }
-            // A failed read leaves no entry behind.
-            cached = served.is_ok().then_some(now);
+            cached = Some(now);
         }
         assert_eq!(warm.source_history_reads(), expected, "after {step:?}");
 
+        // Models and forecasts: a Hit under the stamp they were derived
+        // at, or a fit over the window just kept (a window hit). A failed
+        // fit keeps nothing.
         let fit = fitted_bits(&warm);
         assert_eq!(fit, fitted_bits(&fresh), "models after {step:?}");
+        if now.is_some() && models_at != now {
+            expected.hit += 1;
+        }
+        models_at = now.filter(|_| fit.is_ok());
         fits.push(fit.err());
-        for model in forecasters {
+        for (model, at) in forecasters.iter().zip(&mut forecasts_at) {
             let served = forecast_bits(&warm, model);
             assert_eq!(
                 served,
                 forecast_bits(&fresh, model),
                 "{model} after {step:?}"
             );
-            // Each forecast reads the history again: the entry just
-            // stored, or — none stored — the failing full read again.
-            if now.is_some() {
-                match cached {
-                    Some(_) => expected.hit += 1,
-                    None => expected.full += 1,
-                }
+            if now.is_some() && *at != now {
+                expected.hit += 1;
             }
+            *at = now.filter(|_| served.is_ok());
         }
         assert_eq!(warm.source_history_reads(), expected, "after {step:?}");
     }
@@ -408,13 +423,19 @@ fn every_cold_event_costs_exactly_one_full_read() {
         Step::Append(1),
     ];
     for sharded in [false, true] {
-        let (reads, _) = run(Harness::new(sharded), &steps, &[]);
+        let (reads, fits) = run(Harness::new(sharded), &steps, &[]);
         // Cold: the first read, truncate, retain, rescale, invalidate.
         // A shard-mate's truncation is not this topology's: a Hit on
-        // either provider (the generation is per topology).
+        // either provider (the generation is per topology), as is the
+        // plain read. Every other step slides the window.
+        let accesses = steps.len() as u64 + 1;
         assert_eq!(reads.full, 5, "{reads:?}");
-        assert_eq!(reads.hit, 2, "{reads:?}");
-        assert_eq!(reads.tail, steps.len() as u64 + 1 - reads.full - reads.hit);
+        assert_eq!(reads.tail, accesses - reads.full - 2);
+        // The history's two hits, plus one for the fit of every step
+        // whose models were not already held under its stamp: all but
+        // those two steps, each fit having succeeded.
+        assert!(fits.iter().all(Option::is_none), "{fits:?}");
+        assert_eq!(reads.hit, 2 + (accesses - 2), "{reads:?}");
     }
 }
 
@@ -501,8 +522,10 @@ impl Reader {
         assert_eq!(models.full_fits, self.cold_fits, "{what}: refitted in full");
         assert!(models.incremental_fits >= 2 * (self.reads - 1), "{what}");
         assert_eq!(models.fits, models.full_fits + models.incremental_fits);
+        // The history reads or slides the window; the fit after it finds
+        // the window kept under the stamp.
         let history_reads = SourceHistoryReads {
-            hit: 0,
+            hit: self.reads,
             tail: self.reads - 1,
             full: 1,
         };

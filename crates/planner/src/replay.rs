@@ -259,6 +259,11 @@ mod tests {
         assert_eq!(ok.len(), 1);
         assert!(ok[0].low_risk, "healthy plan backpressured: {:?}", ok[0]);
         assert!(ok[0].sink_rate > 0.0);
+        assert!(
+            ok[0].closed_form_ticks > 0,
+            "the steady healthy window must advance in closed form: {:?}",
+            ok[0]
+        );
         let bad = replay_timeline(&base, &starved, &cfg).unwrap();
         assert!(
             !bad[0].low_risk,

@@ -19,10 +19,9 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 
 # core has one cache protocol (freshness::StampedCache); the plan cache's
 # own version compare and its fingerprint confirm step went in PR 20.
-# core has one fit (Caladrius::refit: a cold fit is the Stale fit over
-# an empty training window) fed by one windowed provider read
-# (series_set); the cold-only fit bodies and the two old trait reads went
-# in PR 21.
+# core has one fit (Caladrius::fit, over the kept training window) fed
+# by one windowed provider read (series_set); the cold-only fit bodies
+# and the two old trait reads went in PR 21.
 # The request path has no timer on it: the accept thread blocks in
 # `accept` (the 5 ms non-blocking poll went in PR 22), and the saturation
 # search leaves its loop at the interval's floating-point fixed point
@@ -165,6 +164,19 @@ fi
 if grep -rnE 'reanchor|fitted_from|UpdateOutcome|CachedForecaster|GapStats' crates src tests examples; then
     exit 1
 fi
+# One kept window per topology: the source history is the training
+# window's source column, slid with it, and models and forecasts are a
+# Hit or a fit over that window. The separate history slide, the
+# uncalled plan validation and registry run-all are gone, and core's
+# service decides Stale in one place (its window accessor).
+if grep -rnE 'slide_source_history|validate_plan|PlanValidation|fn run_all' crates src tests examples; then
+    exit 1
+fi
+stale="$(sed '/#\[cfg(test)\]/,$d' crates/core/src/service.rs | grep -c 'Freshness::Stale' || true)"
+if [ "$stale" != 1 ]; then
+    echo "crates/core/src/service.rs: $stale Freshness::Stale comparisons outside tests, want 1"
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release
@@ -229,19 +241,21 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner
 
 # Sliding == batch over the window: the forecast package's proptests
 # hold a forecaster refitted as its window slides equal to a fresh fit;
-# the core service suite carries the model cache. There is one fit path
-# (a cold fit is the Stale fit over an empty training window), so a warm
-# model equals a fresh service's by construction; the suite still pins
-# it bit for bit (CPU lines included), the truncation/retention
-# full-refit regressions, the Stale -> Cold fallback, and that a fit,
-# cold or Stale, reads each (component, metric) series set exactly once
-# and never before the window. Single-threaded so the read fan-out
-# cannot mask ordering dependencies in the compensated sums. The source
-# history slides the same way: its proptest holds the kept window, the
-# models and the forecasts bitwise equal to a from-scratch service's
-# over random append/gap/hostile-sample/truncate/rescale schedules (core
-# and fleet providers), and forecast_equivalence holds a warm service
-# equal to a fresh one at every minute of three windows.
+# the core service suite carries the kept window. Every model and
+# forecast is the batch fit over one training window per topology, read
+# whole or slid, so a warm model equals a fresh service's by
+# construction; the suite still pins it bit for bit (CPU lines
+# included), the truncation/retention full-read regressions, the failed
+# slide -> full read fallback, and that the first of a fit and a
+# forecast in a minute reads each (component, metric) series set exactly
+# once (spout source-offered included), the second nothing, and never a
+# minute before the window. Single-threaded so the read fan-out cannot
+# mask ordering dependencies in the compensated sums. Its proptest holds
+# the source history, the models and the forecasts bitwise equal to a
+# from-scratch service's over random append/gap/hostile-sample/truncate/
+# rescale schedules (core and fleet providers), and forecast_equivalence
+# holds a warm service equal to a fresh one at every minute of three
+# windows.
 echo "==> CALADRIUS_THREADS=1 sliding-window equivalence"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test prop_sliding
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib

@@ -9,8 +9,8 @@
 //! so `to_bits` equality holds for every model's forecast points and the
 //! plan's window rates alike.
 //!
-//! The read counter shows the history was read from the store in full
-//! once, and after that only ever one new minute at a time. Over three
+//! The window counter shows the training window was read from the store
+//! in full once, and after that only ever one new minute at a time. Over three
 //! windows of live minutes the fitted models hold to the same bar: every
 //! parameter, CPU lines included, equals a fresh service's at every
 //! minute, and no full fit runs after the first.
@@ -134,9 +134,10 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
         );
     }
 
-    // Per minute: a what-if per model and a plan ask for the history; the
-    // first of them reads the new minute, the others are served from
-    // memory.
+    // Per minute: the first what-if's fit slides the window by the new
+    // minute, and each what-if's forecast is fitted over the window kept
+    // (a hit); the plan's models and forecast were derived under the same
+    // stamp already and do not touch the window.
     let minutes = u64::from(LIVE_MINUTES);
     assert_eq!(
         warm.source_history_reads(),

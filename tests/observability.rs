@@ -110,8 +110,9 @@ fn metrics_service_covers_every_instrumented_layer() {
     assert!(final_poll.get("queued_ms").unwrap().as_f64().unwrap() > 0.0);
     assert!(final_poll.get("duration_ms").unwrap().as_f64().unwrap() >= 0.0);
 
-    // A forecast what-if, twice: the source history is read from the
-    // store once and served from memory after that.
+    // A forecast what-if, twice: the first forecast is fitted over the
+    // training window the first evaluation's fit read (a window hit),
+    // the second is the stored forecast.
     for _ in 0..2 {
         let (status, body) = client
             .post(
@@ -167,7 +168,7 @@ fn metrics_service_covers_every_instrumented_layer() {
     assert!(scrape_sum(&text, &["caladrius_model_fits_full_total"]).unwrap() >= 1.0);
     assert!(scrape_sum(&text, &["caladrius_model_fits_incremental_total"]).is_some());
     assert!(scrape_sum(&text, &["caladrius_evaluate_duration_seconds_count"]).unwrap() >= 2.0);
-    // Every source-history read is counted by the path that served it.
+    // Every training-window access is counted by the path that served it.
     let history_reads =
         |path: &str| scrape_sum(&text, &["caladrius_source_history_reads_total", path]);
     assert!(history_reads("path=\"full\"").unwrap() >= 1.0);
