@@ -1270,6 +1270,20 @@ mod tests {
         assert_eq!(r.status, 400);
     }
 
+    /// A what-if walks every proposed instance: one component above
+    /// [`caladrius_planner::MAX_PARALLELISM`] is refused before any work.
+    #[test]
+    fn evaluation_parallelism_is_bounded() {
+        let s = service();
+        let with =
+            |p: u32| format!(r#"{{"parallelism": {{"splitter": {p}}}, "source_rate": 1e7}}"#);
+        let bound = caladrius_planner::MAX_PARALLELISM;
+        let r = post(&s, "/model/topology/heron/wordcount", &with(bound + 1));
+        assert_eq!(r.status, 400);
+        let r = post(&s, "/model/topology/heron/wordcount", &with(bound));
+        assert_eq!(r.status, 200);
+    }
+
     #[test]
     fn async_evaluation_and_polling() {
         let s = service();
@@ -1411,6 +1425,16 @@ mod tests {
         assert_eq!(
             post(&s, "/topology/wordcount/plan", r#"{"window_minutes": 2.5}"#).status,
             400
+        );
+        let bound = caladrius_planner::MAX_PARALLELISM;
+        let with = |p: u32| format!(r#"{{"max_parallelism": {p}}}"#);
+        assert_eq!(
+            post(&s, "/topology/wordcount/plan", &with(bound + 1)).status,
+            400
+        );
+        assert_eq!(
+            post(&s, "/topology/wordcount/plan", &with(bound)).status,
+            202
         );
         assert_eq!(get(&s, "/topology/wordcount/plan").status, 405);
         // An unknown topology surfaces as a failed job, not a routing

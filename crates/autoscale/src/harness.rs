@@ -114,10 +114,10 @@ fn retarget(topology: &Topology, rate_per_min: f64) -> Topology {
     use heron_sim::topology::ComponentKind;
     let mut topo = topology.clone();
     let spouts = topo.spout_indices();
-    let per_spout = rate_per_min / spouts.len() as f64;
+    let spout_share = rate_per_min / spouts.len() as f64;
     for idx in spouts {
         if let ComponentKind::Spout { profile, .. } = &mut topo.components[idx].kind {
-            *profile = RateProfile::constant_per_min(per_spout);
+            *profile = RateProfile::constant_per_min(spout_share);
         }
     }
     topo

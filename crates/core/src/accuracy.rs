@@ -90,7 +90,7 @@ pub fn absolute_percentage_error(predicted: f64, realized: f64) -> f64 {
 ///
 /// The monitor itself is provider-agnostic — the owning service drains
 /// due predictions with [`AccuracyMonitor::take_due`], computes the
-/// realized value from its metrics provider, and feeds the result back
+/// realized value from its kept training window, and feeds the result back
 /// through [`AccuracyMonitor::score`] (or
 /// [`AccuracyMonitor::drop_unrealizable`] when the window can no longer
 /// be reconstructed).
@@ -275,7 +275,8 @@ impl AccuracyMonitor {
     }
 
     /// Marks a drained prediction as unscoreable (e.g. the window's data
-    /// was truncated before scoring).
+    /// was truncated before scoring, or it starts before the service's
+    /// kept training window does).
     pub fn drop_unrealizable(&self, _prediction: &PendingPrediction) {
         self.dropped.inc();
     }

@@ -195,9 +195,6 @@ pub struct CaladriusConfig {
     pub source_window_minutes: u32,
     /// Forecast horizon (minutes).
     pub forecast_horizon_minutes: u32,
-    /// Whether to model each spout instance separately (slower, more
-    /// accurate — paper §IV-A) or the topology source as a whole.
-    pub per_spout_models: bool,
     /// Bound on cached capacity-plan timelines
     /// ([`crate::service::Caladrius::plan_capacity`]); least-recently-used
     /// entries are evicted past it, and 0 disables the cache.
@@ -215,7 +212,6 @@ impl Default for CaladriusConfig {
             ],
             source_window_minutes: 240,
             forecast_horizon_minutes: 60,
-            per_spout_models: false,
             plan_cache_capacity: 4096,
         }
     }
@@ -264,12 +260,6 @@ impl CaladriusConfig {
             config.forecast_horizon_minutes = v as u32;
         }
         if let Some(v) = root
-            .get("traffic.per_spout_models")
-            .and_then(|v| v.as_bool())
-        {
-            config.per_spout_models = v;
-        }
-        if let Some(v) = root
             .get("planner.plan_cache_capacity")
             .and_then(Value::as_i64)
         {
@@ -296,7 +286,6 @@ traffic:
     - stats_summary
   source_window_minutes: 120
   forecast_horizon_minutes: 30
-  per_spout_models: true
 performance:
   models:
     - topology_throughput
@@ -367,7 +356,6 @@ flags:
         assert_eq!(c.performance_models, vec!["topology_throughput"]);
         assert_eq!(c.source_window_minutes, 120);
         assert_eq!(c.forecast_horizon_minutes, 30);
-        assert!(c.per_spout_models);
     }
 
     #[test]

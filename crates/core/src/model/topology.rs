@@ -334,9 +334,9 @@ impl<'a> Walk<'a> {
         #[cfg(test)]
         DAG_WALKS.set(DAG_WALKS.get() + 1);
         let topology = self.topology;
-        let per_spout = source_rate / topology.spouts.len() as f64;
+        let spout_share = source_rate / topology.spouts.len() as f64;
         for (arriving, node) in self.arriving.iter_mut().zip(&topology.order) {
-            *arriving = if node.spout { per_spout } else { 0.0 };
+            *arriving = if node.spout { spout_share } else { 0.0 };
         }
         let mut sink_output = 0.0;
         for (k, node) in topology.order.iter().enumerate() {

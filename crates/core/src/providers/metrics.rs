@@ -144,9 +144,8 @@ impl MetricsProvider for SimMetricsProvider {
 /// Everything one training window is assembled from: each
 /// `(component, metric)` series set of `[from, to]` exactly once — per
 /// bolt execute-count, emit-count, backpressure-time and cpu-load, per
-/// spout source-offered and, when it feeds a bolt, emit-count. A read of
-/// the whole window or of the minutes after a kept one; it does not know
-/// which.
+/// spout source-offered and emit-count. A read of the whole window or of
+/// the minutes after a kept one; it does not know which.
 ///
 /// A window without samples assembles to no observations, which is what
 /// a slide sees when no new minute has landed; whether that is an error
@@ -154,6 +153,8 @@ impl MetricsProvider for SimMetricsProvider {
 pub(crate) struct FitWindow<'a> {
     /// `((component, metric), what was read)`: a handful, searched.
     sets: Vec<((&'a str, &'static str), SeriesSet)>,
+    /// The components without outgoing edges, in declaration order.
+    sinks: Vec<&'a str>,
 }
 
 /// What a component that was not read assembles from.
@@ -173,6 +174,7 @@ impl<'a> FitWindow<'a> {
         to: i64,
     ) -> Result<Self> {
         let mut reads: Vec<(&'a str, &'static str)> = Vec::new();
+        let mut sinks = Vec::new();
         for (name, _) in &spec.components {
             if spec.edges.iter().any(|(_, to_c, _)| to_c == name) {
                 let bolt = [
@@ -183,10 +185,11 @@ impl<'a> FitWindow<'a> {
                 ];
                 reads.extend(bolt.map(|m| (name.as_str(), m)));
             } else {
-                reads.push((name.as_str(), metric::SOURCE_OFFERED));
-                if spec.edges.iter().any(|(from_c, _, _)| from_c == name) {
-                    reads.push((name.as_str(), metric::EMIT_COUNT));
-                }
+                let spout = [metric::SOURCE_OFFERED, metric::EMIT_COUNT];
+                reads.extend(spout.map(|m| (name.as_str(), m)));
+            }
+            if !spec.edges.iter().any(|(from_c, _, _)| from_c == name) {
+                sinks.push(name.as_str());
             }
         }
         let sets = caladrius_exec::shared_pool("fit").parallel_try_map(
@@ -204,6 +207,7 @@ impl<'a> FitWindow<'a> {
         )?;
         Ok(Self {
             sets: reads.into_iter().zip(sets).collect(),
+            sinks,
         })
     }
 
@@ -223,6 +227,15 @@ impl<'a> FitWindow<'a> {
             sets.filter(|((_, m), _)| *m == metric::SOURCE_OFFERED)
                 .map(|(_, set)| set),
         )
+    }
+
+    /// The sink column: the sinks' emit counts summed per minute, in
+    /// declaration order ([`add_minutes`]). Every minute stays, whatever
+    /// its value: what the topology emitted is scored as recorded.
+    fn sink_minutes(&self) -> Vec<DataPoint> {
+        let emitted = |sink| &self.set(sink, metric::EMIT_COUNT).combined;
+        let sinks = self.sinks.iter();
+        sinks.fold(Vec::new(), |sum, sink| add_minutes(sum, emitted(sink)))
     }
 
     /// Assembles per-minute [`ComponentObservation`]s for one component.
@@ -342,9 +355,11 @@ impl<'a> FitWindow<'a> {
 pub(crate) type PerInstance<T> = (u32, VecDeque<(i64, T)>);
 
 /// The training window every model and forecast of a topology is fitted
-/// over, kept between fits: the source column (the offered load summed
-/// over spouts per minute, [`offered_load`]) and per bolt what
-/// [`FitWindow`] assembled of it, every observation with its minute.
+/// over and every accuracy claim is scored against, kept between fits:
+/// the source column (the offered load summed over spouts per minute,
+/// [`offered_load`]), the sink column (the sinks' emit counts summed per
+/// minute) and per bolt what [`FitWindow`] assembled of it, every
+/// observation with its minute.
 ///
 /// A slide drops the minutes that left the window and appends what a
 /// read of the minutes after the kept ones assembled. Every point and
@@ -360,6 +375,8 @@ pub(crate) struct TrainingWindow {
     bolts: Vec<BoltWindow>,
     /// One point per usable minute, oldest first.
     source: Vec<DataPoint>,
+    /// One point per minute any sink emitted in, oldest first.
+    sink: Vec<DataPoint>,
 }
 
 /// One bolt's share of a [`TrainingWindow`].
@@ -388,8 +405,8 @@ impl BoltWindow {
 }
 
 impl TrainingWindow {
-    /// What `read` assembles: the source column and, for each of `bolts`
-    /// with its upstreams, its observations.
+    /// What `read` assembles: the source and sink columns and, for each
+    /// of `bolts` with its upstreams, its observations.
     pub(crate) fn assemble<'j>(
         read: &FitWindow<'_>,
         bolts: impl IntoIterator<Item = (&'j str, &'j [(String, f64)])>,
@@ -401,6 +418,7 @@ impl TrainingWindow {
         Self {
             bolts: bolts.collect(),
             source: read.source_minutes(),
+            sink: read.sink_minutes(),
         }
     }
 
@@ -412,6 +430,11 @@ impl TrainingWindow {
     /// The source column, oldest first.
     pub(crate) fn source(&self) -> &[DataPoint] {
         &self.source
+    }
+
+    /// The sink column, oldest first.
+    pub(crate) fn sink(&self) -> &[DataPoint] {
+        &self.sink
     }
 
     /// Slides the window to start at minute `from` and appends `delta`,
@@ -429,9 +452,14 @@ impl TrainingWindow {
                 "a bolt's instances changed under the kept training window".into(),
             ));
         }
-        let expired = self.source.partition_point(|p| p.ts < from);
-        self.source.drain(..expired);
-        self.source.extend(delta.source);
+        for (kept, new) in [
+            (&mut self.source, delta.source),
+            (&mut self.sink, delta.sink),
+        ] {
+            let expired = kept.partition_point(|p| p.ts < from);
+            kept.drain(..expired);
+            kept.extend(new);
+        }
         for (kept, new) in self.bolts.iter_mut().zip(delta.bolts) {
             drop_before(&mut kept.component, from);
             kept.component.extend(new.component);
@@ -486,7 +514,7 @@ impl<'s> Column<'s> {
 /// and adds the spouts that recorded it in that order. A minute whose sum
 /// is not a finite, non-negative rate is left out, as a minute without a
 /// sample is: a stored NaN or a negative count is no load to forecast.
-pub(crate) fn offered_load<'s>(spouts: impl IntoIterator<Item = &'s SeriesSet>) -> Vec<DataPoint> {
+fn offered_load<'s>(spouts: impl IntoIterator<Item = &'s SeriesSet>) -> Vec<DataPoint> {
     let mut sum = Vec::new();
     for offered in spouts {
         sum = add_minutes(sum, &offered.combined);
@@ -782,6 +810,9 @@ mod tests {
             let expected = whole.source_minutes();
             assert_eq!(history_bits(slid.source()), history_bits(&expected));
             assert!(!expected.is_empty(), "source to {to}");
+            let expected = whole.sink_minutes();
+            assert_eq!(history_bits(slid.sink()), history_bits(&expected));
+            assert!(!expected.is_empty(), "sink to {to}");
             for ((bolt, upstream), slid) in upstreams.iter().zip(slid.bolts()) {
                 let expected = whole.component_observations(bolt, upstream);
                 assert_eq!(
@@ -816,6 +847,7 @@ mod tests {
         let refused = kept.slide(TrainingWindow::assemble(&read, bolts()), from);
         assert!(matches!(refused, Err(CoreError::Unknown(_))));
         assert_eq!(history_bits(kept.source()), history_bits(before.source()));
+        assert_eq!(history_bits(kept.sink()), history_bits(before.sink()));
         for (kept, before) in kept.bolts().iter().zip(before.bolts()) {
             assert_eq!(
                 component_bits(&kept.component),
@@ -836,6 +868,7 @@ mod tests {
         let upstream = [("spout".to_string(), 1.0)];
         assert!(delta.component_observations("bolt", &upstream).is_empty());
         assert!(delta.source_minutes().is_empty());
+        assert!(delta.sink_minutes().is_empty());
         let bolts = || [("bolt", upstream.as_slice())];
         let whole = FitWindow::read(&provider, "t", &spec, 0, newest).unwrap();
         let mut window = TrainingWindow::assemble(&whole, bolts());
@@ -845,6 +878,7 @@ mod tests {
             .unwrap();
         assert_eq!(history_bits(window.source()), history_bits(read.source()));
         assert_eq!(window.source().len(), 10);
+        assert_eq!(history_bits(window.sink()), history_bits(read.sink()));
         assert_eq!(
             component_bits(&window.bolts()[0].component),
             component_bits(&read.bolts()[0].component)
@@ -1018,6 +1052,17 @@ mod tests {
                 .map(|(ts, y)| DataPoint::new(ts, y))
                 .collect())
         }
+
+        pub(super) fn sink_minutes(window: &FitWindow<'_>, sinks: &[&str]) -> Vec<DataPoint> {
+            let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+            for sink in sinks {
+                for s in &window.set(sink, metric::EMIT_COUNT).combined {
+                    *by_ts.entry(s.ts).or_insert(0.0) += s.value;
+                }
+            }
+            let minutes = by_ts.into_iter();
+            minutes.map(|(ts, y)| DataPoint::new(ts, y)).collect()
+        }
     }
 
     fn component_bits(observations: &VecDeque<(i64, ComponentObservation)>) -> Vec<Vec<u64>> {
@@ -1092,6 +1137,13 @@ mod tests {
             let actual = offered_load(&offered.collect::<Vec<_>>());
             let expected = reference::source_history(&provider, &topology, spouts, from, to);
             assert_eq!(history_bits(&actual), history_bits(&expected.unwrap()));
+            let dag = caladrius_graph::topology_graph::TopologyDag::new(spec).unwrap();
+            let sinks: Vec<&str> = dag.sinks().iter().map(|&v| dag.name(v)).collect();
+            let expected = reference::sink_minutes(&window, &sinks);
+            assert_eq!(
+                history_bits(&window.sink_minutes()),
+                history_bits(&expected)
+            );
         }
         (backpressured, cpu)
     }

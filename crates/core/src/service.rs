@@ -12,9 +12,7 @@ use crate::model::component::{ComponentModel, GroupingKind};
 use crate::model::cpu::CpuModel;
 use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction};
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
-use crate::providers::metrics::{
-    offered_load, slide_from, FitWindow, MetricsProvider, TrainingWindow,
-};
+use crate::providers::metrics::{slide_from, FitWindow, MetricsProvider, TrainingWindow};
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
 use caladrius_forecast::DataPoint;
@@ -139,7 +137,8 @@ pub struct SourceHistoryReads {
 
 /// One topology's training window, kept under the [`DataStamp`] it was
 /// read or slid to, with the fit jobs it was assembled for and how it got
-/// there. Models and forecasts are derived from it.
+/// there. Models and forecasts are derived from it, and accuracy claims
+/// scored against it.
 #[derive(Clone)]
 struct KeptWindow {
     jobs: Vec<FitJob>,
@@ -517,31 +516,6 @@ impl Caladrius {
         to - i64::from(self.config.source_window_minutes - 1) * 60_000
     }
 
-    /// The training window `[from, to]` ending at the newest recorded
-    /// minute.
-    fn window(&self, topology: &str) -> Result<(i64, i64)> {
-        let to = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        Ok((self.window_start(to), to))
-    }
-
-    /// The DAG of `topology`'s current spec.
-    fn dag(&self, topology: &str) -> Result<TopologyDag> {
-        Ok(TopologyDag::new(&self.tracker.logical_spec(topology)?)?)
-    }
-
-    /// Spout component names of a topology.
-    fn spouts(&self, topology: &str) -> Result<Vec<String>> {
-        let dag = self.dag(topology)?;
-        Ok(dag
-            .spouts()
-            .iter()
-            .map(|&v| dag.name(v).to_string())
-            .collect())
-    }
-
     /// The versions of `topology`'s data and plan right now.
     fn data_stamp(&self, topology: &str) -> Result<DataStamp> {
         Ok(DataStamp {
@@ -647,10 +621,6 @@ impl Caladrius {
 
     /// Forecasts future source throughput with the named models (or the
     /// configured defaults), over the configured horizon.
-    ///
-    /// With `per_spout_models` enabled in the config, a separate model is
-    /// fitted per spout instance and the forecasts are summed — the
-    /// paper's "slower but more accurate" option (§IV-A).
     pub fn forecast_traffic(
         &self,
         topology: &str,
@@ -660,12 +630,6 @@ impl Caladrius {
             Some(names) => names.to_vec(),
             None => self.config.traffic_models.clone(),
         };
-        if self.config.per_spout_models {
-            return names
-                .iter()
-                .map(|name| self.forecast_traffic_per_spout(topology, name))
-                .collect();
-        }
         // A Hit serves the stored forecast without touching the window;
         // anything else fits a fresh forecaster over the window's source
         // column, which is what a fresh service fits, bit for bit.
@@ -699,68 +663,6 @@ impl Caladrius {
         (1..=i64::from(self.config.forecast_horizon_minutes))
             .map(|m| last + m * 60_000)
             .collect()
-    }
-
-    /// Fits one model of `model_name` per spout instance and sums the
-    /// forecasts to the topology level. Interval bounds are summed too,
-    /// which is conservative (it assumes per-spout errors are perfectly
-    /// correlated).
-    pub fn forecast_traffic_per_spout(
-        &self,
-        topology: &str,
-        model_name: &str,
-    ) -> Result<TrafficForecast> {
-        use caladrius_forecast::ForecastPoint;
-        use heron_sim::metrics::metric;
-        let (from, to) = self.window(topology)?;
-        let mut combined: BTreeMap<i64, ForecastPoint> = BTreeMap::new();
-        let mut fitted_any = false;
-        for spout in self.spouts(topology)? {
-            let offered =
-                self.metrics
-                    .series_set(topology, &spout, metric::SOURCE_OFFERED, from, to)?;
-            for (_, series) in offered.per_instance {
-                let history: Vec<DataPoint> = series
-                    .iter()
-                    .map(|s| DataPoint::new(s.ts, s.value))
-                    .collect();
-                if history.is_empty() {
-                    continue;
-                }
-                let horizon = self.horizon_after(&history);
-                let forecast = self.traffic.forecast(model_name, &history, &horizon)?;
-                fitted_any = true;
-                for p in forecast.points {
-                    let entry = combined.entry(p.ts).or_insert(ForecastPoint {
-                        ts: p.ts,
-                        yhat: 0.0,
-                        lower: 0.0,
-                        upper: 0.0,
-                    });
-                    entry.yhat += p.yhat;
-                    entry.lower += p.lower;
-                    entry.upper += p.upper;
-                }
-            }
-        }
-        if !fitted_any {
-            return Err(CoreError::NotEnoughObservations {
-                what: format!("per-spout source history for {topology:?}"),
-                needed: 1,
-                got: 0,
-            });
-        }
-        let points: Vec<ForecastPoint> = combined.into_values().collect();
-        let mean = points.iter().map(|p| p.yhat).sum::<f64>() / points.len() as f64;
-        let peak = points.iter().map(|p| p.yhat).fold(f64::MIN, f64::max);
-        let peak_upper = points.iter().map(|p| p.upper).fold(f64::MIN, f64::max);
-        Ok(TrafficForecast {
-            model: format!("{model_name} (per-spout)"),
-            points,
-            mean,
-            peak,
-            peak_upper,
-        })
     }
 
     /// The topology throughput model fitted over the training window
@@ -964,13 +866,23 @@ impl Caladrius {
     /// (or reuse cached fits while the data watermark and packing plan
     /// are unchanged), resolve the source rate, run every configured
     /// performance model, classify backpressure risk and predict CPU
-    /// loads.
+    /// loads. A proposal of more than [`caladrius_planner::MAX_PARALLELISM`]
+    /// instances of a component is an [`CoreError::InvalidRequest`].
     pub fn evaluate(
         &self,
         topology: &str,
         proposed_parallelisms: &HashMap<String, u32>,
         source: &SourceRateSpec,
     ) -> Result<EvaluationReport> {
+        use caladrius_planner::MAX_PARALLELISM;
+        let too_wide = proposed_parallelisms
+            .iter()
+            .find(|(_, p)| **p > MAX_PARALLELISM);
+        if let Some((name, p)) = too_wide {
+            return Err(CoreError::InvalidRequest(format!(
+                "parallelism of {name:?} is {p}, above the bound of {MAX_PARALLELISM}"
+            )));
+        }
         self.score_pending();
         let mut span = caladrius_obs::global_span("core.evaluate");
         span.field("topology", topology);
@@ -1193,16 +1105,6 @@ impl Caladrius {
         Ok(timeline)
     }
 
-    /// Sink component names of a topology (no outgoing edges).
-    fn sinks(&self, topology: &str) -> Result<Vec<String>> {
-        let dag = self.dag(topology)?;
-        Ok(dag
-            .sinks()
-            .iter()
-            .map(|&v| dag.name(v).to_string())
-            .collect())
-    }
-
     /// Scores every pending forecast-accuracy prediction whose window
     /// has closed (the metrics watermark passed its end), feeding APE
     /// histograms per (topology, model, kind). Runs automatically at the
@@ -1226,57 +1128,24 @@ impl Caladrius {
         scored
     }
 
-    /// What actually happened over a prediction's window: the realized
-    /// peak of the predicted quantity, or `None` when the window's data
-    /// is gone (truncated) or never materialised.
+    /// What actually happened over a prediction's window: the peak over
+    /// the minutes in `[window_start, window_end)` of the kept training
+    /// window's source column (a traffic claim) or sink column (a
+    /// throughput claim). `None` when the prediction's window starts
+    /// before the training window does (its first minutes are no longer
+    /// kept) or holds no minute of the column.
     fn realize(&self, prediction: &PendingPrediction) -> Option<f64> {
-        let topology = &prediction.topology;
-        // Window ends are exclusive: the sample at `window_end` belongs
-        // to the next window.
-        let from = prediction.window_start;
-        let to = prediction.window_end - 1;
-        let peak = |series: Vec<DataPoint>| {
-            series
-                .iter()
-                .map(|p| p.y)
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                })
-        };
-        match prediction.kind {
-            PredictionKind::Traffic => {
-                let spouts = self.spouts(topology).ok()?;
-                let offered = spouts.iter().map(|spout| {
-                    let metric = heron_sim::metrics::metric::SOURCE_OFFERED;
-                    self.metrics.series_set(topology, spout, metric, from, to)
-                });
-                peak(offered_load(&offered.collect::<Result<Vec<_>>>().ok()?))
-            }
-            PredictionKind::Throughput => {
-                let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
-                for sink in self.sinks(topology).ok()? {
-                    let emitted = self
-                        .metrics
-                        .series_set(
-                            topology,
-                            &sink,
-                            heron_sim::metrics::metric::EMIT_COUNT,
-                            from,
-                            to,
-                        )
-                        .ok()?;
-                    for s in emitted.combined {
-                        *by_ts.entry(s.ts).or_insert(0.0) += s.value;
-                    }
-                }
-                peak(
-                    by_ts
-                        .into_iter()
-                        .map(|(ts, y)| DataPoint::new(ts, y))
-                        .collect(),
-                )
-            }
+        let (stamp, kept) = self.training_window(&prediction.topology).ok()?;
+        if prediction.window_start < self.window_start(stamp.watermark) {
+            return None;
         }
+        let column = match prediction.kind {
+            PredictionKind::Traffic => kept.window.source(),
+            PredictionKind::Throughput => kept.window.sink(),
+        };
+        let first = column.partition_point(|p| p.ts < prediction.window_start);
+        let end = column.partition_point(|p| p.ts < prediction.window_end);
+        column[first..end].iter().map(|p| p.y).reduce(f64::max)
     }
 
     /// Per-(topology, model, kind) forecast-accuracy summaries scored so
@@ -1670,62 +1539,6 @@ mod tests {
     }
 
     #[test]
-    fn per_spout_forecast_sums_instances() {
-        let caladrius = service();
-        let combined = caladrius
-            .forecast_traffic_per_spout("wordcount", "stats_summary")
-            .unwrap();
-        assert_eq!(combined.model, "stats_summary (per-spout)");
-        // 8 spout instances sharing the offered load: the per-spout sum
-        // must land near the whole-topology forecast.
-        let whole = caladrius
-            .forecast_traffic("wordcount", Some(&["stats_summary".to_string()]))
-            .unwrap()
-            .pop()
-            .unwrap();
-        assert!(
-            (combined.mean - whole.mean).abs() / whole.mean < 0.02,
-            "per-spout {} vs whole {}",
-            combined.mean,
-            whole.mean
-        );
-        assert!(combined.peak_upper >= combined.peak);
-    }
-
-    #[test]
-    fn per_spout_config_switches_forecast_path() {
-        let parallelism = WordCountParallelism {
-            spout: 8,
-            splitter: 2,
-            counter: 3,
-        };
-        let metrics = heron_sim::metrics::SimMetrics::new("wordcount");
-        let mut sim = Simulation::new(
-            wordcount_topology(parallelism, 8.0e6),
-            SimConfig {
-                metric_noise: 0.0,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        sim.run_minutes_into(30, &metrics);
-        let config = crate::config::CaladriusConfig {
-            per_spout_models: true,
-            ..crate::config::CaladriusConfig::default()
-        };
-        let caladrius = Caladrius::with_config(
-            Arc::new(SimMetricsProvider::new(metrics)),
-            Arc::new(StaticTracker::new().with(wordcount_topology(parallelism, 8.0e6))),
-            config,
-        );
-        let forecasts = caladrius
-            .forecast_traffic("wordcount", Some(&["stats_summary".to_string()]))
-            .unwrap();
-        assert_eq!(forecasts[0].model, "stats_summary (per-spout)");
-        assert!((forecasts[0].mean - 8.0e6).abs() / 8.0e6 < 0.01);
-    }
-
-    #[test]
     fn repeated_evaluate_serves_cached_models_without_refitting() {
         let caladrius = service();
         let source = SourceRateSpec::Fixed(30.0e6);
@@ -1972,6 +1785,203 @@ mod tests {
             && f.rows
                 .iter()
                 .any(|r| r.labels.iter().any(|(k, v)| k == "model" && v == "biased"))));
+    }
+
+    /// A spout feeding two sinks, `left` and `right`, neither near
+    /// saturation.
+    fn forked(rate: f64) -> heron_sim::topology::Topology {
+        use heron_sim::grouping::Grouping;
+        use heron_sim::profiles::RateProfile;
+        use heron_sim::topology::{TopologyBuilder, WorkProfile};
+        TopologyBuilder::new("forked")
+            .spout("spout", 4, RateProfile::constant_per_min(rate), 64)
+            .bolt("left", 2, WorkProfile::new(1.0e6, 1.0, 64))
+            .bolt("right", 3, WorkProfile::new(1.0e6, 0.5, 64))
+            .edge("spout", "left", Grouping::shuffle())
+            .edge("spout", "right", Grouping::shuffle())
+            .build()
+            .unwrap()
+    }
+
+    /// Forty contiguous minutes of [`forked`] at four offered rates, and
+    /// a simulation that carries on from the next minute at another.
+    fn forked_run() -> (heron_sim::metrics::SimMetrics, Simulation) {
+        let quiet = || SimConfig {
+            metric_noise: 0.0,
+            ..SimConfig::default()
+        };
+        let metrics = heron_sim::metrics::SimMetrics::new("forked");
+        for (leg, rate) in [1.0e6, 2.0e6, 3.0e6, 4.0e6].into_iter().enumerate() {
+            let mut sim = Simulation::new(forked(rate), quiet()).unwrap();
+            sim.skip_to_minute(leg as u64 * 10);
+            sim.warmup_minutes(30);
+            sim.run_minutes_into(10, &metrics);
+        }
+        let mut live = Simulation::new(forked(2.5e6), quiet()).unwrap();
+        live.skip_to_minute(40);
+        live.warmup_minutes(30);
+        (metrics, live)
+    }
+
+    fn forked_service(
+        metrics: &heron_sim::metrics::SimMetrics,
+        config: crate::config::CaladriusConfig,
+    ) -> Caladrius {
+        Caladrius::with_config(
+            Arc::new(SimMetricsProvider::new(metrics.clone())),
+            Arc::new(StaticTracker::new().with(forked(2.5e6))),
+            config,
+        )
+    }
+
+    /// Runs the next minute of `sim` into `metrics`, passing every sample
+    /// through `edit` on the way (`None` leaves it out).
+    fn ingest_minute(
+        sim: &mut Simulation,
+        metrics: &heron_sim::metrics::SimMetrics,
+        edit: impl Fn(&str, &caladrius_tsdb::SeriesKey, f64) -> Option<f64>,
+    ) {
+        let scratch = heron_sim::metrics::SimMetrics::new(metrics.topology());
+        sim.run_minutes_into(1, &scratch);
+        for name in scratch.db().metric_names() {
+            for (key, samples) in scratch.db().select(&name, &[], i64::MIN, i64::MAX).unwrap() {
+                let handle = metrics.db().register(&key);
+                for s in samples {
+                    if let Some(value) = edit(&name, &key, s.value) {
+                        metrics.db().append(&handle, s.ts, value);
+                    }
+                }
+            }
+        }
+    }
+
+    /// How a claim was realised by reading the store: over the claim's
+    /// window, per spout its offered load or per sink its emit count,
+    /// summed per minute in DAG order; a traffic minute whose sum is not
+    /// a finite, non-negative rate is left out. The reference the kept
+    /// window's columns are held to.
+    fn realize_from_store(caladrius: &Caladrius, claim: &PendingPrediction) -> Option<f64> {
+        use heron_sim::metrics::metric::{EMIT_COUNT, SOURCE_OFFERED};
+        let spec = caladrius.tracker.logical_spec(&claim.topology).ok()?;
+        let dag = TopologyDag::new(&spec).ok()?;
+        let (components, metric_name) = match claim.kind {
+            PredictionKind::Traffic => (dag.spouts(), SOURCE_OFFERED),
+            PredictionKind::Throughput => (dag.sinks(), EMIT_COUNT),
+        };
+        let (from, to) = (claim.window_start, claim.window_end - 1);
+        let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+        for &v in components {
+            let name = dag.name(v);
+            let set = caladrius
+                .metrics
+                .series_set(&claim.topology, name, metric_name, from, to);
+            for s in set.ok()?.combined {
+                *by_ts.entry(s.ts).or_insert(0.0) += s.value;
+            }
+        }
+        let usable =
+            |y: &f64| claim.kind == PredictionKind::Throughput || (y.is_finite() && *y >= 0.0);
+        by_ts.into_values().filter(usable).reduce(f64::max)
+    }
+
+    /// Every claim that falls due in a live run is realised from the kept
+    /// window exactly as reading the store over its window realises it,
+    /// bit for bit, with a NaN and a −1e9 offered load, a NaN emit count
+    /// and a minute one sink did not report among the minutes scored.
+    #[test]
+    fn claims_realised_from_the_kept_window_equal_the_store_reads() {
+        use heron_sim::metrics::metric::{EMIT_COUNT, EXECUTE_COUNT, SOURCE_OFFERED};
+        let (metrics, mut live) = forked_run();
+        let caladrius = forked_service(
+            &metrics,
+            crate::config::CaladriusConfig {
+                traffic_models: vec!["stats_summary".into()],
+                source_window_minutes: 120,
+                forecast_horizon_minutes: 20,
+                ..crate::config::CaladriusConfig::default()
+            },
+        );
+        let mut request = crate::capacity::CapacityPlanRequest::default();
+        request.planner.window_minutes = 5;
+        let forecast = SourceRateSpec::Forecast {
+            model: None,
+            conservative: false,
+        };
+        let first = |key: &caladrius_tsdb::SeriesKey, component: &str| {
+            key.tag("component") == Some(component) && key.tag("instance") == Some("0")
+        };
+        let mut realised: HashMap<PredictionKind, usize> = HashMap::new();
+        for minute in 0..32 {
+            ingest_minute(&mut live, &metrics, |name, key, value| match minute {
+                6 if name == SOURCE_OFFERED && first(key, "spout") => Some(f64::NAN),
+                // Without its execute count the minute is no observation
+                // of `left`, so the NaN reaches the sink column only.
+                6 if name == EMIT_COUNT && first(key, "left") => Some(f64::NAN),
+                6 if name == EXECUTE_COUNT && key.tag("component") == Some("left") => None,
+                9 if name == SOURCE_OFFERED && first(key, "spout") => Some(-1.0e9),
+                12 if name == EMIT_COUNT && key.tag("component") == Some("right") => None,
+                _ => Some(value),
+            });
+            let watermark = |topology: &str| caladrius.metrics.latest_minute(topology);
+            for claim in caladrius.accuracy.take_due(watermark) {
+                let served = caladrius.realize(&claim).map(f64::to_bits);
+                let read = realize_from_store(&caladrius, &claim).map(f64::to_bits);
+                assert_eq!(served, read, "live minute {minute}: {claim:?}");
+                assert!(served.is_some(), "live minute {minute}: {claim:?}");
+                *realised.entry(claim.kind).or_default() += 1;
+            }
+            caladrius
+                .evaluate("forked", &HashMap::new(), &forecast)
+                .unwrap();
+            caladrius.plan_capacity("forked", &request).unwrap();
+        }
+        assert!(realised[&PredictionKind::Traffic] > 0, "{realised:?}");
+        assert!(realised[&PredictionKind::Throughput] > 0, "{realised:?}");
+    }
+
+    /// A claim whose window starts before the kept training window's
+    /// first minute is dropped, not scored. With a 45-minute window and a
+    /// 60-minute horizon an evaluation's claims are, and a plan's
+    /// 15-minute windows are scored as each closes.
+    #[test]
+    fn a_claim_reaching_back_before_the_kept_window_is_dropped() {
+        let (metrics, mut live) = forked_run();
+        let caladrius = forked_service(
+            &metrics,
+            crate::config::CaladriusConfig {
+                traffic_models: vec!["stats_summary".into()],
+                source_window_minutes: 45,
+                ..crate::config::CaladriusConfig::default()
+            },
+        );
+        let forecast = SourceRateSpec::Forecast {
+            model: None,
+            conservative: false,
+        };
+        caladrius
+            .evaluate("forked", &HashMap::new(), &forecast)
+            .unwrap();
+        let request = crate::capacity::CapacityPlanRequest::default();
+        assert_eq!(request.planner.window_minutes, 15);
+        caladrius.plan_capacity("forked", &request).unwrap();
+        assert_eq!(caladrius.pending_predictions(), 2 + 4);
+        let dropped = caladrius_obs::global_registry().counter(
+            "caladrius_forecast_predictions_dropped_total",
+            &[("service", caladrius.scope.as_str())],
+        );
+        // Every claim starts at the first forecast minute, the one after
+        // the newest. The plan's windows are due once the 15th, 30th,
+        // 45th and 60th minute after it have landed, the evaluation's
+        // with the 60th, when the kept window starts 16 minutes after it.
+        for minute in 1..=61u64 {
+            ingest_minute(&mut live, &metrics, |_, _, value| Some(value));
+            caladrius.score_pending();
+            let scored = (minute - 1) / 15;
+            assert_eq!(caladrius.accuracy.scored_count(), scored, "minute {minute}");
+            let expected = if minute < 61 { 0 } else { 2 };
+            assert_eq!(dropped.get(), expected, "minute {minute}");
+        }
+        assert_eq!(caladrius.pending_predictions(), 0);
     }
 
     #[test]

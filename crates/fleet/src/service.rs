@@ -218,6 +218,17 @@ mod tests {
     }
 
     #[test]
+    fn plan_parallelism_is_bounded() {
+        let service = empty_service();
+        let bound = caladrius_planner::MAX_PARALLELISM;
+        let with = |p: u32| format!(r#"{{"max_parallelism": {p}}}"#);
+        let refused = service.handle(request("POST", "/fleet/plan", &with(bound + 1)));
+        assert_eq!(refused.status, 400);
+        let accepted = service.handle(request("POST", "/fleet/plan", &with(bound)));
+        assert_eq!(accepted.status, 202);
+    }
+
+    #[test]
     fn fleet_routes_dispatch() {
         let service = empty_service();
         let health = service.handle(request("GET", "/health", ""));

@@ -244,11 +244,11 @@ impl Topology {
         if spouts.is_empty() {
             return Err(SimError::InvalidTopology("topology has no spout".into()));
         }
-        let per_spout = rate_per_min / spouts.len() as f64;
+        let spout_share = rate_per_min / spouts.len() as f64;
         let mut out = self.clone();
         for idx in spouts {
             if let ComponentKind::Spout { profile, .. } = &mut out.components[idx].kind {
-                *profile = RateProfile::constant_per_min(per_spout);
+                *profile = RateProfile::constant_per_min(spout_share);
             }
         }
         Ok(out)

@@ -28,7 +28,7 @@ pub mod search;
 
 pub use plan::{
     PlanAction, PlanCost, PlanError, PlanTimeline, PlannerConfig, ResourceLimits, WindowPlan,
-    WindowSpec, UNLIMITED_CONTAINERS,
+    WindowSpec, MAX_PARALLELISM, UNLIMITED_CONTAINERS,
 };
 pub use replay::{replay_timeline, replay_timeline_with, ReplayConfig, WindowReplay};
 pub use search::{

@@ -70,6 +70,13 @@ pub struct ResourceLimits {
 /// Sentinel for [`ResourceLimits::max_containers`]: no container budget.
 pub const UNLIMITED_CONTAINERS: u32 = u32::MAX;
 
+/// The largest parallelism of one component that a plan may consider or
+/// a what-if may propose. A prediction walks every instance and a plan
+/// search probes [`ResourceLimits::max_parallelism`] first, so work and
+/// memory grow with the parallelism asked for: at `u32::MAX` one request
+/// would hold a worker for hours and then allocate gigabytes.
+pub const MAX_PARALLELISM: u32 = 65_536;
+
 impl Default for ResourceLimits {
     fn default() -> Self {
         // Instance defaults mirror `heron_sim::topology::Resources`;
@@ -112,6 +119,11 @@ impl ResourceLimits {
             return Err(PlanError::InvalidConfig(
                 "max_parallelism must be at least 1".into(),
             ));
+        }
+        if self.max_parallelism > MAX_PARALLELISM {
+            return Err(PlanError::InvalidConfig(format!(
+                "max_parallelism must be at most {MAX_PARALLELISM}"
+            )));
         }
         if self.max_containers == 0 {
             return Err(PlanError::InvalidConfig(
@@ -400,5 +412,17 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert!(ResourceLimits {
+            max_parallelism: MAX_PARALLELISM + 1,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ResourceLimits {
+            max_parallelism: MAX_PARALLELISM,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
     }
 }

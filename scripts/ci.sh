@@ -177,6 +177,16 @@ if [ "$stale" != 1 ]; then
     echo "crates/core/src/service.rs: $stale Freshness::Stale comparisons outside tests, want 1"
     exit 1
 fi
+# One read path per topology: accuracy claims are realised from the kept
+# window's source and sink columns, so core's service reads the store
+# only through that window, never a series set of its own. The per-spout
+# forecast path (and its config key) is gone: it read around the window.
+if grep -rn 'per_spout' crates src tests examples; then
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/service.rs | grep -n 'series_set('; then
+    exit 1
+fi
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release
