@@ -198,17 +198,17 @@ fn parse_evaluation_body(body: &str) -> Result<(HashMap<String, u32>, SourceRate
     } else {
         json::parse(body).map_err(|e| e.to_string())?
     };
+    // Bounded here, not only in `Caladrius::evaluate`, so an async
+    // what-if above the bound is a 400 before any job exists.
+    let bound = caladrius_planner::MAX_PARALLELISM;
     let mut parallelisms = HashMap::new();
     if let Some(map) = value.get("parallelism").and_then(Value::as_object) {
         for (k, v) in map {
             let p = v
                 .as_f64()
-                .filter(|p| (0.0..=f64::from(u32::MAX)).contains(p) && p.fract() == 0.0)
+                .filter(|p| (0.0..=f64::from(bound)).contains(p) && p.fract() == 0.0)
                 .ok_or_else(|| {
-                    format!(
-                        "parallelism of {k:?} must be a whole number up to {}",
-                        u32::MAX
-                    )
+                    format!("parallelism of {k:?} must be a whole number up to {bound}")
                 })?;
             parallelisms.insert(k.clone(), p as u32);
         }
@@ -1282,6 +1282,22 @@ mod tests {
         assert_eq!(r.status, 400);
         let r = post(&s, "/model/topology/heron/wordcount", &with(bound));
         assert_eq!(r.status, 200);
+        // Async: refused before a job exists, not accepted and failed.
+        let jobs = s.jobs().len();
+        let r = post(
+            &s,
+            "/model/topology/heron/wordcount?async=true",
+            &with(bound + 1),
+        );
+        assert_eq!(r.status, 400);
+        assert_eq!(s.jobs().len(), jobs, "a refused what-if queued a job");
+        let r = post(
+            &s,
+            "/model/topology/heron/wordcount?async=true",
+            &with(bound),
+        );
+        assert_eq!(r.status, 202);
+        assert_eq!(s.jobs().len(), jobs + 1);
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl AccuracyMonitor {
     ///
     /// Besides the APE histogram, every score feeds the per-model
     /// `forecast-ape:<model>` SLO objective — a prediction is good when
-    /// its error stays within [`APE_SLO_THRESHOLD`] — so model drift
+    /// its error stays within `APE_SLO_THRESHOLD` (25 %) — so model drift
     /// shows up on `/slo/status` as burn rate, not just as a histogram
     /// someone has to go look at.
     pub fn score(&self, prediction: &PendingPrediction, realized: f64) {

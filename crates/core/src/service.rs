@@ -251,6 +251,18 @@ fn instances_on(c: usize, first: usize, count: usize, containers: usize) -> usiz
     count / containers + usize::from(offset < count % containers)
 }
 
+/// `Err(InvalidRequest)` when `p` instances of `component` exceed
+/// [`caladrius_planner::MAX_PARALLELISM`].
+fn within_parallelism_bound(component: &str, p: u32) -> Result<()> {
+    use caladrius_planner::MAX_PARALLELISM;
+    if p > MAX_PARALLELISM {
+        return Err(CoreError::InvalidRequest(format!(
+            "parallelism of {component:?} is {p}, above the bound of {MAX_PARALLELISM}"
+        )));
+    }
+    Ok(())
+}
+
 /// What [`Caladrius::fitted_models`] hands out: the fitted topology model
 /// and the per-component CPU models, shared with the cache.
 pub type FittedModels = (Arc<TopologyModel>, Arc<HashMap<String, CpuModel>>);
@@ -874,14 +886,8 @@ impl Caladrius {
         proposed_parallelisms: &HashMap<String, u32>,
         source: &SourceRateSpec,
     ) -> Result<EvaluationReport> {
-        use caladrius_planner::MAX_PARALLELISM;
-        let too_wide = proposed_parallelisms
-            .iter()
-            .find(|(_, p)| **p > MAX_PARALLELISM);
-        if let Some((name, p)) = too_wide {
-            return Err(CoreError::InvalidRequest(format!(
-                "parallelism of {name:?} is {p}, above the bound of {MAX_PARALLELISM}"
-            )));
+        for (name, &p) in proposed_parallelisms {
+            within_parallelism_bound(name, p)?;
         }
         self.score_pending();
         let mut span = caladrius_obs::global_span("core.evaluate");
@@ -964,7 +970,9 @@ impl Caladrius {
     /// Preemptive-scaling helper: finds the smallest parallelism for
     /// `component` (all else unchanged) that keeps backpressure risk low
     /// at `source_rate`, up to `max_parallelism`. Returns `None` when no
-    /// parallelism in range suffices.
+    /// parallelism in range suffices. A `max_parallelism` above
+    /// [`caladrius_planner::MAX_PARALLELISM`] is an
+    /// [`CoreError::InvalidRequest`].
     ///
     /// Raising a component's parallelism weakly raises the topology
     /// saturation point, so "risk is Low at parallelism p" is a
@@ -977,6 +985,7 @@ impl Caladrius {
         source_rate: f64,
         max_parallelism: u32,
     ) -> Result<Option<u32>> {
+        within_parallelism_bound(component, max_parallelism)?;
         let (model, _) = self.fitted_models(topology)?;
         let mut failure: Option<CoreError> = None;
         let found = caladrius_planner::min_satisfying(1, max_parallelism, |p| {
@@ -1350,6 +1359,29 @@ mod tests {
             .recommend_parallelism("wordcount", "splitter", 1.0e12, 4)
             .unwrap();
         assert_eq!(p, None);
+    }
+
+    #[test]
+    fn parallelism_above_the_bound_is_an_invalid_request() {
+        use caladrius_planner::MAX_PARALLELISM;
+        let caladrius = service();
+        let proposal = |p| HashMap::from([("splitter".to_string(), p)]);
+        let fixed = SourceRateSpec::Fixed(30.0e6);
+        assert!(matches!(
+            caladrius.evaluate("wordcount", &proposal(MAX_PARALLELISM + 1), &fixed),
+            Err(CoreError::InvalidRequest(_))
+        ));
+        assert!(caladrius
+            .evaluate("wordcount", &proposal(MAX_PARALLELISM), &fixed)
+            .is_ok());
+        assert!(matches!(
+            caladrius.recommend_parallelism("wordcount", "splitter", 30.0e6, MAX_PARALLELISM + 1),
+            Err(CoreError::InvalidRequest(_))
+        ));
+        let p = caladrius
+            .recommend_parallelism("wordcount", "splitter", 30.0e6, MAX_PARALLELISM)
+            .unwrap();
+        assert_eq!(p, Some(3));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! The hot loop is a struct-of-arrays kernel: every per-instance constant
 //! (capacity, selectivity, fail rate, gateway overhead, container, CPU
 //! cores) lives in a parallel `Vec` built once in [`Simulation::new`]
-//! ([`InstanceTable`]), routing fan-out is a flat CSR edge table
-//! ([`EdgeTable`]), and mutable queue state is split from the per-minute
-//! accumulators ([`LiveState`] vs [`MinuteAccum`]) so a tick touches only
+//! (`InstanceTable`), routing fan-out is a flat CSR edge table
+//! (`EdgeTable`), and mutable queue state is split from the per-minute
+//! accumulators (`LiveState` vs `MinuteAccum`) so a tick touches only
 //! contiguous arrays and a minute flush reads the accumulators in place.
 //! `tick()` performs **zero heap allocations**: backpressure attribution
 //! reuses a scratch buffer, and the per-component spout offer is staged in
@@ -36,7 +36,7 @@
 //! spout profile (constant, stepped, ramping, diurnal): the sorted list
 //! of the minute's rate-profile breakpoint ticks, each shifted by every
 //! pipeline delay so per-instance flows stay linear between them. The
-//! fluid model ([`crate::fluid`]) is built from the same instance,
+//! fluid model (`crate::fluid`) is built from the same instance,
 //! component and edge tables the tick reads, and advances two regimes in
 //! closed form:
 //!
@@ -76,9 +76,10 @@ use crate::packing::{PackingAlgorithm, PackingPlan};
 use crate::profiles::hash64;
 use crate::topology::{ComponentKind, Topology};
 use caladrius_obs::{Counter, Histogram};
+use caladrius_tsdb::series::DEFAULT_CHUNK_SIZE;
 use caladrius_tsdb::{MetricsDb, Sample, SeriesHandle};
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// After a failed event-mode entry probe (live state does not yet match
@@ -187,22 +188,60 @@ fn sim_counters() -> &'static SimCounters {
     })
 }
 
-/// Pre-resolved sink state for one `(simulation, SimMetrics)` pairing:
-/// one `(series handle, value column)` pair per series the flush writes,
-/// laid out in flush order, and one minute-timestamp column they all
-/// share. Registered once at the top of a run so the steady-state flush
-/// path never touches the catalog — and buffered for the whole run so
-/// the flush path never touches a lock either: each minute appends one
-/// timestamp and one `f64` per column, and the run commits every column
-/// with a single [`caladrius_tsdb::MetricsDb::append_series`] call per
-/// series. Stored samples are identical (same series ids, same
-/// timestamps, same order) to per-minute ingestion; only the lock
-/// traffic moves out of the hot loop. Each series keeps its own column:
-/// one run-long frame of every series would be a single allocation large
-/// enough to raise the allocator's mmap threshold for the whole process.
+/// Pre-resolved sink state for one `(simulation, SimMetrics)` pairing.
+/// Registered once at the top of a run, so the steady-state flush path
+/// never touches the catalog or a lock.
+///
+/// A simulated minute is one row of `block`: per instance, in
+/// `register_sink` order, execute, emit, CPU, backpressure and, for
+/// spouts, offered load — one value per entry of `handles`. The block
+/// holds at most [`DEFAULT_CHUNK_SIZE`] minutes. It is sealed when full
+/// and at the end of a run: each series' values are gathered in one
+/// strided pass into the reused `samples` buffer and committed with one
+/// [`MetricsDb::append_series`] call. The stored chunks are
+/// byte-identical to per-minute ingestion, by
+/// [`caladrius_tsdb::Series::extend_from_slice`]'s contract.
 struct SinkHandles {
+    handles: Vec<SeriesHandle>,
+    /// The block's minute timestamps, one per row.
     minutes: Vec<i64>,
-    columns: Vec<(SeriesHandle, Vec<f64>)>,
+    /// Row-major: `minutes.len()` rows of `handles.len()` values.
+    block: Vec<f64>,
+    samples: Vec<Sample>,
+}
+
+impl SinkHandles {
+    /// Commits the block's rows, one `append_series` call per series,
+    /// and empties it.
+    fn seal(&mut self, db: &MetricsDb) {
+        if self.minutes.is_empty() {
+            return;
+        }
+        let width = self.handles.len();
+        for (column, handle) in self.handles.iter().enumerate() {
+            self.samples.clear();
+            self.samples.extend(
+                self.minutes
+                    .iter()
+                    .zip(self.block[column..].iter().step_by(width))
+                    .map(|(&ts, &value)| Sample::new(ts, value)),
+            );
+            db.append_series(handle, &self.samples);
+        }
+        self.minutes.clear();
+        self.block.clear();
+    }
+}
+
+/// Per-minute, per-component totals of a run that records nothing (see
+/// [`Simulation::run_component_totals`]). Indexed `[component][minute]`,
+/// components in topology order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ComponentTotals {
+    /// Backpressure time summed over the component's instances, ms.
+    pub backpressure_ms: Vec<Vec<f64>>,
+    /// Executed tuples summed over the component's instances.
+    pub executed: Vec<Vec<f64>>,
 }
 
 /// Baseline CPU (cores) an idle instance consumes (JVM + gateway).
@@ -239,7 +278,7 @@ pub struct SimConfig {
     /// only mode switch. Each minute's agenda is its sorted rate-profile
     /// breakpoint ticks; between them (and up to analytically computed
     /// saturation onsets and watermark crossings) the fluid state
-    /// advances in closed form ([`crate::fluid`]) for any
+    /// advances in closed form (`crate::fluid`) for any
     /// piecewise-linear spout profile, with or without backpressure
     /// (throttled drains advance in closed form too). Falls back to exact
     /// ticking (per tick) whenever closed form is not provably valid, so
@@ -463,10 +502,6 @@ pub struct Simulation {
     counters: TickCounters,
     /// Lazily built fluid model for event mode.
     fluid: FluidState,
-    /// Sink handles kept across runs against the same metrics store (see
-    /// [`Simulation::run_minutes_into`]). Dropped whenever a parallelism
-    /// change rebuilds the instance tables.
-    sink_cache: Option<SinkCache>,
 }
 
 /// Lifetime counters of a simulation: they survive
@@ -501,25 +536,6 @@ enum FluidState {
     NonLinear(Box<FluidEngine>),
     /// Built, with every spout profile decomposed: closed form usable.
     Ready(Box<FluidEngine>),
-}
-
-/// A [`SinkHandles`] retained across runs, together with the store
-/// identity it was registered against. Pooled replay runs every window
-/// against the same (truncated) per-worker store, so re-resolving 4–5
-/// series per instance per window would otherwise rival the tick loop.
-struct SinkCache {
-    db: Arc<MetricsDb>,
-    topology: String,
-    sink: SinkHandles,
-}
-
-impl std::fmt::Debug for SinkCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SinkCache")
-            .field("topology", &self.topology)
-            .field("series", &self.sink.columns.len())
-            .finish()
-    }
 }
 
 impl Simulation {
@@ -667,7 +683,6 @@ impl Simulation {
             config,
             counters: TickCounters::default(),
             fluid: FluidState::Unbuilt,
-            sink_cache: None,
         })
     }
 
@@ -1264,68 +1279,54 @@ impl Simulation {
         1.0 + self.config.metric_noise * 2.0 * unit
     }
 
-    /// Resolves every series handle the per-minute flush will append to,
-    /// with one pre-sized value column per series in flush order. One
-    /// catalog pass per run; the flush loop itself is catalog- and
+    /// Resolves every series handle a flushed row writes to, in row
+    /// order, with a block sized for `minutes` rows (at most one chunk).
+    /// One catalog pass per run; the flush loop itself is catalog- and
     /// lock-free. Registration order matches the reference kernel's so
     /// both assign identical series ids.
     fn register_sink(&self, metrics: &SimMetrics, minutes: u64) -> SinkHandles {
-        let cap = minutes as usize;
-        let mut columns = Vec::with_capacity(self.inst.n * 5);
+        let mut handles = Vec::with_capacity(self.inst.n * 5);
         for flat in 0..self.inst.n {
             let comp = &self.topology.components[self.inst.comp_idx[flat] as usize];
-            let handles = metrics.register_instance(
+            let instance = metrics.register_instance(
                 &comp.name,
                 self.inst.inst_idx[flat],
                 self.inst.container[flat],
                 comp.kind.is_spout(),
             );
-            for handle in [
-                &handles.execute,
-                &handles.emit,
-                &handles.cpu,
-                &handles.backpressure,
-            ] {
-                columns.push((handle.clone(), Vec::with_capacity(cap)));
-            }
-            if let Some(offered) = &handles.offered {
-                columns.push((offered.clone(), Vec::with_capacity(cap)));
-            }
+            handles.extend([
+                instance.execute,
+                instance.emit,
+                instance.cpu,
+                instance.backpressure,
+            ]);
+            handles.extend(instance.offered);
         }
+        let rows = (minutes as usize).min(DEFAULT_CHUNK_SIZE);
         SinkHandles {
-            minutes: Vec::with_capacity(cap),
-            columns,
+            minutes: Vec::with_capacity(rows),
+            block: Vec::with_capacity(rows * handles.len()),
+            samples: Vec::with_capacity(rows),
+            handles,
         }
     }
 
-    /// Flushes per-minute metrics for the minute ending now into the
-    /// run's value columns (no db call — see [`SinkHandles`]). The
-    /// accumulators are read in place (they are split from the live queue
-    /// state) and zeroed for the next minute. Columns are written in
-    /// `register_sink` order: per instance the four (five for spouts)
-    /// instance series.
-    fn flush_minute(&mut self, sink: &mut SinkHandles) {
-        sink.minutes.push((self.now_secs() * 1000) as i64 - 60_000);
+    /// Appends the minute ending now to `row`: per instance, in
+    /// `register_sink` order, execute, emit, CPU, backpressure and, for
+    /// spouts, offered load. The accumulators are read in place (they
+    /// are split from the live queue state) and zeroed for the next
+    /// minute.
+    fn flush_minute(&mut self, row: &mut Vec<f64>) {
         let minute = self.now_secs() / 60;
-        let mut cols = sink.columns.iter_mut();
-        let mut push = |value: f64| {
-            cols.next()
-                .expect("sink column count matches flush row count")
-                .1
-                .push(value);
-        };
         for flat in 0..self.inst.n {
             let salt = ((flat as u64) << 32) | minute;
 
             let executed = self.accum.executed[flat] * self.noise(salt ^ (1 << 17));
             let emitted = self.accum.emitted[flat] * self.noise(salt ^ (2 << 17));
             let cpu = self.accum.cpu_core_seconds[flat] / 60.0 * self.noise(salt ^ (3 << 17));
-            push(executed);
-            push(emitted);
-            push(cpu);
-            push(self.accum.bp_ms[flat].min(60_000.0));
+            row.extend([executed, emitted, cpu, self.accum.bp_ms[flat].min(60_000.0)]);
             if self.comps.is_spout[self.inst.comp_idx[flat] as usize] {
-                push(self.accum.offered[flat]);
+                row.push(self.accum.offered[flat]);
             }
 
             self.accum.executed[flat] = 0.0;
@@ -1336,60 +1337,17 @@ impl Simulation {
         }
     }
 
-    /// Commits the run's buffered value columns: each series' samples
-    /// are built into one reused buffer and handed to one
-    /// [`caladrius_tsdb::MetricsDb::append_series`] call (one lock round,
-    /// whole chunks sealed straight from the buffer). The stored samples
-    /// are exactly what per-minute ingestion would have stored.
-    fn commit_sink(metrics: &SimMetrics, sink: &mut SinkHandles) {
-        let db = metrics.db();
-        let mut samples = Vec::with_capacity(sink.minutes.len());
-        for (handle, values) in &mut sink.columns {
-            samples.clear();
-            samples.extend(
-                sink.minutes
-                    .iter()
-                    .zip(values.iter())
-                    .map(|(&ts, &value)| Sample::new(ts, value)),
-            );
-            db.append_series(handle, &samples);
-            values.clear();
-        }
-        sink.minutes.clear();
-    }
-
-    /// Runs `minutes` simulated minutes, recording metrics into `metrics`.
-    ///
-    /// Series handles are resolved on the first run against a given store
-    /// and cached on the simulation: a pooled sim replaying window after
-    /// window into the same (truncated between windows) store registers
-    /// once and then runs catalog-free. The cache is dropped when the
-    /// store, its topology name, or the packing plan changes.
-    pub fn run_minutes_into(&mut self, minutes: u64, metrics: &SimMetrics) {
+    /// Runs `body` as one `sim.run` span over `minutes` simulated
+    /// minutes, then adds the events, closed-form ticks and exact ticks
+    /// by reason it took to the process-wide sim counters and to the
+    /// span. Recorded and totals runs both go through here, so the two
+    /// are observed alike.
+    fn observed<R>(&mut self, minutes: u64, body: impl FnOnce(&mut Self) -> R) -> R {
         let mut span = caladrius_obs::global_span("sim.run");
         span.field("topology", &self.topology.name)
             .field("minutes", minutes);
-        let minute_hist = sim_minute_histogram();
         let before = self.counters;
-        let db = metrics.db();
-        let mut sink = match self.sink_cache.take() {
-            Some(cache) if Arc::ptr_eq(&cache.db, &db) && cache.topology == metrics.topology() => {
-                cache.sink
-            }
-            _ => self.register_sink(metrics, minutes),
-        };
-        for _ in 0..minutes {
-            let started = Instant::now();
-            self.advance_minute();
-            self.flush_minute(&mut sink);
-            minute_hist.record_duration(started.elapsed());
-        }
-        Self::commit_sink(metrics, &mut sink);
-        self.sink_cache = Some(SinkCache {
-            db,
-            topology: metrics.topology().to_string(),
-            sink,
-        });
+        let out = body(self);
         let events = self.counters.events - before.events;
         let closed_form = self.counters.closed_form - before.closed_form;
         let counters = sim_counters();
@@ -1411,6 +1369,33 @@ impl Simulation {
         if !split.is_empty() {
             span.field("exact_ticks", split);
         }
+        out
+    }
+
+    /// Runs `minutes` simulated minutes, recording metrics into `metrics`.
+    ///
+    /// Series handles are resolved once, at the top of the run. Each
+    /// minute is one row of a block that is committed to the store, one
+    /// [`caladrius_tsdb::MetricsDb::append_series`] call per series,
+    /// whenever it holds a whole chunk and at the end of the run. The
+    /// stored chunks are byte-identical to per-minute ingestion.
+    pub fn run_minutes_into(&mut self, minutes: u64, metrics: &SimMetrics) {
+        self.observed(minutes, |sim| {
+            let minute_hist = sim_minute_histogram();
+            let db = metrics.db();
+            let mut sink = sim.register_sink(metrics, minutes);
+            for _ in 0..minutes {
+                let started = Instant::now();
+                sim.advance_minute();
+                sink.minutes.push((sim.now_secs() * 1000) as i64 - 60_000);
+                sim.flush_minute(&mut sink.block);
+                minute_hist.record_duration(started.elapsed());
+                if sink.minutes.len() == DEFAULT_CHUNK_SIZE {
+                    sink.seal(&db);
+                }
+            }
+            sink.seal(&db);
+        });
     }
 
     /// Runs `minutes` simulated minutes into a fresh metrics store and
@@ -1419,6 +1404,63 @@ impl Simulation {
         let metrics = SimMetrics::new(self.topology.name.clone());
         self.run_minutes_into(minutes, &metrics);
         metrics
+    }
+
+    /// Runs `warmup` unrecorded minutes, then `minutes` measured ones,
+    /// and returns each measured minute's per-component totals without
+    /// recording anything.
+    ///
+    /// A measured minute's totals are read off the row a recorded run
+    /// would store, each component's instances added in the store's key
+    /// order: the bits [`SimMetrics::component_sum`] would return for
+    /// those minutes after
+    /// [`Simulation::run_minutes_into`]`(warmup + minutes)`. The run is
+    /// observed as that recorded run would be: one `sim.run` span over
+    /// `warmup + minutes` minutes, the same sim counters, and one
+    /// `caladrius_sim_minute_duration_seconds` observation per minute.
+    pub fn run_component_totals(&mut self, warmup: u64, minutes: u64) -> ComponentTotals {
+        // Per component, its instances' row offsets in key order.
+        let n_comps = self.topology.components.len();
+        let mut order: Vec<Vec<(u32, u32, usize)>> = vec![Vec::new(); n_comps];
+        let mut width = 0;
+        for flat in 0..self.inst.n {
+            let comp = self.inst.comp_idx[flat] as usize;
+            order[comp].push((self.inst.inst_idx[flat], self.inst.container[flat], width));
+            width += if self.comps.is_spout[comp] { 5 } else { 4 };
+        }
+        for (comp, instances) in self.topology.components.iter().zip(&mut order) {
+            SimMetrics::sort_in_key_order(&comp.name, instances);
+        }
+        let mut totals = ComponentTotals {
+            backpressure_ms: vec![Vec::with_capacity(minutes as usize); n_comps],
+            executed: vec![Vec::with_capacity(minutes as usize); n_comps],
+        };
+        let mut row = Vec::with_capacity(width);
+        self.observed(warmup + minutes, |sim| {
+            let minute_hist = sim_minute_histogram();
+            for minute in 0..warmup + minutes {
+                let started = Instant::now();
+                sim.advance_minute();
+                if minute < warmup {
+                    sim.accum.reset();
+                } else {
+                    row.clear();
+                    sim.flush_minute(&mut row);
+                    for (comp, instances) in order.iter().enumerate() {
+                        let sum = |field: usize| {
+                            instances
+                                .iter()
+                                .map(|&(_, _, offset)| row[offset + field])
+                                .sum::<f64>()
+                        };
+                        totals.executed[comp].push(sum(0));
+                        totals.backpressure_ms[comp].push(sum(3));
+                    }
+                }
+                minute_hist.record_duration(started.elapsed());
+            }
+        });
+        totals
     }
 
     /// Runs `minutes` simulated minutes without recording anything —
@@ -1676,32 +1718,40 @@ mod tests {
     }
 
     #[test]
-    fn cached_sink_after_truncate_matches_a_fresh_run() {
-        // The pooled-replay pattern: run, wipe the store, rewind, run
-        // again — the second run reuses the cached sink handles and must
-        // be bit-identical to a fresh simulation on a fresh store.
-        let cfg = SimConfig {
-            metric_noise: 0.004,
-            ..SimConfig::default()
-        };
-        let topo = wordcount(1000.0, 2, 5000.0);
-        let mut pooled = Simulation::new(topo.clone(), cfg.clone()).unwrap();
-        let metrics = SimMetrics::new(topo.name.clone());
-        pooled.run_minutes_into(2, &metrics);
-        metrics.db().truncate_before(i64::MAX).unwrap();
-        pooled.reset_with(&[], 1000.0 * 60.0).unwrap();
-        pooled.run_minutes_into(2, &metrics);
-
-        let mut fresh = Simulation::new(topo, cfg).unwrap();
-        let fresh_metrics = fresh.run_minutes(2);
-        for name in [metric::EXECUTE_COUNT, metric::EMIT_COUNT, metric::CPU_LOAD] {
-            let a = metrics.component_sum(name, None, 0, i64::MAX);
-            let b = fresh_metrics.component_sum(name, None, 0, i64::MAX);
-            assert_eq!(a.len(), b.len());
-            assert!(a
-                .iter()
-                .zip(&b)
-                .all(|(x, y)| x.ts == y.ts && x.value.to_bits() == y.value.to_bits()));
+    fn component_totals_equal_the_recorded_component_sums() {
+        // 14 splitters: instance tags "10".."13" sort before "2", so key
+        // order is not flat order. Noisy, and saturated into
+        // backpressure, so every total is order-sensitive.
+        let topo = wordcount(10.0e6, 14, 8.0e4);
+        let (warmup, minutes) = (3, 12);
+        let mut recorded = Simulation::new(topo.clone(), SimConfig::default()).unwrap();
+        let metrics = recorded.run_minutes(warmup + minutes);
+        let mut totalled = Simulation::new(topo.clone(), SimConfig::default()).unwrap();
+        let totals = totalled.run_component_totals(warmup, minutes);
+        let from = (warmup * 60_000) as i64;
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut backpressured = false;
+        for (idx, comp) in topo.components.iter().enumerate() {
+            for (name, totals) in [
+                (metric::EXECUTE_COUNT, &totals.executed[idx]),
+                (metric::BACKPRESSURE_TIME, &totals.backpressure_ms[idx]),
+            ] {
+                let stored: Vec<f64> = metrics
+                    .component_sum(name, Some(&comp.name), from, i64::MAX)
+                    .iter()
+                    .map(|s| s.value)
+                    .collect();
+                assert_eq!(stored.len(), minutes as usize);
+                assert_eq!(bits(totals), bits(&stored), "{} {name}", comp.name);
+                backpressured |=
+                    name == metric::BACKPRESSURE_TIME && stored.iter().any(|&v| v > 0.0);
+            }
+        }
+        assert!(backpressured, "the run never backpressured");
+        assert_eq!(totalled.now_secs(), recorded.now_secs());
+        assert_eq!(totalled.sim_events(), recorded.sim_events());
+        for reason in ExactTickReason::ALL {
+            assert_eq!(totalled.exact_ticks(reason), recorded.exact_ticks(reason));
         }
     }
 

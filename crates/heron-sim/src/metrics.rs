@@ -79,6 +79,21 @@ fn by_instance_index(groups: Vec<(String, Vec<Sample>)>) -> Vec<(u32, Vec<Sample
         .collect()
 }
 
+/// The key of one instance's series of metric `name`.
+fn instance_key(
+    topology: &str,
+    name: &str,
+    component: &str,
+    instance: u32,
+    container: u32,
+) -> SeriesKey {
+    SeriesKey::new(name)
+        .with_tag(tag::TOPOLOGY, topology)
+        .with_tag(tag::COMPONENT, component)
+        .with_tag(tag::INSTANCE, instance.to_string())
+        .with_tag(tag::CONTAINER, container.to_string())
+}
+
 /// Metrics sink + typed read helpers for one topology's simulation run.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
@@ -117,11 +132,19 @@ impl SimMetrics {
         instance: u32,
         container: u32,
     ) -> SeriesKey {
-        SeriesKey::new(name)
-            .with_tag(tag::TOPOLOGY, self.topology.clone())
-            .with_tag(tag::COMPONENT, component)
-            .with_tag(tag::INSTANCE, instance.to_string())
-            .with_tag(tag::CONTAINER, container.to_string())
+        instance_key(&self.topology, name, component, instance, container)
+    }
+
+    /// Sorts one component's instances, given as `(instance, container,
+    /// payload)`, into the order the store keeps their series of one
+    /// metric in: the order in which [`SimMetrics::component_sum`] adds
+    /// them up.
+    pub(crate) fn sort_in_key_order<T>(component: &str, instances: &mut [(u32, u32, T)]) {
+        // Every key compared shares its metric name and topology, so
+        // placeholders for both give the stored keys' order.
+        instances.sort_by_cached_key(|&(instance, container, _)| {
+            instance_key("", "", component, instance, container)
+        });
     }
 
     /// Records a per-instance sample.

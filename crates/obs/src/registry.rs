@@ -17,7 +17,7 @@ use std::sync::{Arc, RwLock};
 /// Number of registry shards (must be a power of two).
 const SHARDS: usize = 16;
 
-/// Number of histogram buckets (see [`bucket_index`]).
+/// Number of histogram buckets (see `bucket_index`).
 pub const HISTOGRAM_BUCKETS: usize = 256;
 
 /// Sub-buckets per power of two: 4 ⇒ bucket bounds grow by ×2^(1/4),

@@ -17,7 +17,6 @@ use crate::plan::{PlanError, PlanTimeline, WindowPlan};
 use caladrius_exec::ExecPool;
 use caladrius_tsdb::Aggregation;
 use heron_sim::engine::{SimConfig, Simulation};
-use heron_sim::metrics::{metric, SimMetrics};
 use heron_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
@@ -112,21 +111,24 @@ pub fn replay_timeline_with(
         ));
     }
     // Idle simulations, reused across windows (at most one per worker is
-    // ever live, so the pool stays small). Each carries its own metrics
-    // store, truncated between windows, so series registration and the
-    // simulation's cached sink handles survive across windows too.
-    let idle: Mutex<Vec<(Simulation, SimMetrics)>> = Mutex::new(Vec::new());
+    // ever live, so the pool stays small).
+    let idle: Mutex<Vec<Simulation>> = Mutex::new(Vec::new());
     pool.parallel_try_map(&timeline.windows, |_, plan| {
         replay_window(base, plan, config, &idle)
     })
 }
 
 /// Deploys and simulates one window's plan on a pooled simulation.
+///
+/// Nothing is recorded: the simulation warms up, then hands back each
+/// measured minute's per-component backpressure and executed totals,
+/// added in the order a store read would add them, and the two rates
+/// are the means of those totals.
 fn replay_window(
     base: &Topology,
     plan: &WindowPlan,
     config: &ReplayConfig,
-    idle: &Mutex<Vec<(Simulation, SimMetrics)>>,
+    idle: &Mutex<Vec<Simulation>>,
 ) -> Result<WindowReplay, PlanError> {
     let updates: Vec<(&str, u32)> = plan
         .parallelisms
@@ -134,55 +136,37 @@ fn replay_window(
         .map(|(n, p)| (n.as_str(), *p))
         .collect();
     let pooled = idle.lock().expect("replay sim pool poisoned").pop();
-    let (mut sim, metrics) = match pooled {
-        Some(pair) => pair,
-        None => {
-            let sim = Simulation::new(
-                base.clone(),
-                SimConfig {
-                    metric_noise: config.metric_noise,
-                    event_mode: true,
-                    ..SimConfig::default()
-                },
-            )
-            .map_err(|e| PlanError::Oracle(format!("replay simulation failed: {e}")))?;
-            let metrics = SimMetrics::new(sim.topology().name.clone());
-            (sim, metrics)
-        }
+    let mut sim = match pooled {
+        Some(sim) => sim,
+        None => Simulation::new(
+            base.clone(),
+            SimConfig {
+                metric_noise: config.metric_noise,
+                event_mode: true,
+                ..SimConfig::default()
+            },
+        )
+        .map_err(|e| PlanError::Oracle(format!("replay simulation failed: {e}")))?,
     };
-    // Wipe the previous window's samples; registered series (and the
-    // simulation's cached sink handles) survive the truncation, so the
-    // steady-state window pays no catalog work at all.
-    metrics
-        .db()
-        .truncate_before(i64::MAX)
-        .map_err(|e| PlanError::Oracle(format!("replay store reset failed: {e}")))?;
     sim.set_seed(config.seed ^ plan.window as u64);
     sim.reset_with(&updates, plan.peak_rate)
         .map_err(|e| PlanError::Oracle(format!("replay deploy failed: {e}")))?;
     let events_before = sim.sim_events();
     let closed_form_before = sim.ticks_closed_form();
-    sim.run_minutes_into(config.warmup_minutes + config.measure_minutes, &metrics);
+    let totals = sim.run_component_totals(config.warmup_minutes, config.measure_minutes);
     let sim_events = sim.sim_events() - events_before;
     let closed_form_ticks = sim.ticks_closed_form() - closed_form_before;
-    let observe_from = (config.warmup_minutes * 60_000) as i64;
-    let mean = |name: &str, component: &str| -> f64 {
-        let series = metrics.component_sum(name, Some(component), observe_from, i64::MAX);
-        Aggregation::Mean.apply(series.iter().map(|s| s.value))
-    };
+    let mean = |minutes: &[f64]| Aggregation::Mean.apply(minutes.iter().copied());
     let mut sink_rate = 0.0;
     let mut backpressure_ms = 0.0;
     let topology = sim.topology();
-    for (idx, component) in topology.components.iter().enumerate() {
-        let name = component.name.as_str();
-        backpressure_ms += mean(metric::BACKPRESSURE_TIME, name);
+    for idx in 0..topology.components.len() {
+        backpressure_ms += mean(&totals.backpressure_ms[idx]);
         if topology.out_edges(idx).next().is_none() {
-            sink_rate += mean(metric::EXECUTE_COUNT, name);
+            sink_rate += mean(&totals.executed[idx]);
         }
     }
-    idle.lock()
-        .expect("replay sim pool poisoned")
-        .push((sim, metrics));
+    idle.lock().expect("replay sim pool poisoned").push(sim);
     Ok(WindowReplay {
         window: plan.window,
         offered_rate: plan.peak_rate,
@@ -199,6 +183,77 @@ mod tests {
     use super::*;
     use crate::plan::{PlanCost, PlannerConfig, WindowPlan};
     use caladrius_workload::wordcount::{wordcount_topology, WordCountParallelism};
+    use heron_sim::metrics::{metric, SimMetrics};
+
+    /// The store-recording replay the totals path replaced, kept as its
+    /// reference: each window records warm-up and measured minutes into a
+    /// per-worker store (truncated between windows) and reads the two
+    /// rates back as means of `component_sum`.
+    fn replay_via_store(
+        base: &Topology,
+        timeline: &PlanTimeline,
+        config: &ReplayConfig,
+    ) -> Vec<WindowReplay> {
+        let mut idle: Vec<(Simulation, SimMetrics)> = Vec::new();
+        timeline
+            .windows
+            .iter()
+            .map(|plan| {
+                let updates: Vec<(&str, u32)> = plan
+                    .parallelisms
+                    .iter()
+                    .map(|(n, p)| (n.as_str(), *p))
+                    .collect();
+                let (mut sim, metrics) = idle.pop().unwrap_or_else(|| {
+                    let sim = Simulation::new(
+                        base.clone(),
+                        SimConfig {
+                            metric_noise: config.metric_noise,
+                            event_mode: true,
+                            ..SimConfig::default()
+                        },
+                    )
+                    .unwrap();
+                    let metrics = SimMetrics::new(sim.topology().name.clone());
+                    (sim, metrics)
+                });
+                metrics.db().truncate_before(i64::MAX).unwrap();
+                sim.set_seed(config.seed ^ plan.window as u64);
+                sim.reset_with(&updates, plan.peak_rate).unwrap();
+                let events_before = sim.sim_events();
+                let closed_form_before = sim.ticks_closed_form();
+                sim.run_minutes_into(config.warmup_minutes + config.measure_minutes, &metrics);
+                let sim_events = sim.sim_events() - events_before;
+                let closed_form_ticks = sim.ticks_closed_form() - closed_form_before;
+                let observe_from = (config.warmup_minutes * 60_000) as i64;
+                let mean = |name: &str, component: &str| -> f64 {
+                    let series =
+                        metrics.component_sum(name, Some(component), observe_from, i64::MAX);
+                    Aggregation::Mean.apply(series.iter().map(|s| s.value))
+                };
+                let mut sink_rate = 0.0;
+                let mut backpressure_ms = 0.0;
+                let topology = sim.topology();
+                for (idx, component) in topology.components.iter().enumerate() {
+                    let name = component.name.as_str();
+                    backpressure_ms += mean(metric::BACKPRESSURE_TIME, name);
+                    if topology.out_edges(idx).next().is_none() {
+                        sink_rate += mean(metric::EXECUTE_COUNT, name);
+                    }
+                }
+                idle.push((sim, metrics));
+                WindowReplay {
+                    window: plan.window,
+                    offered_rate: plan.peak_rate,
+                    sink_rate,
+                    backpressure_ms,
+                    low_risk: backpressure_ms <= config.backpressure_tolerance_ms,
+                    sim_events,
+                    closed_form_ticks,
+                }
+            })
+            .collect()
+    }
 
     fn window_plan(window: usize, rate: f64, ps: &[(&str, u32)]) -> WindowPlan {
         let parallelisms: Vec<(String, u32)> =
@@ -270,5 +325,68 @@ mod tests {
             "undersized plan must backpressure: {:?}",
             bad[0]
         );
+    }
+
+    /// The totals path adds each component's instances in the store's
+    /// key order, so its rates equal the store-recording reference's to
+    /// the bit. Medium WordCount with 10+ instances per bolt over more
+    /// than ten containers (so `"10"` sorts before `"2"` in both tags),
+    /// the simulator's default observation noise (so instances differ and
+    /// the order shows), and one window driven into backpressure. A
+    /// one-minute measure window is compared too: over ten minutes the
+    /// mean's own rounding absorbs most one-ulp differences in a
+    /// minute's total, over one it absorbs none.
+    #[test]
+    fn totals_replay_matches_the_store_recording_reference_bit_for_bit() {
+        let base = wordcount_topology(
+            WordCountParallelism {
+                spout: 32,
+                splitter: 8,
+                counter: 12,
+            },
+            64.0e6,
+        );
+        let shape =
+            |splitter, counter| [("spout", 32), ("splitter", splitter), ("counter", counter)];
+        let plans = timeline(vec![
+            window_plan(0, 64.0e6, &shape(10, 12)),
+            window_plan(1, 80.0e6, &shape(12, 14)),
+            window_plan(2, 150.0e6, &shape(10, 10)),
+            window_plan(3, 48.0e6, &shape(11, 12)),
+            window_plan(4, 72.0e6, &shape(13, 11)),
+            window_plan(5, 56.0e6, &shape(10, 13)),
+        ]);
+        for measure_minutes in [ReplayConfig::default().measure_minutes, 1] {
+            let config = ReplayConfig {
+                metric_noise: SimConfig::default().metric_noise,
+                measure_minutes,
+                ..ReplayConfig::default()
+            };
+            assert!(config.metric_noise > 0.0);
+            let totals = replay_timeline(&base, &plans, &config).unwrap();
+            let stored = replay_via_store(&base, &plans, &config);
+            assert!(
+                totals.iter().any(|w| w.backpressure_ms > 1_000.0),
+                "no window backpressured: {totals:?}"
+            );
+            assert_eq!(totals.len(), stored.len());
+            for (t, s) in totals.iter().zip(&stored) {
+                assert_eq!(t.window, s.window);
+                assert_eq!(t.offered_rate.to_bits(), s.offered_rate.to_bits());
+                assert_eq!(
+                    t.sink_rate.to_bits(),
+                    s.sink_rate.to_bits(),
+                    "{t:?} vs {s:?}"
+                );
+                assert_eq!(
+                    t.backpressure_ms.to_bits(),
+                    s.backpressure_ms.to_bits(),
+                    "{t:?} vs {s:?}"
+                );
+                assert_eq!(t.low_risk, s.low_risk);
+                assert_eq!(t.sim_events, s.sim_events);
+                assert_eq!(t.closed_form_ticks, s.closed_form_ticks);
+            }
+        }
     }
 }

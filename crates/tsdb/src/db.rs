@@ -300,6 +300,16 @@ impl MetricsDb {
         guard.samples(from, to)
     }
 
+    /// A copy of one series' stored state, its sealed chunks and its
+    /// head, or `None` if the exact key is unknown. For checks that the
+    /// stored bytes, not only the samples, match.
+    pub fn series_copy(&self, key: &SeriesKey) -> Option<Series> {
+        let id = self.catalog.read().get(key)?;
+        let handle = Arc::clone(self.series.read().get(&id)?);
+        let copy = handle.read().clone();
+        Some(copy)
+    }
+
     /// Selects every series matching `name` + `filters` and returns
     /// `(key, samples-in-range)` pairs, sorted by key for determinism.
     pub fn select(

@@ -314,7 +314,7 @@ pub fn decompress(block: &CompressedBlock) -> Result<Vec<Sample>> {
 /// `out` may hold part of the block.
 ///
 /// A sample whose delta-of-delta is zero and whose fields fit in
-/// [`PEEK_BITS`] decodes from one peek; any other is read field by field.
+/// `PEEK_BITS` decodes from one peek; any other is read field by field.
 pub fn decompress_into(block: &CompressedBlock, out: &mut Vec<Sample>) -> Result<()> {
     // Every sample after the first takes at least two bits, so a crafted
     // count reserves no more than the stream could hold.

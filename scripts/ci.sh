@@ -13,9 +13,32 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # A deleted item leaves its intra-doc links ([`MetricsDb::select`]-style)
-# dangling; rustdoc only warns about that unless told otherwise.
-echo "==> cargo doc (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+# dangling, and a public item's docs linking a private one render as a
+# dead link; rustdoc only warns about either unless told otherwise.
+echo "==> cargo doc (broken and private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps
+
+# Each BENCH_<pr>.json (scripts/bench_pair.sh --record) is the per-PR
+# trajectory record: it must parse, name both commits and carry every
+# gated row, i.e. every end-to-end metric of BENCHMARK.json on every
+# workload.
+echo "==> BENCH_*.json parse, name both commits and carry every gated row"
+python3 - BENCHMARK.json BENCH_*.json <<'PY'
+import json, sys
+
+spec = json.load(open(sys.argv[1]))
+gated = {(w["name"], m["name"]) for w in spec["workloads"] for m in spec["end_to_end"]}
+for path in sys.argv[2:]:
+    if path == "BENCH_*.json":
+        continue
+    record = json.load(open(path))
+    if not (record["commits"]["parent"] and record["commits"]["change"]):
+        sys.exit(f"{path}: a commit is missing")
+    missing = gated - {(r["workload"], r["metric"]) for r in record["rows"]}
+    if missing:
+        sys.exit(f"{path}: no row for {sorted(missing)}")
+PY
 
 # core has one cache protocol (freshness::StampedCache); the plan cache's
 # own version compare and its fingerprint confirm step went in PR 20.

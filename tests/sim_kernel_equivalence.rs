@@ -98,6 +98,86 @@ fn assert_bit_identical(topology: Topology, config: SimConfig, minutes: u64) -> 
     bp > 0.0
 }
 
+/// One stored series: its key, its sealed chunks as
+/// `(start, end, count, bytes)` and its head as `(ts, value bits)`.
+type StoredSeries = (String, Vec<(i64, i64, u32, Vec<u8>)>, Vec<(i64, u64)>);
+
+/// Every series in `metrics` as it is stored, chunk bytes included.
+fn stored(metrics: &SimMetrics) -> Vec<StoredSeries> {
+    let db = metrics.db();
+    let mut out = Vec::new();
+    for name in METRIC_NAMES {
+        for (key, _) in db.select(name, &[], i64::MIN, i64::MAX).unwrap() {
+            let series = db.series_copy(&key).unwrap();
+            let chunks = series
+                .chunks()
+                .map(|(start, end, block)| (start, end, block.count, block.bits.to_vec()))
+                .collect();
+            let head = series
+                .head()
+                .iter()
+                .map(|s| (s.ts, s.value.to_bits()))
+                .collect();
+            out.push((format!("{key:?}"), chunks, head));
+        }
+    }
+    out
+}
+
+/// The engine seals a minute block whenever it holds a whole chunk and
+/// at the end of each run. Splitting a run at and around those
+/// boundaries leaves exactly the chunks and heads one long run leaves,
+/// and the reference kernel's per-minute ingestion leaves — also in a
+/// store whose series already hold a partial head when the run starts.
+#[test]
+fn recorded_chunks_do_not_depend_on_how_a_run_is_split() {
+    const SPLITS: [u64; 5] = [1, 239, 1, 240, 481];
+    let minutes: u64 = SPLITS.iter().sum();
+    assert_eq!(minutes, 962);
+    let topology = wordcount_topology(WordCountParallelism::default(), 9.0e6);
+    let config = SimConfig::default();
+    for prefill in [0, 37] {
+        let stores: [SimMetrics; 3] =
+            std::array::from_fn(|_| SimMetrics::new(topology.name.clone()));
+        for store in &stores {
+            let filler = SimConfig {
+                seed: 7,
+                ..config.clone()
+            };
+            ReferenceSimulation::new(topology.clone(), filler)
+                .unwrap()
+                .run_minutes_into(prefill, store);
+        }
+        let mut split = Simulation::new(topology.clone(), config.clone()).unwrap();
+        let mut whole = Simulation::new(topology.clone(), config.clone()).unwrap();
+        let mut reference = ReferenceSimulation::new(topology.clone(), config.clone()).unwrap();
+        split.skip_to_minute(prefill);
+        whole.skip_to_minute(prefill);
+        reference.skip_to_minute(prefill);
+        for run in SPLITS {
+            split.run_minutes_into(run, &stores[0]);
+        }
+        whole.run_minutes_into(minutes, &stores[1]);
+        reference.run_minutes_into(minutes, &stores[2]);
+
+        let [split, whole, reference] = stores.each_ref().map(stored);
+        let samples = (prefill + minutes) as usize;
+        assert!(!split.is_empty());
+        for (key, chunks, head) in &split {
+            assert_eq!(chunks.len(), samples / 240, "{key}: sealed chunks");
+            assert_eq!(head.len(), samples % 240, "{key}: head");
+        }
+        assert!(
+            split == whole,
+            "prefill {prefill}: a split run stored other bytes"
+        );
+        assert!(
+            split == reference,
+            "prefill {prefill}: the engine stored other bytes than the reference kernel"
+        );
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Case {
     topology: Topology,
