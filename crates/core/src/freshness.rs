@@ -1,10 +1,10 @@
-//! The version stamp every cache of per-topology derived state is keyed
-//! by, the one comparison that decides between serving an entry,
-//! advancing it by a delta read, and rebuilding it, and the cache type
-//! that stores entries under their stamps.
+//! The version stamp all per-topology derived state is kept under (the
+//! training windows with their models and forecasts, and the plans), the
+//! one comparison that decides between serving an entry, advancing it by
+//! a delta read, and rebuilding it, and the bounded cache the plans are
+//! stored in under their stamps.
 
 use parking_lot::Mutex;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -55,11 +55,11 @@ impl DataStamp {
     }
 }
 
-/// A cache of derived state, each entry stored under the [`DataStamp`]
-/// it was derived from. [`StampedCache::read`] is the only way to learn
-/// how an entry stands against the store, so every cache decides with
-/// [`DataStamp::freshness`]; what a Stale or Cold entry is still good
-/// for (a window to slide, a seed to search from) is the caller's
+/// A least-recently-used bounded cache of derived state, each entry
+/// stored under the [`DataStamp`] it was derived from. [`StampedCache::read`]
+/// is the only way to learn how an entry stands against the store, so
+/// the cache decides with [`DataStamp::freshness`]; what a Stale or Cold
+/// entry is still good for (a seed to search from) is the caller's
 /// business.
 pub(crate) struct StampedCache<K, V> {
     inner: Mutex<Entries<K, V>>,
@@ -68,14 +68,14 @@ pub(crate) struct StampedCache<K, V> {
 struct Entries<K, V> {
     /// `(stamp, value, clock tick of the last Hit or put)` per key.
     map: HashMap<K, (DataStamp, V, u64)>,
-    /// Entries kept at most; least recently used go first. `None` is
-    /// unbounded, `Some(0)` stores nothing.
-    capacity: Option<usize>,
+    /// Entries kept at most; least recently used go first. Zero stores
+    /// nothing.
+    capacity: usize,
     clock: u64,
 }
 
 impl<K: Hash + Eq + Clone, V> StampedCache<K, V> {
-    pub fn new(capacity: Option<usize>) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Entries {
                 map: HashMap::new(),
@@ -88,16 +88,12 @@ impl<K: Hash + Eq + Clone, V> StampedCache<K, V> {
     /// How the entry under `key` stands against `now`, with what `read`
     /// makes of it under the lock; `None` when there is no entry. The
     /// entry stays where it is; a Hit marks it recently used.
-    pub fn read<Q, R>(
+    pub fn read<R>(
         &self,
-        key: &Q,
+        key: &K,
         now: &DataStamp,
         read: impl FnOnce(&V) -> R,
-    ) -> Option<(Freshness, R)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    ) -> Option<(Freshness, R)> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let tick = inner.clock;
@@ -109,28 +105,18 @@ impl<K: Hash + Eq + Clone, V> StampedCache<K, V> {
         Some((freshness, read(value)))
     }
 
-    /// Takes the entry under `key` out, with the stamp it was put under.
-    pub fn take<Q>(&self, key: &Q) -> Option<(DataStamp, V)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let (stamp, value, _) = self.inner.lock().map.remove(key)?;
-        Some((stamp, value))
-    }
-
     /// Stores `value` as derived from the data at `stamp`, replacing any
     /// entry under `key`. Returns how many entries the bound evicted.
     pub fn put(&self, key: K, stamp: DataStamp, value: V) -> u64 {
         let mut inner = self.inner.lock();
-        if inner.capacity == Some(0) {
+        if inner.capacity == 0 {
             return 0;
         }
         inner.clock += 1;
         let tick = inner.clock;
         inner.map.insert(key, (stamp, value, tick));
         let mut evicted = 0;
-        while inner.capacity.is_some_and(|bound| inner.map.len() > bound) {
+        while inner.map.len() > inner.capacity {
             let oldest = inner
                 .map
                 .iter()
@@ -215,7 +201,7 @@ mod tests {
 
     #[test]
     fn a_read_is_a_hit_a_seed_or_nothing_and_leaves_the_entry() {
-        let cache = StampedCache::new(Some(8));
+        let cache = StampedCache::new(8);
         assert_eq!(read(&cache, &key("t", 1), &ENTRY), None);
         cache.put(key("t", 1), ENTRY, 3);
         assert_eq!(
@@ -260,16 +246,17 @@ mod tests {
         cache.put(key("u", 1), ENTRY, 4);
         cache.forget(Some("t"), |(topology, _)| topology);
         assert_eq!(read(&cache, &key("t", 1), &ENTRY), None);
-        assert_eq!(cache.take(&key("u", 1)), Some((ENTRY, 4)));
-        assert_eq!(cache.take(&key("u", 1)), None);
-        cache.put(key("u", 1), ENTRY, 4);
+        assert_eq!(
+            read(&cache, &key("u", 1), &ENTRY),
+            Some((Freshness::Hit, 4))
+        );
         cache.forget(None, |(topology, _)| topology);
         assert_eq!(read(&cache, &key("u", 1), &ENTRY), None);
     }
 
     #[test]
     fn the_bound_evicts_the_least_recently_used_entry() {
-        let cache = StampedCache::new(Some(2));
+        let cache = StampedCache::new(2);
         assert_eq!(cache.put(key("a", 0), ENTRY, 1), 0);
         assert_eq!(cache.put(key("b", 0), ENTRY, 2), 0);
         // Touch `a` so `b` becomes the LRU entry.
@@ -287,17 +274,9 @@ mod tests {
             read(&cache, &key("c", 0), &ENTRY),
             Some((Freshness::Hit, 3))
         );
-        // Zero capacity disables caching entirely; no bound never evicts.
-        let off = StampedCache::new(Some(0));
+        // Zero capacity disables caching entirely.
+        let off = StampedCache::new(0);
         assert_eq!(off.put(key("a", 0), ENTRY, 1), 0);
         assert_eq!(read(&off, &key("a", 0), &ENTRY), None);
-        let unbounded = StampedCache::new(None);
-        for request in 0..64 {
-            assert_eq!(unbounded.put(key("a", request), ENTRY, 1), 0);
-        }
-        assert_eq!(
-            read(&unbounded, &key("a", 0), &ENTRY),
-            Some((Freshness::Hit, 1))
-        );
     }
 }

@@ -18,9 +18,10 @@ use crate::traffic::{TrafficForecast, TrafficModelRegistry};
 use caladrius_forecast::DataPoint;
 use caladrius_graph::topology_graph::TopologyDag;
 use caladrius_obs::{Counter, Histogram};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How the evaluation picks the source rate to model against.
@@ -86,10 +87,11 @@ pub struct PackingOverview {
 /// Cumulative model-cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ModelCacheStats {
-    /// Evaluations served entirely from cached fitted models.
+    /// Model reads served the kept window's models (or fit error), found
+    /// there or waited for while another reader fitted them.
     pub hits: u64,
-    /// Evaluations that had to (re)fit because the key changed or the
-    /// topology was never fitted.
+    /// Model reads that fitted the kept window's models: the first under
+    /// each window stamp, a failed fit included.
     pub misses: u64,
     /// Individual model fits performed (one per component throughput
     /// model, one per CPU model).
@@ -136,18 +138,25 @@ pub struct SourceHistoryReads {
 }
 
 /// One topology's training window, kept under the [`DataStamp`] it was
-/// read or slid to, with the fit jobs it was assembled for and how it got
-/// there. Models and forecasts are derived from it, and accuracy claims
-/// scored against it.
+/// read or slid to, with the fit jobs it was assembled for, how it got
+/// there, and what is derived from it: the models and, per registered
+/// traffic model, the forecast (or the error), each computed by the
+/// first caller that asks. A slide empties them.
 #[derive(Clone)]
 struct KeptWindow {
+    stamp: DataStamp,
     jobs: Vec<FitJob>,
     window: TrainingWindow,
     /// Slid from the previous stamp's window, not read whole.
     slid: bool,
     /// Why a slide was tried and failed, when it was.
     fallback: Option<String>,
+    models: OnceLock<Result<FittedModels>>,
+    forecasts: BTreeMap<String, OnceLock<Result<TrafficForecast>>>,
 }
+
+/// A topology's kept window, if any, behind the lock readers take it by.
+type WindowSlot = Arc<Mutex<Option<Arc<KeptWindow>>>>;
 
 impl KeptWindow {
     /// The source column, or [`CoreError::NotEnoughObservations`] when
@@ -275,13 +284,10 @@ pub struct Caladrius {
     traffic: TrafficModelRegistry,
     performance: ModelRegistry,
     /// Per topology: the training window every model and forecast is
-    /// fitted over ([`Caladrius::training_window`]).
-    windows: StampedCache<String, Arc<KeptWindow>>,
-    /// Per topology: the models fitted over the window under its stamp.
-    models: StampedCache<String, FittedModels>,
-    /// Per `(topology, traffic model)`: the forecast fitted over the
-    /// window's source column under its stamp.
-    forecasts: StampedCache<(String, String), TrafficForecast>,
+    /// fitted over, with them, in a slot whose lock a reader holds while
+    /// it reads the stamp and serves, slides or rebuilds the window
+    /// ([`Caladrius::training_window`]).
+    windows: Mutex<HashMap<String, WindowSlot>>,
     /// Finished plan timelines per `(topology, plan_request_key)`,
     /// bounded by `plan_cache_capacity`.
     plans: StampedCache<(String, u64), caladrius_planner::PlanTimeline>,
@@ -361,11 +367,11 @@ impl Caladrius {
         labels.extend_from_slice(extra_labels);
         registry.describe(
             "caladrius_model_cache_hits_total",
-            "Evaluations served entirely from cached fitted models",
+            "Model reads served the kept window's fitted models",
         );
         registry.describe(
             "caladrius_model_cache_misses_total",
-            "Evaluations that had to (re)fit models",
+            "Model reads that fitted the kept window's models",
         );
         registry.describe(
             "caladrius_model_fits_total",
@@ -418,13 +424,13 @@ impl Caladrius {
         );
         registry.describe(
             "caladrius_model_fit_duration_seconds",
-            "Wall-clock time of a full model (re)fit on a cache miss",
+            "Wall-clock time of a model fit over the kept window",
         );
         registry.describe(
             "caladrius_plan_duration_seconds",
             "Wall-clock time of Caladrius::plan_capacity",
         );
-        let plans = StampedCache::new(Some(config.plan_cache_capacity));
+        let plans = StampedCache::new(config.plan_cache_capacity);
         let history_reads = |path| {
             let mut labels = labels.clone();
             labels.push(("path", path));
@@ -436,9 +442,7 @@ impl Caladrius {
             tracker,
             traffic: TrafficModelRegistry::with_defaults(),
             performance: ModelRegistry::with_defaults(),
-            windows: StampedCache::new(None),
-            models: StampedCache::new(None),
-            forecasts: StampedCache::new(None),
+            windows: Mutex::default(),
             plans,
             cache_hits: registry.counter("caladrius_model_cache_hits_total", &labels),
             cache_misses: registry.counter("caladrius_model_cache_misses_total", &labels),
@@ -470,8 +474,10 @@ impl Caladrius {
     }
 
     /// Mutable access to the traffic-model registry (to plug custom
-    /// models in, per the paper's extensibility goal).
+    /// models in, per the paper's extensibility goal). Kept windows and
+    /// plans go: their forecasts came from the factories as they were.
     pub fn traffic_registry_mut(&mut self) -> &mut TrafficModelRegistry {
+        self.invalidate_model_cache(None);
         &mut self.traffic
     }
 
@@ -543,7 +549,7 @@ impl Caladrius {
     /// The topology's offered-load history over the training window:
     /// the kept window's source column.
     pub fn source_history(&self, topology: &str) -> Result<Vec<DataPoint>> {
-        let (_, kept) = self.training_window(topology)?;
+        let kept = self.training_window(topology)?;
         Ok(kept.source(topology)?.to_vec())
     }
 
@@ -563,15 +569,26 @@ impl Caladrius {
     /// gives, with one caveat: a sample written at or below the watermark
     /// after it was read stays invisible until the window goes cold.
     ///
-    /// Returned with the stamp it is kept under, which is what anything
-    /// derived from it is stamped with.
-    fn training_window(&self, topology: &str) -> Result<(DataStamp, Arc<KeptWindow>)> {
+    /// All of it runs under the topology's slot lock, the stamp read
+    /// included: readers in a new minute wait for the first one's slide,
+    /// then share its window and what is derived on it, fitted outside.
+    fn training_window(&self, topology: &str) -> Result<Arc<KeptWindow>> {
+        let slot = self.windows.lock().get(topology).cloned();
+        let slot = match slot {
+            Some(slot) => slot,
+            // Only a topology with data and a plan gets a slot.
+            None => {
+                self.data_stamp(topology)?;
+                Arc::clone(self.windows.lock().entry(topology.into()).or_default())
+            }
+        };
+        let mut slot = slot.lock();
         let now = self.data_stamp(topology)?;
-        if let Some((Freshness::Hit, kept)) = self.windows.read(topology, &now, Arc::clone) {
+        if let Some(kept) = slot.as_ref().filter(|kept| kept.stamp == now) {
             self.history_hits.inc();
-            return Ok((now, kept));
+            return Ok(Arc::clone(kept));
         }
-        let stale = self.windows.take(topology);
+        let stale = slot.take();
         let spec = self.tracker.logical_spec(topology)?;
         let jobs = fit_jobs(&spec, &TopologyDag::new(&spec)?);
         let (from, to) = (self.window_start(now.watermark), now.watermark);
@@ -584,8 +601,7 @@ impl Caladrius {
             Ok::<_, CoreError>(TrainingWindow::assemble(&read, bolts()))
         };
         let mut fallback = None;
-        if let Some((stamp, mut kept)) =
-            stale.filter(|(stamp, _)| stamp.freshness(&now) == Freshness::Stale)
+        if let Some(mut kept) = stale.filter(|kept| kept.stamp.freshness(&now) == Freshness::Stale)
         {
             let slid = if kept.jobs != jobs {
                 Err(CoreError::Unknown(format!(
@@ -595,31 +611,36 @@ impl Caladrius {
                 // In place: nothing else holds the window unless a caller
                 // is still fitting over the previous stamp's.
                 let entry = Arc::make_mut(&mut kept);
+                let previous = std::mem::replace(&mut entry.stamp, now);
                 (entry.slid, entry.fallback) = (true, None);
-                read(slide_from(stamp.watermark, from))
+                entry.models.take();
+                entry.forecasts.values_mut().for_each(|f| drop(f.take()));
+                read(slide_from(previous.watermark, from))
                     .and_then(|delta| entry.window.slide(delta, from))
             };
             match slid {
                 Ok(()) => {
                     self.history_tail_reads.inc();
-                    self.windows
-                        .put(topology.to_string(), now, Arc::clone(&kept));
-                    return Ok((now, kept));
+                    *slot = Some(Arc::clone(&kept));
+                    return Ok(kept);
                 }
                 Err(why) => fallback = Some(why.to_string()),
             }
         }
         self.history_full_reads.inc();
         let window = read(from)?;
+        let forecasts = self.traffic.names().into_iter();
         let kept = Arc::new(KeptWindow {
+            stamp: now,
             jobs,
             window,
             slid: false,
             fallback,
+            models: OnceLock::new(),
+            forecasts: forecasts.map(|name| (name, OnceLock::new())).collect(),
         });
-        self.windows
-            .put(topology.to_string(), now, Arc::clone(&kept));
-        Ok((now, kept))
+        *slot = Some(Arc::clone(&kept));
+        Ok(kept)
     }
 
     /// How source-history reads were served so far.
@@ -642,30 +663,22 @@ impl Caladrius {
             Some(names) => names.to_vec(),
             None => self.config.traffic_models.clone(),
         };
-        // A Hit serves the stored forecast without touching the window;
-        // anything else fits a fresh forecaster over the window's source
+        // The first caller fits a fresh forecaster over the window's source
         // column, which is what a fresh service fits, bit for bit.
-        let now = self.data_stamp(topology)?;
-        let mut window = None;
+        let kept = self.training_window(topology)?;
         names
             .iter()
             .map(|name| {
-                let key = (topology.to_string(), name.clone());
-                if let Some((Freshness::Hit, forecast)) =
-                    self.forecasts.read(&key, &now, Clone::clone)
-                {
-                    return Ok(forecast);
-                }
-                let (stamp, kept) = match &window {
-                    Some(kept) => Clone::clone(kept),
-                    None => window.insert(self.training_window(topology)?).clone(),
-                };
-                let history = kept.source(topology)?;
-                let forecast =
+                let forecast = kept
+                    .forecasts
+                    .get(name)
+                    .ok_or_else(|| CoreError::UnknownModel(name.clone()))?;
+                let forecast = forecast.get_or_init(|| {
+                    let history = kept.source(topology)?;
                     self.traffic
-                        .forecast(name, history, &self.horizon_after(history))?;
-                self.forecasts.put(key, stamp, forecast.clone());
-                Ok(forecast)
+                        .forecast(name, history, &self.horizon_after(history))
+                });
+                forecast.clone()
             })
             .collect()
     }
@@ -700,8 +713,17 @@ impl Caladrius {
     /// A throughput model with nothing to fit from fails the fit
     /// ([`CoreError::NotEnoughObservations`]); a CPU model in that state
     /// is skipped (no data, or no input-rate variance to regress on). A
-    /// failed fit counts nothing.
+    /// failed fit counts nothing. The `core.fit` span says how the window
+    /// got there (`mode`: `incremental` or `full`) and, when a slide
+    /// failed, why (`fallback`).
     fn fit(&self, topology: &str, kept: &KeptWindow) -> Result<FittedModels> {
+        let started = Instant::now();
+        let mut span = caladrius_obs::global_span("core.fit");
+        span.field("topology", topology);
+        span.field("mode", if kept.slid { "incremental" } else { "full" });
+        if let Some(why) = &kept.fallback {
+            span.field("fallback", why);
+        }
         let mut models = HashMap::new();
         let mut cpu_models = HashMap::new();
         for ((name, parallelism, _, grouping), bolt) in kept.jobs.iter().zip(kept.window.bolts()) {
@@ -725,35 +747,24 @@ impl Caladrius {
         } else {
             self.full_fits.add(fits);
         }
+        self.fit_duration.record_duration(started.elapsed());
         Ok((topology_model, Arc::new(cpu_models)))
     }
 
-    /// Fitted models for `topology`: a Hit serves the models fitted under
-    /// the store's current stamp without touching the training window;
-    /// anything else is a cache miss and the fit (`Caladrius::fit`)
-    /// over the window (`Caladrius::training_window`), stamped with the
-    /// window's stamp. The `core.fit` span says how the window got there
-    /// (`mode`: `incremental` or `full`) and, when a slide failed, why
-    /// (`fallback`).
+    /// Fitted models for `topology`, derived on the training window
+    /// (`Caladrius::training_window`): the caller that fits them is a
+    /// cache miss, one that finds them or waits for another to fit them a
+    /// hit. A failed fit is served as it is until the window moves.
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
-        let now = self.data_stamp(topology)?;
-        if let Some((Freshness::Hit, models)) = self.models.read(topology, &now, Clone::clone) {
-            self.cache_hits.inc();
-            return Ok(models);
-        }
-        self.cache_misses.inc();
-        let mut span = caladrius_obs::global_span("core.fit");
-        span.field("topology", topology);
-        let fit_started = Instant::now();
-        let (stamp, kept) = self.training_window(topology)?;
-        span.field("mode", if kept.slid { "incremental" } else { "full" });
-        if let Some(why) = &kept.fallback {
-            span.field("fallback", why);
-        }
-        let models = self.fit(topology, &kept)?;
-        self.fit_duration.record_duration(fit_started.elapsed());
-        self.models.put(topology.to_string(), stamp, models.clone());
-        Ok(models)
+        let kept = self.training_window(topology)?;
+        let mut hit = true;
+        let models = kept.models.get_or_init(|| {
+            hit = false;
+            self.cache_misses.inc();
+            self.fit(topology, &kept)
+        });
+        self.cache_hits.add(u64::from(hit));
+        models.clone()
     }
 
     /// Resolves a requested traffic-model name against the configured
@@ -823,15 +834,16 @@ impl Caladrius {
         found
     }
 
-    /// Drops cached fitted models (all topologies, or one). Invalidation
-    /// is otherwise automatic — new data or plan versions force refits —
-    /// so this is only needed when a provider is swapped out from under
-    /// the service. Cached plan timelines for the same scope are dropped
-    /// too: they were searched against the dropped models.
+    /// Drops kept windows with their models and forecasts (all
+    /// topologies, or one). Invalidation is otherwise automatic — new
+    /// data or plan versions force refits — so this is only needed when a
+    /// provider is swapped out from under the service. Cached plans for
+    /// the same scope go too: they were searched against those models.
     pub fn invalidate_model_cache(&self, topology: Option<&str>) {
-        self.windows.forget(topology, |name| name);
-        self.models.forget(topology, |name| name);
-        self.forecasts.forget(topology, |(name, _)| name);
+        match topology {
+            Some(name) => drop(self.windows.lock().remove(name)),
+            None => self.windows.lock().clear(),
+        }
         self.plans.forget(topology, |(name, _)| name);
     }
 
@@ -850,7 +862,7 @@ impl Caladrius {
                 Ok((*rate, None))
             }
             SourceRateSpec::Current => {
-                let (_, kept) = self.training_window(topology)?;
+                let kept = self.training_window(topology)?;
                 let history = kept.source(topology)?;
                 let recent: Vec<f64> = history.iter().rev().take(5).map(|p| p.y).collect();
                 Ok((recent.iter().sum::<f64>() / recent.len() as f64, None))
@@ -1144,8 +1156,8 @@ impl Caladrius {
     /// before the training window does (its first minutes are no longer
     /// kept) or holds no minute of the column.
     fn realize(&self, prediction: &PendingPrediction) -> Option<f64> {
-        let (stamp, kept) = self.training_window(&prediction.topology).ok()?;
-        if prediction.window_start < self.window_start(stamp.watermark) {
+        let kept = self.training_window(&prediction.topology).ok()?;
+        if prediction.window_start < self.window_start(kept.stamp.watermark) {
             return None;
         }
         let column = match prediction.kind {
@@ -2153,6 +2165,12 @@ mod tests {
             heron_sim::metrics::SimMetrics,
         ) {
             let metrics = sweep_metrics();
+            let (caladrius, provider) = Self::over(&metrics);
+            (caladrius, provider, metrics)
+        }
+
+        /// A default service over `metrics`.
+        fn over(metrics: &heron_sim::metrics::SimMetrics) -> (Caladrius, Arc<ProbedProvider>) {
             let provider = Arc::new(ProbedProvider {
                 inner: SimMetricsProvider::new(metrics.clone()),
                 reads: Default::default(),
@@ -2164,7 +2182,7 @@ mod tests {
                 Arc::clone(&provider) as Arc<dyn MetricsProvider>,
                 Arc::new(tracker),
             );
-            (caladrius, provider, metrics)
+            (caladrius, provider)
         }
     }
 
@@ -2553,5 +2571,163 @@ mod tests {
         };
         assert_eq!(bits(&served), bits(&fresh));
         assert_eq!(served.len(), 3);
+    }
+
+    /// Re-registering a traffic model replaces what it forecasts at once,
+    /// under an unchanged stamp: the served forecast is the new factory's,
+    /// as a fresh service with that factory gives it.
+    #[test]
+    fn re_registering_a_traffic_model_serves_the_new_forecaster() {
+        use caladrius_forecast::ar::ArModel;
+        let ar =
+            || -> Box<dyn caladrius_forecast::Forecaster + Send> { Box::new(ArModel::new(2, 0.9)) };
+        let (mut caladrius, metrics) = service_with_metrics();
+        let model = ["stats_summary".to_string()];
+        let before = caladrius
+            .forecast_traffic("wordcount", Some(&model))
+            .unwrap();
+        caladrius
+            .traffic_registry_mut()
+            .register("stats_summary", ar);
+        let served = caladrius
+            .forecast_traffic("wordcount", Some(&model))
+            .unwrap();
+
+        let window = crate::config::CaladriusConfig::default().source_window_minutes;
+        let mut fresh = batch_reference(&metrics, window);
+        fresh.traffic_registry_mut().register("stats_summary", ar);
+        assert_eq!(
+            served,
+            fresh.forecast_traffic("wordcount", Some(&model)).unwrap()
+        );
+        assert_ne!(served, before);
+    }
+
+    /// Four what-ifs released together after a new leg share one slide
+    /// and one fit: per round one model-cache miss, one tail read, no
+    /// whole-window read and one fit's worth of fits, the other three
+    /// readers waiting for the first (hits). Four Prophet what-ifs after
+    /// the next legs fit Prophet once a round.
+    #[test]
+    fn concurrent_readers_in_a_new_minute_share_one_slide_and_one_fit() {
+        use caladrius_forecast::{ForecastError, ForecastPoint, Forecaster};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// A forecaster that counts its fits.
+        struct CountedFits(Box<dyn Forecaster + Send>, Arc<AtomicU64>);
+        impl Forecaster for CountedFits {
+            fn fit(&mut self, history: &[DataPoint]) -> std::result::Result<(), ForecastError> {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                self.0.fit(history)
+            }
+            fn predict(
+                &self,
+                timestamps: &[i64],
+            ) -> std::result::Result<Vec<ForecastPoint>, ForecastError> {
+                self.0.predict(timestamps)
+            }
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+        }
+
+        const WINDOW: u32 = 400;
+        const READERS: u64 = 4;
+        let metrics = sweep_metrics();
+        let mut caladrius = batch_reference(&metrics, WINDOW);
+        let prophet_fits = Arc::new(AtomicU64::new(0));
+        let fits = Arc::clone(&prophet_fits);
+        caladrius
+            .traffic_registry_mut()
+            .register("prophet", move || {
+                let prophet = TrafficModelRegistry::with_defaults().create("prophet");
+                Box::new(CountedFits(prophet.unwrap(), Arc::clone(&fits)))
+            });
+        caladrius.fitted_models("wordcount").unwrap();
+        let what_ifs = |source: &SourceRateSpec| {
+            let barrier = std::sync::Barrier::new(READERS as usize);
+            std::thread::scope(|scope| {
+                for _ in 0..READERS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        caladrius
+                            .evaluate("wordcount", &HashMap::new(), source)
+                            .unwrap()
+                    });
+                }
+            });
+        };
+        let fixed = SourceRateSpec::Fixed(30.0e6);
+        let prophet = SourceRateSpec::Forecast {
+            model: Some("prophet".into()),
+            conservative: false,
+        };
+        for round in 0..25 {
+            run_leg(&metrics, 600 + round * 100, 24.0e6);
+            let (stats, reads) = (
+                caladrius.model_cache_stats(),
+                caladrius.source_history_reads(),
+            );
+            let fitted = prophet_fits.load(Ordering::SeqCst);
+            let forecasting = round >= 20;
+            what_ifs(if forecasting { &prophet } else { &fixed });
+            let (after, after_reads) = (
+                caladrius.model_cache_stats(),
+                caladrius.source_history_reads(),
+            );
+            assert_eq!(after.misses - stats.misses, 1, "round {round}");
+            assert_eq!(after.hits - stats.hits, READERS - 1, "round {round}");
+            assert_eq!(after_reads.tail - reads.tail, 1, "round {round}");
+            assert_eq!(after_reads.full, reads.full, "round {round}");
+            let fresh = batch_reference(&metrics, WINDOW);
+            fresh.fitted_models("wordcount").unwrap();
+            let one_fit = fresh.model_cache_stats().fits;
+            assert_eq!(after.fits - stats.fits, one_fit, "round {round}");
+            let prophet_fitted = prophet_fits.load(Ordering::SeqCst) - fitted;
+            assert_eq!(prophet_fitted, u64::from(forecasting), "round {round}");
+            if !forecasting {
+                assert_eq!(after_reads.hit - reads.hit, READERS - 1, "round {round}");
+            }
+        }
+    }
+
+    /// A fit that fails is a function of its window like a model is: a
+    /// second call under the same stamp gets the same error without a
+    /// store read or a fit, and the next minute fits again.
+    #[test]
+    fn a_failed_fit_is_served_until_the_stamp_moves() {
+        let idle = wordcount_topology(PARALLELISM, 0.0);
+        let quiet = SimConfig {
+            metric_noise: 0.0,
+            ..SimConfig::default()
+        };
+        let metrics = heron_sim::metrics::SimMetrics::new("wordcount");
+        let mut sim = Simulation::new(idle, quiet.clone()).unwrap();
+        sim.run_minutes_into(30, &metrics);
+        let (caladrius, provider) = ProbedProvider::over(&metrics);
+
+        let failed = caladrius.fitted_models("wordcount").unwrap_err();
+        assert!(
+            matches!(failed, CoreError::NotEnoughObservations { .. }),
+            "{failed:?}"
+        );
+        let first = caladrius.model_cache_stats();
+        assert_eq!((first.misses, first.hits, first.fits), (1, 0, 0));
+        provider.reads.lock().clear();
+        assert_eq!(caladrius.fitted_models("wordcount").unwrap_err(), failed);
+        assert!(provider.reads.lock().is_empty());
+        let again = caladrius.model_cache_stats();
+        assert_eq!((again.misses, again.hits, again.fits), (1, 1, 0));
+
+        // A loaded minute lands: the window slides and the models fit.
+        let mut loaded = Simulation::new(wordcount_topology(PARALLELISM, 8.0e6), quiet).unwrap();
+        loaded.skip_to_minute(30);
+        loaded.warmup_minutes(30);
+        loaded.run_minutes_into(1, &metrics);
+        caladrius.fitted_models("wordcount").unwrap();
+        let after = caladrius.model_cache_stats();
+        assert_eq!((after.misses, after.hits), (2, 1));
+        assert!(after.fits > 0 && after.fits == after.incremental_fits);
+        assert_eq!(caladrius.source_history_reads().tail, 1);
     }
 }

@@ -11,8 +11,10 @@
 //! reads and fits from scratch over the same window, and the window
 //! counters must show the path the version stamp dictates: a full read
 //! exactly where the stamp says Cold, a tail read where only the
-//! watermark advanced, a hit otherwise — and a model or forecast already
-//! derived under the current stamp does not touch the window at all.
+//! watermark advanced, a hit otherwise. Models and forecasts are derived
+//! on the window just kept, so each fit and forecast is one more hit, and
+//! the models (a failed fit's error included) are fitted once per window:
+//! a model-cache miss exactly where the window moved.
 //!
 //! A tail read is the range read from just after the last watermark (or
 //! from the window's start, if that is later) to the watermark; a
@@ -321,19 +323,18 @@ fn run(
 ) -> (SourceHistoryReads, Vec<Option<CoreError>>) {
     harness.append(45);
     let warm = harness.service();
-    // The stamps the warm service keeps its window, its models and each
-    // forecaster's forecast under, if any.
+    // The stamps the warm service keeps its window and its models under,
+    // if any.
     let mut cached = None;
     let mut models_at = None;
-    let mut forecasts_at = vec![None; forecasters.len()];
     let mut expected = SourceHistoryReads::default();
+    let mut misses = 0;
     let mut fits = Vec::new();
     for step in std::iter::once(&Step::Read).chain(steps) {
         harness.apply(step, &warm);
         if matches!(step, Step::Invalidate) {
             cached = None;
             models_at = None;
-            forecasts_at.fill(None);
         }
         let now = harness.stamp();
         let fresh = harness.service();
@@ -363,29 +364,29 @@ fn run(
         }
         assert_eq!(warm.source_history_reads(), expected, "after {step:?}");
 
-        // Models and forecasts: a Hit under the stamp they were derived
-        // at, or a fit over the window just kept (a window hit). A failed
-        // fit keeps nothing.
+        // Models and forecasts are derived on the window just kept: each
+        // call is a window hit. The models, or the fit's error, are
+        // fitted once per window, the first time they are asked for.
         let fit = fitted_bits(&warm);
         assert_eq!(fit, fitted_bits(&fresh), "models after {step:?}");
         if now.is_some() && models_at != now {
-            expected.hit += 1;
+            misses += 1;
         }
-        models_at = now.filter(|_| fit.is_ok());
+        models_at = now;
         fits.push(fit.err());
-        for (model, at) in forecasters.iter().zip(&mut forecasts_at) {
+        for model in forecasters {
             let served = forecast_bits(&warm, model);
             assert_eq!(
                 served,
                 forecast_bits(&fresh, model),
                 "{model} after {step:?}"
             );
-            if now.is_some() && *at != now {
-                expected.hit += 1;
-            }
-            *at = now.filter(|_| served.is_ok());
+        }
+        if now.is_some() {
+            expected.hit += 1 + forecasters.len() as u64;
         }
         assert_eq!(warm.source_history_reads(), expected, "after {step:?}");
+        assert_eq!(warm.model_cache_stats().misses, misses, "after {step:?}");
     }
     (expected, fits)
 }
@@ -431,11 +432,9 @@ fn every_cold_event_costs_exactly_one_full_read() {
         let accesses = steps.len() as u64 + 1;
         assert_eq!(reads.full, 5, "{reads:?}");
         assert_eq!(reads.tail, accesses - reads.full - 2);
-        // The history's two hits, plus one for the fit of every step
-        // whose models were not already held under its stamp: all but
-        // those two steps, each fit having succeeded.
+        // The history's two hits, plus one for the fit of every step.
         assert!(fits.iter().all(Option::is_none), "{fits:?}");
-        assert_eq!(reads.hit, 2 + (accesses - 2), "{reads:?}");
+        assert_eq!(reads.hit, 2 + accesses, "{reads:?}");
     }
 }
 

@@ -200,6 +200,18 @@ if [ "$stale" != 1 ]; then
     echo "crates/core/src/service.rs: $stale Freshness::Stale comparisons outside tests, want 1"
     exit 1
 fi
+# One cache entry per topology: the fitted models and the forecasts live
+# on the kept window (computed once per window by the first reader), not
+# in caches of their own stamped and compared apart from it. A reader
+# slides the window under its topology's slot lock instead of taking it
+# out of a cache, so the stamped cache (the plans' alone) has no `take`.
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/service.rs |
+    grep -nE 'models: StampedCache|forecasts: StampedCache|self\.(models|forecasts)\.'; then
+    exit 1
+fi
+if grep -n 'pub fn take' crates/core/src/freshness.rs; then
+    exit 1
+fi
 # One read path per topology: accuracy claims are realised from the kept
 # window's source and sink columns, so core's service reads the store
 # only through that window, never a series set of its own. The per-spout
@@ -274,21 +286,24 @@ CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner
 
 # Sliding == batch over the window: the forecast package's proptests
 # hold a forecaster refitted as its window slides equal to a fresh fit;
-# the core service suite carries the kept window. Every model and
-# forecast is the batch fit over one training window per topology, read
-# whole or slid, so a warm model equals a fresh service's by
-# construction; the suite still pins it bit for bit (CPU lines
+# the core service suite carries the kept window. Each topology has one
+# cache entry, its kept training window, read whole or slid, with the
+# models and forecasts derived on it: every model and forecast is the
+# batch fit over that window, so a warm model equals a fresh service's
+# by construction; the suite still pins it bit for bit (CPU lines
 # included), the truncation/retention full-read regressions, the failed
-# slide -> full read fallback, and that the first of a fit and a
-# forecast in a minute reads each (component, metric) series set exactly
-# once (spout source-offered included), the second nothing, and never a
-# minute before the window. Single-threaded so the read fan-out cannot
-# mask ordering dependencies in the compensated sums. Its proptest holds
-# the source history, the models and the forecasts bitwise equal to a
-# from-scratch service's over random append/gap/hostile-sample/truncate/
-# rescale schedules (core and fleet providers), and forecast_equivalence
-# holds a warm service equal to a fresh one at every minute of three
-# windows.
+# slide -> full read fallback, a failed fit served until the stamp
+# moves, four concurrent what-ifs in a new minute sharing one slide and
+# one fit (one Prophet fit for four forecast what-ifs), and that the
+# first of a fit and a forecast in a minute reads each (component,
+# metric) series set exactly once (spout source-offered included), the
+# second nothing, and never a minute before the window. Single-threaded
+# so the read fan-out cannot mask ordering dependencies in the
+# compensated sums. Its proptest holds the source history, the models
+# and the forecasts bitwise equal to a from-scratch service's over
+# random append/gap/hostile-sample/truncate/rescale schedules (core and
+# fleet providers), and forecast_equivalence holds a warm service equal
+# to a fresh one at every minute of three windows.
 echo "==> CALADRIUS_THREADS=1 sliding-window equivalence"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-forecast --test prop_sliding
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-core --lib

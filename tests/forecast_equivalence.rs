@@ -134,23 +134,26 @@ fn forecasts_off_the_maintained_history_equal_a_from_scratch_service() {
         );
     }
 
-    // Per minute: the first what-if's fit slides the window by the new
-    // minute, and each what-if's forecast is fitted over the window kept
-    // (a hit); the plan's models and forecast were derived under the same
-    // stamp already and do not touch the window. A claim that falls due
-    // is realised from the window too, one more access per live minute
-    // in which one does. Every minute's plan claims four 15-minute
-    // windows from the minute after its newest on, the first of which is
-    // due once 16 more minutes have landed: in live minutes 16 to 20 one
+    // Per minute, every what-if and the plan read their models and their
+    // forecast off the window: two accesses each, eight a minute. The
+    // plan's models and forecast were derived under the same stamp
+    // already, but reading them is still an access. The first access of
+    // a minute slides the window by the new minute (reads it whole at
+    // minute 0); the other seven are hits. A claim that falls due is
+    // realised from the window too, one more access per live minute in
+    // which one does. Every minute's plan claims four 15-minute windows
+    // from the minute after its newest on, the first of which is due
+    // once 16 more minutes have landed: in live minutes 16 to 20 one
     // claim a minute (the what-ifs' 60-minute claims never fall due).
     // Realising it is taken at the top of the first what-if, so it makes
     // the slide and that what-if's fit is a hit.
     let minutes = u64::from(LIVE_MINUTES);
     let claim_minutes = minutes - 15;
+    let accesses = 2 * (MODELS.len() as u64 + 1);
     assert_eq!(
         warm.source_history_reads(),
         SourceHistoryReads {
-            hit: MODELS.len() as u64 * (minutes + 1) + claim_minutes,
+            hit: (accesses - 1) * (minutes + 1) + claim_minutes,
             tail: minutes,
             full: 1,
         }
